@@ -31,7 +31,7 @@ from .linalg import (
     rat,
     rat_str,
 )
-from .pseudochar import _signed_cycle_decompositions
+from .pseudochar import _TraceRecursion
 from .statespaces import SequenceTooShort
 
 
@@ -556,6 +556,27 @@ class Cob2PseudoReport:
     witness: tuple | None  # (family, dot tuple)
 
 
+def _dotted_strands(seq) -> _TraceRecursion:
+    """Antisymmetrized closures of dotted strands.
+
+    A strand is its dot count; a cycle of strands closes into a circle
+    carrying their dots, valued alpha_{dots+1}.  The one open strand of
+    the interval family is the marked element ("i", dots), valued
+    alpha_dots, and every product with it stays marked.
+    """
+    def trace(x):
+        return seq[x[1]] if isinstance(x, tuple) else seq[x + 1]
+
+    def add(x, y):
+        if isinstance(x, tuple):
+            return ("i", x[1] + y)
+        if isinstance(y, tuple):
+            return ("i", x + y[1])
+        return x + y
+
+    return _TraceRecursion(trace, add)
+
+
 def cob2_pseudochar_check(alpha_seq, d: int, cap_dots=None) -> Cob2PseudoReport:
     """Degree-d vanishing for a surface-value sequence.
 
@@ -564,7 +585,8 @@ def cob2_pseudochar_check(alpha_seq, d: int, cap_dots=None) -> Cob2PseudoReport:
     one strand is left open, so its cycle closes into a dotted interval
     instead.  Both families must vanish identically when alpha comes from
     an algebra of dimension <= d; dot counts run up to cap_dots per
-    strand (default d + 1).
+    strand (default d + 1).  The closures are evaluated by the trace
+    recursion (`_dotted_strands`).
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
@@ -573,24 +595,17 @@ def cob2_pseudochar_check(alpha_seq, d: int, cap_dots=None) -> Cob2PseudoReport:
     need = (d + 1) * cap + 2
     if len(seq) < need:
         raise SequenceTooShort(f"need alpha_0..alpha_{need - 1}")
-
-    def closure(dots, open_slot):
-        total = Fraction(0)
-        for sign, cycles in _signed_cycle_decompositions(len(dots)):
-            parts = []
-            for cyc in cycles:
-                kind = "interval" if open_slot in cyc else "circle"
-                parts.append((kind, sum(dots[i] for i in cyc)))
-            total += sign * f1_pullback(seq, parts)
-        return total
+    strands = _dotted_strands(seq)
+    dot_ids = [strands.intern(k) for k in range(cap + 1)]
 
     for head in range(cap + 1):
+        marked = strands.intern(("i", head))
         for rest in combinations_with_replacement(range(cap + 1), d):
-            dots = (head,) + rest
-            if closure(dots, open_slot=0) != 0:
-                return Cob2PseudoReport(d, cap, False, ("interval", dots))
+            if strands.antisym([marked] + [dot_ids[k] for k in rest]) != 0:
+                return Cob2PseudoReport(d, cap, False,
+                                        ("interval", (head,) + rest))
     for dots in combinations_with_replacement(range(cap + 1), d + 1):
-        if closure(dots, open_slot=None) != 0:
+        if strands.antisym([dot_ids[k] for k in dots]) != 0:
             return Cob2PseudoReport(d, cap, False, ("circle", dots))
     return Cob2PseudoReport(d, cap, True, None)
 

@@ -258,7 +258,8 @@ class Matrix:
         self.entries = tuple(tuple(rat(x) for x in row) for row in entries)
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
-        assert all(len(r) == self.cols for r in self.entries), "ragged matrix"
+        if any(len(r) != self.cols for r in self.entries):
+            raise ValueError("ragged matrix")
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":

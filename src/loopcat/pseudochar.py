@@ -9,9 +9,16 @@ against a supplied character table, extends the vanishing test to diagrams
 with boundary decorations and to direct sums of objects, and evaluates the
 holonomy pseudocharacter of an edge-labeled graph.
 
-The cycle-product expansions here mirror the closed-diagram route in
-`diagrams` (close up a labeled permutation diagram, one loop per cycle);
-the test suite holds the two routes against each other.
+Antisymmetrized traces are not expanded over the (d+1)! permutations.
+`_TraceRecursion` evaluates them by the classical trace recursion (Procesi's
+trace identities; Chenevier's determinant laws), memoized on multisets;
+class functions, loop matrices, matrix units of a direct sum and dotted
+strands (`frobenius.cob2_pseudochar_check`) all go through it.  The
+recursion is exact only for a trace-like function, tr(gh) = tr(hg), so
+`PseudoCharacter` rejects class values that are not.  The permutation sum
+remains in `antisym_trace_boundary`, whose cut strands are not one cyclic
+product, and in the test suite, which holds the recursion against it and
+both against the closed-diagram route in `diagrams`.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
+import operator
 
 from .errors import DomainError
 from .fincat import FiniteMonoid, conjugacy_classes, least_rotation
@@ -56,7 +64,12 @@ class NonInvertibleEdge(DomainError):
 
 
 class PseudoCharacter:
-    """Rational class function on a finite monoid, stored per class."""
+    """Rational class function on a finite monoid, stored per class.
+
+    The values must be trace-like, alpha(gh) = alpha(hg) for every pair,
+    which the antisymmetrized-trace recursion relies on; class values on
+    a partition finer than `conjugacy_classes` are checked pair by pair.
+    """
 
     def __init__(self, monoid: FiniteMonoid, class_values, classes=None):
         self.monoid = monoid
@@ -70,8 +83,19 @@ class PseudoCharacter:
         for ci, cls in enumerate(self.classes):
             for e in cls:
                 self._class_of[e] = ci
-        if len(self._class_of) != monoid.size:
+        if set(self._class_of) != set(range(monoid.size)):
             raise ValueError("classes do not cover the monoid")
+        values, class_of = self.values, self._class_of
+        for g in range(monoid.size):
+            for h in range(g + 1, monoid.size):
+                if values[class_of[monoid.mul(g, h)]] != \
+                        values[class_of[monoid.mul(h, g)]]:
+                    raise ValueError(
+                        f"values are not trace-like: alpha({g}*{h}) != "
+                        f"alpha({h}*{g})")
+        # a closure over the tables, not the instance: no reference cycle
+        self._antisym = _TraceRecursion(lambda e: values[class_of[e]],
+                                        monoid.mul)
 
     @classmethod
     def from_element_values(cls, monoid: FiniteMonoid, values):
@@ -123,6 +147,91 @@ def char_of_rep(r: RepData) -> PseudoCharacter:
 # antisymmetrized traces
 
 
+class _TraceRecursion:
+    """Antisymmetrized traces of a trace-like (trace, mul) pair.
+
+    T(x0, ..., xn) = sum over permutations sigma of the n+1 slots of
+    sign(sigma) times the product, over the cycles of sigma, of the trace
+    of the slot entries multiplied along the cycle.  Splitting on where
+    sigma sends slot 0 (to itself, or to a slot j whose entry then merges
+    with x0 into x0·xj, one cycle shorter and one sign flip) gives
+
+        T(x0, S) = tr(x0)·T(S) - sum_{xj in S} T(S - {xj} + {x0·xj}),
+
+    with T() = 1.  Rotating a cycle product changes nothing as long as
+    tr(gh) = tr(hg), so T is symmetric and is memoized on sorted tuples
+    of interned element ids; equal entries of S give equal terms and are
+    merged once, times their count.  A product is interned only when it
+    enters a key; one that feeds a final trace is not kept.
+    """
+
+    def __init__(self, trace, mul):
+        self._trace = trace
+        self._mul = mul
+        self._ids = {}
+        self._elements = []
+        self._traces = []
+        self._products = {}
+        self._memo = {(): Fraction(1)}
+
+    def intern(self, x) -> int:
+        i = self._ids.get(x)
+        if i is None:
+            i = self._ids[x] = len(self._elements)
+            self._elements.append(x)
+            self._traces.append(self._trace(x))
+            self._memo[(i,)] = self._traces[i]
+        return i
+
+    def antisym(self, ids) -> Fraction:
+        """T of interned ids, in any order."""
+        return self._value(tuple(sorted(ids)))
+
+    def _value(self, key: tuple) -> Fraction:
+        # Depth first with an explicit stack: a key of a thousand entries
+        # would exhaust the interpreter's recursion limit.  A key waiting
+        # for its subkeys keeps its expansion in `pending`.  Keys of length
+        # 0 and 1 are in the memo from the start.
+        memo = self._memo
+        pending = {}
+        stack = [key]
+        while stack:
+            top = stack[-1]
+            if top in memo:
+                stack.pop()
+                continue
+            terms = pending.pop(top, None)
+            if terms is None:
+                x0, rest = top[0], top[1:]
+                if len(rest) == 1:
+                    memo[top] = self._traces[x0] * self._traces[rest[0]] - \
+                        self._trace(self._mul(self._elements[x0],
+                                              self._elements[rest[0]]))
+                    stack.pop()
+                    continue
+                terms = [(-rest.count(x), tuple(sorted(
+                            rest[:p] + rest[p + 1:] + (self._product(x0, x),))))
+                         for p, x in enumerate(rest)
+                         if not p or x != rest[p - 1]]
+                if self._traces[x0]:
+                    terms.append((self._traces[x0], rest))
+            missing = [k for _, k in terms if k not in memo]
+            if missing:
+                pending[top] = terms
+                stack.extend(missing)
+                continue
+            memo[top] = sum(c * memo[k] for c, k in terms)
+            stack.pop()
+        return memo[key]
+
+    def _product(self, a: int, b: int) -> int:
+        ab = self._products.get((a, b))
+        if ab is None:
+            ab = self._products[(a, b)] = self.intern(
+                self._mul(self._elements[a], self._elements[b]))
+        return ab
+
+
 @lru_cache(maxsize=None)
 def _signed_cycle_decompositions(n: int):
     """All permutations of n slots as (sign, cycles), cycles in traversal
@@ -151,21 +260,12 @@ def antisym_trace(alpha: PseudoCharacter, g) -> Fraction:
     Each permutation contributes its sign times the product, over its
     cycles, of alpha evaluated on the product of the tuple entries read
     along the cycle.  Equals the closed-diagram evaluation of the tuple
-    composed with the antisymmetrizer.
+    composed with the antisymmetrizer.  Evaluated by the trace recursion
+    of `_TraceRecursion`, whose memo lives on alpha, so the result is
+    symmetric in the entries of g.
     """
-    m = alpha.monoid
-    total = Fraction(0)
-    for sign, cycles in _signed_cycle_decompositions(len(g)):
-        term = Fraction(sign)
-        for cyc in cycles:
-            prod = g[cyc[0]]
-            for i in cyc[1:]:
-                prod = m.mul(prod, g[i])
-            term *= alpha(prod)
-            if term == 0:
-                break
-        total += term
-    return total
+    engine = alpha._antisym
+    return engine.antisym([engine.intern(x) for x in g])
 
 
 @dataclass(frozen=True)
@@ -179,7 +279,8 @@ def degree(alpha: PseudoCharacter, max_d: int) -> DegreeResult:
     """Smallest d with every (d+1)-fold antisymmetrized trace zero.
 
     The vanishing check runs over unordered tuples (antisym_trace is
-    symmetric in its arguments); the nonvanishing witness at level d is the
+    symmetric in its arguments), one antisym_trace call per tuple, all
+    sharing the memo on alpha; the nonvanishing witness at level d is the
     lexicographically first ordered tuple.  Cross-checked against the
     characteristic-zero identity d = alpha(identity); disagreement, a
     fractional or negative identity value, or exhaustion of max_d all
@@ -229,21 +330,15 @@ def alpha_charpoly(alpha: PseudoCharacter, x: int, d: int) -> Polynomial:
         raise DegreeMismatch(str(exc)) from exc
     if found.d != d:
         raise DegreeMismatch(f"degree is {found.d}, not {d}")
-    m = alpha.monoid
-    powers = [m.identity]
-    for _ in range(d + 1):
-        powers.append(m.mul(powers[-1], x))
-    gamma = [Fraction(0)] * (d + 1)
-    free = d  # slot index of y
-    for sign, cycles in _signed_cycle_decompositions(d + 1):
-        coeff = Fraction(sign)
-        k = None
-        for cyc in cycles:
-            if free in cyc:
-                k = len(cyc) - 1
-            else:
-                coeff *= alpha(powers[len(cyc)])
-        gamma[k] += coeff
+    if not 0 <= x < alpha.monoid.size:
+        raise ValueError(f"element {x} is not in the monoid")
+    # The cycle through y holds k of the d copies of x, in d!/(d-k)! orders
+    # and with sign (-1)^k; the other d - k copies permute freely.
+    gamma = []
+    orders = 1
+    for k in range(d + 1):
+        gamma.append((-1) ** k * orders * antisym_trace(alpha, (x,) * (d - k)))
+        orders *= d - k
     lead = gamma[d]  # (-1)^d d!, counts full cycles through the free slot
     return Polynomial([c / lead for c in gamma])
 
@@ -333,9 +428,9 @@ def degree_additivity_check(cat, alpha, objects=None, max_d=6):
 
     Endomorphisms of the sum are matrix units (i, j, f) with f a morphism
     from objects[i] to objects[j]; by multilinearity it is enough to run
-    the antisymmetrized-trace tests on tuples of matrix units, evaluating
-    a permutation cycle as a loop when its unit chain closes and as zero
-    when it breaks.
+    the antisymmetrized-trace tests on tuples of matrix units.  Units
+    multiply along unbroken chains and a broken chain is an absorbing
+    zero, whose trace is 0; a closed chain is traced as a loop.
     """
     objs = tuple(objects if objects is not None else cat.objects)
     part_degrees = []
@@ -345,34 +440,24 @@ def degree_additivity_check(cat, alpha, objects=None, max_d=6):
         part = PseudoCharacter.from_element_values(monoid, values)
         part_degrees.append(degree(part, max_d).d)
 
-    units = [(i, j, f)
+    def unit_trace(u):
+        if u is None or u[0] != u[1]:
+            return Fraction(0)
+        return alpha.loop(cat.loop_class(objs[u[0]], [u[2]]))
+
+    def unit_mul(u, v):
+        if u is None or v is None or u[1] != v[0]:
+            return None
+        return (u[0], v[1], cat.compose(v[2], u[2]))
+
+    engine = _TraceRecursion(unit_trace, unit_mul)
+    units = [engine.intern((i, j, f))
              for i in range(len(objs)) for j in range(len(objs))
              for f in cat.hom(objs[i], objs[j])]
 
-    def cycle_value(slot_units):
-        i0, j, f = slot_units[0]
-        for i2, j2, f2 in slot_units[1:]:
-            if j != i2:
-                return Fraction(0)
-            f, j = cat.compose(f2, f), j2
-        if j != i0:
-            return Fraction(0)
-        return alpha.loop(cat.loop_class(objs[i0], [f]))
-
-    def antisym(tup):
-        total = Fraction(0)
-        for sign, cycles in _signed_cycle_decompositions(len(tup)):
-            term = Fraction(sign)
-            for cyc in cycles:
-                term *= cycle_value([tup[i] for i in cyc])
-                if term == 0:
-                    break
-            total += term
-        return total
-
     sum_degree = None
     for d in range(max_d + 1):
-        if all(antisym(tup) == 0
+        if all(engine.antisym(tup) == 0
                for tup in combinations_with_replacement(units, d + 1)):
             sum_degree = d
             break
@@ -409,21 +494,6 @@ class HolonomyReport:
     base: int
     dimension: int
     degree: DegreeResult
-
-
-def _matrix_antisym(mats) -> Fraction:
-    total = Fraction(0)
-    for sign, cycles in _signed_cycle_decompositions(len(mats)):
-        term = Fraction(sign)
-        for cyc in cycles:
-            prod = mats[cyc[0]]
-            for i in cyc[1:]:
-                prod = prod * mats[i]
-            term *= prod.trace()
-            if term == 0:
-                break
-        total += term
-    return total
 
 
 def graph_pseudoholonomy(gh: GraphHolonomy, max_len: int,
@@ -465,13 +535,15 @@ def graph_pseudoholonomy(gh: GraphHolonomy, max_len: int,
         if m not in mats:
             mats.append(m)
 
+    engine = _TraceRecursion(Matrix.trace, operator.mul)
+    ids = [engine.intern(m) for m in mats]
     checked = 0
     deg = None
     for d in range(dim + 2):
         level_clean = True
-        for tup in combinations_with_replacement(mats, d + 1):
+        for tup in combinations_with_replacement(ids, d + 1):
             checked += 1
-            if _matrix_antisym(tup) != 0:
+            if engine.antisym(tup) != 0:
                 level_clean = False
                 break
         if level_clean:
@@ -481,9 +553,9 @@ def graph_pseudoholonomy(gh: GraphHolonomy, max_len: int,
         raise NotPseudo(
             f"holonomy at vertex {base} has degree {deg}, dimension {dim}")
     witness = None
-    for tup in product(mats, repeat=deg):
-        if _matrix_antisym(tup) != 0:
-            witness = tup
+    for tup in product(range(len(mats)), repeat=deg):
+        if engine.antisym([ids[i] for i in tup]) != 0:
+            witness = tuple(mats[i] for i in tup)
             break
     return HolonomyReport(table, base, dim,
                           DegreeResult(deg, witness, checked))

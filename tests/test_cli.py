@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import loopcat
 from loopcat.cli import main
 
 Z2_MONOID = {"monoid": {"table": [[0, 1], [1, 0]], "identity": 0, "size": 2}}
@@ -25,6 +32,19 @@ def run_json(tmp_path, capsys, command, doc, *flags):
     code, out = run_cli(tmp_path, capsys, command, doc, "--format", "json",
                         *flags)
     return code, json.loads(out)
+
+
+def run_optimized(tmp_path, command, doc):
+    """The CLI in a fresh `python -O` process, where asserts are stripped."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(loopcat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "loopcat.cli", command, "--input",
+         str(path), "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60)
 
 
 # --- statespace -----------------------------------------------------------
@@ -159,6 +179,19 @@ def test_degree_rejects_non_pseudocharacter(tmp_path, capsys):
     assert out["error"] == "NotPseudo"
 
 
+def test_degree_rejects_values_that_are_not_trace_like(tmp_path, capsys):
+    # "first wins" monoid: 1*2 = 1 but 2*1 = 2, so singleton classes with
+    # distinct values break alpha(gh) = alpha(hg)
+    doc = {"monoid": {"table": [[0, 1, 2], [1, 1, 1], [2, 2, 2]],
+                      "identity": 0, "size": 3},
+           "pseudocharacter": {"classes": [[0], [1], [2]],
+                               "values": ["1", "2", "3"]}}
+    code, out = run_json(tmp_path, capsys, "pseudochar-degree", doc)
+    assert code == 2
+    assert out["error"] == "ValueError"
+    assert "trace-like" in out["message"]
+
+
 def test_charpoly_of_involution(tmp_path, capsys):
     doc = dict(Z2_MONOID, **Z2_REGULAR, x=1, d=2)
     code, out = run_json(tmp_path, capsys, "pseudochar-charpoly", doc)
@@ -223,6 +256,31 @@ def test_holonomy_singular_edge(tmp_path, capsys):
     code, out = run_json(tmp_path, capsys, "holonomy", doc)
     assert code == 1
     assert out["error"] == "NonInvertibleEdge"
+
+
+RAGGED_JOBS = {
+    "holonomy": {"graph": {"n_vertices": 1,
+                           "edges": [[0, 0, [["1", "0"], ["2"]]]]}},
+    "pih-check": {"pih": {"p": ["1", "0"], "h": [["3", "1"], ["0"]],
+                          "iota": ["1", "0"]},
+                  "alpha": ["1", "3", "9", "27", "81"]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(RAGGED_JOBS))
+def test_ragged_matrix_exits_two(tmp_path, capsys, command):
+    code, out = run_json(tmp_path, capsys, command, RAGGED_JOBS[command])
+    assert code == 2
+    assert out == {"error": "ValueError", "message": "ragged matrix"}
+
+
+@pytest.mark.parametrize("command", sorted(RAGGED_JOBS))
+def test_ragged_matrix_exits_two_without_asserts(tmp_path, command):
+    proc = run_optimized(tmp_path, command, RAGGED_JOBS[command])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout) == {"error": "ValueError",
+                                       "message": "ragged matrix"}
 
 
 # --- frobenius-validate / genfun / classify / witness -----------------------

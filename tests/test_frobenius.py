@@ -21,6 +21,7 @@ from loopcat.frobenius import (
     PIHSystem,
     Reject,
     SingularT,
+    _dotted_strands,
     classification_from_json,
     classification_to_json,
     classify_genfun,
@@ -43,6 +44,7 @@ from loopcat.frobenius import (
     witness_synthesis,
 )
 from loopcat.linalg import Matrix, Polynomial, RationalFunction
+from loopcat.pseudochar import _signed_cycle_decompositions
 from loopcat.statespaces import SequenceTooShort
 
 
@@ -492,6 +494,32 @@ def test_cob2_check_accepts_real_algebras() -> None:
         need = (d + 1) * (d + 2) + 2
         seq = [surface_eval(fa, g) for g in range(need)]
         assert cob2_pseudochar_check(seq, d).ok, fa.dim
+
+
+def closure_by_permutations(seq, dots, open_slot) -> Fraction:
+    """Reference: close up every signed permutation of the dotted strands;
+    the cycle through the open slot becomes an interval."""
+    total = Fraction(0)
+    for sign, cycles in _signed_cycle_decompositions(len(dots)):
+        parts = [("interval" if open_slot in cyc else "circle",
+                  sum(dots[i] for i in cyc)) for cyc in cycles]
+        total += sign * f1_pullback(seq, parts)
+    return total
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=5), st.data())
+@settings(max_examples=100, deadline=None)
+def test_dotted_strand_recursion_matches_permutation_sum(dots, data) -> None:
+    seq = data.draw(st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=3),
+        min_size=sum(dots) + 2, max_size=sum(dots) + 4))
+    strands = _dotted_strands(seq)
+    circles = [strands.intern(k) for k in dots]
+    assert strands.antisym(circles) == \
+        closure_by_permutations(seq, dots, None)
+    interval = [strands.intern(("i", dots[0]))] + circles[1:]
+    assert strands.antisym(interval) == \
+        closure_by_permutations(seq, dots, 0)
 
 
 def test_cob2_check_rejects_at_low_degree() -> None:

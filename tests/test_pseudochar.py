@@ -1,6 +1,8 @@
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import permutations, product
+from math import perm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from loopcat.fincat import (
     FreeBoundary,
     FreeMonoidCategory,
     MonoidCategory,
+    conjugacy_classes,
     cyclic_group,
     symmetric_group,
 )
@@ -35,6 +38,8 @@ from loopcat.pseudochar import (
     PseudoCharacter,
     RepData,
     SingularTable,
+    _signed_cycle_decompositions,
+    _TraceRecursion,
     alpha_charpoly,
     antisym_trace,
     antisym_trace_boundary,
@@ -173,6 +178,21 @@ def test_pseudocharacter_requires_class_constancy() -> None:
         PseudoCharacter.from_element_values(s3, [2, 0, 1, -1, -1, 0])
 
 
+def test_pseudocharacter_rejects_values_that_are_not_trace_like() -> None:
+    # singleton classes let alpha(gh) and alpha(hg) differ
+    s3 = symmetric_group(3)
+    with pytest.raises(ValueError, match="trace-like"):
+        PseudoCharacter(s3, range(6), [[g] for g in range(6)])
+
+
+def test_pseudocharacter_accepts_singleton_classes_of_a_character() -> None:
+    rep, s3 = s3_standard_rep()
+    chi = char_of_rep(rep)
+    alpha = PseudoCharacter(s3, [chi(g) for g in range(6)],
+                            [[g] for g in range(6)])
+    assert degree(alpha, 3) == degree(chi, 3)
+
+
 # --- antisymmetrized traces -------------------------------------------------------
 
 
@@ -256,6 +276,58 @@ def test_dual_route_four_letter_pairs() -> None:
     for tup in product(letters, repeat=4):
         assert antisym_trace(alpha, tup) == \
             diagram_antisym(cat, alpha_eval, tup), tup
+
+
+# --- the trace recursion against the permutation sum -----------------------------
+
+
+def permutation_sum(trace, multiply, g) -> Fraction:
+    """Reference: the signed sum over all permutations of the slots of g."""
+    total = Fraction(0)
+    for sign, cycles in _signed_cycle_decompositions(len(g)):
+        term = Fraction(sign)
+        for cyc in cycles:
+            term *= trace(reduce(multiply, [g[i] for i in cyc]))
+        total += term
+    return total
+
+
+ORACLE_MONOIDS = (symmetric_group(3), cyclic_group(4),
+                  truncated_free_monoid("ab", 2)[0])
+
+
+@given(st.sampled_from(ORACLE_MONOIDS), st.data())
+@settings(max_examples=80, deadline=None)
+def test_recursion_matches_permutation_sum_on_class_functions(monoid,
+                                                              data) -> None:
+    classes = conjugacy_classes(monoid)
+    values = data.draw(st.lists(rationals, min_size=len(classes),
+                                max_size=len(classes)))
+    alpha = PseudoCharacter(monoid, values, classes)
+    g = data.draw(st.lists(st.integers(0, monoid.size - 1), max_size=6))
+    assert antisym_trace(alpha, g) == permutation_sum(alpha, monoid.mul, g)
+
+
+def _integer_matrices(n):
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    return st.lists(st.lists(row, min_size=n, max_size=n).map(Matrix),
+                    max_size=4)
+
+
+@given(st.sampled_from((2, 3)).flatmap(_integer_matrices))
+@settings(max_examples=80, deadline=None)
+def test_recursion_matches_permutation_sum_on_matrices(mats) -> None:
+    engine = _TraceRecursion(Matrix.trace, mul)
+    ids = [engine.intern(m) for m in mats]
+    for k in range(len(mats) + 1):  # later prefixes reuse the memo
+        assert engine.antisym(ids[:k]) == \
+            permutation_sum(Matrix.trace, mul, mats[:k])
+
+
+def test_recursion_takes_long_tuples_without_deep_calls() -> None:
+    # on a one-element monoid T(e, ..., e) is the falling factorial of alpha(e)
+    alpha = PseudoCharacter(FiniteMonoid([[0]], 0), [2000])
+    assert antisym_trace(alpha, (0,) * 1500) == perm(2000, 1500)
 
 
 # --- degree ---------------------------------------------------------------------
