@@ -31,7 +31,8 @@ from .pseudochar import (GraphHolonomy, Infeasible, alpha_charpoly, degree,
 from .statespaces import (Evaluation, WeightedAutomaton,
                           cob2_spanning, cob2_state_space,
                           evaluation_from_monoid, hankel_minimize,
-                          state_space_boolean, state_space_field)
+                          restrict_state_space, state_space_boolean,
+                          state_space_field)
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +91,8 @@ def _run_statespace(doc: dict, args) -> dict:
     cat, alpha, boundary = _evaluation_from(doc)
     obj = _object_from(doc, [[0, 1], [0, -1]])
     ss = state_space_field(cat, obj, alpha, boundary, args.cap_words)
-    stabilized = False
-    if args.cap_words >= 1:
-        prev = state_space_field(cat, obj, alpha, boundary, args.cap_words - 1)
-        stabilized = prev.dimension == ss.dimension
+    stabilized = args.cap_words >= 1 and restrict_state_space(
+        ss, cat, boundary, args.cap_words - 1).dimension == ss.dimension
     out = {
         "command": "statespace",
         "object": [[o, s] for o, s in obj],

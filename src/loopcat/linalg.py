@@ -2,14 +2,16 @@
 
 Everything here is built on fractions.Fraction; no floats ever enter.
 Polynomials are stored lowest-degree-first, rational functions are kept
-normalized with denominator constant term 1, and the matrix routines do
-plain fraction-free-enough Gaussian elimination (pivot scaling is cheap
-with Fraction, so we don't bother with Bareiss).
+normalized with denominator constant term 1.  Rank and determinant clear
+denominators row by row and run forward-only fraction-free elimination on
+Python ints (Bareiss 1968); solving and inverting use Gauss-Jordan
+elimination on Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -342,28 +344,19 @@ def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def _echelon(rows: list[list[Fraction]]):
-    """In-place reduced row echelon; returns (pivot column list, sign of row ops)."""
+def _echelon(rows: list[list[Fraction]]) -> list[int]:
+    """In-place reduced row echelon; returns the pivot column list."""
     pivots: list[int] = []
-    sign = 1
     r = 0
     ncols = len(rows[0]) if rows else 0
     for c in range(ncols):
         piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
             continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
+        rows[r], rows[piv] = rows[piv], rows[r]
         inv = 1 / rows[r][c]
         if inv != 1:
-            sign_scale = rows[r][c]
             rows[r] = [x * inv for x in rows[r]]
-        else:
-            sign_scale = Fraction(1)
-        # keep track of scaling for determinant callers via closure-free trick:
-        # we fold it into `sign` as a Fraction multiplier.
-        sign = sign * sign_scale
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
@@ -372,7 +365,37 @@ def _echelon(rows: list[list[Fraction]]):
         r += 1
         if r == len(rows):
             break
-    return pivots, sign
+    return pivots
+
+
+def _bareiss(m: Matrix) -> tuple[int, Fraction]:
+    """Rank, and the signed last pivot over the row scales (the determinant
+    of a square matrix of full rank), by forward-only elimination on the rows
+    scaled to ints.  After k pivots each entry left is a (k+1)-minor
+    (Sylvester's identity, Bareiss 1968), so dividing by the previous pivot
+    is exact.  Pivot rows and vanished rows are dropped."""
+    rows, scale = [], 1
+    for r in m.entries:
+        s = lcm(*(x.denominator for x in r))
+        scale *= s
+        if any(r):
+            rows.append([x.numerator * (s // x.denominator) for x in r])
+    rank, sign, prev, c = 0, 1, 1, 0
+    while rows:
+        i = next((i for i, row in enumerate(rows) if row[c]), None)
+        if i is None:
+            c += 1
+            continue
+        top, sign = rows.pop(i), -sign if i % 2 else sign
+        p, tail = top[c], top[c + 1:]
+        below = []
+        for row in rows:
+            f = row[c]
+            new = [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+            if any(new):
+                below.append(new)
+        rows, rank, prev, c = below, rank + 1, p, 0
+    return rank, Fraction(sign * prev, scale)
 
 
 def rank_nullspace(m: Matrix) -> tuple[int, list[tuple]]:
@@ -383,10 +406,7 @@ def rank_nullspace(m: Matrix) -> tuple[int, list[tuple]]:
     ordered by free column index, so the output is canonical.
     """
     rows = [list(r) for r in m.entries]
-    if not rows:
-        eye = Matrix.identity(m.cols)
-        return 0, [eye.row(j) for j in range(m.cols)]
-    pivots, _ = _echelon(rows)
+    pivots = _echelon(rows)
     rank = len(pivots)
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
@@ -400,7 +420,7 @@ def rank_nullspace(m: Matrix) -> tuple[int, list[tuple]]:
 
 
 def rank(m: Matrix) -> int:
-    return rank_nullspace(m)[0]
+    return _bareiss(m)[0]
 
 
 def solve(m: Matrix, b: Sequence) -> tuple | None:
@@ -408,9 +428,7 @@ def solve(m: Matrix, b: Sequence) -> tuple | None:
     bb = [rat(x) for x in b]
     assert len(bb) == m.rows
     rows = [list(r) + [bb[i]] for i, r in enumerate(m.entries)]
-    if not rows:
-        return tuple(Fraction(0) for _ in range(m.cols))
-    pivots, _ = _echelon(rows)
+    pivots = _echelon(rows)
     if m.cols in pivots:  # pivot in the augmented column: inconsistent
         return None
     x = [Fraction(0)] * m.cols
@@ -422,21 +440,16 @@ def solve(m: Matrix, b: Sequence) -> tuple | None:
 def solve_unique(m: Matrix, b: Sequence) -> tuple:
     """Solution of a square system required to be uniquely solvable."""
     assert m.rows == m.cols
-    x = solve(m, b)
-    if x is None or rank(m) < m.cols:
+    rows = [list(r) + [rat(b[i])] for i, r in enumerate(m.entries)]
+    if _echelon(rows) != list(range(m.cols)):  # unique iff m has full rank
         raise DomainError("linear system is not uniquely solvable")
-    return x
+    return tuple(r[-1] for r in rows)
 
 
 def det(m: Matrix) -> Fraction:
     assert m.rows == m.cols
-    if m.rows == 0:
-        return Fraction(1)
-    rows = [list(r) for r in m.entries]
-    pivots, sign = _echelon(rows)
-    if len(pivots) < m.rows:
-        return Fraction(0)
-    return Fraction(sign)
+    r, last = _bareiss(m)
+    return last if r == m.rows else Fraction(0)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -444,7 +457,7 @@ def inverse(m: Matrix) -> Matrix:
     n = m.rows
     rows = [list(r) + [Fraction(1 if i == j else 0) for j in range(n)]
             for i, r in enumerate(m.entries)]
-    pivots, _ = _echelon(rows)
+    pivots = _echelon(rows)
     if len(pivots) < n:
         raise DomainError("matrix is singular")
     return Matrix([r[n:] for r in rows])

@@ -506,26 +506,27 @@ def graph_pseudoholonomy(gh: GraphHolonomy, max_len: int,
     vanishing search over the walks based at `base`, truncated at max_len
     — the honest certificate is relative to that truncation.
     """
+    if max_len < 1:
+        raise ValueError("walk-length cap must be at least 1")
     out_edges = {}
     for ei, (src, _tgt, _m) in enumerate(gh.edges):
         out_edges.setdefault(src, []).append(ei)
 
     table = {}
     based = {}  # matrix of each closed walk at base, keyed by the matrix
-
-    def extend(walk, vertex, mat, start):
-        if gh.edges[walk[-1]][1] == start and len(walk) >= 1:
+    # walks in depth-first preorder, on an explicit stack
+    stack = [([ei], tgt, m, src)
+             for ei, (src, tgt, m) in reversed(list(enumerate(gh.edges)))]
+    while stack:
+        walk, vertex, mat, start = stack.pop()
+        if gh.edges[walk[-1]][1] == start:
             table.setdefault(least_rotation(tuple(walk)), mat.trace())
             if start == base:
                 based.setdefault(tuple(walk), mat)
-        if len(walk) == max_len:
-            return
-        for ei in out_edges.get(vertex, []):
-            _s, t, m = gh.edges[ei]
-            extend(walk + [ei], t, mat * m, start)
-
-    for ei, (src, tgt, m) in enumerate(gh.edges):
-        extend([ei], tgt, m, src)
+        if len(walk) < max_len:
+            for ei in reversed(out_edges.get(vertex, [])):
+                _s, t, m = gh.edges[ei]
+                stack.append((walk + [ei], t, mat * m, start))
 
     dim = gh.vertex_dim.get(base)
     if dim is None:

@@ -35,6 +35,10 @@ class SequenceTooShort(DomainError):
     """The genus value sequence does not reach a genus produced by gluing."""
 
 
+class SpanningMismatch(DomainError):
+    """A smaller spanning set is not contained in the larger one."""
+
+
 class Evaluation:
     """Values on canonical loops and interval classes; multiplicative on disjoint union."""
 
@@ -70,7 +74,8 @@ def evaluation_from_monoid(cat, values: Sequence) -> Evaluation:
 
 def evaluate_closed(d: BrauerMorphism, alpha: Evaluation):
     """Product of the values of the floating parts; empty diagram gives 1."""
-    assert d.is_closed(), "evaluation needs a closed diagram"
+    if not d.is_closed():
+        raise ValueError("evaluation needs a closed diagram")
     out = Fraction(1)
     for lp in d.loops:
         out = out * alpha.loop(lp)
@@ -179,8 +184,25 @@ def state_space_field(cat, obj, alpha: Evaluation, boundary=None,
     bras = [transpose(k) for k in kets]
     gram = Matrix([[evaluate_closed(compose(b, k), alpha) for b in bras]
                    for k in kets])
-    dim = rank(gram) if kets else 0
-    return StateSpace(tuple(obj), kets, gram, dim, cap_words)
+    return StateSpace(tuple(obj), kets, gram, rank(gram), cap_words)
+
+
+def _sub_gram(gram: Matrix, spanning: Sequence, sub: Sequence) -> Matrix:
+    """The principal sub-Gram on `sub`, a subset of `spanning`, in its order."""
+    index = {x: i for i, x in enumerate(spanning)}
+    if not all(x in index for x in sub):
+        raise SpanningMismatch("a diagram is missing from the larger spanning set")
+    idx = [index[x] for x in sub]
+    return Matrix([[gram.entries[i][j] for j in idx] for i in idx])
+
+
+def restrict_state_space(ss: StateSpace, cat, boundary, cap_words: int
+                         ) -> StateSpace:
+    """The state space at a smaller cap_words, read off `ss.gram`: its kets
+    are among those of `ss`, so no diagram is paired again."""
+    kets = enumerate_kets(cat, ss.object, boundary, cap_words)
+    gram = _sub_gram(ss.gram, ss.spanning, kets)
+    return StateSpace(ss.object, kets, gram, rank(gram), cap_words)
 
 
 def _join_irreducible_count(rows: list[tuple]) -> int:
@@ -219,9 +241,11 @@ class WeightedAutomaton:
         self.transitions = dict(transitions)
         self.final = tuple(rat(x) for x in final)
         self.dimension = len(self.initial)
-        assert len(self.final) == self.dimension
+        if len(self.final) != self.dimension:
+            raise ValueError("initial and final lengths differ")
         for a, m in self.transitions.items():
-            assert m.rows == m.cols == self.dimension, f"bad shape at {a!r}"
+            if not m.rows == m.cols == self.dimension:
+                raise ValueError(f"bad shape at {a!r}")
 
     @property
     def alphabet(self) -> list[str]:
@@ -418,13 +442,10 @@ def cob2_spanning(m: int, genus_cap: int) -> list[PartitionDiagram]:
 def cob2_state_space(m: int, alpha_seq: Sequence, genus_cap: int
                      ) -> tuple[int, bool]:
     """Dimension of the circle-count-m state space, plus a stabilization flag."""
-
-    def dim_at(cap: int) -> int:
-        spanning = cob2_spanning(m, cap)
-        gram = Matrix([[glue_partition_diagrams(a, b, alpha_seq)
-                        for b in spanning] for a in spanning])
-        return rank(gram)
-
-    dim = dim_at(genus_cap)
-    stabilized = genus_cap >= 1 and dim == dim_at(genus_cap - 1)
-    return dim, stabilized
+    spanning = cob2_spanning(m, genus_cap)
+    gram = Matrix([[glue_partition_diagrams(a, b, alpha_seq)
+                    for b in spanning] for a in spanning])
+    dim = rank(gram)
+    # the diagrams below the cap are among these: compare a principal sub-Gram
+    return dim, genus_cap >= 1 and dim == rank(
+        _sub_gram(gram, spanning, cob2_spanning(m, genus_cap - 1)))

@@ -80,6 +80,20 @@ def test_statespace_free_monoid_loop_table(tmp_path, capsys):
     assert out["stabilized"] is True
 
 
+def test_statespace_free_monoid_not_yet_stabilized(tmp_path, capsys):
+    # loop values 1 + 2^k + 3^k: the Hankel Gram of a^i against a^j has
+    # rank min(cap + 1, 3), so it still grows from cap 1 to cap 2
+    doc = {"free_monoid": {"letters": "a"},
+           "loops": {"a" * k: str(1 + 2 ** k + 3 ** k) for k in range(7)}}
+    ranks = {}
+    for cap in (1, 2, 3):
+        code, out = run_json(tmp_path, capsys, "statespace", doc,
+                             "--cap-words", str(cap))
+        assert code == 0
+        ranks[cap] = (out["rank"], out["stabilized"])
+    assert ranks == {1: (2, False), 2: (3, False), 3: (3, True)}
+
+
 def test_statespace_missing_loop_value_is_domain_error(tmp_path, capsys):
     doc = {"free_monoid": {"letters": "a"}, "loops": {"": "1"}}
     code, out = run_json(tmp_path, capsys, "statespace", doc)
@@ -249,6 +263,15 @@ def test_holonomy_diagonal_loop(tmp_path, capsys):
     assert out["d"] == 2
     assert out["table"] == {"0": "3", "0,0": "5", "0,0,0": "9"}
     assert out["max_len"] == 3
+
+
+def test_holonomy_needs_a_positive_walk_cap(tmp_path, capsys):
+    doc = {"graph": {"n_vertices": 1, "edges": [[0, 0, [["2"]]]]}}
+    code, out = run_json(tmp_path, capsys, "holonomy", doc,
+                         "--cap-words", "0")
+    assert code == 2
+    assert out == {"error": "ValueError",
+                   "message": "walk-length cap must be at least 1"}
 
 
 def test_holonomy_singular_edge(tmp_path, capsys):

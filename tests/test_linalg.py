@@ -17,10 +17,13 @@ from loopcat.linalg import (
     inverse,
     partial_fractions,
     power_traces,
+    rank,
     rank_nullspace,
     series_to_rational_function,
     solve,
+    solve_unique,
 )
+from loopcat.errors import DomainError
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 small_ints = st.integers(min_value=-6, max_value=6)
@@ -84,6 +87,72 @@ def test_det_multiplicative_in_row_swap(rows) -> None:
     m = Matrix(rows)
     swapped = Matrix([rows[1], rows[0], rows[2]])
     assert det(swapped) == -det(m)
+
+
+def _cofactor_det(rows) -> Fraction:
+    if not rows:
+        return Fraction(1)
+    return sum((Fraction((-1) ** j) * x
+                * _cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+                for j, x in enumerate(rows[0]) if x), Fraction(0))
+
+
+@st.composite
+def low_rank_rows(draw):
+    """A rational n x k times k x m product, some rows and columns zeroed."""
+    n, m, k = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 4))
+    a = draw(st.lists(st.lists(rationals, min_size=k, max_size=k),
+                      min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(rationals, min_size=m, max_size=m),
+                      min_size=k, max_size=k))
+    zero_rows = draw(st.sets(st.integers(0, max(n - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(m - 1, 0))))
+    return [[Fraction(0) if i in zero_rows or j in zero_cols
+             else sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
+             for j in range(m)] for i in range(n)]
+
+
+@given(low_rank_rows())
+@settings(max_examples=120, deadline=None)
+def test_rank_and_det_match_gauss_jordan(rows) -> None:
+    m = Matrix(rows)
+    assert rank(m) == rank_nullspace(m)[0]
+    # the leading square block, up to 5 x 5, against cofactor expansion
+    k = min(m.rows, m.cols, 5)
+    block = [r[:k] for r in rows[:k]]
+    assert det(Matrix(block)) == _cofactor_det(block)
+
+
+@given(st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=4,
+                max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_det_of_full_rank_rational_matrices(rows) -> None:
+    assert det(Matrix(rows)) == _cofactor_det(rows)
+
+
+def test_rank_and_det_of_degenerate_shapes() -> None:
+    assert rank(Matrix([])) == 0 and det(Matrix([])) == 1
+    assert rank(Matrix([[], [], []])) == 0  # 3 x 0
+    assert rank(Matrix.zero(2, 5)) == 0
+    assert rank(Matrix([[Fraction(-3, 7)]])) == 1
+    assert det(Matrix([[Fraction(-3, 7)]])) == Fraction(-3, 7)
+    assert det(Matrix([[0]])) == 0
+    # a pivot deeper than the first row, and a column with no pivot
+    assert rank(Matrix([[0, 0, 1], [0, 0, 2], [1, 0, 0]])) == 2
+    assert det(Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])) == 1
+    assert det(Matrix([[0, 1], [1, 0]])) == -1
+
+
+def test_solve_unique_decides_from_one_elimination() -> None:
+    m = Matrix([[2, 1], [1, 3]])
+    assert solve_unique(m, [3, 5]) == (Fraction(4, 5), Fraction(7, 5))
+    assert solve_unique(Matrix([]), []) == ()
+    for singular, b in ((Matrix([[1, 2], [2, 4]]), [1, 2]),  # consistent
+                        (Matrix([[1, 2], [2, 4]]), [1, 0]),  # inconsistent
+                        (Matrix([[0, 1], [0, 1]]), [1, 1])):
+        with pytest.raises(DomainError,
+                           match="linear system is not uniquely solvable"):
+            solve_unique(singular, b)
 
 
 def test_matrix_power_matches_repeated_product() -> None:

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import permutations, product
@@ -694,6 +695,19 @@ def test_holonomy_two_vertices_trace_cyclicity() -> None:
     gh = GraphHolonomy(2, [(0, 1, g), (1, 0, d)])
     report = graph_pseudoholonomy(gh, 4)
     assert report.table[(0, 1)] == (g * d).trace() == (d * g).trace()
+
+
+def test_holonomy_leaves_no_reference_cycles() -> None:
+    gh = GraphHolonomy(1, [(0, 0, Matrix([[2]]))])
+    gc.collect()
+    gc.disable()
+    try:
+        report = graph_pseudoholonomy(gh, 3)
+        assert report.degree.d == 1
+        del report
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_holonomy_rejects_singular_edge() -> None:

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loopcat
 from loopcat.diagrams import (
     MINUS,
     PLUS,
@@ -21,12 +26,13 @@ from loopcat.fincat import (
     cyclic_group,
     symmetric_group,
 )
-from loopcat.linalg import Matrix, det, inverse, rank
+from loopcat.linalg import Matrix, det, inverse, rank, rank_nullspace
 from loopcat.statespaces import (
     Evaluation,
     MissingValue,
     PartitionDiagram,
     SequenceTooShort,
+    SpanningMismatch,
     WeightedAutomaton,
     cob2_spanning,
     cob2_state_space,
@@ -35,6 +41,7 @@ from loopcat.statespaces import (
     evaluation_from_monoid,
     glue_partition_diagrams,
     hankel_minimize,
+    restrict_state_space,
     state_space_boolean,
     state_space_field,
 )
@@ -104,6 +111,88 @@ def test_gram_symmetry_s3() -> None:
     assert ss.gram == ss.gram.transpose()
     # translates of a degree-2 irreducible character span a 4-dim space
     assert ss.dimension == 4
+
+
+def _word_evaluation(fm, fb, max_len: int) -> Evaluation:
+    """Loop values tr(A_w) and interval values A_w[0][1] for the products
+    A_w of two integer 2x2 matrices along the words w."""
+    mats = (Matrix([[1, 1], [0, 2]]), Matrix([[0, 1], [1, 3]]))
+    products = {(): Matrix.identity(2)}
+    loops, intervals = {}, {}
+    for w in fm.words_up_to(max_len):
+        if w:
+            products[w] = products[w[:-1]] * mats[w[-1]]
+        a = products[w]
+        loops[fm.loop_class(0, [w])] = a.trace()
+        intervals[fb.interval_class(0, (), w)] = a[0, 1]
+    return Evaluation(loops, intervals)
+
+
+TWO = ((X, PLUS), (X, MINUS))
+FOUR = ((X, PLUS), (X, MINUS), (X, PLUS), (X, MINUS))
+
+
+@pytest.mark.parametrize("obj, cap, with_boundary", [
+    (TWO, 1, False), (TWO, 2, False), (TWO, 3, False), (FOUR, 1, False),
+    (FOUR, 2, False), (((X, PLUS),), 1, True), (((X, PLUS),), 3, True),
+    (TWO, 1, True), (TWO, 2, True)])
+def test_restricted_state_space_equals_a_fresh_one(obj, cap, with_boundary):
+    fm = FreeMonoidCategory("ab")
+    fb = FreeBoundary(fm)
+    # a closed strand runs through at most one word per endpoint and one
+    # half-interval word
+    alpha = _word_evaluation(fm, fb, (len(obj) + 1) * cap)
+    boundary = fb if with_boundary else None
+    ss = state_space_field(fm, obj, alpha, boundary, cap)
+    fresh = state_space_field(fm, obj, alpha, boundary, cap - 1)
+    assert len(fresh.spanning) < len(ss.spanning)
+    assert restrict_state_space(ss, fm, boundary, cap - 1) == fresh
+
+
+def test_restricted_monoid_state_space_is_the_whole_one() -> None:
+    cat = MonoidCategory(symmetric_group(3))
+    alpha = evaluation_from_monoid(cat, [2, 0, 0, -1, -1, 0])
+    ss = state_space_field(cat, FOUR, alpha, cap_words=2)
+    fresh = state_space_field(cat, FOUR, alpha, cap_words=1)
+    assert fresh.spanning == ss.spanning
+    assert restrict_state_space(ss, cat, None, 1) == fresh
+
+
+def test_restriction_needs_a_subset_of_the_kets() -> None:
+    fm = FreeMonoidCategory("a")
+    alpha = _word_evaluation(fm, FreeBoundary(fm), 4)
+    ss = state_space_field(fm, TWO, alpha, cap_words=1)
+    with pytest.raises(SpanningMismatch):
+        restrict_state_space(ss, fm, None, 2)
+
+
+def test_input_checks_survive_optimized_mode() -> None:
+    script = (
+        "from loopcat.diagrams import cup\n"
+        "from loopcat.fincat import MonoidCategory, cyclic_group\n"
+        "from loopcat.linalg import Matrix\n"
+        "from loopcat.statespaces import (Evaluation, WeightedAutomaton,\n"
+        "                                 evaluate_closed)\n"
+        "assert False, 'asserts are not stripped'\n"
+        "cat = MonoidCategory(cyclic_group(2))\n"
+        "for make in (lambda: evaluate_closed(cup(cat, 0), Evaluation()),\n"
+        "             lambda: WeightedAutomaton([1], {}, [1, 2]),\n"
+        "             lambda: WeightedAutomaton(\n"
+        "                 [1], {'a': Matrix.identity(2)}, [1])):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n")
+    src = str(Path(loopcat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "evaluation needs a closed diagram",
+        "initial and final lengths differ",
+        "bad shape at 'a'"]
 
 
 def _two_strand(cat, matching: bool, lab1: int, lab2: int) -> BrauerMorphism:
@@ -310,6 +399,25 @@ def test_cob2_monotone_stabilization() -> None:
     dim3, stab3 = cob2_state_space(1, seq, 3)
     dim4, stab4 = cob2_state_space(1, seq, 4)
     assert stab3 and stab4 and dim3 == dim4
+
+
+def _fresh_cob2_rank(m: int, seq, cap: int) -> int:
+    spanning = cob2_spanning(m, cap)
+    return rank_nullspace(Matrix([[glue_partition_diagrams(a, b, seq)
+                                   for b in spanning] for a in spanning]))[0]
+
+
+@pytest.mark.parametrize("m, caps", [(1, range(5)), (2, range(5)),
+                                     (3, range(3))])
+def test_cob2_stabilization_matches_fresh_grams(m, caps) -> None:
+    low = [Fraction(3, 2)] + [1 + Fraction(2) ** (g - 1) for g in range(1, 30)]
+    generic = [2 ** g + 3 ** g + Fraction(1, g + 1) for g in range(30)]
+    for seq in (low, generic):
+        for cap in caps:
+            dim, stabilized = cob2_state_space(m, seq, cap)
+            assert dim == _fresh_cob2_rank(m, seq, cap)
+            assert stabilized == (
+                cap >= 1 and dim == _fresh_cob2_rank(m, seq, cap - 1))
 
 
 # --- algebraic gluing oracle ------------------------------------------------------
