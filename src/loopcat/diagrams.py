@@ -93,18 +93,25 @@ class BrauerMorphism:
         for t, h, lab in self.arcs:
             seen[t] += 1
             seen[h] += 1
-            assert self.endpoint_eff(t) == MINUS, f"arc tail at {t} is not eff -"
-            assert self.endpoint_eff(h) == PLUS, f"arc head at {h} is not eff +"
-            assert self.cat.source(lab) == self.endpoint_object(t), (
-                f"label {lab!r} does not start at endpoint {t}'s object")
-            assert self.cat.target(lab) == self.endpoint_object(h), (
-                f"label {lab!r} does not end at endpoint {h}'s object")
+            if self.endpoint_eff(t) != MINUS:
+                raise ValueError(f"arc tail at {t} is not eff -")
+            if self.endpoint_eff(h) != PLUS:
+                raise ValueError(f"arc head at {h} is not eff +")
+            if self.cat.source(lab) != self.endpoint_object(t):
+                raise ValueError(
+                    f"label {lab!r} does not start at endpoint {t}'s object")
+            if self.cat.target(lab) != self.endpoint_object(h):
+                raise ValueError(
+                    f"label {lab!r} does not end at endpoint {h}'s object")
         for e, _elem in self.half_intervals:
             seen[e] += 1
-            assert self.boundary is not None, "half-interval without boundary data"
-        assert all(c == 1 for c in seen), "endpoints not covered exactly once"
+            if self.boundary is None:
+                raise ValueError("half-interval without boundary data")
+        if not all(c == 1 for c in seen):
+            raise ValueError("endpoints not covered exactly once")
         for lp in self.loops:
-            assert lp.base in self.cat.objects
+            if lp.base not in self.cat.objects:
+                raise ValueError(f"loop base {lp.base!r} is not an object")
 
     def __eq__(self, other):
         if isinstance(other, BrauerMorphism):

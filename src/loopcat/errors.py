@@ -8,3 +8,7 @@ CLI can distinguish "the mathematics said no" (exit 1) from malformed input
 
 class DomainError(Exception):
     pass
+
+
+class InternalInconsistency(DomainError):
+    """A cross-check that must hold for valid data failed."""

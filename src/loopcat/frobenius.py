@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb
 
-from .errors import DomainError
+from .errors import DomainError, InternalInconsistency
 from .linalg import (
     Matrix,
     NonSplitDenominator,
@@ -49,10 +49,6 @@ class NotUnital(DomainError):
 
 class NondegeneracyFailure(DomainError):
     """The counit pairing eps(ab) is singular."""
-
-
-class InternalInconsistency(DomainError):
-    """A cross-check that must hold for valid data failed."""
 
 
 class Reject(DomainError):

@@ -2,11 +2,17 @@
 
 An evaluation assigns scalars to canonical loops and interval classes; it
 extends multiplicatively to closed diagrams.  The state space at an object
-is spanned by the open diagrams from the unit into it; the pairing composes
-one against the reflection of another and evaluates.  Over the rationals the
-dimension is the Gram rank; over the Boolean semiring the states are the
-distinct rows (residual languages), with the join-irreducible rows counted
-separately.
+is spanned by the open diagrams from the unit into it (kets); the pairing
+closes one ket against the reflection (bra) of another and evaluates.  The
+strands of that closed diagram depend only on the two matchings, its
+classes only on the labels, so each pair of matchings is traced once into
+a wiring template and every Gram entry is a product of memoized strand
+values.  The generic splice (`diagrams.compose`) stays the reference: it
+evaluates the first entry of each template as a cross-check, and any entry
+that lacks a value, so that the error names the class it names.  Over the
+rationals the dimension is the Gram rank; over the Boolean semiring the
+states are the distinct rows (residual languages), with the join-irreducible
+rows counted separately.
 
 Also here: exact weighted-automaton minimization (the Hankel pairing of the
 non-monoidal construction) and the two-dimensional cobordism state spaces,
@@ -19,11 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from operator import itemgetter
 from typing import Mapping, Sequence
 
-from .diagrams import BrauerMorphism, compose, transpose
-from .errors import DomainError
-from .fincat import IntervalClass, Loop
+from .diagrams import MINUS, PLUS, BrauerMorphism, compose, transpose
+from .errors import DomainError, InternalInconsistency
+from .fincat import IntervalClass, Loop, compose_path
 from .linalg import Matrix, distinct_rows, rank, rat, solve
 
 
@@ -109,9 +116,12 @@ def enumerate_kets(cat, obj, boundary=None, cap_words: int = 4
 
     Floating components are excluded — they only rescale.  Enumeration order
     is deterministic: endpoints processed left to right, label lists in
-    category order.
+    category order.  An object entry outside the category is a ValueError.
     """
     obj = tuple(obj)
+    for x, _s in obj:
+        if x not in cat.objects:
+            raise ValueError(f"unknown object {x!r}")
     n = len(obj)
     effs = [s for _x, s in obj]  # kets: all endpoints are target entries
 
@@ -178,12 +188,155 @@ class BooleanStateSpace:
     cap_words: int
 
 
+# ---------------------------------------------------------------------------
+# the pairing, one wiring template per pair of matchings
+
+
+def _wiring(d: BrauerMorphism) -> tuple:
+    """The matching of a ket or bra without its labels."""
+    return (tuple((t, h) for t, h, _lab in d.arcs),
+            tuple(e for e, _g in d.half_intervals))
+
+
+def _decorations(d: BrauerMorphism) -> tuple:
+    """Arc labels, then half-interval elements, in the order of `_wiring`."""
+    return (tuple(lab for _t, _h, lab in d.arcs)
+            + tuple(g for _e, g in d.half_intervals))
+
+
+def _strands(obj: tuple, ket_wiring: tuple, bra_wiring: tuple):
+    """The closed strands of a bra of `bra_wiring` after a ket of
+    `ket_wiring`, in the order `diagrams._splice_run` finds them.
+
+    Positions index the ket's decorations followed by the bra's.  Intervals
+    come first, as (start object, end object, positions of the start
+    element, the labels and the end element); each starts at a ket half on
+    a +1 endpoint or a bra half on a -1 endpoint, in that order.  Loops
+    follow, as (base object, positions of the labels, alternately ket and
+    bra), each started at the smallest ket tail not yet on a strand.
+    """
+    k_arcs, k_halves = ket_wiring
+    b_arcs, b_halves = bra_wiring
+    nk = len(k_arcs) + len(k_halves)
+    # per side (0 ket, 1 bra): arc tail -> (position of its label, head)
+    arc_at = ({t: (i, h) for i, (t, h) in enumerate(k_arcs)},
+              {t: (nk + i, h) for i, (t, h) in enumerate(b_arcs)})
+    half_at = ({e: len(k_arcs) + i for i, e in enumerate(k_halves)},
+               {e: nk + len(b_arcs) + i for i, e in enumerate(b_halves)})
+    used = set()  # ket tails already on a strand
+    starts = [(0, e) for e in k_halves if obj[e][1] == PLUS]
+    starts += [(1, e) for e in b_halves if obj[e][1] == MINUS]
+    intervals = []
+    for side, e0 in starts:
+        picks, e = [half_at[side][e0]], e0
+        while True:
+            side = 1 - side  # cross the wire at endpoint e
+            if e in half_at[side]:
+                picks.append(half_at[side][e])
+                break
+            if side == 0:
+                used.add(e)
+            pos, e = arc_at[side][e]
+            picks.append(pos)
+        intervals.append((obj[e0][0], obj[e][0], tuple(picks)))
+    loops = []
+    for t0 in sorted(arc_at[0]):
+        if t0 in used:
+            continue
+        picks, t = [], t0
+        while True:
+            used.add(t)
+            pos, h = arc_at[0][t]
+            bpos, t = arc_at[1][h]
+            picks += [pos, bpos]
+            if t == t0:
+                break
+        loops.append((obj[t0][0], tuple(picks)))
+    return intervals, loops
+
+
+def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
+    """Gram rows: entry (i, j) evaluates the bra of ket j after ket i.
+
+    Kets sharing a matching share their strands, so each pair of matchings
+    is traced once into a template of strands (`_strands`), and an entry is
+    the product of its strands' values, memoized on their decorations.  The
+    first entry of each template, row by row, is also evaluated through
+    `compose`, and must agree.  An entry missing a value is evaluated there
+    again, so that the error names the class the splice names first (loops
+    before intervals, each in `repr` order).
+    """
+    if not kets:
+        return []
+    bras = [transpose(k) for k in kets]
+    obj = kets[0].target
+    wirings: dict = {}
+    k_wid = [wirings.setdefault(_wiring(k), len(wirings)) for k in kets]
+    b_wid = [wirings.setdefault(_wiring(b), len(wirings)) for b in bras]
+    k_dec = [_decorations(k) for k in kets]
+    b_dec = [_decorations(b) for b in bras]
+    by_id = list(wirings)
+    templates = [[None] * len(by_id) for _ in by_id]
+    memo: dict = {}  # per strand kind and objects: (values, evaluate)
+
+    def loop_values(base):
+        def evaluate(labels):
+            return alpha.loop(cat.loop_class(base, labels))
+        return memo.setdefault(("loop", base), ({}, evaluate))
+
+    def interval_values(start, end):
+        def evaluate(key):
+            g = boundary.gr(compose_path(cat, key[1:-1], at=start), key[0])
+            return alpha.interval(boundary.interval_class(end, key[-1], g))
+        return memo.setdefault(("interval", start, end), ({}, evaluate))
+
+    def template(kw, bw):
+        intervals, loops = _strands(obj, by_id[kw], by_id[bw])
+        return ([(itemgetter(*picks),) + interval_values(start, end)
+                 for start, end, picks in intervals]
+                + [(itemgetter(*picks),) + loop_values(base)
+                   for base, picks in loops])
+
+    def value(strands, decorations):
+        out = None
+        for pick, values, evaluate in strands:
+            key = pick(decorations)
+            f = values.get(key)
+            if f is None:
+                f = values[key] = evaluate(key)
+            out = f if out is None else out * f
+        return Fraction(1) if out is None else out
+
+    rows = []
+    try:
+        for i, ket in enumerate(kets):
+            row_templates, kd = templates[k_wid[i]], k_dec[i]
+            row = []
+            for j, bw in enumerate(b_wid):
+                strands = row_templates[bw]
+                if strands is None:
+                    strands = row_templates[bw] = template(k_wid[i], bw)
+                    reference = evaluate_closed(compose(bras[j], ket), alpha)
+                    if value(strands, kd + b_dec[j]) != reference:
+                        raise InternalInconsistency(
+                            f"pairing template disagrees with the splice at "
+                            f"entry ({i}, {j})")
+                    row.append(reference)
+                else:
+                    row.append(value(strands, kd + b_dec[j]))
+            rows.append(row)
+    except MissingValue:
+        evaluate_closed(compose(bras[j], kets[i]), alpha)
+        raise InternalInconsistency(
+            f"pairing template misses a value the splice has at entry "
+            f"({i}, {j})") from None
+    return rows
+
+
 def state_space_field(cat, obj, alpha: Evaluation, boundary=None,
                       cap_words: int = 4) -> StateSpace:
     kets = enumerate_kets(cat, obj, boundary, cap_words)
-    bras = [transpose(k) for k in kets]
-    gram = Matrix([[evaluate_closed(compose(b, k), alpha) for b in bras]
-                   for k in kets])
+    gram = Matrix(_pairing(cat, kets, alpha, boundary))
     return StateSpace(tuple(obj), kets, gram, rank(gram), cap_words)
 
 
@@ -220,9 +373,8 @@ def _join_irreducible_count(rows: list[tuple]) -> int:
 def state_space_boolean(cat, obj, alpha: Evaluation, boundary=None,
                         cap_words: int = 4) -> BooleanStateSpace:
     kets = enumerate_kets(cat, obj, boundary, cap_words)
-    bras = [transpose(k) for k in kets]
-    rows = [tuple(1 if evaluate_closed(compose(b, k), alpha) else 0
-                  for b in bras) for k in kets]
+    rows = [tuple(1 if v else 0 for v in row)
+            for row in _pairing(cat, kets, alpha, boundary)]
     states = distinct_rows(rows)
     return BooleanStateSpace(tuple(obj), kets, rows, states, len(states),
                              _join_irreducible_count(states), cap_words)

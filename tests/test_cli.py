@@ -123,6 +123,29 @@ def test_statespace_interval_tables_attach_a_boundary(tmp_path, capsys):
     assert out["rank"] == 1
 
 
+UNKNOWN_OBJECT_JOBS = {
+    "free-monoid": ("statespace", {"free_monoid": {"letters": "ab"},
+                                   "loops": {"": "2"},
+                                   "object": [[0, 1], [1, -1]]}, "1"),
+    "monoid": ("statespace", dict(Z2_MONOID, alpha=["2", "0"],
+                                  object=[["x", 1]]), "'x'"),
+    "boolean": ("boolean-statespace", {"alphabet": "ab", "accepted": ["a"],
+                                       "object": [[2, 1]]}, "2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNKNOWN_OBJECT_JOBS))
+def test_unknown_object_exits_two(tmp_path, capsys, name):
+    command, doc, shown = UNKNOWN_OBJECT_JOBS[name]
+    expected = {"error": "ValueError", "message": f"unknown object {shown}"}
+    code, out = run_json(tmp_path, capsys, command, doc)
+    assert (code, out) == (2, expected)
+    proc = run_optimized(tmp_path, command, doc)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout) == expected
+
+
 # --- boolean-statespace ---------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loopcat
+from loopcat import statespaces
 from loopcat.diagrams import (
     MINUS,
     PLUS,
@@ -18,11 +19,14 @@ from loopcat.diagrams import (
     rotate,
     transpose,
 )
+from loopcat.errors import DomainError, InternalInconsistency
 from loopcat.fincat import (
+    BoundaryDatum,
     FiniteMonoid,
     FreeBoundary,
     FreeMonoidCategory,
     MonoidCategory,
+    TableCategory,
     cyclic_group,
     symmetric_group,
 )
@@ -168,7 +172,7 @@ def test_restriction_needs_a_subset_of_the_kets() -> None:
 
 def test_input_checks_survive_optimized_mode() -> None:
     script = (
-        "from loopcat.diagrams import cup\n"
+        "from loopcat.diagrams import BrauerMorphism, cup\n"
         "from loopcat.fincat import MonoidCategory, cyclic_group\n"
         "from loopcat.linalg import Matrix\n"
         "from loopcat.statespaces import (Evaluation, WeightedAutomaton,\n"
@@ -178,7 +182,10 @@ def test_input_checks_survive_optimized_mode() -> None:
         "for make in (lambda: evaluate_closed(cup(cat, 0), Evaluation()),\n"
         "             lambda: WeightedAutomaton([1], {}, [1, 2]),\n"
         "             lambda: WeightedAutomaton(\n"
-        "                 [1], {'a': Matrix.identity(2)}, [1])):\n"
+        "                 [1], {'a': Matrix.identity(2)}, [1]),\n"
+        "             lambda: BrauerMorphism(cat, (), ((0, 1), (0, 1)),\n"
+        "                                    [(0, 1, 0)]),\n"
+        "             lambda: BrauerMorphism(cat, (), ((0, 1), (0, -1)), [])):\n"
         "    try:\n"
         "        make()\n"
         "    except ValueError as exc:\n"
@@ -192,7 +199,9 @@ def test_input_checks_survive_optimized_mode() -> None:
     assert proc.stdout.splitlines() == [
         "evaluation needs a closed diagram",
         "initial and final lengths differ",
-        "bad shape at 'a'"]
+        "bad shape at 'a'",
+        "arc tail at 0 is not eff -",
+        "endpoints not covered exactly once"]
 
 
 def _two_strand(cat, matching: bool, lab1: int, lab2: int) -> BrauerMorphism:
@@ -217,6 +226,214 @@ def test_pairing_functoriality(matching, l1, l2, gu, gv) -> None:
     lhs = evaluate_closed(compose(transpose(v), compose(f, u)), alpha)
     rhs = evaluate_closed(compose(transpose(compose(rotate(f), v)), u), alpha)
     assert lhs == rhs
+
+
+# --- the pairing kernel ------------------------------------------------------------
+#
+# state_space_field and state_space_boolean pair kets through one strand
+# template per pair of matchings; the generic splice below is the reference.
+
+
+def _spliced_gram(kets, alpha) -> list:
+    bras = [transpose(k) for k in kets]
+    return [[evaluate_closed(compose(b, k), alpha) for b in bras] for k in kets]
+
+
+def _spliced_error(kets, alpha) -> str:
+    """The message of the first entry, row by row, the splice cannot evaluate."""
+    with pytest.raises(MissingValue) as info:
+        _spliced_gram(kets, alpha)
+    return str(info.value)
+
+
+def _assert_kernel_matches_splice(cat, obj, alpha, boundary=None, cap=4):
+    ss = state_space_field(cat, obj, alpha, boundary, cap)
+    expected = _spliced_gram(ss.spanning, alpha)
+    assert ss.gram == Matrix(expected)
+    boolean = state_space_boolean(cat, obj, alpha, boundary, cap)
+    assert boolean.rows == [tuple(1 if v else 0 for v in row)
+                            for row in expected]
+    return ss
+
+
+FOUR_ORDERS = [tuple((X, s) for s in signs) for signs in (
+    (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1),
+    (-1, 1, 1, -1), (-1, -1, 1, 1), (-1, 1, -1, 1))]
+
+
+@pytest.mark.parametrize("obj", FOUR_ORDERS)
+def test_kernel_matches_splice_on_group_characters(obj) -> None:
+    s3 = MonoidCategory(symmetric_group(3))
+    ss = _assert_kernel_matches_splice(
+        s3, obj, evaluation_from_monoid(s3, [2, 0, 0, -1, -1, 0]))
+    # transpose keeps labels and so reverses loop words: S3 is not abelian
+    assert len(ss.spanning) == 72 and ss.gram != ss.gram.transpose()
+    c4 = MonoidCategory(cyclic_group(4))
+    _assert_kernel_matches_splice(c4, obj,
+                                  evaluation_from_monoid(c4, [3, 1, -1, 1]))
+
+
+@pytest.mark.parametrize("obj", [((X, PLUS),), ((X, MINUS),), TWO,
+                                 ((X, MINUS), (X, PLUS))])
+@pytest.mark.parametrize("cap", [1, 2, 3])
+@pytest.mark.parametrize("with_boundary", [False, True])
+def test_kernel_matches_splice_on_word_tables(obj, cap, with_boundary) -> None:
+    fm = FreeMonoidCategory("ab")
+    fb = FreeBoundary(fm)
+    alpha = _word_evaluation(fm, fb, (len(obj) + 1) * cap)
+    _assert_kernel_matches_splice(fm, obj, alpha,
+                                  fb if with_boundary else None, cap)
+
+
+def _two_monoids() -> TableCategory:
+    """Objects A (endomorphisms Z/2 = {1A, s}) and B (Z/3 = {1B, r, rr}),
+    with no morphisms between them."""
+    morphisms = {"1A": ("A", "A"), "s": ("A", "A"),
+                 "1B": ("B", "B"), "r": ("B", "B"), "rr": ("B", "B")}
+    z2, z3 = ["1A", "s"], ["1B", "r", "rr"]
+
+    def rule(m2, m1):
+        if m1 in z2:
+            return z2[(z2.index(m1) + z2.index(m2)) % 2]
+        return z3[(z3.index(m1) + z3.index(m2)) % 3]
+
+    return TableCategory(["A", "B"], morphisms, {"A": "1A", "B": "1B"}, rule)
+
+
+def _retract() -> TableCategory:
+    """f: X -> Y and g: Y -> X with g.f = 1X, so f.g = e is an idempotent
+    at Y; the loop of e at Y is the loop of 1X at X."""
+    morphisms = {"1X": ("X", "X"), "1Y": ("Y", "Y"), "e": ("Y", "Y"),
+                 "f": ("X", "Y"), "g": ("Y", "X")}
+    table = {("g", "f"): "1X", ("f", "g"): "e", ("e", "e"): "e",
+             ("e", "f"): "f", ("g", "e"): "g"}
+
+    def rule(m2, m1):
+        if m1 in ("1X", "1Y"):
+            return m2
+        if m2 in ("1X", "1Y"):
+            return m1
+        return table[(m2, m1)]
+
+    return TableCategory(["X", "Y"], morphisms, {"X": "1X", "Y": "1Y"}, rule)
+
+
+def test_kernel_matches_splice_on_two_object_categories() -> None:
+    cat = _two_monoids()
+    alpha = Evaluation({cat.loop_class(x, [m]): Fraction(v) for x, m, v in (
+        ("A", "1A", 2), ("A", "s", -1), ("B", "1B", 3), ("B", "r", 1),
+        ("B", "rr", 5))})
+    for obj in ((("A", PLUS), ("B", PLUS), ("A", MINUS), ("B", MINUS)),
+                (("B", MINUS), ("A", PLUS), ("B", PLUS), ("A", MINUS))):
+        ss = _assert_kernel_matches_splice(cat, obj, alpha)
+        assert len(ss.spanning) == 6
+    cat = _retract()
+    assert cat.loop_class("Y", ["e"]) == cat.loop_class("X", ["1X"])
+    alpha = Evaluation({cat.loop_class("X", ["1X"]): Fraction(3),
+                        cat.loop_class("Y", ["1Y"]): Fraction(-2)})
+    ss = _assert_kernel_matches_splice(
+        cat, (("Y", PLUS), ("Y", MINUS), ("Y", MINUS), ("Y", PLUS)), alpha)
+    assert len(ss.spanning) == 8
+
+
+class _FlippedDatum(BoundaryDatum):
+    """A datum whose duality flip moves boundary elements."""
+
+    def flip(self, e, g):
+        return 1 - g
+
+
+@pytest.mark.parametrize("datum_class", [BoundaryDatum, _FlippedDatum])
+def test_kernel_matches_splice_on_a_boundary_datum(datum_class) -> None:
+    # right and left elements of Z/2 acting on itself; the interval value
+    # of (gl, gr) is a function of the product gr.gl
+    z2 = cyclic_group(2)
+    cat = MonoidCategory(z2)
+    datum = datum_class(cat, gr_sets={X: (0, 1)}, gl_sets={X: (0, 1)},
+                        gr_action=lambda m, g: z2.mul(g, m),
+                        gl_action=lambda m, g: z2.mul(m, g))
+    intervals = {datum.interval_class(X, gl, gr): Fraction(2 + 3 * z2.mul(gr, gl))
+                 for gl in (0, 1) for gr in (0, 1)}
+    alpha = Evaluation({cat.loop_class(X, [0]): Fraction(2),
+                        cat.loop_class(X, [1]): Fraction(0)}, intervals)
+    for obj in (((X, PLUS),), ((X, MINUS),), TWO, ((X, MINUS), (X, PLUS)),
+                FOUR):
+        _assert_kernel_matches_splice(cat, obj, alpha, datum)
+
+
+@pytest.mark.parametrize("loops, intervals", [
+    (("", "ab"), ("", "a", "b", "ab", "ba", "bb", "aab")),
+    (("", "a", "b", "ab", "aa", "bb"), ("", "a", "b", "ba")),
+    ((), ("", "a")),
+])
+def test_kernel_reports_the_splices_missing_value(loops, intervals) -> None:
+    fm = FreeMonoidCategory("ab")
+    fb = FreeBoundary(fm)
+    full = _word_evaluation(fm, fb, 6)
+    keep = ({fm.loop_class(0, [fm.word(w)]) for w in loops}
+            | {fb.interval_class(0, (), fm.word(w)) for w in intervals})
+    alpha = Evaluation(
+        {k: v for k, v in full.loop_values.items() if k in keep},
+        {k: v for k, v in full.interval_values.items() if k in keep})
+    for obj in (((X, PLUS),), TWO, ((X, MINUS), (X, PLUS)), FOUR):
+        kets = enumerate_kets(fm, obj, fb, 2)
+        message = _spliced_error(kets, alpha)
+        for build in (state_space_field, state_space_boolean):
+            with pytest.raises(MissingValue) as info:
+                build(fm, obj, alpha, fb, 2)
+            assert str(info.value) == message
+
+
+def test_kernel_takes_the_message_from_the_splice() -> None:
+    # entry (0, 1) closes two intervals, "ba" (found first by the strand
+    # walk) and "ab" (first in the splice's order); both are missing
+    fm = FreeMonoidCategory("ab")
+    fb = FreeBoundary(fm)
+    alpha = Evaluation(interval_values={
+        fb.interval_class(0, (), fm.word(w)): Fraction(1) for w in ("aa", "bb")})
+    kets = [BrauerMorphism(fm, (), ((X, PLUS), (X, PLUS)), [],
+                           [(0, fm.word(g0)), (1, fm.word(g1))], boundary=fb)
+            for g0, g1 in (("b", "a"), ("a", "b"))]
+    message = _spliced_error(kets, alpha)
+    assert "(0, 1)" in message
+    with pytest.raises(MissingValue) as info:
+        statespaces._pairing(fm, kets, alpha, fb)
+    assert str(info.value) == message
+
+
+def test_cross_object_arcs_still_fail_to_transpose() -> None:
+    # the arc from the minus Y end to the plus X end is labelled g: Y -> X;
+    # transposing comes before any value is looked up
+    cat = _retract()
+    for build in (state_space_field, state_space_boolean):
+        with pytest.raises(DomainError,
+                           match="^transpose needs same-object strands$"):
+            build(cat, (("X", PLUS), ("Y", MINUS)), Evaluation())
+
+
+def test_kernel_is_checked_against_the_splice(monkeypatch) -> None:
+    monkeypatch.setattr(statespaces, "evaluate_closed",
+                        lambda d, alpha: evaluate_closed(d, alpha) + 1)
+    cat = MonoidCategory(cyclic_group(2))
+    with pytest.raises(InternalInconsistency, match="disagrees with the splice"):
+        state_space_field(cat, TWO, evaluation_from_monoid(cat, [2, 0]))
+
+
+def test_pairing_splices_once_per_pair_of_matchings(monkeypatch) -> None:
+    spliced = []
+
+    def counting_compose(d2, d1):
+        spliced.append(1)
+        return compose(d2, d1)
+
+    monkeypatch.setattr(statespaces, "compose", counting_compose)
+    cat = MonoidCategory(symmetric_group(3))
+    alpha = evaluation_from_monoid(cat, [2, 0, 0, -1, -1, 0])
+    ss = state_space_field(cat, FOUR, alpha)
+    matchings = 2  # each + end meets either - end
+    assert len(ss.spanning) == 72
+    assert 0 < len(spliced) <= matchings ** 2
+    assert all(isinstance(x, Fraction) for row in ss.gram.entries for x in row)
 
 
 # --- Boolean state spaces --------------------------------------------------------
