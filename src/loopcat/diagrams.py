@@ -467,13 +467,6 @@ def antisymmetrizer(cat, x, n: int) -> FormalSum:
 # JSON round-trip
 
 
-def _obj_name(cat, x) -> str:
-    alphabet = getattr(cat, "alphabet", None)
-    if alphabet is not None or isinstance(x, int):
-        return str(x)
-    return str(x)
-
-
 def _morphism_name(cat, m) -> str:
     alphabet = getattr(cat, "alphabet", None)
     if alphabet is not None:
@@ -505,18 +498,18 @@ def diagram_to_json(d: BrauerMorphism) -> dict:
     cat = d.cat
     return {
         "diagram": {
-            "source": [[_obj_name(cat, x), "+" if s == PLUS else "-"]
+            "source": [[str(x), "+" if s == PLUS else "-"]
                        for x, s in d.source],
-            "target": [[_obj_name(cat, x), "+" if s == PLUS else "-"]
+            "target": [[str(x), "+" if s == PLUS else "-"]
                        for x, s in d.target],
             "arcs": [[t, h, _morphism_name(cat, lab)] for t, h, lab in d.arcs],
             "half_intervals": [[e, str(g) if not isinstance(g, tuple)
                                 else _morphism_name(cat, g)]
                                for e, g in d.half_intervals],
-            "loops": [{"base": _obj_name(cat, lp.base),
+            "loops": [{"base": str(lp.base),
                        "cycle": [_morphism_name(cat, m) for m in lp.cycle]}
                       for lp in d.loops],
-            "intervals": [{"base": _obj_name(cat, iv.base),
+            "intervals": [{"base": str(iv.base),
                            "gl": str(iv.gl) if not isinstance(iv.gl, tuple)
                            else _morphism_name(cat, iv.gl),
                            "gr": str(iv.gr) if not isinstance(iv.gr, tuple)

@@ -489,7 +489,3 @@ def category_from_json(doc: dict) -> TableCategory:
             raise ValueError(f"composition table missing ({m2!r}, {m1!r})") from None
 
     return TableCategory(objects, morphisms, identities, rule)
-
-
-def free_monoid_from_json(doc: dict) -> FreeMonoidCategory:
-    return FreeMonoidCategory(doc["free_monoid"]["letters"])

@@ -2,10 +2,12 @@
 
 Everything here is built on fractions.Fraction; no floats ever enter.
 Polynomials are stored lowest-degree-first, rational functions are kept
-normalized with denominator constant term 1.  Rank and determinant clear
-denominators row by row and run forward-only fraction-free elimination on
-Python ints (Bareiss 1968); solving and inverting use Gauss-Jordan
-elimination on Fractions.
+normalized with denominator constant term 1.  Every elimination (rank,
+determinant, solving, inverting, nullspaces) runs one forward fraction-free
+kernel on Python ints (Bareiss 1968) after clearing denominators row by
+row; solutions are then read off its pivot rows by one integer
+back-substitution, exact by Cramer's rule.  Shape checks at the entry
+points raise ValueError, so they hold under `python -O` too.
 """
 
 from __future__ import annotations
@@ -55,10 +57,6 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def monomial(cls, k: int, c=1) -> "Polynomial":
-        return cls([0] * k + [c])
 
     @property
     def degree(self) -> int:
@@ -134,9 +132,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
-
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
@@ -188,7 +183,7 @@ class RationalFunction:
 
     def __init__(self, num: Polynomial, den: Polynomial):
         if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
+            raise ValueError("zero denominator")
         g = poly_gcd(num, den)
         if g.degree > 0:
             num, den = num // g, den // g
@@ -278,9 +273,6 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self.entries[i]
 
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Matrix):
             return self.entries == other.entries
@@ -290,7 +282,8 @@ class Matrix:
         return hash(self.entries)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
         return Matrix(
             [
                 [a + b for a, b in zip(r1, r2)]
@@ -306,7 +299,8 @@ class Matrix:
         return Matrix([[c * x for x in r] for r in self.entries])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        assert self.cols == other.rows, "shape mismatch"
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch")
         cols = list(zip(*other.entries))
         return Matrix(
             [[_dot(r, c) for c in cols] for r in self.entries]
@@ -314,7 +308,8 @@ class Matrix:
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix times column vector."""
-        assert len(v) == self.cols
+        if len(v) != self.cols:
+            raise ValueError("shape mismatch")
         vv = [rat(x) for x in v]
         return tuple(_dot(r, vv) for r in self.entries)
 
@@ -322,11 +317,13 @@ class Matrix:
         return Matrix(list(zip(*self.entries))) if self.entries else Matrix([])
 
     def trace(self) -> Fraction:
-        assert self.rows == self.cols
+        _require_square(self)
         return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
 
     def __pow__(self, n: int) -> "Matrix":
-        assert self.rows == self.cols and n >= 0
+        _require_square(self)
+        if n < 0:
+            raise ValueError("negative matrix power")
         out = Matrix.identity(self.rows)
         base = self
         while n:
@@ -344,58 +341,63 @@ def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def _echelon(rows: list[list[Fraction]]) -> list[int]:
-    """In-place reduced row echelon; returns the pivot column list."""
-    pivots: list[int] = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+def _require_square(m: Matrix) -> None:
+    if m.rows != m.cols:
+        raise ValueError("matrix is not square")
 
 
-def _bareiss(m: Matrix) -> tuple[int, Fraction]:
-    """Rank, and the signed last pivot over the row scales (the determinant
-    of a square matrix of full rank), by forward-only elimination on the rows
-    scaled to ints.  After k pivots each entry left is a (k+1)-minor
-    (Sylvester's identity, Bareiss 1968), so dividing by the previous pivot
-    is exact.  Pivot rows and vanished rows are dropped."""
-    rows, scale = [], 1
-    for r in m.entries:
+def _eliminate(rows: Iterable[Sequence[Fraction]]) -> tuple[list, int, int]:
+    """Forward-only fraction-free elimination of rational rows.
+
+    Each row is scaled to ints by the lcm of its denominators.  After k
+    pivots each entry left is a (k+1)-minor (Sylvester's identity, Bareiss
+    1968), so dividing by the previous pivot is exact.  Finished pivot rows
+    and vanished rows leave the working set.  Returns the pivot rows as
+    (pivot column, pivot, the row's ints right of the pivot), the sign of
+    their order, and the product of the row scales.
+    """
+    work, scale = [], 1
+    for r in rows:
         s = lcm(*(x.denominator for x in r))
         scale *= s
         if any(r):
-            rows.append([x.numerator * (s // x.denominator) for x in r])
-    rank, sign, prev, c = 0, 1, 1, 0
-    while rows:
-        i = next((i for i, row in enumerate(rows) if row[c]), None)
+            work.append([x.numerator * (s // x.denominator) for x in r])
+    pivots, sign, prev, base, c = [], 1, 1, 0, 0
+    while work:
+        i = next((i for i, row in enumerate(work) if row[c]), None)
         if i is None:
             c += 1
             continue
-        top, sign = rows.pop(i), -sign if i % 2 else sign
+        top, sign = work.pop(i), -sign if i % 2 else sign
         p, tail = top[c], top[c + 1:]
         below = []
-        for row in rows:
+        for row in work:
             f = row[c]
             new = [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
             if any(new):
                 below.append(new)
-        rows, rank, prev, c = below, rank + 1, p, 0
-    return rank, Fraction(sign * prev, scale)
+        pivots.append((base + c, p, tail))
+        work, prev, base, c = below, p, base + c + 1, 0
+    return pivots, sign, scale
+
+
+def _back_substitute(pivots: list, col: int, n: int) -> list[Fraction]:
+    """The x in Q^n, 0 off the pivot columns, with U x = U[:, col] for U
+    the pivot rows.  The scaled rows at the pivot columns have determinant
+    ±d, d the last pivot, so d·x is integral (Cramer's rule) and each
+    division is exact."""
+    d = pivots[-1][1] if pivots else 1
+    xs = [0] * n  # d·x
+    for c, p, tail in reversed(pivots):
+        s = d * tail[col - c - 1] if col > c else 0
+        xs[c] = (s - sum(a * x for a, x in zip(tail, xs[c + 1:]))) // p
+    return [Fraction(x, d) for x in xs]
+
+
+def _augmented(m: Matrix, b: Sequence) -> list[tuple]:
+    if len(b) != m.rows:
+        raise ValueError("right-hand side length mismatch")
+    return [r + (rat(y),) for r, y in zip(m.entries, b)]
 
 
 def rank_nullspace(m: Matrix) -> tuple[int, list[tuple]]:
@@ -405,62 +407,56 @@ def rank_nullspace(m: Matrix) -> tuple[int, list[tuple]]:
     basis vector per non-pivot column, with 1 in that column.  The list is
     ordered by free column index, so the output is canonical.
     """
-    rows = [list(r) for r in m.entries]
-    pivots = _echelon(rows)
-    rank = len(pivots)
-    free = [c for c in range(m.cols) if c not in pivots]
+    pivots = _eliminate(m.entries)[0]
+    pivot_cols = {c for c, _, _ in pivots}
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
-        for r_idx, pc in enumerate(pivots):
-            v[pc] = -rows[r_idx][fc]
-        basis.append(tuple(v))
-    return rank, basis
+    for fc in range(m.cols):
+        if fc not in pivot_cols:
+            v = [-x for x in _back_substitute(pivots, fc, m.cols)]
+            v[fc] = Fraction(1)
+            basis.append(tuple(v))
+    return len(pivots), basis
 
 
 def rank(m: Matrix) -> int:
-    return _bareiss(m)[0]
+    return len(_eliminate(m.entries)[0])
 
 
 def solve(m: Matrix, b: Sequence) -> tuple | None:
     """One exact solution of m x = b (free variables set to 0), or None."""
-    bb = [rat(x) for x in b]
-    assert len(bb) == m.rows
-    rows = [list(r) + [bb[i]] for i, r in enumerate(m.entries)]
-    pivots = _echelon(rows)
-    if m.cols in pivots:  # pivot in the augmented column: inconsistent
+    pivots = _eliminate(_augmented(m, b))[0]
+    if pivots and pivots[-1][0] == m.cols:  # pivot in b's column: inconsistent
         return None
-    x = [Fraction(0)] * m.cols
-    for r_idx, pc in enumerate(pivots):
-        x[pc] = rows[r_idx][-1]
-    return tuple(x)
+    return tuple(_back_substitute(pivots, m.cols, m.cols))
 
 
 def solve_unique(m: Matrix, b: Sequence) -> tuple:
     """Solution of a square system required to be uniquely solvable."""
-    assert m.rows == m.cols
-    rows = [list(r) + [rat(b[i])] for i, r in enumerate(m.entries)]
-    if _echelon(rows) != list(range(m.cols)):  # unique iff m has full rank
+    _require_square(m)
+    pivots = _eliminate(_augmented(m, b))[0]
+    if [c for c, _, _ in pivots] != list(range(m.cols)):  # unique iff full rank
         raise DomainError("linear system is not uniquely solvable")
-    return tuple(r[-1] for r in rows)
+    return tuple(_back_substitute(pivots, m.cols, m.cols))
 
 
 def det(m: Matrix) -> Fraction:
-    assert m.rows == m.cols
-    r, last = _bareiss(m)
-    return last if r == m.rows else Fraction(0)
+    _require_square(m)
+    pivots, sign, scale = _eliminate(m.entries)
+    if len(pivots) < m.rows:
+        return Fraction(0)
+    return Fraction(sign * (pivots[-1][1] if pivots else 1), scale)
 
 
 def inverse(m: Matrix) -> Matrix:
-    assert m.rows == m.cols
+    _require_square(m)
     n = m.rows
-    rows = [list(r) + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, r in enumerate(m.entries)]
-    pivots = _echelon(rows)
-    if len(pivots) < n:
+    pivots = _eliminate([r + tuple(Fraction(int(i == j)) for j in range(n))
+                         for i, r in enumerate(m.entries)])[0]
+    # [m | I] always has rank n; m is singular iff a pivot lies in I
+    if pivots and pivots[-1][0] >= n:
         raise DomainError("matrix is singular")
-    return Matrix([r[n:] for r in rows])
+    return Matrix(list(zip(*(_back_substitute(pivots, n + j, n)
+                             for j in range(n)))))
 
 
 def _charpoly(m: Matrix) -> list[Fraction]:
@@ -512,8 +508,7 @@ def power_traces(m: Matrix, count: int) -> list[Fraction]:
     polynomial by Newton's identities, so the cost is O(n^3 + count * n)
     instead of one dense product per power.
     """
-    if m.rows != m.cols:
-        raise ValueError("trace of a non-square matrix")
+    _require_square(m)
     n = m.rows
     c = _charpoly(m)
     out = [Fraction(n)]
@@ -570,7 +565,8 @@ def series_to_rational_function(
     """
     s = [rat(x) for x in prefix]
     c = recurrence.coeffs
-    assert c and c[0] == 1, "recurrence must have constant term 1"
+    if not c or c[0] != 1:
+        raise ValueError("recurrence must have constant term 1")
     num = [
         sum((c[j] * s[n - j] for j in range(min(n, len(c) - 1) + 1)), Fraction(0))
         for n in range(len(s))
@@ -637,9 +633,9 @@ def partial_fractions(rf: RationalFunction):
 def _rational_root(p: Polynomial) -> Fraction | None:
     """Some rational root of p, or None.  Exact search via the root bounds."""
     cs = p.coeffs
+    # internal invariants, not input checks: partial_fractions passes only
+    # nonzero polynomials, and _divisors gets their nonzero end coefficients
     assert cs
-    from math import lcm  # clear denominators to integers
-
     denlcm = lcm(*(c.denominator for c in cs))
     ints = [int(c * denlcm) for c in cs]
     if ints[0] == 0:
@@ -655,7 +651,7 @@ def _rational_root(p: Polynomial) -> Fraction | None:
 
 
 def _divisors(n: int) -> list[int]:
-    assert n > 0
+    assert n > 0  # internal invariant, see _rational_root
     out = []
     d = 1
     while d * d <= n:

@@ -268,6 +268,31 @@ def antisym_trace(alpha: PseudoCharacter, g) -> Fraction:
     return engine.antisym([engine.intern(x) for x in g])
 
 
+def _vanishing_level(engine: _TraceRecursion, ids: list, levels):
+    """The first d in levels at which the antisymmetrized trace of every
+    unordered (d+1)-tuple drawn from ids vanishes (None if none does), and
+    the number of tuples evaluated; each level stops at its first nonzero
+    tuple."""
+    checked = 0
+    for d in levels:
+        for tup in combinations_with_replacement(ids, d + 1):
+            checked += 1
+            if engine.antisym(tup) != 0:
+                break
+        else:
+            return d, checked
+    return None, checked
+
+
+def _witness(engine: _TraceRecursion, ids: list, d: int):
+    """Positions into ids of the lexicographically first ordered d-tuple
+    with nonzero antisymmetrized trace, or None."""
+    for tup in product(range(len(ids)), repeat=d):
+        if engine.antisym([ids[i] for i in tup]) != 0:
+            return tup
+    return None
+
+
 @dataclass(frozen=True)
 class DegreeResult:
     d: int
@@ -278,41 +303,29 @@ class DegreeResult:
 def degree(alpha: PseudoCharacter, max_d: int) -> DegreeResult:
     """Smallest d with every (d+1)-fold antisymmetrized trace zero.
 
-    The vanishing check runs over unordered tuples (antisym_trace is
-    symmetric in its arguments), one antisym_trace call per tuple, all
-    sharing the memo on alpha; the nonvanishing witness at level d is the
-    lexicographically first ordered tuple.  Cross-checked against the
-    characteristic-zero identity d = alpha(identity); disagreement, a
-    fractional or negative identity value, or exhaustion of max_d all
-    reject the class function.
+    The vanishing check runs over unordered tuples (the antisymmetrized
+    trace is symmetric in its arguments), all sharing the memo on alpha;
+    the nonvanishing witness at level d is the lexicographically first
+    ordered tuple.  Cross-checked against the characteristic-zero identity
+    d = alpha(identity); disagreement, a fractional or negative identity
+    value, or exhaustion of max_d all reject the class function.
     """
     e_val = alpha(alpha.monoid.identity)
     if e_val.denominator != 1 or e_val < 0:
         raise NotPseudo(f"identity value {e_val} is not a nonnegative integer")
-    elements = range(alpha.monoid.size)
-    checked = 0
-    for d in range(max_d + 1):
-        level_clean = True
-        for tup in combinations_with_replacement(elements, d + 1):
-            checked += 1
-            if antisym_trace(alpha, tup) != 0:
-                level_clean = False
-                break
-        if not level_clean:
-            continue
-        witness = None
-        for tup in product(elements, repeat=d):
-            if antisym_trace(alpha, tup) != 0:
-                witness = tup
-                break
-        if witness is None:
-            raise NotPseudo(
-                f"level {d + 1} vanishes but no level-{d} witness exists")
-        if e_val != d:
-            raise NotPseudo(
-                f"vanishing degree {d} disagrees with identity value {e_val}")
-        return DegreeResult(d, witness, checked)
-    raise NotPseudo(f"no degree up to {max_d}")
+    engine = alpha._antisym
+    ids = [engine.intern(e) for e in range(alpha.monoid.size)]
+    d, checked = _vanishing_level(engine, ids, range(max_d + 1))
+    if d is None:
+        raise NotPseudo(f"no degree up to {max_d}")
+    witness = _witness(engine, ids, d)  # positions are the elements
+    if witness is None:
+        raise NotPseudo(
+            f"level {d + 1} vanishes but no level-{d} witness exists")
+    if e_val != d:
+        raise NotPseudo(
+            f"vanishing degree {d} disagrees with identity value {e_val}")
+    return DegreeResult(d, witness, checked)
 
 
 def alpha_charpoly(alpha: PseudoCharacter, x: int, d: int) -> Polynomial:
@@ -455,12 +468,7 @@ def degree_additivity_check(cat, alpha, objects=None, max_d=6):
              for i in range(len(objs)) for j in range(len(objs))
              for f in cat.hom(objs[i], objs[j])]
 
-    sum_degree = None
-    for d in range(max_d + 1):
-        if all(engine.antisym(tup) == 0
-               for tup in combinations_with_replacement(units, d + 1)):
-            sum_degree = d
-            break
+    sum_degree, _ = _vanishing_level(engine, units, range(max_d + 1))
     if sum_degree is None:
         raise NotPseudo(f"direct sum has no degree up to {max_d}")
     return AdditivityReport(tuple(part_degrees), sum_degree,
@@ -478,7 +486,11 @@ class GraphHolonomy:
         self.n_vertices = n_vertices
         self.edges = tuple((src, tgt, m) for src, tgt, m in edges)
         self.vertex_dim = {}
+        vertices = range(n_vertices)
         for src, tgt, m in self.edges:
+            if src not in vertices or tgt not in vertices:
+                raise ValueError(f"edge {src}->{tgt} has an endpoint outside "
+                                 f"0..{n_vertices - 1}")
             if m.rows != m.cols:
                 raise ValueError("edge matrices must be square")
             if det(m) == 0:
@@ -538,28 +550,14 @@ def graph_pseudoholonomy(gh: GraphHolonomy, max_len: int,
 
     engine = _TraceRecursion(Matrix.trace, operator.mul)
     ids = [engine.intern(m) for m in mats]
-    checked = 0
-    deg = None
-    for d in range(dim + 2):
-        level_clean = True
-        for tup in combinations_with_replacement(ids, d + 1):
-            checked += 1
-            if engine.antisym(tup) != 0:
-                level_clean = False
-                break
-        if level_clean:
-            deg = d
-            break
-    if deg is None or deg != dim:
+    deg, checked = _vanishing_level(engine, ids, range(dim + 2))
+    if deg != dim:
         raise NotPseudo(
             f"holonomy at vertex {base} has degree {deg}, dimension {dim}")
-    witness = None
-    for tup in product(range(len(mats)), repeat=deg):
-        if engine.antisym([ids[i] for i in tup]) != 0:
-            witness = tuple(mats[i] for i in tup)
-            break
-    return HolonomyReport(table, base, dim,
-                          DegreeResult(deg, witness, checked))
+    witness = _witness(engine, ids, deg)
+    return HolonomyReport(table, base, dim, DegreeResult(
+        deg, None if witness is None else tuple(mats[i] for i in witness),
+        checked))
 
 
 # ---------------------------------------------------------------------------

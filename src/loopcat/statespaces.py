@@ -583,6 +583,8 @@ def glue_partition_diagrams(d1: PartitionDiagram, d2: PartitionDiagram,
 
 
 def cob2_spanning(m: int, genus_cap: int) -> list[PartitionDiagram]:
+    if m < 0:
+        raise ValueError(f"circle count must be nonnegative, got {m}")
     out = []
     for blocks in _partitions(list(range(1, m + 1))):
         blocks_t = tuple(sorted(tuple(sorted(b)) for b in blocks))

@@ -329,6 +329,35 @@ def test_ragged_matrix_exits_two_without_asserts(tmp_path, command):
                                        "message": "ragged matrix"}
 
 
+OUT_OF_RANGE_JOBS = {
+    "zero-den": ("classify", {"genfun": {"num": ["1"], "den": ["0"]}},
+                 "zero denominator"),
+    "empty-den": ("classify", {"genfun": {"num": ["1"], "den": []}},
+                  "zero denominator"),
+    "edge-endpoint": ("holonomy", {"graph": {"n_vertices": 1,
+                                             "edges": [[0, 5, [["1"]]]]}},
+                      "edge 0->5 has an endpoint outside 0..0"),
+    "negative-m": ("cob2-dim", {"m": -1, "alpha": ["1", "2", "3", "4", "5"]},
+                   "circle count must be nonnegative, got -1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE_JOBS))
+def test_out_of_range_input_exits_two(tmp_path, capsys, name):
+    command, doc, message = OUT_OF_RANGE_JOBS[name]
+    code, out = run_json(tmp_path, capsys, command, doc)
+    assert (code, out) == (2, {"error": "ValueError", "message": message})
+
+
+def test_zero_denominator_exits_two_without_asserts(tmp_path):
+    command, doc, message = OUT_OF_RANGE_JOBS["empty-den"]
+    proc = run_optimized(tmp_path, command, doc)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout) == {"error": "ValueError",
+                                       "message": message}
+
+
 # --- frobenius-validate / genfun / classify / witness -----------------------
 
 

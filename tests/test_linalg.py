@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopcat.linalg import (
@@ -98,9 +98,10 @@ def _cofactor_det(rows) -> Fraction:
 
 
 @st.composite
-def low_rank_rows(draw):
+def low_rank_rows(draw, square=False):
     """A rational n x k times k x m product, some rows and columns zeroed."""
-    n, m, k = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 4))
+    n, k = draw(st.integers(0, 6)), draw(st.integers(0, 4))
+    m = n if square else draw(st.integers(0, 6))
     a = draw(st.lists(st.lists(rationals, min_size=k, max_size=k),
                       min_size=n, max_size=n))
     b = draw(st.lists(st.lists(rationals, min_size=m, max_size=m),
@@ -112,11 +113,126 @@ def low_rank_rows(draw):
              for j in range(m)] for i in range(n)]
 
 
+# Reference: Gauss-Jordan elimination on Fractions to reduced row echelon
+# form, independent of linalg's fraction-free kernel.
+
+
+def _gauss_jordan(rows: list[list[Fraction]]) -> list[int]:
+    """In-place reduced row echelon; returns the pivot column list."""
+    pivots: list[int] = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def _gj_rank_nullspace(m: Matrix):
+    rows = [list(r) for r in m.entries]
+    pivots = _gauss_jordan(rows)
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[fc] = Fraction(1)
+        for r_idx, pc in enumerate(pivots):
+            v[pc] = -rows[r_idx][fc]
+        basis.append(tuple(v))
+    return len(pivots), basis
+
+
+def _gj_solve(m: Matrix, b):
+    rows = [list(r) + [Fraction(y)] for r, y in zip(m.entries, b)]
+    pivots = _gauss_jordan(rows)
+    if m.cols in pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for r_idx, pc in enumerate(pivots):
+        x[pc] = rows[r_idx][-1]
+    return tuple(x)
+
+
+def _gj_inverse(m: Matrix):
+    """The inverse, or None for a singular matrix."""
+    n = m.rows
+    rows = [list(r) + [Fraction(int(i == j)) for j in range(n)]
+            for i, r in enumerate(m.entries)]
+    if _gauss_jordan(rows) != list(range(n)):
+        return None
+    return Matrix([r[n:] for r in rows])
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+@given(low_rank_rows(), st.booleans(), st.data())
+@example([], True, None)  # 0 x 0
+@example([[], [], []], False, None)  # 3 x 0, inconsistent right side
+@example([[], []], True, None)  # 2 x 0, zero right side
+@settings(max_examples=100, deadline=None)
+def test_kernel_matches_gauss_jordan(rows, consistent, data) -> None:
+    m = Matrix(rows)
+    r, null = _gj_rank_nullspace(m)
+    assert rank(m) == r
+    assert rank_nullspace(m) == (r, null)
+    # underdetermined, overdetermined, consistent and inconsistent systems
+    if data is None:
+        b = [Fraction(0 if consistent else 1)] * m.rows
+    elif consistent:
+        b = m.apply(data.draw(st.lists(rationals, min_size=m.cols,
+                                       max_size=m.cols)))
+    else:
+        b = data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows))
+    x = solve(m, b)
+    assert x == _gj_solve(m, b)
+    assert x is None or (m.apply(x) == tuple(b)
+                         and all(type(v) is Fraction for v in x))
+    if consistent:
+        assert x is not None
+    assert all(type(v) is Fraction for vec in null for v in vec)
+
+
+@given(low_rank_rows(square=True), st.data())
+@example([], None)
+@example([[0, 0], [0, 0]], None)
+@settings(max_examples=100, deadline=None)
+def test_square_kernel_matches_gauss_jordan(rows, data) -> None:
+    m = Matrix(rows)
+    b = ([Fraction(1)] * m.rows if data is None else
+         data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows)))
+    ref = _gj_inverse(m)
+    if ref is None:
+        assert _outcome(inverse, m) == "matrix is singular"
+        assert _outcome(solve_unique, m, b) == \
+            "linear system is not uniquely solvable"
+        assert det(m) == 0
+    else:
+        assert inverse(m) == ref
+        assert solve_unique(m, b) == _gj_solve(m, b) == ref.apply(b)
+        assert det(m) != 0
+
+
 @given(low_rank_rows())
 @settings(max_examples=120, deadline=None)
 def test_rank_and_det_match_gauss_jordan(rows) -> None:
     m = Matrix(rows)
-    assert rank(m) == rank_nullspace(m)[0]
+    assert rank(m) == _gj_rank_nullspace(m)[0]
     # the leading square block, up to 5 x 5, against cofactor expansion
     k = min(m.rows, m.cols, 5)
     block = [r[:k] for r in rows[:k]]

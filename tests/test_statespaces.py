@@ -174,7 +174,8 @@ def test_input_checks_survive_optimized_mode() -> None:
     script = (
         "from loopcat.diagrams import BrauerMorphism, cup\n"
         "from loopcat.fincat import MonoidCategory, cyclic_group\n"
-        "from loopcat.linalg import Matrix\n"
+        "from loopcat.linalg import (Matrix, Polynomial, det, inverse, solve,\n"
+        "                            solve_unique, series_to_rational_function)\n"
         "from loopcat.statespaces import (Evaluation, WeightedAutomaton,\n"
         "                                 evaluate_closed)\n"
         "assert False, 'asserts are not stripped'\n"
@@ -185,7 +186,19 @@ def test_input_checks_survive_optimized_mode() -> None:
         "                 [1], {'a': Matrix.identity(2)}, [1]),\n"
         "             lambda: BrauerMorphism(cat, (), ((0, 1), (0, 1)),\n"
         "                                    [(0, 1, 0)]),\n"
-        "             lambda: BrauerMorphism(cat, (), ((0, 1), (0, -1)), [])):\n"
+        "             lambda: BrauerMorphism(cat, (), ((0, 1), (0, -1)), []),\n"
+        "             lambda: Matrix.identity(2) + Matrix.identity(3),\n"
+        "             lambda: Matrix.identity(2) * Matrix.identity(3),\n"
+        "             lambda: Matrix.identity(2).apply([1]),\n"
+        "             lambda: Matrix([[1, 2]]).trace(),\n"
+        "             lambda: Matrix([[1, 2]]) ** 2,\n"
+        "             lambda: Matrix.identity(2) ** -1,\n"
+        "             lambda: solve(Matrix.identity(2), [1]),\n"
+        "             lambda: solve_unique(Matrix([[1, 2]]), [1]),\n"
+        "             lambda: det(Matrix([[1, 2]])),\n"
+        "             lambda: inverse(Matrix([[1, 2]])),\n"
+        "             lambda: series_to_rational_function(\n"
+        "                 [1], Polynomial([2]))):\n"
         "    try:\n"
         "        make()\n"
         "    except ValueError as exc:\n"
@@ -201,7 +214,12 @@ def test_input_checks_survive_optimized_mode() -> None:
         "initial and final lengths differ",
         "bad shape at 'a'",
         "arc tail at 0 is not eff -",
-        "endpoints not covered exactly once"]
+        "endpoints not covered exactly once",
+        "shape mismatch", "shape mismatch", "shape mismatch",
+        "matrix is not square", "matrix is not square",
+        "negative matrix power", "right-hand side length mismatch",
+        "matrix is not square", "matrix is not square",
+        "matrix is not square", "recurrence must have constant term 1"]
 
 
 def _two_strand(cat, matching: bool, lab1: int, lab2: int) -> BrauerMorphism:
