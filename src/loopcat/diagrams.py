@@ -171,7 +171,8 @@ def perm_diagram(cat, x, sigma, labels=None, boundary=None) -> BrauerMorphism:
     source i carries labels[sigma[i]] (identity labels if omitted).
     """
     n = len(sigma)
-    assert sorted(sigma) == list(range(n)), "not a permutation"
+    if sorted(sigma) != list(range(n)):
+        raise ValueError("not a permutation")
     if labels is None:
         labels = [cat.identity(x)] * n
     seq = ((x, PLUS),) * n
@@ -192,8 +193,10 @@ def closed_diagram(cat, loops=(), intervals=(), boundary=None) -> BrauerMorphism
 
 def tensor(d1: BrauerMorphism, d2: BrauerMorphism) -> BrauerMorphism:
     """Place d2 to the right of d1; endpoint indices of d2 shift accordingly."""
-    assert d1.cat is d2.cat, "tensor across different categories"
-    assert d1.boundary is d2.boundary, "tensor across different boundary data"
+    if d1.cat is not d2.cat:
+        raise ValueError("tensor across different categories")
+    if d1.boundary is not d2.boundary:
+        raise ValueError("tensor across different boundary data")
     ns1, ns2, nt1 = len(d1.source), len(d2.source), len(d1.target)
 
     def remap1(e: int) -> int:
@@ -291,7 +294,8 @@ def _splice_run(cat, boundary, arcs, half, wire, outer, obj_of, eff_of):
 
 def compose(d2: BrauerMorphism, d1: BrauerMorphism) -> BrauerMorphism:
     """Splice d1's target onto d2's source (d1 is traversed first)."""
-    assert d1.cat is d2.cat, "compose across different categories"
+    if d1.cat is not d2.cat:
+        raise ValueError("compose across different categories")
     if d1.target != d2.source:
         raise ObjectMismatch(f"interface mismatch: {d1.target} vs {d2.source}")
     cat, boundary = d1.cat, d1.boundary
@@ -344,6 +348,8 @@ def close_up(d: BrauerMorphism) -> BrauerMorphism:
     out_arcs, out_half, loops, intervals = _splice_run(
         d.cat, d.boundary, arcs, half, wire, {},
         lambda n: d.endpoint_object(n[1]), lambda n: d.endpoint_eff(n[1]))
+    # internal invariant: closing every strand of an endomorphism leaves
+    # no open arc or half-interval
     assert not out_arcs and not out_half
     return BrauerMorphism(d.cat, (), (), [], [],
                           d.loops + tuple(loops),
@@ -415,7 +421,8 @@ class FormalSum:
             c = rat(c)
             if shape is None:
                 shape = (d.source, d.target)
-            assert (d.source, d.target) == shape, "mixed shapes in a sum"
+            elif (d.source, d.target) != shape:
+                raise ValueError("mixed shapes in a sum")
             acc[d] = acc.get(d, Fraction(0)) + c
         self.terms = {d: c for d, c in acc.items() if c != 0}
 
@@ -458,7 +465,8 @@ def perm_sign(sigma) -> int:
 
 def antisymmetrizer(cat, x, n: int) -> FormalSum:
     """Signed sum over all n! permutation diagrams on (x,+)^n, id labels."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError("antisymmetrizer needs n >= 0")
     return FormalSum([(perm_diagram(cat, x, sigma), perm_sign(sigma))
                       for sigma in permutations(range(n))])
 

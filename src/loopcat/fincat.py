@@ -366,9 +366,11 @@ class BoundaryDatum:
         for x in self.cat.objects:
             i = self.cat.identity(x)
             for g in self.gr_sets[x]:
-                assert self.gr(i, g) == g, "right action violates identity"
+                if self.gr(i, g) != g:
+                    raise ValueError("right action violates identity")
             for g in self.gl_sets[x]:
-                assert self.gl(i, g) == g, "left action violates identity"
+                if self.gl(i, g) != g:
+                    raise ValueError("left action violates identity")
         for x in self.cat.objects:
             for y in self.cat.objects:
                 for b in self.cat.hom(x, y):
@@ -376,13 +378,13 @@ class BoundaryDatum:
                         for c in self.cat.hom(y, z):
                             cb = self.cat.compose(c, b)
                             for g in self.gr_sets[x]:
-                                assert self.gr(cb, g) == self.gr(c, self.gr(b, g)), (
-                                    "right action violates composition"
-                                )
+                                if self.gr(cb, g) != self.gr(c, self.gr(b, g)):
+                                    raise ValueError(
+                                        "right action violates composition")
                             for g in self.gl_sets[z]:
-                                assert self.gl(cb, g) == self.gl(b, self.gl(c, g)), (
-                                    "left action violates composition"
-                                )
+                                if self.gl(cb, g) != self.gl(b, self.gl(c, g)):
+                                    raise ValueError(
+                                        "left action violates composition")
 
     def gr(self, m, g):
         return self._gr(m, g)

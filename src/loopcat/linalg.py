@@ -6,14 +6,16 @@ normalized with denominator constant term 1.  Every elimination (rank,
 determinant, solving, inverting, nullspaces) runs one forward fraction-free
 kernel on Python ints (Bareiss 1968) after clearing denominators row by
 row; solutions are then read off its pivot rows by one integer
-back-substitution, exact by Cramer's rule.  Shape checks at the entry
-points raise ValueError, so they hold under `python -O` too.
+back-substitution, exact by Cramer's rule.  Rational roots, which split
+denominators into linear factors, are isolated by Sturm bisection on
+ints.  Shape checks at the entry points raise ValueError, so they hold
+under `python -O` too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -34,7 +36,10 @@ def rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -584,15 +589,10 @@ def partial_fractions(rf: RationalFunction):
     """
     poly_part, rem = divmod(rf.num, rf.den)
     den = rf.den
-    # factor den = prod (1 - lam*T)^mult by exact rational root search
+    # factor den = prod (1 - lam*T)^mult; den(0) = 1, so no root is 0
     factors: list[tuple[Fraction, int]] = []
     work = den
-    while work.degree > 0:
-        root = _rational_root(work)
-        if root is None or root == 0:
-            raise NonSplitDenominator(
-                "denominator has a non-linear irreducible factor"
-            )
+    for root in _rational_roots(den):
         lam = 1 / root
         lin = Polynomial([1, -lam])
         mult = 0
@@ -602,6 +602,10 @@ def partial_fractions(rf: RationalFunction):
                 break
             work, mult = q, mult + 1
         factors.append((lam, mult))
+    if work.degree > 0:
+        raise NonSplitDenominator(
+            "denominator has a non-linear irreducible factor"
+        )
     factors.sort(key=lambda t: (t[0].numerator, t[0].denominator))
 
     if rem.is_zero():
@@ -630,34 +634,120 @@ def partial_fractions(rf: RationalFunction):
     return poly_part, out
 
 
-def _rational_root(p: Polynomial) -> Fraction | None:
-    """Some rational root of p, or None.  Exact search via the root bounds."""
-    cs = p.coeffs
-    # internal invariants, not input checks: partial_fractions passes only
-    # nonzero polynomials, and _divisors gets their nonzero end coefficients
-    assert cs
-    denlcm = lcm(*(c.denominator for c in cs))
-    ints = [int(c * denlcm) for c in cs]
-    if ints[0] == 0:
-        return Fraction(0)  # T divides p
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for p_div in _divisors(a0):
-        for q_div in _divisors(an):
-            for s in (1, -1):
-                cand = Fraction(s * p_div, q_div)
-                if p(cand) == 0:
-                    return cand
+def _rational_roots(p: Polynomial) -> list[Fraction]:
+    """Every distinct rational root of p, exactly.
+
+    p is scaled to a primitive integer polynomial P with lead N.  Its
+    rational roots are the y/N for the integer roots y of the monic integer
+    h(y) = N^(n-1) P(y/N) (rational root theorem), which is replaced by
+    h / gcd(h, h') when p has a repeated root.  The integer roots of h are
+    isolated by bisecting integer intervals (lo, hi], counting the roots
+    in each by a Sturm sequence, and by the sign of h once only one is
+    left.  Roots are counted in half-open intervals, so one on a bisection
+    point is counted once.  All arithmetic is on ints and the depth is the
+    bit length of the root bound, so the cost is polynomial in the bit
+    length of p's coefficients.
+    """
+    if p.degree < 1:
+        return []
+    den = lcm(*(c.denominator for c in p.coeffs))
+    ints = _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+    lead, n = ints[-1], len(ints) - 1
+    h = [c * lead ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
+    chain = _sturm_chain(h)
+    if len(chain[-1]) > 1:  # repeated roots: keep h's square-free part
+        h = _exact_quotient(h, chain[-1])
+        chain = _sturm_chain(h)
+    # all roots of h lie in (-bound, bound) (Fujiwara 1916)
+    m = len(h) - 1
+    bound = 2 << max((-(-abs(c).bit_length() // (m - k))
+                      for k, c in enumerate(h[:-1])), default=0)
+    roots = []
+    todo = [(-bound, bound, _sign_changes(chain, -bound),
+             _sign_changes(chain, bound))]
+    while todo:
+        lo, hi, v_lo, v_hi = todo.pop()
+        if v_lo - v_hi > 1 and hi - lo > 1:
+            mid = (lo + hi) // 2
+            v_mid = _sign_changes(chain, mid)
+            todo += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+        elif v_lo > v_hi:
+            y = _integer_root(h, lo, hi)
+            if y is not None:
+                roots.append(Fraction(y, lead))
+    return roots
+
+
+def _primitive(f: list[int]) -> list[int]:
+    g = gcd(*f)
+    return [c // g for c in f]
+
+
+def _horner(f: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def _sturm_chain(h: list[int]) -> list[list[int]]:
+    """h, h', then each -(c * remainder) with c > 0 made primitive, down to
+    a positive multiple of ±gcd(h, h'); positive scalings keep the signs,
+    so sign changes count roots as in Sturm's theorem."""
+    chain = [h, _primitive([k * c for k, c in enumerate(h)][1:])]
+    while len(chain[-1]) > 1:
+        rem, div = list(chain[-2]), chain[-1]
+        lead = div[-1]
+        s, a = (1, lead) if lead > 0 else (-1, -lead)
+        while len(rem) >= len(div):
+            f, k = s * rem[-1], len(rem) - len(div)
+            rem = [a * c for c in rem]
+            for j, d in enumerate(div):
+                rem[k + j] -= f * d
+            while rem and rem[-1] == 0:
+                rem.pop()
+        if not rem:
+            break
+        chain.append(_primitive([-c for c in rem]))
+    return chain
+
+
+def _exact_quotient(f: list[int], g: list[int]) -> list[int]:
+    """f / g for an integer polynomial g that divides f with a ±1 lead."""
+    rem, q = list(f), [0] * (len(f) - len(g) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = rem[k + len(g) - 1] * g[-1]
+        for j, d in enumerate(g):
+            rem[k + j] -= c * d
+    return q
+
+
+def _sign_changes(chain: list[list[int]], x: int) -> int:
+    changes, last = 0, 0
+    for f in chain:
+        v = _horner(f, x)
+        if v:
+            if last and (v > 0) != (last > 0):
+                changes += 1
+            last = v
+    return changes
+
+
+def _integer_root(h: list[int], lo: int, hi: int) -> int | None:
+    """The integer root of square-free h in (lo, hi], or None, where
+    (lo, hi] has width 1 or holds exactly one real root of h.  In the
+    second case h has the sign of h(hi) right of the root and the other
+    sign left of it, so the sign of h bisects."""
+    s = _horner(h, hi)
+    if s == 0:
+        return hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        v = _horner(h, mid)
+        if v == 0:
+            return mid
+        if (v > 0) == (s > 0):
+            hi = mid
+        else:
+            lo = mid
     return None
-
-
-def _divisors(n: int) -> list[int]:
-    assert n > 0  # internal invariant, see _rational_root
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)

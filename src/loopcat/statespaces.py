@@ -457,6 +457,7 @@ def _forward_reduce(a: WeightedAutomaton) -> WeightedAutomaton:
 
     def coords(v: tuple) -> tuple:
         x = solve(bt, v)
+        # internal invariant: each vector is a combination of the basis
         assert x is not None, "vector escaped the reachable span"
         return x
 

@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import loopcat
 from loopcat.cli import main
+from loopcat.linalg import Polynomial, RationalFunction, rat_str
 
 Z2_MONOID = {"monoid": {"table": [[0, 1], [1, 0]], "identity": 0, "size": 2}}
 Z2_REGULAR = {"pseudocharacter": {"classes": [[0], [1]], "values": ["2", "0"]}}
@@ -34,17 +37,22 @@ def run_json(tmp_path, capsys, command, doc, *flags):
     return code, json.loads(out)
 
 
-def run_optimized(tmp_path, command, doc):
-    """The CLI in a fresh `python -O` process, where asserts are stripped."""
+def run_process(tmp_path, command, doc, *python_flags, timeout=60):
+    """The CLI in a fresh Python process started with python_flags."""
     path = tmp_path / "job.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     src = str(Path(loopcat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-O", "-m", "loopcat.cli", command, "--input",
-         str(path), "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=60)
+        [sys.executable, *python_flags, "-m", "loopcat.cli", command,
+         "--input", str(path), "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def run_optimized(tmp_path, command, doc):
+    """The CLI in a fresh `python -O` process, where asserts are stripped."""
+    return run_process(tmp_path, command, doc, "-O")
 
 
 # --- statespace -----------------------------------------------------------
@@ -339,6 +347,15 @@ OUT_OF_RANGE_JOBS = {
                       "edge 0->5 has an endpoint outside 0..0"),
     "negative-m": ("cob2-dim", {"m": -1, "alpha": ["1", "2", "3", "4", "5"]},
                    "circle count must be nonnegative, got -1"),
+    "scalar-zero-den-classify": (
+        "classify", {"genfun": {"num": ["1/0"], "den": ["1"]}},
+        "zero denominator in '1/0'"),
+    "scalar-zero-den-cob2-dim": (
+        "cob2-dim", {"m": 1, "alpha": ["1/0"] + ["2"] * 5},
+        "zero denominator in '1/0'"),
+    "scalar-zero-den-pih-solve": (
+        "pih-solve", {"blocks": [["1", 1, "1/0"]]},
+        "zero denominator in '1/0'"),
 }
 
 
@@ -406,6 +423,70 @@ def test_classify_rejects_irrational_poles(tmp_path, capsys):
     code, out = run_json(tmp_path, capsys, "classify", doc)
     assert code == 1
     assert out["reason"] == "NonSplitDenominator"
+
+
+def _genfun_doc(num: Polynomial, den: Polynomial) -> dict:
+    rf = RationalFunction(num, den)
+    return {"genfun": {"num": [rat_str(c) for c in rf.num.coeffs],
+                       "den": [rat_str(c) for c in rf.den.coeffs]}}
+
+
+def _linear_product(lams) -> Polynomial:
+    out = Polynomial([1])
+    for lam in lams:
+        out = out * Polynomial([1, -lam])
+    return out
+
+
+# degree 8, 40-digit coefficients: eight poles near 10^5, or six of them
+# times 1 - c T^2
+BIG_POLES = [(Fraction(99991), 1), (Fraction(-99989), 2),
+             (Fraction(199999, 2), 3), (Fraction(-299993, 3), 1),
+             (Fraction(100003), 5), (Fraction(-100019), 4),
+             (Fraction(100057), 6), (Fraction(-700001, 7), 2)]
+BIG_C = 10**10 + 19
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+def test_classify_31_digit_rejection_is_fast(tmp_path, flags):
+    doc = {"genfun": {"num": ["1"],
+                      "den": ["1", "0", "-1000000000000000000000000000057"]}}
+    start = time.perf_counter()
+    proc = run_process(tmp_path, "classify", doc, *flags, timeout=10)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["reason"] == "NonSplitDenominator"
+
+
+@pytest.mark.parametrize("split", [True, False], ids=["split", "non-split"])
+def test_classify_40_digit_degree_8_is_fast(tmp_path, split):
+    lams = [lam for lam, _ in BIG_POLES]
+    if split:
+        num = Polynomial([])
+        for lam, mult in BIG_POLES:
+            others = _linear_product(x for x in lams if x != lam)
+            num = num + others.scale(Fraction(mult) / lam)
+        den = _linear_product(lams)
+    else:
+        num = Polynomial([1])
+        den = _linear_product(lams[:6]) * Polynomial([1, 0, -BIG_C])
+    doc = _genfun_doc(num, den)
+    assert len(doc["genfun"]["den"]) == 9
+    assert max(len(c.lstrip("-").split("/")[0])
+               for c in doc["genfun"]["den"]) >= 40
+    start = time.perf_counter()
+    proc = run_process(tmp_path, "classify", doc, timeout=10)
+    assert time.perf_counter() - start < 2.0
+    out = json.loads(proc.stdout)
+    if split:
+        assert proc.returncode == 0
+        assert out["classification"] == {
+            "mu": "0", "m": 0,
+            "poles": [[rat_str(lam), mult] for lam, mult in sorted(
+                BIG_POLES, key=lambda t: (t[0].numerator, t[0].denominator))]}
+    else:
+        assert proc.returncode == 1
+        assert out["reason"] == "NonSplitDenominator"
 
 
 def test_witness_round_trip_through_cli(tmp_path, capsys):

@@ -28,6 +28,7 @@ from loopcat.diagrams import (
     transpose,
 )
 from loopcat.fincat import (
+    BoundaryDatum,
     FreeBoundary,
     FreeMonoidCategory,
     Loop,
@@ -87,6 +88,31 @@ def test_compose_with_identity() -> None:
 def test_compose_requires_matching_interface() -> None:
     with pytest.raises(ObjectMismatch):
         compose(cap(CAT, 0), identity_diagram(CAT, ((X, PLUS),)))
+
+
+ENTRY_CHECKS = {
+    "perm": (lambda: perm_diagram(CAT, X, (0, 0)), "not a permutation"),
+    "tensor-cat": (lambda: tensor(cup(CAT, 0), cup(OTHER_CAT, 0)),
+                   "tensor across different categories"),
+    "tensor-boundary": (lambda: tensor(cup(CAT, 0), cup(CAT, 0, TRIVIAL)),
+                        "tensor across different boundary data"),
+    "compose-cat": (lambda: compose(cap(OTHER_CAT, 0), cup(CAT, 0)),
+                    "compose across different categories"),
+    "sum-shapes": (lambda: FormalSum([(cup(CAT, 0), 1), (cap(CAT, 0), 1)]),
+                   "mixed shapes in a sum"),
+    "antisym-n": (lambda: antisymmetrizer(CAT, X, -1),
+                  "antisymmetrizer needs n >= 0"),
+}
+OTHER_CAT = MonoidCategory(S3)
+TRIVIAL = BoundaryDatum(CAT, {X: []}, {X: []}, lambda m, g: g,
+                        lambda m, g: g)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_CHECKS))
+def test_entry_checks_raise_value_error(name) -> None:
+    make, message = ENTRY_CHECKS[name]
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_half_interval_absorbs_arc() -> None:

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import loopcat
 from loopcat.fincat import (
     BoundaryDatum,
     FiniteMonoid,
@@ -207,9 +213,34 @@ def test_boundary_functoriality_is_checked() -> None:
     assert bd.interval_class("X", "u", "p") == bd.interval_class("Y", "v", "q")
 
     # a datum whose identity action moves points must be rejected at load
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="right action violates identity"):
         BoundaryDatum(cat, gr_sets, gl_sets,
                       lambda m, g: {"p": "q", "q": "q"}.get(g, g), gl)
+
+
+def test_boundary_axioms_are_checked_without_asserts() -> None:
+    script = (
+        "from loopcat.fincat import BoundaryDatum, cyclic_group, MonoidCategory\n"
+        "assert False, 'asserts are not stripped'\n"
+        "cat = MonoidCategory(cyclic_group(2))\n"
+        "for gr, gl in ((lambda m, g: 1 - g, lambda m, g: g),\n"
+        "               (lambda m, g: g, lambda m, g: 1 - g),\n"
+        "               (lambda m, g: 0 if m else g, lambda m, g: g),\n"
+        "               (lambda m, g: g, lambda m, g: 0 if m else g)):\n"
+        "    try:\n"
+        "        BoundaryDatum(cat, {0: [0, 1]}, {0: [0, 1]}, gr, gl)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n")
+    src = str(Path(loopcat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "right action violates identity", "left action violates identity",
+        "right action violates composition",
+        "left action violates composition"]
 
 
 def test_free_boundary_reads_off_concatenation() -> None:

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopcat.linalg import (
+    _rational_roots,
     Matrix,
     NonSplitDenominator,
     NoRecurrence,
@@ -18,6 +20,7 @@ from loopcat.linalg import (
     partial_fractions,
     power_traces,
     rank,
+    rat,
     rank_nullspace,
     series_to_rational_function,
     solve,
@@ -459,7 +462,151 @@ def test_partial_fractions_round_trip(poly_coeffs, pole_specs) -> None:
     assert _reassemble(poly, terms) == rf
 
 
+# The trial-division root search that partial_fractions used before exact
+# isolation, kept as the reference: its cost grows with the square roots of
+# the end coefficients, so it only suits small ones.
+
+
+def _trial_division_root(p: Polynomial) -> Fraction | None:
+    """Some rational root of p, or None, by the rational root theorem."""
+    cs = p.coeffs
+    denlcm = lcm(*(c.denominator for c in cs))
+    ints = [int(c * denlcm) for c in cs]
+    if ints[0] == 0:
+        return Fraction(0)
+    for p_div in _divisors(abs(ints[0])):
+        for q_div in _divisors(abs(ints[-1])):
+            for s in (1, -1):
+                cand = Fraction(s * p_div, q_div)
+                if p(cand) == 0:
+                    return cand
+    return None
+
+
+def _divisors(n: int) -> list[int]:
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
+
+
+def _reference_roots(p: Polynomial) -> set[Fraction]:
+    roots, work = set(), p
+    while work.degree > 0:
+        root = _trial_division_root(work)
+        if root is None:
+            break
+        roots.add(root)
+        lin = Polynomial([-root, 1])
+        while (work % lin).is_zero():
+            work = work // lin
+    return roots
+
+
+def _from_factors(lead, linear, others=()) -> Polynomial:
+    """lead * prod (x - r)^mult * prod others."""
+    p = Polynomial([lead])
+    for r, mult in linear:
+        for _ in range(mult):
+            p = p * Polynomial([-r, 1])
+    for cs in others:
+        p = p * Polynomial(cs)
+    return p
+
+
+nonzero_leads = st.integers(min_value=-6, max_value=6).filter(bool)
+linear_factors = st.lists(
+    st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=3),
+              st.integers(min_value=1, max_value=3)),
+    max_size=3, unique_by=lambda t: t[0])
+# quadratics and cubics without a rational root are irreducible over Q
+irreducible_factors = st.lists(
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=4)
+    .filter(lambda cs: cs[0] and cs[-1]
+            and not _reference_roots(Polynomial(cs))),
+    max_size=2)
+
+
+@given(nonzero_leads, linear_factors, irreducible_factors)
+@example(1, [(Fraction(0), 1)], [])
+@example(-1, [(Fraction(1), 1), (Fraction(-1), 2)], [[-2, 0, 1]])
+@example(3, [(Fraction(0), 2), (Fraction(1), 1), (Fraction(-1), 1),
+             (Fraction(1, 2), 3)], [[1, 0, 1]])
+@example(-4, [(Fraction(2), 3), (Fraction(-2), 1), (Fraction(4), 1)],
+         [[-2, 0, 0, 1]])
+@settings(max_examples=150, deadline=None)
+def test_rational_roots_match_trial_division(lead, linear, others) -> None:
+    p = _from_factors(lead, linear, others)
+    roots = _rational_roots(p)
+    assert len(roots) == len(set(roots))
+    assert set(roots) == {r for r, _ in linear} == _reference_roots(p)
+
+
+def test_rational_roots_on_bisection_points() -> None:
+    # h's integer roots are the y/N scaled by N; with P = (s x - y) times
+    # a companion, P's lead is s (up to content), so y itself is a root
+    # of h, and every integer in the root bound is a bisection point at
+    # some depth.  Companions force Sturm bisection (several roots near
+    # y), sign bisection (one root), and the square-free reduction.
+    for s in (1, 2, -3):
+        for y in range(-9, 10):
+            r = Fraction(y, s)
+            for linear, others in (
+                ([(r, 1)], []),
+                ([(r, 1)], [[-2, 0, 1]]),
+                ([(r, 1), (r + 1, 1), (r - 1, 1)], []),
+                ([(r, 3), (-r - 2, 2)], [[3, 0, 1]]),
+                ([(r, 1), (r + Fraction(1, 2), 1)], [[-2, 0, 0, 1]]),
+            ):
+                p = _from_factors(s, linear, others)
+                roots = _rational_roots(p)
+                assert sorted(roots) == sorted({t for t, _ in linear}), p
+
+
+@given(nonzero_leads, linear_factors.map(
+    lambda fs: [(r, m) for r, m in fs if r]), irreducible_factors)
+@settings(max_examples=80, deadline=None)
+def test_partial_fractions_agrees_with_trial_division(lead, linear,
+                                                      others) -> None:
+    den = _from_factors(lead, linear, others)
+    rf = RationalFunction(Polynomial([1]), den)
+    reference = _reference_roots(rf.den)
+    if others:
+        assert reference == {r for r, _ in linear}
+        with pytest.raises(NonSplitDenominator):
+            partial_fractions(rf)
+        return
+    poly, terms = partial_fractions(rf)
+    assert [(lam, mult) for lam, mult, _ in terms] == sorted(
+        ((1 / r, mult) for r, mult in linear),
+        key=lambda t: (t[0].numerator, t[0].denominator))
+    assert {1 / lam for lam, _, _ in terms} == reference
+    assert _reassemble(poly, terms) == rf
+
+
+def test_rational_roots_of_large_coefficients() -> None:
+    # 31 digits: the trial-division search would run ~10^15 steps
+    assert _rational_roots(Polynomial([1, 0, -(10**30 + 57)])) == []
+    roots = [Fraction(10**20 + 39, 7), Fraction(-(10**19) - 51, 3),
+             Fraction(99991)]
+    p = _from_factors(-11, [(r, 2) for r in roots], [[10**40 + 1, 0, 3]])
+    assert sorted(_rational_roots(p)) == sorted(roots)
+
+
 # --- misc -------------------------------------------------------------------
+
+
+def test_rat_rejects_zero_denominator_strings() -> None:
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        rat("1/0")
+    assert rat("-3/6") == Fraction(-1, 2)
+    assert rat(4) == 4 and rat(Fraction(1, 3)) == Fraction(1, 3)
+
 
 
 def test_distinct_rows() -> None:
