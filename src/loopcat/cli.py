@@ -24,7 +24,7 @@ from .frobenius import (PIHSystem, Reject, classification_from_json,
                         generating_function, genfun_from_json, genfun_to_json,
                         handle_element, pih_check, pih_solve, surface_eval,
                         validate, witness_synthesis)
-from .linalg import Matrix, format_poly, rat, rat_str
+from .linalg import Matrix, exact_int, format_poly, rat, rat_str
 from .pseudochar import (GraphHolonomy, Infeasible, alpha_charpoly, degree,
                          graph_pseudoholonomy, lift_with_table,
                          pseudochar_from_json)
@@ -174,7 +174,7 @@ def _run_pseudochar_degree(doc: dict, args) -> dict:
 def _run_pseudochar_charpoly(doc: dict, args) -> dict:
     monoid = monoid_from_json(doc)
     alpha = pseudochar_from_json(monoid, doc)
-    x, d = int(doc["x"]), int(doc["d"])
+    x, d = exact_int(doc["x"]), exact_int(doc["d"])
     p = alpha_charpoly(alpha, x, d)
     return {
         "command": "pseudochar-charpoly",
@@ -262,7 +262,8 @@ def _run_witness(doc: dict, args) -> dict:
 
 
 def _run_pih_solve(doc: dict, args) -> dict:
-    blocks = [(rat(lam), int(n), rat(mult)) for lam, n, mult in doc["blocks"]]
+    blocks = [(rat(lam), exact_int(n), rat(mult))
+              for lam, n, mult in doc["blocks"]]
     alpha1 = doc.get("alpha1")
     cs = pih_solve(blocks, None if alpha1 is None else rat(alpha1))
     d, u = confluent_vandermonde_det(blocks)
@@ -293,7 +294,7 @@ def _run_pih_check(doc: dict, args) -> dict:
 
 
 def _run_cob2_dim(doc: dict, args) -> dict:
-    m = int(doc["m"])
+    m = exact_int(doc["m"])
     seq = _rat_list(doc["alpha"])
     dim, stabilized = cob2_state_space(m, seq, args.cap_genus)
     return {
@@ -309,8 +310,9 @@ def _run_cob2_dim(doc: dict, args) -> dict:
 def _run_cob2_pseudo(doc: dict, args) -> dict:
     seq = _rat_list(doc["alpha"])
     cap_dots = doc.get("cap_dots")
-    rep = cob2_pseudochar_check(seq, int(doc["d"]),
-                                None if cap_dots is None else int(cap_dots))
+    rep = cob2_pseudochar_check(
+        seq, exact_int(doc["d"]),
+        None if cap_dots is None else exact_int(cap_dots))
     return {
         "command": "cob2-pseudo",
         "d": rep.d,
@@ -418,7 +420,8 @@ def main(argv=None) -> int:
             payload["solution"] = [rat_str(s) for s in exc.solution]
         _emit(payload, args.format)
         return 1
-    except (OSError, ValueError, TypeError, KeyError, IndexError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, IndexError,
+            AttributeError) as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)}, args.format)
         return 2
     _emit(result, args.format)

@@ -25,11 +25,13 @@ from .linalg import (
     Polynomial,
     RationalFunction,
     det,
+    exact_int,
     inverse,
     partial_fractions,
-    power_traces,
     rat,
     rat_str,
+    solve,
+    trace_series,
 )
 from .pseudochar import _TraceRecursion
 from .statespaces import SequenceTooShort
@@ -77,7 +79,7 @@ class FrobeniusAlgebra:
     the axioms are checked by `validate`."""
 
     def __init__(self, dim: int, structure, unit, counit):
-        self.dim = int(dim)
+        self.dim = exact_int(dim)
         if self.dim <= 0:
             raise ValueError("dimension must be positive")
         self.structure = tuple(
@@ -191,11 +193,10 @@ def surface_eval(fa: FrobeniusAlgebra, genus: int) -> Fraction:
     """Value of the closed genus-g surface: eps(h^g).
 
     For g >= 1 this must equal tr(M_h^(g-1)) (trace of multiplication by a
-    is eps(h a)).  That trace comes from the characteristic polynomial of
-    M_h by Newton's identities (`power_traces`), the same route as
-    `generating_function`; the two routes are compared, and disagreement —
-    possible only for inputs that are not honest Frobenius data — is an
-    InternalInconsistency.
+    is eps(h a)).  That trace is read off the trace series of M_h
+    (`trace_series`), the same route as `generating_function`; the two
+    routes are compared, and disagreement — possible only for inputs that
+    are not honest Frobenius data — is an InternalInconsistency.
     """
     if genus < 0:
         raise ValueError("genus must be nonnegative")
@@ -205,7 +206,7 @@ def surface_eval(fa: FrobeniusAlgebra, genus: int) -> Fraction:
         power = fa.multiply(power, hd.element)
     value = fa.eps(power)
     if genus >= 1:
-        if value != power_traces(hd.matrix, genus)[genus - 1]:
+        if value != trace_series(hd.matrix).taylor(genus)[genus - 1]:
             raise InternalInconsistency(
                 f"eps(h^{genus}) disagrees with tr(M_h^{genus - 1})")
     return value
@@ -214,35 +215,24 @@ def surface_eval(fa: FrobeniusAlgebra, genus: int) -> Fraction:
 def generating_function(fa: FrobeniusAlgebra) -> RationalFunction:
     """Rational function with Taylor coefficients eps(h^g), g = 0, 1, ...
 
-    The tail alpha_{n+1} = tr(M_h^n) satisfies the recurrence of M_h's
-    characteristic polynomial, so an order <= dim fit on the traces plus
-    the constant term eps(1) determines the function; the expansion is
-    re-verified out to g = 2 dim + 2.  The traces tr(M_h^k), k <= 2 dim + 1,
-    come from that characteristic polynomial by Newton's identities
-    (`power_traces`), not from matrix powers; at every genus g = 1 ..
-    2 dim + 2 they are compared with eps(h^g) taken by repeated
-    multiplication, and a disagreement is an InternalInconsistency.
+    For g >= 1, eps(h^g) = tr(M_h^(g-1)), so with N/Q the trace series of
+    M_h (`trace_series`, Q = det(I - T M_h)) the function is
+    (eps(1) Q + T N) / Q.  Its coefficients at g = 1 .. 2 dim + 2 are
+    compared with eps(h^g) taken by repeated multiplication, and a
+    disagreement is an InternalInconsistency.
     """
-    from .linalg import fit_linear_recurrence, series_to_rational_function
-
     hd = handle_element(fa)
-    n = fa.dim
-    length = 2 * n + 3
-    traces = power_traces(hd.matrix, length - 1)
+    series = trace_series(hd.matrix)
+    rf = RationalFunction(
+        series.den.scale(fa.eps(fa.unit)) + Polynomial([0, 1]) * series.num,
+        series.den)
+    want = rf.taylor(2 * fa.dim + 3)
     element = fa.unit
-    want = [fa.eps(fa.unit)]
-    for g in range(1, length):
+    for g in range(1, len(want)):
         element = fa.multiply(element, hd.element)
-        value = fa.eps(element)
-        if value != traces[g - 1]:
+        if fa.eps(element) != want[g]:
             raise InternalInconsistency(
                 f"eps(h^{g}) disagrees with tr(M_h^{g - 1})")
-        want.append(value)
-    rec = fit_linear_recurrence(traces[:2 * n], n)
-    prefix = [want[0]] + traces[:2 * n]
-    rf = series_to_rational_function(prefix, rec)
-    if rf.taylor(length) != want:
-        raise InternalInconsistency("generating function fails to re-expand")
     return rf
 
 
@@ -263,7 +253,7 @@ class ClassificationData:
     def __post_init__(self):
         object.__setattr__(self, "mu", rat(self.mu))
         object.__setattr__(self, "poles", tuple(
-            (rat(lam), int(mult)) for lam, mult in self.poles))
+            (rat(lam), exact_int(mult)) for lam, mult in self.poles))
         if self.m == 1:
             raise Reject("M1Forbidden", "no algebra has a 1-dim nilpotent block")
         if self.m < 0:
@@ -463,9 +453,8 @@ def pih_solve(blocks, alpha1=None) -> ConfluentSystem:
     excess >= 2 (a nilpotent block) is consistent, an excess of exactly 1
     is not.
     """
-    from .linalg import solve
-
-    blocks = tuple((rat(lam), int(n), rat(mult)) for lam, n, mult in blocks)
+    blocks = tuple((rat(lam), exact_int(n), rat(mult))
+                   for lam, n, mult in blocks)
     if any(lam == 0 for lam, _n, _m in blocks):
         raise ValueError("eigenvalues must be nonzero")
     if any(n < 1 for _lam, n, _m in blocks):
@@ -501,7 +490,7 @@ def confluent_vandermonde_det(blocks):
 
     u is a sign depending only on the block sizes; it is reported, not
     asserted."""
-    blocks = tuple((rat(lam), int(n)) for lam, n, *_ in blocks)
+    blocks = tuple((rat(lam), exact_int(n)) for lam, n, *_ in blocks)
     lams = [lam for lam, _n in blocks]
     if any(lam == 0 for lam in lams) or len(set(lams)) != len(lams):
         raise ValueError("eigenvalues must be distinct and nonzero")
@@ -586,7 +575,7 @@ def cob2_pseudochar_check(alpha_seq, d: int, cap_dots=None) -> Cob2PseudoReport:
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    cap = d + 1 if cap_dots is None else int(cap_dots)
+    cap = d + 1 if cap_dots is None else exact_int(cap_dots)
     seq = [rat(x) for x in alpha_seq]
     need = (d + 1) * cap + 2
     if len(seq) < need:
@@ -648,5 +637,5 @@ def classification_to_json(cd: ClassificationData) -> dict:
 def classification_from_json(doc: dict) -> ClassificationData:
     body = doc["classification"]
     return ClassificationData(
-        rat(body["mu"]), int(body["m"]),
-        tuple((rat(lam), int(mult)) for lam, mult in body["poles"]))
+        rat(body["mu"]), exact_int(body["m"]),
+        tuple((rat(lam), exact_int(mult)) for lam, mult in body["poles"]))

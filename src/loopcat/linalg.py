@@ -21,10 +21,6 @@ from typing import Iterable, Sequence
 from .errors import DomainError
 
 
-class NoRecurrence(DomainError):
-    """No linear recurrence of the allowed order fits the sequence."""
-
-
 class NonSplitDenominator(DomainError):
     """Denominator does not factor into linear factors over Q."""
 
@@ -41,6 +37,18 @@ def rat(x) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def exact_int(x) -> int:
+    """int(x) for an integer field of job input, without truncation: a
+    non-integral or infinite number is a ValueError."""
+    try:
+        n = int(x)
+    except OverflowError:
+        raise ValueError(f"not an integer: {x!r}") from None
+    if n != x and not isinstance(x, str):
+        raise ValueError(f"not an integer: {x!r}")
+    return n
 
 
 def rat_str(x: Fraction) -> str:
@@ -506,24 +514,18 @@ def _charpoly(m: Matrix) -> list[Fraction]:
     return p[n][-2::-1]
 
 
-def power_traces(m: Matrix, count: int) -> list[Fraction]:
-    """tr(m^k) for k = 0..count-1, exactly, without forming any power.
+def trace_series(m: Matrix) -> RationalFunction:
+    """sum_k tr(m^k) T^k as a rational function, without forming any power.
 
-    The power sums of the eigenvalues follow from the characteristic
-    polynomial by Newton's identities, so the cost is O(n^3 + count * n)
-    instead of one dense product per power.
+    With Q(T) = det(I - T m) = prod_i (1 - lam_i T), the series is
+    sum_i 1 / (1 - lam_i T) = (n Q - T Q') / Q.  Q is the characteristic
+    polynomial read backwards, so the cost is O(n^3).
     """
     _require_square(m)
     n = m.rows
-    c = _charpoly(m)
-    out = [Fraction(n)]
-    for k in range(1, count):
-        s = sum((c[i - 1] * out[k - i] for i in range(1, min(k, n + 1))),
-                Fraction(0))
-        if k <= n:
-            s += k * c[k - 1]
-        out.append(-s)
-    return out[:count]
+    q = [Fraction(1), *_charpoly(m)]
+    return RationalFunction(Polynomial([(n - k) * c for k, c in enumerate(q)]),
+                            Polynomial(q))
 
 
 def distinct_rows(rows: Iterable[Sequence]) -> list[tuple]:
@@ -532,51 +534,7 @@ def distinct_rows(rows: Iterable[Sequence]) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# recurrences and generating functions
-
-
-def fit_linear_recurrence(seq: Sequence, max_order: int) -> Polynomial:
-    """Minimal monic-constant recurrence polynomial c with c[0] = 1.
-
-    Finds the least d <= max_order such that
-        sum_{j=0..d} c[j] * seq[n-j] = 0   for all n in d..len(seq)-1,
-    and returns c as a Polynomial (constant term 1).  Requires enough data
-    to make the fit meaningful; raises NoRecurrence if nothing fits.
-    """
-    s = [rat(x) for x in seq]
-    if len(s) < 2 * max_order:
-        raise ValueError("sequence too short for requested order")
-    for d in range(max_order + 1):
-        if d == 0:
-            if all(x == 0 for x in s):
-                return Polynomial([1])
-            continue
-        m = Matrix([[s[n - j] for j in range(1, d + 1)] for n in range(d, len(s))])
-        x = solve(m, [-s[n] for n in range(d, len(s))])
-        if x is not None:
-            return Polynomial([Fraction(1), *x])
-    raise NoRecurrence(f"no linear recurrence of order <= {max_order}")
-
-
-def series_to_rational_function(
-    prefix: Sequence, recurrence: Polynomial
-) -> RationalFunction:
-    """Rational function with the given denominator whose expansion starts with prefix.
-
-    The numerator is the convolution of the prefix with the recurrence,
-    truncated to the prefix length; when the prefix genuinely satisfies the
-    recurrence from degree d on, this is the unique rational function with
-    that denominator extending it.
-    """
-    s = [rat(x) for x in prefix]
-    c = recurrence.coeffs
-    if not c or c[0] != 1:
-        raise ValueError("recurrence must have constant term 1")
-    num = [
-        sum((c[j] * s[n - j] for j in range(min(n, len(c) - 1) + 1)), Fraction(0))
-        for n in range(len(s))
-    ]
-    return RationalFunction(Polynomial(num), recurrence)
+# partial fractions
 
 
 def partial_fractions(rf: RationalFunction):

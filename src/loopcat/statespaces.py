@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 from .diagrams import MINUS, PLUS, BrauerMorphism, compose, transpose
 from .errors import DomainError, InternalInconsistency
 from .fincat import IntervalClass, Loop, compose_path
-from .linalg import Matrix, distinct_rows, rank, rat, solve
+from .linalg import Matrix, distinct_rows, rank, rat
 
 
 class MissingValue(DomainError):
@@ -406,74 +406,63 @@ class WeightedAutomaton:
     def weight(self, word: Sequence[str]) -> Fraction:
         v = self.initial
         for a in word:
-            m = self.transitions[a]
-            v = tuple(sum((v[i] * m[i, j] for i in range(m.rows)), Fraction(0))
-                      for j in range(m.cols))
+            v = _times(v, self.transitions[a])
         return sum((x * y for x, y in zip(v, self.final)), Fraction(0))
 
 
-def _row_reduce_basis(vectors: list[tuple]) -> list[tuple]:
-    """Independent spanning subset, kept in echelon form for membership tests."""
-    basis: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for v in vectors:
-        v = [rat(x) for x in v]
-        for b, p in zip(basis, pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, b)]
-        piv = next((i for i, x in enumerate(v) if x != 0), None)
-        if piv is None:
-            continue
-        inv = 1 / v[piv]
-        v = [x * inv for x in v]
-        basis.append(v)
-        pivots.append(piv)
-    return [tuple(b) for b in basis]
+def _times(v: Sequence, m: Matrix) -> tuple:
+    """The row vector v times m."""
+    return tuple(sum((x * y for x, y in zip(v, col)), Fraction(0))
+                 for col in zip(*m.entries))
 
 
 def _forward_reduce(a: WeightedAutomaton) -> WeightedAutomaton:
-    """Restrict to the row space reachable from the initial vector."""
-    span: list[tuple] = []
+    """Restrict to the row space reachable from the initial vector.
+
+    Vectors are met in breadth-first order and kept in echelon form:
+    entry 1 at their pivot, 0 at every earlier pivot.  Reducing a vector
+    by the basis in order then reads its coordinates off the pivots.  Only
+    a vector that enlarged the basis is expanded: a dependent vector's
+    images combine the images of the basis vectors before it, which come
+    earlier in the same order, so they would enlarge nothing.
+    """
+    basis: list[tuple] = []
+    pivots: list[int] = []
+
+    def reduce(v) -> tuple[list, list]:
+        xs, r = [], list(v)
+        for b, p in zip(basis, pivots):
+            x = r[p]
+            if x:
+                r = [y - x * z for y, z in zip(r, b)]
+            xs.append(x)
+        return xs, r
+
     frontier = [a.initial]
     while frontier:
-        new_span = _row_reduce_basis(span + frontier)
-        if len(new_span) == len(span):
-            break
-        added = frontier
-        span = new_span
-        frontier = []
-        for v in added:
-            for letter in a.alphabet:
-                m = a.transitions[letter]
-                w = tuple(sum((v[i] * m[i, j] for i in range(m.rows)),
-                              Fraction(0)) for j in range(m.cols))
-                frontier.append(w)
-    basis = span
-    if not basis:
-        return WeightedAutomaton([], {letter: Matrix([]) for letter in a.alphabet}, [])
-    bmat = Matrix(basis)  # k x n
-    bt = bmat.transpose()
+        added = []
+        for v in frontier:
+            r = reduce(v)[1]
+            p = next((i for i, x in enumerate(r) if x), None)
+            if p is not None:
+                basis.append(tuple(x / r[p] for x in r))
+                pivots.append(p)
+                added.append(v)
+        frontier = [_times(v, a.transitions[letter])
+                    for v in added for letter in a.alphabet]
 
-    def coords(v: tuple) -> tuple:
-        x = solve(bt, v)
-        # internal invariant: each vector is a combination of the basis
-        assert x is not None, "vector escaped the reachable span"
-        return x
+    def coords(v) -> list:
+        xs, r = reduce(v)
+        if any(r):
+            raise InternalInconsistency("vector escaped the reachable span")
+        return xs
 
-    init = coords(a.initial)
-    trans = {}
-    for letter in a.alphabet:
-        m = a.transitions[letter]
-        rows = []
-        for b in basis:
-            vb = tuple(sum((b[i] * m[i, j] for i in range(m.rows)), Fraction(0))
-                       for j in range(m.cols))
-            rows.append(coords(vb))
-        trans[letter] = Matrix(rows)
-    final = tuple(sum((b[i] * a.final[i] for i in range(len(b))), Fraction(0))
+    trans = {letter: Matrix([coords(_times(b, a.transitions[letter]))
+                             for b in basis])
+             for letter in a.alphabet}
+    final = tuple(sum((x * y for x, y in zip(b, a.final)), Fraction(0))
                   for b in basis)
-    return WeightedAutomaton(init, trans, final)
+    return WeightedAutomaton(coords(a.initial), trans, final)
 
 
 def _reverse(a: WeightedAutomaton) -> WeightedAutomaton:

@@ -375,6 +375,65 @@ def test_zero_denominator_exits_two_without_asserts(tmp_path):
                                        "message": message}
 
 
+NON_INTEGRAL_JOBS = {
+    "witness-m": ("witness", {"classification": {
+        "mu": "0", "m": 2.5, "poles": []}}, 2.5),
+    "witness-multiplicity": ("witness", {"classification": {
+        "mu": "0", "m": 0, "poles": [["2", 1.7]]}}, 1.7),
+    "witness-infinite-m": ("witness", {"classification": {
+        "mu": "0", "m": float("inf"), "poles": []}}, float("inf")),
+    "genfun-dim": ("genfun", {"frobenius": {
+        "dim": 1.5, "structure": [[["1"]]], "unit": ["1"],
+        "counit": ["1"]}}, 1.5),
+    "charpoly-x": ("pseudochar-charpoly",
+                   dict(Z2_MONOID, **Z2_REGULAR, x=1.9, d=2), 1.9),
+    "cob2-dim-m": ("cob2-dim", {"m": 1.5, "alpha": ["1"] * 12}, 1.5),
+    "cob2-pseudo-cap": ("cob2-pseudo", {"alpha": ["1"] * 12, "d": 1,
+                                        "cap_dots": 2.5}, 2.5),
+    "pih-solve-size": ("pih-solve", {"blocks": [["2", 1.5, "1"]]}, 1.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGRAL_JOBS))
+def test_non_integral_integer_field_exits_two(tmp_path, capsys, name):
+    command, doc, value = NON_INTEGRAL_JOBS[name]
+    code, out = run_json(tmp_path, capsys, command, doc)
+    assert (code, out) == (2, {"error": "ValueError",
+                               "message": f"not an integer: {value!r}"})
+
+
+@pytest.mark.parametrize("name", ["witness-m", "witness-infinite-m",
+                                  "charpoly-x"])
+def test_non_integral_integer_field_exits_two_without_asserts(tmp_path, name):
+    command, doc, value = NON_INTEGRAL_JOBS[name]
+    proc = run_optimized(tmp_path, command, doc)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout) == {"error": "ValueError",
+                                       "message": f"not an integer: {value!r}"}
+
+
+WRONG_TYPE_JOBS = {
+    "automaton-minimize": {"automaton": {"initial": ["1"], "final": ["1"],
+                                         "transitions": [[["1"]]]}},
+    "statespace": {"free_monoid": {"letters": "a"}, "loops": [["a", "1"]]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRONG_TYPE_JOBS))
+def test_list_for_an_object_exits_two(tmp_path, capsys, command):
+    code, out = run_json(tmp_path, capsys, command, WRONG_TYPE_JOBS[command])
+    assert (code, out) == (2, {"error": "AttributeError", "message":
+                               "'list' object has no attribute 'items'"})
+
+
+@pytest.mark.parametrize("m", [3, "3", 3.0])
+def test_integral_integer_fields_in_any_form(tmp_path, capsys, m):
+    doc = {"classification": {"mu": "0", "m": m, "poles": [["2", "1"]]}}
+    code, out = run_json(tmp_path, capsys, "witness", doc)
+    assert (code, out["dim"]) == (0, 4)
+
+
 # --- frobenius-validate / genfun / classify / witness -----------------------
 
 

@@ -1,0 +1,167 @@
+"""Exit-code contract of the CLI on small adversarial job documents.
+
+Every job of `frobenius-validate`, `genfun`, `classify`, `witness` and
+`automaton-minimize` must exit 0, 1 or 2 without a traceback and give the
+same bytes when run twice.  The documents mix honest data (truncated
+polynomial algebras and their classifications) with wrong types,
+non-integral integer fields, ragged shapes and missing keys; sizes stay
+small (dim <= 4, m <= 6, multiplicities <= 3).
+"""
+
+import io
+import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import loopcat
+from loopcat.cli import main
+
+COMMANDS = ("frobenius-validate", "genfun", "classify", "witness",
+            "automaton-minimize")
+
+junk = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.sampled_from(["1/0", "x", "", "2/4", "-0", "1e3", "1.5"]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.integers(-2, 2), max_size=2), st.just({}))
+
+
+def integers(lo, hi):
+    """An integer field: ints in [lo, hi] as numbers, strings or integral
+    floats, or a non-integral or infinite float."""
+    ints = st.integers(lo, hi)
+    return st.one_of(ints, ints.map(str), ints.map(float),
+                     st.sampled_from([0.5, 1.7, 2.5, float("inf")]))
+
+
+scalar = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3).map(str))
+
+
+def maybe_junk(values):
+    return st.one_of(values, values, values, junk)
+
+
+def vectors(n):
+    return st.lists(maybe_junk(scalar), min_size=n, max_size=n)
+
+
+def squares(n):
+    return st.lists(vectors(n), min_size=n, max_size=n)
+
+
+@st.composite
+def drop_a_key(draw, body):
+    if draw(st.integers(0, 9)) == 0:
+        body = dict(body)
+        del body[draw(st.sampled_from(sorted(body)))]
+    return body
+
+
+@st.composite
+def frobenius_docs(draw):
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):  # Q[x]/x^n, structure possibly perturbed
+        structure = [[[int(i + j == k) for k in range(n)] for j in range(n)]
+                     for i in range(n)]
+        if draw(st.booleans()):
+            i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+            structure[i][j][k] = draw(maybe_junk(scalar))
+        unit = [int(k == 0) for k in range(n)]
+    else:
+        structure = draw(st.lists(squares(n), min_size=n, max_size=n))
+        unit = draw(vectors(n))
+    body = {"dim": draw(st.one_of(st.just(n), integers(-1, 4), junk)),
+            "structure": structure, "unit": unit,
+            "counit": draw(vectors(n))}
+    return {"frobenius": draw(drop_a_key(body))}
+
+
+@st.composite
+def classification_docs(draw):
+    poles = draw(st.lists(st.tuples(
+        maybe_junk(st.integers(-3, 3).filter(bool).map(str)),
+        maybe_junk(integers(-1, 3))),
+        max_size=2, unique_by=lambda p: str(p[0])))
+    body = {"mu": draw(maybe_junk(scalar)),
+            "m": draw(maybe_junk(integers(-1, 6))),
+            "poles": [list(p) for p in poles]}
+    return {"classification": draw(drop_a_key(body))}
+
+
+@st.composite
+def genfun_docs(draw):
+    body = {"num": draw(st.lists(maybe_junk(scalar), max_size=5)),
+            "den": draw(st.one_of(
+                st.lists(maybe_junk(scalar), max_size=4).map(
+                    lambda d: ["1"] + d),
+                st.lists(maybe_junk(scalar), max_size=4)))}
+    return {"genfun": draw(drop_a_key(body))}
+
+
+@st.composite
+def automaton_docs(draw):
+    n = draw(st.integers(0, 4))
+    letters = draw(st.sampled_from(["a", "ab"]))
+    body = {"initial": draw(vectors(n)),
+            "transitions": {x: draw(st.one_of(squares(n), squares(n + 1)))
+                            for x in letters},
+            "final": draw(st.one_of(vectors(n), vectors(n + 1)))}
+    if draw(st.integers(0, 9)) == 0:
+        body["transitions"] = draw(junk)
+    return {"automaton": draw(drop_a_key(body))}
+
+
+jobs = st.one_of(
+    st.tuples(st.sampled_from(["frobenius-validate", "genfun"]),
+              frobenius_docs()),
+    st.tuples(st.just("classify"), genfun_docs()),
+    st.tuples(st.just("witness"), classification_docs()),
+    st.tuples(st.just("automaton-minimize"), automaton_docs()),
+    st.tuples(st.sampled_from(COMMANDS), junk))
+
+
+def run_in_process(directory: Path, command: str, doc) -> tuple:
+    path = directory / "job.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([command, "--input", str(path), "--format", "json"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(jobs)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_job_keeps_the_exit_code_contract(tmp_path, job) -> None:
+    command, doc = job
+    first = run_in_process(tmp_path, command, doc)
+    assert first[0] in (0, 1, 2)
+    assert "Traceback" not in first[1] + first[2]
+    assert run_in_process(tmp_path, command, doc) == first
+
+
+@given(st.lists(jobs, min_size=4, max_size=4))
+@settings(max_examples=3, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_jobs_keep_the_contract_without_asserts(tmp_path, batch) -> None:
+    """A few jobs in fresh `python -O` processes, where asserts are
+    stripped, against the in-process run."""
+    src = str(Path(loopcat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for command, doc in batch:
+        code, out, _err = run_in_process(tmp_path, command, doc)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "loopcat.cli", command,
+             "--input", str(tmp_path / "job.json"), "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stdout) == (code, out)

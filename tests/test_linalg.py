@@ -9,24 +9,25 @@ from loopcat.linalg import (
     _rational_roots,
     Matrix,
     NonSplitDenominator,
-    NoRecurrence,
     Polynomial,
     RationalFunction,
     det,
     distinct_rows,
-    fit_linear_recurrence,
+    exact_int,
     format_poly,
     inverse,
     partial_fractions,
-    power_traces,
     rank,
     rat,
     rank_nullspace,
-    series_to_rational_function,
     solve,
     solve_unique,
+    trace_series,
 )
 from loopcat.errors import DomainError
+from loopcat.frobenius import (FrobeniusAlgebra, generating_function,
+                               handle_element, product_algebra,
+                               truncated_poly_algebra, validate)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 small_ints = st.integers(min_value=-6, max_value=6)
@@ -296,7 +297,7 @@ def _dense_power_traces(m: Matrix, count: int) -> list:
 def test_power_traces_match_dense_powers(rows) -> None:
     m = Matrix(rows)
     count = 2 * m.rows + 2
-    assert power_traces(m, count) == _dense_power_traces(m, count)
+    assert trace_series(m).taylor(count) == _dense_power_traces(m, count)
 
 
 def test_power_traces_of_special_matrices() -> None:
@@ -310,12 +311,71 @@ def test_power_traces_of_special_matrices() -> None:
         Matrix.zero(4, 4),
     ]
     for m in special:
-        assert power_traces(m, 11) == _dense_power_traces(m, 11)
-    assert power_traces(Matrix([[0, 2], [0, 0]]), 4) == [2, 0, 0, 0]
-    assert power_traces(Matrix([[1, 1], [1, 0]]), 7)[6] == 18  # L_6
+        assert trace_series(m).taylor(11) == _dense_power_traces(m, 11)
+    assert trace_series(Matrix([[0, 2], [0, 0]])).taylor(4) == [2, 0, 0, 0]
+    assert trace_series(Matrix([[1, 1], [1, 0]])).taylor(7)[6] == 18  # L_6
+
+
+def test_trace_series_closed_form() -> None:
+    # tr(m^k) = 2^k + 3^k: 1/(1 - 2T) + 1/(1 - 3T) = (2 - 5T) / (1 - 5T + 6T^2)
+    assert trace_series(Matrix([[2, 0], [0, 3]])) == RationalFunction(
+        Polynomial([2, -5]), Polynomial([1, -5, 6]))
+    # nilpotent: the series is the constant n
+    assert trace_series(Matrix([[0, 1], [0, 0]])) == RationalFunction(
+        Polynomial([2]), Polynomial([1]))
+    assert trace_series(Matrix([])).is_zero()
+    with pytest.raises(ValueError, match="matrix is not square"):
+        trace_series(Matrix([[1, 2]]))
 
 
 # --- recurrences ------------------------------------------------------------
+
+# The recurrence fit that generating_function used before it read the trace
+# series off det(I - T M_h), kept as the reference for that route.
+
+
+class NoRecurrence(Exception):
+    pass
+
+
+def fit_linear_recurrence(seq, max_order: int) -> Polynomial:
+    """Least-order c, c[0] = 1, with sum_j c[j] seq[n-j] = 0 for n >= deg c."""
+    s = [rat(x) for x in seq]
+    if len(s) < 2 * max_order:
+        raise ValueError("sequence too short for requested order")
+    for d in range(max_order + 1):
+        if d == 0:
+            if all(x == 0 for x in s):
+                return Polynomial([1])
+            continue
+        m = Matrix([[s[n - j] for j in range(1, d + 1)]
+                    for n in range(d, len(s))])
+        x = solve(m, [-s[n] for n in range(d, len(s))])
+        if x is not None:
+            return Polynomial([Fraction(1), *x])
+    raise NoRecurrence(f"no linear recurrence of order <= {max_order}")
+
+
+def series_to_rational_function(prefix, recurrence: Polynomial
+                                ) -> RationalFunction:
+    """The function with denominator `recurrence` whose expansion starts
+    with `prefix`: the numerator is their truncated convolution."""
+    s = [rat(x) for x in prefix]
+    c = recurrence.coeffs
+    if not c or c[0] != 1:
+        raise ValueError("recurrence must have constant term 1")
+    num = [sum((c[j] * s[n - j] for j in range(min(n, len(c) - 1) + 1)),
+               Fraction(0))
+           for n in range(len(s))]
+    return RationalFunction(Polynomial(num), recurrence)
+
+
+def _fitted_generating_function(fa: FrobeniusAlgebra) -> RationalFunction:
+    """eps(1) followed by tr(M_h^k), k < 2 dim, through the fitted recurrence."""
+    n = fa.dim
+    traces = _dense_power_traces(handle_element(fa).matrix, 2 * n)
+    rec = fit_linear_recurrence(traces, n)
+    return series_to_rational_function([fa.eps(fa.unit)] + traces, rec)
 
 
 def test_fit_constant_sequence() -> None:
@@ -383,6 +443,31 @@ def test_fit_is_idempotent_through_expansion(init, tail) -> None:
     expanded = rf.taylor(len(seq))
     assert expanded == seq
     assert fit_linear_recurrence(expanded, max_order=order) == c
+
+
+@st.composite
+def truncated_products(draw):
+    """Products of Q[x]/x^m blocks, m <= 4, with counits from small pools,
+    so that eigenvalues of M_h repeat and nilpotent blocks recur."""
+    last = st.sampled_from([Fraction(v) for v in (-2, -1, 1, 2, 3)]
+                           + [Fraction(1, 2), Fraction(-3, 2)])
+    out = None
+    for m in draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)):
+        counit = [draw(st.sampled_from([0, 1, -1, 2])) for _ in range(m - 1)]
+        block = truncated_poly_algebra(m, counit + [draw(last)])
+        out = block if out is None else product_algebra(out, block)
+    return out
+
+
+@given(truncated_products())
+@settings(max_examples=40, deadline=None)
+@example(product_algebra(truncated_poly_algebra(2, [0, 1]),
+                         truncated_poly_algebra(2, [0, 1])))
+@example(product_algebra(truncated_poly_algebra(1, [2]),
+                         truncated_poly_algebra(1, [2])))
+def test_generating_function_matches_fitted_recurrence(fa) -> None:
+    validate(fa)
+    assert generating_function(fa) == _fitted_generating_function(fa)
 
 
 # --- partial fractions ------------------------------------------------------
@@ -607,6 +692,15 @@ def test_rat_rejects_zero_denominator_strings() -> None:
     assert rat("-3/6") == Fraction(-1, 2)
     assert rat(4) == 4 and rat(Fraction(1, 3)) == Fraction(1, 3)
 
+
+def test_exact_int_refuses_to_truncate() -> None:
+    assert [exact_int(x) for x in (3, "3", 3.0, Fraction(6, 2), -0.0)] == [
+        3, 3, 3, 3, 0]
+    for bad in (2.5, Fraction(5, 2), float("inf"), float("nan"), "2.5"):
+        with pytest.raises(ValueError):
+            exact_int(bad)
+    with pytest.raises(TypeError):
+        exact_int(None)
 
 
 def test_distinct_rows() -> None:
