@@ -162,10 +162,10 @@ def validate(fa: FrobeniusAlgebra) -> None:
 
 def dual_basis(fa: FrobeniusAlgebra) -> list[tuple]:
     """Vectors u_i with eps(u_i e_j) = delta_ij."""
-    g = fa.gram()
-    if det(g) == 0:
-        raise NondegeneracyFailure("the pairing eps(ab) is singular")
-    inv = inverse(g)
+    try:
+        inv = inverse(fa.gram())
+    except DomainError:
+        raise NondegeneracyFailure("the pairing eps(ab) is singular") from None
     return [inv.row(i) for i in range(fa.dim)]
 
 
@@ -340,13 +340,23 @@ def product_algebra(a: FrobeniusAlgebra, b: FrobeniusAlgebra) -> FrobeniusAlgebr
                             a.counit + b.counit)
 
 
+# Largest witness algebra synthesized: its dense structure constants take
+# dim^3 entries, so a job file of a few bytes could otherwise ask for any
+# amount of memory and time.
+WITNESS_MAX_DIM = 32
+
+
 def witness_synthesis(cd: ClassificationData) -> FrobeniusAlgebra:
     """An algebra whose generating function classifies back to cd.
 
     Take Q[x]/x^m with eps(1) = mu, eps(x^(m-1)) = 1 (contributing
     mu + m T) when m >= 2, and m_i one-dimensional factors with
-    eps(1) = 1/lam_i for each pole.  The round trip is asserted.
+    eps(1) = 1/lam_i for each pole.  The round trip is asserted.  A
+    dimension m + sum m_i above WITNESS_MAX_DIM is rejected up front.
     """
+    dim = cd.m + sum(mult for _, mult in cd.poles)
+    if dim > WITNESS_MAX_DIM:
+        raise ValueError(f"witness dimension {dim} exceeds {WITNESS_MAX_DIM}")
     parts = []
     if cd.m >= 2:
         counit = [Fraction(0)] * cd.m

@@ -2,22 +2,22 @@
 
 A pseudocharacter is a class function that behaves like the trace of a
 (possibly unknown) representation: the signed sum of cycle-products over
-all permutations of d+1 arguments vanishes identically, with d minimal.
+every permutation of d+1 arguments vanishes identically, with d minimal.
 This module detects that degree, extracts the characteristic polynomial an
 element satisfies relative to the class function, lifts class functions
 against a supplied character table, extends the vanishing test to diagrams
 with boundary decorations and to direct sums of objects, and evaluates the
 holonomy pseudocharacter of an edge-labeled graph.
 
-Antisymmetrized traces are not expanded over the (d+1)! permutations.
-`_TraceRecursion` evaluates them by the classical trace recursion (Procesi's
-trace identities; Chenevier's determinant laws), memoized on multisets;
-class functions, loop matrices, matrix units of a direct sum and dotted
-strands (`frobenius.cob2_pseudochar_check`) all go through it.  The
-recursion is exact only for a trace-like function, tr(gh) = tr(hg), so
+Antisymmetrized traces are never expanded as the (d+1)!-term permutation
+sum.  `_TraceRecursion` evaluates them by the classical trace recursion
+(Procesi's trace identities; Chenevier's determinant laws), memoized on
+multisets; class functions, loop matrices, matrix units of a direct sum,
+dotted strands (`frobenius.cob2_pseudochar_check`) and boundary-cut
+strands (`antisym_trace_boundary`) all go through it.  The recursion is
+exact only for a trace-like function, tr(gh) = tr(hg), so
 `PseudoCharacter` rejects class values that are not.  The permutation sum
-remains in `antisym_trace_boundary`, whose cut strands are not one cyclic
-product, and in the test suite, which holds the recursion against it and
+lives on in the test suite, which holds the recursion against it and
 both against the closed-diagram route in `diagrams`.
 """
 
@@ -25,14 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 import operator
 
 from .errors import DomainError
 from .fincat import FiniteMonoid, conjugacy_classes, least_rotation
 from .linalg import Matrix, Polynomial, det, rank, rat, rat_str, solve
-from .diagrams import perm_sign
 
 
 class NotPseudo(DomainError):
@@ -150,7 +148,7 @@ def char_of_rep(r: RepData) -> PseudoCharacter:
 class _TraceRecursion:
     """Antisymmetrized traces of a trace-like (trace, mul) pair.
 
-    T(x0, ..., xn) = sum over permutations sigma of the n+1 slots of
+    T(x0, ..., xn) = sum over each permutation sigma of the n+1 slots of
     sign(sigma) times the product, over the cycles of sigma, of the trace
     of the slot entries multiplied along the cycle.  Splitting on where
     sigma sends slot 0 (to itself, or to a slot j whose entry then merges
@@ -232,30 +230,8 @@ class _TraceRecursion:
         return ab
 
 
-@lru_cache(maxsize=None)
-def _signed_cycle_decompositions(n: int):
-    """All permutations of n slots as (sign, cycles), cycles in traversal
-    order starting from each orbit's least slot."""
-    out = []
-    for sigma in permutations(range(n)):
-        seen = [False] * n
-        cycles = []
-        for i in range(n):
-            if seen[i]:
-                continue
-            cyc = []
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = sigma[j]
-            cycles.append(tuple(cyc))
-        out.append((perm_sign(sigma), tuple(cycles)))
-    return tuple(out)
-
-
 def antisym_trace(alpha: PseudoCharacter, g) -> Fraction:
-    """Signed sum over permutations of products of cycle values.
+    """Signed sum over every permutation of products of cycle values.
 
     Each permutation contributes its sign times the product, over its
     cycles, of alpha evaluated on the product of the tuple entries read
@@ -362,33 +338,47 @@ def antisym_trace_boundary(cat, boundary, alpha, x_labels, boundary_pairs,
 
     An x slot is a strand labeled by an endomorphism; a pair slot (y, z) is
     a strand cut in the middle, restarting at a right element y and ending
-    at a left element z.  A permutation cycle through x slots only closes
-    into a loop; a cycle through k pair slots breaks into k interval
-    classes, each absorbing the x labels between consecutive cuts.
+    at a left element z.  A cycle through x slots only closes into a loop;
+    a cycle through k pair slots breaks into k interval classes, each
+    absorbing the x labels between consecutive cuts.
+
+    Evaluated by `_TraceRecursion` over two kinds of element.  A label word
+    ("x", w) is traced as the loop of w.  A cut word ("p", c, head, z, y,
+    tail) is the strand head, then a cut ending at z and restarting at y,
+    then tail, with c the product of the intervals already closed inside
+    it; its trace closes the last interval, c·I(z, y·(tail + head)).
+    Multiplying concatenates words, and two cut words close the interval
+    from the first one's y to the second one's z.
     """
-    slots = [("x", lab) for lab in x_labels]
-    slots += [("p", yz) for yz in boundary_pairs]
-    n = len(slots)
-    total = Fraction(0)
-    for sign, cycles in _signed_cycle_decompositions(n):
-        term = Fraction(sign)
-        for cyc in cycles:
-            cuts = [pos for pos, i in enumerate(cyc) if slots[i][0] == "p"]
-            if not cuts:
-                labels = [slots[i][1] for i in cyc]
-                term *= alpha.loop(cat.loop_class(base, labels))
-                continue
-            for a, pos in enumerate(cuts):
-                nxt = cuts[(a + 1) % len(cuts)]
-                g = slots[cyc[pos]][1][0]  # start at this pair's y
-                step = (pos + 1) % len(cyc)
-                while step != nxt:
-                    g = boundary.gr(slots[cyc[step]][1], g)
-                    step = (step + 1) % len(cyc)
-                z = slots[cyc[nxt]][1][1]
-                term *= alpha.interval(boundary.interval_class(base, z, g))
-        total += term
-    return total
+    def interval(z, y, labels):
+        for lab in labels:
+            y = boundary.gr(lab, y)
+        return alpha.interval(boundary.interval_class(base, z, y))
+
+    def trace(e):
+        if e[0] == "x":
+            return alpha.loop(cat.loop_class(base, e[1]))
+        _, c, head, z, y, tail = e
+        return c * interval(z, y, tail + head)
+
+    def mul(e, f):
+        if e[0] == f[0] == "x":
+            return ("x", e[1] + f[1])
+        if e[0] == "x":  # the word joins the head
+            _, c, head, z, y, tail = f
+            return ("p", c, e[1] + head, z, y, tail)
+        _, c, head, z, y, tail = e
+        if f[0] == "x":  # the word joins the tail
+            return ("p", c, head, z, y, tail + f[1])
+        _, c2, head2, z2, y2, tail2 = f
+        return ("p", c * c2 * interval(z2, y, tail + head2), head, z, y2,
+                tail2)
+
+    engine = _TraceRecursion(trace, mul)
+    return engine.antisym(
+        [engine.intern(("x", (lab,))) for lab in x_labels]
+        + [engine.intern(("p", Fraction(1), (), z, y, ()))
+           for y, z in boundary_pairs])
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 from .diagrams import MINUS, PLUS, BrauerMorphism, compose, transpose
 from .errors import DomainError, InternalInconsistency
-from .fincat import IntervalClass, Loop, compose_path
+from .fincat import IntervalClass, Loop, _UnionFind, compose_path
 from .linalg import Matrix, distinct_rows, rank, rat
 
 
@@ -524,18 +524,7 @@ def glue_partition_diagrams(d1: PartitionDiagram, d2: PartitionDiagram,
         raise ValueError("circle counts differ")
     nodes = [(1, i) for i in range(len(d1.blocks))] + \
             [(2, j) for j in range(len(d2.blocks))]
-    parent = {v: v for v in nodes}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(u, v):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
+    uf = _UnionFind()
 
     def block_of(d, tag, c):
         for i, b in enumerate(d.blocks):
@@ -548,18 +537,18 @@ def glue_partition_diagrams(d1: PartitionDiagram, d2: PartitionDiagram,
         u = block_of(d1, 1, c)
         v = block_of(d2, 2, c)
         edges.append((u, v))
-        union(u, v)
+        uf.union(u, v)
 
     comp_v: dict = {}
     comp_e: dict = {}
     comp_g: dict = {}
     for v in nodes:
-        r = find(v)
+        r = uf.find(v)
         comp_v[r] = comp_v.get(r, 0) + 1
         tag, i = v
         comp_g[r] = comp_g.get(r, 0) + (d1 if tag == 1 else d2).genus[i]
     for u, _v in edges:
-        r = find(u)
+        r = uf.find(u)
         comp_e[r] = comp_e.get(r, 0) + 1
 
     out = Fraction(1)

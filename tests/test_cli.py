@@ -356,6 +356,14 @@ OUT_OF_RANGE_JOBS = {
     "scalar-zero-den-pih-solve": (
         "pih-solve", {"blocks": [["1", 1, "1/0"]]},
         "zero denominator in '1/0'"),
+    "witness-huge-m": (
+        "witness", {"classification": {"mu": "0", "m": 2064611822.0,
+                                       "poles": []}},
+        "witness dimension 2064611822 exceeds 32"),
+    "witness-huge-multiplicity": (
+        "witness", {"classification": {"mu": "0", "m": 0,
+                                       "poles": [["2", 10 ** 8]]}},
+        "witness dimension 100000000 exceeds 32"),
 }
 
 

@@ -1,11 +1,12 @@
 """Exit-code contract of the CLI on small adversarial job documents.
 
 Every job of `frobenius-validate`, `genfun`, `classify`, `witness` and
-`automaton-minimize` must exit 0, 1 or 2 without a traceback and give the
-same bytes when run twice.  The documents mix honest data (truncated
-polynomial algebras and their classifications) with wrong types,
-non-integral integer fields, ragged shapes and missing keys; sizes stay
-small (dim <= 4, m <= 6, multiplicities <= 3).
+`automaton-minimize` must exit 0, 1 or 2 without a traceback, give the
+same bytes when run twice and finish within JOB_BUDGET_S seconds.  The
+documents mix honest data (truncated polynomial algebras and their
+classifications) with wrong types, non-integral integer fields, ragged
+shapes and missing keys; sizes stay small (dim <= 4, m <= 6,
+multiplicities <= 3).
 """
 
 import io
@@ -13,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -21,6 +23,9 @@ from hypothesis import strategies as st
 
 import loopcat
 from loopcat.cli import main
+
+# Generous: every job drawn here takes milliseconds.
+JOB_BUDGET_S = 2.0
 
 COMMANDS = ("frobenius-validate", "genfun", "classify", "witness",
             "automaton-minimize")
@@ -142,7 +147,9 @@ def run_in_process(directory: Path, command: str, doc) -> tuple:
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_every_job_keeps_the_exit_code_contract(tmp_path, job) -> None:
     command, doc = job
+    start = time.perf_counter()
     first = run_in_process(tmp_path, command, doc)
+    assert time.perf_counter() - start < JOB_BUDGET_S
     assert first[0] in (0, 1, 2)
     assert "Traceback" not in first[1] + first[2]
     assert run_in_process(tmp_path, command, doc) == first

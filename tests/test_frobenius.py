@@ -44,8 +44,8 @@ from loopcat.frobenius import (
     witness_synthesis,
 )
 from loopcat.linalg import Matrix, Polynomial, RationalFunction
-from loopcat.pseudochar import _signed_cycle_decompositions
 from loopcat.statespaces import SequenceTooShort
+from oracles import _signed_cycle_decompositions
 
 
 def diagonal_algebra(counit_values) -> FrobeniusAlgebra:

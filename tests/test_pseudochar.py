@@ -1,4 +1,5 @@
 import gc
+import random
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import permutations, product
@@ -6,7 +7,7 @@ from math import perm
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopcat.diagrams import (
@@ -39,7 +40,6 @@ from loopcat.pseudochar import (
     PseudoCharacter,
     RepData,
     SingularTable,
-    _signed_cycle_decompositions,
     _TraceRecursion,
     alpha_charpoly,
     antisym_trace,
@@ -54,6 +54,7 @@ from loopcat.pseudochar import (
     rep_from_json,
 )
 from loopcat.statespaces import Evaluation, evaluation_from_monoid
+from oracles import _signed_cycle_decompositions
 
 X = 0
 
@@ -557,6 +558,92 @@ def test_boundary_trace_rep_oracle() -> None:
             for z in (0, 1):
                 got = antisym_trace_boundary(cat, datum, alpha, (x,), [(y, z)])
                 assert got == matrix_route(x, y, z), (x, y, z)
+
+
+def boundary_permutation_sum(cat, boundary, alpha, x_labels, boundary_pairs,
+                             base=0) -> Fraction:
+    """Reference: the signed sum over all permutations of the slots, each
+    cycle through pair slots broken into interval classes at its cuts."""
+    slots = [("x", lab) for lab in x_labels]
+    slots += [("p", yz) for yz in boundary_pairs]
+    n = len(slots)
+    total = Fraction(0)
+    for sign, cycles in _signed_cycle_decompositions(n):
+        term = Fraction(sign)
+        for cyc in cycles:
+            cuts = [pos for pos, i in enumerate(cyc) if slots[i][0] == "p"]
+            if not cuts:
+                labels = [slots[i][1] for i in cyc]
+                term *= alpha.loop(cat.loop_class(base, labels))
+                continue
+            for a, pos in enumerate(cuts):
+                nxt = cuts[(a + 1) % len(cuts)]
+                g = slots[cyc[pos]][1][0]  # start at this pair's y
+                step = (pos + 1) % len(cyc)
+                while step != nxt:
+                    g = boundary.gr(slots[cyc[step]][1], g)
+                    step = (step + 1) % len(cyc)
+                z = slots[cyc[nxt]][1][1]
+                term *= alpha.interval(boundary.interval_class(base, z, g))
+        total += term
+    return total
+
+
+class _SeededEvaluation:
+    """A pseudo-random rational on every loop and interval class, fixed by
+    the seed and the class."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def loop(self, cls):
+        rng = random.Random(f"{self.seed}:{cls!r}")
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    interval = loop
+
+
+_FREE_ABC = FreeMonoidCategory("abc")
+_S3 = symmetric_group(3)
+_S3_CAT = MonoidCategory(_S3)
+BOUNDARY_SETUPS = {
+    "free-words": (_FREE_ABC, FreeBoundary(_FREE_ABC),
+                   st.lists(st.integers(0, 2), max_size=3).map(tuple)),
+    # S3 acting on itself: right elements by right, left ones by left
+    # multiplication, so the order of every product shows
+    "s3-on-itself": (_S3_CAT, BoundaryDatum(
+        _S3_CAT, {X: range(6)}, {X: range(6)},
+        gr_action=lambda m, g: _S3.mul(g, m),
+        gl_action=lambda m, g: _S3.mul(m, g)), st.integers(0, 5)),
+}
+
+
+@st.composite
+def boundary_cases(draw):
+    """A setup name, 0-6 slots of which 0-3 are pairs, and a value seed."""
+    setup = draw(st.sampled_from(sorted(BOUNDARY_SETUPS)))
+    elements = BOUNDARY_SETUPS[setup][2]
+    n_pairs = draw(st.integers(0, 3))
+    n_labels = draw(st.integers(0, 6 - n_pairs))
+    x_labels = draw(st.lists(elements, min_size=n_labels, max_size=n_labels))
+    pairs = draw(st.lists(st.tuples(elements, elements),
+                          min_size=n_pairs, max_size=n_pairs))
+    return setup, x_labels, pairs, draw(st.integers(0, 2 ** 16))
+
+
+# The recursion multiplies a cut word with a nonempty tail into one with a
+# nonempty head only on larger tuples such as the six-slot example, where
+# the order in which the closed interval reads them shows.
+@given(boundary_cases())
+@example(("free-words", [(1,), (1,), (0,), (1, 1)],
+          [((0,), (1,)), ((2, 1), (0,))], 317))
+@settings(max_examples=240, deadline=None)
+def test_boundary_recursion_matches_permutation_sum(case) -> None:
+    setup, x_labels, pairs, seed = case
+    cat, boundary, _ = BOUNDARY_SETUPS[setup]
+    alpha = _SeededEvaluation(seed)
+    assert antisym_trace_boundary(cat, boundary, alpha, x_labels, pairs) == \
+        boundary_permutation_sum(cat, boundary, alpha, x_labels, pairs)
 
 
 # --- lifting ----------------------------------------------------------------------
