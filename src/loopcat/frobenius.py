@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import DomainError, InternalInconsistency
@@ -137,7 +137,9 @@ class FrobeniusAlgebra:
 
 
 def validate(fa: FrobeniusAlgebra) -> None:
-    """Check each axiom, raising the matching error for the first failure."""
+    """Check each axiom, raising the matching error for the first failure.
+    Given commutativity, (ab)c - a(bc) = c(ba) - (cb)a: (i, j, k) fails iff
+    (k, j, i) does, so associativity is checked for i <= k only."""
     n = fa.dim
     basis = [tuple(Fraction(i == k) for i in range(n)) for k in range(n)]
     for i in range(n):
@@ -145,16 +147,15 @@ def validate(fa: FrobeniusAlgebra) -> None:
             raise NotUnital(f"unit * e_{i} != e_{i}")
         if fa.multiply(basis[i], fa.unit) != basis[i]:
             raise NotUnital(f"e_{i} * unit != e_{i}")
+    s, mul = fa.structure, fa.multiply
     for i in range(n):
         for j in range(i + 1, n):
-            if fa.structure[i][j] != fa.structure[j][i]:
+            if s[i][j] != s[j][i]:
                 raise NotCommutative(f"e_{i} e_{j} != e_{j} e_{i}")
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                lhs = fa.multiply(fa.multiply(basis[i], basis[j]), basis[k])
-                rhs = fa.multiply(basis[i], fa.multiply(basis[j], basis[k]))
-                if lhs != rhs:
+            for k in range(i, n):
+                if mul(s[i][j], basis[k]) != mul(basis[i], s[j][k]):
                     raise NotAssociative(f"(e_{i} e_{j}) e_{k} differs")
     if det(fa.gram()) == 0:
         raise NondegeneracyFailure("the pairing eps(ab) is singular")
@@ -176,15 +177,14 @@ class HandleData:
 
 
 def handle_element(fa: FrobeniusAlgebra) -> HandleData:
-    """h = sum_i e_i u_i over a dual-basis pair; independent of the choice."""
-    duals = dual_basis(fa)
-    n = fa.dim
-    h = [Fraction(0)] * n
-    for i in range(n):
-        basis_i = tuple(Fraction(i == k) for k in range(n))
-        prod = fa.multiply(basis_i, duals[i])
-        for k in range(n):
-            h[k] += prod[k]
+    """h = sum_i e_i u_i over a dual-basis pair; independent of the choice.
+    With u_i = sum_j u_ij e_j, h_k = sum_{i,j} u_ij c_ijk."""
+    h = [Fraction(0)] * fa.dim
+    for u, plane in zip(dual_basis(fa), fa._terms):
+        for uj, terms in zip(u, plane):
+            if uj:
+                for k, c in terms:
+                    h[k] += uj * c
     h = tuple(h)
     return HandleData(h, fa.mult_matrix(h))
 
@@ -324,25 +324,24 @@ def truncated_poly_algebra(m: int, counit) -> FrobeniusAlgebra:
     return FrobeniusAlgebra(m, structure, unit, counit)
 
 
-def product_algebra(a: FrobeniusAlgebra, b: FrobeniusAlgebra) -> FrobeniusAlgebra:
-    na, nb = a.dim, b.dim
-    n = na + nb
+def product_algebra(*factors: FrobeniusAlgebra) -> FrobeniusAlgebra:
+    """Direct product of the factors, with block-diagonal structure."""
+    n = sum(f.dim for f in factors)
     structure = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(na):
-        for j in range(na):
-            for k in range(na):
-                structure[i][j][k] = a.structure[i][j][k]
-    for i in range(nb):
-        for j in range(nb):
-            for k in range(nb):
-                structure[na + i][na + j][na + k] = b.structure[i][j][k]
-    return FrobeniusAlgebra(n, structure, a.unit + b.unit,
-                            a.counit + b.counit)
+    offset = 0
+    for f in factors:
+        for i, plane in enumerate(f._terms):
+            for j, terms in enumerate(plane):
+                for k, c in terms:
+                    structure[offset + i][offset + j][offset + k] = c
+        offset += f.dim
+    return FrobeniusAlgebra(n, structure, sum((f.unit for f in factors), ()),
+                            sum((f.counit for f in factors), ()))
 
 
-# Largest witness algebra synthesized: its dense structure constants take
-# dim^3 entries, so a job file of a few bytes could otherwise ask for any
-# amount of memory and time.
+# Largest witness algebra (dense structure constants take dim^3 entries)
+# and largest confluent system (N^3 elimination steps): a job file of a few
+# bytes could otherwise ask for any amount of memory and time.
 WITNESS_MAX_DIM = 32
 
 
@@ -368,9 +367,7 @@ def witness_synthesis(cd: ClassificationData) -> FrobeniusAlgebra:
             parts.append(truncated_poly_algebra(1, [1 / lam]))
     if not parts:
         raise ValueError("empty classification has no witness algebra")
-    out = parts[0]
-    for p in parts[1:]:
-        out = product_algebra(out, p)
+    out = product_algebra(*parts)
     if classify_genfun(generating_function(out)) != cd:
         raise InternalInconsistency("witness fails to classify back")
     return out
@@ -442,6 +439,8 @@ class ConfluentSystem:
 def _confluent_matrix(blocks) -> Matrix:
     """Columns: j-th scaled derivative in lam of (lam^2, ..., lam^(N+1))."""
     total = sum(n for _lam, n, *_ in blocks)
+    if total > WITNESS_MAX_DIM:
+        raise ValueError(f"block size sum {total} exceeds {WITNESS_MAX_DIM}")
     rows = []
     for n in range(1, total + 1):
         row = []

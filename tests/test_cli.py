@@ -364,6 +364,9 @@ OUT_OF_RANGE_JOBS = {
         "witness", {"classification": {"mu": "0", "m": 0,
                                        "poles": [["2", 10 ** 8]]}},
         "witness dimension 100000000 exceeds 32"),
+    "pih-solve-huge-block": (
+        "pih-solve", {"blocks": [["2", 100000, "1"]]},
+        "block size sum 100000 exceeds 32"),
 }
 
 

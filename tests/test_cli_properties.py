@@ -1,12 +1,13 @@
 """Exit-code contract of the CLI on small adversarial job documents.
 
-Every job of `frobenius-validate`, `genfun`, `classify`, `witness` and
-`automaton-minimize` must exit 0, 1 or 2 without a traceback, give the
-same bytes when run twice and finish within JOB_BUDGET_S seconds.  The
-documents mix honest data (truncated polynomial algebras and their
-classifications) with wrong types, non-integral integer fields, ragged
-shapes and missing keys; sizes stay small (dim <= 4, m <= 6,
-multiplicities <= 3).
+Every job of `frobenius-validate`, `genfun`, `classify`, `witness`,
+`automaton-minimize`, `pih-solve` and `pih-check` must exit 0, 1 or 2
+without a traceback, give the same bytes when run twice and finish within
+JOB_BUDGET_S seconds.  The documents mix honest data (truncated polynomial
+algebras and their classifications, diagonal (p, h, iota) systems) with
+wrong types, non-integral integer fields, ragged shapes and missing keys;
+sizes stay small (dim <= 4, m <= 6, multiplicities <= 3), except that
+confluent block sizes run up to 40.
 """
 
 import io
@@ -28,7 +29,7 @@ from loopcat.cli import main
 JOB_BUDGET_S = 2.0
 
 COMMANDS = ("frobenius-validate", "genfun", "classify", "witness",
-            "automaton-minimize")
+            "automaton-minimize", "pih-solve", "pih-check")
 
 junk = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3),
@@ -124,12 +125,55 @@ def automaton_docs(draw):
     return {"automaton": draw(drop_a_key(body))}
 
 
+@st.composite
+def pih_solve_docs(draw):
+    """One to six (lam, size, mult) blocks, zero and repeated eigenvalues
+    included, sometimes a malformed block, and an optional alpha1."""
+    block = st.tuples(scalar, integers(-1, 40), scalar).map(list)
+    blocks = draw(st.lists(block, min_size=1, max_size=5))
+    if draw(st.booleans()):  # repeat the first eigenvalue
+        blocks.append([blocks[0][0]] + draw(block)[1:])
+    if draw(st.integers(0, 9)) == 9:
+        blocks.append(draw(junk))
+    doc = {"blocks": blocks}
+    if draw(st.booleans()):
+        doc["alpha1"] = draw(maybe_junk(scalar))
+    return doc
+
+
+@st.composite
+def pih_check_docs(draw):
+    """(p, h, iota) up to 4x4, sometimes ragged, or the honest diagonal
+    system h = diag(c), p = 1, iota = 1/c with alpha_k = sum_i c_i^(k-1);
+    alpha runs from too short to too long."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        nonzero = st.fractions(-3, 3, max_denominator=3).filter(bool)
+        cs = draw(st.lists(nonzero, min_size=n, max_size=n))
+        body = {"p": ["1"] * n, "iota": [str(1 / c) for c in cs],
+                "h": [[str(c if i == j else 0) for j in range(n)]
+                      for i, c in enumerate(cs)]}
+        alpha = [str(sum(c ** (k - 1) for c in cs)) for k in range(2 * n + 5)]
+    else:
+        lengths = st.integers(n - 1, n + 1)
+        ragged = st.lists(st.lists(maybe_junk(scalar), max_size=4), max_size=4)
+        body = {"p": draw(lengths.flatmap(vectors)),
+                "h": draw(st.one_of(squares(n), ragged, junk)),
+                "iota": draw(lengths.flatmap(vectors))}
+        alpha = draw(st.lists(maybe_junk(scalar), max_size=2 * n + 5))
+    doc = {"pih": draw(drop_a_key(body)),
+           "alpha": alpha[:draw(st.integers(2 * n + 1, 2 * n + 5))]}
+    return draw(drop_a_key(doc))
+
+
 jobs = st.one_of(
     st.tuples(st.sampled_from(["frobenius-validate", "genfun"]),
               frobenius_docs()),
     st.tuples(st.just("classify"), genfun_docs()),
     st.tuples(st.just("witness"), classification_docs()),
     st.tuples(st.just("automaton-minimize"), automaton_docs()),
+    st.tuples(st.just("pih-solve"), pih_solve_docs()),
+    st.tuples(st.just("pih-check"), pih_check_docs()),
     st.tuples(st.sampled_from(COMMANDS), junk))
 
 

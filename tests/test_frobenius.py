@@ -2,9 +2,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from loopcat.errors import DomainError
 from loopcat.frobenius import (
     ClassificationData,
     Cob2PseudoReport,
@@ -45,7 +46,7 @@ from loopcat.frobenius import (
 )
 from loopcat.linalg import Matrix, Polynomial, RationalFunction
 from loopcat.statespaces import SequenceTooShort
-from oracles import _signed_cycle_decompositions
+from oracles import _signed_cycle_decompositions, dense_validate
 
 
 def diagonal_algebra(counit_values) -> FrobeniusAlgebra:
@@ -101,8 +102,72 @@ def test_validate_rejects_nonassociative() -> None:
     s = _unital_structure(3)
     s[1][1][2] = Fraction(1)  # e1^2 = e2
     s[2][2][1] = Fraction(1)  # e2^2 = e1, so (e1 e1) e2 = e1 but e1 (e1 e2) = 0
-    with pytest.raises(NotAssociative):
+    with pytest.raises(NotAssociative, match=r"^\(e_1 e_1\) e_2 differs$"):
         validate(FrobeniusAlgebra(3, s, [1, 0, 0], [0, 1, 1]))
+
+
+def _one_failing_pair() -> FrobeniusAlgebra:
+    """e2^2 = e2 and e1 e2 = 2 e2: associativity fails at (1, 1, 2) and
+    (2, 1, 1) only, one pair (i, j, k), (k, j, i) with i < k."""
+    s = _unital_structure(3)
+    s[2][2][2] = Fraction(1)
+    s[1][2][2] = s[2][1][2] = Fraction(2)
+    return FrobeniusAlgebra(3, s, [1, 0, 0], [0, 1, 1])
+
+
+def test_one_failing_pair_fails_only_there() -> None:
+    fa = _one_failing_pair()
+    basis = [tuple(Fraction(i == k) for i in range(3)) for k in range(3)]
+    failing = [(i, j, k) for i, j, k in product(range(3), repeat=3)
+               if fa.multiply(fa.multiply(basis[i], basis[j]), basis[k])
+               != fa.multiply(basis[i], fa.multiply(basis[j], basis[k]))]
+    assert failing == [(1, 1, 2), (2, 1, 1)]
+    with pytest.raises(NotAssociative, match=r"^\(e_1 e_1\) e_2 differs$"):
+        validate(fa)
+
+
+@st.composite
+def planted_structures(draw):
+    """Q[x]/x^n or e_0 times zero, dim 1-5, with up to three structure
+    constants planted away from e_0 symmetrically (commutative and unital)
+    or on one side only (non-commutative), or anywhere with a drawn unit
+    (non-unital)."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        s = [[[Fraction(i + j == k) for k in range(n)] for j in range(n)]
+             for i in range(n)]
+    else:
+        s = _unital_structure(n)
+    unit = [int(k == 0) for k in range(n)]
+    kind = draw(st.sampled_from(["commutative", "noncommutative", "nonunital"]))
+    lo = 0 if kind == "nonunital" else 1
+    slots = st.integers(lo, n - 1)
+    for _ in range(draw(st.integers(0, 3)) if lo < n else 0):
+        i, j, k = draw(slots), draw(slots), draw(slots)
+        s[i][j][k] = Fraction(draw(st.integers(-2, 2)))
+        if kind != "noncommutative":
+            s[j][i][k] = s[i][j][k]
+    if kind == "nonunital" and draw(st.booleans()):
+        unit = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    counit = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    return FrobeniusAlgebra(n, s, unit, counit)
+
+
+def _outcome(check, fa):
+    try:
+        check(fa)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@given(planted_structures())
+@example(_one_failing_pair())
+@settings(max_examples=200, deadline=None)
+def test_validate_matches_dense_reference(fa) -> None:
+    """Associativity on i <= k only, from the stored products, raises what
+    the dense check on every triple raises, or passes with it."""
+    assert _outcome(validate, fa) == _outcome(dense_validate, fa)
 
 
 def test_validate_rejects_bad_unit() -> None:
@@ -233,8 +298,26 @@ def test_genfun_of_split_pair_by_hand() -> None:
 def test_genfun_additive_on_products() -> None:
     a = truncated_poly_algebra(3, nilpotent_counit(3, mu=1))
     b = diagonal_algebra([2, Fraction(1, 3)])
+    c = truncated_poly_algebra(2, [Fraction(1, 2), 1])
     assert generating_function(product_algebra(a, b)) == \
         generating_function(a) + generating_function(b)
+    assert generating_function(product_algebra(a, b, c)) == \
+        generating_function(a) + generating_function(b) + generating_function(c)
+
+
+def test_product_algebra_of_any_number_of_factors() -> None:
+    a = truncated_poly_algebra(3, nilpotent_counit(3, mu=1))
+    b = diagonal_algebra([2, Fraction(1, 3)])
+    c = truncated_poly_algebra(2, [Fraction(1, 2), 1])
+
+    def data(fa):
+        return fa.dim, fa.structure, fa.unit, fa.counit
+
+    assert data(product_algebra(a, b, c)) == \
+        data(product_algebra(product_algebra(a, b), c))
+    assert data(product_algebra(a, b, c)) == \
+        data(product_algebra(a, product_algebra(b, c)))
+    assert data(product_algebra(a)) == data(a)
 
 
 # --- classification ----------------------------------------------------------------
