@@ -12,6 +12,7 @@ its report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 
 from .errors import DomainError
@@ -19,17 +20,17 @@ from .fincat import (FreeBoundary, FreeMonoidCategory, IntervalClass, Loop,
                      MonoidCategory, least_rotation, monoid_from_json)
 from .frobenius import (PIHSystem, Reject, classification_from_json,
                         classification_to_json, classify_genfun,
-                        cob2_pseudochar_check, confluent_vandermonde_det,
-                        frobenius_from_json, frobenius_to_json,
-                        generating_function, genfun_from_json, genfun_to_json,
-                        handle_element, pih_check, pih_solve, surface_eval,
-                        validate, witness_synthesis)
+                        cob2_pseudochar_check, frobenius_from_json,
+                        frobenius_to_json, generating_function,
+                        genfun_from_json, genfun_to_json, handle_element,
+                        pih_check, pih_solve, surface_eval, validate,
+                        witness_synthesis)
 from .linalg import Matrix, exact_int, format_poly, rat, rat_str
 from .pseudochar import (GraphHolonomy, Infeasible, alpha_charpoly, degree,
                          graph_pseudoholonomy, lift_with_table,
                          pseudochar_from_json)
 from .statespaces import (Evaluation, WeightedAutomaton,
-                          cob2_spanning, cob2_state_space,
+                          cob2_spanning_size, cob2_state_space,
                           evaluation_from_monoid, hankel_minimize,
                           restrict_state_space, state_space_boolean,
                           state_space_field)
@@ -165,7 +166,7 @@ def _run_pseudochar_degree(doc: dict, args) -> dict:
     return {
         "command": "pseudochar-degree",
         "d": res.d,
-        "witness": None if res.witness is None else list(res.witness),
+        "witness": list(res.witness),
         "tuples_checked": res.tuples_checked,
         "max_degree": args.max_degree,
     }
@@ -207,9 +208,8 @@ def _run_holonomy(doc: dict, args) -> dict:
         "dimension": rep.dimension,
         "d": rep.degree.d,
         "tuples_checked": rep.degree.tuples_checked,
-        "witness": None if rep.degree.witness is None else [
-            [[rat_str(x) for x in row] for row in m.entries]
-            for m in rep.degree.witness],
+        "witness": [[[rat_str(x) for x in row] for row in m.entries]
+                    for m in rep.degree.witness],
         "table": {",".join(str(e) for e in walk): rat_str(tr)
                   for walk, tr in rep.table.items()},
         "max_len": args.cap_words,
@@ -266,15 +266,14 @@ def _run_pih_solve(doc: dict, args) -> dict:
               for lam, n, mult in doc["blocks"]]
     alpha1 = doc.get("alpha1")
     cs = pih_solve(blocks, None if alpha1 is None else rat(alpha1))
-    d, u = confluent_vandermonde_det(blocks)
     return {
         "command": "pih-solve",
         "blocks": [[rat_str(lam), n, rat_str(mult)] for lam, n, mult in cs.blocks],
         "r": [rat_str(x) for x in cs.r],
         "gamma": [rat_str(x) for x in cs.gamma],
         "verdict": cs.verdict,
-        "det": rat_str(d),
-        "unit": rat_str(u),
+        "det": rat_str(cs.det),
+        "unit": rat_str(cs.unit),
     }
 
 
@@ -302,7 +301,7 @@ def _run_cob2_dim(doc: dict, args) -> dict:
         "m": m,
         "dimension": dim,
         "stabilized": stabilized,
-        "spanning_size": len(cob2_spanning(m, args.cap_genus)),
+        "spanning_size": cob2_spanning_size(m, args.cap_genus),
         "cap_genus": args.cap_genus,
     }
 
@@ -382,7 +381,10 @@ def _emit(doc: dict, fmt: str) -> None:
         print(f"{key}: {_render_scalar(doc[key])}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing
+    leaves no state on it, each call fills a fresh namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", required=True,
                         help="path to the JSON job document")
@@ -406,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = _COMMANDS[args.command]
     try:
         with open(args.input, encoding="utf-8") as fh:

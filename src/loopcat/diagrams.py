@@ -24,17 +24,16 @@ of matchings, which composes labels along each chain, closes some chains
 into loops, and absorbs morphisms into boundary elements.
 
 Formal rational combinations of diagrams with common source and target make
-the enveloping linear category; the antisymmetrizer lives there.
+the enveloping linear category, where the antisymmetrizer lives.  The
+package never expands it: antisymmetrized traces run on the trace
+recursion in `pseudochar`.  The formal sums and the antisymmetrizer live
+in `tests/oracles.py`, as the reference that recursion is tested against.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import permutations
-
 from .errors import DomainError
 from .fincat import compose_path
-from .linalg import rat
 
 PLUS = 1
 MINUS = -1
@@ -178,6 +177,12 @@ def perm_diagram(cat, x, sigma, labels=None, boundary=None) -> BrauerMorphism:
     seq = ((x, PLUS),) * n
     arcs = [(i, n + sigma[i], labels[sigma[i]]) for i in range(n)]
     return BrauerMorphism(cat, seq, seq, arcs, boundary=boundary)
+
+
+def perm_sign(sigma) -> int:
+    inv = sum(1 for i in range(len(sigma)) for j in range(i + 1, len(sigma))
+              if sigma[i] > sigma[j])
+    return -1 if inv % 2 else 1
 
 
 def ket(cat, boundary, x, gr_elem) -> BrauerMorphism:
@@ -403,152 +408,3 @@ def rotate(d: BrauerMorphism) -> BrauerMorphism:
     return BrauerMorphism(d.cat, dual(d.target), dual(d.source), arcs, half,
                           d.loops, d.intervals, boundary=d.boundary)
 
-
-# ---------------------------------------------------------------------------
-# formal sums
-
-
-class FormalSum:
-    """Rational combination of diagrams sharing source and target."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        acc: dict[BrauerMorphism, Fraction] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        shape = None
-        for d, c in items:
-            c = rat(c)
-            if shape is None:
-                shape = (d.source, d.target)
-            elif (d.source, d.target) != shape:
-                raise ValueError("mixed shapes in a sum")
-            acc[d] = acc.get(d, Fraction(0)) + c
-        self.terms = {d: c for d, c in acc.items() if c != 0}
-
-    @classmethod
-    def lift(cls, d: BrauerMorphism) -> "FormalSum":
-        return cls([(d, 1)])
-
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        return FormalSum(list(self.terms.items()) + list(other.terms.items()))
-
-    def scale(self, c) -> "FormalSum":
-        c = rat(c)
-        return FormalSum([(d, c * v) for d, v in self.terms.items()])
-
-    def __eq__(self, other):
-        if isinstance(other, FormalSum):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __len__(self):
-        return len(self.terms)
-
-    def map_diagrams(self, f) -> "FormalSum":
-        return FormalSum([(f(d), c) for d, c in self.terms.items()])
-
-
-def sum_compose(s2: FormalSum, s1: FormalSum) -> FormalSum:
-    out = []
-    for d1, c1 in s1.terms.items():
-        for d2, c2 in s2.terms.items():
-            out.append((compose(d2, d1), c1 * c2))
-    return FormalSum(out)
-
-
-def perm_sign(sigma) -> int:
-    inv = sum(1 for i in range(len(sigma)) for j in range(i + 1, len(sigma))
-              if sigma[i] > sigma[j])
-    return -1 if inv % 2 else 1
-
-
-def antisymmetrizer(cat, x, n: int) -> FormalSum:
-    """Signed sum over all n! permutation diagrams on (x,+)^n, id labels."""
-    if n < 0:
-        raise ValueError("antisymmetrizer needs n >= 0")
-    return FormalSum([(perm_diagram(cat, x, sigma), perm_sign(sigma))
-                      for sigma in permutations(range(n))])
-
-
-# ---------------------------------------------------------------------------
-# JSON round-trip
-
-
-def _morphism_name(cat, m) -> str:
-    alphabet = getattr(cat, "alphabet", None)
-    if alphabet is not None:
-        return "".join(alphabet[i] for i in m)
-    return str(m)
-
-
-def _morphism_by_name(cat, s: str):
-    alphabet = getattr(cat, "alphabet", None)
-    if alphabet is not None:
-        return cat.word(s)
-    monoid = getattr(cat, "monoid", None)
-    if monoid is not None:
-        return int(s)
-    for m in cat.morphisms:
-        if str(m) == s:
-            return m
-    raise ValueError(f"unknown morphism name {s!r}")
-
-
-def _obj_by_name(cat, s: str):
-    for x in cat.objects:
-        if str(x) == s:
-            return x
-    raise ValueError(f"unknown object name {s!r}")
-
-
-def diagram_to_json(d: BrauerMorphism) -> dict:
-    cat = d.cat
-    return {
-        "diagram": {
-            "source": [[str(x), "+" if s == PLUS else "-"]
-                       for x, s in d.source],
-            "target": [[str(x), "+" if s == PLUS else "-"]
-                       for x, s in d.target],
-            "arcs": [[t, h, _morphism_name(cat, lab)] for t, h, lab in d.arcs],
-            "half_intervals": [[e, str(g) if not isinstance(g, tuple)
-                                else _morphism_name(cat, g)]
-                               for e, g in d.half_intervals],
-            "loops": [{"base": str(lp.base),
-                       "cycle": [_morphism_name(cat, m) for m in lp.cycle]}
-                      for lp in d.loops],
-            "intervals": [{"base": str(iv.base),
-                           "gl": str(iv.gl) if not isinstance(iv.gl, tuple)
-                           else _morphism_name(cat, iv.gl),
-                           "gr": str(iv.gr) if not isinstance(iv.gr, tuple)
-                           else _morphism_name(cat, iv.gr)}
-                          for iv in d.intervals],
-        }
-    }
-
-
-def diagram_from_json(cat, doc: dict, boundary=None) -> BrauerMorphism:
-    from .fincat import IntervalClass, Loop
-
-    body = doc["diagram"]
-
-    def seq(entries):
-        return tuple((_obj_by_name(cat, x), PLUS if s == "+" else MINUS)
-                     for x, s in entries)
-
-    def elem(s):
-        if getattr(cat, "alphabet", None) is not None:
-            return cat.word(s)
-        return s
-
-    loops = tuple(Loop(_obj_by_name(cat, lp["base"]),
-                       tuple(_morphism_by_name(cat, m) for m in lp["cycle"]))
-                  for lp in body.get("loops", []))
-    intervals = tuple(IntervalClass(_obj_by_name(cat, iv["base"]),
-                                    elem(iv["gl"]), elem(iv["gr"]))
-                      for iv in body.get("intervals", []))
-    return BrauerMorphism(
-        cat, seq(body["source"]), seq(body["target"]),
-        [(t, h, _morphism_by_name(cat, m)) for t, h, m in body["arcs"]],
-        [(e, elem(g)) for e, g in body.get("half_intervals", [])],
-        loops, intervals, boundary=boundary)

@@ -21,17 +21,13 @@ the lexicographically least rotation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .errors import DomainError
 
 
 class NotComposable(DomainError):
     """Source/target mismatch in a composition."""
-
-
-class NotClosed(DomainError):
-    """A chain meant to be a loop does not return to its base object."""
 
 
 @dataclass(frozen=True)
@@ -328,18 +324,6 @@ def compose_path(cat, path: Sequence, at=None):
     return acc
 
 
-def loop_normalize(cat, base, chain: Sequence) -> Loop:
-    """Canonical Loop of a closed chain based at `base`."""
-    if not chain:
-        return cat.loop_class(base, [])
-    if cat.source(chain[0]) != base or cat.target(chain[-1]) != base:
-        raise NotClosed(f"chain does not close up at {base!r}")
-    for a, b in zip(chain, chain[1:]):
-        if cat.target(a) != cat.source(b):
-            raise NotComposable("chain is not composable")
-    return cat.loop_class(base, chain)
-
-
 # ---------------------------------------------------------------------------
 # boundary data: right-set and left-set actions with interval classes
 
@@ -468,26 +452,3 @@ def monoid_from_json(doc: dict) -> FiniteMonoid:
         raise ValueError("declared size does not match table")
     return m
 
-
-def category_from_json(doc: dict) -> TableCategory:
-    """Multi-object schema: objects, morphisms with endpoints, identities, triples."""
-    body = doc["category"]
-    objects = list(body["objects"])
-    morphisms = {
-        m["name"]: (m["source"], m["target"]) for m in body["morphisms"]
-    }
-    identities = dict(body["identities"])
-    pairs = {}
-    for m2, m1, result in body["compose"]:
-        pairs[(m2, m1)] = result
-    for name, (s, t) in morphisms.items():
-        pairs.setdefault((identities[t], name), name)
-        pairs.setdefault((name, identities[s]), name)
-
-    def rule(m2, m1):
-        try:
-            return pairs[(m2, m1)]
-        except KeyError:
-            raise ValueError(f"composition table missing ({m2!r}, {m1!r})") from None
-
-    return TableCategory(objects, morphisms, identities, rule)

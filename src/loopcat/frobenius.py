@@ -139,7 +139,8 @@ class FrobeniusAlgebra:
 def validate(fa: FrobeniusAlgebra) -> None:
     """Check each axiom, raising the matching error for the first failure.
     Given commutativity, (ab)c - a(bc) = c(ba) - (cb)a: (i, j, k) fails iff
-    (k, j, i) does, so associativity is checked for i <= k only."""
+    (k, j, i) does, and (i, j, i) never fails, so associativity is checked
+    for i < k only."""
     n = fa.dim
     basis = [tuple(Fraction(i == k) for i in range(n)) for k in range(n)]
     for i in range(n):
@@ -154,7 +155,7 @@ def validate(fa: FrobeniusAlgebra) -> None:
                 raise NotCommutative(f"e_{i} e_{j} != e_{j} e_{i}")
     for i in range(n):
         for j in range(n):
-            for k in range(i, n):
+            for k in range(i + 1, n):
                 if mul(s[i][j], basis[k]) != mul(basis[i], s[j][k]):
                     raise NotAssociative(f"(e_{i} e_{j}) e_{k} differs")
     if det(fa.gram()) == 0:
@@ -434,6 +435,8 @@ class ConfluentSystem:
     r: tuple
     gamma: tuple
     verdict: str | None  # "consistent" / "inconsistent" when alpha1 given
+    det: Fraction  # det T
+    unit: Fraction  # det T over its closed-form magnitude
 
 
 def _confluent_matrix(blocks) -> Matrix:
@@ -451,13 +454,25 @@ def _confluent_matrix(blocks) -> Matrix:
     return Matrix(rows)
 
 
+def _confluent_magnitude(blocks) -> Fraction:
+    """prod lam_i^(2 N_i) * prod_{i<j} (lam_i - lam_j)^(N_i N_j)."""
+    magnitude = Fraction(1)
+    for lam, n, *_ in blocks:
+        magnitude *= lam ** (2 * n)
+    for i, (lam_i, n_i, *_) in enumerate(blocks):
+        for lam_j, n_j, *_ in blocks[i + 1:]:
+            magnitude *= (lam_i - lam_j) ** (n_i * n_j)
+    return magnitude
+
+
 def pih_solve(blocks, alpha1=None) -> ConfluentSystem:
     """Recover the expansion coefficients of alpha_n = sum M_i lam_i^n.
 
     blocks are (lam_i, N_i, M_i) with distinct nonzero lam_i; the system
     T Gamma = R uses rows n = 1..N (N = sum N_i) and derivative columns,
     so the exact solution is gamma_{i,0} = M_i / lam_i with every
-    higher-derivative coefficient zero — asserted after solving.  When
+    higher-derivative coefficient zero — asserted after solving.  det T
+    and its unit (`confluent_vandermonde_det`) ride along.  When
     alpha1 is supplied it is compared against sum M_i: equality or an
     excess >= 2 (a nilpotent block) is consistent, an excess of exactly 1
     is not.
@@ -473,7 +488,8 @@ def pih_solve(blocks, alpha1=None) -> ConfluentSystem:
     r = tuple(
         sum((mult * lam ** n for lam, _size, mult in blocks), Fraction(0))
         for n in range(1, total + 1))
-    if det(t) == 0:
+    d = det(t)
+    if d == 0:
         raise SingularT("confluent system is singular; eigenvalues repeat?")
     gamma = solve(t, r)
     expected = []
@@ -490,7 +506,8 @@ def pih_solve(blocks, alpha1=None) -> ConfluentSystem:
         verdict = ("consistent"
                    if excess == 0 or (excess.denominator == 1 and excess >= 2)
                    else "inconsistent")
-    return ConfluentSystem(blocks, t, r, tuple(gamma), verdict)
+    return ConfluentSystem(blocks, t, r, tuple(gamma), verdict, d,
+                           d / _confluent_magnitude(blocks))
 
 
 def confluent_vandermonde_det(blocks):
@@ -504,42 +521,11 @@ def confluent_vandermonde_det(blocks):
     if any(lam == 0 for lam in lams) or len(set(lams)) != len(lams):
         raise ValueError("eigenvalues must be distinct and nonzero")
     d = det(_confluent_matrix(blocks))
-    magnitude = Fraction(1)
-    for lam, n in blocks:
-        magnitude *= lam ** (2 * n)
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            magnitude *= (blocks[i][0] - blocks[j][0]) ** (
-                blocks[i][1] * blocks[j][1])
-    return d, d / magnitude
+    return d, d / _confluent_magnitude(blocks)
 
 
 # ---------------------------------------------------------------------------
-# pullbacks along the circle/interval functor
-
-
-def f1_pullback(alpha_seq, components) -> Fraction:
-    """Value of a disjoint union of dotted circles and dotted intervals.
-
-    A circle with n dots is alpha_{n+1} (a trace of the n-th handle
-    power); an interval with n dots is alpha_n.  The value is the product
-    over components."""
-    seq = [rat(x) for x in alpha_seq]
-    out = Fraction(1)
-    for kind, dots in components:
-        if dots < 0:
-            raise ValueError("dot counts must be nonnegative")
-        if kind == "circle":
-            index = dots + 1
-        elif kind == "interval":
-            index = dots
-        else:
-            raise ValueError(f"unknown component kind {kind!r}")
-        if index >= len(seq):
-            raise SequenceTooShort(
-                f"{kind} with {dots} dots needs alpha_{index}")
-        out *= seq[index]
-    return out
+# dotted strands
 
 
 @dataclass(frozen=True)

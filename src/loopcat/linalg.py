@@ -3,9 +3,9 @@
 Everything here is built on fractions.Fraction; no floats ever enter.
 Polynomials are stored lowest-degree-first, rational functions are kept
 normalized with denominator constant term 1.  Every elimination (rank,
-determinant, solving, inverting, nullspaces) runs one forward fraction-free
-kernel on Python ints (Bareiss 1968) after clearing denominators row by
-row; solutions are then read off its pivot rows by one integer
+determinant, solving, inverting) runs one forward fraction-free kernel on
+Python ints (Bareiss 1968) after clearing denominators row by row;
+solutions are then read off its pivot rows by one integer
 back-substitution, exact by Cramer's rule.  Rational roots, which split
 denominators into linear factors, are isolated by Sturm bisection on
 ints.  Shape checks at the entry points raise ValueError, so they hold
@@ -411,24 +411,6 @@ def _augmented(m: Matrix, b: Sequence) -> list[tuple]:
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
     return [r + (rat(y),) for r, y in zip(m.entries, b)]
-
-
-def rank_nullspace(m: Matrix) -> tuple[int, list[tuple]]:
-    """Rank and an exact basis of the right nullspace.
-
-    Nullspace vectors use the standard free-variable parametrization: one
-    basis vector per non-pivot column, with 1 in that column.  The list is
-    ordered by free column index, so the output is canonical.
-    """
-    pivots = _eliminate(m.entries)[0]
-    pivot_cols = {c for c, _, _ in pivots}
-    basis = []
-    for fc in range(m.cols):
-        if fc not in pivot_cols:
-            v = [-x for x in _back_substitute(pivots, fc, m.cols)]
-            v[fc] = Fraction(1)
-            basis.append(tuple(v))
-    return len(pivots), basis
 
 
 def rank(m: Matrix) -> int:

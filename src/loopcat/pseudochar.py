@@ -30,7 +30,7 @@ import operator
 
 from .errors import DomainError
 from .fincat import FiniteMonoid, conjugacy_classes, least_rotation
-from .linalg import Matrix, Polynomial, det, rank, rat, rat_str, solve
+from .linalg import Matrix, Polynomial, det, rank, rat, solve
 
 
 class NotPseudo(DomainError):
@@ -260,13 +260,15 @@ def _vanishing_level(engine: _TraceRecursion, ids: list, levels):
     return None, checked
 
 
-def _witness(engine: _TraceRecursion, ids: list, d: int):
+def _witness(engine: _TraceRecursion, ids: list, d: int) -> tuple:
     """Positions into ids of the lexicographically first ordered d-tuple
-    with nonzero antisymmetrized trace, or None."""
+    with nonzero antisymmetrized trace, for the level d at which
+    `_vanishing_level` stopped over distinct ids.  One exists: level d - 1
+    had a nonzero unordered d-tuple, and its sorted order is among the
+    ordered ones (for d = 0 the empty tuple has trace 1)."""
     for tup in product(range(len(ids)), repeat=d):
         if engine.antisym([ids[i] for i in tup]) != 0:
             return tup
-    return None
 
 
 @dataclass(frozen=True)
@@ -294,14 +296,11 @@ def degree(alpha: PseudoCharacter, max_d: int) -> DegreeResult:
     d, checked = _vanishing_level(engine, ids, range(max_d + 1))
     if d is None:
         raise NotPseudo(f"no degree up to {max_d}")
-    witness = _witness(engine, ids, d)  # positions are the elements
-    if witness is None:
-        raise NotPseudo(
-            f"level {d + 1} vanishes but no level-{d} witness exists")
     if e_val != d:
         raise NotPseudo(
             f"vanishing degree {d} disagrees with identity value {e_val}")
-    return DegreeResult(d, witness, checked)
+    # positions are the elements
+    return DegreeResult(d, _witness(engine, ids, d), checked)
 
 
 def alpha_charpoly(alpha: PseudoCharacter, x: int, d: int) -> Polynomial:
@@ -533,10 +532,8 @@ def graph_pseudoholonomy(gh: GraphHolonomy, max_len: int,
     dim = gh.vertex_dim.get(base)
     if dim is None:
         raise ValueError(f"vertex {base} has no incident edge")
-    mats = [Matrix.identity(dim)]
-    for m in based.values():
-        if m not in mats:
-            mats.append(m)
+    # distinct walk matrices, the identity first, then in first-seen order
+    mats = list(dict.fromkeys([Matrix.identity(dim), *based.values()]))
 
     engine = _TraceRecursion(Matrix.trace, operator.mul)
     ids = [engine.intern(m) for m in mats]
@@ -544,21 +541,12 @@ def graph_pseudoholonomy(gh: GraphHolonomy, max_len: int,
     if deg != dim:
         raise NotPseudo(
             f"holonomy at vertex {base} has degree {deg}, dimension {dim}")
-    witness = _witness(engine, ids, deg)
-    return HolonomyReport(table, base, dim, DegreeResult(
-        deg, None if witness is None else tuple(mats[i] for i in witness),
-        checked))
+    witness = tuple(mats[i] for i in _witness(engine, ids, deg))
+    return HolonomyReport(table, base, dim, DegreeResult(deg, witness, checked))
 
 
 # ---------------------------------------------------------------------------
 # JSON
-
-
-def pseudochar_to_json(alpha: PseudoCharacter) -> dict:
-    return {"pseudocharacter": {
-        "classes": [list(c) for c in alpha.classes],
-        "values": [rat_str(v) for v in alpha.values],
-    }}
 
 
 def pseudochar_from_json(monoid: FiniteMonoid, doc: dict) -> PseudoCharacter:
@@ -566,9 +554,3 @@ def pseudochar_from_json(monoid: FiniteMonoid, doc: dict) -> PseudoCharacter:
     return PseudoCharacter(monoid, [rat(v) for v in body["values"]],
                            classes=[tuple(c) for c in body["classes"]])
 
-
-def rep_from_json(monoid: FiniteMonoid, doc: dict) -> RepData:
-    body = doc["rep"]
-    mats = [Matrix([[rat(x) for x in row] for row in m])
-            for m in body["matrices"]]
-    return RepData(monoid, mats)

@@ -561,6 +561,37 @@ def glue_partition_diagrams(d1: PartitionDiagram, d2: PartitionDiagram,
     return out
 
 
+# Most spanning diagrams a cob2 state space is built from.  The Gram takes
+# size^2 gluings and its rank about size^3 steps, so a job file of a few
+# bytes (m = 14 has Bell(14) > 10^8 partitions) could otherwise ask for any
+# amount of time.  The slowest job measured under this bound (m = 1 at
+# genus cap 99, random values of height 3, a full-rank Gram) takes 0.6 s in
+# process on a 2 GHz Xeon vCPU; m = 3 at genus cap 4 (205 diagrams) is over.
+COB2_MAX_SPANNING = 100
+
+
+def cob2_spanning_size(m: int, genus_cap: int) -> int:
+    """len(cob2_spanning(m, genus_cap)) = sum_k S(m, k) (genus_cap + 1)^k,
+    S the Stirling numbers of the second kind, while it is at most
+    COB2_MAX_SPANNING.
+
+    The rows S(n, .) are built for n = 0, 1, ..., m.  The size grows with
+    n (circle n may always be a block of its own), so the first row whose
+    size passes COB2_MAX_SPANNING ends the count: that size, a lower bound
+    above the constant, is returned, and any m costs a few rows.
+    """
+    if m < 0:
+        raise ValueError(f"circle count must be nonnegative, got {m}")
+    if genus_cap < 0:
+        raise ValueError(f"genus cap must be nonnegative, got {genus_cap}")
+    n, row, size = 0, [1], 1  # row[k] = S(n, k)
+    while n < m and size <= COB2_MAX_SPANNING:
+        n, prev = n + 1, row + [0]
+        row = [0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)]
+        size = sum(s * (genus_cap + 1) ** k for k, s in enumerate(row))
+    return size
+
+
 def cob2_spanning(m: int, genus_cap: int) -> list[PartitionDiagram]:
     if m < 0:
         raise ValueError(f"circle count must be nonnegative, got {m}")
@@ -574,11 +605,19 @@ def cob2_spanning(m: int, genus_cap: int) -> list[PartitionDiagram]:
 
 def cob2_state_space(m: int, alpha_seq: Sequence, genus_cap: int
                      ) -> tuple[int, bool]:
-    """Dimension of the circle-count-m state space, plus a stabilization flag."""
+    """Dimension of the circle-count-m state space, plus a stabilization
+    flag: whether the diagrams below the genus cap span as much.  A
+    spanning set above COB2_MAX_SPANNING is rejected before it is built."""
+    if cob2_spanning_size(m, genus_cap) > COB2_MAX_SPANNING:
+        raise ValueError(
+            f"spanning set of {m} circles at genus cap {genus_cap} has more "
+            f"than {COB2_MAX_SPANNING} diagrams")
     spanning = cob2_spanning(m, genus_cap)
     gram = Matrix([[glue_partition_diagrams(a, b, alpha_seq)
                     for b in spanning] for a in spanning])
     dim = rank(gram)
+    if genus_cap < 1:
+        return dim, False
     # the diagrams below the cap are among these: compare a principal sub-Gram
-    return dim, genus_cap >= 1 and dim == rank(
-        _sub_gram(gram, spanning, cob2_spanning(m, genus_cap - 1)))
+    below = [d for d in spanning if max(d.genus, default=0) < genus_cap]
+    return dim, dim == rank(_sub_gram(gram, spanning, below))

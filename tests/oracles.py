@@ -3,22 +3,27 @@
 `_signed_cycle_decompositions` lists every permutation of n slots with its
 sign and cycles, so a test can evaluate an antisymmetrized trace as the
 plain n!-term permutation sum and hold the trace recursion against it.
-`dense_validate` checks the Frobenius axioms from basis-vector products
-on every associativity triple, the reference for `frobenius.validate`.
+`FormalSum`, `sum_compose` and `antisymmetrizer` give the same sum on the
+diagram side: the signed permutation diagrams, which `close_up` turns into
+loops.  `f1_pullback` values the dotted circles and intervals such a
+closure of dotted strands leaves.  `dense_validate` checks the Frobenius
+axioms from basis-vector products on every associativity triple, the
+reference for `frobenius.validate`.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from loopcat.diagrams import perm_sign
+from loopcat.diagrams import BrauerMorphism, compose, perm_diagram, perm_sign
 from loopcat.frobenius import (
     NondegeneracyFailure,
     NotAssociative,
     NotCommutative,
     NotUnital,
 )
-from loopcat.linalg import det
+from loopcat.linalg import det, rat
+from loopcat.statespaces import SequenceTooShort
 
 
 @lru_cache(maxsize=None)
@@ -65,3 +70,76 @@ def dense_validate(fa) -> None:
                     raise NotAssociative(f"(e_{i} e_{j}) e_{k} differs")
     if det(fa.gram()) == 0:
         raise NondegeneracyFailure("the pairing eps(ab) is singular")
+
+
+class FormalSum:
+    """Rational combination of diagrams sharing source and target."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=()):
+        acc: dict[BrauerMorphism, Fraction] = {}
+        shape = None
+        for d, c in terms:
+            if shape is None:
+                shape = (d.source, d.target)
+            elif (d.source, d.target) != shape:
+                raise ValueError("mixed shapes in a sum")
+            acc[d] = acc.get(d, Fraction(0)) + rat(c)
+        self.terms = {d: c for d, c in acc.items() if c != 0}
+
+    @classmethod
+    def lift(cls, d: BrauerMorphism) -> "FormalSum":
+        return cls([(d, 1)])
+
+    def scale(self, c) -> "FormalSum":
+        return FormalSum([(d, c * v) for d, v in self.terms.items()])
+
+    def __eq__(self, other):
+        if isinstance(other, FormalSum):
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __len__(self):
+        return len(self.terms)
+
+    def map_diagrams(self, f) -> "FormalSum":
+        return FormalSum([(f(d), c) for d, c in self.terms.items()])
+
+
+def sum_compose(s2: FormalSum, s1: FormalSum) -> FormalSum:
+    return FormalSum([(compose(d2, d1), c1 * c2)
+                      for d1, c1 in s1.terms.items()
+                      for d2, c2 in s2.terms.items()])
+
+
+def antisymmetrizer(cat, x, n: int) -> FormalSum:
+    """Signed sum over all n! permutation diagrams on (x,+)^n, id labels."""
+    if n < 0:
+        raise ValueError("antisymmetrizer needs n >= 0")
+    return FormalSum([(perm_diagram(cat, x, sigma), perm_sign(sigma))
+                      for sigma in permutations(range(n))])
+
+
+def f1_pullback(alpha_seq, components) -> Fraction:
+    """Value of a disjoint union of dotted circles and dotted intervals.
+
+    A circle with n dots is alpha_{n+1} (a trace of the n-th handle
+    power); an interval with n dots is alpha_n.  The value is the product
+    over components."""
+    seq = [rat(x) for x in alpha_seq]
+    out = Fraction(1)
+    for kind, dots in components:
+        if dots < 0:
+            raise ValueError("dot counts must be nonnegative")
+        if kind == "circle":
+            index = dots + 1
+        elif kind == "interval":
+            index = dots
+        else:
+            raise ValueError(f"unknown component kind {kind!r}")
+        if index >= len(seq):
+            raise SequenceTooShort(
+                f"{kind} with {dots} dots needs alpha_{index}")
+        out *= seq[index]
+    return out

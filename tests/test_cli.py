@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import loopcat
+from loopcat import statespaces
 from loopcat.cli import main
 from loopcat.linalg import Polynomial, RationalFunction, rat_str
 
@@ -367,13 +368,24 @@ OUT_OF_RANGE_JOBS = {
     "pih-solve-huge-block": (
         "pih-solve", {"blocks": [["2", 100000, "1"]]},
         "block size sum 100000 exceeds 32"),
+    "cob2-dim-deep-m": (
+        "cob2-dim", {"m": 5000, "alpha": ["1", "2"]},
+        "spanning set of 5000 circles at genus cap 4 has more than 100 "
+        "diagrams"),
+    "cob2-dim-negative-cap": (
+        "cob2-dim", {"m": 13, "alpha": ["1", "2", "3", "4", "5"]},
+        "genus cap must be nonnegative, got -1", "--cap-genus", "-1"),
+    "cob2-dim-bell-14": (
+        "cob2-dim", {"m": 14, "alpha": [str(g) for g in range(1, 9)]},
+        "spanning set of 14 circles at genus cap 4 has more than 100 "
+        "diagrams"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OUT_OF_RANGE_JOBS))
 def test_out_of_range_input_exits_two(tmp_path, capsys, name):
-    command, doc, message = OUT_OF_RANGE_JOBS[name]
-    code, out = run_json(tmp_path, capsys, command, doc)
+    command, doc, message, *flags = OUT_OF_RANGE_JOBS[name]
+    code, out = run_json(tmp_path, capsys, command, doc, *flags)
     assert (code, out) == (2, {"error": "ValueError", "message": message})
 
 
@@ -661,6 +673,34 @@ def test_cob2_dim_constant_sequence(tmp_path, capsys):
     assert out["dimension"] == 1
     assert out["stabilized"] is True
     assert out["spanning_size"] == 4
+
+
+def test_cob2_dim_builds_its_spanning_set_once(tmp_path, capsys,
+                                              monkeypatch):
+    calls = []
+    build = statespaces.cob2_spanning
+
+    def counted(m, genus_cap):
+        calls.append((m, genus_cap))
+        return build(m, genus_cap)
+
+    monkeypatch.setattr(statespaces, "cob2_spanning", counted)
+    doc = {"alpha": [str(g * g + 1) for g in range(20)], "m": 2}
+    code, out = run_json(tmp_path, capsys, "cob2-dim", doc)
+    assert code == 0
+    assert calls == [(2, 4)]
+    assert out["spanning_size"] == 30
+
+
+def test_cob2_dim_flags_do_not_carry_over(tmp_path, capsys):
+    """The parser is built once; a flag of one job is not the next job's."""
+    doc = {"alpha": ["2"] * 12, "m": 1}
+    assert run_json(tmp_path, capsys, "cob2-dim", doc,
+                    "--cap-genus", "3")[1]["cap_genus"] == 3
+    code, out = run_cli(tmp_path, capsys, "cob2-dim", doc)
+    assert code == 0
+    assert "cap_genus: 4" in out.splitlines()
+    assert "spanning_size: 5" in out.splitlines()
 
 
 def test_cob2_dim_short_sequence(tmp_path, capsys):

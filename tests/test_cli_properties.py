@@ -1,13 +1,14 @@
 """Exit-code contract of the CLI on small adversarial job documents.
 
 Every job of `frobenius-validate`, `genfun`, `classify`, `witness`,
-`automaton-minimize`, `pih-solve` and `pih-check` must exit 0, 1 or 2
-without a traceback, give the same bytes when run twice and finish within
-JOB_BUDGET_S seconds.  The documents mix honest data (truncated polynomial
-algebras and their classifications, diagonal (p, h, iota) systems) with
-wrong types, non-integral integer fields, ragged shapes and missing keys;
-sizes stay small (dim <= 4, m <= 6, multiplicities <= 3), except that
-confluent block sizes run up to 40.
+`automaton-minimize`, `pih-solve`, `pih-check` and `cob2-dim` (8 of the
+15 subcommands) must exit 0, 1 or 2 without a traceback, give the same
+bytes when run twice and finish within JOB_BUDGET_S seconds.  The
+documents mix honest data (truncated polynomial algebras and their
+classifications, diagonal (p, h, iota) systems) with wrong types,
+non-integral integer fields, ragged shapes and missing keys; sizes stay
+small (dim <= 4, m <= 6, multiplicities <= 3), except that confluent
+block sizes run up to 40 and `cob2-dim` circle counts up to 14.
 """
 
 import io
@@ -29,7 +30,7 @@ from loopcat.cli import main
 JOB_BUDGET_S = 2.0
 
 COMMANDS = ("frobenius-validate", "genfun", "classify", "witness",
-            "automaton-minimize", "pih-solve", "pih-check")
+            "automaton-minimize", "pih-solve", "pih-check", "cob2-dim")
 
 junk = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3),
@@ -166,6 +167,15 @@ def pih_check_docs(draw):
     return draw(drop_a_key(doc))
 
 
+@st.composite
+def cob2_dim_docs(draw):
+    """Circle counts from -1 to 14 at the default genus cap, where the
+    spanning set outgrows its bound from m = 3 on, and 0 to 12 surface
+    values, from too few to enough for m <= 2."""
+    return {"m": draw(maybe_junk(integers(-1, 14))),
+            "alpha": draw(maybe_junk(st.lists(scalar, max_size=12)))}
+
+
 jobs = st.one_of(
     st.tuples(st.sampled_from(["frobenius-validate", "genfun"]),
               frobenius_docs()),
@@ -174,6 +184,7 @@ jobs = st.one_of(
     st.tuples(st.just("automaton-minimize"), automaton_docs()),
     st.tuples(st.just("pih-solve"), pih_solve_docs()),
     st.tuples(st.just("pih-check"), pih_check_docs()),
+    st.tuples(st.just("cob2-dim"), cob2_dim_docs()),
     st.tuples(st.sampled_from(COMMANDS), junk))
 
 

@@ -8,22 +8,17 @@ from loopcat.diagrams import (
     MINUS,
     PLUS,
     BrauerMorphism,
-    FormalSum,
     ObjectMismatch,
-    antisymmetrizer,
     cap,
     close_up,
     closed_diagram,
     compose,
     cup,
-    diagram_from_json,
-    diagram_to_json,
     identity_diagram,
     ket,
     perm_diagram,
     perm_sign,
     rotate,
-    sum_compose,
     tensor,
     transpose,
 )
@@ -35,6 +30,7 @@ from loopcat.fincat import (
     MonoidCategory,
     symmetric_group,
 )
+from oracles import FormalSum, antisymmetrizer, sum_compose
 
 S3 = symmetric_group(3)
 CAT = MonoidCategory(S3)
@@ -290,22 +286,3 @@ def test_rotate_is_an_involution(d) -> None:
 @settings(max_examples=80)
 def test_rotate_is_contravariant(a, b) -> None:
     assert rotate(compose(b, a)) == compose(rotate(a), rotate(b))
-
-
-# --- JSON ----------------------------------------------------------------------
-
-
-def test_json_round_trip_monoid_diagram() -> None:
-    d = compose(cap(CAT, 2), cup(CAT, 1))  # has a floating loop
-    d = tensor(d, perm_diagram(CAT, X, (1, 0), [0, 3]))
-    doc = diagram_to_json(d)
-    assert diagram_from_json(CAT, doc) == d
-
-
-def test_json_round_trip_free_monoid_with_halves() -> None:
-    fm = FreeMonoidCategory("ab")
-    fb = FreeBoundary(fm)
-    d = ket(fm, fb, 0, fm.word("ab"))
-    doc = diagram_to_json(d)
-    assert diagram_from_json(fm, doc, boundary=fb) == d
-    assert doc["diagram"]["half_intervals"] == [[0, "ab"]]

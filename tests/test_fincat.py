@@ -15,15 +15,12 @@ from loopcat.fincat import (
     FreeMonoidCategory,
     Loop,
     MonoidCategory,
-    NotClosed,
     NotComposable,
     TableCategory,
-    category_from_json,
     compose_path,
     conjugacy_classes,
     cyclic_group,
     least_rotation,
-    loop_normalize,
     monoid_from_json,
     symmetric_group,
 )
@@ -146,28 +143,22 @@ def test_free_monoid_loops_are_cyclic_words() -> None:
     fm = FreeMonoidCategory("ab")
     ab = [fm.word("a"), fm.word("b")]
     ba = [fm.word("b"), fm.word("a")]
-    assert loop_normalize(fm, 0, ab) == loop_normalize(fm, 0, ba)
-    assert loop_normalize(fm, 0, [fm.word("ab")]).cycle == (0, 1)
+    assert fm.loop_class(0, ab) == fm.loop_class(0, ba)
+    assert fm.loop_class(0, [fm.word("ab")]).cycle == (0, 1)
 
 
 def test_two_object_loop_rotates() -> None:
     cat = two_object_loop_category()
-    at_x = loop_normalize(cat, "X", ["b", "c"])
-    at_y = loop_normalize(cat, "Y", ["c", "b"])
+    at_x = cat.loop_class("X", ["b", "c"])
+    at_y = cat.loop_class("Y", ["c", "b"])
     assert at_x == at_y
 
 
 def test_identity_loop() -> None:
     cat = two_object_loop_category()
-    lp = loop_normalize(cat, "X", ["idX"])
-    assert lp == loop_normalize(cat, "X", [])
+    lp = cat.loop_class("X", ["idX"])
+    assert lp == cat.loop_class("X", [])
     assert isinstance(lp, Loop)
-
-
-def test_loop_requires_closure() -> None:
-    cat = walking_arrow()
-    with pytest.raises(NotClosed):
-        loop_normalize(cat, "X", ["b"])
 
 
 @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=8),
@@ -176,7 +167,7 @@ def test_loop_rotation_invariance(letters, k) -> None:
     fm = FreeMonoidCategory("abc")
     chain = [fm.word(ch) for ch in letters]
     rotated = chain[k % len(chain):] + chain[: k % len(chain)]
-    assert loop_normalize(fm, 0, chain) == loop_normalize(fm, 0, rotated)
+    assert fm.loop_class(0, chain) == fm.loop_class(0, rotated)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2), min_size=0, max_size=10))
@@ -261,21 +252,3 @@ def test_monoid_from_json() -> None:
     assert m.mul(1, 1) == 0
     with pytest.raises(ValueError):
         monoid_from_json({"monoid": {"size": 3, "identity": 0, "table": [[0, 1], [1, 0]]}})
-
-
-def test_category_from_json() -> None:
-    doc = {
-        "category": {
-            "objects": ["X", "Y"],
-            "morphisms": [
-                {"name": "idX", "source": "X", "target": "X"},
-                {"name": "idY", "source": "Y", "target": "Y"},
-                {"name": "b", "source": "X", "target": "Y"},
-            ],
-            "identities": {"X": "idX", "Y": "idY"},
-            "compose": [],
-        }
-    }
-    cat = category_from_json(doc)
-    assert cat.compose("b", "idX") == "b"
-    assert cat.hom("X", "Y") == ["b"]

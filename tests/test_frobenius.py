@@ -29,7 +29,6 @@ from loopcat.frobenius import (
     cob2_pseudochar_check,
     confluent_vandermonde_det,
     dual_basis,
-    f1_pullback,
     frobenius_from_json,
     frobenius_to_json,
     generating_function,
@@ -46,7 +45,7 @@ from loopcat.frobenius import (
 )
 from loopcat.linalg import Matrix, Polynomial, RationalFunction
 from loopcat.statespaces import SequenceTooShort
-from oracles import _signed_cycle_decompositions, dense_validate
+from oracles import _signed_cycle_decompositions, dense_validate, f1_pullback
 
 
 def diagonal_algebra(counit_values) -> FrobeniusAlgebra:
@@ -512,6 +511,8 @@ def test_vandermonde_det_formula() -> None:
     for blocks in configs:
         d, u = confluent_vandermonde_det(blocks)
         assert u in (1, -1), blocks
+        cs = pih_solve([(lam, n, 1) for lam, n in blocks])
+        assert (cs.det, cs.unit) == (d, u)
         magnitude = Fraction(1)
         lams = [Fraction(l) for l, _ in blocks]
         sizes = [n for _, n in blocks]

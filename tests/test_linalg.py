@@ -19,7 +19,6 @@ from loopcat.linalg import (
     partial_fractions,
     rank,
     rat,
-    rank_nullspace,
     solve,
     solve_unique,
     trace_series,
@@ -34,45 +33,6 @@ small_ints = st.integers(min_value=-6, max_value=6)
 
 
 # --- matrices ---------------------------------------------------------------
-
-
-def test_rank_nullspace_identity() -> None:
-    r, ns = rank_nullspace(Matrix.identity(3))
-    assert r == 3 and ns == []
-
-
-def test_rank_nullspace_zero() -> None:
-    r, ns = rank_nullspace(Matrix.zero(2, 3))
-    assert r == 0 and len(ns) == 3
-
-
-def test_rank_nullspace_dependent_rows() -> None:
-    # Hand row-reduction of [[1,2],[2,4]]: R2 -= 2*R1 leaves [[1,2],[0,0]],
-    # one pivot, so rank 1 and the kernel is the line through (2,-1).
-    m = Matrix([[1, 2], [2, 4]])
-    r, ns = rank_nullspace(m)
-    assert r == 1
-    assert len(ns) == 1
-    (v,) = ns
-    assert m.apply(v) == (0, 0)
-    assert v[0] * Fraction(-1) == v[1] * Fraction(2)  # proportional to (2,-1)
-    assert any(x != 0 for x in v)
-
-
-@given(
-    st.lists(
-        st.lists(rationals, min_size=1, max_size=4),
-        min_size=1,
-        max_size=4,
-    ).filter(lambda rows: len({len(r) for r in rows}) == 1)
-)
-def test_rank_nullity_and_kernel_exactness(rows) -> None:
-    m = Matrix(rows)
-    r, ns = rank_nullspace(m)
-    assert r + len(ns) == m.cols
-    zero = tuple(Fraction(0) for _ in range(m.rows))
-    for v in ns:
-        assert m.apply(v) == zero
 
 
 def test_det_and_inverse() -> None:
@@ -144,17 +104,8 @@ def _gauss_jordan(rows: list[list[Fraction]]) -> list[int]:
     return pivots
 
 
-def _gj_rank_nullspace(m: Matrix):
-    rows = [list(r) for r in m.entries]
-    pivots = _gauss_jordan(rows)
-    basis = []
-    for fc in (c for c in range(m.cols) if c not in pivots):
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
-        for r_idx, pc in enumerate(pivots):
-            v[pc] = -rows[r_idx][fc]
-        basis.append(tuple(v))
-    return len(pivots), basis
+def _gj_rank(m: Matrix) -> int:
+    return len(_gauss_jordan([list(r) for r in m.entries]))
 
 
 def _gj_solve(m: Matrix, b):
@@ -192,9 +143,7 @@ def _outcome(f, *args):
 @settings(max_examples=100, deadline=None)
 def test_kernel_matches_gauss_jordan(rows, consistent, data) -> None:
     m = Matrix(rows)
-    r, null = _gj_rank_nullspace(m)
-    assert rank(m) == r
-    assert rank_nullspace(m) == (r, null)
+    assert rank(m) == _gj_rank(m)
     # underdetermined, overdetermined, consistent and inconsistent systems
     if data is None:
         b = [Fraction(0 if consistent else 1)] * m.rows
@@ -209,7 +158,6 @@ def test_kernel_matches_gauss_jordan(rows, consistent, data) -> None:
                          and all(type(v) is Fraction for v in x))
     if consistent:
         assert x is not None
-    assert all(type(v) is Fraction for vec in null for v in vec)
 
 
 @given(low_rank_rows(square=True), st.data())
@@ -236,7 +184,7 @@ def test_square_kernel_matches_gauss_jordan(rows, data) -> None:
 @settings(max_examples=120, deadline=None)
 def test_rank_and_det_match_gauss_jordan(rows) -> None:
     m = Matrix(rows)
-    assert rank(m) == _gj_rank_nullspace(m)[0]
+    assert rank(m) == _gj_rank(m)
     # the leading square block, up to 5 x 5, against cofactor expansion
     k = min(m.rows, m.cols, 5)
     block = [r[:k] for r in rows[:k]]

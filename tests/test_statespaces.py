@@ -30,8 +30,9 @@ from loopcat.fincat import (
     cyclic_group,
     symmetric_group,
 )
-from loopcat.linalg import Matrix, det, inverse, rank, rank_nullspace, solve
+from loopcat.linalg import Matrix, det, inverse, rank, solve
 from loopcat.statespaces import (
+    COB2_MAX_SPANNING,
     Evaluation,
     MissingValue,
     PartitionDiagram,
@@ -39,6 +40,7 @@ from loopcat.statespaces import (
     SpanningMismatch,
     WeightedAutomaton,
     cob2_spanning,
+    cob2_spanning_size,
     cob2_state_space,
     enumerate_kets,
     evaluate_closed,
@@ -693,10 +695,38 @@ def test_cob2_monotone_stabilization() -> None:
     assert stab3 and stab4 and dim3 == dim4
 
 
+@pytest.mark.parametrize("m", range(6))
+def test_cob2_spanning_size_closed_form(m) -> None:
+    """sum_k S(m, k) (cap + 1)^k counts the spanning set exactly up to the
+    bound, and above it gives a lower bound that is still above it."""
+    for cap in range(5):
+        n = len(cob2_spanning(m, cap))
+        size = cob2_spanning_size(m, cap)
+        if n <= COB2_MAX_SPANNING:
+            assert size == n, (m, cap)
+        else:
+            assert COB2_MAX_SPANNING < size <= n, (m, cap)
+
+
+def test_cob2_spanning_size_stops_early() -> None:
+    assert cob2_spanning_size(10 ** 9, 0) > COB2_MAX_SPANNING
+    assert cob2_spanning_size(1, 10 ** 9) > COB2_MAX_SPANNING
+    assert cob2_spanning_size(0, 10 ** 9) == 1
+    with pytest.raises(ValueError, match="genus cap must be nonnegative"):
+        cob2_spanning_size(3, -1)
+
+
+def test_cob2_state_space_rejects_large_spanning_sets() -> None:
+    seq = [Fraction(g * g + 1) for g in range(20)]
+    with pytest.raises(ValueError, match="3 circles at genus cap 4 has more "
+                                         "than 100 diagrams"):
+        cob2_state_space(3, seq, 4)
+
+
 def _fresh_cob2_rank(m: int, seq, cap: int) -> int:
     spanning = cob2_spanning(m, cap)
-    return rank_nullspace(Matrix([[glue_partition_diagrams(a, b, seq)
-                                   for b in spanning] for a in spanning]))[0]
+    return rank(Matrix([[glue_partition_diagrams(a, b, seq)
+                         for b in spanning] for a in spanning]))
 
 
 @pytest.mark.parametrize("m, caps", [(1, range(5)), (2, range(5)),
