@@ -206,10 +206,6 @@ class RationalFunction:
         self.num = num.scale(1 / c0)
         self.den = den.scale(1 / c0)
 
-    @classmethod
-    def from_poly(cls, p: Polynomial) -> "RationalFunction":
-        return cls(p, Polynomial([1]))
-
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalFunction):
             return self.num == other.num and self.den == other.den
@@ -275,10 +271,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)])
-
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         return self.entries[i][j]
@@ -318,13 +310,6 @@ class Matrix:
         return Matrix(
             [[_dot(r, c) for c in cols] for r in self.entries]
         )
-
-    def apply(self, v: Sequence) -> tuple:
-        """Matrix times column vector."""
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        vv = [rat(x) for x in v]
-        return tuple(_dot(r, vv) for r in self.entries)
 
     def transpose(self) -> "Matrix":
         return Matrix(list(zip(*self.entries))) if self.entries else Matrix([])

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import comb
 import operator
 
 from .errors import DomainError
@@ -161,11 +162,17 @@ class _TraceRecursion:
     of interned element ids; equal entries of S give equal terms and are
     merged once, times their count.  A product is interned only when it
     enters a key; one that feeds a final trace is not kept.
+
+    A key of two entries is finished as tr(a)·tr(b) - tr(a·b).  The
+    optional `trace_mul(a, b)` gives tr(a·b) without forming a·b (for n×n
+    matrices, n² products instead of n³); without it the product is
+    formed and traced.
     """
 
-    def __init__(self, trace, mul):
+    def __init__(self, trace, mul, trace_mul=None):
         self._trace = trace
         self._mul = mul
+        self._trace_mul = trace_mul
         self._ids = {}
         self._elements = []
         self._traces = []
@@ -202,9 +209,10 @@ class _TraceRecursion:
             if terms is None:
                 x0, rest = top[0], top[1:]
                 if len(rest) == 1:
-                    memo[top] = self._traces[x0] * self._traces[rest[0]] - \
-                        self._trace(self._mul(self._elements[x0],
-                                              self._elements[rest[0]]))
+                    a, b = self._elements[x0], self._elements[rest[0]]
+                    memo[top] = self._traces[x0] * self._traces[rest[0]] - (
+                        self._trace(self._mul(a, b)) if self._trace_mul is None
+                        else self._trace_mul(a, b))
                     stack.pop()
                     continue
                 terms = [(-rest.count(x), tuple(sorted(
@@ -489,6 +497,32 @@ class GraphHolonomy:
                     raise ValueError(f"inconsistent dimension at vertex {v}")
 
 
+# Most (dim + 1)-tuples of walk matrices a holonomy search may evaluate.
+# At the bound, a search over random integer matrices took 0.11 s at
+# dim 2, 0.37 s at dim 3 and 0.96 s at dim 4 (2 GHz Xeon vCPU).
+HOLONOMY_MAX_TUPLES = 10_000
+
+
+def _entry_ops(n: int):
+    """trace, mul and trace_mul of n×n matrices held as row-major tuples
+    of their entries; trace_mul(a, b) = sum_ik a_ik·b_ki = tr(a·b)."""
+    starts = [i * n for i in range(n)]
+    transposed = [k * n + i for i in range(n) for k in range(n)]
+
+    def trace(a):
+        return sum(a[::n + 1])
+
+    def mul(a, b):
+        cols = [b[j::n] for j in range(n)]
+        return tuple(sum(map(operator.mul, a[i:i + n], c))
+                     for i in starts for c in cols)
+
+    def trace_mul(a, b):
+        return sum(map(operator.mul, a, map(b.__getitem__, transposed)))
+
+    return trace, mul, trace_mul
+
+
 @dataclass(frozen=True)
 class HolonomyReport:
     table: dict
@@ -506,6 +540,14 @@ def graph_pseudoholonomy(gh: GraphHolonomy, max_len: int,
     rotations agree by trace cyclicity.  The degree report reruns the
     vanishing search over the walks based at `base`, truncated at max_len
     — the honest certificate is relative to that truncation.
+
+    The search runs over the distinct walk matrices, the identity first.
+    By Cayley–Hamilton it ends at level dim, after C(n + dim, dim + 1)
+    tuples of the n matrices, so a walk set that pushes this count past
+    HOLONOMY_MAX_TUPLES is rejected with ValueError as it is enumerated.
+    The search holds each matrix as the row-major tuple of its entries,
+    integral ones as ints, and reads each tr(a·b) off `_entry_ops`'
+    trace_mul; the table and the witness stay `Matrix` valued.
     """
     if max_len < 1:
         raise ValueError("walk-length cap must be at least 1")
@@ -513,8 +555,13 @@ def graph_pseudoholonomy(gh: GraphHolonomy, max_len: int,
     for ei, (src, _tgt, _m) in enumerate(gh.edges):
         out_edges.setdefault(src, []).append(ei)
 
+    dim = gh.vertex_dim.get(base)
+    if dim is None:
+        raise ValueError(f"vertex {base} has no incident edge")
     table = {}
-    based = {}  # matrix of each closed walk at base, keyed by the matrix
+    # distinct matrices of the closed walks at base, the identity first,
+    # then in first-seen order; each new one raises the level-dim count
+    mats = {Matrix.identity(dim): None}
     # walks in depth-first preorder, on an explicit stack
     stack = [([ei], tgt, m, src)
              for ei, (src, tgt, m) in reversed(list(enumerate(gh.edges)))]
@@ -522,21 +569,24 @@ def graph_pseudoholonomy(gh: GraphHolonomy, max_len: int,
         walk, vertex, mat, start = stack.pop()
         if gh.edges[walk[-1]][1] == start:
             table.setdefault(least_rotation(tuple(walk)), mat.trace())
-            if start == base:
-                based.setdefault(tuple(walk), mat)
+            if start == base and mat not in mats:
+                mats[mat] = None
+                if comb(len(mats) + dim, dim + 1) > HOLONOMY_MAX_TUPLES:
+                    raise ValueError(
+                        f"closed walks at vertex {base} give {len(mats)} or "
+                        f"more distinct matrices, over {HOLONOMY_MAX_TUPLES} "
+                        f"tuples at level {dim}")
         if len(walk) < max_len:
             for ei in reversed(out_edges.get(vertex, [])):
                 _s, t, m = gh.edges[ei]
                 stack.append((walk + [ei], t, mat * m, start))
 
-    dim = gh.vertex_dim.get(base)
-    if dim is None:
-        raise ValueError(f"vertex {base} has no incident edge")
-    # distinct walk matrices, the identity first, then in first-seen order
-    mats = list(dict.fromkeys([Matrix.identity(dim), *based.values()]))
-
-    engine = _TraceRecursion(Matrix.trace, operator.mul)
-    ids = [engine.intern(m) for m in mats]
+    mats = list(mats)
+    # the search runs on entry tuples, integral entries as ints
+    engine = _TraceRecursion(*_entry_ops(dim))
+    ids = [engine.intern(tuple(x.numerator if x.denominator == 1 else x
+                               for row in m.entries for x in row))
+           for m in mats]
     deg, checked = _vanishing_level(engine, ids, range(dim + 2))
     if deg != dim:
         raise NotPseudo(

@@ -8,22 +8,55 @@ diagram side: the signed permutation diagrams, which `close_up` turns into
 loops.  `f1_pullback` values the dotted circles and intervals such a
 closure of dotted strands leaves.  `dense_validate` checks the Frobenius
 axioms from basis-vector products on every associativity triple, the
-reference for `frobenius.validate`.
+reference for `frobenius.validate`.  `reference_holonomy` is the degree
+search of `graph_pseudoholonomy` run on `Matrix` objects, the reference for
+the search on entry tuples.  `zero_matrix`, `apply` and `from_poly` build
+and evaluate test data.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import comb
+import operator
 
 from loopcat.diagrams import BrauerMorphism, compose, perm_diagram, perm_sign
+from loopcat.fincat import least_rotation
 from loopcat.frobenius import (
     NondegeneracyFailure,
     NotAssociative,
     NotCommutative,
     NotUnital,
 )
-from loopcat.linalg import det, rat
+from loopcat import pseudochar
+from loopcat.linalg import Matrix, Polynomial, RationalFunction, det, rat
+from loopcat.pseudochar import (
+    DegreeResult,
+    GraphHolonomy,
+    HolonomyReport,
+    NotPseudo,
+    _TraceRecursion,
+    _vanishing_level,
+    _witness,
+)
 from loopcat.statespaces import SequenceTooShort
+
+
+def zero_matrix(rows: int, cols: int) -> Matrix:
+    return Matrix([[0] * cols for _ in range(rows)])
+
+
+def apply(m: Matrix, v) -> tuple:
+    """Matrix times column vector."""
+    if len(v) != m.cols:
+        raise ValueError("shape mismatch")
+    vv = [rat(x) for x in v]
+    return tuple(sum((a * b for a, b in zip(r, vv)), Fraction(0))
+                 for r in m.entries)
+
+
+def from_poly(p: Polynomial) -> RationalFunction:
+    return RationalFunction(p, Polynomial([1]))
 
 
 @lru_cache(maxsize=None)
@@ -143,3 +176,45 @@ def f1_pullback(alpha_seq, components) -> Fraction:
                 f"{kind} with {dots} dots needs alpha_{index}")
         out *= seq[index]
     return out
+
+
+
+def reference_holonomy(gh: GraphHolonomy, max_len: int,
+                       base=0) -> HolonomyReport:
+    """`graph_pseudoholonomy` by a recursive walk enumeration and a degree
+    search on the `Matrix` walk matrices, each key of two entries traced
+    from their full product."""
+    if max_len < 1:
+        raise ValueError("walk-length cap must be at least 1")
+    dim = gh.vertex_dim.get(base)
+    if dim is None:
+        raise ValueError(f"vertex {base} has no incident edge")
+    table, mats = {}, [Matrix.identity(dim)]
+    bound = pseudochar.HOLONOMY_MAX_TUPLES
+
+    def walk(path, vertex, mat):
+        start = gh.edges[path[0]][0]
+        if vertex == start:
+            table.setdefault(least_rotation(tuple(path)), mat.trace())
+            if start == base and mat not in mats:
+                mats.append(mat)
+                if comb(len(mats) + dim, dim + 1) > bound:
+                    raise ValueError(
+                        f"closed walks at vertex {base} give {len(mats)} or "
+                        f"more distinct matrices, over {bound} tuples at "
+                        f"level {dim}")
+        if len(path) < max_len:
+            for ei, (src, tgt, m) in enumerate(gh.edges):
+                if src == vertex:
+                    walk(path + [ei], tgt, mat * m)
+
+    for ei, (_src, tgt, m) in enumerate(gh.edges):
+        walk([ei], tgt, m)
+    engine = _TraceRecursion(Matrix.trace, operator.mul)
+    ids = [engine.intern(m) for m in mats]
+    deg, checked = _vanishing_level(engine, ids, range(dim + 2))
+    if deg != dim:
+        raise NotPseudo(
+            f"holonomy at vertex {base} has degree {deg}, dimension {dim}")
+    witness = tuple(mats[i] for i in _witness(engine, ids, deg))
+    return HolonomyReport(table, base, dim, DegreeResult(deg, witness, checked))

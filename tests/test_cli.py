@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -311,6 +312,41 @@ def test_holonomy_singular_edge(tmp_path, capsys):
     code, out = run_json(tmp_path, capsys, "holonomy", doc)
     assert code == 1
     assert out["error"] == "NonInvertibleEdge"
+
+
+# Invertible 2x2 loops [[1, a], [b, 1 + ab]] (determinant 1) that do not
+# commute pairwise, so the walks of length <= 4 give many distinct matrices.
+LOOPS = [[["1", str(a)], [str(b), str(1 + a * b)]]
+         for a, b in [(1, 0), (0, 1), (1, 1), (2, -1), (-1, 2), (1, -2),
+                      (2, 1), (-2, 1), (1, 2), (-1, -1), (2, 2), (-2, -1)]]
+
+
+def _loops_doc(k):
+    return {"graph": {"n_vertices": 1,
+                      "edges": [[0, 0, m] for m in LOOPS[:k]]}}
+
+
+def test_holonomy_two_loops_at_cap_four_answers(tmp_path, capsys):
+    code, out = run_json(tmp_path, capsys, "holonomy", _loops_doc(2),
+                         "--cap-words", "4")
+    assert code == 0
+    assert (out["d"], out["dimension"]) == (2, 2)
+    # the identity and 30 distinct walk matrices: one tuple at each of
+    # levels 0 and 1, every triple at level 2
+    assert out["tuples_checked"] == 2 + comb(33, 3)
+
+
+@pytest.mark.parametrize("k", [3, 4, 6, 8, 12])
+def test_holonomy_many_loops_exit_two_at_once(tmp_path, capsys, k):
+    # the walks give n >= 88 distinct matrices, so C(n + 2, 3) > 100,000
+    start = time.perf_counter()
+    code, out = run_json(tmp_path, capsys, "holonomy", _loops_doc(k),
+                         "--cap-words", "4")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, {
+        "error": "ValueError",
+        "message": "closed walks at vertex 0 give 39 or more distinct "
+                   "matrices, over 10000 tuples at level 2"})
 
 
 RAGGED_JOBS = {

@@ -1,14 +1,15 @@
 """Exit-code contract of the CLI on small adversarial job documents.
 
 Every job of `frobenius-validate`, `genfun`, `classify`, `witness`,
-`automaton-minimize`, `pih-solve`, `pih-check` and `cob2-dim` (8 of the
-15 subcommands) must exit 0, 1 or 2 without a traceback, give the same
-bytes when run twice and finish within JOB_BUDGET_S seconds.  The
+`automaton-minimize`, `pih-solve`, `pih-check`, `cob2-dim` and `holonomy`
+(9 of the 15 subcommands) must exit 0, 1 or 2 without a traceback, give
+the same bytes when run twice and finish within JOB_BUDGET_S seconds.  The
 documents mix honest data (truncated polynomial algebras and their
-classifications, diagonal (p, h, iota) systems) with wrong types,
-non-integral integer fields, ragged shapes and missing keys; sizes stay
-small (dim <= 4, m <= 6, multiplicities <= 3), except that confluent
-block sizes run up to 40 and `cob2-dim` circle counts up to 14.
+classifications, diagonal (p, h, iota) systems, invertible loops) with
+wrong types, non-integral integer fields, ragged shapes and missing keys;
+sizes stay small (dim <= 4, m <= 6, multiplicities <= 3), except that
+confluent block sizes run up to 40, `cob2-dim` circle counts up to 14 and
+`holonomy` walk caps up to 6.  A job may carry command-line flags.
 """
 
 import io
@@ -30,7 +31,8 @@ from loopcat.cli import main
 JOB_BUDGET_S = 2.0
 
 COMMANDS = ("frobenius-validate", "genfun", "classify", "witness",
-            "automaton-minimize", "pih-solve", "pih-check", "cob2-dim")
+            "automaton-minimize", "pih-solve", "pih-check", "cob2-dim",
+            "holonomy")
 
 junk = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3),
@@ -176,6 +178,23 @@ def cob2_dim_docs(draw):
             "alpha": draw(maybe_junk(st.lists(scalar, max_size=12)))}
 
 
+@st.composite
+def holonomy_jobs(draw):
+    """One to four invertible 2x2 integer loops at one vertex, three or
+    more in half the draws, and a walk cap from -1 to 6.  Three generic
+    loops at cap 4 already give more distinct walk matrices than the
+    degree search accepts."""
+    entry = st.integers(-2, 2)
+    loop = st.lists(st.lists(entry, min_size=2, max_size=2),
+                    min_size=2, max_size=2).filter(
+        lambda m: m[0][0] * m[1][1] != m[0][1] * m[1][0])
+    loops = draw(st.lists(loop, min_size=1, max_size=4))
+    doc = {"graph": {"n_vertices": 1,
+                     "edges": [[0, 0, [[str(x) for x in row] for row in m]]
+                               for m in loops]}}
+    return "holonomy", doc, "--cap-words", str(draw(st.integers(-1, 6)))
+
+
 jobs = st.one_of(
     st.tuples(st.sampled_from(["frobenius-validate", "genfun"]),
               frobenius_docs()),
@@ -185,15 +204,17 @@ jobs = st.one_of(
     st.tuples(st.just("pih-solve"), pih_solve_docs()),
     st.tuples(st.just("pih-check"), pih_check_docs()),
     st.tuples(st.just("cob2-dim"), cob2_dim_docs()),
+    holonomy_jobs(),
     st.tuples(st.sampled_from(COMMANDS), junk))
 
 
-def run_in_process(directory: Path, command: str, doc) -> tuple:
+def run_in_process(directory: Path, command: str, doc, *flags) -> tuple:
     path = directory / "job.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main([command, "--input", str(path), "--format", "json"])
+        code = main([command, "--input", str(path), "--format", "json",
+                     *flags])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -201,13 +222,12 @@ def run_in_process(directory: Path, command: str, doc) -> tuple:
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_every_job_keeps_the_exit_code_contract(tmp_path, job) -> None:
-    command, doc = job
     start = time.perf_counter()
-    first = run_in_process(tmp_path, command, doc)
+    first = run_in_process(tmp_path, *job)
     assert time.perf_counter() - start < JOB_BUDGET_S
     assert first[0] in (0, 1, 2)
     assert "Traceback" not in first[1] + first[2]
-    assert run_in_process(tmp_path, command, doc) == first
+    assert run_in_process(tmp_path, *job) == first
 
 
 @given(st.lists(jobs, min_size=4, max_size=4))
@@ -219,11 +239,12 @@ def test_jobs_keep_the_contract_without_asserts(tmp_path, batch) -> None:
     src = str(Path(loopcat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    for command, doc in batch:
-        code, out, _err = run_in_process(tmp_path, command, doc)
+    for command, doc, *flags in batch:
+        code, out, _err = run_in_process(tmp_path, command, doc, *flags)
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "loopcat.cli", command,
-             "--input", str(tmp_path / "job.json"), "--format", "json"],
+             "--input", str(tmp_path / "job.json"), "--format", "json",
+             *flags],
             capture_output=True, text=True, env=env, timeout=60)
         assert "Traceback" not in proc.stderr
         assert (proc.returncode, proc.stdout) == (code, out)

@@ -5,6 +5,7 @@ from functools import lru_cache, reduce
 from itertools import permutations, product
 from math import perm
 from operator import mul
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +30,7 @@ from loopcat.fincat import (
     cyclic_group,
     symmetric_group,
 )
-from loopcat.linalg import Matrix
+from loopcat.linalg import Matrix, det
 from loopcat.pseudochar import (
     AdditivityReport,
     DegreeMismatch,
@@ -40,6 +41,7 @@ from loopcat.pseudochar import (
     PseudoCharacter,
     RepData,
     SingularTable,
+    _entry_ops,
     _TraceRecursion,
     alpha_charpoly,
     antisym_trace,
@@ -52,7 +54,11 @@ from loopcat.pseudochar import (
     pseudochar_from_json,
 )
 from loopcat.statespaces import Evaluation, evaluation_from_monoid
-from oracles import _signed_cycle_decompositions
+from oracles import (
+    _signed_cycle_decompositions,
+    reference_holonomy,
+    zero_matrix,
+)
 
 X = 0
 
@@ -430,12 +436,12 @@ def test_charpoly_matches_matrix_charpoly() -> None:
         dt = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         assert (p[0], p[1], p[2]) == (dt, -tr, 1)
         # relative Cayley-Hamilton: substitute the matrix
-        val = Matrix.zero(2, 2)
+        val = zero_matrix(2, 2)
         power = Matrix.identity(2)
         for k in range(3):
             val = val + power.scale(p[k])
             power = power * m
-        assert val == Matrix.zero(2, 2)
+        assert val == zero_matrix(2, 2)
 
 
 def test_charpoly_rejects_wrong_degree() -> None:
@@ -793,6 +799,62 @@ def test_holonomy_leaves_no_reference_cycles() -> None:
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# integers and rationals, some written unreduced, some integral in disguise
+holonomy_entries = st.one_of(
+    st.integers(-2, 2),
+    st.sampled_from(["2/4", "-3/6", "4/2", "-6/3", "1/3", "3/2"]))
+
+
+@st.composite
+def holonomy_graphs(draw):
+    """One or two vertices, one to three edges, one dimension from 1 to 3."""
+    n_vertices = draw(st.integers(1, 2))
+    dim = draw(st.integers(1, 3))
+    vertex = st.integers(0, n_vertices - 1)
+    invertible = st.lists(st.lists(holonomy_entries, min_size=dim,
+                                   max_size=dim),
+                          min_size=dim, max_size=dim).map(Matrix).filter(
+        lambda m: det(m) != 0)
+    edges = draw(st.lists(st.tuples(vertex, vertex, invertible),
+                          min_size=1, max_size=3))
+    return GraphHolonomy(n_vertices, edges)
+
+
+def _holonomy_outcome(search, gh, cap):
+    try:
+        r = search(gh, cap)
+    except (NotPseudo, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return (list(r.table.items()), r.base, r.dimension, r.degree.d,
+            r.degree.witness, r.degree.tuples_checked)
+
+
+@given(holonomy_graphs(), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_holonomy_matches_matrix_search(gh, cap) -> None:
+    # a low bound keeps every search small and rejects the larger ones,
+    # at the same walk on both sides
+    with mock.patch("loopcat.pseudochar.HOLONOMY_MAX_TUPLES", 500):
+        assert _holonomy_outcome(graph_pseudoholonomy, gh, cap) == \
+            _holonomy_outcome(reference_holonomy, gh, cap)
+
+
+@given(st.integers(0, 3).flatmap(lambda n: st.tuples(
+    st.just(n), *[st.lists(holonomy_entries, min_size=n * n,
+                           max_size=n * n) for _ in range(2)])))
+def test_entry_ops_match_matrices(case) -> None:
+    n, a, b = case
+    trace, mul, trace_mul = _entry_ops(n)
+    # as `graph_pseudoholonomy` holds them: integral entries as ints
+    a, b = (tuple(f.numerator if f.denominator == 1 else f
+                  for f in map(Fraction, x)) for x in (a, b))
+    ma, mb = (Matrix([x[i * n:(i + 1) * n] for i in range(n)])
+              for x in (a, b))
+    assert trace(a) == ma.trace()
+    assert mul(a, b) == tuple(x for row in (ma * mb).entries for x in row)
+    assert trace_mul(a, b) == trace(mul(a, b)) == (ma * mb).trace()
 
 
 def test_holonomy_rejects_singular_edge() -> None:
