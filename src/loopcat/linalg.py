@@ -347,19 +347,25 @@ def _require_square(m: Matrix) -> None:
 def _eliminate(rows: Iterable[Sequence[Fraction]]) -> tuple[list, int, int]:
     """Forward-only fraction-free elimination of rational rows.
 
-    Each row is scaled to ints by the lcm of its denominators.  After k
-    pivots each entry left is a (k+1)-minor (Sylvester's identity, Bareiss
-    1968), so dividing by the previous pivot is exact.  Finished pivot rows
-    and vanished rows leave the working set.  Returns the pivot rows as
-    (pivot column, pivot, the row's ints right of the pivot), the sign of
-    their order, and the product of the row scales.
+    Each row is scaled to ints by the lcm of its denominators; a row of
+    ints or integral Fractions is read off its numerators.  After k pivots
+    each entry left is a (k+1)-minor (Sylvester's identity, Bareiss 1968),
+    so dividing by the previous pivot is exact; a row with 0 in the pivot
+    column only scales, by p / prev.  Finished pivot rows and vanished rows
+    leave the working set.  Returns the pivot rows as (pivot column, pivot,
+    the row's ints right of the pivot), the sign of their order, and the
+    product of the row scales.
     """
     work, scale = [], 1
     for r in rows:
         s = lcm(*(x.denominator for x in r))
-        scale *= s
-        if any(r):
-            work.append([x.numerator * (s // x.denominator) for x in r])
+        if s == 1:
+            row = [x.numerator for x in r]
+        else:
+            scale *= s
+            row = [x.numerator * (s // x.denominator) for x in r]
+        if any(row):
+            work.append(row)
     pivots, sign, prev, base, c = [], 1, 1, 0, 0
     while work:
         i = next((i for i, row in enumerate(work) if row[c]), None)
@@ -371,7 +377,11 @@ def _eliminate(rows: Iterable[Sequence[Fraction]]) -> tuple[list, int, int]:
         below = []
         for row in work:
             f = row[c]
-            new = [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+            if f:
+                new = [(p * x - f * y) // prev
+                       for x, y in zip(row[c + 1:], tail)]
+            else:
+                new = [p * x // prev for x in row[c + 1:]]
             if any(new):
                 below.append(new)
         pivots.append((base + c, p, tail))

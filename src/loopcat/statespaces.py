@@ -7,17 +7,22 @@ closes one ket against the reflection (bra) of another and evaluates.  The
 strands of that closed diagram depend only on the two matchings, its
 classes only on the labels, so each pair of matchings is traced once into
 a wiring template and every Gram entry is a product of memoized strand
-values.  The generic splice (`diagrams.compose`) stays the reference: it
-evaluates the first entry of each template as a cross-check, and any entry
-that lacks a value, so that the error names the class it names.  Over the
-rationals the dimension is the Gram rank; over the Boolean semiring the
-states are the distinct rows (residual languages), with the join-irreducible
-rows counted separately.
+values, integral ones held as ints.  The generic splice
+(`diagrams.compose`) stays the reference: it evaluates the first entry of
+each template as a cross-check, and any entry that lacks a value, so that
+the error names the class it names.  Over the rationals the dimension is
+the Gram rank, taken once per spanning set: a smaller cap whose kets are
+the same ones reuses it.  Over the Boolean semiring the states are the
+distinct rows (residual languages), with the join-irreducible rows counted
+separately.
 
 Also here: exact weighted-automaton minimization (the Hankel pairing of the
 non-monoidal construction) and the two-dimensional cobordism state spaces,
 where spanning diagrams are partitions of the boundary circles with a genus
-attached to each block and gluing is Euler-characteristic bookkeeping.
+attached to each block and gluing is Euler-characteristic bookkeeping.  The
+components of a gluing depend only on the two partitions, so each pair of
+partitions is glued once into a template, checked against the generic
+gluing on its first entry.
 """
 
 from __future__ import annotations
@@ -260,7 +265,8 @@ def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
 
     Kets sharing a matching share their strands, so each pair of matchings
     is traced once into a template of strands (`_strands`), and an entry is
-    the product of its strands' values, memoized on their decorations.  The
+    the product of its strands' values, memoized on their decorations, the
+    integral ones as ints, so an entry of integral values is an int.  The
     first entry of each template, row by row, is also evaluated through
     `compose`, and must agree.  An entry missing a value is evaluated there
     again, so that the error names the class the splice names first (loops
@@ -298,14 +304,14 @@ def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
                    for base, picks in loops])
 
     def value(strands, decorations):
-        out = None
+        out = 1
         for pick, values, evaluate in strands:
             key = pick(decorations)
             f = values.get(key)
             if f is None:
-                f = values[key] = evaluate(key)
-            out = f if out is None else out * f
-        return Fraction(1) if out is None else out
+                f = values[key] = _integral(evaluate(key))
+            out *= f
+        return out
 
     rows = []
     try:
@@ -317,11 +323,12 @@ def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
                 if strands is None:
                     strands = row_templates[bw] = template(k_wid[i], bw)
                     reference = evaluate_closed(compose(bras[j], ket), alpha)
-                    if value(strands, kd + b_dec[j]) != reference:
+                    v = value(strands, kd + b_dec[j])
+                    if v != reference:
                         raise InternalInconsistency(
                             f"pairing template disagrees with the splice at "
                             f"entry ({i}, {j})")
-                    row.append(reference)
+                    row.append(v)
                 else:
                     row.append(value(strands, kd + b_dec[j]))
             rows.append(row)
@@ -333,10 +340,21 @@ def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
     return rows
 
 
+def _integral(x):
+    """An integral value as an int, any other unchanged."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _gram_matrix(rows: list[list]) -> Matrix:
+    """The Matrix of `rows`, with one Fraction made per distinct value."""
+    as_fraction = {v: Fraction(v) for v in set().union(*rows)}
+    return Matrix([list(map(as_fraction.__getitem__, row)) for row in rows])
+
+
 def state_space_field(cat, obj, alpha: Evaluation, boundary=None,
                       cap_words: int = 4) -> StateSpace:
     kets = enumerate_kets(cat, obj, boundary, cap_words)
-    gram = Matrix(_pairing(cat, kets, alpha, boundary))
+    gram = _gram_matrix(_pairing(cat, kets, alpha, boundary))
     return StateSpace(tuple(obj), kets, gram, rank(gram), cap_words)
 
 
@@ -352,8 +370,12 @@ def _sub_gram(gram: Matrix, spanning: Sequence, sub: Sequence) -> Matrix:
 def restrict_state_space(ss: StateSpace, cat, boundary, cap_words: int
                          ) -> StateSpace:
     """The state space at a smaller cap_words, read off `ss.gram`: its kets
-    are among those of `ss`, so no diagram is paired again."""
+    are among those of `ss`, so no diagram is paired again.  When they are
+    all of them, as for a category whose labels do not depend on the cap,
+    it is `ss` itself and is not ranked again."""
     kets = enumerate_kets(cat, ss.object, boundary, cap_words)
+    if kets == ss.spanning:
+        return StateSpace(ss.object, kets, ss.gram, ss.dimension, cap_words)
     gram = _sub_gram(ss.gram, ss.spanning, kets)
     return StateSpace(ss.object, kets, gram, rank(gram), cap_words)
 
@@ -561,6 +583,68 @@ def glue_partition_diagrams(d1: PartitionDiagram, d2: PartitionDiagram,
     return out
 
 
+def _gluing(blocks1: tuple, blocks2: tuple) -> list[tuple]:
+    """The components of two partitions of the same circles glued along
+    them, as (positions of their blocks' genera, first Betti number E - V +
+    1); positions index the genera of `blocks1`, then those of `blocks2`."""
+    n1 = len(blocks1)
+    block2 = {c: n1 + j for j, b in enumerate(blocks2) for c in b}
+    uf = _UnionFind()
+    for i, b in enumerate(blocks1):
+        for c in b:
+            uf.union(i, block2[c])
+    parts: dict = {}
+    for node in range(n1 + len(blocks2)):
+        parts.setdefault(uf.find(node), []).append(node)
+    return [(tuple(nodes),
+             sum(len(blocks1[i]) for i in nodes if i < n1) - len(nodes) + 1)
+            for nodes in parts.values()]
+
+
+def _cob2_gram_rows(spanning: list, alpha_seq: Sequence) -> list[list]:
+    """Gram rows of `spanning`: entry (i, j) glues diagrams i and j.
+
+    The components depend only on the two partitions, so each pair of them
+    is glued once (`_gluing`), and an entry is the product of the memoized
+    values of its components' genera, the integral ones as ints.  The first
+    entry of each pair is also glued by `glue_partition_diagrams` and must
+    agree; an entry whose genus is past the sequence is glued there again,
+    so that the error names the genus it names.
+    """
+    templates: dict = {}
+    values: dict = {}  # genus -> its surface value
+    rows = []
+    for i, a in enumerate(spanning):
+        row = []
+        for j, b in enumerate(spanning):
+            genus = a.genus + b.genus
+            comps = templates.get((a.blocks, b.blocks))
+            first = comps is None
+            if first:
+                comps = templates[a.blocks, b.blocks] = _gluing(a.blocks,
+                                                                b.blocks)
+                reference = glue_partition_diagrams(a, b, alpha_seq)
+            out = 1
+            for positions, betti in comps:
+                h = sum(genus[p] for p in positions) + betti
+                f = values.get(h)
+                if f is None:
+                    if h >= len(alpha_seq):
+                        glue_partition_diagrams(a, b, alpha_seq)
+                        raise InternalInconsistency(
+                            f"gluing template misses a value the gluing has "
+                            f"at entry ({i}, {j})")
+                    f = values[h] = _integral(rat(alpha_seq[h]))
+                out *= f
+            if first and out != reference:
+                raise InternalInconsistency(
+                    f"gluing template disagrees with the gluing at entry "
+                    f"({i}, {j})")
+            row.append(out)
+        rows.append(row)
+    return rows
+
+
 # Most spanning diagrams a cob2 state space is built from.  The Gram takes
 # size^2 gluings and its rank about size^3 steps, so a job file of a few
 # bytes (m = 14 has Bell(14) > 10^8 partitions) could otherwise ask for any
@@ -613,8 +697,7 @@ def cob2_state_space(m: int, alpha_seq: Sequence, genus_cap: int
             f"spanning set of {m} circles at genus cap {genus_cap} has more "
             f"than {COB2_MAX_SPANNING} diagrams")
     spanning = cob2_spanning(m, genus_cap)
-    gram = Matrix([[glue_partition_diagrams(a, b, alpha_seq)
-                    for b in spanning] for a in spanning])
+    gram = _gram_matrix(_cob2_gram_rows(spanning, alpha_seq))
     dim = rank(gram)
     if genus_cap < 1:
         return dim, False

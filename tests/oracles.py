@@ -10,8 +10,10 @@ closure of dotted strands leaves.  `dense_validate` checks the Frobenius
 axioms from basis-vector products on every associativity triple, the
 reference for `frobenius.validate`.  `reference_holonomy` is the degree
 search of `graph_pseudoholonomy` run on `Matrix` objects, the reference for
-the search on entry tuples.  `zero_matrix`, `apply` and `from_poly` build
-and evaluate test data.
+the search on entry tuples.  `gauss_jordan` reduces Fraction rows to reduced
+row echelon form, independent of linalg's fraction-free kernel, and
+`gj_rank` reads a rank off it.  `zero_matrix`, `apply` and `from_poly`
+build and evaluate test data.
 """
 
 from fractions import Fraction
@@ -40,6 +42,33 @@ from loopcat.pseudochar import (
     _witness,
 )
 from loopcat.statespaces import SequenceTooShort
+
+
+def gauss_jordan(rows: list[list[Fraction]]) -> list[int]:
+    """In-place reduced row echelon; returns the pivot column list."""
+    pivots: list[int] = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def gj_rank(m: Matrix) -> int:
+    return len(gauss_jordan([list(r) for r in m.entries]))
 
 
 def zero_matrix(rows: int, cols: int) -> Matrix:

@@ -349,6 +349,21 @@ def test_holonomy_many_loops_exit_two_at_once(tmp_path, capsys, k):
                    "matrices, over 10000 tuples at level 2"})
 
 
+# four elements of the dihedral group of order 8: their walks give only
+# eight distinct matrices, so the tuple bound never fires
+DIHEDRAL = [[["0", "-1"], ["1", "0"]], [["1", "0"], ["0", "-1"]],
+            [["0", "1"], ["1", "0"]], [["-1", "0"], ["0", "1"]]]
+
+
+def test_holonomy_many_walks_exit_two_at_once(tmp_path, capsys):
+    # 20 + 20^2 + 20^3 + 20^4 = 168,420 walks, counted before any product
+    command, doc, message, *flags = OUT_OF_RANGE_JOBS["holonomy-dihedral-walks"]
+    start = time.perf_counter()
+    code, out = run_json(tmp_path, capsys, command, doc, *flags)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, {"error": "ValueError", "message": message})
+
+
 RAGGED_JOBS = {
     "holonomy": {"graph": {"n_vertices": 1,
                            "edges": [[0, 0, [["1", "0"], ["2"]]]]}},
@@ -411,6 +426,10 @@ OUT_OF_RANGE_JOBS = {
     "cob2-dim-negative-cap": (
         "cob2-dim", {"m": 13, "alpha": ["1", "2", "3", "4", "5"]},
         "genus cap must be nonnegative, got -1", "--cap-genus", "-1"),
+    "holonomy-dihedral-walks": (
+        "holonomy", {"graph": {"n_vertices": 1, "edges": [
+            [0, 0, DIHEDRAL[i % 4]] for i in range(20)]}},
+        "more than 25000 walks of at most 4 edges", "--cap-words", "4"),
     "cob2-dim-bell-14": (
         "cob2-dim", {"m": 14, "alpha": [str(g) for g in range(1, 9)]},
         "spanning set of 14 circles at genus cap 4 has more than 100 "
@@ -726,6 +745,30 @@ def test_cob2_dim_builds_its_spanning_set_once(tmp_path, capsys,
     assert code == 0
     assert calls == [(2, 4)]
     assert out["spanning_size"] == 30
+
+
+@pytest.mark.parametrize("doc, cap, ranked", [
+    # monoid labels do not depend on the cap: one Gram, ranked once
+    (dict(Z2_MONOID, alpha=["2", "0"]), "4", [2]),
+    # words of length <= 1 are fewer: a sub-Gram, ranked again
+    ({"free_monoid": {"letters": "a"},
+      "loops": {"a" * k: str(1 + 2 ** k) for k in range(5)}}, "2", [3, 2]),
+])
+def test_statespace_ranks_each_gram_once(tmp_path, capsys, monkeypatch, doc,
+                                         cap, ranked):
+    calls = []
+    count = statespaces.rank
+
+    def counted(m):
+        calls.append(m.rows)
+        return count(m)
+
+    monkeypatch.setattr(statespaces, "rank", counted)
+    code, out = run_json(tmp_path, capsys, "statespace", doc,
+                         "--cap-words", cap)
+    assert code == 0
+    assert calls == ranked
+    assert out["spanning_size"] == ranked[0]
 
 
 def test_cob2_dim_flags_do_not_carry_over(tmp_path, capsys):

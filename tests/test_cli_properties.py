@@ -1,15 +1,17 @@
 """Exit-code contract of the CLI on small adversarial job documents.
 
 Every job of `frobenius-validate`, `genfun`, `classify`, `witness`,
-`automaton-minimize`, `pih-solve`, `pih-check`, `cob2-dim` and `holonomy`
-(9 of the 15 subcommands) must exit 0, 1 or 2 without a traceback, give
-the same bytes when run twice and finish within JOB_BUDGET_S seconds.  The
-documents mix honest data (truncated polynomial algebras and their
-classifications, diagonal (p, h, iota) systems, invertible loops) with
+`automaton-minimize`, `pih-solve`, `pih-check`, `cob2-dim`, `holonomy`,
+`statespace` and `boolean-statespace` (11 of the 15 subcommands) must
+exit 0, 1 or 2 without a traceback, give the same bytes when run twice
+and finish within JOB_BUDGET_S seconds.  The documents mix honest data
+(truncated polynomial algebras and their classifications, diagonal (p, h,
+iota) systems, invertible loops, monoid characters and word tables) with
 wrong types, non-integral integer fields, ragged shapes and missing keys;
 sizes stay small (dim <= 4, m <= 6, multiplicities <= 3), except that
-confluent block sizes run up to 40, `cob2-dim` circle counts up to 14 and
-`holonomy` walk caps up to 6.  A job may carry command-line flags.
+confluent block sizes run up to 40, `cob2-dim` circle counts up to 14,
+`holonomy` walk caps up to 6 and state-space objects up to 4 strands.  A
+job may carry command-line flags.
 """
 
 import io
@@ -19,6 +21,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -32,7 +35,7 @@ JOB_BUDGET_S = 2.0
 
 COMMANDS = ("frobenius-validate", "genfun", "classify", "witness",
             "automaton-minimize", "pih-solve", "pih-check", "cob2-dim",
-            "holonomy")
+            "holonomy", "statespace", "boolean-statespace")
 
 junk = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3),
@@ -195,6 +198,69 @@ def holonomy_jobs(draw):
     return "holonomy", doc, "--cap-words", str(draw(st.integers(-1, 6)))
 
 
+# Z2, Z3 and the monoid {1, 0} under multiplication
+MONOIDS = ({"table": [[0, 1], [1, 0]], "identity": 0, "size": 2},
+           {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "identity": 0,
+            "size": 3},
+           {"table": [[0, 1], [1, 1]], "identity": 0, "size": 2})
+
+
+def objects(max_strands):
+    return st.lists(st.sampled_from([[0, 1], [0, -1]]), max_size=max_strands)
+
+
+def word_tables(letters, max_len):
+    """Values on the words up to max_len, constant on rotations (they only
+    see the length and the count of b), sometimes a word short."""
+    words = ["".join(w) for n in range(max_len + 1)
+             for w in product(letters, repeat=n)]
+    return st.lists(maybe_junk(scalar), min_size=1, max_size=3).flatmap(
+        lambda vals: st.integers(0, len(words)).map(lambda n: {
+            w: vals[(len(w) + 2 * w.count("b")) % len(vals)]
+            for w in words[:n]}))
+
+
+@st.composite
+def statespace_jobs(draw):
+    """A monoid character or a free-monoid loop table, with an interval
+    table in half the free-monoid draws, at an object of up to 4 strands
+    and a word cap from -1 to 3.  Two letters, four strands or a boundary
+    each multiply the kets, so a draw has at most one of them."""
+    cap = draw(st.integers(-1, 3))
+    flags = ("--cap-words", str(cap))
+    if draw(st.booleans()):
+        monoid = draw(st.sampled_from(MONOIDS))
+        doc = {"monoid": monoid, "object": draw(objects(4)),
+               "alpha": draw(vectors(monoid["size"]))}
+    else:
+        kind = draw(st.sampled_from(["ab", "four", "boundary"]))
+        letters = "ab" if kind == "ab" else "a"
+        obj = draw(objects(4 if kind == "four" else 2))
+        span = (len(obj) + 1) * max(cap, 0)
+        doc = {"free_monoid": {"letters": letters}, "object": obj,
+               "loops": draw(word_tables(letters, span))}
+        if kind == "boundary":
+            doc["intervals"] = draw(word_tables(letters, span))
+    if draw(st.booleans()):
+        doc["emit_gram"] = True
+    return ("statespace", draw(drop_a_key(doc)), *flags)
+
+
+@st.composite
+def boolean_statespace_jobs(draw):
+    """A language of words over one or two letters, at an object of one
+    strand over two letters or of up to two over one, and a word cap from
+    -1 to 3.  Every ket end may carry a half-interval, so the kets grow as
+    the number of words to the power of the strands."""
+    letters = draw(st.sampled_from(["a", "ab"]))
+    words = st.text(alphabet=letters, max_size=4)
+    doc = {"alphabet": letters,
+           "accepted": draw(st.lists(words, max_size=6)),
+           "object": draw(objects(1 if letters == "ab" else 2))}
+    return ("boolean-statespace", draw(drop_a_key(doc)), "--cap-words",
+            str(draw(st.integers(-1, 3))))
+
+
 jobs = st.one_of(
     st.tuples(st.sampled_from(["frobenius-validate", "genfun"]),
               frobenius_docs()),
@@ -205,6 +271,8 @@ jobs = st.one_of(
     st.tuples(st.just("pih-check"), pih_check_docs()),
     st.tuples(st.just("cob2-dim"), cob2_dim_docs()),
     holonomy_jobs(),
+    statespace_jobs(),
+    boolean_statespace_jobs(),
     st.tuples(st.sampled_from(COMMANDS), junk))
 
 

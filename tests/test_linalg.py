@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopcat.linalg import (
+    _eliminate,
     _rational_roots,
     Matrix,
     NonSplitDenominator,
@@ -27,7 +28,7 @@ from loopcat.errors import DomainError
 from loopcat.frobenius import (FrobeniusAlgebra, generating_function,
                                handle_element, product_algebra,
                                truncated_poly_algebra, validate)
-from oracles import apply, from_poly, zero_matrix
+from oracles import apply, from_poly, gauss_jordan, gj_rank, zero_matrix
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 small_ints = st.integers(min_value=-6, max_value=6)
@@ -78,40 +79,9 @@ def low_rank_rows(draw, square=False):
              for j in range(m)] for i in range(n)]
 
 
-# Reference: Gauss-Jordan elimination on Fractions to reduced row echelon
-# form, independent of linalg's fraction-free kernel.
-
-
-def _gauss_jordan(rows: list[list[Fraction]]) -> list[int]:
-    """In-place reduced row echelon; returns the pivot column list."""
-    pivots: list[int] = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
-def _gj_rank(m: Matrix) -> int:
-    return len(_gauss_jordan([list(r) for r in m.entries]))
-
-
 def _gj_solve(m: Matrix, b):
     rows = [list(r) + [Fraction(y)] for r, y in zip(m.entries, b)]
-    pivots = _gauss_jordan(rows)
+    pivots = gauss_jordan(rows)
     if m.cols in pivots:
         return None
     x = [Fraction(0)] * m.cols
@@ -125,7 +95,7 @@ def _gj_inverse(m: Matrix):
     n = m.rows
     rows = [list(r) + [Fraction(int(i == j)) for j in range(n)]
             for i, r in enumerate(m.entries)]
-    if _gauss_jordan(rows) != list(range(n)):
+    if gauss_jordan(rows) != list(range(n)):
         return None
     return Matrix([r[n:] for r in rows])
 
@@ -144,7 +114,7 @@ def _outcome(f, *args):
 @settings(max_examples=100, deadline=None)
 def test_kernel_matches_gauss_jordan(rows, consistent, data) -> None:
     m = Matrix(rows)
-    assert rank(m) == _gj_rank(m)
+    assert rank(m) == gj_rank(m)
     # underdetermined, overdetermined, consistent and inconsistent systems
     if data is None:
         b = [Fraction(0 if consistent else 1)] * m.rows
@@ -185,7 +155,7 @@ def test_square_kernel_matches_gauss_jordan(rows, data) -> None:
 @settings(max_examples=120, deadline=None)
 def test_rank_and_det_match_gauss_jordan(rows) -> None:
     m = Matrix(rows)
-    assert rank(m) == _gj_rank(m)
+    assert rank(m) == gj_rank(m)
     # the leading square block, up to 5 x 5, against cofactor expansion
     k = min(m.rows, m.cols, 5)
     block = [r[:k] for r in rows[:k]]
@@ -210,6 +180,57 @@ def test_rank_and_det_of_degenerate_shapes() -> None:
     assert rank(Matrix([[0, 0, 1], [0, 0, 2], [1, 0, 0]])) == 2
     assert det(Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])) == 1
     assert det(Matrix([[0, 1], [1, 0]])) == -1
+
+
+@st.composite
+def sparse_rows(draw, square=False):
+    """Mostly zero rows, so most rows meet a pivot column at 0; entries
+    integral or rational as drawn."""
+    n = draw(st.integers(0, 7))
+    m = n if square else draw(st.integers(0, 7))
+    values = draw(st.sampled_from([small_ints.map(Fraction), rationals]))
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), values)
+    return draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+
+
+@given(sparse_rows(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_sparse_kernel_matches_gauss_jordan(rows, data) -> None:
+    m = Matrix(rows)
+    assert rank(m) == gj_rank(m)
+    b = data.draw(st.lists(small_ints.map(Fraction), min_size=m.rows,
+                           max_size=m.rows))
+    assert solve(m, b) == _gj_solve(m, b)
+
+
+@given(sparse_rows(square=True), st.data())
+@settings(max_examples=120, deadline=None)
+def test_sparse_square_kernel_matches_gauss_jordan(rows, data) -> None:
+    m = Matrix(rows)
+    b = data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows))
+    assert det(m) == _cofactor_det(rows)
+    ref = _gj_inverse(m)
+    if ref is None:
+        assert _outcome(inverse, m) == "matrix is singular"
+        assert _outcome(solve_unique, m, b) == \
+            "linear system is not uniquely solvable"
+    else:
+        assert inverse(m) == ref
+        assert solve_unique(m, b) == _gj_solve(m, b)
+
+
+@given(st.lists(st.lists(st.one_of(st.just(0), small_ints), min_size=5,
+                         max_size=5), max_size=6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_int_rows_eliminate_like_their_fraction_twins(rows, data) -> None:
+    """ints, integral Fractions and a mix of the two give the same pivot
+    rows, sign and scale."""
+    mixed = [[data.draw(st.sampled_from([x, Fraction(x)])) for x in r]
+             for r in rows]
+    reference = _eliminate([[Fraction(x) for x in r] for r in rows])
+    assert _eliminate(rows) == _eliminate(mixed) == reference
+    assert len(reference[0]) == gj_rank(Matrix(rows))
 
 
 def test_solve_unique_decides_from_one_elimination() -> None:

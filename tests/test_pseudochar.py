@@ -8,7 +8,7 @@ from operator import mul
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loopcat.diagrams import (
@@ -839,6 +839,26 @@ def test_holonomy_matches_matrix_search(gh, cap) -> None:
     with mock.patch("loopcat.pseudochar.HOLONOMY_MAX_TUPLES", 500):
         assert _holonomy_outcome(graph_pseudoholonomy, gh, cap) == \
             _holonomy_outcome(reference_holonomy, gh, cap)
+
+
+def _walk_count(gh, cap) -> int:
+    """Edge sequences of 1 to cap edges, each starting where the last ended."""
+    count, ends = 0, [tgt for _src, tgt, _m in gh.edges]
+    for _ in range(cap):
+        count += len(ends)
+        ends = [tgt for v in ends for src, tgt, _m in gh.edges if src == v]
+    return count
+
+
+@given(holonomy_graphs(), st.integers(1, 5), st.integers(0, 100))
+@settings(max_examples=100, deadline=None)
+def test_holonomy_walk_bound_counts_every_walk(gh, cap, bound) -> None:
+    assume(0 in gh.vertex_dim)
+    with mock.patch("loopcat.pseudochar.HOLONOMY_MAX_WALKS", bound), \
+            mock.patch("loopcat.pseudochar.HOLONOMY_MAX_TUPLES", 500):
+        outcome = _holonomy_outcome(graph_pseudoholonomy, gh, cap)
+    rejected = ("ValueError", f"more than {bound} walks of at most {cap} edges")
+    assert (outcome == rejected) == (_walk_count(gh, cap) > bound)
 
 
 @given(st.integers(0, 3).flatmap(lambda n: st.tuples(

@@ -51,6 +51,7 @@ from loopcat.statespaces import (
     state_space_boolean,
     state_space_field,
 )
+from oracles import gj_rank
 
 X = 0
 
@@ -119,10 +120,11 @@ def test_gram_symmetry_s3() -> None:
     assert ss.dimension == 4
 
 
-def _word_evaluation(fm, fb, max_len: int) -> Evaluation:
+def _word_evaluation(fm, fb, max_len: int,
+                     mats=(Matrix([[1, 1], [0, 2]]), Matrix([[0, 1], [1, 3]]))
+                     ) -> Evaluation:
     """Loop values tr(A_w) and interval values A_w[0][1] for the products
-    A_w of two integer 2x2 matrices along the words w."""
-    mats = (Matrix([[1, 1], [0, 2]]), Matrix([[0, 1], [1, 3]]))
+    A_w of two 2x2 matrices, by default integer ones, along the words w."""
     products = {(): Matrix.identity(2)}
     loops, intervals = {}, {}
     for w in fm.words_up_to(max_len):
@@ -435,6 +437,47 @@ def test_kernel_is_checked_against_the_splice(monkeypatch) -> None:
         state_space_field(cat, TWO, evaluation_from_monoid(cat, [2, 0]))
 
 
+# integral and non-integral values, so that Gram entries are ints, integral
+# Fractions and non-integral Fractions
+drawn_values = st.one_of(st.integers(-3, 3),
+                         st.fractions(-3, 3, max_denominator=4))
+
+
+def _assert_gram_is_the_splices(ss, alpha) -> None:
+    assert ss.gram == Matrix(_spliced_gram(ss.spanning, alpha))
+    assert all(type(x) is Fraction for row in ss.gram.entries for x in row)
+    assert ss.dimension == gj_rank(ss.gram)
+
+
+@given(st.sampled_from([symmetric_group(3), cyclic_group(4)]),
+       st.sampled_from([TWO] + FOUR_ORDERS), st.data())
+@settings(max_examples=6, deadline=None)
+def test_gram_on_drawn_characters_is_the_splices(group, obj, data) -> None:
+    cat = MonoidCategory(group)
+    classes = [cat.loop_class(0, [g]) for g in range(group.size)]
+    value = {c: data.draw(drawn_values) for c in sorted(set(classes), key=repr)}
+    alpha = evaluation_from_monoid(cat, [value[c] for c in classes])
+    _assert_gram_is_the_splices(state_space_field(cat, obj, alpha), alpha)
+
+
+@given(st.sampled_from([((X, PLUS),), ((X, MINUS),), TWO,
+                        ((X, MINUS), (X, PLUS))]),
+       st.booleans(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_gram_on_drawn_word_tables_is_the_splices(obj, with_boundary,
+                                                  data) -> None:
+    fm = FreeMonoidCategory("ab")
+    fb = FreeBoundary(fm)
+    cap = data.draw(st.integers(0, 3 if len(obj) == 1 else 2))
+    entries = st.lists(drawn_values, min_size=2, max_size=2)
+    mats = tuple(Matrix(data.draw(st.lists(entries, min_size=2, max_size=2)))
+                 for _ in "ab")
+    alpha = _word_evaluation(fm, fb, (len(obj) + 1) * cap, mats)
+    boundary = fb if with_boundary else None
+    _assert_gram_is_the_splices(
+        state_space_field(fm, obj, alpha, boundary, cap), alpha)
+
+
 def test_pairing_splices_once_per_pair_of_matchings(monkeypatch) -> None:
     spliced = []
 
@@ -739,6 +782,72 @@ def test_cob2_stabilization_matches_fresh_grams(m, caps) -> None:
             assert dim == _fresh_cob2_rank(m, seq, cap)
             assert stabilized == (
                 cap >= 1 and dim == _fresh_cob2_rank(m, seq, cap - 1))
+
+
+@st.composite
+def cob2_grams(draw):
+    """Up to ten diagrams, repeats allowed, of m = 0..4 circles at genus cap
+    0..3, and a rational sequence from empty to long enough."""
+    m, cap = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    sample = draw(st.lists(st.sampled_from(cob2_spanning(m, cap)),
+                           min_size=1, max_size=10))
+    # a gluing has genus at most 2 m cap from its blocks plus m - 1 from
+    # its cycles
+    seq = draw(st.lists(drawn_values, max_size=2 * m * cap + m + 1))
+    return sample, seq
+
+
+def _glued_gram(sample, seq):
+    """The Gram glued entry by entry, row by row, or the first error."""
+    try:
+        return [[glue_partition_diagrams(a, b, seq) for b in sample]
+                for a in sample]
+    except SequenceTooShort as exc:
+        return str(exc)
+
+
+@given(cob2_grams())
+@settings(max_examples=150, deadline=None)
+def test_cob2_templates_match_the_gluing(case) -> None:
+    sample, seq = case
+    try:
+        got = statespaces._cob2_gram_rows(sample, seq)
+    except SequenceTooShort as exc:
+        got = str(exc)
+    assert got == _glued_gram(sample, seq)
+
+
+@pytest.mark.parametrize("m, cap", [(1, 3), (2, 2), (3, 1)])
+def test_cob2_state_space_takes_the_message_from_the_gluing(m, cap) -> None:
+    spanning = cob2_spanning(m, cap)
+    seq = []
+    while isinstance(expected := _glued_gram(spanning, seq), str):
+        with pytest.raises(SequenceTooShort) as info:
+            cob2_state_space(m, seq, cap)
+        assert str(info.value) == expected
+        seq.append(Fraction(len(seq) + 2, len(seq) + 1))
+    assert cob2_state_space(m, seq, cap)[0] == gj_rank(Matrix(expected))
+
+
+def test_cob2_templates_are_checked_against_the_gluing(monkeypatch) -> None:
+    seq = [Fraction(g + 2, g + 1) for g in range(12)]
+    glue = glue_partition_diagrams
+    monkeypatch.setattr(statespaces, "glue_partition_diagrams",
+                        lambda a, b, s: glue(a, b, s) + 1)
+    with pytest.raises(InternalInconsistency,
+                       match=r"disagrees with the gluing at entry \(0, 0\)"):
+        cob2_state_space(2, seq, 1)
+
+    def no_error(a, b, s):
+        try:
+            return glue(a, b, s)
+        except SequenceTooShort:
+            return glue(a, b, s + [0] * 20)
+
+    monkeypatch.setattr(statespaces, "glue_partition_diagrams", no_error)
+    with pytest.raises(InternalInconsistency,
+                       match="misses a value the gluing has"):
+        cob2_state_space(2, seq[:3], 1)
 
 
 # --- algebraic gluing oracle ------------------------------------------------------
