@@ -51,6 +51,12 @@ def exact_int(x) -> int:
     return n
 
 
+def _integral(x: Fraction) -> Fraction | int:
+    """An integral value as an int, any other unchanged.  Private: it runs
+    once per entry, too small a step to be a traced span."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def rat_str(x: Fraction) -> str:
     """Canonical 'a/b' form, '/1' omitted.  str(Fraction) already does this."""
     return str(Fraction(x))
@@ -347,25 +353,19 @@ def _require_square(m: Matrix) -> None:
 def _eliminate(rows: Iterable[Sequence[Fraction]]) -> tuple[list, int, int]:
     """Forward-only fraction-free elimination of rational rows.
 
-    Each row is scaled to ints by the lcm of its denominators; a row of
-    ints or integral Fractions is read off its numerators.  After k pivots
-    each entry left is a (k+1)-minor (Sylvester's identity, Bareiss 1968),
-    so dividing by the previous pivot is exact; a row with 0 in the pivot
-    column only scales, by p / prev.  Finished pivot rows and vanished rows
-    leave the working set.  Returns the pivot rows as (pivot column, pivot,
-    the row's ints right of the pivot), the sign of their order, and the
-    product of the row scales.
+    Each row is scaled to ints by the lcm of its denominators.  After k
+    pivots each entry left is a (k+1)-minor (Sylvester's identity, Bareiss
+    1968), so dividing by the previous pivot is exact.  Finished pivot rows
+    and vanished rows leave the working set.  Returns the pivot rows as
+    (pivot column, pivot, the row's ints right of the pivot), the sign of
+    their order, and the product of the row scales.
     """
     work, scale = [], 1
     for r in rows:
         s = lcm(*(x.denominator for x in r))
-        if s == 1:
-            row = [x.numerator for x in r]
-        else:
-            scale *= s
-            row = [x.numerator * (s // x.denominator) for x in r]
-        if any(row):
-            work.append(row)
+        scale *= s
+        if any(r):
+            work.append([x.numerator * (s // x.denominator) for x in r])
     pivots, sign, prev, base, c = [], 1, 1, 0, 0
     while work:
         i = next((i for i, row in enumerate(work) if row[c]), None)
@@ -377,11 +377,7 @@ def _eliminate(rows: Iterable[Sequence[Fraction]]) -> tuple[list, int, int]:
         below = []
         for row in work:
             f = row[c]
-            if f:
-                new = [(p * x - f * y) // prev
-                       for x, y in zip(row[c + 1:], tail)]
-            else:
-                new = [p * x // prev for x in row[c + 1:]]
+            new = [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
             if any(new):
                 below.append(new)
         pivots.append((base + c, p, tail))

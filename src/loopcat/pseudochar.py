@@ -32,7 +32,7 @@ import operator
 
 from .errors import DomainError
 from .fincat import FiniteMonoid, conjugacy_classes, least_rotation
-from .linalg import Matrix, Polynomial, det, rank, rat, solve
+from .linalg import Matrix, Polynomial, _integral, det, rank, rat, solve
 
 
 class NotPseudo(DomainError):
@@ -606,7 +606,7 @@ def graph_pseudoholonomy(gh: GraphHolonomy, max_len: int,
     mats = list(mats)
     # the search runs on entry tuples, integral entries as ints
     engine = _TraceRecursion(*_entry_ops(dim))
-    ids = [engine.intern(tuple(x.numerator if x.denominator == 1 else x
+    ids = [engine.intern(tuple(_integral(x)
                                for row in m.entries for x in row))
            for m in mats]
     deg, checked = _vanishing_level(engine, ids, range(dim + 2))

@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 from .diagrams import MINUS, PLUS, BrauerMorphism, compose, transpose
 from .errors import DomainError, InternalInconsistency
 from .fincat import IntervalClass, Loop, _UnionFind, compose_path
-from .linalg import Matrix, distinct_rows, rank, rat
+from .linalg import Matrix, _integral, distinct_rows, rank, rat
 
 
 class MissingValue(DomainError):
@@ -340,11 +340,6 @@ def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
     return rows
 
 
-def _integral(x):
-    """An integral value as an int, any other unchanged."""
-    return x.numerator if x.denominator == 1 else x
-
-
 def _gram_matrix(rows: list[list]) -> Matrix:
     """The Matrix of `rows`, with one Fraction made per distinct value."""
     as_fraction = {v: Fraction(v) for v in set().union(*rows)}
@@ -608,8 +603,8 @@ def _cob2_gram_rows(spanning: list, alpha_seq: Sequence) -> list[list]:
     is glued once (`_gluing`), and an entry is the product of the memoized
     values of its components' genera, the integral ones as ints.  The first
     entry of each pair is also glued by `glue_partition_diagrams` and must
-    agree; an entry whose genus is past the sequence is glued there again,
-    so that the error names the genus it names.
+    agree.  Components are in the order that gluing meets them, so the
+    first genus past the sequence is the one its error names.
     """
     templates: dict = {}
     values: dict = {}  # genus -> its surface value
@@ -630,10 +625,8 @@ def _cob2_gram_rows(spanning: list, alpha_seq: Sequence) -> list[list]:
                 f = values.get(h)
                 if f is None:
                     if h >= len(alpha_seq):
-                        glue_partition_diagrams(a, b, alpha_seq)
-                        raise InternalInconsistency(
-                            f"gluing template misses a value the gluing has "
-                            f"at entry ({i}, {j})")
+                        raise SequenceTooShort(
+                            f"need genus value {h}, have {len(alpha_seq)}")
                     f = values[h] = _integral(rat(alpha_seq[h]))
                 out *= f
             if first and out != reference:
