@@ -225,7 +225,7 @@ def _run_frobenius_validate(doc: dict, args) -> dict:
         "ok": True,
         "dim": fa.dim,
         "handle": [rat_str(x) for x in hd.element],
-        "genus_one_value": rat_str(surface_eval(fa, 1)),
+        "genus_one_value": rat_str(surface_eval(fa, 1, hd)),
     }
 
 

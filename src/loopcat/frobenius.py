@@ -82,8 +82,17 @@ class FrobeniusAlgebra:
         self.dim = exact_int(dim)
         if self.dim <= 0:
             raise ValueError("dimension must be positive")
+        parsed = {}  # a job's dim^3 string cells hold a few distinct values
+
+        def cell(x):
+            if not isinstance(x, str):
+                return rat(x)
+            if x not in parsed:
+                parsed[x] = rat(x)
+            return parsed[x]
+
         self.structure = tuple(
-            tuple(tuple(rat(x) for x in row) for row in plane)
+            tuple(tuple(cell(x) for x in row) for row in plane)
             for plane in structure)
         self.unit = tuple(rat(x) for x in unit)
         self.counit = tuple(rat(x) for x in counit)
@@ -99,18 +108,23 @@ class FrobeniusAlgebra:
         self._terms = tuple(
             tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
             for plane in self.structure)
+        # (i, ((j, terms of e_i e_j), ...)) over the nonzero products only
+        self._products = tuple(
+            (i, row) for i, row in enumerate(
+                tuple((j, terms) for j, terms in enumerate(plane) if terms)
+                for plane in self._terms) if row)
 
     def multiply(self, a, b) -> tuple:
         out = [Fraction(0)] * self.dim
-        for ai, terms_i in zip(a, self._terms):
-            if ai == 0:
-                continue
-            for bj, terms in zip(b, terms_i):
-                if bj == 0:
-                    continue
-                coeff = ai * bj
-                for k, c in terms:
-                    out[k] += coeff * c
+        for i, row in self._products:
+            ai = a[i]
+            if ai:
+                for j, terms in row:
+                    bj = b[j]
+                    if bj:
+                        coeff = ai * bj
+                        for k, c in terms:
+                            out[k] += coeff * c
         return tuple(out)
 
     def mult_matrix(self, a) -> Matrix:
@@ -140,7 +154,8 @@ def validate(fa: FrobeniusAlgebra) -> None:
     """Check each axiom, raising the matching error for the first failure.
     Given commutativity, (ab)c - a(bc) = c(ba) - (cb)a: (i, j, k) fails iff
     (k, j, i) does, and (i, j, i) never fails, so associativity is checked
-    for i < k only."""
+    for i < k only.  A triple with e_i e_j = e_j e_k = 0 has both sides 0
+    and is skipped."""
     n = fa.dim
     basis = [tuple(Fraction(i == k) for i in range(n)) for k in range(n)]
     for i in range(n):
@@ -148,15 +163,16 @@ def validate(fa: FrobeniusAlgebra) -> None:
             raise NotUnital(f"unit * e_{i} != e_{i}")
         if fa.multiply(basis[i], fa.unit) != basis[i]:
             raise NotUnital(f"e_{i} * unit != e_{i}")
-    s, mul = fa.structure, fa.multiply
+    s, t, mul = fa.structure, fa._terms, fa.multiply
     for i in range(n):
         for j in range(i + 1, n):
-            if s[i][j] != s[j][i]:
+            if t[i][j] != t[j][i]:
                 raise NotCommutative(f"e_{i} e_{j} != e_{j} e_{i}")
     for i in range(n):
         for j in range(n):
             for k in range(i + 1, n):
-                if mul(s[i][j], basis[k]) != mul(basis[i], s[j][k]):
+                if (t[i][j] or t[j][k]) and (
+                        mul(s[i][j], basis[k]) != mul(basis[i], s[j][k])):
                     raise NotAssociative(f"(e_{i} e_{j}) e_{k} differs")
     if det(fa.gram()) == 0:
         raise NondegeneracyFailure("the pairing eps(ab) is singular")
@@ -190,18 +206,21 @@ def handle_element(fa: FrobeniusAlgebra) -> HandleData:
     return HandleData(h, fa.mult_matrix(h))
 
 
-def surface_eval(fa: FrobeniusAlgebra, genus: int) -> Fraction:
+def surface_eval(fa: FrobeniusAlgebra, genus: int,
+                 hd: HandleData | None = None) -> Fraction:
     """Value of the closed genus-g surface: eps(h^g).
 
     For g >= 1 this must equal tr(M_h^(g-1)) (trace of multiplication by a
     is eps(h a)).  That trace is read off the trace series of M_h
     (`trace_series`), the same route as `generating_function`; the two
     routes are compared, and disagreement — possible only for inputs that
-    are not honest Frobenius data — is an InternalInconsistency.
+    are not honest Frobenius data — is an InternalInconsistency.  hd is
+    `handle_element(fa)`, built here unless the caller already has it.
     """
     if genus < 0:
         raise ValueError("genus must be nonnegative")
-    hd = handle_element(fa)
+    if hd is None:
+        hd = handle_element(fa)
     power = fa.unit
     for _ in range(genus):
         power = fa.multiply(power, hd.element)
@@ -594,11 +613,19 @@ def cob2_pseudochar_check(alpha_seq, d: int, cap_dots=None) -> Cob2PseudoReport:
 # JSON
 
 
+def _row_json(terms, n: int) -> list:
+    """The n cells of one structure row, given its nonzero (k, c)."""
+    row = ["0"] * n
+    for k, c in terms:
+        row[k] = rat_str(c)
+    return row
+
+
 def frobenius_to_json(fa: FrobeniusAlgebra) -> dict:
     return {"frobenius": {
         "dim": fa.dim,
-        "structure": [[[rat_str(x) for x in row] for row in plane]
-                      for plane in fa.structure],
+        "structure": [[_row_json(terms, fa.dim) for terms in plane]
+                      for plane in fa._terms],
         "unit": [rat_str(x) for x in fa.unit],
         "counit": [rat_str(x) for x in fa.counit],
     }}

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import loopcat
-from loopcat import statespaces
+from loopcat import frobenius, statespaces
 from loopcat.cli import main
 from loopcat.linalg import Polynomial, RationalFunction, rat_str
 
@@ -24,6 +24,14 @@ QX3_EPS7 = {"frobenius": {
                   [["0", "0", "1"], ["0", "0", "0"], ["0", "0", "0"]]],
     "unit": ["1", "0", "0"],
     "counit": ["7", "0", "1"]}}
+
+
+def _qx3_with_last_cell(value) -> dict:
+    """QX3_EPS7 with its last structure cell, after 26 parsed ones, set to
+    value."""
+    doc = json.loads(json.dumps(QX3_EPS7))
+    doc["frobenius"]["structure"][2][2][2] = value
+    return doc
 
 
 def run_cli(tmp_path, capsys, command, doc, *flags):
@@ -405,6 +413,9 @@ OUT_OF_RANGE_JOBS = {
     "scalar-zero-den-cob2-dim": (
         "cob2-dim", {"m": 1, "alpha": ["1/0"] + ["2"] * 5},
         "zero denominator in '1/0'"),
+    "scalar-zero-den-structure": (
+        "frobenius-validate", _qx3_with_last_cell("1/0"),
+        "zero denominator in '1/0'"),
     "scalar-zero-den-pih-solve": (
         "pih-solve", {"blocks": [["1", 1, "1/0"]]},
         "zero denominator in '1/0'"),
@@ -491,6 +502,15 @@ def test_non_integral_integer_field_exits_two_without_asserts(tmp_path, name):
                                        "message": f"not an integer: {value!r}"}
 
 
+@pytest.mark.parametrize("cell", [1.0, None, [1]],
+                         ids=["float", "null", "list"])
+def test_inexact_structure_cell_exits_two(tmp_path, capsys, cell):
+    code, out = run_json(tmp_path, capsys, "frobenius-validate",
+                         _qx3_with_last_cell(cell))
+    assert (code, out) == (2, {"error": "TypeError",
+                               "message": f"not an exact rational: {cell!r}"})
+
+
 WRONG_TYPE_JOBS = {
     "automaton-minimize": {"automaton": {"initial": ["1"], "final": ["1"],
                                          "transitions": [[["1"]]]}},
@@ -521,6 +541,20 @@ def test_frobenius_validate_reports_handle(tmp_path, capsys):
     assert out["ok"] is True
     assert out["handle"] == ["0", "0", "3"]
     assert out["genus_one_value"] == "3"
+
+
+def test_frobenius_validate_builds_one_handle(tmp_path, capsys, monkeypatch):
+    calls = []
+    invert = frobenius.dual_basis
+
+    def counted(fa):
+        calls.append(fa.dim)
+        return invert(fa)
+
+    monkeypatch.setattr(frobenius, "dual_basis", counted)
+    code, out = run_json(tmp_path, capsys, "frobenius-validate", QX3_EPS7)
+    assert (code, out["genus_one_value"]) == (0, "3")
+    assert calls == [3]
 
 
 def test_frobenius_validate_degenerate_counit(tmp_path, capsys):

@@ -43,9 +43,10 @@ from loopcat.frobenius import (
     validate,
     witness_synthesis,
 )
-from loopcat.linalg import Matrix, Polynomial, RationalFunction
+from loopcat.linalg import Matrix, Polynomial, RationalFunction, rat_str
 from loopcat.statespaces import SequenceTooShort
-from oracles import _signed_cycle_decompositions, dense_validate, f1_pullback
+from oracles import (_signed_cycle_decompositions, dense_multiply,
+                     dense_validate, f1_pullback)
 
 
 def diagonal_algebra(counit_values) -> FrobeniusAlgebra:
@@ -164,9 +165,37 @@ def _outcome(check, fa):
 @example(_one_failing_pair())
 @settings(max_examples=200, deadline=None)
 def test_validate_matches_dense_reference(fa) -> None:
-    """Associativity on i <= k only, from the stored products, raises what
-    the dense check on every triple raises, or passes with it."""
+    """Associativity on i < k only, skipping the triples with
+    e_i e_j = e_j e_k = 0, raises what the dense check on every triple
+    raises, or passes with it."""
     assert _outcome(validate, fa) == _outcome(dense_validate, fa)
+
+
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+@st.composite
+def sparse_and_dense_algebras(draw):
+    """A witness-shaped product of Q[x]/x^m blocks, or dim 1-4 structure
+    constants, unit and counit drawn densely from small signed fractions."""
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+        return product_algebra(*(truncated_poly_algebra(m, nilpotent_counit(m))
+                                 for m in sizes))
+    n = draw(st.integers(1, 4))
+    cells = st.lists(SMALL_FRACTIONS, min_size=n, max_size=n)
+    structure = [[draw(cells) for _ in range(n)] for _ in range(n)]
+    return FrobeniusAlgebra(n, structure, draw(cells), draw(cells))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_multiply_matches_dense_reference(data) -> None:
+    fa = data.draw(sparse_and_dense_algebras())
+    entries = st.one_of(st.just(0), st.integers(-3, 3), SMALL_FRACTIONS)
+    vectors = st.lists(entries, min_size=fa.dim, max_size=fa.dim)
+    a, b = data.draw(vectors), data.draw(vectors)
+    assert fa.multiply(a, b) == dense_multiply(fa, a, b)
 
 
 def test_validate_rejects_bad_unit() -> None:
@@ -622,6 +651,15 @@ def test_frobenius_json_round_trip() -> None:
     back = frobenius_from_json(frobenius_to_json(fa))
     assert (back.dim, back.structure, back.unit, back.counit) == \
         (fa.dim, fa.structure, fa.unit, fa.counit)
+
+
+@given(sparse_and_dense_algebras())
+@example(FrobeniusAlgebra(2, [[["-1/2", "0"], ["3", "0"]],
+                              [["0", "-2"], ["0", "5/3"]]], [1, 0], [0, 1]))
+@settings(max_examples=100, deadline=None)
+def test_frobenius_json_formats_every_cell(fa) -> None:
+    assert frobenius_to_json(fa)["frobenius"]["structure"] == [
+        [[rat_str(x) for x in row] for row in plane] for plane in fa.structure]
 
 
 def test_genfun_json_round_trip() -> None:
