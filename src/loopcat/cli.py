@@ -322,40 +322,36 @@ def _run_cob2_pseudo(doc: dict, args) -> dict:
     }
 
 
+# name -> (handler, help line)
 _COMMANDS = {
-    "statespace": _run_statespace,
-    "boolean-statespace": _run_boolean_statespace,
-    "automaton-minimize": _run_automaton_minimize,
-    "pseudochar-degree": _run_pseudochar_degree,
-    "pseudochar-charpoly": _run_pseudochar_charpoly,
-    "pseudochar-lift": _run_pseudochar_lift,
-    "holonomy": _run_holonomy,
-    "frobenius-validate": _run_frobenius_validate,
-    "genfun": _run_genfun,
-    "classify": _run_classify,
-    "witness": _run_witness,
-    "pih-solve": _run_pih_solve,
-    "pih-check": _run_pih_check,
-    "cob2-dim": _run_cob2_dim,
-    "cob2-pseudo": _run_cob2_pseudo,
-}
-
-_HELP = {
-    "statespace": "gram rank of the state space at an object",
-    "boolean-statespace": "distinct/join-irreducible states over the Boolean semiring",
-    "automaton-minimize": "exact weighted-automaton minimization",
-    "pseudochar-degree": "least vanishing level of the antisymmetrized traces",
-    "pseudochar-charpoly": "degree-d characteristic polynomial at an element",
-    "pseudochar-lift": "nonnegative-integer multiplicities against a character table",
-    "holonomy": "closed-walk trace table and degree of a matrix-labeled graph",
-    "frobenius-validate": "axioms, handle element, genus-one value",
-    "genfun": "rational generating function of the surface values",
-    "classify": "admissibility of a generating function",
-    "witness": "an algebra realizing a classification",
-    "pih-solve": "confluent expansion coefficients and dimension verdict",
-    "pih-check": "(p, h, iota) realization against a value sequence",
-    "cob2-dim": "circle-count state-space dimension with genus cap",
-    "cob2-pseudo": "degree-d vanishing for a surface-value sequence",
+    "statespace": (_run_statespace,
+                   "gram rank of the state space at an object"),
+    "boolean-statespace": (_run_boolean_statespace,
+                           "distinct/join-irreducible states over the Boolean semiring"),
+    "automaton-minimize": (_run_automaton_minimize,
+                           "exact weighted-automaton minimization"),
+    "pseudochar-degree": (_run_pseudochar_degree,
+                          "least vanishing level of the antisymmetrized traces"),
+    "pseudochar-charpoly": (_run_pseudochar_charpoly,
+                            "degree-d characteristic polynomial at an element"),
+    "pseudochar-lift": (_run_pseudochar_lift,
+                        "nonnegative-integer multiplicities against a character table"),
+    "holonomy": (_run_holonomy,
+                 "closed-walk trace table and degree of a matrix-labeled graph"),
+    "frobenius-validate": (_run_frobenius_validate,
+                           "axioms, handle element, genus-one value"),
+    "genfun": (_run_genfun,
+               "rational generating function of the surface values"),
+    "classify": (_run_classify, "admissibility of a generating function"),
+    "witness": (_run_witness, "an algebra realizing a classification"),
+    "pih-solve": (_run_pih_solve,
+                  "confluent expansion coefficients and dimension verdict"),
+    "pih-check": (_run_pih_check,
+                  "(p, h, iota) realization against a value sequence"),
+    "cob2-dim": (_run_cob2_dim,
+                 "circle-count state-space dimension with genus cap"),
+    "cob2-pseudo": (_run_cob2_pseudo,
+                    "degree-d vanishing for a surface-value sequence"),
 }
 
 
@@ -402,14 +398,14 @@ def _parser() -> argparse.ArgumentParser:
         prog="loopcat",
         description="Exact diagram-calculus reports from JSON job files.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sub.add_parser(name, parents=[common], help=_HELP[name])
+    for name, (_handler, help_line) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_line)
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    handler = _COMMANDS[args.command]
+    handler = _COMMANDS[args.command][0]
     try:
         with open(args.input, encoding="utf-8") as fh:
             doc = json.load(fh)

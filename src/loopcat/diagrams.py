@@ -223,77 +223,72 @@ def tensor(d1: BrauerMorphism, d2: BrauerMorphism) -> BrauerMorphism:
 # splicing
 
 
-def _splice_run(cat, boundary, arcs, half, wire, outer, obj_of, eff_of):
-    """Trace chains through a wired-up node graph.
+def _chains(arcs, half, wire, outer, eff_of):
+    """The chains of a wired-up node graph, in the order the splice meets them.
 
     arcs: tail node -> (head node, label); half: node -> boundary element;
     wire: interface node <-> partner node; outer: node -> composite endpoint
-    index.  Chains run tail-to-head through arcs and across wires; they start
-    at outer effective-minus endpoints or at right-element inner ends, and
-    finish at outer effective-plus endpoints or left-element inner ends.
-    Whatever remains is a closed loop.  Returns composite
-    (arcs, half_intervals, loops, intervals).
+    index.  Chains run tail-to-head through arcs and across wires.  Returns
+    (start node, end node, labels) per chain: first those from outer
+    endpoints (an untouched half-interval has no labels), then those from
+    right-element inner ends, each ending at an outer effective-plus
+    endpoint or a left-element inner end, then the closed loops, which end
+    where they start.
     """
-    out_arcs, out_half, loops, intervals = [], [], [], []
+    chains = []
     used: set = set()
 
-    def run_from_head(h, labels):
+    def run(start, h, labels):
         """Arrived at effective-plus node h; walk until the chain ends."""
-        while True:
-            if h in outer:
-                return ("out", h, labels)
+        while h not in outer:
             p = wire[h]
-            if p in half:
-                return ("gl", p, labels)
-            h2, lab = arcs[p]
+            if p in half or p == start:  # an inner end, or round a loop
+                h = p
+                break
+            h, lab = arcs[p]
             used.add(p)
             labels.append(lab)
-            h = h2
+        chains.append((start, h, labels))
 
-    # chains starting at an outer endpoint
     for n in sorted(outer):
         if n in half:
-            out_half.append((outer[n], half[n]))  # untouched half-interval
-            continue
-        if n not in arcs:
-            continue  # head side; reached from the other end
-        h, lab = arcs[n]
-        used.add(n)
-        kind, end, labels = run_from_head(h, [lab])
-        beta = compose_path(cat, labels, at=obj_of(n))
-        if kind == "out":
-            out_arcs.append((outer[n], outer[end], beta))
-        else:
-            out_half.append((outer[n], boundary.gl(beta, half[end])))
-
-    # chains starting at a right-element inner end on an interface node
+            chains.append((n, n, []))  # untouched half-interval
+        elif n in arcs:  # else a head side, reached from the other end
+            h, lab = arcs[n]
+            used.add(n)
+            run(n, h, [lab])
     for n in sorted(k for k in half if k not in outer):
-        if eff_of(n) == MINUS:
-            continue  # left element; consumed as some chain's end
-        kind, end, labels = run_from_head(n, [])
-        beta = compose_path(cat, labels, at=obj_of(n))
-        g = boundary.gr(beta, half[n])
-        if kind == "out":
-            out_half.append((outer[end], g))
-        else:
-            intervals.append(boundary.interval_class(obj_of(end), half[end], g))
-
-    # remaining chains are closed loops
+        if eff_of(n) != MINUS:  # left elements only end chains
+            run(n, n, [])
     for n in sorted(arcs):
-        if n in used:
-            continue
-        labels = []
-        cur = n
-        while True:
-            h, lab = arcs[cur]
-            used.add(cur)
-            labels.append(lab)
-            nxt = wire[h]
-            if nxt == n:
-                break
-            cur = nxt
-        loops.append(cat.loop_class(obj_of(n), labels))
+        if n not in used:
+            h, lab = arcs[n]
+            used.add(n)
+            run(n, h, [lab])
+    return chains
 
+
+def _splice_run(cat, boundary, arcs, half, wire, outer, obj_of, eff_of):
+    """Compose the labels of each chain of `_chains` into composite (arcs,
+    half_intervals, loops, intervals): absorbed into the boundary element
+    at an inner end, and into a loop class on a closed chain."""
+    out_arcs, out_half, loops, intervals = [], [], [], []
+    for start, end, labels in _chains(arcs, half, wire, outer, eff_of):
+        if start in outer and start in half:  # untouched half-interval
+            out_half.append((outer[start], half[start]))
+        elif start in outer or start in half:
+            beta = compose_path(cat, labels, at=obj_of(start))
+            if start in outer and end in outer:
+                out_arcs.append((outer[start], outer[end], beta))
+            elif start in outer:
+                out_half.append((outer[start], boundary.gl(beta, half[end])))
+            elif end in outer:
+                out_half.append((outer[end], boundary.gr(beta, half[start])))
+            else:
+                intervals.append(boundary.interval_class(
+                    obj_of(end), half[end], boundary.gr(beta, half[start])))
+        else:
+            loops.append(cat.loop_class(obj_of(start), labels))
     return out_arcs, out_half, loops, intervals
 
 

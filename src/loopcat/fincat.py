@@ -336,15 +336,14 @@ class BoundaryDatum:
     for finite categories.
     """
 
-    def __init__(self, cat, gr_sets, gl_sets, gr_action, gl_action, validate=True):
+    def __init__(self, cat, gr_sets, gl_sets, gr_action, gl_action):
         self.cat = cat
         self.gr_sets = {x: tuple(v) for x, v in gr_sets.items()}
         self.gl_sets = {x: tuple(v) for x, v in gl_sets.items()}
         self._gr = gr_action
         self._gl = gl_action
         self._interval_reps: dict | None = None
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         for x in self.cat.objects:

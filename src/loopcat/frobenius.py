@@ -590,6 +590,8 @@ def cob2_pseudochar_check(alpha_seq, d: int, cap_dots=None) -> Cob2PseudoReport:
     if d < 0:
         raise ValueError("d must be nonnegative")
     cap = d + 1 if cap_dots is None else exact_int(cap_dots)
+    if cap < 0:
+        raise ValueError(f"cap_dots must be nonnegative, got {cap}")
     seq = [rat(x) for x in alpha_seq]
     need = (d + 1) * cap + 2
     if len(seq) < need:

@@ -6,15 +6,15 @@ is spanned by the open diagrams from the unit into it (kets); the pairing
 closes one ket against the reflection (bra) of another and evaluates.  The
 strands of that closed diagram depend only on the two matchings, its
 classes only on the labels, so each pair of matchings is traced once into
-a wiring template and every Gram entry is a product of memoized strand
-values, integral ones held as ints.  The generic splice
-(`diagrams.compose`) stays the reference: it evaluates the first entry of
-each template as a cross-check, and any entry that lacks a value, so that
-the error names the class it names.  Over the rationals the dimension is
-the Gram rank, taken once per spanning set: a smaller cap whose kets are
-the same ones reuses it.  Over the Boolean semiring the states are the
-distinct rows (residual languages), with the join-irreducible rows counted
-separately.
+a wiring template, by the splice's own chain walk (`diagrams._chains`),
+and every Gram entry is a product of memoized strand values, integral ones
+held as ints.  The generic splice (`diagrams.compose`) stays the reference:
+it evaluates the first entry of each template as a cross-check, and any
+entry that lacks a value, so that the error names the class it names.  Over
+the rationals the dimension is the Gram rank, taken once per spanning set:
+a smaller cap whose kets are the same ones reuses it.  Over the Boolean
+semiring the states are the distinct rows (residual languages), with the
+join-irreducible rows counted separately.
 
 Also here: exact weighted-automaton minimization (the Hankel pairing of the
 non-monoidal construction) and the two-dimensional cobordism state spaces,
@@ -29,11 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import count, product as iproduct
 from operator import itemgetter
 from typing import Mapping, Sequence
 
-from .diagrams import MINUS, PLUS, BrauerMorphism, compose, transpose
+from .diagrams import BrauerMorphism, _chains, compose, transpose
 from .errors import DomainError, InternalInconsistency
 from .fincat import IntervalClass, Loop, _UnionFind, compose_path
 from .linalg import Matrix, _integral, distinct_rows, rank, rat
@@ -211,52 +211,30 @@ def _decorations(d: BrauerMorphism) -> tuple:
 
 def _strands(obj: tuple, ket_wiring: tuple, bra_wiring: tuple):
     """The closed strands of a bra of `bra_wiring` after a ket of
-    `ket_wiring`, in the order `diagrams._splice_run` finds them.
+    `ket_wiring`, found by the splice's own chain walk, `diagrams._chains`.
 
-    Positions index the ket's decorations followed by the bra's.  Intervals
-    come first, as (start object, end object, positions of the start
-    element, the labels and the end element); each starts at a ket half on
-    a +1 endpoint or a bra half on a -1 endpoint, in that order.  Loops
-    follow, as (base object, positions of the labels, alternately ket and
-    bra), each started at the smallest ket tail not yet on a strand.
+    Ket endpoint e is node (1, e), bra endpoint e node (2, e), and a wire
+    joins the two; each label is its position in the ket's decorations
+    followed by the bra's.  Intervals come first, as (start object, end
+    object, positions of the start element, the labels and the end
+    element); loops follow, as (base object, positions of the labels).
     """
-    k_arcs, k_halves = ket_wiring
-    b_arcs, b_halves = bra_wiring
-    nk = len(k_arcs) + len(k_halves)
-    # per side (0 ket, 1 bra): arc tail -> (position of its label, head)
-    arc_at = ({t: (i, h) for i, (t, h) in enumerate(k_arcs)},
-              {t: (nk + i, h) for i, (t, h) in enumerate(b_arcs)})
-    half_at = ({e: len(k_arcs) + i for i, e in enumerate(k_halves)},
-               {e: nk + len(b_arcs) + i for i, e in enumerate(b_halves)})
-    used = set()  # ket tails already on a strand
-    starts = [(0, e) for e in k_halves if obj[e][1] == PLUS]
-    starts += [(1, e) for e in b_halves if obj[e][1] == MINUS]
-    intervals = []
-    for side, e0 in starts:
-        picks, e = [half_at[side][e0]], e0
-        while True:
-            side = 1 - side  # cross the wire at endpoint e
-            if e in half_at[side]:
-                picks.append(half_at[side][e])
-                break
-            if side == 0:
-                used.add(e)
-            pos, e = arc_at[side][e]
-            picks.append(pos)
-        intervals.append((obj[e0][0], obj[e][0], tuple(picks)))
-    loops = []
-    for t0 in sorted(arc_at[0]):
-        if t0 in used:
-            continue
-        picks, t = [], t0
-        while True:
-            used.add(t)
-            pos, h = arc_at[0][t]
-            bpos, t = arc_at[1][h]
-            picks += [pos, bpos]
-            if t == t0:
-                break
-        loops.append((obj[t0][0], tuple(picks)))
+    at = count()
+    arcs, half = {}, {}
+    for side, (arc_wiring, half_wiring) in ((1, ket_wiring), (2, bra_wiring)):
+        arcs.update({(side, t): ((side, h), next(at)) for t, h in arc_wiring})
+        half.update({(side, e): next(at) for e in half_wiring})
+    wire = {(side, e): (3 - side, e) for side in (1, 2)
+            for e in range(len(obj))}
+    intervals, loops = [], []
+    for start, end, labels in _chains(
+            arcs, half, wire, {},
+            lambda n: obj[n[1]][1] if n[0] == 1 else -obj[n[1]][1]):
+        if start in half:
+            intervals.append((obj[start[1]][0], obj[end[1]][0],
+                              (half[start], *labels, half[end])))
+        else:
+            loops.append((obj[start[1]][0], tuple(labels)))
     return intervals, loops
 
 
@@ -264,13 +242,14 @@ def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
     """Gram rows: entry (i, j) evaluates the bra of ket j after ket i.
 
     Kets sharing a matching share their strands, so each pair of matchings
-    is traced once into a template of strands (`_strands`), and an entry is
-    the product of its strands' values, memoized on their decorations, the
-    integral ones as ints, so an entry of integral values is an int.  The
-    first entry of each template, row by row, is also evaluated through
-    `compose`, and must agree.  An entry missing a value is evaluated there
-    again, so that the error names the class the splice names first (loops
-    before intervals, each in `repr` order).
+    is traced once into a template of strands (`_strands`, by the chain
+    walk `compose` splices along), and an entry is the product of its
+    strands' values, memoized on their decorations, the integral ones as
+    ints, so an entry of integral values is an int.  The first entry of
+    each template, row by row, is also evaluated through `compose`, and
+    must agree.  An entry missing a value is evaluated there again, so
+    that the error names the class the splice names first (loops before
+    intervals, each in `repr` order).
     """
     if not kets:
         return []

@@ -437,6 +437,10 @@ OUT_OF_RANGE_JOBS = {
     "cob2-dim-negative-cap": (
         "cob2-dim", {"m": 13, "alpha": ["1", "2", "3", "4", "5"]},
         "genus cap must be nonnegative, got -1", "--cap-genus", "-1"),
+    "cob2-pseudo-negative-cap": (
+        "cob2-pseudo", {"alpha": [str(g) for g in range(1, 9)], "d": 1,
+                        "cap_dots": -1},
+        "cap_dots must be nonnegative, got -1"),
     "holonomy-dihedral-walks": (
         "holonomy", {"graph": {"n_vertices": 1, "edges": [
             [0, 0, DIHEDRAL[i % 4]] for i in range(20)]}},

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopcat.diagrams import (
@@ -146,9 +146,18 @@ def _two_strand(matching: bool, lab1: int, lab2: int) -> BrauerMorphism:
 
 two_strands = st.builds(_two_strand, st.booleans(),
                         st.integers(0, 5), st.integers(0, 5))
+FREE = FreeMonoidCategory("ab")
+FREE_WORDS = FreeBoundary(FREE)
+WORD_STRAND = BrauerMorphism(FREE, ((X, PLUS),), ((X, PLUS),),
+                             [(0, 1, FREE.word("b"))], boundary=FREE_WORDS)
 
 
+# the example closes a right element, the word strand and a left element:
+# one bracketing absorbs the label into the right element, the other into
+# the left one
 @given(two_strands, two_strands, two_strands)
+@example(ket(FREE, FREE_WORDS, X, FREE.word("a")), WORD_STRAND,
+         transpose(ket(FREE, FREE_WORDS, X, FREE.word("ab"))))
 @settings(max_examples=120)
 def test_composition_associative(a, b, c) -> None:
     assert compose(c, compose(b, a)) == compose(compose(c, b), a)
