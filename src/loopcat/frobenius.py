@@ -13,6 +13,7 @@ when recovering a direct-sum decomposition from the values alone.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -289,11 +290,15 @@ class ClassificationData:
             raise ValueError("poles must be sorted")
 
     def genfun(self) -> RationalFunction:
-        out = RationalFunction(Polynomial([self.mu, self.m]), Polynomial([1]))
+        """The sum above over its common denominator prod_i (1 - lam_i T),
+        normalized once."""
+        den = Polynomial([1])
+        for lam, _ in self.poles:
+            den = den * Polynomial([1, -lam])
+        num = Polynomial([self.mu, self.m]) * den
         for lam, mult in self.poles:
-            out = out + RationalFunction(
-                Polynomial([Fraction(mult) / lam]), Polynomial([1, -lam]))
-        return out
+            num = num + (den // Polynomial([1, -lam])).scale(mult / lam)
+        return RationalFunction(num, den)
 
 
 def classify_genfun(rf: RationalFunction) -> ClassificationData:
@@ -558,22 +563,13 @@ class Cob2PseudoReport:
 def _dotted_strands(seq) -> _TraceRecursion:
     """Antisymmetrized closures of dotted strands.
 
-    A strand is its dot count; a cycle of strands closes into a circle
-    carrying their dots, valued alpha_{dots+1}.  The one open strand of
-    the interval family is the marked element ("i", dots), valued
-    alpha_dots, and every product with it stays marked.
+    A strand is its dot count, strands multiply by adding dots, and a
+    cycle of strands closes into a circle carrying their dots, valued
+    alpha_{dots+1}.  An open strand with h dots closes into an interval
+    valued alpha_h = alpha_{(h-1)+1} and gains dots like any strand, so it
+    is the strand h - 1: h = 0 is the strand -1, traced as alpha_0.
     """
-    def trace(x):
-        return seq[x[1]] if isinstance(x, tuple) else seq[x + 1]
-
-    def add(x, y):
-        if isinstance(x, tuple):
-            return ("i", x[1] + y)
-        if isinstance(y, tuple):
-            return ("i", x + y[1])
-        return x + y
-
-    return _TraceRecursion(trace, add)
+    return _TraceRecursion(lambda k: seq[k + 1], operator.add)
 
 
 def cob2_pseudochar_check(alpha_seq, d: int, cap_dots=None) -> Cob2PseudoReport:
@@ -585,7 +581,10 @@ def cob2_pseudochar_check(alpha_seq, d: int, cap_dots=None) -> Cob2PseudoReport:
     instead.  Both families must vanish identically when alpha comes from
     an algebra of dimension <= d; dot counts run up to cap_dots per
     strand (default d + 1).  The closures are evaluated by the trace
-    recursion (`_dotted_strands`).
+    recursion (`_dotted_strands`), where an open strand with h dots is the
+    strand with h - 1.  So each circle tuple with an entry k < cap has
+    the value of an interval tuple (k + 1, rest) scanned before it, and
+    only the all-cap circle tuple can be a circle witness.
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
@@ -600,9 +599,9 @@ def cob2_pseudochar_check(alpha_seq, d: int, cap_dots=None) -> Cob2PseudoReport:
     dot_ids = [strands.intern(k) for k in range(cap + 1)]
 
     for head in range(cap + 1):
-        marked = strands.intern(("i", head))
+        opened = strands.intern(head - 1)
         for rest in combinations_with_replacement(range(cap + 1), d):
-            if strands.antisym([marked] + [dot_ids[k] for k in rest]) != 0:
+            if strands.antisym([opened] + [dot_ids[k] for k in rest]) != 0:
                 return Cob2PseudoReport(d, cap, False,
                                         ("interval", (head,) + rest))
     for dots in combinations_with_replacement(range(cap + 1), d + 1):

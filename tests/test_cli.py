@@ -844,6 +844,15 @@ def test_cob2_pseudo_finds_witness(tmp_path, capsys):
     assert out["witness"][0] in ("interval", "circle")
 
 
+def test_cob2_pseudo_finds_circle_witness(tmp_path, capsys):
+    # every interval closure vanishes; the all-cap circle pair reads
+    # alpha_2^2 - alpha_3 = -1
+    doc = {"alpha": ["0", "0", "0", "1"], "d": 1, "cap_dots": 1}
+    code, out = run_json(tmp_path, capsys, "cob2-pseudo", doc)
+    assert code == 0
+    assert (out["ok"], out["witness"]) == (False, ["circle", [1, 1]])
+
+
 # --- plumbing ---------------------------------------------------------------
 
 

@@ -1,17 +1,16 @@
 """Exit-code contract of the CLI on small adversarial job documents.
 
-Every job of `frobenius-validate`, `genfun`, `classify`, `witness`,
-`automaton-minimize`, `pih-solve`, `pih-check`, `cob2-dim`, `holonomy`,
-`statespace` and `boolean-statespace` (11 of the 15 subcommands) must
-exit 0, 1 or 2 without a traceback, give the same bytes when run twice
-and finish within JOB_BUDGET_S seconds.  The documents mix honest data
-(truncated polynomial algebras and their classifications, diagonal (p, h,
-iota) systems, invertible loops, monoid characters and word tables) with
-wrong types, non-integral integer fields, ragged shapes and missing keys;
-sizes stay small (dim <= 4, m <= 6, multiplicities <= 3), except that
-confluent block sizes run up to 40, `cob2-dim` circle counts up to 14,
-`holonomy` walk caps up to 6 and state-space objects up to 4 strands.  A
-job may carry command-line flags.
+Every job of each of the 15 subcommands must exit 0, 1 or 2 without a
+traceback, give the same bytes when run twice and finish within
+JOB_BUDGET_S seconds.  The documents mix honest data (truncated
+polynomial algebras and their classifications, diagonal (p, h, iota)
+systems, surface values of diagonal algebras, invertible loops, monoid
+characters and word tables) with wrong types, non-integral integer
+fields, ragged shapes and missing keys; sizes stay small (dim <= 4,
+m <= 6, multiplicities <= 3, monoids of order <= 6, degrees and dot caps
+<= 3, `--max-degree` <= 6), except that confluent block sizes run up to
+40, `cob2-dim` circle counts up to 14, `holonomy` walk caps up to 6 and
+state-space objects up to 4 strands.  A job may carry command-line flags.
 """
 
 import io
@@ -21,7 +20,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -29,13 +28,15 @@ from hypothesis import strategies as st
 
 import loopcat
 from loopcat.cli import main
+from loopcat.fincat import FiniteMonoid, conjugacy_classes
 
 # Generous: every job drawn here takes milliseconds.
 JOB_BUDGET_S = 2.0
 
 COMMANDS = ("frobenius-validate", "genfun", "classify", "witness",
             "automaton-minimize", "pih-solve", "pih-check", "cob2-dim",
-            "holonomy", "statespace", "boolean-statespace")
+            "cob2-pseudo", "holonomy", "statespace", "boolean-statespace",
+            "pseudochar-degree", "pseudochar-charpoly", "pseudochar-lift")
 
 junk = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3),
@@ -182,6 +183,29 @@ def cob2_dim_docs(draw):
 
 
 @st.composite
+def cob2_pseudo_docs(draw):
+    """Degree and dot cap from -1 to 3, the cap sometimes left to its
+    default d + 1, on the surface values of a diagonal algebra with up to
+    four eigenvalues or on drawn values, from too few to enough for the
+    default cap at d = 3."""
+    if draw(st.booleans()):
+        lams = draw(st.lists(
+            st.fractions(-3, 3, max_denominator=2).filter(bool),
+            min_size=1, max_size=4))
+        alpha = [str(sum(1 / lam for lam in lams))] + [
+            str(sum(lam ** (n - 1) for lam in lams)) for n in range(1, 20)]
+    else:
+        alpha = draw(st.lists(maybe_junk(scalar), max_size=20))
+    # d and cap_dots take no junk: a large integral float there costs
+    # time and memory that grow with d, and nothing bounds them yet
+    doc = {"alpha": alpha[:draw(st.integers(0, 20))],
+           "d": draw(integers(-1, 3))}
+    if draw(st.booleans()):
+        doc["cap_dots"] = draw(integers(-1, 3))
+    return draw(drop_a_key(doc))
+
+
+@st.composite
 def holonomy_jobs(draw):
     """One to four invertible 2x2 integer loops at one vertex, three or
     more in half the draws, and a walk cap from -1 to 6.  Three generic
@@ -203,6 +227,61 @@ MONOIDS = ({"table": [[0, 1], [1, 0]], "identity": 0, "size": 2},
            {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "identity": 0,
             "size": 3},
            {"table": [[0, 1], [1, 1]], "identity": 0, "size": 2})
+
+
+def cyclic_group(n):
+    return {"table": [[(a + b) % n for b in range(n)] for a in range(n)],
+            "identity": 0, "size": n}
+
+
+PERMUTATIONS = list(permutations(range(3)))
+# S3 with "p then q" as the permutation i -> q[p[i]]
+S3 = {"table": [[PERMUTATIONS.index(tuple(q[i] for i in p))
+                 for q in PERMUTATIONS] for p in PERMUTATIONS],
+      "identity": 0, "size": 6}
+# monoids of order <= 6 for the pseudocharacter commands
+SMALL_MONOIDS = (*(cyclic_group(n) for n in range(1, 7)), S3, MONOIDS[2])
+
+
+@st.composite
+def pseudocharacters(draw, monoid):
+    """A class function on the conjugacy classes or on the single
+    elements (not trace-like on S3 unless constant on its classes): r
+    copies of the regular character plus t of the trivial one, or drawn
+    values."""
+    size = monoid["size"]
+    classes = draw(st.sampled_from([
+        conjugacy_classes(FiniteMonoid(monoid["table"], monoid["identity"])),
+        [[e] for e in range(size)]]))
+    if draw(st.booleans()):
+        r, t = draw(st.integers(0, 1)), draw(st.integers(0, 2))
+        values = [str(r * size * (monoid["identity"] in c) + t)
+                  for c in classes]
+    else:
+        values = draw(st.lists(maybe_junk(scalar), min_size=len(classes),
+                               max_size=len(classes)))
+    return draw(drop_a_key({"classes": classes, "values": values}))
+
+
+@st.composite
+def pseudochar_jobs(draw):
+    """`pseudochar-degree` with `--max-degree` from -1 to 6,
+    `pseudochar-charpoly` at d from -1 to 3 and `pseudochar-lift` against
+    one to three drawn class functions, each on a monoid of order <= 6."""
+    monoid = draw(st.sampled_from(SMALL_MONOIDS))
+    doc = {"monoid": monoid, "pseudocharacter": draw(pseudocharacters(monoid))}
+    command = draw(st.sampled_from(
+        ["pseudochar-degree", "pseudochar-charpoly", "pseudochar-lift"]))
+    if command == "pseudochar-degree":
+        return (command, draw(drop_a_key(doc)), "--max-degree",
+                str(draw(st.integers(-1, 6))))
+    if command == "pseudochar-charpoly":
+        doc["x"] = draw(maybe_junk(integers(-1, 6)))
+        doc["d"] = draw(integers(-1, 3))  # no junk: the search runs to d
+    else:
+        doc["table"] = draw(st.lists(pseudocharacters(monoid), min_size=1,
+                                     max_size=3))
+    return command, draw(drop_a_key(doc))
 
 
 def objects(max_strands):
@@ -270,7 +349,9 @@ jobs = st.one_of(
     st.tuples(st.just("pih-solve"), pih_solve_docs()),
     st.tuples(st.just("pih-check"), pih_check_docs()),
     st.tuples(st.just("cob2-dim"), cob2_dim_docs()),
+    st.tuples(st.just("cob2-pseudo"), cob2_pseudo_docs()),
     holonomy_jobs(),
+    pseudochar_jobs(),
     statespace_jobs(),
     boolean_statespace_jobs(),
     st.tuples(st.sampled_from(COMMANDS), junk))

@@ -620,7 +620,20 @@ def closure_by_permutations(seq, dots, open_slot) -> Fraction:
     return total
 
 
+class FixedDraws:
+    """Stands in for `st.data()` in an explicit example, which cannot take
+    a strategy: each draw returns the next of the given values."""
+
+    def __init__(self, *values):
+        self._values = iter(values)
+
+    def draw(self, _strategy):
+        return next(self._values)
+
+
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=5), st.data())
+# an open strand without dots is the strand -1, traced as alpha_0
+@example([0, 2], FixedDraws([Fraction(1), 2, -3, Fraction(1, 2)]))
 @settings(max_examples=100, deadline=None)
 def test_dotted_strand_recursion_matches_permutation_sum(dots, data) -> None:
     seq = data.draw(st.lists(
@@ -630,9 +643,26 @@ def test_dotted_strand_recursion_matches_permutation_sum(dots, data) -> None:
     circles = [strands.intern(k) for k in dots]
     assert strands.antisym(circles) == \
         closure_by_permutations(seq, dots, None)
-    interval = [strands.intern(("i", dots[0]))] + circles[1:]
+    interval = [strands.intern(dots[0] - 1)] + circles[1:]
     assert strands.antisym(interval) == \
         closure_by_permutations(seq, dots, 0)
+
+
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_cob2_circle_witness_is_the_all_cap_tuple(d, cap, data) -> None:
+    """An open strand with h dots is the strand with h - 1, so a circle
+    tuple with an entry below the cap repeats an interval tuple scanned
+    before it.  For cap >= 1 only the all-cap circle tuple reads the last
+    value, so a constant run with its last value moved fails there."""
+    need = (d + 1) * cap + 2
+    bumped = st.tuples(st.integers(-2, 2), st.integers(-1, 1)).map(
+        lambda cb: [cb[0]] * (need - 1) + [cb[0] + cb[1]])
+    seq = data.draw(st.one_of(
+        bumped, st.lists(st.integers(-2, 2), min_size=need, max_size=need)))
+    report = cob2_pseudochar_check(seq, d, cap)
+    if report.witness is not None and report.witness[0] == "circle":
+        assert report.witness[1] == (cap,) * (d + 1)
 
 
 def test_cob2_check_rejects_at_low_degree() -> None:
