@@ -53,7 +53,8 @@ def exact_int(x) -> int:
 
 def _integral(x: Fraction) -> Fraction | int:
     """An integral value as an int, any other unchanged.  Private: it runs
-    once per entry, too small a step to be a traced span."""
+    once per entry, interned trace or trace-recursion leaf (`pseudochar`),
+    too small a step to be a traced span."""
     return x.numerator if x.denominator == 1 else x
 
 

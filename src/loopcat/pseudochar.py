@@ -16,9 +16,11 @@ multisets; class functions, loop matrices, matrix units of a direct sum,
 dotted strands (`frobenius.cob2_pseudochar_check`) and boundary-cut
 strands (`antisym_trace_boundary`) all go through it.  The recursion is
 exact only for a trace-like function, tr(gh) = tr(hg), so
-`PseudoCharacter` rejects class values that are not.  The permutation sum
-lives on in the test suite, which holds the recursion against it and
-both against the closed-diagram route in `diagrams`.
+`PseudoCharacter` rejects class values that are not.  Integral traces
+run through it as ints, and results typed `Fraction` are converted on
+the way out.  The permutation sum lives on in the test suite, which
+holds the recursion against it and both against the closed-diagram
+route in `diagrams`.
 """
 
 from __future__ import annotations
@@ -168,6 +170,11 @@ class _TraceRecursion:
     optional `trace_mul(a, b)` gives tr(a·b) without forming a·b (for n×n
     matrices, n² products instead of n³); without it the product is
     formed and traced.
+
+    Values enter the memo as interned traces and two-entry leaves,
+    integral ones as ints (`_integral`), under the int root T() = 1, so
+    integral traces keep the whole recursion on ints.  Callers that
+    promise a `Fraction` convert the result.
     """
 
     def __init__(self, trace, mul, trace_mul=None):
@@ -178,22 +185,22 @@ class _TraceRecursion:
         self._elements = []
         self._traces = []
         self._products = {}
-        self._memo = {(): Fraction(1)}
+        self._memo = {(): 1}
 
     def intern(self, x) -> int:
         i = self._ids.get(x)
         if i is None:
             i = self._ids[x] = len(self._elements)
             self._elements.append(x)
-            self._traces.append(self._trace(x))
+            self._traces.append(_integral(self._trace(x)))
             self._memo[(i,)] = self._traces[i]
         return i
 
-    def antisym(self, ids) -> Fraction:
+    def antisym(self, ids) -> Fraction | int:
         """T of interned ids, in any order."""
         return self._value(tuple(sorted(ids)))
 
-    def _value(self, key: tuple) -> Fraction:
+    def _value(self, key: tuple) -> Fraction | int:
         # Depth first with an explicit stack: a key of a thousand entries
         # would exhaust the interpreter's recursion limit.  A key waiting
         # for its subkeys keeps its expansion in `pending`.  Keys of length
@@ -211,9 +218,11 @@ class _TraceRecursion:
                 x0, rest = top[0], top[1:]
                 if len(rest) == 1:
                     a, b = self._elements[x0], self._elements[rest[0]]
-                    memo[top] = self._traces[x0] * self._traces[rest[0]] - (
-                        self._trace(self._mul(a, b)) if self._trace_mul is None
-                        else self._trace_mul(a, b))
+                    memo[top] = _integral(
+                        self._traces[x0] * self._traces[rest[0]] - (
+                            self._trace(self._mul(a, b))
+                            if self._trace_mul is None
+                            else self._trace_mul(a, b)))
                     stack.pop()
                     continue
                 terms = [(-rest.count(x), tuple(sorted(
@@ -250,7 +259,7 @@ def antisym_trace(alpha: PseudoCharacter, g) -> Fraction:
     symmetric in the entries of g.
     """
     engine = alpha._antisym
-    return engine.antisym([engine.intern(x) for x in g])
+    return Fraction(engine.antisym([engine.intern(x) for x in g]))
 
 
 def _vanishing_level(engine: _TraceRecursion, ids: list, levels):
@@ -383,10 +392,10 @@ def antisym_trace_boundary(cat, boundary, alpha, x_labels, boundary_pairs,
                 tail2)
 
     engine = _TraceRecursion(trace, mul)
-    return engine.antisym(
+    return Fraction(engine.antisym(
         [engine.intern(("x", (lab,))) for lab in x_labels]
         + [engine.intern(("p", Fraction(1), (), z, y, ()))
-           for y, z in boundary_pairs])
+           for y, z in boundary_pairs]))
 
 
 # ---------------------------------------------------------------------------

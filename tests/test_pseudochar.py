@@ -43,6 +43,8 @@ from loopcat.pseudochar import (
     SingularTable,
     _entry_ops,
     _TraceRecursion,
+    _vanishing_level,
+    _witness,
     alpha_charpoly,
     antisym_trace,
     antisym_trace_boundary,
@@ -336,6 +338,47 @@ def test_recursion_takes_long_tuples_without_deep_calls() -> None:
     assert antisym_trace(alpha, (0,) * 1500) == perm(2000, 1500)
 
 
+# --- integral values inside the recursion -----------------------------------------
+
+
+@given(st.sampled_from(ORACLE_MONOIDS), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_antisym_trace_is_a_fraction_for_any_class_values(monoid, integral,
+                                                          data) -> None:
+    # integral values run through the recursion as ints, the others as
+    # Fractions; either way the caller gets an exact Fraction
+    classes = conjugacy_classes(monoid)
+    values = data.draw(st.lists(
+        st.integers(-6, 6) if integral else rationals,
+        min_size=len(classes), max_size=len(classes)))
+    if not integral:
+        assume(any(v.denominator != 1 for v in values))
+    alpha = PseudoCharacter(monoid, values, classes)
+    g = data.draw(st.lists(st.integers(0, monoid.size - 1), max_size=6))
+    got = antisym_trace(alpha, g)
+    assert type(got) is Fraction
+    assert got == permutation_sum(alpha, monoid.mul, g)
+
+
+def test_int_and_fraction_traces_give_the_same_memo() -> None:
+    # the S3 standard character handed in as ints and as Fractions: the
+    # same search fills equal memos, and integral Fraction traces enter as
+    # ints, so neither memo holds a Fraction
+    rep, s3 = s3_standard_rep()
+    traces = [int(m.trace()) for m in rep.matrices]
+    runs = []
+    for values in (traces, [Fraction(t) for t in traces]):
+        engine = _TraceRecursion(values.__getitem__, s3.mul)
+        ids = [engine.intern(e) for e in range(s3.size)]
+        d, checked = _vanishing_level(engine, ids, range(4))
+        runs.append((engine._memo, d, checked, _witness(engine, ids, d)))
+    (int_memo, *int_search), (frac_memo, *frac_search) = runs
+    assert int_search == frac_search and int_search[0] == 2
+    assert int_memo == frac_memo
+    assert all(type(v) is int for v in int_memo.values())
+    assert all(type(v) is int for v in frac_memo.values())
+
+
 # --- degree ---------------------------------------------------------------------
 
 
@@ -444,6 +487,19 @@ def test_charpoly_matches_matrix_charpoly() -> None:
         assert val == zero_matrix(2, 2)
 
 
+def test_charpoly_coefficients_are_fractions() -> None:
+    # the recursion runs on ints here, and gamma_k / gamma_d must still be
+    # an exact quotient: t^2 - 1 at a transposition, t^2 + t + 1 at a
+    # 3-cycle
+    rep, _ = s3_standard_rep()
+    alpha = char_of_rep(rep)
+    for x, want in ((1, (-1, 0, 1)), (3, (1, 1, 1))):
+        assert rep.matrices[x].trace() == -want[1]
+        p = alpha_charpoly(alpha, x, 2)
+        assert p.coeffs == want
+        assert all(type(c) is Fraction for c in p.coeffs)
+
+
 def test_charpoly_rejects_wrong_degree() -> None:
     z2 = cyclic_group(2)
     alpha = PseudoCharacter.from_element_values(z2, [2, 0])
@@ -464,7 +520,9 @@ def _interval_value_table(fm, fb, words, seed=11):
 def test_boundary_trace_zero_slots_is_one() -> None:
     fm = FreeMonoidCategory("ab")
     fb = FreeBoundary(fm)
-    assert antisym_trace_boundary(fm, fb, Evaluation(), (), []) == 1
+    got = antisym_trace_boundary(fm, fb, Evaluation(), (), [])
+    # the recursion's root, the int 1, leaves as a Fraction
+    assert got == 1 and type(got) is Fraction
 
 
 def test_boundary_trace_six_term_expansion() -> None:
