@@ -18,9 +18,11 @@ strands (`antisym_trace_boundary`) all go through it.  The recursion is
 exact only for a trace-like function, tr(gh) = tr(hg), so
 `PseudoCharacter` rejects class values that are not.  Integral traces
 run through it as ints, and results typed `Fraction` are converted on
-the way out.  The permutation sum lives on in the test suite, which
-holds the recursion against it and both against the closed-diagram
-route in `diagrams`.
+the way out.  The degree searches decide each level on a basis of the
+elements (`_vanishing_level`).  The permutation sum and the full element
+search live on in the test suite, which holds the recursion against the
+sum, both against the closed-diagram route in `diagrams`, and the basis
+search against the full one.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ import operator
 
 from .errors import DomainError
 from .fincat import FiniteMonoid, conjugacy_classes, least_rotation
-from .linalg import Matrix, Polynomial, _integral, det, rank, rat, solve
+from .linalg import (Matrix, Polynomial, _eliminate, _integral, det, rank,
+                     rat, solve)
 
 
 class NotPseudo(DomainError):
@@ -262,19 +265,29 @@ def antisym_trace(alpha: PseudoCharacter, g) -> Fraction:
     return Fraction(engine.antisym([engine.intern(x) for x in g]))
 
 
-def _vanishing_level(engine: _TraceRecursion, ids: list, levels):
+def _vanishing_level(engine: _TraceRecursion, ids: list, vectors, levels):
     """The first d in levels at which the antisymmetrized trace of every
     unordered (d+1)-tuple drawn from ids vanishes (None if none does), and
-    the number of tuples evaluated; each level stops at its first nonzero
-    tuple."""
+    the number of tuples decided.
+
+    vectors[i] holds the traces of ids[i] against a spanning set of an
+    algebra closed under the product.  T is multilinear and vanishes when
+    one entry traces to zero against that whole algebra, so a level
+    vanishes on ids iff it vanishes on the basis, the first ids with
+    linearly independent vectors: at most dim² matrices (Procesi 1976),
+    the trace-Gram rank for a monoid (Chenevier 2014).  Such a level
+    counts all C(len(ids) + d, d + 1) tuples; any other scans the ids up
+    to its first nonzero tuple, as the full search does."""
+    basis = [ids[c] for c, _, _ in _eliminate(list(zip(*vectors)))[0]]
     checked = 0
     for d in levels:
+        if all(engine.antisym(tup) == 0
+               for tup in combinations_with_replacement(basis, d + 1)):
+            return d, checked + comb(len(ids) + d, d + 1)
         for tup in combinations_with_replacement(ids, d + 1):
             checked += 1
             if engine.antisym(tup) != 0:
                 break
-        else:
-            return d, checked
     return None, checked
 
 
@@ -300,8 +313,9 @@ def degree(alpha: PseudoCharacter, max_d: int) -> DegreeResult:
     """Smallest d with every (d+1)-fold antisymmetrized trace zero.
 
     The vanishing check runs over unordered tuples (the antisymmetrized
-    trace is symmetric in its arguments), all sharing the memo on alpha;
-    the nonvanishing witness at level d is the lexicographically first
+    trace is symmetric in its arguments), all sharing the memo on alpha,
+    and is decided on a basis of the trace-Gram rows [alpha(g·h)]; the
+    nonvanishing witness at level d is the lexicographically first
     ordered tuple.  Cross-checked against the characteristic-zero identity
     d = alpha(identity); disagreement, a fractional or negative identity
     value, or exhaustion of max_d all reject the class function.
@@ -309,9 +323,10 @@ def degree(alpha: PseudoCharacter, max_d: int) -> DegreeResult:
     e_val = alpha(alpha.monoid.identity)
     if e_val.denominator != 1 or e_val < 0:
         raise NotPseudo(f"identity value {e_val} is not a nonnegative integer")
-    engine = alpha._antisym
-    ids = [engine.intern(e) for e in range(alpha.monoid.size)]
-    d, checked = _vanishing_level(engine, ids, range(max_d + 1))
+    engine, mul, size = alpha._antisym, alpha.monoid.mul, alpha.monoid.size
+    ids = [engine.intern(e) for e in range(size)]
+    gram = [[alpha(mul(g, h)) for h in range(size)] for g in range(size)]
+    d, checked = _vanishing_level(engine, ids, gram, range(max_d + 1))
     if d is None:
         raise NotPseudo(f"no degree up to {max_d}")
     if e_val != d:
@@ -448,9 +463,10 @@ def degree_additivity_check(cat, alpha, objects=None, max_d=6):
 
     Endomorphisms of the sum are matrix units (i, j, f) with f a morphism
     from objects[i] to objects[j]; by multilinearity it is enough to run
-    the antisymmetrized-trace tests on tuples of matrix units.  Units
-    multiply along unbroken chains and a broken chain is an absorbing
-    zero, whose trace is 0; a closed chain is traced as a loop.
+    the antisymmetrized-trace tests on tuples of matrix units, decided on
+    a basis of their traces against each other.  Units multiply along
+    unbroken chains and a broken chain is an absorbing zero, whose trace
+    is 0; a closed chain is traced as a loop.
     """
     objs = tuple(objects if objects is not None else cat.objects)
     part_degrees = []
@@ -471,11 +487,11 @@ def degree_additivity_check(cat, alpha, objects=None, max_d=6):
         return (u[0], v[1], cat.compose(v[2], u[2]))
 
     engine = _TraceRecursion(unit_trace, unit_mul)
-    units = [engine.intern((i, j, f))
-             for i in range(len(objs)) for j in range(len(objs))
+    units = [(i, j, f) for i in range(len(objs)) for j in range(len(objs))
              for f in cat.hom(objs[i], objs[j])]
-
-    sum_degree, _ = _vanishing_level(engine, units, range(max_d + 1))
+    rows = [[unit_trace(unit_mul(u, v)) for v in units] for u in units]
+    sum_degree, _ = _vanishing_level(
+        engine, [engine.intern(u) for u in units], rows, range(max_d + 1))
     if sum_degree is None:
         raise NotPseudo(f"direct sum has no degree up to {max_d}")
     return AdditivityReport(tuple(part_degrees), sum_degree,
@@ -507,9 +523,11 @@ class GraphHolonomy:
                     raise ValueError(f"inconsistent dimension at vertex {v}")
 
 
-# Most (dim + 1)-tuples of walk matrices a holonomy search may evaluate.
-# At the bound, a search over random integer matrices took 0.11 s at
-# dim 2, 0.37 s at dim 3 and 0.96 s at dim 4 (2 GHz Xeon vCPU).
+# Most (dim + 1)-tuples of walk matrices a holonomy search may decide.  It
+# evaluates only those of at most dim² matrices, so at the bound a search
+# over random matrices of entries in -3..3 took 0.001 s at dim 2 and
+# 0.02 s at dim 3, but 1.6 s at dim 4, where 14 matrices are fewer than
+# dim² (2.1 GHz Xeon vCPU).
 HOLONOMY_MAX_TUPLES = 10_000
 # Most walks a holonomy job may enumerate, one matrix product each.  Loops
 # that give few distinct matrices never reach HOLONOMY_MAX_TUPLES: 12 loops
@@ -559,13 +577,15 @@ def graph_pseudoholonomy(gh: GraphHolonomy, max_len: int,
     Each walk of at most max_len edges costs one matrix product, so a
     graph with more than HOLONOMY_MAX_WALKS of them, counted first from the
     powers of its adjacency matrix, is rejected with ValueError.  The
-    search runs over the distinct walk matrices, the identity first.
-    By Cayley–Hamilton it ends at level dim, after C(n + dim, dim + 1)
-    tuples of the n matrices, so a walk set that pushes this count past
-    HOLONOMY_MAX_TUPLES is rejected with ValueError as it is enumerated.
-    The search holds each matrix as the row-major tuple of its entries,
-    integral ones as ints, and reads each tr(a·b) off `_entry_ops`'
-    trace_mul; the table and the witness stay `Matrix` valued.
+    search runs over the distinct walk matrices, the identity first, and
+    decides each level on the first dim² or fewer that are linearly
+    independent.  By Cayley–Hamilton it ends at level dim, having decided
+    C(n + dim, dim + 1) tuples of the n matrices, so a walk set that
+    pushes this count past HOLONOMY_MAX_TUPLES is rejected with ValueError
+    as it is enumerated.  The search holds each matrix as the row-major
+    tuple of its entries, integral ones as ints, and reads each tr(a·b)
+    off `_entry_ops`' trace_mul; the table and the witness stay `Matrix`
+    valued.
     """
     if max_len < 1:
         raise ValueError("walk-length cap must be at least 1")
@@ -615,10 +635,11 @@ def graph_pseudoholonomy(gh: GraphHolonomy, max_len: int,
     mats = list(mats)
     # the search runs on entry tuples, integral entries as ints
     engine = _TraceRecursion(*_entry_ops(dim))
-    ids = [engine.intern(tuple(_integral(x)
-                               for row in m.entries for x in row))
-           for m in mats]
-    deg, checked = _vanishing_level(engine, ids, range(dim + 2))
+    entries = [tuple(_integral(x) for row in m.entries for x in row)
+               for m in mats]
+    ids = [engine.intern(e) for e in entries]
+    # an entry tuple is the traces against the matrix units
+    deg, checked = _vanishing_level(engine, ids, entries, range(dim + 2))
     if deg != dim:
         raise NotPseudo(
             f"holonomy at vertex {base} has degree {deg}, dimension {dim}")

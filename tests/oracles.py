@@ -10,17 +10,19 @@ closure of dotted strands leaves.  `dense_multiply` multiplies two vectors
 of a Frobenius algebra through every structure constant, the reference for
 `FrobeniusAlgebra.multiply`, and `dense_validate` checks the Frobenius
 axioms from its basis-vector products on every associativity triple, the
-reference for `frobenius.validate`.  `reference_holonomy` is the degree
-search of `graph_pseudoholonomy` run on `Matrix` objects, the reference for
-the search on entry tuples.  `gauss_jordan` reduces Fraction rows to reduced
-row echelon form, independent of linalg's fraction-free kernel, and
-`gj_rank` reads a rank off it.  `zero_matrix`, `apply` and `from_poly`
-build and evaluate test data.
+reference for `frobenius.validate`.  `full_vanishing_level` is the
+vanishing search over every element tuple, the reference for the basis
+search of `pseudochar._vanishing_level`, and `reference_holonomy` runs it
+as the degree search of `graph_pseudoholonomy` on `Matrix` objects.
+`gauss_jordan` reduces Fraction rows to reduced row echelon form,
+independent of linalg's fraction-free kernel, and `gj_rank` reads a rank
+off it.  `zero_matrix`, `apply` and `from_poly` build and evaluate test
+data.
 """
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import comb
 import operator
 
@@ -40,7 +42,6 @@ from loopcat.pseudochar import (
     HolonomyReport,
     NotPseudo,
     _TraceRecursion,
-    _vanishing_level,
     _witness,
 )
 from loopcat.statespaces import SequenceTooShort
@@ -226,6 +227,22 @@ def f1_pullback(alpha_seq, components) -> Fraction:
 
 
 
+def full_vanishing_level(engine: _TraceRecursion, ids: list, levels):
+    """The first d in levels at which the antisymmetrized trace of every
+    unordered (d+1)-tuple drawn from ids vanishes (None if none does), and
+    the number of tuples evaluated; each level stops at its first nonzero
+    tuple."""
+    checked = 0
+    for d in levels:
+        for tup in combinations_with_replacement(ids, d + 1):
+            checked += 1
+            if engine.antisym(tup) != 0:
+                break
+        else:
+            return d, checked
+    return None, checked
+
+
 def reference_holonomy(gh: GraphHolonomy, max_len: int,
                        base=0) -> HolonomyReport:
     """`graph_pseudoholonomy` by a recursive walk enumeration and a degree
@@ -259,7 +276,7 @@ def reference_holonomy(gh: GraphHolonomy, max_len: int,
         walk([ei], tgt, m)
     engine = _TraceRecursion(Matrix.trace, operator.mul)
     ids = [engine.intern(m) for m in mats]
-    deg, checked = _vanishing_level(engine, ids, range(dim + 2))
+    deg, checked = full_vanishing_level(engine, ids, range(dim + 2))
     if deg != dim:
         raise NotPseudo(
             f"holonomy at vertex {base} has degree {deg}, dimension {dim}")

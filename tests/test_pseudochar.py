@@ -1,9 +1,10 @@
+import contextlib
 import gc
 import random
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import permutations, product
-from math import perm
+from math import comb, perm
 from operator import mul
 from unittest import mock
 
@@ -58,6 +59,7 @@ from loopcat.pseudochar import (
 from loopcat.statespaces import Evaluation, evaluation_from_monoid
 from oracles import (
     _signed_cycle_decompositions,
+    full_vanishing_level,
     reference_holonomy,
     zero_matrix,
 )
@@ -370,7 +372,9 @@ def test_int_and_fraction_traces_give_the_same_memo() -> None:
     for values in (traces, [Fraction(t) for t in traces]):
         engine = _TraceRecursion(values.__getitem__, s3.mul)
         ids = [engine.intern(e) for e in range(s3.size)]
-        d, checked = _vanishing_level(engine, ids, range(4))
+        gram = [[values[s3.mul(g, h)] for h in range(s3.size)]
+                for g in range(s3.size)]
+        d, checked = _vanishing_level(engine, ids, gram, range(4))
         runs.append((engine._memo, d, checked, _witness(engine, ids, d)))
     (int_memo, *int_search), (frac_memo, *frac_search) = runs
     assert int_search == frac_search and int_search[0] == 2
@@ -892,8 +896,9 @@ def _holonomy_outcome(search, gh, cap):
 @given(holonomy_graphs(), st.integers(1, 4))
 @settings(max_examples=100, deadline=None)
 def test_holonomy_matches_matrix_search(gh, cap) -> None:
-    # a low bound keeps every search small and rejects the larger ones,
-    # at the same walk on both sides
+    # the reference runs the full element search, so this also holds the
+    # basis search against it; a low bound keeps every search small and
+    # rejects the larger ones, at the same walk on both sides
     with mock.patch("loopcat.pseudochar.HOLONOMY_MAX_TUPLES", 500):
         assert _holonomy_outcome(graph_pseudoholonomy, gh, cap) == \
             _holonomy_outcome(reference_holonomy, gh, cap)
@@ -938,6 +943,181 @@ def test_entry_ops_match_matrices(case) -> None:
 def test_holonomy_rejects_singular_edge() -> None:
     with pytest.raises(NonInvertibleEdge):
         GraphHolonomy(1, [(0, 0, Matrix([[1, 1], [1, 1]]))])
+
+
+# --- the basis search against the full search ------------------------------------
+
+
+def full_search():
+    """Run every vanishing search over all element tuples, by
+    `oracles.full_vanishing_level`, in place of the basis search."""
+    return mock.patch(
+        "loopcat.pseudochar._vanishing_level",
+        lambda engine, ids, _vectors, levels:
+            full_vanishing_level(engine, ids, levels))
+
+
+def _basis_and_full(fn, *args):
+    """fn(*args), or the NotPseudo message, by both searches."""
+    outcomes = []
+    for search in (contextlib.nullcontext, full_search):
+        with search():
+            try:
+                outcomes.append(fn(*args))
+            except NotPseudo as exc:
+                outcomes.append(("NotPseudo", str(exc)))
+    return outcomes
+
+
+def relabeled(monoid: FiniteMonoid, p) -> FiniteMonoid:
+    """The same monoid with element x renamed p[x]."""
+    table = [[0] * monoid.size for _ in range(monoid.size)]
+    for a in range(monoid.size):
+        for b in range(monoid.size):
+            table[p[a]][p[b]] = p[monoid.mul(a, b)]
+    return FiniteMonoid(table, p[monoid.identity])
+
+
+def rep_characters(monoid: FiniteMonoid) -> list:
+    """(element values, dimension) of the trivial and the right regular
+    representation and, when the identity is the only unit, of the one
+    sending every other element to 0."""
+    n, e = monoid.size, monoid.identity
+    chars = [([1] * n, 1),
+             ([sum(monoid.mul(x, m) == x for x in range(n)) for m in range(n)],
+              n)]
+    if all(monoid.mul(a, b) != e for a in range(n) for b in range(n)
+           if e not in (a, b)):
+        chars.append(([int(x == e) for x in range(n)], 1))
+    return chars
+
+
+_S3_STD_REP = s3_standard_rep()[0]
+_TRIPLE = FiniteMonoid([[0, 1, 2], [1, 1, 1], [2, 2, 2]], 0)
+# monoids with the characters beyond `rep_characters` they carry
+SEARCH_MONOIDS = (
+    (symmetric_group(3), [([m.trace() for m in _S3_STD_REP.matrices], 2),
+                          ([det(m) for m in _S3_STD_REP.matrices], 1)]),
+    (cyclic_group(4), [([1, -1, 1, -1], 1), ([2, 0, -2, 0], 2)]),
+    (truncated_free_monoid("ab", 1)[0], []),
+    (truncated_free_monoid("a", 3)[0], []),
+    (_TRIPLE, []),
+)
+SMALL_MONOIDS = (
+    (FiniteMonoid([[0]], 0), []),
+    (cyclic_group(2), [([1, -1], 1)]),
+    (cyclic_group(3), []),
+    (truncated_free_monoid("a", 1)[0], []),
+    (_TRIPLE, []),
+)
+
+
+@st.composite
+def class_functions(draw, monoids, max_dim):
+    """A trace-like class function on a relabeled monoid: a sum of
+    characters of representations of total dimension at most max_dim, a
+    difference of two such sums, or values drawn per class with an
+    integral identity value."""
+    monoid, extra = draw(st.sampled_from(monoids))
+    p = draw(st.permutations(range(monoid.size)))
+    target = relabeled(monoid, p)
+    kind = draw(st.sampled_from(("sum", "difference", "drawn")))
+    if kind != "drawn":
+        sums = st.lists(st.sampled_from(rep_characters(monoid) + extra),
+                        max_size=3).filter(
+            lambda cs: sum(dim for _, dim in cs) <= max_dim)
+        plus = draw(sums)
+        minus = draw(sums) if kind == "difference" else []
+        values = [0] * monoid.size
+        for x in range(monoid.size):
+            values[p[x]] = sum(v[x] for v, _ in plus) - \
+                sum(v[x] for v, _ in minus)
+        return PseudoCharacter.from_element_values(target, values)
+    classes = conjugacy_classes(target)
+    return PseudoCharacter(target, [
+        draw(st.integers(0, max_dim)) if target.identity in c
+        else draw(rationals) for c in classes], classes)
+
+
+@given(class_functions(SEARCH_MONOIDS, 6),
+       st.one_of(st.just(6), st.integers(0, 5)))
+# the basis is the first ids with independent trace vectors, not the
+# first rank-many ids: here a zero and an idempotent come first, and both
+# trace to 0 against everything
+@example(PseudoCharacter.from_element_values(
+    FiniteMonoid([[0, 0, 0], [0, 1, 1], [0, 1, 2]], 2), [0, 0, 1]), 3)
+@settings(max_examples=120, deadline=None)
+def test_degree_basis_search_matches_full_search(alpha, max_d) -> None:
+    got, want = _basis_and_full(degree, alpha, max_d)
+    assert got == want
+
+
+def test_vanishing_level_evaluates_only_basis_tuples() -> None:
+    # A level-2 key holds three entries and is only made by the level-2
+    # search itself, so the memo shows which tuples that level evaluated.
+    # The S3 standard character spans a 4-dimensional space of trace
+    # functionals, so 4 of the 6 elements make the basis.
+    alpha = char_of_rep(s3_standard_rep()[0])
+    assert degree(alpha, 3).tuples_checked == 2 + comb(6 + 2, 3)
+    level2 = [k for k in alpha._antisym._memo if len(k) == 3]
+    assert len(level2) == comb(4 + 2, 3)
+    assert len({x for k in level2 for x in k}) == 4
+    # 20 distinct walk matrices, 1,540 triples of them, but at most dim²
+    # = 4 are linearly independent
+    engines = []
+
+    class Recording(_TraceRecursion):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    gh = GraphHolonomy(2, [(0, 1, Matrix([[1, 1], [0, 1]])),
+                           (1, 0, Matrix([[1, 0], [1, 1]])),
+                           (0, 0, Matrix([[1, 2], [0, 1]]))])
+    with mock.patch("loopcat.pseudochar._TraceRecursion", Recording):
+        report = graph_pseudoholonomy(gh, 5)
+    assert report.degree.tuples_checked == 2 + comb(20 + 2, 3)
+    assert len([k for k in engines[0]._memo if len(k) == 3]) <= comb(4 + 2, 3)
+
+
+def linked_category(m: FiniteMonoid, back: bool):
+    """Two objects, each with End = m, and Hom(X1, X2) = m; with `back`
+    also Hom(X2, X1) = m.  (i, j, a) then (j, k, b) is (i, k, a·b)."""
+    from loopcat.fincat import TableCategory
+    pairs = [(0, 0), (1, 1), (0, 1)] + [(1, 0)] * back
+    morphisms = {(i, j, a): (f"X{i + 1}", f"X{j + 1}")
+                 for i, j in pairs for a in range(m.size)}
+    return TableCategory(("X1", "X2"), morphisms,
+                         {"X1": (0, 0, m.identity), "X2": (1, 1, m.identity)},
+                         lambda g, f: (f[0], g[1], m.mul(f[2], g[2])))
+
+
+@st.composite
+def two_object_cases(draw):
+    """A two-object category with loop values: a direct sum of two monoids
+    with a class function each, or one monoid linked one way or both ways
+    with one class function at both objects."""
+    chars = class_functions(SMALL_MONOIDS, 2)
+    kind = draw(st.sampled_from(("sum", "one-way", "both-ways")))
+    if kind == "sum":
+        a, b = draw(chars), draw(chars)
+        cat = direct_sum_category(a.monoid, b.monoid)
+        return cat, _loop_evaluation(cat, {"a": a, "b": b})
+    alpha = draw(chars)
+    cat = linked_category(alpha.monoid, kind == "both-ways")
+    return cat, Evaluation({
+        cat.loop_class(obj, [(i, i, x)]): alpha(x)
+        for i, obj in enumerate(cat.objects)
+        for x in range(alpha.monoid.size)})
+
+
+@given(two_object_cases(), st.one_of(st.just(4), st.integers(0, 3)))
+@settings(max_examples=60, deadline=None)
+def test_additivity_basis_search_matches_full_search(case, max_d) -> None:
+    cat, evaluation = case
+    got, want = _basis_and_full(degree_additivity_check, cat, evaluation,
+                                None, max_d)
+    assert got == want
 
 
 # --- JSON ------------------------------------------------------------------------
