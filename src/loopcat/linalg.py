@@ -1,21 +1,24 @@
 """Exact linear and polynomial algebra over the rationals.
 
-Everything here is built on fractions.Fraction; no floats ever enter.
+Every rational a caller gets back is a fractions.Fraction; no floats enter.
 Polynomials are stored lowest-degree-first, rational functions are kept
-normalized with denominator constant term 1.  Every elimination (rank,
-determinant, solving, inverting) runs one forward fraction-free kernel on
-Python ints (Bareiss 1968) after clearing denominators row by row;
-solutions are then read off its pivot rows by one integer
-back-substitution, exact by Cramer's rule.  Rational roots, which split
-denominators into linear factors, are isolated by Sturm bisection on
-ints.  Shape checks at the entry points raise ValueError, so they hold
-under `python -O` too.
+normalized with denominator constant term 1.  The exact work runs on
+Python ints, on vectors cleared of denominators by their lcm: a matrix or
+automaton product makes each entry from one int inner product of a
+cleared row and column and one division by their two scales, and every
+elimination (rank, determinant, solving, inverting) runs one forward
+fraction-free kernel (Bareiss 1968) on cleared rows, then reads solutions
+off its pivot rows by one integer back-substitution, exact by Cramer's
+rule.  Polynomial gcds and the Sturm chains that isolate rational roots
+share one integer pseudo-remainder step.  Shape checks at the entry
+points raise ValueError, so they hold under `python -O` too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -165,9 +168,13 @@ class Polynomial:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    """The monic gcd, by the primitive pseudo-remainder sequence on ints.
+    Each remainder is a rational multiple of Euclid's over Q, so the last
+    nonzero one is the gcd up to a rational factor."""
+    f, g = (_primitive(_cleared(p.coeffs)[0]) for p in (a, b))
+    while g:
+        f, g = g, _primitive(_pseudo_remainder(f, g))
+    return Polynomial([Fraction(c, f[-1]) for c in f])
 
 
 def format_poly(p: Polynomial, var: str = "T") -> str:
@@ -313,10 +320,7 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        cols = list(zip(*other.entries))
-        return Matrix(
-            [[_dot(r, c) for c in cols] for r in self.entries]
-        )
+        return Matrix(_products(self.entries, zip(*other.entries)))
 
     def transpose(self) -> "Matrix":
         return Matrix(list(zip(*self.entries))) if self.entries else Matrix([])
@@ -342,8 +346,29 @@ class Matrix:
         return f"Matrix({[list(r) for r in self.entries]!r})"
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def _cleared(v: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The ints s·v and their scale s, the lcm of v's denominators."""
+    s = lcm(*[x.denominator for x in v])
+    if s == 1:
+        return [x.numerator for x in v], 1
+    return [x.numerator * (s // x.denominator) for x in v], s
+
+
+def _products(rows: Iterable[Sequence[Fraction]],
+              cols: Iterable[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Every inner product of a row with a column.  Each vector is cleared
+    once, so each product is one sum over ints and one division by the
+    two scales."""
+    cleared = [_cleared(c) for c in cols]
+    out = []
+    for r in rows:
+        a, s = _cleared(r)
+        row = []
+        for b, t in cleared:
+            n, d = sum(map(mul, a, b)), s * t
+            row.append(Fraction(n) if d == 1 else Fraction(n, d))
+        out.append(row)
+    return out
 
 
 def _require_square(m: Matrix) -> None:
@@ -363,10 +388,10 @@ def _eliminate(rows: Iterable[Sequence[Fraction]]) -> tuple[list, int, int]:
     """
     work, scale = [], 1
     for r in rows:
-        s = lcm(*(x.denominator for x in r))
+        ints, s = _cleared(r)
         scale *= s
-        if any(r):
-            work.append([x.numerator * (s // x.denominator) for x in r])
+        if any(ints):
+            work.append(ints)
     pivots, sign, prev, base, c = [], 1, 1, 0, 0
     while work:
         i = next((i for i, row in enumerate(work) if row[c]), None)
@@ -582,8 +607,7 @@ def _rational_roots(p: Polynomial) -> list[Fraction]:
     """
     if p.degree < 1:
         return []
-    den = lcm(*(c.denominator for c in p.coeffs))
-    ints = _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+    ints = _primitive(_cleared(p.coeffs)[0])
     lead, n = ints[-1], len(ints) - 1
     h = [c * lead ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
     chain = _sturm_chain(h)
@@ -628,20 +652,27 @@ def _sturm_chain(h: list[int]) -> list[list[int]]:
     so sign changes count roots as in Sturm's theorem."""
     chain = [h, _primitive([k * c for k, c in enumerate(h)][1:])]
     while len(chain[-1]) > 1:
-        rem, div = list(chain[-2]), chain[-1]
-        lead = div[-1]
-        s, a = (1, lead) if lead > 0 else (-1, -lead)
-        while len(rem) >= len(div):
-            f, k = s * rem[-1], len(rem) - len(div)
-            rem = [a * c for c in rem]
-            for j, d in enumerate(div):
-                rem[k + j] -= f * d
-            while rem and rem[-1] == 0:
-                rem.pop()
+        rem = _pseudo_remainder(chain[-2], chain[-1])
         if not rem:
             break
         chain.append(_primitive([-c for c in rem]))
     return chain
+
+
+def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
+    """A positive multiple of f mod g for integer polynomials with no
+    trailing zeros: before each step f is scaled by |lead(g)|, so the
+    quotient term stays integral."""
+    rem, lead = list(f), g[-1]
+    s, a = (1, lead) if lead > 0 else (-1, -lead)
+    while len(rem) >= len(g):
+        c, k = s * rem[-1], len(rem) - len(g)
+        rem = [a * x for x in rem]
+        for j, d in enumerate(g):
+            rem[k + j] -= c * d
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return rem
 
 
 def _exact_quotient(f: list[int], g: list[int]) -> list[int]:

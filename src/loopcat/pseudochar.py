@@ -529,10 +529,14 @@ class GraphHolonomy:
 # 0.02 s at dim 3, but 1.6 s at dim 4, where 14 matrices are fewer than
 # dim² (2.1 GHz Xeon vCPU).
 HOLONOMY_MAX_TUPLES = 10_000
-# Most walks a holonomy job may enumerate, one matrix product each.  Loops
-# that give few distinct matrices never reach HOLONOMY_MAX_TUPLES: 12 loops
-# drawn from four dihedral 2x2 matrices at cap 4 (22,620 walks) take 1.5 s
-# in process on a 2 GHz Xeon vCPU, and 20 of them (168,420 walks) 12 s.
+# Most walks a holonomy job may enumerate at dimension 2, one matrix
+# product each.  At largest vertex dimension n > 2 a product costs n³
+# multiplications, and the bound is HOLONOMY_MAX_WALKS · 8 / n³ walks; at
+# n = 1 each walk's bookkeeping outweighs its product, so it stays.  At
+# cap 4 on a 2.1 GHz Xeon vCPU, 12 loops of dihedral 2x2 matrices (22,620
+# walks) take 0.8 s and 20 (168,420) 6.6 s with the bound lifted; 12 loops
+# of a 4×4 (8×8) cyclic permutation took 2.3 s (7.1 s) lifted, and at the
+# bound 7 (4) of them take 0.3 s (0.15 s).
 HOLONOMY_MAX_WALKS = 25_000
 
 
@@ -574,8 +578,9 @@ def graph_pseudoholonomy(gh: GraphHolonomy, max_len: int,
     vanishing search over the walks based at `base`, truncated at max_len
     — the honest certificate is relative to that truncation.
 
-    Each walk of at most max_len edges costs one matrix product, so a
-    graph with more than HOLONOMY_MAX_WALKS of them, counted first from the
+    Each walk of at most max_len edges costs one product of n×n matrices,
+    n the largest vertex dimension, so a graph with more than
+    HOLONOMY_MAX_WALKS · 8 / max(n, 2)³ of them, counted first from the
     powers of its adjacency matrix, is rejected with ValueError.  The
     search runs over the distinct walk matrices, the identity first, and
     decides each level on the first dim² or fewer that are linearly
@@ -596,18 +601,19 @@ def graph_pseudoholonomy(gh: GraphHolonomy, max_len: int,
     dim = gh.vertex_dim.get(base)
     if dim is None:
         raise ValueError(f"vertex {base} has no incident edge")
+    max_walks = HOLONOMY_MAX_WALKS * 8 // max(2, *gh.vertex_dim.values()) ** 3
     # walks of length k by end vertex: the column sums of A^k, A the
     # edge-count adjacency matrix, stepped along the out-edges
     ends = Counter(tgt for _s, tgt, _m in gh.edges)
     walks, length = len(gh.edges), 1
-    while ends and walks <= HOLONOMY_MAX_WALKS and length < max_len:
+    while ends and walks <= max_walks and length < max_len:
         step = Counter()
         for v, k in ends.items():
             for ei in out_edges.get(v, ()):
                 step[gh.edges[ei][1]] += k
         ends, walks, length = step, walks + step.total(), length + 1
-    if walks > HOLONOMY_MAX_WALKS:
-        raise ValueError(f"more than {HOLONOMY_MAX_WALKS} walks of at most "
+    if walks > max_walks:
+        raise ValueError(f"more than {max_walks} walks of at most "
                          f"{max_len} edges")
     table = {}
     # distinct matrices of the closed walks at base, the identity first,

@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 from .diagrams import BrauerMorphism, _chains, compose, transpose
 from .errors import DomainError, InternalInconsistency
 from .fincat import IntervalClass, Loop, _UnionFind, compose_path
-from .linalg import Matrix, _integral, distinct_rows, rank, rat
+from .linalg import Matrix, _integral, _products, distinct_rows, rank, rat
 
 
 class MissingValue(DomainError):
@@ -403,13 +403,12 @@ class WeightedAutomaton:
         v = self.initial
         for a in word:
             v = _times(v, self.transitions[a])
-        return sum((x * y for x, y in zip(v, self.final)), Fraction(0))
+        return _products([v], [self.final])[0][0]
 
 
 def _times(v: Sequence, m: Matrix) -> tuple:
     """The row vector v times m."""
-    return tuple(sum((x * y for x, y in zip(v, col)), Fraction(0))
-                 for col in zip(*m.entries))
+    return tuple(_products([v], zip(*m.entries))[0])
 
 
 def _forward_reduce(a: WeightedAutomaton) -> WeightedAutomaton:
@@ -456,8 +455,7 @@ def _forward_reduce(a: WeightedAutomaton) -> WeightedAutomaton:
     trans = {letter: Matrix([coords(_times(b, a.transitions[letter]))
                              for b in basis])
              for letter in a.alphabet}
-    final = tuple(sum((x * y for x, y in zip(b, a.final)), Fraction(0))
-                  for b in basis)
+    final = tuple(row[0] for row in _products(basis, [a.final]))
     return WeightedAutomaton(coords(a.initial), trans, final)
 
 

@@ -16,8 +16,12 @@ search of `pseudochar._vanishing_level`, and `reference_holonomy` runs it
 as the degree search of `graph_pseudoholonomy` on `Matrix` objects.
 `gauss_jordan` reduces Fraction rows to reduced row echelon form,
 independent of linalg's fraction-free kernel, and `gj_rank` reads a rank
-off it.  `zero_matrix`, `apply` and `from_poly` build and evaluate test
-data.
+off it.  `dot_matmul`, `fraction_times` and `fraction_weight` form
+matrix, vector-by-matrix and automaton products as sums of Fraction
+products, the references for linalg's cleared-integer product kernel,
+and `euclid_gcd` runs Euclid's algorithm over Fraction, the reference for
+the integer `poly_gcd`.  `zero_matrix`, `apply` and `from_poly` build and
+evaluate test data.
 """
 
 from fractions import Fraction
@@ -72,6 +76,36 @@ def gauss_jordan(rows: list[list[Fraction]]) -> list[int]:
 
 def gj_rank(m: Matrix) -> int:
     return len(gauss_jordan([list(r) for r in m.entries]))
+
+
+def _fraction_dot(a, b) -> Fraction:
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def dot_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """a·b, each entry a sum of Fraction products."""
+    cols = list(zip(*b.entries))
+    return Matrix([[_fraction_dot(r, c) for c in cols] for r in a.entries])
+
+
+def fraction_times(v, m: Matrix) -> tuple:
+    """The row vector v times m, each entry a sum of Fraction products."""
+    return tuple(_fraction_dot(v, col) for col in zip(*m.entries))
+
+
+def fraction_weight(a, word) -> Fraction:
+    """The weight of word in the WeightedAutomaton a, on Fraction sums."""
+    v = a.initial
+    for letter in word:
+        v = fraction_times(v, a.transitions[letter])
+    return _fraction_dot(v, a.final)
+
+
+def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """The monic gcd by Euclid's algorithm over Fraction."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
 
 
 def zero_matrix(rows: int, cols: int) -> Matrix:

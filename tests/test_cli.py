@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -372,6 +373,46 @@ def test_holonomy_many_walks_exit_two_at_once(tmp_path, capsys):
     assert (code, out) == (2, {"error": "ValueError", "message": message})
 
 
+def _walk_bound_doc(extra):
+    """Dihedral loops, 12 at vertex 0 and 6, 5, 2, 1, 1, 1, 1 at vertices
+    1-7: 22,620 + 1,554 + 780 + 30 + 4·4 = 25,000 walks at cap 4, exactly
+    the bound at dimension 2; each extra edge 8 -> 9 adds one walk."""
+    edges = [[v, v, DIHEDRAL[i % 4]]
+             for v, k in enumerate([12, 6, 5, 2, 1, 1, 1, 1]) for i in range(k)]
+    return {"graph": {"n_vertices": 8 + 2 * extra,
+                      "edges": edges + [[8, 9, DIHEDRAL[0]]] * extra}}
+
+
+def test_holonomy_at_the_walk_bound_answers(tmp_path, capsys):
+    code, out = run_cli(tmp_path, capsys, "holonomy", _walk_bound_doc(0),
+                        "--format", "json", "--cap-words", "4")
+    assert code == 0
+    # byte for byte the report a bound on walks alone gave
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c017afde7a2291236ad312410054aec4f85951b60fa5f01b62232a8c6bb61528")
+    code, out = run_json(tmp_path, capsys, "holonomy", _walk_bound_doc(1),
+                         "--cap-words", "4")
+    assert (code, out) == (2, {
+        "error": "ValueError",
+        "message": "more than 25000 walks of at most 4 edges"})
+
+
+def _cyclic_permutation(n):
+    return [["1" if j == (i + 1) % n else "0" for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("name", ["holonomy-4x4-walk-work",
+                                  "holonomy-8x8-walk-work"])
+def test_holonomy_walk_work_exits_two_at_once(tmp_path, capsys, name):
+    # 22,620 walks of n x n products, counted before any product
+    command, doc, message, *flags = OUT_OF_RANGE_JOBS[name]
+    start = time.perf_counter()
+    code, out = run_json(tmp_path, capsys, command, doc, *flags)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, {"error": "ValueError", "message": message})
+
+
 RAGGED_JOBS = {
     "holonomy": {"graph": {"n_vertices": 1,
                            "edges": [[0, 0, [["1", "0"], ["2"]]]]}},
@@ -445,6 +486,16 @@ OUT_OF_RANGE_JOBS = {
         "holonomy", {"graph": {"n_vertices": 1, "edges": [
             [0, 0, DIHEDRAL[i % 4]] for i in range(20)]}},
         "more than 25000 walks of at most 4 edges", "--cap-words", "4"),
+    # 12 loops of one cyclic permutation matrix: the 22,620 walks at cap 4
+    # are over the bound of 25,000 · 8 / n³ at n = 4 and 8
+    "holonomy-4x4-walk-work": (
+        "holonomy", {"graph": {"n_vertices": 1, "edges": [
+            [0, 0, _cyclic_permutation(4)]] * 12}},
+        "more than 3125 walks of at most 4 edges", "--cap-words", "4"),
+    "holonomy-8x8-walk-work": (
+        "holonomy", {"graph": {"n_vertices": 1, "edges": [
+            [0, 0, _cyclic_permutation(8)]] * 12}},
+        "more than 390 walks of at most 4 edges", "--cap-words", "4"),
     "cob2-dim-bell-14": (
         "cob2-dim", {"m": 14, "alpha": [str(g) for g in range(1, 9)]},
         "spanning set of 14 circles at genus cap 4 has more than 100 "

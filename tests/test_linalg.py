@@ -18,6 +18,7 @@ from loopcat.linalg import (
     format_poly,
     inverse,
     partial_fractions,
+    poly_gcd,
     rank,
     rat,
     solve,
@@ -28,7 +29,8 @@ from loopcat.errors import DomainError
 from loopcat.frobenius import (FrobeniusAlgebra, generating_function,
                                handle_element, product_algebra,
                                truncated_poly_algebra, validate)
-from oracles import apply, from_poly, gauss_jordan, gj_rank, zero_matrix
+from oracles import (apply, dot_matmul, euclid_gcd, from_poly, gauss_jordan,
+                     gj_rank, zero_matrix)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 small_ints = st.integers(min_value=-6, max_value=6)
@@ -252,6 +254,47 @@ def test_matrix_power_matches_repeated_product() -> None:
     assert (m**6).trace() == 18  # Lucas number L_6
 
 
+# integral entries, whose rows clear with scale 1, or mixed denominators
+entry_kinds = st.sampled_from([small_ints, rationals])
+
+
+@st.composite
+def matrices(draw, rows, cols):
+    """A rows x cols matrix of one entry kind, some rows and columns
+    zeroed."""
+    entry = draw(entry_kinds)
+    zero_rows = draw(st.sets(st.integers(0, rows - 1)))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1)))
+    return Matrix([[0 if i in zero_rows or j in zero_cols else draw(entry)
+                    for j in range(cols)] for i in range(rows)])
+
+
+def _fractions_only(m: Matrix) -> bool:
+    return all(type(x) is Fraction for row in m.entries for x in row)
+
+
+@given(st.tuples(*[st.integers(1, 4)] * 3).flatmap(lambda rkc: st.tuples(
+    matrices(rkc[0], rkc[1]), matrices(rkc[1], rkc[2]))))
+@example((Matrix([[Fraction(1, 2), 3, 0]]),  # 1 x n times n x 1
+          Matrix([[Fraction(-2, 3)], [0], [Fraction(1, 6)]])))
+@example((Matrix([[Fraction(1, 2)], [3]]),  # n x 1 times 1 x n
+          Matrix([[Fraction(-2, 3), 5]])))
+def test_product_matches_fraction_dot_products(pair) -> None:
+    a, b = pair
+    p = a * b
+    assert p == dot_matmul(a, b)
+    assert (p.rows, p.cols) == (a.rows, b.cols) and _fractions_only(p)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: matrices(n, n)),
+       st.integers(0, 6))
+def test_power_matches_fraction_dot_products(m, n) -> None:
+    power = Matrix.identity(m.rows)
+    for _ in range(n):
+        power = dot_matmul(power, m)
+    assert m ** n == power and _fractions_only(m ** n)
+
+
 def _dense_power_traces(m: Matrix, count: int) -> list:
     power, out = Matrix.identity(m.rows), []
     for _ in range(count):
@@ -296,6 +339,25 @@ def test_trace_series_closed_form() -> None:
     assert trace_series(Matrix([])).is_zero()
     with pytest.raises(ValueError, match="matrix is not square"):
         trace_series(Matrix([[1, 2]]))
+
+
+# --- polynomials ------------------------------------------------------------
+
+
+polynomials = st.lists(st.one_of(small_ints, rationals), max_size=5).map(
+    Polynomial)
+
+
+@given(polynomials, polynomials, polynomials)
+@example(Polynomial([]), Polynomial([]), Polynomial([]))
+@example(Polynomial([Fraction(3, 2)]), Polynomial([]), Polynomial([1, 1]))
+@example(Polynomial([0, 2]), Polynomial([-4]), Polynomial([-1, 0, 1]))
+def test_poly_gcd_matches_euclid(f, g, h) -> None:
+    # f·h and g·h have h as a common factor
+    for a, b in ((f, g), (g, f), (f * h, g * h), (h, f * h)):
+        gcd = poly_gcd(a, b)
+        assert gcd == euclid_gcd(a, b)
+        assert all(type(c) is Fraction for c in gcd.coeffs)
 
 
 # --- recurrences ------------------------------------------------------------

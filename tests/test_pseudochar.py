@@ -920,8 +920,12 @@ def test_holonomy_walk_bound_counts_every_walk(gh, cap, bound) -> None:
     with mock.patch("loopcat.pseudochar.HOLONOMY_MAX_WALKS", bound), \
             mock.patch("loopcat.pseudochar.HOLONOMY_MAX_TUPLES", 500):
         outcome = _holonomy_outcome(graph_pseudoholonomy, gh, cap)
-    rejected = ("ValueError", f"more than {bound} walks of at most {cap} edges")
-    assert (outcome == rejected) == (_walk_count(gh, cap) > bound)
+    # a walk costs a product of n x n matrices: the bound is on walks · n³,
+    # with n at least 2, against bound · 2³
+    n = max(2, *gh.vertex_dim.values())
+    limit = bound * 8 // n ** 3
+    rejected = ("ValueError", f"more than {limit} walks of at most {cap} edges")
+    assert (outcome == rejected) == (_walk_count(gh, cap) * n ** 3 > bound * 8)
 
 
 @given(st.integers(0, 3).flatmap(lambda n: st.tuples(

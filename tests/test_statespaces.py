@@ -51,7 +51,7 @@ from loopcat.statespaces import (
     state_space_boolean,
     state_space_field,
 )
-from oracles import gj_rank
+from oracles import fraction_times, fraction_weight, gj_rank
 
 X = 0
 
@@ -616,6 +616,28 @@ def test_hankel_preserves_series(dim, data) -> None:
     horizon = 2 * max(a.dimension, m.dimension, 1)
     for w in _words(["a", "b"], min(horizon, 4)):
         assert m.weight(w) == a.weight(w)
+
+
+@given(st.integers(0, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_automaton_products_match_fraction_sums(dim, data) -> None:
+    # integral entries, or mixed denominators, as hankel_minimize makes
+    entry = data.draw(st.sampled_from([
+        st.integers(-3, 3),
+        st.fractions(min_value=-2, max_value=2, max_denominator=6)]))
+    vec = st.lists(entry.map(Fraction), min_size=dim, max_size=dim)
+    mat = st.lists(vec, min_size=dim, max_size=dim).map(Matrix)
+    a = WeightedAutomaton(data.draw(vec), {"a": data.draw(mat),
+                                           "b": data.draw(mat)},
+                          data.draw(vec))
+    v = tuple(data.draw(vec))
+    for m in a.transitions.values():
+        got = statespaces._times(v, m)
+        assert got == fraction_times(v, m)
+        assert all(type(x) is Fraction for x in got)
+    for w in _words(a.alphabet, 3):
+        assert a.weight(w) == fraction_weight(a, w)
+        assert type(a.weight(w)) is Fraction
 
 
 def _echelon(vectors: list) -> list:
