@@ -584,7 +584,7 @@ def cob2_pseudochar_check(alpha_seq, d: int, cap_dots=None) -> Cob2PseudoReport:
     recursion (`_dotted_strands`), where an open strand with h dots is the
     strand with h - 1.  So each circle tuple with an entry k < cap has
     the value of an interval tuple (k + 1, rest) scanned before it, and
-    only the all-cap circle tuple can be a circle witness.
+    only the all-cap circle tuple is left to decide.
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
@@ -604,9 +604,8 @@ def cob2_pseudochar_check(alpha_seq, d: int, cap_dots=None) -> Cob2PseudoReport:
             if strands.antisym([opened] + [dot_ids[k] for k in rest]) != 0:
                 return Cob2PseudoReport(d, cap, False,
                                         ("interval", (head,) + rest))
-    for dots in combinations_with_replacement(range(cap + 1), d + 1):
-        if strands.antisym([dot_ids[k] for k in dots]) != 0:
-            return Cob2PseudoReport(d, cap, False, ("circle", dots))
+    if strands.antisym([dot_ids[cap]] * (d + 1)) != 0:
+        return Cob2PseudoReport(d, cap, False, ("circle", (cap,) * (d + 1)))
     return Cob2PseudoReport(d, cap, True, None)
 
 

@@ -5,9 +5,10 @@ Polynomials are stored lowest-degree-first, rational functions are kept
 normalized with denominator constant term 1.  The exact work runs on
 Python ints, on vectors cleared of denominators by their lcm: a matrix or
 automaton product makes each entry from one int inner product of a
-cleared row and column and one division by their two scales, and every
-elimination (rank, determinant, solving, inverting) runs one forward
-fraction-free kernel (Bareiss 1968) on cleared rows, then reads solutions
+cleared row and column and one division by their two scales.  Every
+elimination (rank, determinant, solving, inverting, a basis of vectors
+met one at a time and coordinates on it) runs one fraction-free kernel
+(Bareiss 1968) that takes cleared rows one at a time; solutions are read
 off its pivot rows by one integer back-substitution, exact by Cramer's
 rule.  Polynomial gcds and the Sturm chains that isolate rational roots
 share one integer pseudo-remainder step.  Shape checks at the entry
@@ -18,10 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, InternalInconsistency
 
 
 class NonSplitDenominator(DomainError):
@@ -376,51 +377,71 @@ def _require_square(m: Matrix) -> None:
         raise ValueError("matrix is not square")
 
 
-def _eliminate(rows: Iterable[Sequence[Fraction]]) -> tuple[list, int, int]:
-    """Forward-only fraction-free elimination of rational rows.
+class _Echelon:
+    """Fraction-free elimination (Bareiss 1968) of rational rows met one at
+    a time.  `add` clears a row to ints and takes it through each pivot
+    row y's step in order, x -> (p·x - f·y)/q for p the pivot, f the row's
+    entry in p's column and q the pivot before (1 for the first), or only
+    the scaling p/q when f = 0.  After k steps each entry is a (k+1)-minor
+    of the cleared rows (Sylvester's identity), so every division is exact
+    and the k pivot columns hold 0.  A row that vanishes depends on the
+    rows before it; any other becomes a pivot row, its pivot at its first
+    nonzero column.  The pivot columns are the leading columns of the
+    reduced echelon form, whatever the order of the rows."""
 
-    Each row is scaled to ints by the lcm of its denominators.  After k
-    pivots each entry left is a (k+1)-minor (Sylvester's identity, Bareiss
-    1968), so dividing by the previous pivot is exact.  Finished pivot rows
-    and vanished rows leave the working set.  Returns the pivot rows as
-    (pivot column, pivot, the row's ints right of the pivot), the sign of
-    their order, and the product of the row scales.
-    """
-    work, scale = [], 1
-    for r in rows:
-        ints, s = _cleared(r)
-        scale *= s
-        if any(ints):
-            work.append(ints)
-    pivots, sign, prev, base, c = [], 1, 1, 0, 0
-    while work:
-        i = next((i for i, row in enumerate(work) if row[c]), None)
-        if i is None:
-            c += 1
-            continue
-        top, sign = work.pop(i), -sign if i % 2 else sign
-        p, tail = top[c], top[c + 1:]
-        below = []
-        for row in work:
-            f = row[c]
-            new = [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
-            if any(new):
-                below.append(new)
-        pivots.append((base + c, p, tail))
-        work, prev, base, c = below, p, base + c + 1, 0
-    return pivots, sign, scale
+    def __init__(self, rows: Iterable[Sequence[Fraction]] = ()):
+        self.pivots = []  # (column, pivot, row ints) per pivot row
+        self.scale = 1  # the product of the reduced rows' scales
+        for r in rows:
+            self.add(r)
+
+    def reduce(self, v) -> tuple[list[int], list[int], int]:
+        """v cleared and reduced, the entries it met at the pivot columns,
+        and its scale."""
+        x, s = _cleared(v)
+        met, q = [], 1
+        for c, p, y in self.pivots:
+            f = x[c]
+            if f:
+                x = [(p * a - f * b) // q for a, b in zip(x, y)]
+            elif p != q:
+                x = [p * a // q for a in x]
+            met.append(f)
+            q = p
+        return x, met, s
+
+    def add(self, v) -> bool:
+        """Whether v is independent of the rows added before it."""
+        if len(self.pivots) == len(v):  # every column holds a pivot
+            return False
+        x, _, s = self.reduce(v)
+        self.scale *= s
+        c = next((c for c, a in enumerate(x) if a), None)
+        if c is not None:
+            self.pivots.append((c, x[c], x))
+        return c is not None
+
+    def coordinates(self, v) -> list[Fraction]:
+        """v's coordinates on the pivot rows scaled to 1 at their pivots.
+        After i steps v's ints are s·p_i times v less its first i terms (s
+        its scale, p_i the i-th pivot, p_0 = 1), so the entry met at pivot
+        i + 1 is s·p_i times coordinate i + 1."""
+        x, met, s = self.reduce(v)
+        if any(x):
+            raise InternalInconsistency("vector escaped the span")
+        qs = [1] + [p for _, p, _ in self.pivots]
+        return [Fraction(f, q * s) for f, q in zip(met, qs)]
 
 
 def _back_substitute(pivots: list, col: int, n: int) -> list[Fraction]:
     """The x in Q^n, 0 off the pivot columns, with U x = U[:, col] for U
-    the pivot rows.  The scaled rows at the pivot columns have determinant
-    ±d, d the last pivot, so d·x is integral (Cramer's rule) and each
-    division is exact."""
+    the pivot rows, each 0 at the pivot columns before its own.  Their
+    cleared rows have determinant d, the last pivot, at the pivot columns,
+    so d·x is integral (Cramer's rule) and each division is exact."""
     d = pivots[-1][1] if pivots else 1
     xs = [0] * n  # d·x
-    for c, p, tail in reversed(pivots):
-        s = d * tail[col - c - 1] if col > c else 0
-        xs[c] = (s - sum(a * x for a, x in zip(tail, xs[c + 1:]))) // p
+    for c, p, y in reversed(pivots):
+        xs[c] = (d * y[col] - sum(map(mul, y, xs))) // p
     return [Fraction(x, d) for x in xs]
 
 
@@ -431,13 +452,13 @@ def _augmented(m: Matrix, b: Sequence) -> list[tuple]:
 
 
 def rank(m: Matrix) -> int:
-    return len(_eliminate(m.entries)[0])
+    return len(_Echelon(m.entries).pivots)
 
 
 def solve(m: Matrix, b: Sequence) -> tuple | None:
     """One exact solution of m x = b (free variables set to 0), or None."""
-    pivots = _eliminate(_augmented(m, b))[0]
-    if pivots and pivots[-1][0] == m.cols:  # pivot in b's column: inconsistent
+    pivots = _Echelon(_augmented(m, b)).pivots
+    if any(c == m.cols for c, _, _ in pivots):  # pivot in b: inconsistent
         return None
     return tuple(_back_substitute(pivots, m.cols, m.cols))
 
@@ -445,27 +466,31 @@ def solve(m: Matrix, b: Sequence) -> tuple | None:
 def solve_unique(m: Matrix, b: Sequence) -> tuple:
     """Solution of a square system required to be uniquely solvable."""
     _require_square(m)
-    pivots = _eliminate(_augmented(m, b))[0]
-    if [c for c, _, _ in pivots] != list(range(m.cols)):  # unique iff full rank
+    pivots = _Echelon(_augmented(m, b)).pivots
+    if sorted(c for c, _, _ in pivots) != list(range(m.cols)):  # full rank
         raise DomainError("linear system is not uniquely solvable")
     return tuple(_back_substitute(pivots, m.cols, m.cols))
 
 
 def det(m: Matrix) -> Fraction:
+    """The sign of the pivot-column order times the last pivot, over the
+    product of the row scales."""
     _require_square(m)
-    pivots, sign, scale = _eliminate(m.entries)
-    if len(pivots) < m.rows:
+    e = _Echelon(m.entries)
+    if len(e.pivots) < m.rows:
         return Fraction(0)
-    return Fraction(sign * (pivots[-1][1] if pivots else 1), scale)
+    cols = [c for c, _, _ in e.pivots]
+    swaps = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+    return Fraction((-1) ** swaps * (e.pivots[-1][1] if e.pivots else 1),
+                    e.scale)
 
 
 def inverse(m: Matrix) -> Matrix:
     _require_square(m)
     n = m.rows
-    pivots = _eliminate([r + tuple(Fraction(int(i == j)) for j in range(n))
-                         for i, r in enumerate(m.entries)])[0]
+    pivots = _Echelon(map(add, m.entries, Matrix.identity(n).entries)).pivots
     # [m | I] always has rank n; m is singular iff a pivot lies in I
-    if pivots and pivots[-1][0] >= n:
+    if any(c >= n for c, _, _ in pivots):
         raise DomainError("matrix is singular")
     return Matrix(list(zip(*(_back_substitute(pivots, n + j, n)
                              for j in range(n)))))

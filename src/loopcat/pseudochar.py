@@ -36,7 +36,7 @@ import operator
 
 from .errors import DomainError
 from .fincat import FiniteMonoid, conjugacy_classes, least_rotation
-from .linalg import (Matrix, Polynomial, _eliminate, _integral, det, rank,
+from .linalg import (Matrix, Polynomial, _Echelon, _integral, det, rank,
                      rat, solve)
 
 
@@ -273,12 +273,13 @@ def _vanishing_level(engine: _TraceRecursion, ids: list, vectors, levels):
     vectors[i] holds the traces of ids[i] against a spanning set of an
     algebra closed under the product.  T is multilinear and vanishes when
     one entry traces to zero against that whole algebra, so a level
-    vanishes on ids iff it vanishes on the basis, the first ids with
-    linearly independent vectors: at most dim² matrices (Procesi 1976),
-    the trace-Gram rank for a monoid (Chenevier 2014).  Such a level
-    counts all C(len(ids) + d, d + 1) tuples; any other scans the ids up
-    to its first nonzero tuple, as the full search does."""
-    basis = [ids[c] for c, _, _ in _eliminate(list(zip(*vectors)))[0]]
+    vanishes on ids iff it vanishes on the basis, the ids whose vectors
+    `_Echelon.add` keeps: at most dim² matrices (Procesi 1976), the
+    trace-Gram rank for a monoid (Chenevier 2014).  Such a level counts
+    all C(len(ids) + d, d + 1) tuples; any other scans the ids up to its
+    first nonzero tuple, as the full search does."""
+    span = _Echelon()
+    basis = [i for i, v in zip(ids, vectors) if span.add(v)]
     checked = 0
     for d in levels:
         if all(engine.antisym(tup) == 0

@@ -36,7 +36,8 @@ from typing import Mapping, Sequence
 from .diagrams import BrauerMorphism, _chains, compose, transpose
 from .errors import DomainError, InternalInconsistency
 from .fincat import IntervalClass, Loop, _UnionFind, compose_path
-from .linalg import Matrix, _integral, _products, distinct_rows, rank, rat
+from .linalg import (Matrix, _Echelon, _integral, _products, distinct_rows,
+                     rank, rat)
 
 
 class MissingValue(DomainError):
@@ -414,49 +415,25 @@ def _times(v: Sequence, m: Matrix) -> tuple:
 def _forward_reduce(a: WeightedAutomaton) -> WeightedAutomaton:
     """Restrict to the row space reachable from the initial vector.
 
-    Vectors are met in breadth-first order and kept in echelon form:
-    entry 1 at their pivot, 0 at every earlier pivot.  Reducing a vector
-    by the basis in order then reads its coordinates off the pivots.  Only
+    Vectors are met in breadth-first order and added to one `_Echelon`.
+    Each basis vector is a pivot row scaled to 1 at its pivot: the one
+    vector of the span so far that is 1 there and 0 at every earlier
+    pivot.  Coordinates on that basis are read off the elimination.  Only
     a vector that enlarged the basis is expanded: a dependent vector's
     images combine the images of the basis vectors before it, which come
     earlier in the same order, so they would enlarge nothing.
     """
-    basis: list[tuple] = []
-    pivots: list[int] = []
-
-    def reduce(v) -> tuple[list, list]:
-        xs, r = [], list(v)
-        for b, p in zip(basis, pivots):
-            x = r[p]
-            if x:
-                r = [y - x * z for y, z in zip(r, b)]
-            xs.append(x)
-        return xs, r
-
+    span = _Echelon()
     frontier = [a.initial]
     while frontier:
-        added = []
-        for v in frontier:
-            r = reduce(v)[1]
-            p = next((i for i, x in enumerate(r) if x), None)
-            if p is not None:
-                basis.append(tuple(x / r[p] for x in r))
-                pivots.append(p)
-                added.append(v)
+        added = [v for v in frontier if span.add(v)]
         frontier = [_times(v, a.transitions[letter])
                     for v in added for letter in a.alphabet]
-
-    def coords(v) -> list:
-        xs, r = reduce(v)
-        if any(r):
-            raise InternalInconsistency("vector escaped the reachable span")
-        return xs
-
-    trans = {letter: Matrix([coords(_times(b, a.transitions[letter]))
-                             for b in basis])
-             for letter in a.alphabet}
+    basis = [[Fraction(x, p) for x in y] for _, p, y in span.pivots]
+    trans = {letter: Matrix([span.coordinates(_times(b, m)) for b in basis])
+             for letter, m in sorted(a.transitions.items())}
     final = tuple(row[0] for row in _products(basis, [a.final]))
-    return WeightedAutomaton(coords(a.initial), trans, final)
+    return WeightedAutomaton(span.coordinates(a.initial), trans, final)
 
 
 def _reverse(a: WeightedAutomaton) -> WeightedAutomaton:

@@ -16,7 +16,10 @@ search of `pseudochar._vanishing_level`, and `reference_holonomy` runs it
 as the degree search of `graph_pseudoholonomy` on `Matrix` objects.
 `gauss_jordan` reduces Fraction rows to reduced row echelon form,
 independent of linalg's fraction-free kernel, and `gj_rank` reads a rank
-off it.  `dot_matmul`, `fraction_times` and `fraction_weight` form
+off it.  `column_eliminate` is the fraction-free elimination that picks
+its pivots column by column, linalg's kernel before it took rows one at a
+time, and `column_solve`, `column_solve_unique`, `column_det` and
+`column_inverse` read their results off it as linalg did.  `dot_matmul`, `fraction_times` and `fraction_weight` form
 matrix, vector-by-matrix and automaton products as sums of Fraction
 products, the references for linalg's cleared-integer product kernel,
 and `euclid_gcd` runs Euclid's algorithm over Fraction, the reference for
@@ -39,7 +42,8 @@ from loopcat.frobenius import (
     NotUnital,
 )
 from loopcat import pseudochar
-from loopcat.linalg import Matrix, Polynomial, RationalFunction, det, rat
+from loopcat.linalg import (Matrix, Polynomial, RationalFunction, _augmented,
+                            _cleared, det, rat)
 from loopcat.pseudochar import (
     DegreeResult,
     GraphHolonomy,
@@ -76,6 +80,85 @@ def gauss_jordan(rows: list[list[Fraction]]) -> list[int]:
 
 def gj_rank(m: Matrix) -> int:
     return len(gauss_jordan([list(r) for r in m.entries]))
+
+
+def column_eliminate(rows) -> tuple[list, int, int]:
+    """Forward-only fraction-free elimination of rational rows.
+
+    Each row is scaled to ints by the lcm of its denominators.  After k
+    pivots each entry left is a (k+1)-minor (Sylvester's identity, Bareiss
+    1968), so dividing by the previous pivot is exact.  Finished pivot rows
+    and vanished rows leave the working set.  Returns the pivot rows as
+    (pivot column, pivot, the row's ints right of the pivot), the sign of
+    their order, and the product of the row scales.
+    """
+    work, scale = [], 1
+    for r in rows:
+        ints, s = _cleared(r)
+        scale *= s
+        if any(ints):
+            work.append(ints)
+    pivots, sign, prev, base, c = [], 1, 1, 0, 0
+    while work:
+        i = next((i for i, row in enumerate(work) if row[c]), None)
+        if i is None:
+            c += 1
+            continue
+        top, sign = work.pop(i), -sign if i % 2 else sign
+        p, tail = top[c], top[c + 1:]
+        below = []
+        for row in work:
+            f = row[c]
+            new = [(p * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+            if any(new):
+                below.append(new)
+        pivots.append((base + c, p, tail))
+        work, prev, base, c = below, p, base + c + 1, 0
+    return pivots, sign, scale
+
+
+def _column_back_substitute(pivots: list, col: int, n: int) -> list[Fraction]:
+    """The x in Q^n, 0 off the pivot columns, with U x = U[:, col] for U
+    the pivot rows of `column_eliminate`."""
+    d = pivots[-1][1] if pivots else 1
+    xs = [0] * n  # d·x
+    for c, p, tail in reversed(pivots):
+        s = d * tail[col - c - 1] if col > c else 0
+        xs[c] = (s - sum(a * x for a, x in zip(tail, xs[c + 1:]))) // p
+    return [Fraction(x, d) for x in xs]
+
+
+def column_solve(m: Matrix, b) -> tuple | None:
+    pivots = column_eliminate(_augmented(m, b))[0]
+    if pivots and pivots[-1][0] == m.cols:  # pivot in b's column: inconsistent
+        return None
+    return tuple(_column_back_substitute(pivots, m.cols, m.cols))
+
+
+def column_solve_unique(m: Matrix, b) -> tuple | None:
+    """The unique solution of square m x = b, or None if there is none."""
+    pivots = column_eliminate(_augmented(m, b))[0]
+    if [c for c, _, _ in pivots] != list(range(m.cols)):
+        return None
+    return tuple(_column_back_substitute(pivots, m.cols, m.cols))
+
+
+def column_det(m: Matrix) -> Fraction:
+    pivots, sign, scale = column_eliminate(m.entries)
+    if len(pivots) < m.rows:
+        return Fraction(0)
+    return Fraction(sign * (pivots[-1][1] if pivots else 1), scale)
+
+
+def column_inverse(m: Matrix) -> Matrix | None:
+    """m's inverse, or None if m is singular."""
+    n = m.rows
+    pivots = column_eliminate([r + tuple(Fraction(int(i == j)) for j in range(n))
+                               for i, r in enumerate(m.entries)])[0]
+    if pivots and pivots[-1][0] >= n:
+        return None
+    return Matrix(list(zip(*(_column_back_substitute(pivots, n + j, n)
+                             for j in range(n)))))
 
 
 def _fraction_dot(a, b) -> Fraction:

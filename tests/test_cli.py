@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -436,6 +437,17 @@ def test_ragged_matrix_exits_two_without_asserts(tmp_path, command):
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout) == {"error": "ValueError",
                                        "message": "ragged matrix"}
+
+
+def test_package_source_holds_no_assert():
+    """`python -O` strips `assert` statements, so no check in the package
+    may be one."""
+    src = Path(loopcat.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 OUT_OF_RANGE_JOBS = {

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopcat.linalg import (
-    _eliminate,
+    _Echelon,
     _rational_roots,
     Matrix,
     NonSplitDenominator,
@@ -29,8 +29,9 @@ from loopcat.errors import DomainError
 from loopcat.frobenius import (FrobeniusAlgebra, generating_function,
                                handle_element, product_algebra,
                                truncated_poly_algebra, validate)
-from oracles import (apply, dot_matmul, euclid_gcd, from_poly, gauss_jordan,
-                     gj_rank, zero_matrix)
+from oracles import (apply, column_det, column_eliminate, column_inverse,
+                     column_solve, column_solve_unique, dot_matmul, euclid_gcd,
+                     from_poly, gauss_jordan, gj_rank, zero_matrix)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 small_ints = st.integers(min_value=-6, max_value=6)
@@ -227,12 +228,105 @@ def test_sparse_square_kernel_matches_gauss_jordan(rows, data) -> None:
 @settings(max_examples=100, deadline=None)
 def test_int_rows_eliminate_like_their_fraction_twins(rows, data) -> None:
     """ints, integral Fractions and a mix of the two give the same pivot
-    rows, sign and scale."""
+    rows and scale."""
+    def eliminated(rs):
+        e = _Echelon(rs)
+        return e.pivots, e.scale
+
     mixed = [[data.draw(st.sampled_from([x, Fraction(x)])) for x in r]
              for r in rows]
-    reference = _eliminate([[Fraction(x) for x in r] for r in rows])
-    assert _eliminate(rows) == _eliminate(mixed) == reference
+    reference = eliminated([[Fraction(x) for x in r] for r in rows])
+    assert eliminated(rows) == eliminated(mixed) == reference
     assert len(reference[0]) == gj_rank(Matrix(rows))
+
+
+# --- one row at a time against the column-order reference ----------------------
+
+
+def _thin(n: int, m: int):
+    """n x m rows of small entries, mostly zero."""
+    entry = st.one_of(st.just(Fraction(0)), small_ints.map(Fraction),
+                      rationals)
+    return st.lists(st.lists(entry, min_size=m, max_size=m),
+                    min_size=n, max_size=n)
+
+
+@st.composite
+def reordered_rows(draw, square=False):
+    """Rows with zero and dependent ones, and a drawn order of them.
+    Besides low-rank and sparse rows, 1 x n and n x 1 shapes, and
+    for a non-square matrix scaled copies of some rows."""
+    shapes = [low_rank_rows(square), sparse_rows(square)]
+    if not square:
+        shapes += [st.integers(1, 6).flatmap(lambda n: _thin(1, n)),
+                   st.integers(1, 6).flatmap(lambda n: _thin(n, 1))]
+    rows = draw(st.one_of(shapes))
+    if not square and rows:
+        for _ in range(draw(st.integers(0, 2))):
+            row = draw(st.sampled_from(rows))
+            c = draw(rationals)
+            rows = rows + [[c * x for x in row]]
+    return rows, draw(st.permutations(range(len(rows))))
+
+
+@given(reordered_rows(), st.booleans(), st.data())
+@example(([], []), True, None)  # 0 x 0
+@example(([[0, 1], [1, 0]], [0, 1]), True, None)  # out of column order
+@example(([[0, 0, 2]], [0]), False, None)  # 1 x n
+@example(([[0], [3], [0]], [0, 2, 1]), False, None)  # n x 1
+@settings(max_examples=100, deadline=None)
+def test_echelon_matches_column_order_elimination(case, consistent,
+                                                  data) -> None:
+    """In any order of the rows, the pivot columns are the reference's
+    (the leading columns of the reduced echelon form), and `rank` and
+    `solve` agree with it."""
+    rows, order = case
+    columns = [c for c, _, _ in column_eliminate(rows)[0]]
+    for rs in (rows, [rows[i] for i in order]):
+        assert sorted(c for c, _, _ in _Echelon(rs).pivots) == columns
+        m = Matrix(rs)
+        assert rank(m) == len(columns)
+        if data is None:
+            b = [Fraction(0 if consistent else 1)] * m.rows
+        elif consistent:
+            b = apply(m, data.draw(st.lists(rationals, min_size=m.cols,
+                                            max_size=m.cols)))
+        else:
+            b = data.draw(st.lists(rationals, min_size=m.rows,
+                                   max_size=m.rows))
+        assert solve(m, b) == column_solve(m, b)
+
+
+def _inversions(order) -> int:
+    return sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+
+
+@given(reordered_rows(square=True), st.data())
+@example(([], []), None)  # 0 x 0
+@example(([[0, 2], [3, 0]], [1, 0]), None)  # anti-diagonal, 2 x 2
+@example(([[0, 0, 1], [0, 2, 0], [Fraction(1, 3), 0, 0]], [2, 0, 1]), None)
+@example(([[0, 0, 0, 5], [0, 0, 1, 0], [0, -2, 0, 0], [7, 0, 0, 0]],
+          [2, 0, 3, 1]), None)
+@example(([[1, 2], [2, 4]], [1, 0]), None)  # dependent rows
+@settings(max_examples=100, deadline=None)
+def test_square_echelon_matches_column_order_elimination(case, data) -> None:
+    """det, with its sign, solve_unique and inverse agree with the
+    column-order reference in any order of the rows, and a reordering
+    changes the determinant by the sign of the permutation."""
+    rows, order = case
+    shuffled = [rows[i] for i in order]
+    for rs in (rows, shuffled):
+        m = Matrix(rs)
+        b = ([Fraction(1)] * m.rows if data is None else
+             data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows)))
+        assert det(m) == column_det(m)
+        x, inv = column_solve_unique(m, b), column_inverse(m)
+        assert _outcome(solve_unique, m, b) == (
+            "linear system is not uniquely solvable" if x is None else x)
+        assert _outcome(inverse, m) == (
+            "matrix is singular" if inv is None else inv)
+    assert det(Matrix(shuffled)) == \
+        (-1) ** _inversions(order) * det(Matrix(rows))
 
 
 def test_solve_unique_decides_from_one_elimination() -> None:

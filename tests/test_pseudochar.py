@@ -59,6 +59,7 @@ from loopcat.pseudochar import (
 from loopcat.statespaces import Evaluation, evaluation_from_monoid
 from oracles import (
     _signed_cycle_decompositions,
+    column_eliminate,
     full_vanishing_level,
     reference_holonomy,
     zero_matrix,
@@ -1082,6 +1083,47 @@ def test_vanishing_level_evaluates_only_basis_tuples() -> None:
         report = graph_pseudoholonomy(gh, 5)
     assert report.degree.tuples_checked == 2 + comb(20 + 2, 3)
     assert len([k for k in engines[0]._memo if len(k) == 3]) <= comb(4 + 2, 3)
+
+
+class _VanishingEngine:
+    """A stand-in engine whose antisymmetrized traces all vanish, so
+    `_vanishing_level` decides level 0 on its basis alone; it records the
+    tuples it is asked for."""
+
+    def __init__(self):
+        self.asked = []
+
+    def antisym(self, tup):
+        self.asked.append(tup)
+        return 0
+
+
+@st.composite
+def dependent_vectors(draw):
+    """n vectors of length m in a span of dimension at most k, some zero,
+    entries integral or rational."""
+    n, m, k = (draw(st.integers(0, top)) for top in (6, 5, 3))
+    entry = draw(st.sampled_from([st.integers(-3, 3), rationals]))
+    coeffs = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                           min_size=n, max_size=n))
+    span = draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                         min_size=k, max_size=k))
+    zero = draw(st.sets(st.integers(0, max(n - 1, 0))))
+    return [[0 if i in zero else sum(c * b[j] for c, b in zip(row, span))
+             for j in range(m)] for i, row in enumerate(coeffs)]
+
+
+@given(dependent_vectors())
+@example([[0, 1], [1, 0]])
+@example([[0, 0], [2, 4], [1, 2], [0, 3]])
+@example([[], []])
+@settings(max_examples=100, deadline=None)
+def test_vanishing_level_basis_is_the_transposed_pivot_basis(vectors) -> None:
+    ids = list(range(10, 10 + len(vectors)))
+    engine = _VanishingEngine()
+    assert _vanishing_level(engine, ids, vectors, [0])[0] == 0
+    pivots = column_eliminate(list(zip(*vectors)))[0]
+    assert engine.asked == [(ids[c],) for c, _, _ in pivots]
 
 
 def linked_category(m: FiniteMonoid, back: bool):
