@@ -219,13 +219,12 @@ def _run_holonomy(doc: dict, args) -> dict:
 def _run_frobenius_validate(doc: dict, args) -> dict:
     fa = frobenius_from_json(doc)
     validate(fa)
-    hd = handle_element(fa)
     return {
         "command": "frobenius-validate",
         "ok": True,
         "dim": fa.dim,
-        "handle": [rat_str(x) for x in hd.element],
-        "genus_one_value": rat_str(surface_eval(fa, 1, hd)),
+        "handle": [rat_str(x) for x in handle_element(fa).element],
+        "genus_one_value": rat_str(surface_eval(fa, 1)),
     }
 
 

@@ -114,6 +114,7 @@ class FrobeniusAlgebra:
             (i, row) for i, row in enumerate(
                 tuple((j, terms) for j, terms in enumerate(plane) if terms)
                 for plane in self._terms) if row)
+        self._handle = None  # HandleData, built by `handle_element`
 
     def multiply(self, a, b) -> tuple:
         out = [Fraction(0)] * self.dim
@@ -156,7 +157,8 @@ def validate(fa: FrobeniusAlgebra) -> None:
     Given commutativity, (ab)c - a(bc) = c(ba) - (cb)a: (i, j, k) fails iff
     (k, j, i) does, and (i, j, i) never fails, so associativity is checked
     for i < k only.  A triple with e_i e_j = e_j e_k = 0 has both sides 0
-    and is skipped."""
+    and is skipped.  Nondegeneracy is decided by building the handle
+    element (`handle_element`), whose dual basis inverts the Gram."""
     n = fa.dim
     basis = [tuple(Fraction(i == k) for i in range(n)) for k in range(n)]
     for i in range(n):
@@ -175,8 +177,7 @@ def validate(fa: FrobeniusAlgebra) -> None:
                 if (t[i][j] or t[j][k]) and (
                         mul(s[i][j], basis[k]) != mul(basis[i], s[j][k])):
                     raise NotAssociative(f"(e_{i} e_{j}) e_{k} differs")
-    if det(fa.gram()) == 0:
-        raise NondegeneracyFailure("the pairing eps(ab) is singular")
+    handle_element(fa)
 
 
 def dual_basis(fa: FrobeniusAlgebra) -> list[tuple]:
@@ -196,32 +197,33 @@ class HandleData:
 
 def handle_element(fa: FrobeniusAlgebra) -> HandleData:
     """h = sum_i e_i u_i over a dual-basis pair; independent of the choice.
-    With u_i = sum_j u_ij e_j, h_k = sum_{i,j} u_ij c_ijk."""
-    h = [Fraction(0)] * fa.dim
-    for u, plane in zip(dual_basis(fa), fa._terms):
-        for uj, terms in zip(u, plane):
-            if uj:
-                for k, c in terms:
-                    h[k] += uj * c
-    h = tuple(h)
-    return HandleData(h, fa.mult_matrix(h))
+    With u_i = sum_j u_ij e_j, h_k = sum_{i,j} u_ij c_ijk.  Built once per
+    algebra and kept on it; a singular pairing is a NondegeneracyFailure."""
+    if fa._handle is None:
+        h = [Fraction(0)] * fa.dim
+        for u, plane in zip(dual_basis(fa), fa._terms):
+            for uj, terms in zip(u, plane):
+                if uj:
+                    for k, c in terms:
+                        h[k] += uj * c
+        h = tuple(h)
+        fa._handle = HandleData(h, fa.mult_matrix(h))
+    return fa._handle
 
 
-def surface_eval(fa: FrobeniusAlgebra, genus: int,
-                 hd: HandleData | None = None) -> Fraction:
+def surface_eval(fa: FrobeniusAlgebra, genus: int) -> Fraction:
     """Value of the closed genus-g surface: eps(h^g).
 
     For g >= 1 this must equal tr(M_h^(g-1)) (trace of multiplication by a
     is eps(h a)).  That trace is read off the trace series of M_h
     (`trace_series`), the same route as `generating_function`; the two
     routes are compared, and disagreement — possible only for inputs that
-    are not honest Frobenius data — is an InternalInconsistency.  hd is
-    `handle_element(fa)`, built here unless the caller already has it.
+    are not honest Frobenius data — is an InternalInconsistency.  The
+    handle is the algebra's one `handle_element`.
     """
     if genus < 0:
         raise ValueError("genus must be nonnegative")
-    if hd is None:
-        hd = handle_element(fa)
+    hd = handle_element(fa)
     power = fa.unit
     for _ in range(genus):
         power = fa.multiply(power, hd.element)

@@ -10,8 +10,9 @@ elimination (rank, determinant, solving, inverting, a basis of vectors
 met one at a time and coordinates on it) runs one fraction-free kernel
 (Bareiss 1968) that takes cleared rows one at a time; solutions are read
 off its pivot rows by one integer back-substitution, exact by Cramer's
-rule.  Polynomial gcds and the Sturm chains that isolate rational roots
-share one integer pseudo-remainder step.  Shape checks at the entry
+rule.  Every polynomial division, the gcds and the Sturm chains that
+isolate rational roots among them, runs one integer pseudo-division on
+cleared coefficients.  Shape checks at the entry
 points raise ValueError, so they hold under `python -O` too.
 """
 
@@ -129,19 +130,14 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __divmod__(self, other: "Polynomial"):
+        """With self = f/s and other = g/t cleared, m·f = q·g + r gives
+        the quotient t·q/(m·s) and the remainder r/(m·s)."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        lead = other.coeffs[-1]
-        for k in range(len(rem) - 1, other.degree - 1, -1):
-            if rem[k] == 0:
-                continue
-            f = rem[k] / lead
-            q[k - other.degree] = f
-            for j, b in enumerate(other.coeffs):
-                rem[k - other.degree + j] -= f * b
-        return Polynomial(q), Polynomial(rem)
+        (f, s), (g, t) = _cleared(self.coeffs), _cleared(other.coeffs)
+        q, r, m = _pseudo_divmod(f, g)
+        return (Polynomial([Fraction(c * t, m * s) for c in q]),
+                Polynomial([Fraction(c, m * s) for c in r]))
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
@@ -174,7 +170,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     nonzero one is the gcd up to a rational factor."""
     f, g = (_primitive(_cleared(p.coeffs)[0]) for p in (a, b))
     while g:
-        f, g = g, _primitive(_pseudo_remainder(f, g))
+        f, g = g, _primitive(_pseudo_divmod(f, g)[1])
     return Polynomial([Fraction(c, f[-1]) for c in f])
 
 
@@ -637,7 +633,8 @@ def _rational_roots(p: Polynomial) -> list[Fraction]:
     h = [c * lead ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
     chain = _sturm_chain(h)
     if len(chain[-1]) > 1:  # repeated roots: keep h's square-free part
-        h = _exact_quotient(h, chain[-1])
+        # a primitive factor of monic h has a ±1 lead: the quotient is exact
+        h = _pseudo_divmod(h, chain[-1])[0]
         chain = _sturm_chain(h)
     # all roots of h lie in (-bound, bound) (Fujiwara 1916)
     m = len(h) - 1
@@ -677,37 +674,34 @@ def _sturm_chain(h: list[int]) -> list[list[int]]:
     so sign changes count roots as in Sturm's theorem."""
     chain = [h, _primitive([k * c for k, c in enumerate(h)][1:])]
     while len(chain[-1]) > 1:
-        rem = _pseudo_remainder(chain[-2], chain[-1])
+        rem = _pseudo_divmod(chain[-2], chain[-1])[1]
         if not rem:
             break
         chain.append(_primitive([-c for c in rem]))
     return chain
 
 
-def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
-    """A positive multiple of f mod g for integer polynomials with no
-    trailing zeros: before each step f is scaled by |lead(g)|, so the
-    quotient term stays integral."""
-    rem, lead = list(f), g[-1]
-    s, a = (1, lead) if lead > 0 else (-1, -lead)
-    while len(rem) >= len(g):
-        c, k = s * rem[-1], len(rem) - len(g)
-        rem = [a * x for x in rem]
+def _pseudo_divmod(f: list[int],
+                   g: list[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, m) with m·f = q·g + r and deg r < deg g, for integer
+    polynomials with no trailing zeros, g nonzero.  A step whose leading
+    coefficient lead(g) does not divide first scales the remainder and
+    the quotient by |lead(g)|, so every quotient term is an int and m is
+    a positive power of |lead(g)|: r is a positive multiple of f mod g
+    (the sign Sturm chains need), and m = 1 when lead(g) = ±1."""
+    r, q, m = list(f), [0] * max(0, len(f) - len(g) + 1), 1
+    lead = g[-1]
+    while len(r) >= len(g):
+        if r[-1] % lead:
+            a = abs(lead)
+            r, q, m = [a * x for x in r], [a * x for x in q], m * a
+        c, k = r[-1] // lead, len(r) - len(g)
+        q[k] = c
         for j, d in enumerate(g):
-            rem[k + j] -= c * d
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return rem
-
-
-def _exact_quotient(f: list[int], g: list[int]) -> list[int]:
-    """f / g for an integer polynomial g that divides f with a ±1 lead."""
-    rem, q = list(f), [0] * (len(f) - len(g) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = rem[k + len(g) - 1] * g[-1]
-        for j, d in enumerate(g):
-            rem[k + j] -= c * d
-    return q
+            r[k + j] -= c * d
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r, m
 
 
 def _sign_changes(chain: list[list[int]], x: int) -> int:

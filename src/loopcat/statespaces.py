@@ -501,7 +501,7 @@ def glue_partition_diagrams(d1: PartitionDiagram, d2: PartitionDiagram,
         for i, b in enumerate(d.blocks):
             if c in b:
                 return (tag, i)
-        raise AssertionError("circle missing from partition")
+        raise ValueError(f"circle {c} missing from partition")
 
     edges = []
     for c in range(1, d1.m + 1):

@@ -439,14 +439,22 @@ def test_ragged_matrix_exits_two_without_asserts(tmp_path, command):
                                        "message": "ragged matrix"}
 
 
+def _raises_assertion_error(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_package_source_holds_no_assert():
     """`python -O` strips `assert` statements, so no check in the package
-    may be one."""
+    may be one; nor may it raise a bare AssertionError, which no caller
+    expects as a typed rejection."""
     src = Path(loopcat.__file__).resolve().parent
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(src.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Assert)]
+             if isinstance(node, ast.Assert) or _raises_assertion_error(node)]
     assert found == []
 
 
@@ -622,6 +630,19 @@ def test_frobenius_validate_builds_one_handle(tmp_path, capsys, monkeypatch):
     code, out = run_json(tmp_path, capsys, "frobenius-validate", QX3_EPS7)
     assert (code, out["genus_one_value"]) == (0, "3")
     assert calls == [3]
+
+
+@pytest.mark.parametrize("command", ["frobenius-validate", "genfun"])
+def test_frobenius_job_eliminates_its_gram_once(tmp_path, capsys, monkeypatch,
+                                                command):
+    calls = []
+    for name in ("inverse", "det"):
+        def counted(m, name=name, fn=getattr(frobenius, name)):
+            calls.append(name)
+            return fn(m)
+        monkeypatch.setattr(frobenius, name, counted)
+    code, _ = run_json(tmp_path, capsys, command, QX3_EPS7)
+    assert (code, calls) == (0, ["inverse"])
 
 
 def test_frobenius_validate_degenerate_counit(tmp_path, capsys):

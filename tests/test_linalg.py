@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from loopcat.linalg import (
     _Echelon,
+    _pseudo_divmod,
     _rational_roots,
     Matrix,
     NonSplitDenominator,
@@ -841,6 +842,10 @@ def test_rational_string_round_trip_is_bit_identical() -> None:
 
 
 @given(st.lists(rationals, max_size=4), st.lists(rationals, min_size=1, max_size=4))
+@example([], [1, 2])  # zero dividend
+@example([1, Fraction(1, 2)], [3, 0, 5])  # dividend below the divisor's degree
+@example([Fraction(1, 3), 2, -5, 7], [Fraction(1, 2), 0, Fraction(-2, 3)])
+@example([4, 0, 0, 9], [1, -3])  # negative integer lead
 def test_polynomial_divmod_round_trip(a, b) -> None:
     p, q = Polynomial(a), Polynomial(b)
     if q.is_zero():
@@ -848,6 +853,40 @@ def test_polynomial_divmod_round_trip(a, b) -> None:
     quo, rem = divmod(p, q)
     assert quo * q + rem == p
     assert rem.degree < q.degree
+
+
+def _trimmed(cs: list[int]) -> list[int]:
+    while cs and cs[-1] == 0:
+        cs = cs[:-1]
+    return cs
+
+
+int_polys = st.lists(st.integers(-30, 30), max_size=6).map(_trimmed)
+
+
+@given(int_polys, int_polys.filter(bool))
+@example([], [5])
+@example([1, 2], [0, 0, -3])
+@example([7, -1, 0, 4], [2, 6])
+def test_pseudo_divmod_is_a_pseudo_division(f, g) -> None:
+    q, r, m = _pseudo_divmod(f, g)
+    assert Polynomial(q) * Polynomial(g) + Polynomial(r) == \
+        Polynomial(f).scale(m)
+    assert len(r) < len(g) and (not r or r[-1] != 0)
+    a = abs(g[-1])
+    assert m > 0
+    while a > 1 and m % a == 0:
+        m //= a
+    assert m == 1
+
+
+@given(int_polys.filter(bool), st.sampled_from([1, -1]), int_polys)
+@example([3], -1, [])
+@example([2, -3], 1, [0, 0, 5])
+def test_pseudo_divmod_divides_exactly_by_a_unit_lead(g, lead, h) -> None:
+    g = g[:-1] + [lead]
+    f = [c.numerator for c in (Polynomial(g) * Polynomial(h)).coeffs]
+    assert _pseudo_divmod(f, g) == (h, [], 1)
 
 
 def test_format_poly() -> None:

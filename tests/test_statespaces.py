@@ -437,6 +437,18 @@ def test_kernel_is_checked_against_the_splice(monkeypatch) -> None:
         state_space_field(cat, TWO, evaluation_from_monoid(cat, [2, 0]))
 
 
+def test_template_is_checked_for_values_the_splice_has(monkeypatch) -> None:
+    # the splice now values every closed diagram, while the empty
+    # evaluation leaves the template's strands without one
+    monkeypatch.setattr(statespaces, "evaluate_closed",
+                        lambda d, alpha: Fraction(0))
+    cat = MonoidCategory(cyclic_group(2))
+    with pytest.raises(InternalInconsistency,
+                       match=r"template misses a value the splice has at "
+                             r"entry \(0, 0\)"):
+        state_space_field(cat, TWO, Evaluation())
+
+
 # integral and non-integral values, so that Gram entries are ints, integral
 # Fractions and non-integral Fractions
 drawn_values = st.one_of(st.integers(-3, 3),
@@ -727,6 +739,14 @@ def test_glue_two_circles_makes_a_torus() -> None:
     # component's first Betti number is 1 - a torus, alpha_1
     d = PartitionDiagram.make(2, [(1, 2)], [0])
     assert glue_partition_diagrams(d, d, [5, 13, 17]) == 13
+
+
+def test_glue_names_a_circle_no_block_holds() -> None:
+    # the constructor, unlike `make`, does not check that the blocks
+    # partition 1..m: circle 2 lies in no block
+    d = PartitionDiagram(2, ((1,),), (0,))
+    with pytest.raises(ValueError, match="^circle 2 missing from partition$"):
+        glue_partition_diagrams(d, d, [1, 2, 3])
 
 
 def test_glue_sequence_too_short() -> None:
