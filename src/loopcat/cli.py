@@ -176,6 +176,8 @@ def _run_pseudochar_charpoly(doc: dict, args) -> dict:
     monoid = monoid_from_json(doc)
     alpha = pseudochar_from_json(monoid, doc)
     x, d = exact_int(doc["x"]), exact_int(doc["d"])
+    if d > args.max_degree:  # the degree search runs up to d
+        raise ValueError(f"d = {d} exceeds --max-degree {args.max_degree}")
     p = alpha_charpoly(alpha, x, d)
     return {
         "command": "pseudochar-charpoly",

@@ -9,6 +9,13 @@ module computes it, classifies which rational functions arise this way,
 synthesizes a witness algebra from classification data, and checks the
 related (p, h, iota) systems and confluent Vandermonde solves that appear
 when recovering a direct-sum decomposition from the values alone.
+
+An algebra keeps its structure constants as ints over one common
+denominator, and its unit and counit as cleared int vectors.  Every
+product runs one int kernel over the nonzero structure constants
+(`FrobeniusAlgebra._times`): the axiom checks, the handle element and the
+eps(h^g) cross-check of the generating function stay on ints, and
+`multiply` is the kernel's Fraction wrapper.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import DomainError, InternalInconsistency
 from .linalg import (
@@ -25,6 +32,7 @@ from .linalg import (
     NonSplitDenominator,
     Polynomial,
     RationalFunction,
+    _cleared,
     det,
     exact_int,
     inverse,
@@ -77,7 +85,13 @@ class DimensionMismatch(DomainError):
 class FrobeniusAlgebra:
     """Structure constants c[i][j][k] (e_i e_j = sum_k c[i][j][k] e_k),
     a unit vector, and a counit covector.  Shapes are checked here;
-    the axioms are checked by `validate`."""
+    the axioms are checked by `validate`.
+
+    The exact work runs on ints: the nonzero structure constants are kept
+    as the ints D c[i][j][k] over their one common denominator D
+    (`scale`), and the unit and counit as cleared int vectors with their
+    own scales.  Witness algebras have 0/1 structure constants, so D is
+    usually 1.  `structure`, `unit` and `counit` keep the Fractions."""
 
     def __init__(self, dim: int, structure, unit, counit):
         self.dim = exact_int(dim)
@@ -92,9 +106,8 @@ class FrobeniusAlgebra:
                 parsed[x] = rat(x)
             return parsed[x]
 
-        self.structure = tuple(
-            tuple(tuple(cell(x) for x in row) for row in plane)
-            for plane in structure)
+        self.structure = tuple(tuple(tuple(map(cell, row)) for row in plane)
+                               for plane in structure)
         self.unit = tuple(rat(x) for x in unit)
         self.counit = tuple(rat(x) for x in counit)
         n = self.dim
@@ -106,18 +119,29 @@ class FrobeniusAlgebra:
             raise ValueError("unit and counit must have length dim")
         # the nonzero (k, c) of each e_i e_j; witness algebras are products
         # of Q[x]/x^m blocks, so almost every structure constant is zero
-        self._terms = tuple(
+        terms = tuple(
             tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
             for plane in self.structure)
+        self.scale = lcm(*(c.denominator for plane in terms for row in plane
+                           for _, c in row))
+        self._terms = tuple(
+            tuple(row and tuple((k, c.numerator * (self.scale // c.denominator))
+                                for k, c in row) for row in plane)
+            for plane in terms)
         # (i, ((j, terms of e_i e_j), ...)) over the nonzero products only
         self._products = tuple(
             (i, row) for i, row in enumerate(
                 tuple((j, terms) for j, terms in enumerate(plane) if terms)
                 for plane in self._terms) if row)
+        self._unit = _cleared(self.unit)
+        self._counit = _cleared(self.counit)
         self._handle = None  # HandleData, built by `handle_element`
 
-    def multiply(self, a, b) -> tuple:
-        out = [Fraction(0)] * self.dim
+    def _times(self, a, b) -> list[int]:
+        """D a b for int vectors a and b, D the structure constants'
+        common denominator: the product kernel, over the nonzero products
+        e_i e_j with a_i b_j != 0."""
+        out = [0] * self.dim
         for i, row in self._products:
             ai = a[i]
             if ai:
@@ -127,55 +151,65 @@ class FrobeniusAlgebra:
                         coeff = ai * bj
                         for k, c in terms:
                             out[k] += coeff * c
-        return tuple(out)
+        return out
 
-    def mult_matrix(self, a) -> Matrix:
-        """Row-convention matrix of multiplication by a: e_i -> a*e_i."""
-        n = self.dim
-        rows = []
-        for i in range(n):
-            row = [Fraction(0)] * n
-            for aj, terms_j in zip(a, self._terms):
-                if aj == 0:
-                    continue
-                for k, c in terms_j[i]:
-                    row[k] += aj * c
-            rows.append(row)
-        return Matrix(rows)
+    def multiply(self, a, b) -> tuple:
+        (x, s), (y, t) = _cleared(a), _cleared(b)
+        return tuple(_fractions(self._times(x, y), s * t * self.scale))
 
     def eps(self, a) -> Fraction:
-        return sum((x * e for x, e in zip(a, self.counit)), Fraction(0))
+        (x, s), (e, t) = _cleared(a), self._counit
+        return Fraction(sum(map(operator.mul, x, e)), s * t)
 
     def gram(self) -> Matrix:
         """eps(e_i e_j), read off the nonzero structure constants."""
-        return Matrix([[sum((c * self.counit[k] for k, c in terms), Fraction(0))
+        e, t = self._counit
+        d = self.scale * t
+        return Matrix([[Fraction(sum(c * e[k] for k, c in terms), d)
                         for terms in plane] for plane in self._terms])
+
+
+def _fractions(x: list[int], s: int) -> list[Fraction]:
+    """The Fractions x / s."""
+    if s == 1:
+        return [Fraction(v) for v in x]
+    return [Fraction(v, s) for v in x]
+
+
+def _int_basis(n: int) -> list[list[int]]:
+    return [[int(i == k) for i in range(n)] for k in range(n)]
 
 
 def validate(fa: FrobeniusAlgebra) -> None:
     """Check each axiom, raising the matching error for the first failure.
-    Given commutativity, (ab)c - a(bc) = c(ba) - (cb)a: (i, j, k) fails iff
-    (k, j, i) does, and (i, j, i) never fails, so associativity is checked
-    for i < k only.  A triple with e_i e_j = e_j e_k = 0 has both sides 0
-    and is skipped.  Nondegeneracy is decided by building the handle
-    element (`handle_element`), whose dual basis inverts the Gram."""
-    n = fa.dim
-    basis = [tuple(Fraction(i == k) for i in range(n)) for k in range(n)]
+    Every product runs on the algebra's int structure constants
+    (`FrobeniusAlgebra._times`), which share one denominator, so the int
+    sides are equal iff the rational ones are.  Given commutativity,
+    (ab)c - a(bc) = c(ba) - (cb)a: (i, j, k) fails iff (k, j, i) does,
+    and (i, j, i) never fails, so associativity is checked for i < k
+    only.  A triple with e_i e_j = e_j e_k = 0 has both sides 0 and is
+    skipped.  Nondegeneracy is decided by building the handle element
+    (`handle_element`), whose dual basis inverts the Gram."""
+    n, t, mul = fa.dim, fa._terms, fa._times
+    basis = _int_basis(n)
+    unit, s = fa._unit
     for i in range(n):
-        if fa.multiply(fa.unit, basis[i]) != basis[i]:
+        image = [s * fa.scale * x for x in basis[i]]  # unit e_i on ints
+        if mul(unit, basis[i]) != image:
             raise NotUnital(f"unit * e_{i} != e_{i}")
-        if fa.multiply(basis[i], fa.unit) != basis[i]:
+        if mul(basis[i], unit) != image:
             raise NotUnital(f"e_{i} * unit != e_{i}")
-    s, t, mul = fa.structure, fa._terms, fa.multiply
     for i in range(n):
         for j in range(i + 1, n):
             if t[i][j] != t[j][i]:
                 raise NotCommutative(f"e_{i} e_{j} != e_{j} e_{i}")
+    products = [[mul(a, b) for b in basis] for a in basis]
     for i in range(n):
         for j in range(n):
             for k in range(i + 1, n):
                 if (t[i][j] or t[j][k]) and (
-                        mul(s[i][j], basis[k]) != mul(basis[i], s[j][k])):
+                        mul(products[i][j], basis[k])
+                        != mul(basis[i], products[j][k])):
                     raise NotAssociative(f"(e_{i} e_{j}) e_{k} differs")
     handle_element(fa)
 
@@ -193,21 +227,32 @@ def dual_basis(fa: FrobeniusAlgebra) -> list[tuple]:
 class HandleData:
     element: tuple
     matrix: Matrix  # multiplication by the element
+    cleared: tuple  # (ints, scale) with element = ints / scale, in lowest terms
 
 
 def handle_element(fa: FrobeniusAlgebra) -> HandleData:
     """h = sum_i e_i u_i over a dual-basis pair; independent of the choice.
-    With u_i = sum_j u_ij e_j, h_k = sum_{i,j} u_ij c_ijk.  Built once per
-    algebra and kept on it; a singular pairing is a NondegeneracyFailure."""
+    With u_i = sum_j u_ij e_j, h_k = sum_{i,j} u_ij c_ijk, summed on ints:
+    the dual basis is cleared to ints U / s once, so h = H / (s D) with
+    H_k = sum_{i,j} U_ij (D c_ijk).  Built once per algebra and kept on
+    it; a singular pairing is a NondegeneracyFailure."""
     if fa._handle is None:
-        h = [Fraction(0)] * fa.dim
-        for u, plane in zip(dual_basis(fa), fa._terms):
-            for uj, terms in zip(u, plane):
-                if uj:
+        n = fa.dim
+        u, s = _cleared([x for row in dual_basis(fa) for x in row])
+        h = [0] * n
+        for i, plane in enumerate(fa._terms):
+            for j, terms in enumerate(plane):
+                uij = u[i * n + j]
+                if uij:
                     for k, c in terms:
-                        h[k] += uj * c
-        h = tuple(h)
-        fa._handle = HandleData(h, fa.mult_matrix(h))
+                        h[k] += uij * c
+        s *= fa.scale
+        g = gcd(s, *h)
+        h, s = [x // g for x in h], s // g
+        # row i of multiplication by h is h e_i
+        matrix = Matrix([_fractions(fa._times(h, e), s * fa.scale)
+                         for e in _int_basis(n)])
+        fa._handle = HandleData(tuple(_fractions(h, s)), matrix, (h, s))
     return fa._handle
 
 
@@ -242,7 +287,9 @@ def generating_function(fa: FrobeniusAlgebra) -> RationalFunction:
     M_h (`trace_series`, Q = det(I - T M_h)) the function is
     (eps(1) Q + T N) / Q.  Its coefficients at g = 1 .. 2 dim + 2 are
     compared with eps(h^g) taken by repeated multiplication, and a
-    disagreement is an InternalInconsistency.
+    disagreement is an InternalInconsistency.  The powers h^g stay int
+    vectors times one rational scale: each step is one product on the
+    int kernel, and the content of the ints moves into the scale.
     """
     hd = handle_element(fa)
     series = trace_series(hd.matrix)
@@ -250,10 +297,14 @@ def generating_function(fa: FrobeniusAlgebra) -> RationalFunction:
         series.den.scale(fa.eps(fa.unit)) + Polynomial([0, 1]) * series.num,
         series.den)
     want = rf.taylor(2 * fa.dim + 3)
-    element = fa.unit
+    (power, s), (h, t), (e, r) = fa._unit, hd.cleared, fa._counit
+    scale = Fraction(1, s * r)  # eps(h^g) = scale * <power, e>
     for g in range(1, len(want)):
-        element = fa.multiply(element, hd.element)
-        if fa.eps(element) != want[g]:
+        power = fa._times(power, h)
+        c = gcd(*power) or 1
+        power = [x // c for x in power]
+        scale *= Fraction(c, t * fa.scale)
+        if scale * sum(map(operator.mul, power, e)) != want[g]:
             raise InternalInconsistency(
                 f"eps(h^{g}) disagrees with tr(M_h^{g - 1})")
     return rf
@@ -357,10 +408,9 @@ def product_algebra(*factors: FrobeniusAlgebra) -> FrobeniusAlgebra:
     structure = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     offset = 0
     for f in factors:
-        for i, plane in enumerate(f._terms):
-            for j, terms in enumerate(plane):
-                for k, c in terms:
-                    structure[offset + i][offset + j][offset + k] = c
+        for i, plane in enumerate(f.structure):
+            for j, row in enumerate(plane):
+                structure[offset + i][offset + j][offset:offset + f.dim] = row
         offset += f.dim
     return FrobeniusAlgebra(n, structure, sum((f.unit for f in factors), ()),
                             sum((f.counit for f in factors), ()))
@@ -615,19 +665,19 @@ def cob2_pseudochar_check(alpha_seq, d: int, cap_dots=None) -> Cob2PseudoReport:
 # JSON
 
 
-def _row_json(terms, n: int) -> list:
-    """The n cells of one structure row, given its nonzero (k, c)."""
-    row = ["0"] * n
-    for k, c in terms:
-        row[k] = rat_str(c)
-    return row
+def _row_json(row, terms) -> list:
+    """The cells of one structure row, formatted at its nonzero (k, c)."""
+    out = ["0"] * len(row)
+    for k, _ in terms:
+        out[k] = rat_str(row[k])
+    return out
 
 
 def frobenius_to_json(fa: FrobeniusAlgebra) -> dict:
     return {"frobenius": {
         "dim": fa.dim,
-        "structure": [[_row_json(terms, fa.dim) for terms in plane]
-                      for plane in fa._terms],
+        "structure": [list(map(_row_json, plane, terms))
+                      for plane, terms in zip(fa.structure, fa._terms)],
         "unit": [rat_str(x) for x in fa.unit],
         "counit": [rat_str(x) for x in fa.counit],
     }}

@@ -18,6 +18,7 @@ points raise ValueError, so they hold under `python -O` too.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
@@ -30,13 +31,26 @@ class NonSplitDenominator(DomainError):
     """Denominator does not factor into linear factors over Q."""
 
 
+# Largest decimal exponent of a scalar string: Fraction("1e10000000") builds
+# a 33-million-bit integer from 10 bytes.  Python refuses integer strings of
+# more than 4,300 digits, so int() of a longer exponent is a ValueError too.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
 def rat(x) -> Fraction:
-    """Coerce ints, Fractions and 'a/b' strings to Fraction."""
+    """Coerce ints, Fractions and 'a/b' strings to Fraction.  A string
+    whose decimal exponent exceeds MAX_DECIMAL_EXPONENT in magnitude is a
+    ValueError, raised before any number is built."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        exponent = _EXPONENT.search(x)
+        if exponent and int(exponent[1]) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent of {x!r} exceeds "
+                             f"{MAX_DECIMAL_EXPONENT} in magnitude")
         try:
             return Fraction(x)
         except ZeroDivisionError:

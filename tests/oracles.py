@@ -10,7 +10,9 @@ closure of dotted strands leaves.  `dense_multiply` multiplies two vectors
 of a Frobenius algebra through every structure constant, the reference for
 `FrobeniusAlgebra.multiply`, and `dense_validate` checks the Frobenius
 axioms from its basis-vector products on every associativity triple, the
-reference for `frobenius.validate`.  `full_vanishing_level` is the
+reference for `frobenius.validate`, and `fraction_validate` is
+`validate` as it ran on Fraction products (the same loops, skip rule and
+messages), the reference for its int kernel.  `full_vanishing_level` is the
 vanishing search over every element tuple, the reference for the basis
 search of `pseudochar._vanishing_level`, and `reference_holonomy` runs it
 as the degree search of `graph_pseudoholonomy` on `Matrix` objects.
@@ -267,6 +269,37 @@ def dense_validate(fa) -> None:
                 if lhs != rhs:
                     raise NotAssociative(f"(e_{i} e_{j}) e_{k} differs")
     if det(fa.gram()) == 0:
+        raise NondegeneracyFailure("the pairing eps(ab) is singular")
+
+
+def fraction_validate(fa) -> None:
+    """`frobenius.validate` on Fractions: unitality, then commutativity on
+    the nonzero terms, then associativity on i < k skipping the triples
+    with e_i e_j = e_j e_k = 0, then a singular Gram."""
+    n = fa.dim
+    basis = [tuple(Fraction(i == k) for i in range(n)) for k in range(n)]
+    mul = partial(dense_multiply, fa)
+    for i in range(n):
+        if mul(fa.unit, basis[i]) != basis[i]:
+            raise NotUnital(f"unit * e_{i} != e_{i}")
+        if mul(basis[i], fa.unit) != basis[i]:
+            raise NotUnital(f"e_{i} * unit != e_{i}")
+    s = fa.structure
+    t = [[tuple((k, c) for k, c in enumerate(row) if c) for row in plane]
+         for plane in s]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if t[i][j] != t[j][i]:
+                raise NotCommutative(f"e_{i} e_{j} != e_{j} e_{i}")
+    for i in range(n):
+        for j in range(n):
+            for k in range(i + 1, n):
+                if (t[i][j] or t[j][k]) and (
+                        mul(s[i][j], basis[k]) != mul(basis[i], s[j][k])):
+                    raise NotAssociative(f"(e_{i} e_{j}) e_{k} differs")
+    gram = Matrix([[sum((c * fa.counit[k] for k, c in terms), Fraction(0))
+                    for terms in plane] for plane in t])
+    if det(gram) == 0:
         raise NondegeneracyFailure("the pairing eps(ab) is singular")
 
 

@@ -15,6 +15,7 @@ import loopcat
 from loopcat import frobenius, statespaces
 from loopcat.cli import main
 from loopcat.linalg import Polynomial, RationalFunction, rat_str
+from test_cli_properties import JOB_BUDGET_S
 
 Z2_MONOID = {"monoid": {"table": [[0, 1], [1, 0]], "identity": 0, "size": 2}}
 Z2_REGULAR = {"pseudocharacter": {"classes": [[0], [1]], "values": ["2", "0"]}}
@@ -520,13 +521,30 @@ OUT_OF_RANGE_JOBS = {
         "cob2-dim", {"m": 14, "alpha": [str(g) for g in range(1, 9)]},
         "spanning set of 14 circles at genus cap 4 has more than 100 "
         "diagrams"),
+    # ten bytes that Fraction would turn into a 33-million-bit integer
+    "scalar-huge-exponent": (
+        "classify", {"genfun": {"num": ["1e10000000"], "den": ["1"]}},
+        "decimal exponent of '1e10000000' exceeds 4300 in magnitude"),
+    # alpha(e) = d = 400: the degree search would run to level 400
+    "charpoly-d-over-max-degree": (
+        "pseudochar-charpoly", dict(Z2_MONOID, pseudocharacter={
+            "classes": [[0], [1]], "values": ["400", "-3"]}, x=1, d=400),
+        "d = 400 exceeds --max-degree 6"),
+    "charpoly-float-d": (
+        "pseudochar-charpoly", dict(Z2_MONOID, **Z2_REGULAR, x=1, d=1e300),
+        f"d = {int(1e300)} exceeds --max-degree 6"),
+    "charpoly-d-over-flag": (
+        "pseudochar-charpoly", dict(Z2_MONOID, **Z2_REGULAR, x=1, d=2),
+        "d = 2 exceeds --max-degree 1", "--max-degree", "1"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OUT_OF_RANGE_JOBS))
 def test_out_of_range_input_exits_two(tmp_path, capsys, name):
     command, doc, message, *flags = OUT_OF_RANGE_JOBS[name]
+    start = time.perf_counter()
     code, out = run_json(tmp_path, capsys, command, doc, *flags)
+    assert time.perf_counter() - start < JOB_BUDGET_S
     assert (code, out) == (2, {"error": "ValueError", "message": message})
 
 

@@ -266,8 +266,10 @@ def pseudocharacters(draw, monoid):
 @st.composite
 def pseudochar_jobs(draw):
     """`pseudochar-degree` with `--max-degree` from -1 to 6,
-    `pseudochar-charpoly` at d from -1 to 3 and `pseudochar-lift` against
-    one to three drawn class functions, each on a monoid of order <= 6."""
+    `pseudochar-charpoly` at d from -1 to 3 or junk (a d over the default
+    `--max-degree` of 6 exits 2 before the search) and `pseudochar-lift`
+    against one to three drawn class functions, each on a monoid of order
+    <= 6."""
     monoid = draw(st.sampled_from(SMALL_MONOIDS))
     doc = {"monoid": monoid, "pseudocharacter": draw(pseudocharacters(monoid))}
     command = draw(st.sampled_from(
@@ -277,7 +279,7 @@ def pseudochar_jobs(draw):
                 str(draw(st.integers(-1, 6))))
     if command == "pseudochar-charpoly":
         doc["x"] = draw(maybe_junk(integers(-1, 6)))
-        doc["d"] = draw(integers(-1, 3))  # no junk: the search runs to d
+        doc["d"] = draw(maybe_junk(integers(-1, 3)))
     else:
         doc["table"] = draw(st.lists(pseudocharacters(monoid), min_size=1,
                                      max_size=3))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from loopcat import frobenius
 from loopcat.errors import DomainError
 from loopcat.frobenius import (
     ClassificationData,
@@ -46,7 +47,7 @@ from loopcat.frobenius import (
 from loopcat.linalg import Matrix, Polynomial, RationalFunction, rat_str
 from loopcat.statespaces import SequenceTooShort
 from oracles import (_signed_cycle_decompositions, dense_multiply,
-                     dense_validate, f1_pullback)
+                     dense_validate, f1_pullback, fraction_validate)
 
 
 def diagonal_algebra(counit_values) -> FrobeniusAlgebra:
@@ -198,6 +199,79 @@ def test_multiply_matches_dense_reference(data) -> None:
     assert fa.multiply(a, b) == dense_multiply(fa, a, b)
 
 
+NONZERO_FRACTIONS = SMALL_FRACTIONS.filter(bool)
+
+
+@st.composite
+def witness_algebras(draw):
+    """`witness_synthesis` of drawn classification data, dimension <= 8."""
+    m = draw(st.sampled_from([0, 2, 3, 4]))
+    lams = draw(st.lists(NONZERO_FRACTIONS, unique=True, min_size=int(m == 0),
+                         max_size=2))
+    poles = tuple((lam, draw(st.integers(1, 2))) for lam in
+                  sorted(lams, key=lambda l: (l.numerator, l.denominator)))
+    mu = draw(SMALL_FRACTIONS) if m else 0
+    return witness_synthesis(ClassificationData(mu, m, poles))
+
+
+def rescaled(fa: FrobeniusAlgebra, lam) -> FrobeniusAlgebra:
+    """fa in the basis lam_i e_i: c_ijk lam_i lam_j / lam_k, unit_k / lam_k
+    and lam_k eps_k."""
+    s = [[[c * lam[i] * lam[j] / lam[k] for k, c in enumerate(row)]
+          for j, row in enumerate(plane)] for i, plane in enumerate(fa.structure)]
+    return FrobeniusAlgebra(fa.dim, s, [u / l for u, l in zip(fa.unit, lam)],
+                            [e * l for e, l in zip(fa.counit, lam)])
+
+
+@st.composite
+def corrupted_algebras(draw):
+    """Products of one or two witness algebras, sometimes in a rescaled
+    basis e_i -> lam_i e_i (the same algebra with non-integral structure
+    constants, unit and counit), with at most one structure constant
+    changed: in a row of the unit, to break unitality on the left or the
+    right; off the unit on one side, to break commutativity; or on both
+    sides, which keeps commutativity and may break associativity; or
+    with a counit entry zeroed, which may make the pairing singular.  Or
+    dense drawn constants, which seldom satisfy any axiom."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(sparse_and_dense_algebras())
+    fa = product_algebra(*draw(st.lists(witness_algebras(), min_size=1,
+                                        max_size=2)))
+    n = fa.dim
+    if draw(st.booleans()):
+        fa = rescaled(fa, draw(st.lists(NONZERO_FRACTIONS, min_size=n,
+                                        max_size=n)))
+    s = [[list(row) for row in plane] for plane in fa.structure]
+    unit, counit = list(fa.unit), list(fa.counit)
+    kind = draw(st.sampled_from(["none", "left unit", "right unit",
+                                 "commutativity", "associativity", "counit"]))
+    ones = [i for i in range(n) if unit[i]]
+    rest = [i for i in range(n) if not unit[i]]
+    delta, k = draw(NONZERO_FRACTIONS), draw(st.integers(0, n - 1))
+    if kind == "counit":
+        counit[k] = 0
+    elif kind in ("left unit", "right unit"):
+        i, j = draw(st.sampled_from(ones)), draw(st.integers(0, n - 1))
+        if kind == "right unit":
+            i, j = j, i
+        s[i][j][k] += delta
+    elif kind != "none":
+        order = draw(st.permutations(rest if len(rest) > 1 else range(n)))
+        i, j = (order * 2)[:2]  # distinct unless n = 1
+        s[i][j][k] += delta
+        if kind == "associativity":
+            s[j][i][k] += delta
+    return FrobeniusAlgebra(n, s, unit, counit)
+
+
+@given(corrupted_algebras())
+@settings(max_examples=200, deadline=None)
+def test_int_validate_matches_fraction_validate(fa) -> None:
+    """The int kernel raises the exception, with its message, that the
+    Fraction loops raise, or passes where they pass."""
+    assert _outcome(validate, fa) == _outcome(fraction_validate, fa)
+
+
 def test_validate_rejects_bad_unit() -> None:
     fa = truncated_poly_algebra(2, [0, 1])
     broken = FrobeniusAlgebra(2, fa.structure, [0, 1], [0, 1])
@@ -287,6 +361,35 @@ def test_cross_checks_catch_dishonest_structure() -> None:
         generating_function(fa)
     with pytest.raises(InternalInconsistency, match=r"eps\(h\^3\) disagrees"):
         surface_eval(fa, 3)
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_cross_checks_catch_a_wrong_trace_series(monkeypatch, j) -> None:
+    """The series with its T^j coefficient raised by one disagrees with
+    eps(h^(j+1)) taken on ints, on an algebra with non-integral structure
+    constants and handle; the honest series agrees."""
+    plain = product_algebra(
+        truncated_poly_algebra(2, [Fraction(1, 3), Fraction(2, 5)]),
+        diagonal_algebra([Fraction(3, 7)]))
+    fa = rescaled(plain, [Fraction(2, 3), Fraction(-5, 2), Fraction(7)])
+    assert fa.scale > 1
+    assert any(x.denominator > 1 for x in handle_element(fa).element)
+    assert generating_function(fa) == generating_function(plain)
+    assert surface_eval(fa, j + 1) == surface_eval(plain, j + 1)
+    honest = frobenius.trace_series
+
+    def altered(m):
+        series = honest(m)
+        bump = Polynomial([0] * j + [1]) * series.den
+        return RationalFunction(series.num + bump, series.den)
+
+    monkeypatch.setattr(frobenius, "trace_series", altered)
+    with pytest.raises(InternalInconsistency,
+                       match=rf"^eps\(h\^{j + 1}\) disagrees"):
+        generating_function(fa)
+    with pytest.raises(InternalInconsistency,
+                       match=rf"^eps\(h\^{j + 1}\) disagrees"):
+        surface_eval(fa, j + 1)
 
 
 def test_genus_one_is_dimension() -> None:

@@ -820,6 +820,20 @@ def test_rat_rejects_zero_denominator_strings() -> None:
     assert rat(4) == 4 and rat(Fraction(1, 3)) == Fraction(1, 3)
 
 
+def test_rat_bounds_decimal_exponents_before_building() -> None:
+    assert rat("1e3") == 1000 and rat("-2.5E-2") == Fraction(-1, 40)
+    for ok in ("1e4300", "1e-4300", "1e+0004300", "1e4_300"):
+        assert rat(ok) == Fraction(ok)
+    # each of these would build an integer of more than 14,000 bits, the
+    # first two one of 33 million
+    for bad in ("1e10000000", "1e-10000000", "1e4301", "-1E+4301 ",
+                "1e4_301"):
+        with pytest.raises(ValueError, match="exceeds 4300 in magnitude"):
+            rat(bad)
+    with pytest.raises(ValueError, match="4300 digits"):  # int() refuses it
+        rat("1e" + "9" * 5000)
+
+
 def test_exact_int_refuses_to_truncate() -> None:
     assert [exact_int(x) for x in (3, "3", 3.0, Fraction(6, 2), -0.0)] == [
         3, 3, 3, 3, 0]
