@@ -29,9 +29,9 @@ from .linalg import Matrix, exact_int, format_poly, rat, rat_str
 from .pseudochar import (GraphHolonomy, Infeasible, alpha_charpoly, degree,
                          graph_pseudoholonomy, lift_with_table,
                          pseudochar_from_json)
-from .statespaces import (Evaluation, WeightedAutomaton,
+from .statespaces import (MAX_KETS, Evaluation, WeightedAutomaton,
                           cob2_spanning_size, cob2_state_space,
-                          evaluation_from_monoid, hankel_minimize,
+                          evaluation_from_monoid, hankel_minimize, ket_count,
                           restrict_state_space, state_space_boolean,
                           state_space_field)
 
@@ -84,6 +84,23 @@ def _evaluation_from(doc: dict):
     return cat, Evaluation(loop_values, interval_values), boundary
 
 
+def _check_kets(cat, obj, boundary, cap_words: int) -> None:
+    """Reject, before any word, table or ket is built, an object with more
+    than MAX_KETS kets (`ket_count`).  A free monoid labels arcs and ends
+    with its words up to cap_words, counted as a geometric sum; past
+    MAX_KETS the cap is clipped, which keeps the count above the bound."""
+    if isinstance(cat, FreeMonoidCategory):
+        cap = min(max(cap_words, 0), MAX_KETS)
+        labels = sum(len(cat.alphabet) ** i for i in range(cap + 1))
+    else:
+        labels = cat.monoid.size
+    q = sum(s == -1 for _, s in obj)
+    if ket_count(len(obj) - q, q, labels,
+                 labels if boundary else 0) > MAX_KETS:
+        raise ValueError(f"object has more than {MAX_KETS} kets at "
+                         f"cap_words {cap_words}")
+
+
 # ---------------------------------------------------------------------------
 # handlers (one per command; each returns a JSON-ready dict)
 
@@ -91,6 +108,7 @@ def _evaluation_from(doc: dict):
 def _run_statespace(doc: dict, args) -> dict:
     cat, alpha, boundary = _evaluation_from(doc)
     obj = _object_from(doc, [[0, 1], [0, -1]])
+    _check_kets(cat, obj, boundary, args.cap_words)
     ss = state_space_field(cat, obj, alpha, boundary, args.cap_words)
     stabilized = args.cap_words >= 1 and restrict_state_space(
         ss, cat, boundary, args.cap_words - 1).dimension == ss.dimension
@@ -113,10 +131,13 @@ def _run_boolean_statespace(doc: dict, args) -> dict:
     cat = FreeMonoidCategory(tuple(doc["alphabet"]))
     boundary = FreeBoundary(cat)
     accepted = {cat.word(text) for text in doc["accepted"]}
-    table = {IntervalClass(0, (), w): int(w in accepted)
-             for w in cat.words_up_to(2 * args.cap_words)}
-    alpha = Evaluation(interval_values=table)
     obj = _object_from(doc, [[0, 1]])
+    _check_kets(cat, obj, boundary, args.cap_words)
+    # at most (words up to the cap)^2 <= kets^2 words; the one ket of the
+    # empty object closes no interval, so it needs none
+    table = {IntervalClass(0, (), w): int(w in accepted)
+             for w in cat.words_up_to(2 * args.cap_words if obj else 0)}
+    alpha = Evaluation(interval_values=table)
     ss = state_space_boolean(cat, obj, alpha, boundary, args.cap_words)
     return {
         "command": "boolean-statespace",
@@ -248,7 +269,7 @@ def _run_classify(doc: dict, args) -> dict:
     return {
         "command": "classify",
         "classification": classification_to_json(cd)["classification"],
-        "display": str(cd.genfun()),
+        "display": str(rf),
     }
 
 

@@ -13,9 +13,9 @@ when recovering a direct-sum decomposition from the values alone.
 An algebra keeps its structure constants as ints over one common
 denominator, and its unit and counit as cleared int vectors.  Every
 product runs one int kernel over the nonzero structure constants
-(`FrobeniusAlgebra._times`): the axiom checks, the handle element and the
-eps(h^g) cross-check of the generating function stay on ints, and
-`multiply` is the kernel's Fraction wrapper.
+(`FrobeniusAlgebra._times`): the axiom checks, multiplication by the
+handle and the eps(h^g) cross-check of the generating function stay on
+ints, and `multiply` is the kernel's Fraction wrapper.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ from .linalg import (
     _cleared,
     det,
     exact_int,
-    inverse,
     partial_fractions,
     rat,
     rat_str,
     solve,
+    solve_unique,
     trace_series,
 )
 from .pseudochar import _TraceRecursion
@@ -189,7 +189,7 @@ def validate(fa: FrobeniusAlgebra) -> None:
     and (i, j, i) never fails, so associativity is checked for i < k
     only.  A triple with e_i e_j = e_j e_k = 0 has both sides 0 and is
     skipped.  Nondegeneracy is decided by building the handle element
-    (`handle_element`), whose dual basis inverts the Gram."""
+    (`handle_element`), one solve against the Gram."""
     n, t, mul = fa.dim, fa._terms, fa._times
     basis = _int_basis(n)
     unit, s = fa._unit
@@ -214,15 +214,6 @@ def validate(fa: FrobeniusAlgebra) -> None:
     handle_element(fa)
 
 
-def dual_basis(fa: FrobeniusAlgebra) -> list[tuple]:
-    """Vectors u_i with eps(u_i e_j) = delta_ij."""
-    try:
-        inv = inverse(fa.gram())
-    except DomainError:
-        raise NondegeneracyFailure("the pairing eps(ab) is singular") from None
-    return [inv.row(i) for i in range(fa.dim)]
-
-
 @dataclass(frozen=True)
 class HandleData:
     element: tuple
@@ -231,28 +222,23 @@ class HandleData:
 
 
 def handle_element(fa: FrobeniusAlgebra) -> HandleData:
-    """h = sum_i e_i u_i over a dual-basis pair; independent of the choice.
-    With u_i = sum_j u_ij e_j, h_k = sum_{i,j} u_ij c_ijk, summed on ints:
-    the dual basis is cleared to ints U / s once, so h = H / (s D) with
-    H_k = sum_{i,j} U_ij (D c_ijk).  Built once per algebra and kept on
-    it; a singular pairing is a NondegeneracyFailure."""
+    """h = sum_i e_i u_i, eps(u_i e_j) = delta_ij.  The coefficient of e_i
+    in x is eps(u_i x), so tr(a ·) = eps(h a) and G h = t, G the Gram and
+    t_j = tr(e_j ·) = sum_i c_jii.  One `solve_unique` finds h, or a
+    singular pairing, a NondegeneracyFailure.  Kept on the algebra."""
     if fa._handle is None:
-        n = fa.dim
-        u, s = _cleared([x for row in dual_basis(fa) for x in row])
-        h = [0] * n
-        for i, plane in enumerate(fa._terms):
-            for j, terms in enumerate(plane):
-                uij = u[i * n + j]
-                if uij:
-                    for k, c in terms:
-                        h[k] += uij * c
-        s *= fa.scale
-        g = gcd(s, *h)
-        h, s = [x // g for x in h], s // g
+        t = [Fraction(sum(c for i, row in enumerate(plane) for k, c in row
+                          if k == i), fa.scale) for plane in fa._terms]
+        try:
+            element = solve_unique(fa.gram(), t)
+        except DomainError:
+            raise NondegeneracyFailure(
+                "the pairing eps(ab) is singular") from None
+        h, s = _cleared(element)
         # row i of multiplication by h is h e_i
         matrix = Matrix([_fractions(fa._times(h, e), s * fa.scale)
-                         for e in _int_basis(n)])
-        fa._handle = HandleData(tuple(_fractions(h, s)), matrix, (h, s))
+                         for e in _int_basis(fa.dim)])
+        fa._handle = HandleData(element, matrix, (h, s))
     return fa._handle
 
 
@@ -427,8 +413,9 @@ def witness_synthesis(cd: ClassificationData) -> FrobeniusAlgebra:
 
     Take Q[x]/x^m with eps(1) = mu, eps(x^(m-1)) = 1 (contributing
     mu + m T) when m >= 2, and m_i one-dimensional factors with
-    eps(1) = 1/lam_i for each pole.  The round trip is asserted.  A
-    dimension m + sum m_i above WITNESS_MAX_DIM is rejected up front.
+    eps(1) = 1/lam_i for each pole.  Its generating function is checked
+    against `cd.genfun()`: partial fractions are unique, so that is the
+    round trip.  A dimension above WITNESS_MAX_DIM is rejected up front.
     """
     dim = cd.m + sum(mult for _, mult in cd.poles)
     if dim > WITNESS_MAX_DIM:
@@ -445,7 +432,7 @@ def witness_synthesis(cd: ClassificationData) -> FrobeniusAlgebra:
     if not parts:
         raise ValueError("empty classification has no witness algebra")
     out = product_algebra(*parts)
-    if classify_genfun(generating_function(out)) != cd:
+    if generating_function(out) != cd.genfun():
         raise InternalInconsistency("witness fails to classify back")
     return out
 
@@ -547,7 +534,7 @@ def pih_solve(blocks, alpha1=None) -> ConfluentSystem:
     blocks are (lam_i, N_i, M_i) with distinct nonzero lam_i; the system
     T Gamma = R uses rows n = 1..N (N = sum N_i) and derivative columns,
     so the exact solution is gamma_{i,0} = M_i / lam_i with every
-    higher-derivative coefficient zero — asserted after solving.  det T
+    higher-derivative coefficient zero — checked after solving.  det T
     and its unit (`confluent_vandermonde_det`) ride along.  When
     alpha1 is supplied it is compared against sum M_i: equality or an
     excess >= 2 (a nilpotent block) is consistent, an excess of exactly 1
@@ -591,7 +578,7 @@ def confluent_vandermonde_det(blocks):
     * prod_{i<j} (lam_i - lam_j)^(N_i N_j); returns (det, u).
 
     u is a sign depending only on the block sizes; it is reported, not
-    asserted."""
+    checked."""
     blocks = tuple((rat(lam), exact_int(n)) for lam, n, *_ in blocks)
     lams = [lam for lam, _n in blocks]
     if any(lam == 0 for lam in lams) or len(set(lams)) != len(lams):

@@ -12,7 +12,9 @@ of a Frobenius algebra through every structure constant, the reference for
 axioms from its basis-vector products on every associativity triple, the
 reference for `frobenius.validate`, and `fraction_validate` is
 `validate` as it ran on Fraction products (the same loops, skip rule and
-messages), the reference for its int kernel.  `full_vanishing_level` is the
+messages), the reference for its int kernel.  `dual_basis` inverts the
+Gram, and the sum of e_i u_i over its dual basis is the reference for
+`frobenius.handle_element`.  `full_vanishing_level` is the
 vanishing search over every element tuple, the reference for the basis
 search of `pseudochar._vanishing_level`, and `reference_holonomy` runs it
 as the degree search of `graph_pseudoholonomy` on `Matrix` objects.
@@ -270,6 +272,15 @@ def dense_validate(fa) -> None:
                     raise NotAssociative(f"(e_{i} e_{j}) e_{k} differs")
     if det(fa.gram()) == 0:
         raise NondegeneracyFailure("the pairing eps(ab) is singular")
+
+
+def dual_basis(fa) -> list[tuple]:
+    """Vectors u_i with eps(u_i e_j) = delta_ij, the rows of the inverse
+    Gram; a singular pairing is a NondegeneracyFailure."""
+    inv = column_inverse(fa.gram())
+    if inv is None:
+        raise NondegeneracyFailure("the pairing eps(ab) is singular")
+    return [inv.row(i) for i in range(fa.dim)]
 
 
 def fraction_validate(fa) -> None:

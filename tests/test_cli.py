@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,11 +15,18 @@ import pytest
 import loopcat
 from loopcat import frobenius, statespaces
 from loopcat.cli import main
+from loopcat.fincat import symmetric_group
 from loopcat.linalg import Polynomial, RationalFunction, rat_str
+from loopcat.statespaces import MAX_KETS
 from test_cli_properties import JOB_BUDGET_S
 
 Z2_MONOID = {"monoid": {"table": [[0, 1], [1, 0]], "identity": 0, "size": 2}}
 Z2_REGULAR = {"pseudocharacter": {"classes": [[0], [1]], "values": ["2", "0"]}}
+# S3's standard character, by element of `fincat.symmetric_group(3)`
+S3_STANDARD = {"monoid": {"table": [list(row) for row in
+                                    symmetric_group(3).table],
+                          "identity": 0, "size": 6},
+               "alpha": ["2", "0", "0", "-1", "-1", "0"]}
 
 QX3_EPS7 = {"frobenius": {
     "dim": 3,
@@ -144,6 +152,27 @@ def test_statespace_interval_tables_attach_a_boundary(tmp_path, capsys):
     assert out["rank"] == 1
 
 
+def test_statespace_at_the_ket_bound_answers(tmp_path, capsys):
+    """One letter at object [+, -]: one ket per word up to the cap, so
+    cap n - 1 gives the n = MAX_KETS kets of a full-rank Hankel Gram of
+    drawn loop values, the slowest shape measured at the bound; cap n is
+    over."""
+    n = MAX_KETS
+    rng = random.Random(1)
+    doc = {"free_monoid": {"letters": "a"}, "object": [[0, 1], [0, -1]],
+           "loops": {"a" * k: str(rng.randint(-9, 9)) for k in range(2 * n)}}
+    start = time.perf_counter()
+    code, out = run_json(tmp_path, capsys, "statespace", doc,
+                         "--cap-words", str(n - 1))
+    assert time.perf_counter() - start < JOB_BUDGET_S
+    assert (code, out["spanning_size"], out["rank"]) == (0, n, n)
+    code, out = run_json(tmp_path, capsys, "statespace", doc,
+                         "--cap-words", str(n))
+    assert (code, out) == (2, {
+        "error": "ValueError",
+        "message": f"object has more than {n} kets at cap_words {n}"})
+
+
 UNKNOWN_OBJECT_JOBS = {
     "free-monoid": ("statespace", {"free_monoid": {"letters": "ab"},
                                    "loops": {"": "2"},
@@ -189,6 +218,18 @@ def test_boolean_statespace_single_word_language(tmp_path, capsys):
     assert code == 0
     # residuals of {aa}: {aa}, {a}, {eps}, and the empty language
     assert out["n_states"] == 4
+
+
+def test_boolean_statespace_of_the_empty_object_tables_no_words(
+        tmp_path, capsys):
+    # its one ket closes no interval, so the 2^23 - 1 words up to twice
+    # the cap are never tabled
+    doc = {"alphabet": "ab", "accepted": ["ab"], "object": []}
+    start = time.perf_counter()
+    code, out = run_json(tmp_path, capsys, "boolean-statespace", doc,
+                         "--cap-words", "11")
+    assert time.perf_counter() - start < JOB_BUDGET_S
+    assert (code, out["spanning_size"], out["states"]) == (0, 1, ["1"])
 
 
 # --- automaton-minimize ---------------------------------------------------
@@ -536,6 +577,21 @@ OUT_OF_RANGE_JOBS = {
     "charpoly-d-over-flag": (
         "pseudochar-charpoly", dict(Z2_MONOID, **Z2_REGULAR, x=1, d=2),
         "d = 2 exceeds --max-degree 1", "--max-degree", "1"),
+    # 3! 6^3 = 1,296 and 4! 6^4 = 31,104 kets, counted before any is built
+    "statespace-s3-three-pairs": (
+        "statespace", dict(S3_STANDARD, object=[[0, 1], [0, -1]] * 3),
+        "object has more than 100 kets at cap_words 4"),
+    "statespace-s3-four-pairs": (
+        "statespace", dict(S3_STANDARD, object=[[0, 1], [0, -1]] * 4),
+        "object has more than 100 kets at cap_words 4"),
+    # 2^9 - 1 and 2^10 - 1 kets, counted before the table of the words up
+    # to twice the cap
+    "boolean-statespace-cap-8": (
+        "boolean-statespace", {"alphabet": ["a", "b"], "accepted": ["ab"]},
+        "object has more than 100 kets at cap_words 8", "--cap-words", "8"),
+    "boolean-statespace-cap-9": (
+        "boolean-statespace", {"alphabet": ["a", "b"], "accepted": ["ab"]},
+        "object has more than 100 kets at cap_words 9", "--cap-words", "9"),
 }
 
 
@@ -638,13 +694,13 @@ def test_frobenius_validate_reports_handle(tmp_path, capsys):
 
 def test_frobenius_validate_builds_one_handle(tmp_path, capsys, monkeypatch):
     calls = []
-    invert = frobenius.dual_basis
+    solve_unique = frobenius.solve_unique
 
-    def counted(fa):
-        calls.append(fa.dim)
-        return invert(fa)
+    def counted(m, b):
+        calls.append(m.rows)
+        return solve_unique(m, b)
 
-    monkeypatch.setattr(frobenius, "dual_basis", counted)
+    monkeypatch.setattr(frobenius, "solve_unique", counted)
     code, out = run_json(tmp_path, capsys, "frobenius-validate", QX3_EPS7)
     assert (code, out["genus_one_value"]) == (0, "3")
     assert calls == [3]
@@ -653,14 +709,15 @@ def test_frobenius_validate_builds_one_handle(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["frobenius-validate", "genfun"])
 def test_frobenius_job_eliminates_its_gram_once(tmp_path, capsys, monkeypatch,
                                                 command):
+    assert not hasattr(frobenius, "inverse")
     calls = []
-    for name in ("inverse", "det"):
-        def counted(m, name=name, fn=getattr(frobenius, name)):
+    for name in ("solve_unique", "solve", "det"):
+        def counted(*args, name=name, fn=getattr(frobenius, name)):
             calls.append(name)
-            return fn(m)
+            return fn(*args)
         monkeypatch.setattr(frobenius, name, counted)
     code, _ = run_json(tmp_path, capsys, command, QX3_EPS7)
-    assert (code, calls) == (0, ["inverse"])
+    assert (code, calls) == (0, ["solve_unique"])
 
 
 def test_frobenius_validate_degenerate_counit(tmp_path, capsys):
@@ -978,6 +1035,21 @@ def test_missing_key_exits_two(tmp_path, capsys):
     code, out = run_json(tmp_path, capsys, "classify", {"wrong": 1})
     assert code == 2
     assert out["error"] == "KeyError"
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+
+
+def test_golden_reports_replay_byte_for_byte(tmp_path, capsys):
+    """The `cob2-dim` and `cob2-pseudo` reports recorded in the benchmark's
+    golden file, which no oracle recomputes, come back with the same exit
+    code and the same stdout bytes."""
+    jobs = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert len(jobs) == 160
+    for job in jobs:
+        got = run_cli(tmp_path, capsys, job["command"], job["doc"],
+                      "--format", "json", *job["flags"])
+        assert got == (job["code"], job["stdout"]), job["doc"]
 
 
 def test_output_is_byte_stable(tmp_path, capsys):

@@ -10,7 +10,8 @@ fields, ragged shapes and missing keys; sizes stay small (dim <= 4,
 m <= 6, multiplicities <= 3, monoids of order <= 6, degrees and dot caps
 <= 3, `--max-degree` <= 6), except that confluent block sizes run up to
 40, `cob2-dim` circle counts up to 14, `holonomy` walk caps up to 6 and
-state-space objects up to 4 strands.  A job may carry command-line flags.
+state-space objects up to 8 strands at word caps up to 9.  A job may carry
+command-line flags.
 """
 
 import io
@@ -304,23 +305,27 @@ def word_tables(letters, max_len):
 @st.composite
 def statespace_jobs(draw):
     """A monoid character or a free-monoid loop table, with an interval
-    table in half the free-monoid draws, at an object of up to 4 strands
-    and a word cap from -1 to 3.  Two letters, four strands or a boundary
-    each multiply the kets, so a draw has at most one of them."""
-    cap = draw(st.integers(-1, 3))
+    table in half the free-monoid draws, at an object of up to 8 strands
+    and a word cap from -1 to 9.  Two letters, many strands, a boundary and
+    a high cap each multiply the kets, and a draw past
+    `statespaces.MAX_KETS` kets exits 2 before any is built.  Over two
+    letters the tables stop at words of 5 letters, so a longer strand
+    misses its value."""
+    cap = draw(st.integers(-1, 9))
     flags = ("--cap-words", str(cap))
+    obj = draw(objects(8))
     if draw(st.booleans()):
         monoid = draw(st.sampled_from(MONOIDS))
-        doc = {"monoid": monoid, "object": draw(objects(4)),
+        doc = {"monoid": monoid, "object": obj,
                "alpha": draw(vectors(monoid["size"]))}
     else:
-        kind = draw(st.sampled_from(["ab", "four", "boundary"]))
-        letters = "ab" if kind == "ab" else "a"
-        obj = draw(objects(4 if kind == "four" else 2))
+        letters = draw(st.sampled_from(["a", "ab"]))
         span = (len(obj) + 1) * max(cap, 0)
+        if letters == "ab":
+            span = min(span, 5)
         doc = {"free_monoid": {"letters": letters}, "object": obj,
                "loops": draw(word_tables(letters, span))}
-        if kind == "boundary":
+        if draw(st.booleans()):
             doc["intervals"] = draw(word_tables(letters, span))
     if draw(st.booleans()):
         doc["emit_gram"] = True
@@ -329,17 +334,18 @@ def statespace_jobs(draw):
 
 @st.composite
 def boolean_statespace_jobs(draw):
-    """A language of words over one or two letters, at an object of one
-    strand over two letters or of up to two over one, and a word cap from
-    -1 to 3.  Every ket end may carry a half-interval, so the kets grow as
-    the number of words to the power of the strands."""
+    """A language of words over one or two letters, at an object of up to
+    8 strands and a word cap from -1 to 9.  Every ket end may carry a
+    half-interval, so the kets grow as the number of words to the power of
+    the strands, and a draw past `statespaces.MAX_KETS` kets exits 2 before
+    the table of words up to twice the cap is built."""
     letters = draw(st.sampled_from(["a", "ab"]))
     words = st.text(alphabet=letters, max_size=4)
     doc = {"alphabet": letters,
            "accepted": draw(st.lists(words, max_size=6)),
-           "object": draw(objects(1 if letters == "ab" else 2))}
+           "object": draw(objects(8))}
     return ("boolean-statespace", draw(drop_a_key(doc)), "--cap-words",
-            str(draw(st.integers(-1, 3))))
+            str(draw(st.integers(-1, 9))))
 
 
 jobs = st.one_of(

@@ -29,7 +29,6 @@ from loopcat.frobenius import (
     classify_genfun,
     cob2_pseudochar_check,
     confluent_vandermonde_det,
-    dual_basis,
     frobenius_from_json,
     frobenius_to_json,
     generating_function,
@@ -46,8 +45,9 @@ from loopcat.frobenius import (
 )
 from loopcat.linalg import Matrix, Polynomial, RationalFunction, rat_str
 from loopcat.statespaces import SequenceTooShort
-from oracles import (_signed_cycle_decompositions, dense_multiply,
-                     dense_validate, f1_pullback, fraction_validate)
+from oracles import (_signed_cycle_decompositions, column_det, dense_multiply,
+                     dense_validate, dual_basis, f1_pullback,
+                     fraction_validate)
 
 
 def diagonal_algebra(counit_values) -> FrobeniusAlgebra:
@@ -289,6 +289,41 @@ def test_malformed_shapes_raise_value_error() -> None:
 # --- dual bases and handles --------------------------------------------------------
 
 
+@st.composite
+def handle_algebras(draw):
+    """Witness products, sometimes in a rescaled basis, with their counit
+    times a drawn nonzero fraction (non-integral in most draws) and, in a
+    fifth of the draws, one counit entry zeroed, which may make the
+    pairing singular."""
+    fa = product_algebra(*draw(st.lists(witness_algebras(), min_size=1,
+                                        max_size=2)))
+    n = fa.dim
+    if draw(st.booleans()):
+        fa = rescaled(fa, draw(st.lists(NONZERO_FRACTIONS, min_size=n,
+                                        max_size=n)))
+    c = draw(NONZERO_FRACTIONS)
+    counit = [c * e for e in fa.counit]
+    if draw(st.integers(0, 4)) == 0:
+        counit[draw(st.integers(0, n - 1))] = 0
+    return FrobeniusAlgebra(n, fa.structure, fa.unit, counit)
+
+
+@given(handle_algebras())
+@settings(max_examples=100, deadline=None)
+def test_handle_is_the_dual_basis_sum(fa) -> None:
+    """The solve of G h = t gives sum_i e_i u_i over the oracle's dual
+    basis, and fails with NondegeneracyFailure exactly when det G = 0."""
+    if column_det(fa.gram()) == 0:
+        with pytest.raises(NondegeneracyFailure,
+                           match="^the pairing eps\\(ab\\) is singular$"):
+            handle_element(fa)
+        return
+    basis = [tuple(Fraction(i == k) for i in range(fa.dim))
+             for k in range(fa.dim)]
+    terms = [dense_multiply(fa, e, u) for e, u in zip(basis, dual_basis(fa))]
+    assert handle_element(fa).element == tuple(map(sum, zip(*terms)))
+
+
 def test_dual_basis_frozen_example() -> None:
     mu = Fraction(3)
     fa = truncated_poly_algebra(2, [mu, 1])
@@ -351,13 +386,14 @@ def test_surface_values_of_nilpotent_algebra() -> None:
 
 
 def test_cross_checks_catch_dishonest_structure() -> None:
-    # commutative and unital at e0 but not associative, so eps(h^g) and
-    # tr(M_h^(g-1)) part ways from g = 2 on
+    # commutative and unital at e0 but not associative.  h solves
+    # eps(h a) = tr(a .), so eps(h^2) = tr(M_h) still holds, but eps(h^g)
+    # and tr(M_h^(g-1)) part ways from g = 3 on
     s = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
          [[0, 1, 0], [2, 0, 0], [2, -2, 1]],
          [[0, 0, 1], [2, -2, 1], [-1, -2, -1]]]
     fa = FrobeniusAlgebra(3, s, [1, 0, 0], [-2, 0, 1])
-    with pytest.raises(InternalInconsistency, match=r"eps\(h\^2\) disagrees"):
+    with pytest.raises(InternalInconsistency, match=r"eps\(h\^3\) disagrees"):
         generating_function(fa)
     with pytest.raises(InternalInconsistency, match=r"eps\(h\^3\) disagrees"):
         surface_eval(fa, 3)

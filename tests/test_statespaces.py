@@ -33,6 +33,7 @@ from loopcat.fincat import (
 from loopcat.linalg import Matrix, det, inverse, rank, solve
 from loopcat.statespaces import (
     COB2_MAX_SPANNING,
+    MAX_KETS,
     Evaluation,
     MissingValue,
     PartitionDiagram,
@@ -47,6 +48,7 @@ from loopcat.statespaces import (
     evaluation_from_monoid,
     glue_partition_diagrams,
     hankel_minimize,
+    ket_count,
     restrict_state_space,
     state_space_boolean,
     state_space_field,
@@ -805,6 +807,39 @@ def test_cob2_spanning_size_stops_early() -> None:
     assert cob2_spanning_size(0, 10 ** 9) == 1
     with pytest.raises(ValueError, match="genus cap must be nonnegative"):
         cob2_spanning_size(3, -1)
+
+
+@given(st.lists(st.sampled_from([PLUS, MINUS]), max_size=4),
+       st.sampled_from(["monoid", "a", "ab"]), st.booleans(),
+       st.integers(-1, 3))
+@settings(max_examples=100, deadline=None)
+def test_ket_count_is_the_number_of_kets(signs, kind, with_boundary,
+                                         cap) -> None:
+    """sum_k C(p, k) C(q, k) k! L^k B^(p + q - 2k) counts the kets of a
+    one-object category exactly up to the bound, and above it gives a
+    lower bound that is still above it."""
+    obj = tuple((X, s) for s in signs)
+    if kind == "monoid":
+        cat, boundary = MonoidCategory(cyclic_group(3)), None
+        labels = 3
+    else:
+        cat = FreeMonoidCategory(kind)
+        cap = min(cap, 3 - len(kind))  # at most three words
+        boundary = FreeBoundary(cat) if with_boundary else None
+        labels = len(cat.words_up_to(cap))
+    n = len(enumerate_kets(cat, obj, boundary, cap))
+    p = signs.count(PLUS)
+    size = ket_count(p, len(signs) - p, labels, labels if boundary else 0)
+    assert size == n if n <= MAX_KETS else MAX_KETS < size <= n
+
+
+def test_ket_count_stops_early() -> None:
+    # the first term, 2^(p + q), passes the bound; the whole sum differs
+    assert ket_count(3000, 3000, 2, 2) == 2 ** 6000
+    # without a boundary only the perfect matchings count
+    assert ket_count(3000, 2999, 6, 0) == 0
+    assert ket_count(2, 2, 6, 0) == 2 * 6 ** 2
+    assert ket_count(0, 0, 10 ** 9, 10 ** 9) == 1
 
 
 def test_cob2_state_space_rejects_large_spanning_sets() -> None:
