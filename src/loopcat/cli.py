@@ -16,8 +16,8 @@ import functools
 import json
 
 from .errors import DomainError
-from .fincat import (FreeBoundary, FreeMonoidCategory, IntervalClass, Loop,
-                     MonoidCategory, least_rotation, monoid_from_json)
+from .fincat import (FreeBoundary, FreeMonoidCategory, IntervalClass,
+                     MonoidCategory, monoid_from_json)
 from .frobenius import (PIHSystem, Reject, classification_from_json,
                         classification_to_json, classify_genfun,
                         cob2_pseudochar_check, frobenius_from_json,
@@ -62,7 +62,9 @@ def _evaluation_from(doc: dict):
     {"monoid": ..., "alpha": [...]}: per-element loop values over the
     one-object category.  {"free_monoid": {"letters": ...}, "loops":
     {word: value}, "intervals"?: {word: value}}: tables keyed by words,
-    canonicalized here; a boundary is attached iff intervals are given.
+    canonicalized here, loops through the category's `loop_class`, whose
+    cache the pairing then hits; a boundary is attached iff intervals are
+    given.
     """
     if "monoid" in doc:
         cat = MonoidCategory(monoid_from_json(doc))
@@ -70,7 +72,7 @@ def _evaluation_from(doc: dict):
     cat = FreeMonoidCategory(tuple(doc["free_monoid"]["letters"]))
     loop_values = {}
     for text, v in doc.get("loops", {}).items():
-        key = Loop(0, least_rotation(cat.word(text)))
+        key = cat.loop_class(0, [cat.word(text)])
         v = rat(v)
         if loop_values.setdefault(key, v) != v:
             raise ValueError(f"conflicting values on the loop class of {text!r}")
@@ -133,6 +135,13 @@ def _run_boolean_statespace(doc: dict, args) -> dict:
     accepted = {cat.word(text) for text in doc["accepted"]}
     obj = _object_from(doc, [[0, 1]])
     _check_kets(cat, obj, boundary, args.cap_words)
+    signs = {s for _, s in obj}
+    if 1 in signs and -1 in signs and all(x in cat.objects for x, _ in obj):
+        # a language values intervals only, and the first ket's arcs close
+        # loops of empty labels against its own bra, so the pairing would
+        # stop at its first entry: raise its MissingValue before any word,
+        # table or ket is built (`enumerate_kets` rejects unknown objects)
+        Evaluation().loop(cat.loop_class(0, []))
     # at most (words up to the cap)^2 <= kets^2 words; the one ket of the
     # empty object closes no interval, so it needs none
     table = {IntervalClass(0, (), w): int(w in accepted)

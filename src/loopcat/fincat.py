@@ -14,8 +14,10 @@ A loop is a closed chain of morphisms up to rotation: the class of
 (X, g o f) equals the class of (Y, f o g) whenever f: X -> Y and g: Y -> X.
 For finite presentations we saturate that relation by union-find over all
 (object, endomorphism) pairs; for the one-object case it is exactly monoid
-conjugacy, gh ~ hg.  Free-monoid loops are cyclic words, canonicalized to
-the lexicographically least rotation.
+conjugacy, gh ~ hg, and a chain's class is read off the Cayley table, one
+`Loop` per element.  Free-monoid loops are cyclic words, canonicalized to
+the lexicographically least rotation, which each category computes once
+per concatenated word.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ class MonoidCategory:
     def __init__(self, monoid: FiniteMonoid):
         self.monoid = monoid
         self.objects = (0,)
-        self._loop_reps: dict | None = None
+        self._loops: list[Loop] | None = None  # per element, its class
 
     def source(self, m: int):
         return 0
@@ -157,12 +159,18 @@ class MonoidCategory:
         return self.monoid.mul(m1, m2)
 
     def loop_class(self, base, chain: Sequence[int]) -> Loop:
-        e = compose_path(self, list(chain), at=base)
-        if self._loop_reps is None:
-            self._loop_reps = {
-                g: min(cls) for cls in conjugacy_classes(self.monoid) for g in cls
-            }
-        return Loop(0, (self._loop_reps[e],))
+        """The class of the chain's composite, folded through the Cayley
+        table; a nonempty chain must start at the one object, 0."""
+        if chain and base != 0:
+            raise NotComposable(f"path does not start at {base!r}")
+        if self._loops is None:
+            reps = {g: min(cls) for cls in conjugacy_classes(self.monoid)
+                    for g in cls}
+            self._loops = [Loop(0, (reps[g],)) for g in range(self.monoid.size)]
+        table, e = self.monoid.table, self.monoid.identity
+        for m in chain:
+            e = table[e][m]
+        return self._loops[e]
 
 
 class TableCategory:
@@ -274,6 +282,8 @@ class FreeMonoidCategory:
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate letters")
         self.objects = (0,)
+        self._index = {a: i for i, a in enumerate(self.alphabet)}
+        self._loops: dict[tuple, Loop] = {}  # per concatenated word
 
     def source(self, m):
         return 0
@@ -288,15 +298,17 @@ class FreeMonoidCategory:
         return tuple(m1) + tuple(m2)
 
     def loop_class(self, base, chain: Sequence[tuple]) -> Loop:
-        word: tuple = ()
-        for m in chain:
-            word = word + tuple(m)
-        return Loop(0, least_rotation(word))
+        """The least rotation of the concatenated chain, computed once per
+        concatenation."""
+        word = tuple(a for m in chain for a in m)
+        lp = self._loops.get(word)
+        if lp is None:
+            lp = self._loops[word] = Loop(0, least_rotation(word))
+        return lp
 
     def word(self, text: str) -> tuple:
         """Letters by name, e.g. word('aba') over alphabet ('a','b')."""
-        idx = {a: i for i, a in enumerate(self.alphabet)}
-        return tuple(idx[ch] for ch in text)
+        return tuple(self._index[ch] for ch in text)
 
     def words_up_to(self, cap: int) -> list[tuple]:
         """All words of length <= cap, shortlex order."""

@@ -8,12 +8,13 @@ automaton product makes each entry from one int inner product of a
 cleared row and column and one division by their two scales.  Every
 elimination (rank, determinant, solving, inverting, a basis of vectors
 met one at a time and coordinates on it) runs one fraction-free kernel
-(Bareiss 1968) that takes cleared rows one at a time; solutions are read
-off its pivot rows by one integer back-substitution, exact by Cramer's
-rule.  Every polynomial division, the gcds and the Sturm chains that
-isolate rational roots among them, runs one integer pseudo-division on
-cleared coefficients.  Shape checks at the entry
-points raise ValueError, so they hold under `python -O` too.
+(Bareiss 1968) that takes cleared rows one at a time and skips the steps
+whose multiplier is zero, as a row meeting a pivot column at 0 would only
+be rescaled; solutions are read off its pivot rows by one integer
+back-substitution, exact by Cramer's rule.  Every polynomial division,
+the gcds and the Sturm chains that isolate rational roots among them, runs
+one integer pseudo-division on cleared coefficients.  Shape checks at the
+entry points raise ValueError, so they hold under `python -O` too.
 """
 
 from __future__ import annotations
@@ -391,13 +392,16 @@ class _Echelon:
     """Fraction-free elimination (Bareiss 1968) of rational rows met one at
     a time.  `add` clears a row to ints and takes it through each pivot
     row y's step in order, x -> (p·x - f·y)/q for p the pivot, f the row's
-    entry in p's column and q the pivot before (1 for the first), or only
-    the scaling p/q when f = 0.  After k steps each entry is a (k+1)-minor
-    of the cleared rows (Sylvester's identity), so every division is exact
-    and the k pivot columns hold 0.  A row that vanishes depends on the
-    rows before it; any other becomes a pivot row, its pivot at its first
-    nonzero column.  The pivot columns are the leading columns of the
-    reduced echelon form, whatever the order of the rows."""
+    entry in p's column and q the pivot before (1 for the first).  After k
+    steps each entry is a (k+1)-minor of the cleared rows (Sylvester's
+    identity), so every division is exact and the k pivot columns hold 0.
+    A step with f = 0 only scales the row by p/q, and consecutive scalings
+    telescope, so such steps are skipped and q stays the pivot of the last
+    step applied: the next step's result is again the true Bareiss row.
+    A row that vanishes depends on the rows before it; any other is scaled
+    once by the last pivot over that q and becomes a pivot row, its pivot
+    at its first nonzero column.  The pivot columns are the leading
+    columns of the reduced echelon form, whatever the order of the rows."""
 
     def __init__(self, rows: Iterable[Sequence[Fraction]] = ()):
         self.pivots = []  # (column, pivot, row ints) per pivot row
@@ -405,42 +409,46 @@ class _Echelon:
         for r in rows:
             self.add(r)
 
-    def reduce(self, v) -> tuple[list[int], list[int], int]:
-        """v cleared and reduced, the entries it met at the pivot columns,
-        and its scale."""
+    def reduce(self, v) -> tuple[list[int], list[tuple[int, int]], int, int]:
+        """v cleared and reduced, short of the scalings of skipped steps;
+        per pivot column the entry v met there and the q it was met at;
+        v's scale; and the pivot of the last step applied (1 for none)."""
         x, s = _cleared(v)
         met, q = [], 1
         for c, p, y in self.pivots:
             f = x[c]
+            met.append((f, q))
             if f:
                 x = [(p * a - f * b) // q for a, b in zip(x, y)]
-            elif p != q:
-                x = [p * a // q for a in x]
-            met.append(f)
-            q = p
-        return x, met, s
+                q = p
+        return x, met, s, q
 
     def add(self, v) -> bool:
         """Whether v is independent of the rows added before it."""
         if len(self.pivots) == len(v):  # every column holds a pivot
             return False
-        x, _, s = self.reduce(v)
+        x, _, s, q = self.reduce(v)
         self.scale *= s
         c = next((c for c, a in enumerate(x) if a), None)
-        if c is not None:
-            self.pivots.append((c, x[c], x))
-        return c is not None
+        if c is None:
+            return False
+        last = self.pivots[-1][1] if self.pivots else 1
+        if last != q:  # the skipped steps' scaling, exact as above
+            x = [last * a // q for a in x]
+        self.pivots.append((c, x[c], x))
+        return True
 
     def coordinates(self, v) -> list[Fraction]:
         """v's coordinates on the pivot rows scaled to 1 at their pivots.
-        After i steps v's ints are s·p_i times v less its first i terms (s
-        its scale, p_i the i-th pivot, p_0 = 1), so the entry met at pivot
-        i + 1 is s·p_i times coordinate i + 1."""
-        x, met, s = self.reduce(v)
+        After i steps v's true Bareiss ints are s·p_i times v less its
+        first i terms (s its scale, p_i the i-th pivot, p_0 = 1), and the
+        reduced ints are those over p_i/q for q the pivot of the last step
+        applied, so an entry f met at pivot i + 1 is coordinate i + 1
+        times s·q."""
+        x, met, s, _ = self.reduce(v)
         if any(x):
             raise InternalInconsistency("vector escaped the span")
-        qs = [1] + [p for _, p, _ in self.pivots]
-        return [Fraction(f, q * s) for f, q in zip(met, qs)]
+        return [Fraction(f, q * s) for f, q in met]
 
 
 def _back_substitute(pivots: list, col: int, n: int) -> list[Fraction]:

@@ -15,7 +15,7 @@ import pytest
 import loopcat
 from loopcat import frobenius, statespaces
 from loopcat.cli import main
-from loopcat.fincat import symmetric_group
+from loopcat.fincat import FreeMonoidCategory, symmetric_group
 from loopcat.linalg import Polynomial, RationalFunction, rat_str
 from loopcat.statespaces import MAX_KETS
 from test_cli_properties import JOB_BUDGET_S
@@ -230,6 +230,49 @@ def test_boolean_statespace_of_the_empty_object_tables_no_words(
                          "--cap-words", "11")
     assert time.perf_counter() - start < JOB_BUDGET_S
     assert (code, out["spanning_size"], out["states"]) == (0, 1, ["1"])
+
+
+MIXED_SIGN_OBJECTS = [[[0, 1], [0, -1]], [[0, -1], [0, 1]],
+                      [[0, 1], [0, 1], [0, -1]], [[0, -1], [0, 1], [0, -1]],
+                      [[0, 1], [0, -1], [0, 1], [0, -1]]]
+# (alphabet, object length, cap) past MAX_KETS; the rest have no loop value
+MIXED_SIGN_OVER_THE_BOUND = {("a", 4, 2), ("ab", 3, 2), ("ab", 4, 1),
+                             ("ab", 4, 2)}
+
+
+@pytest.mark.parametrize("alphabet,accepted",
+                         [("a", ["a"]), ("ab", ["", "ab", "ba"])])
+def test_boolean_statespace_of_a_mixed_sign_object(tmp_path, capsys,
+                                                   monkeypatch, alphabet,
+                                                   accepted):
+    """An object with both a plus and a minus strand closes loops, which a
+    language gives no value: exit 1 with the MissingValue of the pairing's
+    first entry, and no word, table or ket built.  An object over the ket
+    bound, or naming an unknown object, still exits 2."""
+    doc = {"alphabet": alphabet, "accepted": accepted,
+           "object": [[0, 1], [2, -1]]}
+    assert run_cli(tmp_path, capsys, "boolean-statespace", doc, "--format",
+                   "json", "--cap-words", "0") == (
+        2, '{"error": "ValueError", "message": "unknown object 2"}\n')
+
+    def unreachable(*args):
+        raise AssertionError("built a word list or a ket")
+
+    monkeypatch.setattr(statespaces, "enumerate_kets", unreachable)
+    monkeypatch.setattr(FreeMonoidCategory, "words_up_to", unreachable)
+    for obj in MIXED_SIGN_OBJECTS:
+        doc = {"alphabet": alphabet, "accepted": accepted, "object": obj}
+        for cap in (0, 1, 2):
+            got = run_cli(tmp_path, capsys, "boolean-statespace", doc,
+                          "--format", "json", "--cap-words", str(cap))
+            if (alphabet, len(obj), cap) in MIXED_SIGN_OVER_THE_BOUND:
+                assert got == (2, '{"error": "ValueError", "message": '
+                               f'"object has more than 100 kets at cap_words '
+                               f'{cap}"}}\n'), (obj, cap)
+            else:
+                assert got == (1, '{"error": "MissingValue", "message": '
+                               '"no value for loop Loop(base=0, cycle=())"}'
+                               '\n'), (obj, cap)
 
 
 # --- automaton-minimize ---------------------------------------------------

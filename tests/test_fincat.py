@@ -2,12 +2,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import loopcat
+from loopcat import fincat
 from loopcat.fincat import (
     BoundaryDatum,
     FiniteMonoid,
@@ -24,6 +26,7 @@ from loopcat.fincat import (
     monoid_from_json,
     symmetric_group,
 )
+from test_pseudochar import relabeled, truncated_free_monoid
 
 
 def walking_arrow() -> TableCategory:
@@ -183,6 +186,64 @@ def test_monoid_loop_class_is_conjugacy() -> None:
     for cls in conjugacy_classes(s3):
         reps = {cat.loop_class(0, [g]) for g in cls}
         assert len(reps) == 1
+
+
+@given(st.sampled_from(["a", "ab", "abc"]).flatmap(
+    lambda letters: st.tuples(st.just(letters), st.lists(
+        st.lists(st.sampled_from(letters), max_size=4).map("".join),
+        max_size=4))))
+def test_free_monoid_loop_class_is_the_least_rotation(case) -> None:
+    """First and repeated calls give the least rotation of the
+    concatenation; the repeated one, and any chain concatenating to a word
+    met before, computes no rotation."""
+    letters, texts = case
+    fm = FreeMonoidCategory(letters)
+    chain = [fm.word(t) for t in texts]
+    want = Loop(0, least_rotation(fm.word("".join(texts))))
+    with mock.patch.object(fincat, "least_rotation",
+                           wraps=least_rotation) as spy:
+        assert fm.loop_class(0, chain) == want
+        assert spy.call_count == 1
+        assert fm.loop_class(0, chain) == want
+        assert fm.loop_class(0, [fm.word("".join(texts))]) == want
+        assert fm.loop_class(0, [()] + chain) == want
+        assert spy.call_count == 1
+
+
+MONOIDS = [cyclic_group(n) for n in range(1, 6)] + [
+    symmetric_group(3), truncated_free_monoid("ab", 2)[0],
+    FiniteMonoid([[0, 1, 2], [1, 1, 1], [2, 2, 2]], 0)]
+
+
+@st.composite
+def monoid_chains(draw):
+    """A monoid, relabeled so its identity may sit anywhere, a chain of
+    its elements, possibly empty, and a base object."""
+    m = draw(st.sampled_from(MONOIDS))
+    m = relabeled(m, draw(st.permutations(range(m.size))))
+    chain = draw(st.lists(st.integers(0, m.size - 1), max_size=5))
+    base = draw(st.one_of(st.just(0), st.integers(-2, 3), st.text(max_size=2)))
+    return m, chain, base
+
+
+@given(monoid_chains())
+def test_monoid_loop_class_is_the_class_of_the_composite(case) -> None:
+    """The conjugacy representative of the chain's composite at the one
+    object, for an empty chain at any base too; a nonempty chain at any
+    other base is not composable there."""
+    m, chain, base = case
+    cat = MonoidCategory(m)
+    if chain and base != 0:
+        with pytest.raises(NotComposable, match="does not start at"):
+            compose_path(cat, chain, at=base)
+        with pytest.raises(NotComposable, match="does not start at"):
+            cat.loop_class(base, chain)
+        return
+    e = compose_path(cat, chain, at=base)
+    rep = next(min(cls) for cls in conjugacy_classes(m) if e in cls)
+    for _ in range(2):
+        assert cat.loop_class(base, chain) == Loop(0, (rep,))
+        assert cat.loop_class(base, tuple(chain)) == Loop(0, (rep,))
 
 
 # --- boundary data -----------------------------------------------------------

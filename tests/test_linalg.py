@@ -275,6 +275,23 @@ def reordered_rows(draw, square=False):
 @example(([[0, 1], [1, 0]], [0, 1]), True, None)  # out of column order
 @example(([[0, 0, 2]], [0]), False, None)  # 1 x n
 @example(([[0], [3], [0]], [0, 2, 1]), False, None)  # n x 1
+# runs of zero multipliers: identity and block-diagonal rows, whose later
+# rows skip every earlier step and become pivot rows through the final
+# scaling only when a skipped pivot is not 1
+@example(([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [2, 0, 1]), True, None)
+@example(([[2, 0, 0], [0, 3, 0], [0, 0, 5]], [2, 1, 0]), False, None)
+@example(([[2, 1, 0, 0], [1, 3, 0, 0], [0, 0, 4, 1], [0, 0, 1, 5]],
+          [3, 2, 1, 0]), False, None)
+# rows that vanish after skipped steps, one of them after a step applied
+# past the skipped ones
+@example(([[2, 0, 0], [0, 3, 0], [0, 0, 5], [0, 0, 7], [0, 6, 10]],
+          [4, 3, 2, 1, 0]), True, None)
+# a skipped step between applied ones, then trailing skipped steps before
+# the row becomes a pivot row
+@example(([[2, 1, 0], [0, 0, 3], [0, 4, 1], [0, 0, 0]], [1, 0, 3, 2]),
+         False, None)
+@example(([[3, 1, 0, 0], [0, 0, 2, 0], [1, 0, 0, 0], [0, 0, 0, 7]],
+          [3, 1, 0, 2]), False, None)
 @settings(max_examples=100, deadline=None)
 def test_echelon_matches_column_order_elimination(case, consistent,
                                                   data) -> None:
@@ -309,6 +326,15 @@ def _inversions(order) -> int:
 @example(([[0, 0, 0, 5], [0, 0, 1, 0], [0, -2, 0, 0], [7, 0, 0, 0]],
           [2, 0, 3, 1]), None)
 @example(([[1, 2], [2, 4]], [1, 0]), None)  # dependent rows
+# zero multipliers: identity and block-diagonal rows, a row that vanishes
+# after skipped steps, and pivot rows made after trailing skipped steps
+@example(([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [2, 0, 1]), None)
+@example(([[2, 0, 0], [0, 3, 0], [0, 0, 5]], [1, 2, 0]), None)
+@example(([[2, 1, 0, 0], [1, 3, 0, 0], [0, 0, 4, 1], [0, 0, 1, 5]],
+          [2, 3, 0, 1]), None)
+@example(([[2, 0, 0], [0, 3, 0], [0, 6, 0]], [0, 2, 1]), None)
+@example(([[3, 1, 0, 0], [0, 0, 2, 0], [1, 0, 0, 0], [0, 0, 0, 7]],
+          [3, 1, 0, 2]), None)
 @settings(max_examples=100, deadline=None)
 def test_square_echelon_matches_column_order_elimination(case, data) -> None:
     """det, with its sign, solve_unique and inverse agree with the

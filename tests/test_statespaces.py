@@ -713,6 +713,12 @@ def sparse_automata(draw):
 # pivots met out of column order: (0, 1) has its pivot at 1, its image
 # (1, 0) at 0
 @example(WeightedAutomaton([0, 1], {"a": Matrix([[0, 1], [1, 0]])}, [2, 3]))
+# vectors that skip pivot steps: the basis is met as (2, 0, 0), (0, 6, 0),
+# (0, 0, 30), and the image (1, 0, 1) of the first basis vector under "b"
+# meets the third pivot after an applied step and a skipped one
+@example(WeightedAutomaton(
+    [2, 0, 0], {"a": Matrix([[0, 3, 0], [0, 0, 5], [1, 1, 1]]),
+                "b": Matrix([[1, 0, 1], [0, 0, 0], [0, 2, 0]])}, [1, 2, 3]))
 @settings(max_examples=60, deadline=None)
 def test_forward_reduction_matches_expanding_every_vector(a) -> None:
     rev, ref = statespaces._reverse, _reference_forward_reduce
