@@ -504,13 +504,13 @@ class ConfluentSystem:
 
 def _confluent_matrix(blocks) -> Matrix:
     """Columns: j-th scaled derivative in lam of (lam^2, ..., lam^(N+1))."""
-    total = sum(n for _lam, n, *_ in blocks)
+    total = sum(n for _lam, n, _mult in blocks)
     if total > WITNESS_MAX_DIM:
         raise ValueError(f"block size sum {total} exceeds {WITNESS_MAX_DIM}")
     rows = []
     for n in range(1, total + 1):
         row = []
-        for lam, size, *_ in blocks:
+        for lam, size, _mult in blocks:
             for j in range(size):
                 row.append(comb(n + 1, j) * lam ** (n + 1 - j))
         rows.append(row)
@@ -520,10 +520,10 @@ def _confluent_matrix(blocks) -> Matrix:
 def _confluent_magnitude(blocks) -> Fraction:
     """prod lam_i^(2 N_i) * prod_{i<j} (lam_i - lam_j)^(N_i N_j)."""
     magnitude = Fraction(1)
-    for lam, n, *_ in blocks:
+    for lam, n, _mult in blocks:
         magnitude *= lam ** (2 * n)
-    for i, (lam_i, n_i, *_) in enumerate(blocks):
-        for lam_j, n_j, *_ in blocks[i + 1:]:
+    for i, (lam_i, n_i, _mult) in enumerate(blocks):
+        for lam_j, n_j, _mult in blocks[i + 1:]:
             magnitude *= (lam_i - lam_j) ** (n_i * n_j)
     return magnitude
 
@@ -535,7 +535,8 @@ def pih_solve(blocks, alpha1=None) -> ConfluentSystem:
     T Gamma = R uses rows n = 1..N (N = sum N_i) and derivative columns,
     so the exact solution is gamma_{i,0} = M_i / lam_i with every
     higher-derivative coefficient zero — checked after solving.  det T
-    and its unit (`confluent_vandermonde_det`) ride along.  When
+    and its unit, det T over `_confluent_magnitude`, ride along; the unit
+    is a sign depending only on the block sizes.  When
     alpha1 is supplied it is compared against sum M_i: equality or an
     excess >= 2 (a nilpotent block) is consistent, an excess of exactly 1
     is not.
@@ -571,20 +572,6 @@ def pih_solve(blocks, alpha1=None) -> ConfluentSystem:
                    else "inconsistent")
     return ConfluentSystem(blocks, t, r, tuple(gamma), verdict, d,
                            d / _confluent_magnitude(blocks))
-
-
-def confluent_vandermonde_det(blocks):
-    """det T against the closed form u * prod lam_i^(2 N_i)
-    * prod_{i<j} (lam_i - lam_j)^(N_i N_j); returns (det, u).
-
-    u is a sign depending only on the block sizes; it is reported, not
-    checked."""
-    blocks = tuple((rat(lam), exact_int(n)) for lam, n, *_ in blocks)
-    lams = [lam for lam, _n in blocks]
-    if any(lam == 0 for lam in lams) or len(set(lams)) != len(lams):
-        raise ValueError("eigenvalues must be distinct and nonzero")
-    d = det(_confluent_matrix(blocks))
-    return d, d / _confluent_magnitude(blocks)
 
 
 # ---------------------------------------------------------------------------

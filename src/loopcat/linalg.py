@@ -6,8 +6,8 @@ normalized with denominator constant term 1.  The exact work runs on
 Python ints, on vectors cleared of denominators by their lcm: a matrix or
 automaton product makes each entry from one int inner product of a
 cleared row and column and one division by their two scales.  Every
-elimination (rank, determinant, solving, inverting, a basis of vectors
-met one at a time and coordinates on it) runs one fraction-free kernel
+elimination (rank, determinant, solving, a basis of vectors met one
+at a time and coordinates on it) runs one fraction-free kernel
 (Bareiss 1968) that takes cleared rows one at a time and skips the steps
 whose multiplier is zero, as a row meeting a pivot column at 0 would only
 be rescaled; solutions are read off its pivot rows by one integer
@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InternalInconsistency
@@ -116,22 +116,11 @@ class Polynomial:
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial([self[k] + other[k] for k in range(n)])
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return self.scale(other)
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
@@ -141,8 +130,6 @@ class Polynomial:
     def scale(self, c) -> "Polynomial":
         c = rat(c)
         return Polynomial([c * a for a in self.coeffs])
-
-    __rmul__ = __mul__
 
     def __divmod__(self, other: "Polynomial"):
         """With self = f/s and other = g/t cleared, m·f = q·g + r gives
@@ -174,9 +161,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
-
-    def __str__(self) -> str:
-        return format_poly(self)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -237,22 +221,10 @@ class RationalFunction:
             return self.num == other.num and self.den == other.den
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return self + (-other)
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -321,9 +293,6 @@ class Matrix:
                 for r1, r2 in zip(self.entries, other.entries)
             ]
         )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = rat(c)
@@ -451,15 +420,15 @@ class _Echelon:
         return [Fraction(f, q * s) for f, q in met]
 
 
-def _back_substitute(pivots: list, col: int, n: int) -> list[Fraction]:
-    """The x in Q^n, 0 off the pivot columns, with U x = U[:, col] for U
+def _back_substitute(pivots: list, n: int) -> list[Fraction]:
+    """The x in Q^n, 0 off the pivot columns, with U x = U[:, n] for U
     the pivot rows, each 0 at the pivot columns before its own.  Their
     cleared rows have determinant d, the last pivot, at the pivot columns,
     so d·x is integral (Cramer's rule) and each division is exact."""
     d = pivots[-1][1] if pivots else 1
     xs = [0] * n  # d·x
     for c, p, y in reversed(pivots):
-        xs[c] = (d * y[col] - sum(map(mul, y, xs))) // p
+        xs[c] = (d * y[n] - sum(map(mul, y, xs))) // p
     return [Fraction(x, d) for x in xs]
 
 
@@ -478,7 +447,7 @@ def solve(m: Matrix, b: Sequence) -> tuple | None:
     pivots = _Echelon(_augmented(m, b)).pivots
     if any(c == m.cols for c, _, _ in pivots):  # pivot in b: inconsistent
         return None
-    return tuple(_back_substitute(pivots, m.cols, m.cols))
+    return tuple(_back_substitute(pivots, m.cols))
 
 
 def solve_unique(m: Matrix, b: Sequence) -> tuple:
@@ -487,7 +456,7 @@ def solve_unique(m: Matrix, b: Sequence) -> tuple:
     pivots = _Echelon(_augmented(m, b)).pivots
     if sorted(c for c, _, _ in pivots) != list(range(m.cols)):  # full rank
         raise DomainError("linear system is not uniquely solvable")
-    return tuple(_back_substitute(pivots, m.cols, m.cols))
+    return tuple(_back_substitute(pivots, m.cols))
 
 
 def det(m: Matrix) -> Fraction:
@@ -501,17 +470,6 @@ def det(m: Matrix) -> Fraction:
     swaps = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
     return Fraction((-1) ** swaps * (e.pivots[-1][1] if e.pivots else 1),
                     e.scale)
-
-
-def inverse(m: Matrix) -> Matrix:
-    _require_square(m)
-    n = m.rows
-    pivots = _Echelon(map(add, m.entries, Matrix.identity(n).entries)).pivots
-    # [m | I] always has rank n; m is singular iff a pivot lies in I
-    if any(c >= n for c, _, _ in pivots):
-        raise DomainError("matrix is singular")
-    return Matrix(list(zip(*(_back_substitute(pivots, n + j, n)
-                             for j in range(n)))))
 
 
 def _charpoly(m: Matrix) -> list[Fraction]:
@@ -568,11 +526,6 @@ def trace_series(m: Matrix) -> RationalFunction:
     q = [Fraction(1), *_charpoly(m)]
     return RationalFunction(Polynomial([(n - k) * c for k, c in enumerate(q)]),
                             Polynomial(q))
-
-
-def distinct_rows(rows: Iterable[Sequence]) -> list[tuple]:
-    """Deduplicated rows in lexicographic order (canonical, input-order-free)."""
-    return sorted({tuple(r) for r in rows})
 
 
 # ---------------------------------------------------------------------------

@@ -3,26 +3,27 @@
 An evaluation assigns scalars to canonical loops and interval classes; it
 extends multiplicatively to closed diagrams.  The state space at an object
 is spanned by the open diagrams from the unit into it (kets); the pairing
-closes one ket against the reflection (bra) of another and evaluates.  The
-strands of that closed diagram depend only on the two matchings, its
-classes only on the labels, so each pair of matchings is traced once into
-a wiring template, by the splice's own chain walk (`diagrams._chains`),
-and every Gram entry is a product of memoized strand values, integral ones
-held as ints.  The generic splice (`diagrams.compose`) stays the reference:
-it evaluates the first entry of each template as a cross-check, and any
-entry that lacks a value, so that the error names the class it names.  Over
+closes one ket against the reflection (bra) of another and evaluates.  Over
 the rationals the dimension is the Gram rank, taken once per spanning set:
 a smaller cap whose kets are the same ones reuses it.  Over the Boolean
 semiring the states are the distinct rows (residual languages), with the
 join-irreducible rows counted separately.
 
+One kernel, `_template_gram`, builds every Gram.  An entry's strands
+depend only on the shapes of its row and column, so each pair of shapes
+is traced once into a template, and every entry is a product of memoized
+strand values, integral ones held as ints.  For diagrams the shapes are
+matchings, traced by the splice's own chain walk (`diagrams._chains`).
+The generic route (the splice, `diagrams.compose`) stays the reference:
+it evaluates the first entry of each template as a cross-check, and any
+entry that lacks a value, so that the error is its own.
+
 Also here: exact weighted-automaton minimization (the Hankel pairing of the
 non-monoidal construction) and the two-dimensional cobordism state spaces,
 where spanning diagrams are partitions of the boundary circles with a genus
-attached to each block and gluing is Euler-characteristic bookkeeping.  The
-components of a gluing depend only on the two partitions, so each pair of
-partitions is glued once into a template, checked against the generic
-gluing on its first entry.
+attached to each block and gluing is Euler-characteristic bookkeeping.
+Their shapes are partitions, their strands the glued components, and the
+generic gluing is their reference.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from typing import Mapping, Sequence
 from .diagrams import BrauerMorphism, _chains, compose, transpose
 from .errors import DomainError, InternalInconsistency
 from .fincat import IntervalClass, Loop, _UnionFind, compose_path
-from .linalg import (Matrix, _Echelon, _integral, _products, distinct_rows,
-                     rank, rat)
+from .linalg import Matrix, _Echelon, _integral, _products, rank, rat
 
 
 class MissingValue(DomainError):
@@ -268,30 +268,68 @@ def _strands(obj: tuple, ket_wiring: tuple, bra_wiring: tuple):
     return intervals, loops
 
 
+def _template_gram(rows: list, cols: list, template, reference,
+                   names: tuple) -> list[list]:
+    """Gram rows: entry (i, j) pairs rows[i] with cols[j], each a (shape,
+    decorations) pair.
+
+    `template(row shape, col shape)`, made once per pair of shapes, lists
+    the entry's strands as (key, values, evaluate): the key is read off the
+    row's decorations followed by the column's, and the value, memoized in
+    `values`, is `evaluate(key)`, an int when integral.  The first entry of
+    each template, row by row, must agree with `reference(i, j)`, and an
+    entry missing a value is evaluated there again, so that the error is
+    the reference's.  `names` name the template and the reference.
+    """
+    ids: dict = {}
+    row_ids = [ids.setdefault(shape, len(ids)) for shape, _dec in rows]
+    col_ids = [ids.setdefault(shape, len(ids)) for shape, _dec in cols]
+    col_decs = [dec for _shape, dec in cols]
+    shapes = list(ids)
+    templates = [[None] * len(shapes) for _ in shapes]
+
+    def value(strands, decorations):
+        out = 1
+        for key, values, evaluate in strands:
+            k = key(decorations)
+            f = values.get(k)
+            if f is None:
+                f = values[k] = _integral(evaluate(k))
+            out *= f
+        return out
+
+    gram = []
+    try:
+        for i, (r, (_shape, rd)) in enumerate(zip(row_ids, rows)):
+            row_templates = templates[r]
+            row = []
+            for j, c in enumerate(col_ids):
+                strands = row_templates[c]
+                if strands is None:
+                    strands = row_templates[c] = template(shapes[r], shapes[c])
+                    expected = reference(i, j)
+                    if value(strands, rd + col_decs[j]) != expected:
+                        raise InternalInconsistency(
+                            f"{names[0]} template disagrees with the "
+                            f"{names[1]} at entry ({i}, {j})")
+                row.append(value(strands, rd + col_decs[j]))
+            gram.append(row)
+    except (MissingValue, SequenceTooShort):
+        reference(i, j)
+        raise InternalInconsistency(
+            f"{names[0]} template misses a value the {names[1]} has at entry "
+            f"({i}, {j})") from None
+    return gram
+
+
 def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
     """Gram rows: entry (i, j) evaluates the bra of ket j after ket i.
 
-    Kets sharing a matching share their strands, so each pair of matchings
-    is traced once into a template of strands (`_strands`, by the chain
-    walk `compose` splices along), and an entry is the product of its
-    strands' values, memoized on their decorations, the integral ones as
-    ints, so an entry of integral values is an int.  The first entry of
-    each template, row by row, is also evaluated through `compose`, and
-    must agree.  An entry missing a value is evaluated there again, so
-    that the error names the class the splice names first (loops before
-    intervals, each in `repr` order).
+    The shapes are matchings, traced into strands by `_strands`, and the
+    reference is `compose`, so an entry missing a value names the class the
+    splice names first (loops before intervals, each in `repr` order).
     """
-    if not kets:
-        return []
     bras = [transpose(k) for k in kets]
-    obj = kets[0].target
-    wirings: dict = {}
-    k_wid = [wirings.setdefault(_wiring(k), len(wirings)) for k in kets]
-    b_wid = [wirings.setdefault(_wiring(b), len(wirings)) for b in bras]
-    k_dec = [_decorations(k) for k in kets]
-    b_dec = [_decorations(b) for b in bras]
-    by_id = list(wirings)
-    templates = [[None] * len(by_id) for _ in by_id]
     memo: dict = {}  # per strand kind and objects: (values, evaluate)
 
     def loop_values(base):
@@ -305,48 +343,18 @@ def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
             return alpha.interval(boundary.interval_class(end, key[-1], g))
         return memo.setdefault(("interval", start, end), ({}, evaluate))
 
-    def template(kw, bw):
-        intervals, loops = _strands(obj, by_id[kw], by_id[bw])
+    def template(ket_wiring, bra_wiring):
+        intervals, loops = _strands(kets[0].target, ket_wiring, bra_wiring)
         return ([(itemgetter(*picks),) + interval_values(start, end)
                  for start, end, picks in intervals]
                 + [(itemgetter(*picks),) + loop_values(base)
                    for base, picks in loops])
 
-    def value(strands, decorations):
-        out = 1
-        for pick, values, evaluate in strands:
-            key = pick(decorations)
-            f = values.get(key)
-            if f is None:
-                f = values[key] = _integral(evaluate(key))
-            out *= f
-        return out
-
-    rows = []
-    try:
-        for i, ket in enumerate(kets):
-            row_templates, kd = templates[k_wid[i]], k_dec[i]
-            row = []
-            for j, bw in enumerate(b_wid):
-                strands = row_templates[bw]
-                if strands is None:
-                    strands = row_templates[bw] = template(k_wid[i], bw)
-                    reference = evaluate_closed(compose(bras[j], ket), alpha)
-                    v = value(strands, kd + b_dec[j])
-                    if v != reference:
-                        raise InternalInconsistency(
-                            f"pairing template disagrees with the splice at "
-                            f"entry ({i}, {j})")
-                    row.append(v)
-                else:
-                    row.append(value(strands, kd + b_dec[j]))
-            rows.append(row)
-    except MissingValue:
-        evaluate_closed(compose(bras[j], kets[i]), alpha)
-        raise InternalInconsistency(
-            f"pairing template misses a value the splice has at entry "
-            f"({i}, {j})") from None
-    return rows
+    return _template_gram(
+        [(_wiring(k), _decorations(k)) for k in kets],
+        [(_wiring(b), _decorations(b)) for b in bras], template,
+        lambda i, j: evaluate_closed(compose(bras[j], kets[i]), alpha),
+        ("pairing", "splice"))
 
 
 def _gram_matrix(rows: list[list]) -> Matrix:
@@ -401,7 +409,7 @@ def state_space_boolean(cat, obj, alpha: Evaluation, boundary=None,
     kets = enumerate_kets(cat, obj, boundary, cap_words)
     rows = [tuple(1 if v else 0 for v in row)
             for row in _pairing(cat, kets, alpha, boundary)]
-    states = distinct_rows(rows)
+    states = sorted(set(rows))
     return BooleanStateSpace(tuple(obj), kets, rows, states, len(states),
                              _join_irreducible_count(states), cap_words)
 
@@ -580,45 +588,28 @@ def _gluing(blocks1: tuple, blocks2: tuple) -> list[tuple]:
 
 
 def _cob2_gram_rows(spanning: list, alpha_seq: Sequence) -> list[list]:
-    """Gram rows of `spanning`: entry (i, j) glues diagrams i and j.
-
-    The components depend only on the two partitions, so each pair of them
-    is glued once (`_gluing`), and an entry is the product of the memoized
-    values of its components' genera, the integral ones as ints.  The first
-    entry of each pair is also glued by `glue_partition_diagrams` and must
-    agree.  Components are in the order that gluing meets them, so the
-    first genus past the sequence is the one its error names.
-    """
-    templates: dict = {}
+    """Gram rows of `spanning`: entry (i, j) glues diagrams i and j.  The
+    shapes are partitions, glued into components by `_gluing`, each keyed
+    by its total genus, and the reference is `glue_partition_diagrams`."""
     values: dict = {}  # genus -> its surface value
-    rows = []
-    for i, a in enumerate(spanning):
-        row = []
-        for j, b in enumerate(spanning):
-            genus = a.genus + b.genus
-            comps = templates.get((a.blocks, b.blocks))
-            first = comps is None
-            if first:
-                comps = templates[a.blocks, b.blocks] = _gluing(a.blocks,
-                                                                b.blocks)
-                reference = glue_partition_diagrams(a, b, alpha_seq)
-            out = 1
-            for positions, betti in comps:
-                h = sum(genus[p] for p in positions) + betti
-                f = values.get(h)
-                if f is None:
-                    if h >= len(alpha_seq):
-                        raise SequenceTooShort(
-                            f"need genus value {h}, have {len(alpha_seq)}")
-                    f = values[h] = _integral(rat(alpha_seq[h]))
-                out *= f
-            if first and out != reference:
-                raise InternalInconsistency(
-                    f"gluing template disagrees with the gluing at entry "
-                    f"({i}, {j})")
-            row.append(out)
-        rows.append(row)
-    return rows
+
+    def evaluate(h):
+        if h >= len(alpha_seq):
+            raise SequenceTooShort(
+                f"need genus value {h}, have {len(alpha_seq)}")
+        return rat(alpha_seq[h])
+
+    def template(blocks1, blocks2):
+        return [(lambda genus, p=positions, b=betti: sum(genus[x] for x in p)
+                 + b, values, evaluate)
+                for positions, betti in _gluing(blocks1, blocks2)]
+
+    shapes = [(d.blocks, d.genus) for d in spanning]
+    return _template_gram(
+        shapes, shapes, template,
+        lambda i, j: glue_partition_diagrams(spanning[i], spanning[j],
+                                             alpha_seq),
+        ("gluing", "gluing"))
 
 
 # Most spanning diagrams a cob2 state space is built from.  The Gram takes

@@ -409,6 +409,37 @@ def test_holonomy_singular_edge(tmp_path, capsys):
     assert out["error"] == "NonInvertibleEdge"
 
 
+# Rejections with their report bytes in both formats: (command, job, exit
+# code, error type, message)
+REJECTION_JOBS = {
+    "classify-pole-at-zero": (
+        "classify", {"genfun": {"num": ["1"], "den": ["0", "1"]}}, 1,
+        "DomainError", "rational function has a pole at 0"),
+    "lift-outside-the-span": (
+        "pseudochar-lift", dict(Z2_MONOID, pseudocharacter={
+            "classes": [[0], [1]], "values": ["1", "0"]},
+            table=[{"classes": [[0], [1]], "values": ["1", "1"]}]), 1,
+        "Infeasible", "alpha is not in the span of the table"),
+    "holonomy-non-square-edge": (
+        "holonomy", {"graph": {"n_vertices": 1,
+                               "edges": [[0, 0, [["1", "0"]]]]}}, 2,
+        "ValueError", "edge matrices must be square"),
+    "holonomy-vertex-dimension": (
+        "holonomy", {"graph": {"n_vertices": 2, "edges": [
+            [0, 1, [["1"]]], [1, 0, [["1", "0"], ["0", "1"]]]]}}, 2,
+        "ValueError", "inconsistent dimension at vertex 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTION_JOBS))
+def test_rejection_report_bytes(tmp_path, capsys, name):
+    command, doc, code, error, message = REJECTION_JOBS[name]
+    assert run_cli(tmp_path, capsys, command, doc, "--format", "json") == (
+        code, f'{{"error": "{error}", "message": "{message}"}}\n')
+    assert run_cli(tmp_path, capsys, command, doc) == (
+        code, f"error: {error}\nmessage: {message}\n")
+
+
 # Invertible 2x2 loops [[1, a], [b, 1 + ab]] (determinant 1) that do not
 # commute pairwise, so the walks of length <= 4 give many distinct matrices.
 LOOPS = [[["1", str(a)], [str(b), str(1 + a * b)]]

@@ -30,7 +30,7 @@ from loopcat.fincat import (
     cyclic_group,
     symmetric_group,
 )
-from loopcat.linalg import Matrix, det, inverse, rank, solve
+from loopcat.linalg import Matrix, det, rank, solve
 from loopcat.statespaces import (
     COB2_MAX_SPANNING,
     MAX_KETS,
@@ -53,7 +53,7 @@ from loopcat.statespaces import (
     state_space_boolean,
     state_space_field,
 )
-from oracles import fraction_times, fraction_weight, gj_rank
+from oracles import column_inverse, fraction_times, fraction_weight, gj_rank
 
 X = 0
 
@@ -180,7 +180,7 @@ def test_input_checks_survive_optimized_mode() -> None:
     script = (
         "from loopcat.diagrams import BrauerMorphism, cup\n"
         "from loopcat.fincat import MonoidCategory, cyclic_group\n"
-        "from loopcat.linalg import Matrix, det, inverse, solve, solve_unique\n"
+        "from loopcat.linalg import Matrix, det, solve, solve_unique\n"
         "from loopcat.statespaces import (Evaluation, WeightedAutomaton,\n"
         "                                 evaluate_closed)\n"
         "assert False, 'asserts are not stripped'\n"
@@ -200,7 +200,7 @@ def test_input_checks_survive_optimized_mode() -> None:
         "             lambda: solve(Matrix.identity(2), [1]),\n"
         "             lambda: solve_unique(Matrix([[1, 2]]), [1]),\n"
         "             lambda: det(Matrix([[1, 2]])),\n"
-        "             lambda: inverse(Matrix([[1, 2]]))):\n"
+        "             lambda: solve_unique(Matrix([[1], [2]]), [1, 2])):\n"
         "    try:\n"
         "        make()\n"
         "    except ValueError as exc:\n"
@@ -929,6 +929,34 @@ def test_cob2_templates_are_checked_against_the_gluing(monkeypatch) -> None:
         cob2_state_space(2, seq, 1)
 
 
+def test_cob2_template_is_checked_for_values_the_gluing_has(monkeypatch) -> None:
+    # the gluing now values every pair, while the empty sequence leaves the
+    # template's components without one
+    monkeypatch.setattr(statespaces, "glue_partition_diagrams",
+                        lambda a, b, s: Fraction(0))
+    with pytest.raises(InternalInconsistency,
+                       match=r"template misses a value the gluing has at "
+                             r"entry \(0, 0\)"):
+        cob2_state_space(1, [], 1)
+
+
+def test_cob2_gram_glues_once_per_pair_of_partitions(monkeypatch) -> None:
+    glued = []
+
+    def counting_glue(a, b, s):
+        glued.append(1)
+        return glue_partition_diagrams(a, b, s)
+
+    monkeypatch.setattr(statespaces, "glue_partition_diagrams", counting_glue)
+    spanning = cob2_spanning(3, 1)
+    seq = [Fraction(g + 2, g + 1) for g in range(9)]
+    rows = statespaces._cob2_gram_rows(spanning, seq)
+    partitions = 5  # Bell(3)
+    assert len(spanning) == 22
+    assert len(glued) == partitions ** 2
+    assert rows == _glued_gram(spanning, seq)
+
+
 # --- algebraic gluing oracle ------------------------------------------------------
 
 
@@ -943,7 +971,7 @@ class _Frob:
         self.unit = [Fraction(x) for x in unit]
         gram = Matrix([[self.eps(self.mul_basis(i, j)) for j in range(self.d)]
                        for i in range(self.d)])
-        ginv = inverse(gram)
+        ginv = column_inverse(gram)
         self.dual = [[ginv[j, k] for k in range(self.d)] for j in range(self.d)]
 
     def mul_basis(self, i, j):
