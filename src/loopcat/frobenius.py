@@ -155,7 +155,7 @@ class FrobeniusAlgebra:
 
     def multiply(self, a, b) -> tuple:
         (x, s), (y, t) = _cleared(a), _cleared(b)
-        return tuple(_fractions(self._times(x, y), s * t * self.scale))
+        return tuple(Fraction(v, s * t * self.scale) for v in self._times(x, y))
 
     def eps(self, a) -> Fraction:
         (x, s), (e, t) = _cleared(a), self._counit
@@ -164,16 +164,8 @@ class FrobeniusAlgebra:
     def gram(self) -> Matrix:
         """eps(e_i e_j), read off the nonzero structure constants."""
         e, t = self._counit
-        d = self.scale * t
-        return Matrix([[Fraction(sum(c * e[k] for k, c in terms), d)
-                        for terms in plane] for plane in self._terms])
-
-
-def _fractions(x: list[int], s: int) -> list[Fraction]:
-    """The Fractions x / s."""
-    if s == 1:
-        return [Fraction(v) for v in x]
-    return [Fraction(v, s) for v in x]
+        return Matrix.from_ints([[sum(c * e[k] for k, c in terms) for terms in p]
+                                 for p in self._terms], self.scale * t)
 
 
 def _int_basis(n: int) -> list[list[int]]:
@@ -236,8 +228,8 @@ def handle_element(fa: FrobeniusAlgebra) -> HandleData:
                 "the pairing eps(ab) is singular") from None
         h, s = _cleared(element)
         # row i of multiplication by h is h e_i
-        matrix = Matrix([_fractions(fa._times(h, e), s * fa.scale)
-                         for e in _int_basis(fa.dim)])
+        matrix = Matrix.from_ints([fa._times(h, e) for e in _int_basis(fa.dim)],
+                                  s * fa.scale)
         fa._handle = HandleData(element, matrix, (h, s))
     return fa._handle
 
@@ -473,12 +465,12 @@ def pih_check(pih: PIHSystem, alpha_seq) -> PIHReport:
     need = 2 * dim + 3
     if len(seq) < need:
         raise SequenceTooShort(f"need alpha_0..alpha_{need - 1}")
-    p = tuple(rat(x) for x in pih.p)
-    iota = tuple(rat(x) for x in pih.iota)
+    (p, s), (iota, t) = (_cleared([rat(x) for x in v])
+                         for v in (pih.p, pih.iota))
     power = Matrix.identity(dim)
     for n in range(2 * dim + 2):
-        phi = sum((p[i] * power[i, j] * iota[j]
-                   for i in range(dim) for j in range(dim)), Fraction(0))
+        h_iota = (sum(map(operator.mul, r, iota)) for r in power.ints)
+        phi = Fraction(sum(map(operator.mul, p, h_iota)), s * t * power.den)
         if phi != seq[n]:
             return PIHReport(dim, False, FirstViolation(n, "phi"))
         if power.trace() != seq[n + 1]:

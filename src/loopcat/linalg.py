@@ -3,18 +3,18 @@
 Every rational a caller gets back is a fractions.Fraction; no floats enter.
 Polynomials are stored lowest-degree-first, rational functions are kept
 normalized with denominator constant term 1.  The exact work runs on
-Python ints, on vectors cleared of denominators by their lcm: a matrix or
-automaton product makes each entry from one int inner product of a
-cleared row and column and one division by their two scales.  Every
-elimination (rank, determinant, solving, a basis of vectors met one
-at a time and coordinates on it) runs one fraction-free kernel
-(Bareiss 1968) that takes cleared rows one at a time and skips the steps
-whose multiplier is zero, as a row meeting a pivot column at 0 would only
-be rescaled; solutions are read off its pivot rows by one integer
-back-substitution, exact by Cramer's rule.  Every polynomial division,
-the gcds and the Sturm chains that isolate rational roots among them, runs
-one integer pseudo-division on cleared coefficients.  Shape checks at the
-entry points raise ValueError, so they hold under `python -O` too.
+Python ints: a Matrix holds int rows over one denominator, and rational
+vectors are cleared by the lcm of theirs.  A product makes each entry
+from one int inner product.  Every elimination (rank, determinant,
+solving, a basis of vectors met one at a time and coordinates on it)
+runs one fraction-free kernel (Bareiss 1968) on int rows met one at a
+time, skipping the steps whose multiplier is zero; solutions are read
+off its pivot rows by one integer back-substitution, exact by Cramer's
+rule.  Characteristic polynomials come from Berkowitz's division-free
+recurrence on the int rows.  Every polynomial division, the gcds and the
+Sturm chains that isolate rational roots among them, runs one integer
+pseudo-division on cleared coefficients.  Shape checks at the entry
+points raise ValueError, so they hold under `python -O` too.
 """
 
 from __future__ import annotations
@@ -254,68 +254,84 @@ class RationalFunction:
 
 
 class Matrix:
-    """Immutable dense matrix over Q."""
+    """Immutable dense matrix over Q: int rows `ints` over `den`, the lcm of
+    the entries' denominators, so equal matrices hold equal ints.  Kernels
+    read the ints; `entries`, `m[i, j]`, `row` and `trace` give Fractions."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "ints", "den")
 
     def __init__(self, entries: Sequence[Sequence]):
-        self.entries = tuple(tuple(rat(x) for x in row) for row in entries)
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        if any(len(r) != self.cols for r in self.entries):
+        rows = [[x if type(x) is int else rat(x) for x in r] for r in entries]
+        self.rows, self.cols = len(rows), len(rows[0]) if rows else 0
+        if any(len(r) != self.cols for r in rows):
             raise ValueError("ragged matrix")
+        den = self.den = lcm(*{x.denominator for r in rows for x in r})
+        self.ints = tuple(tuple(x.numerator * (den // x.denominator)
+                                for x in r) for r in rows)
+
+    @classmethod
+    def from_ints(cls, ints: Sequence[Sequence[int]], den: int = 1) -> "Matrix":
+        """ints / den in lowest terms, for int rows of one length, den > 0."""
+        g = gcd(den, *(x for r in ints for x in r)) if den != 1 else 1
+        m = cls.__new__(cls)
+        m.ints, m.den = tuple(tuple(x // g for x in r) for r in ints), den // g
+        m.rows, m.cols = len(m.ints), len(m.ints[0]) if m.ints else 0
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_ints([[int(i == j) for j in range(n)] for i in range(n)])
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(map(self.row, range(self.rows)))
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self.entries[i][j]
+        return Fraction(self.ints[i][j], self.den)
 
     def row(self, i: int) -> tuple:
-        return self.entries[i]
+        return tuple(Fraction(x, self.den) for x in self.ints[i])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Matrix):
-            return self.entries == other.entries
+            return self.den == other.den and self.ints == other.ints
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.ints, self.den))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
+        s, t = other.den, self.den
+        return Matrix.from_ints([[s * a + t * b for a, b in zip(r1, r2)]
+                                 for r1, r2 in zip(self.ints, other.ints)], s * t)
 
     def scale(self, c) -> "Matrix":
         c = rat(c)
-        return Matrix([[c * x for x in r] for r in self.entries])
+        return Matrix.from_ints([[c.numerator * x for x in r] for r in self.ints],
+                                c.denominator * self.den)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        return Matrix(_products(self.entries, zip(*other.entries)))
+        cols = list(zip(*other.ints))
+        return Matrix.from_ints([[sum(map(mul, r, c)) for c in cols]
+                                 for r in self.ints], self.den * other.den)
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.entries))) if self.entries else Matrix([])
+        return Matrix.from_ints(list(zip(*self.ints)), self.den)
 
     def trace(self) -> Fraction:
         _require_square(self)
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
+        return Fraction(sum(r[i] for i, r in enumerate(self.ints)), self.den)
 
     def __pow__(self, n: int) -> "Matrix":
         _require_square(self)
         if n < 0:
             raise ValueError("negative matrix power")
-        out = Matrix.identity(self.rows)
-        base = self
+        out, base = Matrix.identity(self.rows), self
         while n:
             if n & 1:
                 out = out * base
@@ -336,20 +352,12 @@ def _cleared(v: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def _products(rows: Iterable[Sequence[Fraction]],
-              cols: Iterable[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Every inner product of a row with a column.  Each vector is cleared
-    once, so each product is one sum over ints and one division by the
-    two scales."""
-    cleared = [_cleared(c) for c in cols]
-    out = []
-    for r in rows:
-        a, s = _cleared(r)
-        row = []
-        for b, t in cleared:
-            n, d = sum(map(mul, a, b)), s * t
-            row.append(Fraction(n) if d == 1 else Fraction(n, d))
-        out.append(row)
-    return out
+              cols: Sequence[tuple[Sequence[int], int]]) -> list[list[Fraction]]:
+    """Every inner product of a row with a column, the columns given as
+    (ints, scale) pairs: each row is cleared once, and each product is one
+    int sum over the two scales."""
+    return [[Fraction(sum(map(mul, a, b)), s * t) for b, t in cols]
+            for a, s in map(_cleared, rows)]
 
 
 def _require_square(m: Matrix) -> None:
@@ -358,31 +366,33 @@ def _require_square(m: Matrix) -> None:
 
 
 class _Echelon:
-    """Fraction-free elimination (Bareiss 1968) of rational rows met one at
-    a time.  `add` clears a row to ints and takes it through each pivot
-    row y's step in order, x -> (p·x - f·y)/q for p the pivot, f the row's
-    entry in p's column and q the pivot before (1 for the first).  After k
-    steps each entry is a (k+1)-minor of the cleared rows (Sylvester's
-    identity), so every division is exact and the k pivot columns hold 0.
-    A step with f = 0 only scales the row by p/q, and consecutive scalings
-    telescope, so such steps are skipped and q stays the pivot of the last
-    step applied: the next step's result is again the true Bareiss row.
-    A row that vanishes depends on the rows before it; any other is scaled
-    once by the last pivot over that q and becomes a pivot row, its pivot
-    at its first nonzero column.  The pivot columns are the leading
-    columns of the reduced echelon form, whatever the order of the rows."""
+    """Fraction-free elimination (Bareiss 1968) of int rows met one at a
+    time.  Each row goes through each pivot row y's step in order,
+    x -> (p·x - f·y)/q for p the pivot, f the row's entry in p's column and
+    q the pivot before (1 for the first).  After k steps each entry is a
+    (k+1)-minor of the rows (Sylvester's identity), so every division is
+    exact and the k pivot columns hold 0.  A step with f = 0 only scales
+    the row by p/q, and consecutive scalings telescope, so such steps are
+    skipped and q stays the pivot of the last step applied: the next
+    step's result is again the true Bareiss row.  A row that vanishes
+    depends on the rows before it; any other is scaled once by the last
+    pivot over that q and becomes a pivot row, its pivot at its first
+    nonzero column.  The pivot columns are the leading columns of the
+    reduced echelon form, whatever the order of the rows.  The
+    constructor takes int rows and `add` and `coordinates` rational ones,
+    cleared first; a row added is divided by its content, a factor that
+    only grows the minors."""
 
-    def __init__(self, rows: Iterable[Sequence[Fraction]] = ()):
+    def __init__(self, rows: Iterable[Sequence[int]] = ()):
         self.pivots = []  # (column, pivot, row ints) per pivot row
-        self.scale = 1  # the product of the reduced rows' scales
-        for r in rows:
-            self.add(r)
+        self.content = 1  # the product of the rows' contents
+        for x in rows:
+            self._add(x)
 
-    def reduce(self, v) -> tuple[list[int], list[tuple[int, int]], int, int]:
-        """v cleared and reduced, short of the scalings of skipped steps;
-        per pivot column the entry v met there and the q it was met at;
-        v's scale; and the pivot of the last step applied (1 for none)."""
-        x, s = _cleared(v)
+    def reduce(self, x: Sequence[int]) -> tuple[list[int], list, int]:
+        """The int row x reduced, short of the scalings of skipped steps;
+        per pivot column the entry x met there and the q it was met at;
+        and the pivot of the last step applied (1 for none)."""
         met, q = [], 1
         for c, p, y in self.pivots:
             f = x[c]
@@ -390,14 +400,18 @@ class _Echelon:
             if f:
                 x = [(p * a - f * b) // q for a, b in zip(x, y)]
                 q = p
-        return x, met, s, q
+        return x, met, q
 
     def add(self, v) -> bool:
-        """Whether v is independent of the rows added before it."""
-        if len(self.pivots) == len(v):  # every column holds a pivot
+        """Whether v is independent of the vectors added before it."""
+        return self._add(_cleared(v)[0])
+
+    def _add(self, x: Sequence[int]) -> bool:
+        g = gcd(*x)
+        if len(self.pivots) == len(x) or not g:  # all pivots, or a zero row
             return False
-        x, _, s, q = self.reduce(v)
-        self.scale *= s
+        self.content *= g
+        x, _, q = self.reduce([a // g for a in x] if g != 1 else x)
         c = next((c for c, a in enumerate(x) if a), None)
         if c is None:
             return False
@@ -414,7 +428,8 @@ class _Echelon:
         reduced ints are those over p_i/q for q the pivot of the last step
         applied, so an entry f met at pivot i + 1 is coordinate i + 1
         times s·q."""
-        x, met, s, _ = self.reduce(v)
+        x, s = _cleared(v)
+        x, met, _ = self.reduce(x)
         if any(x):
             raise InternalInconsistency("vector escaped the span")
         return [Fraction(f, q * s) for f, q in met]
@@ -423,7 +438,7 @@ class _Echelon:
 def _back_substitute(pivots: list, n: int) -> list[Fraction]:
     """The x in Q^n, 0 off the pivot columns, with U x = U[:, n] for U
     the pivot rows, each 0 at the pivot columns before its own.  Their
-    cleared rows have determinant d, the last pivot, at the pivot columns,
+    int rows have determinant d, the last pivot, at the pivot columns,
     so d·x is integral (Cramer's rule) and each division is exact."""
     d = pivots[-1][1] if pivots else 1
     xs = [0] * n  # d·x
@@ -433,13 +448,15 @@ def _back_substitute(pivots: list, n: int) -> list[Fraction]:
 
 
 def _augmented(m: Matrix, b: Sequence) -> list[tuple]:
+    """The int rows of [m | b], both sides times both denominators."""
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    return [r + (rat(y),) for r, y in zip(m.entries, b)]
+    y, t = _cleared([rat(x) for x in b])
+    return [(*(t * a for a in r), m.den * z) for r, z in zip(m.ints, y)]
 
 
 def rank(m: Matrix) -> int:
-    return len(_Echelon(m.entries).pivots)
+    return len(_Echelon(m.ints).pivots)
 
 
 def solve(m: Matrix, b: Sequence) -> tuple | None:
@@ -460,58 +477,38 @@ def solve_unique(m: Matrix, b: Sequence) -> tuple:
 
 
 def det(m: Matrix) -> Fraction:
-    """The sign of the pivot-column order times the last pivot, over the
-    product of the row scales."""
+    """The sign of the pivot-column order times the last pivot and the
+    rows' contents, the determinant of the ints, over den^n."""
     _require_square(m)
-    e = _Echelon(m.entries)
+    e = _Echelon(m.ints)
     if len(e.pivots) < m.rows:
         return Fraction(0)
     cols = [c for c, _, _ in e.pivots]
     swaps = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
-    return Fraction((-1) ** swaps * (e.pivots[-1][1] if e.pivots else 1),
-                    e.scale)
+    return Fraction((-1) ** swaps * e.content
+                    * (e.pivots[-1][1] if e.pivots else 1), m.den ** m.rows)
 
 
-def _charpoly(m: Matrix) -> list[Fraction]:
-    """c_1..c_n with det(t I - m) = t^n + c_1 t^(n-1) + ... + c_n.
-
-    Similarity-reduces m to upper Hessenberg form, then expands the
-    determinant by the Hessenberg recurrence (Cohen, *A Course in
-    Computational Algebraic Number Theory*, Algorithm 2.2.9); O(n^3).
-    """
-    n = m.rows
-    h = [list(r) for r in m.entries]
-    for j in range(n - 2):
-        piv = next((i for i in range(j + 1, n) if h[i][j] != 0), None)
-        if piv is None:
-            continue
-        if piv != j + 1:
-            h[piv], h[j + 1] = h[j + 1], h[piv]
-            for row in h:
-                row[piv], row[j + 1] = row[j + 1], row[piv]
-        t = h[j + 1][j]
-        for i in range(j + 2, n):
-            u = h[i][j] / t
-            if u == 0:
-                continue
-            h[i] = [x - u * y for x, y in zip(h[i], h[j + 1])]
-            for row in h:
-                row[j + 1] += u * row[i]
-    # p[k] = charpoly of the leading k x k block, lowest degree first
-    p = [[Fraction(1)]]
-    for k in range(n):
-        nxt = [Fraction(0)] + p[k]
-        for d, c in enumerate(p[k]):
-            nxt[d] -= h[k][k] * c
-        sub = Fraction(1)
-        for i in range(1, k + 1):
-            sub *= h[k - i + 1][k - i]
-            f = h[k - i][k] * sub
-            if f != 0:
-                for d, c in enumerate(p[k - i]):
-                    nxt[d] -= f * c
-        p.append(nxt)
-    return p[n][-2::-1]
+def _charpoly(a: Sequence[Sequence[int]]) -> list[int]:
+    """[1, c_1, ..., c_n] with det(t I - a) = t^n + c_1 t^(n-1) + ... + c_n,
+    for int rows a, by Berkowitz's division-free recurrence (Berkowitz
+    1984).  With a_k the leading k x k block, r and s the first k entries
+    of row and column k and x = a[k][k], the charpoly of a_(k+1) is the
+    convolution of a_k's with (1, -x, -r s, -r a_k s, ..., -r a_k^(k-1) s).
+    Step k takes k products of a_k with a vector, O(n^4) in all, and none
+    when r or s is 0, as on a block-diagonal matrix."""
+    p = [1]
+    for k, row in enumerate(a):
+        lead, col = row[:k], [r[k] for r in a[:k]]
+        c = [1, -row[k]] + [0] * k
+        if any(lead) and any(col):
+            block = [r[:k] for r in a[:k]]
+            for j in range(2, k + 2):
+                c[j] = -sum(map(mul, lead, col))
+                col = [sum(map(mul, r, col)) for r in block]
+        p = [sum(c[i - j] * p[j] for j in range(min(i, k) + 1))
+             for i in range(k + 2)]
+    return p
 
 
 def trace_series(m: Matrix) -> RationalFunction:
@@ -519,13 +516,14 @@ def trace_series(m: Matrix) -> RationalFunction:
 
     With Q(T) = det(I - T m) = prod_i (1 - lam_i T), the series is
     sum_i 1 / (1 - lam_i T) = (n Q - T Q') / Q.  Q is the characteristic
-    polynomial read backwards, so the cost is O(n^3).
+    polynomial read backwards.  For m held as int rows A over den,
+    det(t I - A/den) = den^(-n) det(den t I - A), so c_k(m) = c_k(A)/den^k,
+    with c_k(A) from `_charpoly`, in O(n^4) int steps and no division.
     """
     _require_square(m)
-    n = m.rows
-    q = [Fraction(1), *_charpoly(m)]
-    return RationalFunction(Polynomial([(n - k) * c for k, c in enumerate(q)]),
-                            Polynomial(q))
+    q = [Fraction(c, m.den ** k) for k, c in enumerate(_charpoly(m.ints))]
+    return RationalFunction(
+        Polynomial([(m.rows - k) * c for k, c in enumerate(q)]), Polynomial(q))
 
 
 # ---------------------------------------------------------------------------

@@ -71,9 +71,10 @@ class NonInvertibleEdge(DomainError):
 class PseudoCharacter:
     """Rational class function on a finite monoid, stored per class.
 
-    The values must be trace-like, alpha(gh) = alpha(hg) for every pair,
-    which the antisymmetrized-trace recursion relies on; class values on
-    a partition finer than `conjugacy_classes` are checked pair by pair.
+    The classes must partition the elements, and the values must be
+    trace-like, alpha(gh) = alpha(hg) for every pair, which the
+    antisymmetrized-trace recursion relies on; class values on a partition
+    finer than `conjugacy_classes` are checked pair by pair.
     """
 
     def __init__(self, monoid: FiniteMonoid, class_values, classes=None):
@@ -84,10 +85,11 @@ class PseudoCharacter:
         self.values = tuple(rat(v) for v in class_values)
         if len(self.values) != len(self.classes):
             raise ValueError("one value per conjugacy class required")
-        self._class_of = {}
-        for ci, cls in enumerate(self.classes):
-            for e in cls:
-                self._class_of[e] = ci
+        self._class_of = {e: ci for ci, cls in enumerate(self.classes)
+                          for e in cls}
+        if not all(self.classes) or \
+                len(self._class_of) != sum(map(len, self.classes)):
+            raise ValueError("classes must be disjoint and non-empty")
         if set(self._class_of) != set(range(monoid.size)):
             raise ValueError("classes do not cover the monoid")
         values, class_of = self.values, self._class_of
@@ -421,18 +423,21 @@ def antisym_trace_boundary(cat, boundary, alpha, x_labels, boundary_pairs,
 def lift_with_table(alpha: PseudoCharacter, table):
     """Solve alpha = sum n_i chi_i over the supplied characters.
 
-    Returns the tuple of multiplicities when they are nonnegative integers;
-    raises Infeasible carrying the exact rational solution (or None when
-    alpha is outside the span) otherwise.
+    One equation alpha(e) = sum n_i chi_i(e) per element, taken once for
+    the elements in one class of alpha and of every chi_i, so the
+    characters' classes need not be listed alike.  Returns the tuple of
+    multiplicities when they are nonnegative integers; raises Infeasible
+    carrying the exact rational solution (or None when alpha is outside
+    the span) otherwise.
     """
-    n_classes = len(alpha.classes)
-    for chi in table:
-        if len(chi.classes) != n_classes:
-            raise ValueError("table characters live on a different monoid")
-    a = Matrix([[chi.values[ci] for chi in table] for ci in range(n_classes)])
+    if any(chi.monoid.table != alpha.monoid.table for chi in table):
+        raise ValueError("table characters live on a different monoid")
+    reps = {tuple(c._class_of[e] for c in (alpha, *table)): e
+            for e in range(alpha.monoid.size)}.values()
+    a = Matrix([[chi(e) for chi in table] for e in reps])
     if rank(a) != len(table):
         raise SingularTable("table characters are linearly dependent")
-    sol = solve(a, alpha.values)
+    sol = solve(a, [alpha(e) for e in reps])
     if sol is None:
         raise Infeasible("alpha is not in the span of the table", None)
     if all(s.denominator == 1 and s >= 0 for s in sol):

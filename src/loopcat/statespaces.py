@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 from .diagrams import BrauerMorphism, _chains, compose, transpose
 from .errors import DomainError, InternalInconsistency
 from .fincat import IntervalClass, Loop, _UnionFind, compose_path
-from .linalg import Matrix, _Echelon, _integral, _products, rank, rat
+from .linalg import Matrix, _Echelon, _cleared, _integral, _products, rank, rat
 
 
 class MissingValue(DomainError):
@@ -178,11 +178,12 @@ def enumerate_kets(cat, obj, boundary=None, cap_words: int = 4
 # Most kets a `statespace` or `boolean-statespace` job pairs; the CLI
 # checks `ket_count` against it, and `enumerate_kets` takes any number.
 # The kets grow with the object and the cap, not with the job file, and
-# the Gram takes kets^2 entries and its rank about kets^3 steps.  The
-# slowest job measured at this bound (one letter, object [+, -] at
+# the Gram takes kets^2 entries and its rank about kets^3 steps.  A job
+# at this bound with small values (one letter, object [+, -] at
 # --cap-words 99, random loop values in -9..9, a full-rank 100 x 100 Gram)
 # takes 0.9 s in process on a 2 GHz Xeon vCPU; the benchmark's largest job
-# has 98 kets.
+# has 98 kets.  Like COB2_MAX_SPANNING, it counts kets, not the size of the
+# values, which set the cost of each rank step (ROADMAP item 3).
 MAX_KETS = 100
 
 
@@ -357,16 +358,10 @@ def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
         ("pairing", "splice"))
 
 
-def _gram_matrix(rows: list[list]) -> Matrix:
-    """The Matrix of `rows`, with one Fraction made per distinct value."""
-    as_fraction = {v: Fraction(v) for v in set().union(*rows)}
-    return Matrix([list(map(as_fraction.__getitem__, row)) for row in rows])
-
-
 def state_space_field(cat, obj, alpha: Evaluation, boundary=None,
                       cap_words: int = 4) -> StateSpace:
     kets = enumerate_kets(cat, obj, boundary, cap_words)
-    gram = _gram_matrix(_pairing(cat, kets, alpha, boundary))
+    gram = Matrix(_pairing(cat, kets, alpha, boundary))
     return StateSpace(tuple(obj), kets, gram, rank(gram), cap_words)
 
 
@@ -376,7 +371,8 @@ def _sub_gram(gram: Matrix, spanning: Sequence, sub: Sequence) -> Matrix:
     if not all(x in index for x in sub):
         raise SpanningMismatch("a diagram is missing from the larger spanning set")
     idx = [index[x] for x in sub]
-    return Matrix([[gram.entries[i][j] for j in idx] for i in idx])
+    return Matrix.from_ints([[gram.ints[i][j] for j in idx] for i in idx],
+                            gram.den)
 
 
 def restrict_state_space(ss: StateSpace, cat, boundary, cap_words: int
@@ -441,12 +437,12 @@ class WeightedAutomaton:
         v = self.initial
         for a in word:
             v = _times(v, self.transitions[a])
-        return _products([v], [self.final])[0][0]
+        return _products([v], [_cleared(self.final)])[0][0]
 
 
 def _times(v: Sequence, m: Matrix) -> tuple:
-    """The row vector v times m."""
-    return tuple(_products([v], zip(*m.entries))[0])
+    """The row vector v times m, whose columns are ints over its den."""
+    return tuple(_products([v], [(c, m.den) for c in zip(*m.ints)])[0])
 
 
 def _forward_reduce(a: WeightedAutomaton) -> WeightedAutomaton:
@@ -469,7 +465,7 @@ def _forward_reduce(a: WeightedAutomaton) -> WeightedAutomaton:
     basis = [[Fraction(x, p) for x in y] for _, p, y in span.pivots]
     trans = {letter: Matrix([span.coordinates(_times(b, m)) for b in basis])
              for letter, m in sorted(a.transitions.items())}
-    final = tuple(row[0] for row in _products(basis, [a.final]))
+    final = tuple(row[0] for row in _products(basis, [_cleared(a.final)]))
     return WeightedAutomaton(span.coordinates(a.initial), trans, final)
 
 
@@ -615,9 +611,10 @@ def _cob2_gram_rows(spanning: list, alpha_seq: Sequence) -> list[list]:
 # Most spanning diagrams a cob2 state space is built from.  The Gram takes
 # size^2 gluings and its rank about size^3 steps, so a job file of a few
 # bytes (m = 14 has Bell(14) > 10^8 partitions) could otherwise ask for any
-# amount of time.  The slowest job measured under this bound (m = 1 at
-# genus cap 99, random values of height 3, a full-rank Gram) takes 0.6 s in
-# process on a 2 GHz Xeon vCPU; m = 3 at genus cap 4 (205 diagrams) is over.
+# amount of time; m = 3 at genus cap 4 (205 diagrams) is over.  It counts
+# diagrams, not entry size, which the surface values set: a 9.4 KB job at
+# m = 1, genus cap 89 (90 diagrams, Gram entries of about 300 bits) takes
+# 14 s in process on a 2 GHz Xeon vCPU.  A faster rank is ROADMAP item 3.
 COB2_MAX_SPANNING = 100
 
 
@@ -664,7 +661,7 @@ def cob2_state_space(m: int, alpha_seq: Sequence, genus_cap: int
             f"spanning set of {m} circles at genus cap {genus_cap} has more "
             f"than {COB2_MAX_SPANNING} diagrams")
     spanning = cob2_spanning(m, genus_cap)
-    gram = _gram_matrix(_cob2_gram_rows(spanning, alpha_seq))
+    gram = Matrix(_cob2_gram_rows(spanning, alpha_seq))
     dim = rank(gram)
     if genus_cap < 1:
         return dim, False

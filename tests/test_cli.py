@@ -369,6 +369,17 @@ def test_lift_infeasible_reports_solution(tmp_path, capsys):
     assert out["solution"] == ["3", "-2"]
 
 
+def test_lift_aligns_characters_by_element(tmp_path, capsys):
+    """A table character may list its classes in another order than
+    alpha's: the sign character given on classes [[1], [0]]."""
+    doc = dict(Z2_MONOID, **Z2_REGULAR)
+    doc["table"] = [{"classes": [[0], [1]], "values": ["1", "1"]},
+                    {"classes": [[1], [0]], "values": ["-1", "1"]}]
+    code, out = run_json(tmp_path, capsys, "pseudochar-lift", doc)
+    assert code == 0
+    assert out["multiplicities"] == [1, 1]
+
+
 def test_lift_singular_table(tmp_path, capsys):
     doc = dict(Z2_MONOID, **Z2_REGULAR)
     doc["table"] = [{"classes": [[0], [1]], "values": ["1", "1"]},
@@ -651,6 +662,19 @@ OUT_OF_RANGE_JOBS = {
     "charpoly-d-over-flag": (
         "pseudochar-charpoly", dict(Z2_MONOID, **Z2_REGULAR, x=1, d=2),
         "d = 2 exceeds --max-degree 1", "--max-degree", "1"),
+    # an element in two classes, or a class with none, is no partition
+    "pseudochar-class-listed-twice": (
+        "pseudochar-degree", dict(Z2_MONOID, pseudocharacter={
+            "classes": [[0], [1], [1]], "values": ["1", "1", "-1"]}),
+        "classes must be disjoint and non-empty"),
+    "pseudochar-overlapping-classes": (
+        "pseudochar-degree", dict(Z2_MONOID, pseudocharacter={
+            "classes": [[0, 1], [1]], "values": ["1", "0"]}),
+        "classes must be disjoint and non-empty"),
+    "pseudochar-empty-class": (
+        "pseudochar-degree", dict(Z2_MONOID, pseudocharacter={
+            "classes": [[0], [], [1]], "values": ["1", "5", "1"]}),
+        "classes must be disjoint and non-empty"),
     # 3! 6^3 = 1,296 and 4! 6^4 = 31,104 kets, counted before any is built
     "statespace-s3-three-pairs": (
         "statespace", dict(S3_STANDARD, object=[[0, 1], [0, -1]] * 3),

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +28,7 @@ from loopcat.errors import DomainError
 from loopcat.frobenius import (FrobeniusAlgebra, generating_function,
                                handle_element, product_algebra,
                                truncated_poly_algebra, validate)
+from loopcat.statespaces import _sub_gram
 from oracles import (apply, column_det, column_eliminate, column_solve,
                      column_solve_unique, dot_matmul, euclid_gcd,
                      from_poly, gauss_jordan, gj_rank, zero_matrix)
@@ -223,17 +224,20 @@ def test_sparse_square_kernel_matches_gauss_jordan(rows, data) -> None:
                          max_size=5), max_size=6), st.data())
 @settings(max_examples=100, deadline=None)
 def test_int_rows_eliminate_like_their_fraction_twins(rows, data) -> None:
-    """ints, integral Fractions and a mix of the two give the same pivot
-    rows and scale."""
-    def eliminated(rs):
-        e = _Echelon(rs)
-        return e.pivots, e.scale
+    """ints, integral Fractions and a mix of the two, added one at a time,
+    give the pivot rows of the int rows eliminated at once."""
+    def added(rs):
+        e = _Echelon()
+        for r in rs:
+            e.add(r)
+        return e.pivots
 
     mixed = [[data.draw(st.sampled_from([x, Fraction(x)])) for x in r]
              for r in rows]
-    reference = eliminated([[Fraction(x) for x in r] for r in rows])
-    assert eliminated(rows) == eliminated(mixed) == reference
-    assert len(reference[0]) == gj_rank(Matrix(rows))
+    reference = _Echelon(rows).pivots
+    assert added([[Fraction(x) for x in r] for r in rows]) == reference
+    assert added(rows) == added(mixed) == reference
+    assert len(reference) == gj_rank(Matrix(rows))
 
 
 # --- one row at a time against the column-order reference ----------------------
@@ -296,7 +300,8 @@ def test_echelon_matches_column_order_elimination(case, consistent,
     rows, order = case
     columns = [c for c, _, _ in column_eliminate(rows)[0]]
     for rs in (rows, [rows[i] for i in order]):
-        assert sorted(c for c, _, _ in _Echelon(rs).pivots) == columns
+        assert sorted(c for c, _, _ in _Echelon(Matrix(rs).ints).pivots) \
+            == columns
         m = Matrix(rs)
         assert rank(m) == len(columns)
         if data is None:
@@ -361,6 +366,61 @@ def test_solve_unique_decides_from_one_elimination() -> None:
             solve_unique(singular, b)
 
 
+def _rows(n: int, m: int):
+    """n x m rows of zero, integral or rational entries."""
+    entry = st.one_of(st.just(0), small_ints, rationals)
+    return st.lists(st.lists(entry, min_size=m, max_size=m),
+                    min_size=n, max_size=n)
+
+
+@st.composite
+def built_matrices(draw):
+    """A matrix from the constructor, or from a kernel that builds one from
+    int rows: a product, a power, a transpose, a sum, a scaling, a
+    principal sub-Gram, or an algebra's Gram or handle matrix."""
+    route = draw(st.sampled_from(["constructor", "product", "power",
+                                  "transpose", "sum", "scale", "sub-Gram",
+                                  "algebra"]))
+    n, k = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    a = Matrix(draw(_rows(n, k)))
+    if route == "product":
+        return a * Matrix(draw(_rows(a.cols, draw(st.integers(0, 4)))))
+    if route == "power":
+        return Matrix(draw(_rows(n, n))) ** draw(st.integers(0, 4))
+    if route == "transpose":
+        return a.transpose()
+    if route == "sum":
+        return a + Matrix(draw(_rows(a.rows, a.cols)))
+    if route == "scale":
+        return a.scale(draw(rationals))
+    if route == "sub-Gram":
+        sub = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+        return _sub_gram(Matrix(draw(_rows(n, n))), range(n), sub)
+    if route == "algebra":
+        fa = draw(truncated_products())
+        return draw(st.sampled_from([fa.gram(), handle_element(fa).matrix]))
+    return a
+
+
+@given(built_matrices())
+@example(Matrix([[Fraction(1, 2)]]) * Matrix([[2]]))  # the den cancels
+@example(Matrix([[Fraction(2, 3), 1]]).scale(0))  # zero
+@example(Matrix([[0, 0], [0, 0]]))
+@example(Matrix([[]]))  # 1 x 0
+@example(Matrix([]))  # 0 x 0
+@settings(max_examples=150, deadline=None)
+def test_matrices_are_held_in_lowest_terms(m) -> None:
+    """den > 0 and gcd(den, ints) = 1 on every route, so a matrix built
+    again from its entries holds the same ints: equal entries give equal
+    matrices and equal hashes."""
+    assert m.den > 0 and gcd(m.den, *(x for r in m.ints for x in r)) == 1
+    assert len(m.ints) == m.rows and all(len(r) == m.cols for r in m.ints)
+    twin = Matrix(m.entries)
+    assert (twin.ints, twin.den) == (m.ints, m.den)
+    assert twin == m and hash(twin) == hash(m)
+    assert _fractions_only(m)
+
+
 def test_matrix_power_matches_repeated_product() -> None:
     m = Matrix([[1, 1], [1, 0]])
     assert m**5 == m * m * m * m * m
@@ -417,10 +477,16 @@ def _dense_power_traces(m: Matrix, count: int) -> list:
     return out
 
 
+# Berkowitz's recurrence does not pivot: a zero top-left entry, a
+# rank-deficient matrix, and a dense 8 x 8 one of mixed denominators
 @given(st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n),
                        min_size=n, max_size=n)))
-@settings(max_examples=60)
+@example([[0, 1, 2], [3, 0, 1], [1, 1, 1]])
+@example([[1, 2, 3], [2, 4, 6], [Fraction(1, 2), 1, Fraction(3, 2)]])
+@example([[Fraction((-1) ** (i + j) * (1 + (3 * i + 5 * j) % 9),
+                    1 + (i * j + i) % 7) for j in range(8)] for i in range(8)])
+@settings(max_examples=60, deadline=None)
 def test_power_traces_match_dense_powers(rows) -> None:
     m = Matrix(rows)
     count = 2 * m.rows + 2

@@ -754,6 +754,22 @@ def test_lift_singular_table() -> None:
         lift_with_table(chi, [chi, chi2])
 
 
+def test_lift_reads_characters_per_element() -> None:
+    """Table characters on other class lists than alpha's, singletons or
+    reordered classes, are read element by element; a character on
+    another monoid is rejected."""
+    s3, (triv, sign, std) = _s3_table()
+    singletons = [(e,) for e in range(6)]
+    table = [PseudoCharacter(s3, [triv(e) for e in range(6)], singletons),
+             PseudoCharacter(s3, sign.values[::-1], sign.classes[::-1]),
+             std]
+    alpha = PseudoCharacter.from_element_values(s3, [3, 1, 1, 0, 0, 1])
+    assert lift_with_table(alpha, table) == (1, 0, 1)
+    with pytest.raises(ValueError, match="live on a different monoid"):
+        lift_with_table(alpha, [triv, PseudoCharacter.from_element_values(
+            cyclic_group(6), [1] * 6)])
+
+
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
 @settings(max_examples=25)
 def test_lift_reconstruction(n1, n2, n3) -> None:
