@@ -46,7 +46,7 @@ def _object_from(doc: dict, default) -> tuple:
     out = []
     for entry in raw:
         obj, sign = entry
-        if sign not in (1, -1):
+        if isinstance(sign, bool) or sign not in (1, -1):
             raise ValueError(f"sign must be 1 or -1, got {sign!r}")
         out.append((obj, sign))
     return tuple(out)

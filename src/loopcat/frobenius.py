@@ -98,13 +98,16 @@ class FrobeniusAlgebra:
         if self.dim <= 0:
             raise ValueError("dimension must be positive")
         parsed = {}  # a job's dim^3 string cells hold a few distinct values
+        dens = set()  # the denominators of the cells
 
         def cell(x):
-            if not isinstance(x, str):
-                return rat(x)
-            if x not in parsed:
-                parsed[x] = rat(x)
-            return parsed[x]
+            if isinstance(x, str) and x in parsed:
+                return parsed[x]
+            c = rat(x)
+            dens.add(c.denominator)
+            if isinstance(x, str):
+                parsed[x] = c
+            return c
 
         self.structure = tuple(tuple(tuple(map(cell, row)) for row in plane)
                                for plane in structure)
@@ -117,17 +120,13 @@ class FrobeniusAlgebra:
             raise ValueError("structure constants must be dim^3")
         if len(self.unit) != n or len(self.counit) != n:
             raise ValueError("unit and counit must have length dim")
-        # the nonzero (k, c) of each e_i e_j; witness algebras are products
-        # of Q[x]/x^m blocks, so almost every structure constant is zero
-        terms = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
-            for plane in self.structure)
-        self.scale = lcm(*(c.denominator for plane in terms for row in plane
-                           for _, c in row))
+        # the nonzero (k, D c) of each e_i e_j, D = `scale`; witness algebras
+        # are products of Q[x]/x^m blocks, so almost every cell is zero
+        scale = self.scale = lcm(*dens)
         self._terms = tuple(
-            tuple(row and tuple((k, c.numerator * (self.scale // c.denominator))
-                                for k, c in row) for row in plane)
-            for plane in terms)
+            tuple(tuple((k, c.numerator * (scale // c.denominator))
+                        for k, c in enumerate(row) if c) for row in plane)
+            for plane in self.structure)
         # (i, ((j, terms of e_i e_j), ...)) over the nonzero products only
         self._products = tuple(
             (i, row) for i, row in enumerate(

@@ -1,26 +1,29 @@
 """Exact linear and polynomial algebra over the rationals.
 
 Every rational a caller gets back is a fractions.Fraction; no floats enter.
-Polynomials are stored lowest-degree-first, rational functions are kept
-normalized with denominator constant term 1.  The exact work runs on
-Python ints: a Matrix holds int rows over one denominator, and rational
-vectors are cleared by the lcm of theirs.  A product makes each entry
-from one int inner product.  Every elimination (rank, determinant,
-solving, a basis of vectors met one at a time and coordinates on it)
-runs one fraction-free kernel (Bareiss 1968) on int rows met one at a
-time, skipping the steps whose multiplier is zero; solutions are read
-off its pivot rows by one integer back-substitution, exact by Cramer's
-rule.  Characteristic polynomials come from Berkowitz's division-free
-recurrence on the int rows.  Every polynomial division, the gcds and the
-Sturm chains that isolate rational roots among them, runs one integer
-pseudo-division on cleared coefficients.  Shape checks at the entry
-points raise ValueError, so they hold under `python -O` too.
+The exact work runs on Python ints: a Matrix holds int rows and a
+Polynomial int coefficients, lowest degree first, each over one
+denominator in lowest terms, and rational vectors are cleared by the lcm
+of theirs.  Rational functions are kept normalized with denominator
+constant term 1, and their power series come from a division-free int
+recurrence.  A product makes each entry from one int inner product.
+Every elimination (rank, determinant, solving, a basis of vectors met one
+at a time and coordinates on it) runs one fraction-free kernel (Bareiss
+1968) on int rows met one at a time, skipping the steps whose multiplier
+is zero; solutions are read off its pivot rows by one integer
+back-substitution, exact by Cramer's rule.  Characteristic polynomials
+come from Berkowitz's division-free recurrence on the int rows.  Every
+polynomial division, the gcds and the Sturm chains that isolate rational
+roots among them, runs one integer pseudo-division on the ints.  Shape
+checks at the entry points raise ValueError, so they hold under
+`python -O` too.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -41,10 +44,12 @@ _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 def rat(x) -> Fraction:
     """Coerce ints, Fractions and 'a/b' strings to Fraction.  A string
-    whose decimal exponent exceeds MAX_DECIMAL_EXPONENT in magnitude is a
-    ValueError, raised before any number is built."""
+    whose decimal exponent exceeds MAX_DECIMAL_EXPONENT in magnitude, and a
+    bool, are ValueErrors, raised before any number is built."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise ValueError(f"not a number: {x!r}")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
@@ -61,12 +66,12 @@ def rat(x) -> Fraction:
 
 def exact_int(x) -> int:
     """int(x) for an integer field of job input, without truncation: a
-    non-integral or infinite number is a ValueError."""
+    non-integral or infinite number, or a bool, is a ValueError."""
     try:
         n = int(x)
     except OverflowError:
         raise ValueError(f"not an integer: {x!r}") from None
-    if n != x and not isinstance(x, str):
+    if isinstance(x, bool) or (n != x and not isinstance(x, str)):
         raise ValueError(f"not an integer: {x!r}")
     return n
 
@@ -88,58 +93,69 @@ def rat_str(x: Fraction) -> str:
 
 
 class Polynomial:
-    """Univariate polynomial over Q, coefficients lowest-first, no trailing zeros."""
+    """Univariate polynomial over Q: Polynomial(cs, den) is the sum of
+    (cs[k]/den) T^k, for rationals cs and an int den != 0.  It is held as
+    int coefficients `ints`, no trailing zeros, over one positive `den`, in
+    lowest terms as a Matrix is, so equal polynomials hold equal ints.
+    Arithmetic reads the ints; `coeffs` and `p[k]` give Fractions."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "den")
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    def __init__(self, coeffs: Iterable = (), den: int = 1):
+        cs = [x if type(x) is int else rat(x) for x in coeffs]
+        s = lcm(*[x.denominator for x in cs])
+        ints = [x.numerator * (s // x.denominator) for x in cs]
+        while ints and not ints[-1]:
+            ints.pop()
+        g = gcd(s * den, *ints) if den != 1 else 1  # s alone is lowest
+        g = -g if den < 0 else g
+        self.ints, self.den = tuple(x // g for x in ints), s * den // g
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(x, self.den) for x in self.ints)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
+        return Fraction(self.ints[k] if 0 <= k < len(self.ints) else 0, self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self.den == other.den and self.ints == other.ints
         return NotImplemented
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self[k] + other[k] for k in range(n)])
+        s, t = other.den, self.den
+        return Polynomial([s * a + t * b for a, b in zip_longest(
+            self.ints, other.ints, fillvalue=0)], s * t)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
+        out = [0] * (len(self.ints) + len(other.ints) - 1)
+        for i, a in enumerate(self.ints):
+            for j, b in enumerate(other.ints):
                 out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial(out, self.den * other.den)
 
     def scale(self, c) -> "Polynomial":
         c = rat(c)
-        return Polynomial([c * a for a in self.coeffs])
+        return Polynomial([c.numerator * a for a in self.ints],
+                          c.denominator * self.den)
 
     def __divmod__(self, other: "Polynomial"):
-        """With self = f/s and other = g/t cleared, m·f = q·g + r gives
-        the quotient t·q/(m·s) and the remainder r/(m·s)."""
+        """With self = f/s and other = g/t, m·f = q·g + r gives the
+        quotient t·q/(m·s) and the remainder r/(m·s)."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        (f, s), (g, t) = _cleared(self.coeffs), _cleared(other.coeffs)
-        q, r, m = _pseudo_divmod(f, g)
-        return (Polynomial([Fraction(c * t, m * s) for c in q]),
-                Polynomial([Fraction(c, m * s) for c in r]))
+        q, r, m = _pseudo_divmod(self.ints, other.ints)
+        return (Polynomial([c * other.den for c in q], m * self.den),
+                Polynomial(r, m * self.den))
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
@@ -149,28 +165,24 @@ class Polynomial:
 
     def __call__(self, x) -> Fraction:
         x = rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return sum((c * x ** k for k, c in enumerate(self.ints)),
+                   Fraction(0)) / self.den
 
     def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.coeffs[-1])
+        return Polynomial(self.ints, self.ints[-1] if self.ints else 1)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """The monic gcd, by the primitive pseudo-remainder sequence on ints.
-    Each remainder is a rational multiple of Euclid's over Q, so the last
-    nonzero one is the gcd up to a rational factor."""
-    f, g = (_primitive(_cleared(p.coeffs)[0]) for p in (a, b))
+    """The monic gcd, by the primitive pseudo-remainder sequence on the
+    ints.  Each remainder is a rational multiple of Euclid's over Q, so the
+    last nonzero one is the gcd up to a rational factor."""
+    f, g = _primitive(a.ints), _primitive(b.ints)
     while g:
         f, g = g, _primitive(_pseudo_divmod(f, g)[1])
-    return Polynomial([Fraction(c, f[-1]) for c in f])
+    return Polynomial(f, f[-1] if f else 1)
 
 
 def format_poly(p: Polynomial, var: str = "T") -> str:
@@ -230,15 +242,16 @@ class RationalFunction:
         return self.num.is_zero()
 
     def taylor(self, n: int) -> list[Fraction]:
-        """First n power-series coefficients at 0."""
-        out: list[Fraction] = []
-        d = self.den.coeffs
+        """First n power-series coefficients at 0, by a division-free int
+        recurrence: with num = a/s and den = b/e (b_0 = e, as den(0) = 1),
+        c_k = y_k/(s·e^k) for y_k = a_k·e^k - sum_j b_j·e^(j-1)·y_(k-j)."""
+        a, s, b, e = self.num.ints, self.num.den, self.den.ints, self.den.den
+        w = [c * e ** j for j, c in enumerate(b[1:])]  # b_j·e^(j-1), j >= 1
+        ys = []
         for k in range(n):
-            a = self.num[k]
-            for j in range(1, min(k, len(d) - 1) + 1):
-                a -= d[j] * out[k - j]
-            out.append(a)
-        return out
+            ys.append((a[k] * e ** k if k < len(a) else 0)
+                      - sum(map(mul, w, reversed(ys))))
+        return [Fraction(y, s * e ** k) for k, y in enumerate(ys)]
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.den!r})"
@@ -351,15 +364,6 @@ def _cleared(v: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (s // x.denominator) for x in v], s
 
 
-def _products(rows: Iterable[Sequence[Fraction]],
-              cols: Sequence[tuple[Sequence[int], int]]) -> list[list[Fraction]]:
-    """Every inner product of a row with a column, the columns given as
-    (ints, scale) pairs: each row is cleared once, and each product is one
-    int sum over the two scales."""
-    return [[Fraction(sum(map(mul, a, b)), s * t) for b, t in cols]
-            for a, s in map(_cleared, rows)]
-
-
 def _require_square(m: Matrix) -> None:
     if m.rows != m.cols:
         raise ValueError("matrix is not square")
@@ -379,15 +383,15 @@ class _Echelon:
     pivot over that q and becomes a pivot row, its pivot at its first
     nonzero column.  The pivot columns are the leading columns of the
     reduced echelon form, whatever the order of the rows.  The
-    constructor takes int rows and `add` and `coordinates` rational ones,
-    cleared first; a row added is divided by its content, a factor that
-    only grows the minors."""
+    constructor, `add_ints` and `coordinates` take int rows, and `add`
+    rational ones, cleared first; a row added is divided by its content, a
+    factor that only grows the minors."""
 
     def __init__(self, rows: Iterable[Sequence[int]] = ()):
         self.pivots = []  # (column, pivot, row ints) per pivot row
         self.content = 1  # the product of the rows' contents
         for x in rows:
-            self._add(x)
+            self.add_ints(x)
 
     def reduce(self, x: Sequence[int]) -> tuple[list[int], list, int]:
         """The int row x reduced, short of the scalings of skipped steps;
@@ -404,9 +408,9 @@ class _Echelon:
 
     def add(self, v) -> bool:
         """Whether v is independent of the vectors added before it."""
-        return self._add(_cleared(v)[0])
+        return self.add_ints(_cleared(v)[0])
 
-    def _add(self, x: Sequence[int]) -> bool:
+    def add_ints(self, x: Sequence[int]) -> bool:
         g = gcd(*x)
         if len(self.pivots) == len(x) or not g:  # all pivots, or a zero row
             return False
@@ -421,14 +425,13 @@ class _Echelon:
         self.pivots.append((c, x[c], x))
         return True
 
-    def coordinates(self, v) -> list[Fraction]:
-        """v's coordinates on the pivot rows scaled to 1 at their pivots.
-        After i steps v's true Bareiss ints are s·p_i times v less its
-        first i terms (s its scale, p_i the i-th pivot, p_0 = 1), and the
-        reduced ints are those over p_i/q for q the pivot of the last step
-        applied, so an entry f met at pivot i + 1 is coordinate i + 1
-        times s·q."""
-        x, s = _cleared(v)
+    def coordinates(self, x: Sequence[int], s: int) -> list[Fraction]:
+        """The coordinates of v = x/s, for an int row x and a nonzero s, on
+        the pivot rows scaled to 1 at their pivots.  After i steps v's true
+        Bareiss ints are s·p_i times v less its first i terms (p_i the i-th
+        pivot, p_0 = 1), and the reduced ints are those over p_i/q for q
+        the pivot of the last step applied, so an entry f met at pivot
+        i + 1 is coordinate i + 1 times s·q."""
         x, met, _ = self.reduce(x)
         if any(x):
             raise InternalInconsistency("vector escaped the span")
@@ -519,11 +522,14 @@ def trace_series(m: Matrix) -> RationalFunction:
     polynomial read backwards.  For m held as int rows A over den,
     det(t I - A/den) = den^(-n) det(den t I - A), so c_k(m) = c_k(A)/den^k,
     with c_k(A) from `_charpoly`, in O(n^4) int steps and no division.
+    Both polynomials are built on those ints over den^n.
     """
     _require_square(m)
-    q = [Fraction(c, m.den ** k) for k, c in enumerate(_charpoly(m.ints))]
+    n, d = m.rows, m.den
+    q = [c * d ** (n - k) for k, c in enumerate(_charpoly(m.ints))]
     return RationalFunction(
-        Polynomial([(m.rows - k) * c for k, c in enumerate(q)]), Polynomial(q))
+        Polynomial([(n - k) * c for k, c in enumerate(q)], d ** n),
+        Polynomial(q, d ** n))
 
 
 # ---------------------------------------------------------------------------
@@ -544,45 +550,28 @@ def partial_fractions(rf: RationalFunction):
     factors: list[tuple[Fraction, int]] = []
     work = den
     for root in _rational_roots(den):
-        lam = 1 / root
-        lin = Polynomial([1, -lam])
-        mult = 0
-        while True:
-            q, r = divmod(work, lin)
-            if not r.is_zero():
-                break
-            work, mult = q, mult + 1
-        factors.append((lam, mult))
+        lin, mult = Polynomial([1, -1 / root]), 0
+        while (qr := divmod(work, lin))[1].is_zero():
+            work, mult = qr[0], mult + 1
+        factors.append((1 / root, mult))
     if work.degree > 0:
         raise NonSplitDenominator(
             "denominator has a non-linear irreducible factor"
         )
     factors.sort(key=lambda t: (t[0].numerator, t[0].denominator))
-
-    if rem.is_zero():
-        return poly_part, [(lam, mult, [Fraction(0)] * mult) for lam, mult in factors]
-
-    # solve rem = sum c_{i,k} * den / (1 - lam_i T)^k  exactly
+    # solve rem = sum c_{i,k} * den / (1 - lam_i T)^k exactly; the columns
+    # run over i, then k = 1 .. mult_i, and so does the solution
     columns: list[Polynomial] = []
-    slots: list[tuple[int, int]] = []
-    for i, (lam, mult) in enumerate(factors):
-        lin = Polynomial([1, -lam])
-        reduced = den
-        for k in range(1, mult + 1):
+    for lam, mult in factors:
+        lin, reduced = Polynomial([1, -lam]), den
+        for _ in range(mult):
             reduced = reduced // lin
             columns.append(reduced)
-            slots.append((i, k))
     n = den.degree
     m = Matrix([[col[r] for col in columns] for r in range(n)])
-    x = solve_unique(m, [rem[r] for r in range(n)])
-    out = []
-    for i, (lam, mult) in enumerate(factors):
-        coeffs = [Fraction(0)] * mult
-        for (ii, k), val in zip(slots, x):
-            if ii == i:
-                coeffs[k - 1] = val
-        out.append((lam, mult, coeffs))
-    return poly_part, out
+    x = iter(solve_unique(m, [rem[r] for r in range(n)]))
+    return poly_part, [(lam, mult, [next(x) for _ in range(mult)])
+                       for lam, mult in factors]
 
 
 def _rational_roots(p: Polynomial) -> list[Fraction]:
@@ -601,7 +590,7 @@ def _rational_roots(p: Polynomial) -> list[Fraction]:
     """
     if p.degree < 1:
         return []
-    ints = _primitive(_cleared(p.coeffs)[0])
+    ints = _primitive(p.ints)
     lead, n = ints[-1], len(ints) - 1
     h = [c * lead ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
     chain = _sturm_chain(h)

@@ -665,6 +665,9 @@ def graph_pseudoholonomy(gh: GraphHolonomy, max_len: int,
 
 def pseudochar_from_json(monoid: FiniteMonoid, doc: dict) -> PseudoCharacter:
     body = doc["pseudocharacter"]
+    classes = [tuple(c) for c in body["classes"]]
+    if any(isinstance(e, bool) for c in classes for e in c):
+        raise ValueError("class entries must be element numbers, not booleans")
     return PseudoCharacter(monoid, [rat(v) for v in body["values"]],
-                           classes=[tuple(c) for c in body["classes"]])
+                           classes=classes)
 

@@ -32,13 +32,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product as iproduct
 from math import comb, factorial
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
 from .diagrams import BrauerMorphism, _chains, compose, transpose
 from .errors import DomainError, InternalInconsistency
 from .fincat import IntervalClass, Loop, _UnionFind, compose_path
-from .linalg import Matrix, _Echelon, _cleared, _integral, _products, rank, rat
+from .linalg import Matrix, _Echelon, _cleared, _integral, rank, rat
 
 
 class MissingValue(DomainError):
@@ -415,7 +415,8 @@ def state_space_boolean(cat, obj, alpha: Evaluation, boundary=None,
 
 
 class WeightedAutomaton:
-    """initial (row) -> transitions per letter -> final (column), over Q."""
+    """initial (row) -> transitions per letter -> final (column), over Q;
+    row vectors go through the letters as the rows of `Matrix` products."""
 
     def __init__(self, initial: Sequence, transitions: Mapping[str, Matrix],
                  final: Sequence):
@@ -434,39 +435,41 @@ class WeightedAutomaton:
         return sorted(self.transitions)
 
     def weight(self, word: Sequence[str]) -> Fraction:
-        v = self.initial
+        v = Matrix([self.initial])
         for a in word:
-            v = _times(v, self.transitions[a])
-        return _products([v], [_cleared(self.final)])[0][0]
-
-
-def _times(v: Sequence, m: Matrix) -> tuple:
-    """The row vector v times m, whose columns are ints over its den."""
-    return tuple(_products([v], [(c, m.den) for c in zip(*m.ints)])[0])
+            v = v * self.transitions[a]
+        return sum(map(mul, v.row(0), self.final), Fraction(0))
 
 
 def _forward_reduce(a: WeightedAutomaton) -> WeightedAutomaton:
     """Restrict to the row space reachable from the initial vector.
 
-    Vectors are met in breadth-first order and added to one `_Echelon`.
-    Each basis vector is a pivot row scaled to 1 at its pivot: the one
-    vector of the span so far that is 1 there and 0 at every earlier
-    pivot.  Coordinates on that basis are read off the elimination.  Only
-    a vector that enlarged the basis is expanded: a dependent vector's
+    Vectors are met in breadth-first order and added to one `_Echelon`
+    as int rows, whose positive scale the elimination divides out: each
+    round multiplies the vectors it added by each letter in one product
+    and meets the images vector by vector, letters in order.  Each basis
+    vector is a pivot row scaled to 1 at its pivot: the one vector of the
+    span so far that is 1 there and 0 at every earlier pivot.
+    Coordinates on that basis are read off the elimination.  Only a
+    vector that enlarged the basis is expanded: a dependent vector's
     images combine the images of the basis vectors before it, which come
     earlier in the same order, so they would enlarge nothing.
     """
-    span = _Echelon()
-    frontier = [a.initial]
-    while frontier:
-        added = [v for v in frontier if span.add(v)]
-        frontier = [_times(v, a.transitions[letter])
-                    for v in added for letter in a.alphabet]
-    basis = [[Fraction(x, p) for x in y] for _, p, y in span.pivots]
-    trans = {letter: Matrix([span.coordinates(_times(b, m)) for b in basis])
-             for letter, m in sorted(a.transitions.items())}
-    final = tuple(row[0] for row in _products(basis, [_cleared(a.final)]))
-    return WeightedAutomaton(span.coordinates(a.initial), trans, final)
+    init, s = _cleared(a.initial)
+    span, letters = _Echelon(), sorted(a.transitions.items())
+    added = [init] if span.add_ints(init) else []
+    while added:
+        vectors = Matrix.from_ints(added)
+        images = [(vectors * m).ints for _, m in letters]
+        added = [v for vs in zip(*images) for v in vs if span.add_ints(v)]
+    if not span.pivots:  # a zero initial vector reaches nothing
+        return WeightedAutomaton((), {c: Matrix([]) for c, _ in letters}, ())
+    basis = Matrix([[Fraction(x, p) for x in y] for _, p, y in span.pivots])
+    images = {c: basis * m for c, m in letters}
+    trans = {c: Matrix([span.coordinates(x, im.den) for x in im.ints])
+             for c, im in images.items()}
+    final = (Matrix([a.final]) * basis.transpose()).row(0)
+    return WeightedAutomaton(span.coordinates(init, s), trans, final)
 
 
 def _reverse(a: WeightedAutomaton) -> WeightedAutomaton:

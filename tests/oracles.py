@@ -27,7 +27,11 @@ time, and `column_solve`, `column_solve_unique`, `column_det` and
 matrix, vector-by-matrix and automaton products as sums of Fraction
 products, the references for linalg's cleared-integer product kernel,
 and `euclid_gcd` runs Euclid's algorithm over Fraction, the reference for
-the integer `poly_gcd`.  `zero_matrix`, `apply` and `from_poly` build and
+the integer `poly_gcd`.  `fraction_add`, `fraction_mul`, `fraction_scale`
+and `fraction_divmod` work on lowest-first lists of Fraction
+coefficients, the references for the int `Polynomial` arithmetic, and
+`fraction_taylor` is `RationalFunction.taylor` as it ran on Fraction
+coefficients, the reference for its int recurrence.  `zero_matrix`, `apply` and `from_poly` build and
 evaluate test data.
 """
 
@@ -193,6 +197,56 @@ def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
+
+
+def _trimmed(cs) -> list[Fraction]:
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def fraction_add(f, g) -> list[Fraction]:
+    n = max(len(f), len(g))
+    return _trimmed([(f[k] if k < len(f) else 0) + (g[k] if k < len(g) else 0)
+                     for k in range(n)])
+
+
+def fraction_mul(f, g) -> list[Fraction]:
+    out = [Fraction(0)] * (len(f) + len(g))
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return _trimmed(out)
+
+
+def fraction_scale(f, c) -> list[Fraction]:
+    return _trimmed([c * a for a in f])
+
+
+def fraction_divmod(f, g) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder by long division over Fraction, g nonzero."""
+    r, g = _trimmed(f), _trimmed(g)
+    q = [Fraction(0)] * max(0, len(r) - len(g) + 1)
+    while len(r) >= len(g):
+        c, k = r[-1] / g[-1], len(r) - len(g)
+        q[k] = c
+        r = _trimmed([x - c * g[j - k] if j >= k else x
+                      for j, x in enumerate(r)])
+    return _trimmed(q), r
+
+
+def fraction_taylor(rf: RationalFunction, n: int) -> list[Fraction]:
+    """The first n power-series coefficients of rf, den(0) = 1, each from
+    the Fraction coefficients and the ones before it."""
+    out: list[Fraction] = []
+    d = rf.den.coeffs
+    for k in range(n):
+        a = rf.num[k]
+        for j in range(1, min(k, len(d) - 1) + 1):
+            a -= d[j] * out[k - j]
+        out.append(a)
+    return out
 
 
 def zero_matrix(rows: int, cols: int) -> Matrix:

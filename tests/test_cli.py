@@ -451,6 +451,38 @@ def test_rejection_report_bytes(tmp_path, capsys, name):
         code, f"error: {error}\nmessage: {message}\n")
 
 
+# JSON booleans where a number is due: Python takes True as the int 1, so
+# each of these once answered with exit 0 (command, job, message)
+BOOLEAN_JOBS = {
+    "holonomy-edge": (
+        "holonomy", {"graph": {"n_vertices": 1, "edges": [[0, 0, [[True]]]]}},
+        "not a number: True"),
+    "classify-num": (
+        "classify", {"genfun": {"num": [True], "den": ["1"]}},
+        "not a number: True"),
+    "pseudochar-degree-class": (
+        "pseudochar-degree", dict(Z2_MONOID, pseudocharacter={
+            "classes": [[0], [True]], "values": ["2", "0"]}),
+        "class entries must be element numbers, not booleans"),
+    "statespace-sign": (
+        "statespace", dict(S3_STANDARD, object=[[0, True], [0, -1]]),
+        "sign must be 1 or -1, got True"),
+    "cob2-pseudo-d": (
+        "cob2-pseudo", {"alpha": ["1"] * 12, "d": True},
+        "not an integer: True"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOLEAN_JOBS))
+def test_boolean_for_a_number_exits_two(tmp_path, capsys, name):
+    command, doc, message = BOOLEAN_JOBS[name]
+    code, out = run_json(tmp_path, capsys, command, doc)
+    assert (code, out) == (2, {"error": "ValueError", "message": message})
+    proc = run_process(tmp_path, command, doc)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
 # Invertible 2x2 loops [[1, a], [b, 1 + ab]] (determinant 1) that do not
 # commute pairwise, so the walks of length <= 4 give many distinct matrices.
 LOOPS = [[["1", str(a)], [str(b), str(1 + a * b)]]

@@ -31,7 +31,9 @@ from loopcat.frobenius import (FrobeniusAlgebra, generating_function,
 from loopcat.statespaces import _sub_gram
 from oracles import (apply, column_det, column_eliminate, column_solve,
                      column_solve_unique, dot_matmul, euclid_gcd,
-                     from_poly, gauss_jordan, gj_rank, zero_matrix)
+                     fraction_add, fraction_divmod, fraction_mul,
+                     fraction_scale, fraction_taylor, from_poly,
+                     gauss_jordan, gj_rank, zero_matrix)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 small_ints = st.integers(min_value=-6, max_value=6)
@@ -526,6 +528,58 @@ def test_trace_series_closed_form() -> None:
 
 polynomials = st.lists(st.one_of(small_ints, rationals), max_size=5).map(
     Polynomial)
+
+
+@given(polynomials, polynomials, rationals)
+@example(Polynomial([]), Polynomial([]), 0)
+@example(Polynomial([Fraction(1, 2)]), Polynomial([2, 4]), 1)  # den cancels
+@example(Polynomial([1, Fraction(2, 3)]), Polynomial([-1, Fraction(-2, 3)]),
+         Fraction(-3, 2))  # f + g is zero
+@example(Polynomial([6, -4]), Polynomial([Fraction(-1, 5)]), 0)  # lead < 0
+def test_polynomials_are_held_in_lowest_terms(f, g, c) -> None:
+    """den > 0, gcd(den, ints) = 1 and no trailing zero on every route, so
+    a polynomial built again from its coefficients holds the same ints,
+    and the zero polynomial is ((), 1)."""
+    made = [f, g, f + g, f * g, f.scale(c), f.monic(), poly_gcd(f, g),
+            *(divmod(f, g) if not g.is_zero() else ())]
+    for p in made:
+        assert p.den > 0 and gcd(p.den, *p.ints) == 1
+        assert not p.ints or p.ints[-1] != 0
+        twin = Polynomial(p.coeffs)
+        assert (twin.ints, twin.den) == (p.ints, p.den) and twin == p
+        assert all(type(x) is Fraction for x in p.coeffs)
+    for zero in (Polynomial(), Polynomial([0, 0]), f.scale(0), f + f.scale(-1)):
+        assert (zero.ints, zero.den) == ((), 1)
+
+
+@given(st.lists(rationals, max_size=5), st.lists(rationals, max_size=5),
+       rationals)
+@example([], [1, 2], Fraction(1, 2))
+@example([Fraction(1, 3), 2, -5, 7], [Fraction(1, 2), 0, Fraction(-2, 3)], 0)
+@example([4, 0, 0, 9], [1, -3], -1)  # negative integer lead
+@example([1, Fraction(1, 2)], [3, 0, 5], 3)  # dividend below the divisor
+def test_polynomial_arithmetic_matches_fraction_lists(f, g, c) -> None:
+    p, q = Polynomial(f), Polynomial(g)
+    assert list((p + q).coeffs) == fraction_add(f, g)
+    assert list((p * q).coeffs) == fraction_mul(f, g)
+    assert list(p.scale(c).coeffs) == fraction_scale(f, c)
+    if not q.is_zero():
+        quo, rem = divmod(p, q)
+        assert (list(quo.coeffs), list(rem.coeffs)) == fraction_divmod(f, g)
+
+
+@given(st.lists(rationals, max_size=5),
+       st.tuples(rationals.filter(bool), st.lists(rationals, max_size=4)),
+       st.integers(0, 9))
+@example([1], (1, [Fraction(1, 2), Fraction(-1, 3)]), 8)  # e != 1
+@example([Fraction(2, 7), 0, 3], (Fraction(5, 3), [0, Fraction(4, 9)]), 9)
+@example([], (1, [2]), 5)  # zero numerator
+@example([1, Fraction(2, 3), 5], (3, []), 6)  # constant denominator
+def test_taylor_matches_fraction_recurrence(num, den, n) -> None:
+    rf = RationalFunction(Polynomial(num), Polynomial([den[0], *den[1]]))
+    got = rf.taylor(n)
+    assert got == fraction_taylor(rf, n)
+    assert all(type(x) is Fraction for x in got)
 
 
 @given(polynomials, polynomials, polynomials)

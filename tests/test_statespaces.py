@@ -644,11 +644,13 @@ def test_automaton_products_match_fraction_sums(dim, data) -> None:
     a = WeightedAutomaton(data.draw(vec), {"a": data.draw(mat),
                                            "b": data.draw(mat)},
                           data.draw(vec))
-    v = tuple(data.draw(vec))
+    # `_forward_reduce` multiplies the vectors of a round as the rows of
+    # one matrix, and `weight` one vector as a 1 x n matrix
+    vs = data.draw(st.lists(vec, min_size=1, max_size=3))
     for m in a.transitions.values():
-        got = statespaces._times(v, m)
-        assert got == fraction_times(v, m)
-        assert all(type(x) is Fraction for x in got)
+        got = (Matrix(vs) * m).entries
+        assert got == tuple(fraction_times(v, m) for v in vs)
+        assert all(type(x) is Fraction for row in got for x in row)
     for w in _words(a.alphabet, 3):
         assert a.weight(w) == fraction_weight(a, w)
         assert type(a.weight(w)) is Fraction
