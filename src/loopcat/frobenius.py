@@ -10,7 +10,7 @@ synthesizes a witness algebra from classification data, and checks the
 related (p, h, iota) systems and confluent Vandermonde solves that appear
 when recovering a direct-sum decomposition from the values alone.
 
-An algebra keeps its structure constants as ints over one common
+An algebra keeps its nonzero structure constants as ints over one common
 denominator, and its unit and counit as cleared int vectors.  Every
 product runs one int kernel over the nonzero structure constants
 (`FrobeniusAlgebra._times`): the axiom checks, multiplication by the
@@ -84,49 +84,18 @@ class DimensionMismatch(DomainError):
 
 class FrobeniusAlgebra:
     """Structure constants c[i][j][k] (e_i e_j = sum_k c[i][j][k] e_k),
-    a unit vector, and a counit covector.  Shapes are checked here;
-    the axioms are checked by `validate`.
+    a unit vector, and a counit covector; `validate` checks the axioms.
+    Only the nonzero c[i][j][k] are kept: `terms[i][j]` is the tuple of
+    pairs (k, D c[i][j][k]), k increasing, over one denominator D = `scale`.
+    The rational unit and counit are kept with their cleared ints.
+    `structure` rebuilds the Fraction cells; `frobenius_from_json` reads
+    dense ones."""
 
-    The exact work runs on ints: the nonzero structure constants are kept
-    as the ints D c[i][j][k] over their one common denominator D
-    (`scale`), and the unit and counit as cleared int vectors with their
-    own scales.  Witness algebras have 0/1 structure constants, so D is
-    usually 1.  `structure`, `unit` and `counit` keep the Fractions."""
-
-    def __init__(self, dim: int, structure, unit, counit):
-        self.dim = exact_int(dim)
-        if self.dim <= 0:
-            raise ValueError("dimension must be positive")
-        parsed = {}  # a job's dim^3 string cells hold a few distinct values
-        dens = set()  # the denominators of the cells
-
-        def cell(x):
-            if isinstance(x, str) and x in parsed:
-                return parsed[x]
-            c = rat(x)
-            dens.add(c.denominator)
-            if isinstance(x, str):
-                parsed[x] = c
-            return c
-
-        self.structure = tuple(tuple(tuple(map(cell, row)) for row in plane)
-                               for plane in structure)
-        self.unit = tuple(rat(x) for x in unit)
-        self.counit = tuple(rat(x) for x in counit)
-        n = self.dim
-        if len(self.structure) != n or any(
-                len(p) != n or any(len(r) != n for r in p)
-                for p in self.structure):
-            raise ValueError("structure constants must be dim^3")
-        if len(self.unit) != n or len(self.counit) != n:
+    def __init__(self, terms: tuple, scale: int, unit, counit):
+        self._terms, self.scale, self.dim = terms, scale, len(terms)
+        self.unit, self.counit = tuple(map(rat, unit)), tuple(map(rat, counit))
+        if len(self.unit) != self.dim or len(self.counit) != self.dim:
             raise ValueError("unit and counit must have length dim")
-        # the nonzero (k, D c) of each e_i e_j, D = `scale`; witness algebras
-        # are products of Q[x]/x^m blocks, so almost every cell is zero
-        scale = self.scale = lcm(*dens)
-        self._terms = tuple(
-            tuple(tuple((k, c.numerator * (scale // c.denominator))
-                        for k, c in enumerate(row) if c) for row in plane)
-            for plane in self.structure)
         # (i, ((j, terms of e_i e_j), ...)) over the nonzero products only
         self._products = tuple(
             (i, row) for i, row in enumerate(
@@ -135,6 +104,13 @@ class FrobeniusAlgebra:
         self._unit = _cleared(self.unit)
         self._counit = _cleared(self.counit)
         self._handle = None  # HandleData, built by `handle_element`
+
+    @property
+    def structure(self) -> tuple:
+        """The Fraction cells c[i][j][k], rebuilt from the terms."""
+        s, ks = self.scale, range(self.dim)
+        return tuple(tuple(tuple(Fraction(row.get(k, 0), s) for k in ks)
+                           for row in map(dict, plane)) for plane in self._terms)
 
     def _times(self, a, b) -> list[int]:
         """D a b for int vectors a and b, D the structure constants'
@@ -373,27 +349,28 @@ def classify_genfun(rf: RationalFunction) -> ClassificationData:
 
 def truncated_poly_algebra(m: int, counit) -> FrobeniusAlgebra:
     """Q[x]/x^m with basis 1, x, ..., x^(m-1) and the given counit values."""
-    structure = [[[Fraction(i + j == k) for k in range(m)]
-                  for j in range(m)] for i in range(m)]
-    unit = [Fraction(k == 0) for k in range(m)]
-    return FrobeniusAlgebra(m, structure, unit, counit)
+    terms = tuple(tuple(((i + j, 1),) if i + j < m else () for j in range(m))
+                  for i in range(m))
+    return FrobeniusAlgebra(terms, 1, [int(k == 0) for k in range(m)], counit)
 
 
 def product_algebra(*factors: FrobeniusAlgebra) -> FrobeniusAlgebra:
-    """Direct product of the factors, with block-diagonal structure."""
-    n = sum(f.dim for f in factors)
-    structure = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    offset = 0
+    """Direct product of the factors, with block-diagonal structure: each
+    factor's terms move to its block, over the lcm of the factors' scales."""
+    n, scale = sum(f.dim for f in factors), lcm(*(f.scale for f in factors))
+    terms, offset = [[()] * n for _ in range(n)], 0
     for f in factors:
-        for i, plane in enumerate(f.structure):
-            for j, row in enumerate(plane):
-                structure[offset + i][offset + j][offset:offset + f.dim] = row
+        r = scale // f.scale
+        for i, plane in enumerate(f._terms):
+            terms[offset + i][offset:offset + f.dim] = [
+                tuple((offset + k, r * c) for k, c in row) for row in plane]
         offset += f.dim
-    return FrobeniusAlgebra(n, structure, sum((f.unit for f in factors), ()),
+    return FrobeniusAlgebra(tuple(map(tuple, terms)), scale,
+                            sum((f.unit for f in factors), ()),
                             sum((f.counit for f in factors), ()))
 
 
-# Largest witness algebra (dense structure constants take dim^3 entries)
+# Largest witness algebra (its report prints all dim^3 structure constants)
 # and largest confluent system (N^3 elimination steps): a job file of a few
 # bytes could otherwise ask for any amount of memory and time.
 WITNESS_MAX_DIM = 32
@@ -630,28 +607,50 @@ def cob2_pseudochar_check(alpha_seq, d: int, cap_dots=None) -> Cob2PseudoReport:
 # JSON
 
 
-def _row_json(row, terms) -> list:
-    """The cells of one structure row, formatted at its nonzero (k, c)."""
-    out = ["0"] * len(row)
-    for k, _ in terms:
-        out[k] = rat_str(row[k])
-    return out
-
-
 def frobenius_to_json(fa: FrobeniusAlgebra) -> dict:
+    def row(terms):
+        cells = ["0"] * fa.dim
+        for k, c in terms:
+            cells[k] = rat_str(Fraction(c, fa.scale))
+        return cells
     return {"frobenius": {
         "dim": fa.dim,
-        "structure": [list(map(_row_json, plane, terms))
-                      for plane, terms in zip(fa.structure, fa._terms)],
+        "structure": [list(map(row, plane)) for plane in fa._terms],
         "unit": [rat_str(x) for x in fa.unit],
         "counit": [rat_str(x) for x in fa.counit],
     }}
 
 
 def frobenius_from_json(doc: dict) -> FrobeniusAlgebra:
+    """The algebra of a job's dense cells.  All four keys are read, then
+    all values parsed, before any shape is checked."""
     body = doc["frobenius"]
-    return FrobeniusAlgebra(body["dim"], body["structure"], body["unit"],
-                            body["counit"])
+    dim, structure, unit, counit = (body["dim"], body["structure"],
+                                    body["unit"], body["counit"])
+    n = exact_int(dim)
+    if n <= 0:
+        raise ValueError("dimension must be positive")
+    parsed = {}  # a job's dim^3 string cells hold a few distinct values
+    dens = set()  # the denominators of the cells
+    def cell(x):
+        if isinstance(x, str) and x in parsed:
+            return parsed[x]
+        c = rat(x)
+        dens.add(c.denominator)
+        if isinstance(x, str):
+            parsed[x] = c
+        return c
+    cells = tuple(tuple(tuple(map(cell, row)) for row in plane)
+                  for plane in structure)
+    unit, counit = tuple(map(rat, unit)), tuple(map(rat, counit))
+    if len(cells) != n or any(len(p) != n or any(len(r) != n for r in p)
+                              for p in cells):
+        raise ValueError("structure constants must be dim^3")
+    scale = lcm(*dens)
+    terms = tuple(tuple(tuple((k, c.numerator * (scale // c.denominator))
+                              for k, c in enumerate(row) if c) for row in plane)
+                  for plane in cells)
+    return FrobeniusAlgebra(terms, scale, unit, counit)
 
 
 def genfun_to_json(rf: RationalFunction) -> dict:

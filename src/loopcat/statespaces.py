@@ -306,14 +306,14 @@ def _template_gram(rows: list, cols: list, template, reference,
             row = []
             for j, c in enumerate(col_ids):
                 strands = row_templates[c]
-                if strands is None:
+                if first := strands is None:
                     strands = row_templates[c] = template(shapes[r], shapes[c])
                     expected = reference(i, j)
-                    if value(strands, rd + col_decs[j]) != expected:
-                        raise InternalInconsistency(
-                            f"{names[0]} template disagrees with the "
-                            f"{names[1]} at entry ({i}, {j})")
                 row.append(value(strands, rd + col_decs[j]))
+                if first and row[-1] != expected:
+                    raise InternalInconsistency(
+                        f"{names[0]} template disagrees with the "
+                        f"{names[1]} at entry ({i}, {j})")
             gram.append(row)
     except (MissingValue, SequenceTooShort):
         reference(i, j)

@@ -14,7 +14,11 @@ reference for `frobenius.validate`, and `fraction_validate` is
 `validate` as it ran on Fraction products (the same loops, skip rule and
 messages), the reference for its int kernel.  `dual_basis` inverts the
 Gram, and the sum of e_i u_i over its dual basis is the reference for
-`frobenius.handle_element`.  `full_vanishing_level` is the
+`frobenius.handle_element`.  `dense_algebra` reads an algebra from dense
+cells as a job file's are read, and `dense_truncated_poly_algebra` and
+`dense_product_algebra` build the witness blocks and their products cell
+by cell through it, the references for the sparse witness builders.
+`full_vanishing_level` is the
 vanishing search over every element tuple, the reference for the basis
 search of `pseudochar._vanishing_level`, and `reference_holonomy` runs it
 as the degree search of `graph_pseudoholonomy` on `Matrix` objects.
@@ -48,6 +52,7 @@ from loopcat.frobenius import (
     NotAssociative,
     NotCommutative,
     NotUnital,
+    frobenius_from_json,
 )
 from loopcat import pseudochar
 from loopcat.linalg import (Matrix, Polynomial, RationalFunction, _augmented,
@@ -286,6 +291,35 @@ def _signed_cycle_decompositions(n: int):
             cycles.append(tuple(cyc))
         out.append((perm_sign(sigma), tuple(cycles)))
     return tuple(out)
+
+
+def dense_algebra(dim, structure, unit, counit):
+    """The algebra of dense cells c[i][j][k], read as a job's are."""
+    return frobenius_from_json({"frobenius": {
+        "dim": dim, "structure": structure, "unit": unit, "counit": counit}})
+
+
+def dense_truncated_poly_algebra(m: int, counit):
+    """Q[x]/x^m from its m^3 cells."""
+    structure = [[[Fraction(i + j == k) for k in range(m)]
+                  for j in range(m)] for i in range(m)]
+    unit = [Fraction(k == 0) for k in range(m)]
+    return dense_algebra(m, structure, unit, counit)
+
+
+def dense_product_algebra(*factors):
+    """The direct product, its block-diagonal cells copied from the
+    factors' `structure`."""
+    n = sum(f.dim for f in factors)
+    structure = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    offset = 0
+    for f in factors:
+        for i, plane in enumerate(f.structure):
+            for j, row in enumerate(plane):
+                structure[offset + i][offset + j][offset:offset + f.dim] = row
+        offset += f.dim
+    return dense_algebra(n, structure, sum((f.unit for f in factors), ()),
+                         sum((f.counit for f in factors), ()))
 
 
 def dense_multiply(fa, a, b) -> tuple:

@@ -439,6 +439,15 @@ REJECTION_JOBS = {
         "holonomy", {"graph": {"n_vertices": 2, "edges": [
             [0, 1, [["1"]]], [1, 0, [["1", "0"], ["0", "1"]]]]}}, 2,
         "ValueError", "inconsistent dimension at vertex 1"),
+    # all four keys are read before the dimension or a cell is parsed
+    "frobenius-zero-dim-no-counit": (
+        "frobenius-validate", {"frobenius": {"dim": 0, "structure": [],
+                                             "unit": []}}, 2,
+        "KeyError", "'counit'"),
+    "frobenius-bad-cell-no-counit": (
+        "frobenius-validate", {"frobenius": {"dim": 2, "structure": [["x"]],
+                                             "unit": [True]}}, 2,
+        "KeyError", "'counit'"),
 }
 
 

@@ -1,5 +1,7 @@
+import json
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -42,11 +44,12 @@ from loopcat.frobenius import (
     validate,
     witness_synthesis,
 )
-from loopcat.linalg import Matrix, Polynomial, RationalFunction, rat_str
+from loopcat.linalg import Matrix, Polynomial, RationalFunction, rat, rat_str
 from loopcat.statespaces import SequenceTooShort
-from oracles import (_signed_cycle_decompositions, column_det, dense_multiply,
-                     dense_validate, dual_basis, f1_pullback,
-                     fraction_validate)
+from oracles import (_signed_cycle_decompositions, column_det, dense_algebra,
+                     dense_multiply, dense_product_algebra,
+                     dense_truncated_poly_algebra, dense_validate, dual_basis,
+                     f1_pullback, fraction_validate)
 
 
 def diagonal_algebra(counit_values) -> FrobeniusAlgebra:
@@ -54,7 +57,7 @@ def diagonal_algebra(counit_values) -> FrobeniusAlgebra:
     n = len(counit_values)
     structure = [[[Fraction(i == j == k) for k in range(n)]
                   for j in range(n)] for i in range(n)]
-    return FrobeniusAlgebra(n, structure, [1] * n, counit_values)
+    return dense_algebra(n, structure, [1] * n, counit_values)
 
 
 def nilpotent_counit(m: int, mu=0) -> list:
@@ -95,7 +98,7 @@ def test_validate_rejects_noncommutative() -> None:
     s = _unital_structure(3)
     s[1][2][1] = s[2][1][2] = Fraction(1)  # e1 e2 = e1 but e2 e1 = e2
     with pytest.raises(NotCommutative):
-        validate(FrobeniusAlgebra(3, s, [1, 0, 0], [0, 1, 1]))
+        validate(dense_algebra(3, s, [1, 0, 0], [0, 1, 1]))
 
 
 def test_validate_rejects_nonassociative() -> None:
@@ -103,7 +106,7 @@ def test_validate_rejects_nonassociative() -> None:
     s[1][1][2] = Fraction(1)  # e1^2 = e2
     s[2][2][1] = Fraction(1)  # e2^2 = e1, so (e1 e1) e2 = e1 but e1 (e1 e2) = 0
     with pytest.raises(NotAssociative, match=r"^\(e_1 e_1\) e_2 differs$"):
-        validate(FrobeniusAlgebra(3, s, [1, 0, 0], [0, 1, 1]))
+        validate(dense_algebra(3, s, [1, 0, 0], [0, 1, 1]))
 
 
 def _one_failing_pair() -> FrobeniusAlgebra:
@@ -112,7 +115,7 @@ def _one_failing_pair() -> FrobeniusAlgebra:
     s = _unital_structure(3)
     s[2][2][2] = Fraction(1)
     s[1][2][2] = s[2][1][2] = Fraction(2)
-    return FrobeniusAlgebra(3, s, [1, 0, 0], [0, 1, 1])
+    return dense_algebra(3, s, [1, 0, 0], [0, 1, 1])
 
 
 def test_one_failing_pair_fails_only_there() -> None:
@@ -150,7 +153,7 @@ def planted_structures(draw):
     if kind == "nonunital" and draw(st.booleans()):
         unit = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
     counit = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
-    return FrobeniusAlgebra(n, s, unit, counit)
+    return dense_algebra(n, s, unit, counit)
 
 
 def _outcome(check, fa):
@@ -185,7 +188,7 @@ def sparse_and_dense_algebras(draw):
     n = draw(st.integers(1, 4))
     cells = st.lists(SMALL_FRACTIONS, min_size=n, max_size=n)
     structure = [[draw(cells) for _ in range(n)] for _ in range(n)]
-    return FrobeniusAlgebra(n, structure, draw(cells), draw(cells))
+    return dense_algebra(n, structure, draw(cells), draw(cells))
 
 
 @given(st.data())
@@ -218,8 +221,8 @@ def rescaled(fa: FrobeniusAlgebra, lam) -> FrobeniusAlgebra:
     and lam_k eps_k."""
     s = [[[c * lam[i] * lam[j] / lam[k] for k, c in enumerate(row)]
           for j, row in enumerate(plane)] for i, plane in enumerate(fa.structure)]
-    return FrobeniusAlgebra(fa.dim, s, [u / l for u, l in zip(fa.unit, lam)],
-                            [e * l for e, l in zip(fa.counit, lam)])
+    return dense_algebra(fa.dim, s, [u / l for u, l in zip(fa.unit, lam)],
+                         [e * l for e, l in zip(fa.counit, lam)])
 
 
 @st.composite
@@ -260,7 +263,7 @@ def corrupted_algebras(draw):
         s[i][j][k] += delta
         if kind == "associativity":
             s[j][i][k] += delta
-    return FrobeniusAlgebra(n, s, unit, counit)
+    return dense_algebra(n, s, unit, counit)
 
 
 @given(corrupted_algebras())
@@ -273,16 +276,16 @@ def test_int_validate_matches_fraction_validate(fa) -> None:
 
 def test_validate_rejects_bad_unit() -> None:
     fa = truncated_poly_algebra(2, [0, 1])
-    broken = FrobeniusAlgebra(2, fa.structure, [0, 1], [0, 1])
+    broken = dense_algebra(2, fa.structure, [0, 1], [0, 1])
     with pytest.raises(NotUnital):
         validate(broken)
 
 
 def test_malformed_shapes_raise_value_error() -> None:
     with pytest.raises(ValueError):
-        FrobeniusAlgebra(2, [[[1]]], [1, 0], [0, 1])
+        dense_algebra(2, [[[1]]], [1, 0], [0, 1])
     with pytest.raises(ValueError):
-        FrobeniusAlgebra(0, [], [], [])
+        dense_algebra(0, [], [], [])
 
 
 # --- dual bases and handles --------------------------------------------------------
@@ -304,7 +307,7 @@ def handle_algebras(draw):
     counit = [c * e for e in fa.counit]
     if draw(st.integers(0, 4)) == 0:
         counit[draw(st.integers(0, n - 1))] = 0
-    return FrobeniusAlgebra(n, fa.structure, fa.unit, counit)
+    return dense_algebra(n, fa.structure, fa.unit, counit)
 
 
 @given(handle_algebras())
@@ -391,7 +394,7 @@ def test_cross_checks_catch_dishonest_structure() -> None:
     s = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
          [[0, 1, 0], [2, 0, 0], [2, -2, 1]],
          [[0, 0, 1], [2, -2, 1], [-1, -2, -1]]]
-    fa = FrobeniusAlgebra(3, s, [1, 0, 0], [-2, 0, 1])
+    fa = dense_algebra(3, s, [1, 0, 0], [-2, 0, 1])
     with pytest.raises(InternalInconsistency, match=r"eps\(h\^3\) disagrees"):
         generating_function(fa)
     with pytest.raises(InternalInconsistency, match=r"eps\(h\^3\) disagrees"):
@@ -822,12 +825,77 @@ def test_frobenius_json_round_trip() -> None:
 
 
 @given(sparse_and_dense_algebras())
-@example(FrobeniusAlgebra(2, [[["-1/2", "0"], ["3", "0"]],
-                              [["0", "-2"], ["0", "5/3"]]], [1, 0], [0, 1]))
+@example(dense_algebra(2, [[["-1/2", "0"], ["3", "0"]],
+                           [["0", "-2"], ["0", "5/3"]]], [1, 0], [0, 1]))
 @settings(max_examples=100, deadline=None)
 def test_frobenius_json_formats_every_cell(fa) -> None:
     assert frobenius_to_json(fa)["frobenius"]["structure"] == [
         [[rat_str(x) for x in row] for row in plane] for plane in fa.structure]
+
+
+@st.composite
+def witness_factors(draw):
+    """Q[x]/x^m, m = 1-4, with a drawn counit, as built or in a rescaled
+    basis, whose structure constants have a drawn common denominator."""
+    m = draw(st.integers(1, 4))
+    fa = truncated_poly_algebra(m, draw(st.lists(SMALL_FRACTIONS, min_size=m,
+                                                 max_size=m)))
+    if draw(st.booleans()):
+        fa = rescaled(fa, draw(st.lists(NONZERO_FRACTIONS, min_size=m,
+                                        max_size=m)))
+    return fa
+
+
+def _built(fa) -> tuple:
+    return (fa.dim, fa.scale, fa._terms, fa.structure, fa.unit, fa.counit,
+            json.dumps(frobenius_to_json(fa)))
+
+
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=50, deadline=None)
+def test_truncated_poly_algebra_matches_dense_reference(m, data) -> None:
+    counit = data.draw(st.lists(SMALL_FRACTIONS, min_size=m, max_size=m))
+    assert _built(truncated_poly_algebra(m, counit)) == \
+        _built(dense_truncated_poly_algebra(m, counit))
+
+
+@given(st.lists(witness_factors(), min_size=1, max_size=4))
+@example([truncated_poly_algebra(2, [0, 1]),
+          rescaled(truncated_poly_algebra(1, [1]), [Fraction(1, 2)]),
+          rescaled(truncated_poly_algebra(2, [1, 1]),
+                   [Fraction(2, 3), Fraction(3)])])
+@settings(max_examples=100, deadline=None)
+def test_product_algebra_matches_dense_reference(factors) -> None:
+    """The sparse product moves each factor's terms to its block over the
+    lcm of the factors' scales: the same cells, scale, report bytes and
+    nonzero terms as the product assembled cell by cell."""
+    assert _built(product_algebra(*factors)) == \
+        _built(dense_product_algebra(*factors))
+
+
+ZERO_CELLS = st.sampled_from([0, "0", "0/7", "-0"])
+CELLS = st.one_of(ZERO_CELLS, st.integers(-3, 3), SMALL_FRACTIONS,
+                  SMALL_FRACTIONS.map(rat_str))
+
+
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_dense_cells_parse_to_their_nonzero_terms(n, data) -> None:
+    """`frobenius_from_json` keeps the nonzero cells, in order, over the
+    lcm of their denominators, and stores no dense structure."""
+    cells = st.lists(CELLS, min_size=n, max_size=n)
+    structure = [[data.draw(cells) for _ in range(n)] for _ in range(n)]
+    fa = dense_algebra(n, structure, data.draw(cells), data.draw(cells))
+    parsed = tuple(tuple(tuple(map(rat, row)) for row in plane)
+                   for plane in structure)
+    assert fa.structure == parsed
+    assert fa.scale == lcm(*(c.denominator for plane in parsed
+                             for row in plane for c in row))
+    for plane, terms in zip(parsed, fa._terms):
+        for row, pairs in zip(plane, terms):
+            assert pairs == tuple((k, c * fa.scale)
+                                  for k, c in enumerate(row) if c)
+    assert "structure" not in vars(fa)
 
 
 def test_genfun_json_round_trip() -> None:
