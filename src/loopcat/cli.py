@@ -338,11 +338,12 @@ def _run_cob2_dim(doc: dict, args) -> dict:
 
 
 def _run_cob2_pseudo(doc: dict, args) -> dict:
-    seq = _rat_list(doc["alpha"])
+    seq, d = _rat_list(doc["alpha"]), exact_int(doc["d"])
     cap_dots = doc.get("cap_dots")
-    rep = cob2_pseudochar_check(
-        seq, exact_int(doc["d"]),
-        None if cap_dots is None else exact_int(cap_dots))
+    cap_dots = None if cap_dots is None else exact_int(cap_dots)
+    if d > args.max_degree:  # the recursion closes up d + 1 strands
+        raise ValueError(f"d = {d} exceeds --max-degree {args.max_degree}")
+    rep = cob2_pseudochar_check(seq, d, cap_dots)
     return {
         "command": "cob2-pseudo",
         "d": rep.d,

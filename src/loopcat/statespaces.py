@@ -9,13 +9,13 @@ a smaller cap whose kets are the same ones reuses it.  Over the Boolean
 semiring the states are the distinct rows (residual languages), with the
 join-irreducible rows counted separately.
 
-One kernel, `_template_gram`, builds every Gram.  An entry's strands
-depend only on the shapes of its row and column, so each pair of shapes
-is traced once into a template, and every entry is a product of memoized
-strand values, integral ones held as ints.  For diagrams the shapes are
-matchings, traced by the splice's own chain walk (`diagrams._chains`).
-The generic route (the splice, `diagrams.compose`) stays the reference:
-it evaluates the first entry of each template as a cross-check, and any
+One kernel, `_template_gram`, builds every Gram.  An entry's strands depend
+only on the shapes of its row and column, so each pair of shapes is traced
+once into a template, and every entry is a product of memoized strand
+values, integral ones held as ints.  For diagrams the shapes are matchings,
+traced by the splice's own chain walk (`diagrams._chains`), and each ket is
+its own bra.  The reference, the splice after `transpose`, builds the only
+bras: it evaluates each template's first entry as a cross-check, and any
 entry that lacks a value, so that the error is its own.
 
 Also here: exact weighted-automaton minimization (the Hankel pairing of the
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product as iproduct
 from math import comb, factorial
-from operator import itemgetter, mul
+from operator import itemgetter, le, mul
 from typing import Mapping, Sequence
 
 from .diagrams import BrauerMorphism, _chains, compose, transpose
@@ -228,16 +228,15 @@ class BooleanStateSpace:
 # the pairing, one wiring template per pair of matchings
 
 
-def _wiring(d: BrauerMorphism) -> tuple:
-    """The matching of a ket or bra without its labels."""
-    return (tuple((t, h) for t, h, _lab in d.arcs),
-            tuple(e for e, _g in d.half_intervals))
-
-
-def _decorations(d: BrauerMorphism) -> tuple:
-    """Arc labels, then half-interval elements, in the order of `_wiring`."""
-    return (tuple(lab for _t, _h, lab in d.arcs)
-            + tuple(g for _e, g in d.half_intervals))
+def _views(d: BrauerMorphism, flip) -> tuple:
+    """A ket's matching without its labels, then its decorations as a ket
+    and as a bra: arc labels, then half-interval elements, the bra's
+    carried through the boundary's `flip` as `transpose` carries them."""
+    labels = tuple(lab for _t, _h, lab in d.arcs)
+    return ((tuple((t, h) for t, h, _lab in d.arcs),
+             tuple(e for e, _g in d.half_intervals)),
+            labels + tuple(g for _e, g in d.half_intervals),
+            labels + tuple(flip(e, g) for e, g in d.half_intervals))
 
 
 def _strands(obj: tuple, ket_wiring: tuple, bra_wiring: tuple):
@@ -269,23 +268,22 @@ def _strands(obj: tuple, ket_wiring: tuple, bra_wiring: tuple):
     return intervals, loops
 
 
-def _template_gram(rows: list, cols: list, template, reference,
+def _template_gram(items: list, template, reference,
                    names: tuple) -> list[list]:
-    """Gram rows: entry (i, j) pairs rows[i] with cols[j], each a (shape,
-    decorations) pair.
+    """Gram rows: entry (i, j) pairs item i's row view with item j's
+    column view, each item a (shape, row decorations, column decorations).
 
     `template(row shape, col shape)`, made once per pair of shapes, lists
     the entry's strands as (key, values, evaluate): the key is read off the
-    row's decorations followed by the column's, and the value, memoized in
+    row decorations followed by the column's, and the value, memoized in
     `values`, is `evaluate(key)`, an int when integral.  The first entry of
     each template, row by row, must agree with `reference(i, j)`, and an
     entry missing a value is evaluated there again, so that the error is
     the reference's.  `names` name the template and the reference.
     """
     ids: dict = {}
-    row_ids = [ids.setdefault(shape, len(ids)) for shape, _dec in rows]
-    col_ids = [ids.setdefault(shape, len(ids)) for shape, _dec in cols]
-    col_decs = [dec for _shape, dec in cols]
+    shape_ids = [ids.setdefault(shape, len(ids)) for shape, _rd, _cd in items]
+    col_decs = [cd for _shape, _rd, cd in items]
     shapes = list(ids)
     templates = [[None] * len(shapes) for _ in shapes]
 
@@ -301,10 +299,10 @@ def _template_gram(rows: list, cols: list, template, reference,
 
     gram = []
     try:
-        for i, (r, (_shape, rd)) in enumerate(zip(row_ids, rows)):
+        for i, (r, (_shape, rd, _cd)) in enumerate(zip(shape_ids, items)):
             row_templates = templates[r]
             row = []
-            for j, c in enumerate(col_ids):
+            for j, c in enumerate(shape_ids):
                 strands = row_templates[c]
                 if first := strands is None:
                     strands = row_templates[c] = template(shapes[r], shapes[c])
@@ -326,11 +324,17 @@ def _template_gram(rows: list, cols: list, template, reference,
 def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
     """Gram rows: entry (i, j) evaluates the bra of ket j after ket i.
 
-    The shapes are matchings, traced into strands by `_strands`, and the
-    reference is `compose`, so an entry missing a value names the class the
-    splice names first (loops before intervals, each in `repr` order).
+    Each ket is read as its own bra (`_views`).  The shapes are matchings,
+    traced into strands by `_strands`, and the reference splices
+    `transpose(kets[j])` after `kets[i]`, so an entry missing a value names
+    the class the splice names first (loops before intervals, each in
+    `repr` order).  One ket per matching is transposed first, so that a
+    cross-object arc fails before any value is read.
     """
-    bras = [transpose(k) for k in kets]
+    flip = getattr(boundary, "flip", lambda e, g: g)
+    items = [_views(k, flip) for k in kets]
+    for k in dict(zip((shape for shape, _rd, _cd in items), kets)).values():
+        transpose(k)
     memo: dict = {}  # per strand kind and objects: (values, evaluate)
 
     def loop_values(base):
@@ -344,7 +348,8 @@ def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
             return alpha.interval(boundary.interval_class(end, key[-1], g))
         return memo.setdefault(("interval", start, end), ({}, evaluate))
 
-    def template(ket_wiring, bra_wiring):
+    def template(ket_wiring, col_wiring):  # a bra arc runs head to tail
+        bra_wiring = (tuple((h, t) for t, h in col_wiring[0]), col_wiring[1])
         intervals, loops = _strands(kets[0].target, ket_wiring, bra_wiring)
         return ([(itemgetter(*picks),) + interval_values(start, end)
                  for start, end, picks in intervals]
@@ -352,9 +357,9 @@ def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
                    for base, picks in loops])
 
     return _template_gram(
-        [(_wiring(k), _decorations(k)) for k in kets],
-        [(_wiring(b), _decorations(b)) for b in bras], template,
-        lambda i, j: evaluate_closed(compose(bras[j], kets[i]), alpha),
+        items, template,
+        lambda i, j: evaluate_closed(compose(transpose(kets[j]), kets[i]),
+                                     alpha),
         ("pairing", "splice"))
 
 
@@ -390,14 +395,10 @@ def restrict_state_space(ss: StateSpace, cat, boundary, cap_words: int
 
 def _join_irreducible_count(rows: list[tuple]) -> int:
     """Rows not recovered as the union of the strictly smaller distinct rows."""
-    count = 0
-    for r in rows:
-        below = [s for s in rows if s != r and all(a <= b for a, b in zip(s, r))]
-        join = tuple(max(vals) for vals in zip(*below)) if below else tuple(
-            0 for _ in r)
-        if join != r:
-            count += 1
-    return count
+    def join_below(r):
+        below = [s for s in rows if s != r and all(map(le, s, r))]
+        return tuple(map(max, zip(*below))) if below else (0,) * len(r)
+    return sum(join_below(r) != r for r in rows)
 
 
 def state_space_boolean(cat, obj, alpha: Evaluation, boundary=None,
@@ -603,9 +604,8 @@ def _cob2_gram_rows(spanning: list, alpha_seq: Sequence) -> list[list]:
                  + b, values, evaluate)
                 for positions, betti in _gluing(blocks1, blocks2)]
 
-    shapes = [(d.blocks, d.genus) for d in spanning]
     return _template_gram(
-        shapes, shapes, template,
+        [(d.blocks, d.genus, d.genus) for d in spanning], template,
         lambda i, j: glue_partition_diagrams(spanning[i], spanning[j],
                                              alpha_seq),
         ("gluing", "gluing"))

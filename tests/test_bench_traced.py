@@ -3,8 +3,9 @@
 That verdict fails when a span or counter the workload requires records
 nothing, when a report disagrees with its oracle or its golden bytes, or
 when the traced and untraced runs print different bytes; the name checks
-of `test_bench_bindings.py` see none of these.  The run works on a copy of
-`bench/` and `src/`, so its work files stay out of the checkout.
+of `test_bench_bindings.py` see none of these.  The statespaces run also
+bounds the bras its pairings build by twice its splices.  The run works on
+a copy of `bench/` and `src/`, so its work files stay out of the checkout.
 """
 
 import json
@@ -30,3 +31,9 @@ def test_traced_bench_run_is_correct(tmp_path, workload):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["correct"] is True, proc.stderr
+    if workload == "statespaces":
+        # each Gram of w matchings transposes at most once per template
+        # (w^2, as many as it splices) and once per matching (w)
+        calls = {name: report["metrics"][f"diagrams.{name}.calls"]["value"]
+                 for name in ("compose", "transpose")}
+        assert 0 < calls["transpose"] <= 2 * calls["compose"], calls

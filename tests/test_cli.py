@@ -670,6 +670,21 @@ OUT_OF_RANGE_JOBS = {
         "cob2-pseudo", {"alpha": [str(g) for g in range(1, 9)], "d": 1,
                         "cap_dots": -1},
         "cap_dots must be nonnegative, got -1"),
+    # the closures take d + 1 strands, and the memo keeps every key of up
+    # to d + 1 of them: without the bound on d each of these costs seconds
+    # (2.65 s at d = 3,000, 12.2 s at d = 40) or runs out of memory
+    "cob2-pseudo-float-d": (
+        "cob2-pseudo", {"alpha": ["1", "1"], "d": 1e17, "cap_dots": 0},
+        f"d = {int(1e17)} exceeds --max-degree 6"),
+    "cob2-pseudo-d-3000": (
+        "cob2-pseudo", {"alpha": ["1", "1"], "d": 3000, "cap_dots": 0},
+        "d = 3000 exceeds --max-degree 6"),
+    "cob2-pseudo-d-8": (
+        "cob2-pseudo", {"alpha": ["1"] * 83, "d": 8},
+        "d = 8 exceeds --max-degree 6"),
+    "cob2-pseudo-d-40": (
+        "cob2-pseudo", {"alpha": ["1"] * 43, "d": 40, "cap_dots": 1},
+        "d = 40 exceeds --max-degree 6"),
     "holonomy-dihedral-walks": (
         "holonomy", {"graph": {"n_vertices": 1, "edges": [
             [0, 0, DIHEDRAL[i % 4]] for i in range(20)]}},
@@ -1140,6 +1155,17 @@ def test_cob2_pseudo_finds_witness(tmp_path, capsys):
     assert code == 0
     assert out["ok"] is False
     assert out["witness"][0] in ("interval", "circle")
+
+
+def test_cob2_pseudo_above_the_default_degree_answers_on_request(
+        tmp_path, capsys):
+    doc = {"alpha": ["1"] * 20, "d": 7, "cap_dots": 1}
+    start = time.perf_counter()
+    code, out = run_json(tmp_path, capsys, "cob2-pseudo", doc,
+                         "--max-degree", "7")
+    assert time.perf_counter() - start < JOB_BUDGET_S
+    assert (code, out) == (0, {"command": "cob2-pseudo", "d": 7,
+                               "cap_dots": 1, "ok": True, "witness": None})
 
 
 def test_cob2_pseudo_finds_circle_witness(tmp_path, capsys):

@@ -185,10 +185,11 @@ def cob2_dim_docs(draw):
 
 @st.composite
 def cob2_pseudo_docs(draw):
-    """Degree and dot cap from -1 to 3, the cap sometimes left to its
-    default d + 1, on the surface values of a diagonal algebra with up to
-    four eigenvalues or on drawn values, from too few to enough for the
-    default cap at d = 3."""
+    """Degree and dot cap from -1 to 3 or junk, the cap sometimes left to
+    its default d + 1, on the surface values of a diagonal algebra with up
+    to four eigenvalues or on drawn values, from too few to enough for the
+    default cap at d = 3.  A large d exits 2 above `--max-degree`, and a
+    large cap needs more than the 20 values drawn."""
     if draw(st.booleans()):
         lams = draw(st.lists(
             st.fractions(-3, 3, max_denominator=2).filter(bool),
@@ -197,12 +198,10 @@ def cob2_pseudo_docs(draw):
             str(sum(lam ** (n - 1) for lam in lams)) for n in range(1, 20)]
     else:
         alpha = draw(st.lists(maybe_junk(scalar), max_size=20))
-    # d and cap_dots take no junk: a large integral float there costs
-    # time and memory that grow with d, and nothing bounds them yet
     doc = {"alpha": alpha[:draw(st.integers(0, 20))],
-           "d": draw(integers(-1, 3))}
+           "d": draw(maybe_junk(integers(-1, 3)))}
     if draw(st.booleans()):
-        doc["cap_dots"] = draw(integers(-1, 3))
+        doc["cap_dots"] = draw(maybe_junk(integers(-1, 3)))
     return draw(drop_a_key(doc))
 
 

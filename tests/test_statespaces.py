@@ -431,6 +431,19 @@ def test_cross_object_arcs_still_fail_to_transpose() -> None:
             build(cat, (("X", PLUS), ("Y", MINUS)), Evaluation())
 
 
+def test_a_later_cross_object_matching_still_fails_to_transpose() -> None:
+    # the first matching joins X to X and Y to Y, so its entry (0, 0) would
+    # miss a value; the second joins X to Y, and transposing still comes first
+    cat = _retract()
+    obj = (("X", PLUS), ("X", MINUS), ("Y", PLUS), ("Y", MINUS))
+    kets = enumerate_kets(cat, obj)
+    assert transpose(kets[0]).source == obj
+    for build in (state_space_field, state_space_boolean):
+        with pytest.raises(DomainError,
+                           match="^transpose needs same-object strands$"):
+            build(cat, obj, Evaluation())
+
+
 def test_kernel_is_checked_against_the_splice(monkeypatch) -> None:
     monkeypatch.setattr(statespaces, "evaluate_closed",
                         lambda d, alpha: evaluate_closed(d, alpha) + 1)
@@ -507,6 +520,25 @@ def test_pairing_splices_once_per_pair_of_matchings(monkeypatch) -> None:
     assert len(ss.spanning) == 72
     assert 0 < len(spliced) <= matchings ** 2
     assert all(isinstance(x, Fraction) for row in ss.gram.entries for x in row)
+
+
+def test_pairing_transposes_per_matching_not_per_ket(monkeypatch) -> None:
+    # one bra per template reference, and one ket per matching checked
+    # up front; each ket is otherwise read as its own bra
+    transposed = []
+
+    def counting_transpose(d):
+        transposed.append(1)
+        return transpose(d)
+
+    monkeypatch.setattr(statespaces, "transpose", counting_transpose)
+    cat = MonoidCategory(symmetric_group(3))
+    alpha = evaluation_from_monoid(cat, [2, 0, 0, -1, -1, 0])
+    ss = state_space_field(cat, FOUR, alpha)
+    matchings = 2
+    assert len(ss.spanning) == 72
+    assert 0 < len(transposed) <= matchings ** 2 + matchings
+    assert ss.gram == Matrix(_spliced_gram(ss.spanning, alpha))
 
 
 # --- Boolean state spaces --------------------------------------------------------
