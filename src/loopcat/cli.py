@@ -113,7 +113,7 @@ def _run_statespace(doc: dict, args) -> dict:
     _check_kets(cat, obj, boundary, args.cap_words)
     ss = state_space_field(cat, obj, alpha, boundary, args.cap_words)
     stabilized = args.cap_words >= 1 and restrict_state_space(
-        ss, cat, boundary, args.cap_words - 1).dimension == ss.dimension
+        ss, cat, args.cap_words - 1).dimension == ss.dimension
     out = {
         "command": "statespace",
         "object": [[o, s] for o, s in obj],

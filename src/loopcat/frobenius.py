@@ -546,6 +546,17 @@ def pih_solve(blocks, alpha1=None) -> ConfluentSystem:
 # dotted strands
 
 
+# Most closures a `cob2-pseudo` scan may evaluate: (cap + 1) C(cap + d, d)
+# interval tuples and one circle tuple.  The sequence needs only (d + 1) cap
+# + 2 values, so without it 114 ones at d = 6, cap 16 took 8.7 s.  The
+# slowest job measured at the bound (d = 6, cap 7, the surface values of
+# eigenvalues 5/3, -7/2, 9/4, -2/3, 3/5, 4/7) takes 0.9 s in one CLI
+# process on a 2-vCPU Xeon.  Like COB2_MAX_SPANNING, it counts closures,
+# not the size of the values, which sets the cost of each; `--max-degree`
+# bounds the strands per closure.
+COB2_PSEUDO_MAX_CLOSURES = 25_000
+
+
 @dataclass(frozen=True)
 class Cob2PseudoReport:
     d: int
@@ -578,7 +589,8 @@ def cob2_pseudochar_check(alpha_seq, d: int, cap_dots=None) -> Cob2PseudoReport:
     recursion (`_dotted_strands`), where an open strand with h dots is the
     strand with h - 1.  So each circle tuple with an entry k < cap has
     the value of an interval tuple (k + 1, rest) scanned before it, and
-    only the all-cap circle tuple is left to decide.
+    only the all-cap circle tuple is left to decide.  A scan of more than
+    COB2_PSEUDO_MAX_CLOSURES closures is a ValueError before it starts.
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
@@ -589,12 +601,16 @@ def cob2_pseudochar_check(alpha_seq, d: int, cap_dots=None) -> Cob2PseudoReport:
     need = (d + 1) * cap + 2
     if len(seq) < need:
         raise SequenceTooShort(f"need alpha_0..alpha_{need - 1}")
+    if (cap + 1) * comb(cap + d, d) + 1 > COB2_PSEUDO_MAX_CLOSURES:
+        raise ValueError(f"d = {d} at cap_dots {cap} has more than "
+                         f"{COB2_PSEUDO_MAX_CLOSURES} closures")
     strands = _dotted_strands(seq)
-    dot_ids = [strands.intern(k) for k in range(cap + 1)]
+    dots = tuple(range(cap + 1))  # a range would be copied once per head
+    dot_ids = [strands.intern(k) for k in dots]
 
-    for head in range(cap + 1):
+    for head in dots:
         opened = strands.intern(head - 1)
-        for rest in combinations_with_replacement(range(cap + 1), d):
+        for rest in combinations_with_replacement(dots, d):
             if strands.antisym([opened] + [dot_ids[k] for k in rest]) != 0:
                 return Cob2PseudoReport(d, cap, False,
                                         ("interval", (head,) + rest))

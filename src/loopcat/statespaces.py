@@ -4,8 +4,8 @@ An evaluation assigns scalars to canonical loops and interval classes; it
 extends multiplicatively to closed diagrams.  The state space at an object
 is spanned by the open diagrams from the unit into it (kets); the pairing
 closes one ket against the reflection (bra) of another and evaluates.  Over
-the rationals the dimension is the Gram rank, taken once per spanning set:
-a smaller cap whose kets are the same ones reuses it.  Over the Boolean
+the rationals the dimension is the Gram rank; a smaller cap's kets and
+sub-Gram are filtered from the larger cap's, in order.  Over the Boolean
 semiring the states are the distinct rows (residual languages), with the
 join-irreducible rows counted separately.
 
@@ -28,7 +28,7 @@ generic gluing is their reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import count, product as iproduct
 from math import comb, factorial
@@ -102,19 +102,12 @@ def evaluate_closed(d: BrauerMorphism, alpha: Evaluation):
 # spanning sets
 
 
-def _labels_for(cat, x, y, cap_words: int):
-    words = getattr(cat, "words_up_to", None)
-    if words is not None:
-        return words(cap_words)
-    return cat.hom(x, y)
-
-
-def _boundary_elements(cat, boundary, x, side: str, cap_words: int):
-    words = getattr(cat, "words_up_to", None)
-    if words is not None:
-        return words(cap_words)
-    sets = boundary.gr_sets if side == "gr" else boundary.gl_sets
-    return list(sets[x])
+def _cap_labels(cat, cap_words: int) -> list | None:
+    """A free monoid labels every arc and every end with its words up to
+    `cap_words`, in shortlex order; no other category's labels depend on
+    the cap (None): its hom sets and its boundary's element sets."""
+    words_up_to = getattr(cat, "words_up_to", None)
+    return None if words_up_to is None else words_up_to(cap_words)
 
 
 def enumerate_kets(cat, obj, boundary=None, cap_words: int = 4
@@ -151,27 +144,23 @@ def enumerate_kets(cat, obj, boundary=None, cap_words: int = 4
 
     backtrack(list(range(n)), [])
 
+    words = _cap_labels(cat, cap_words)
+
+    def slot(item):
+        if words is not None:
+            return words
+        if item[0] == "arc":
+            return cat.hom(obj[item[1]][0], obj[item[2]][0])
+        sets = boundary.gr_sets if effs[item[1]] == 1 else boundary.gl_sets
+        return sets[obj[item[1]][0]]
+
     kets = []
     for matching in matchings:
-        slots = []
-        for item in matching:
-            if item[0] == "arc":
-                _, t, h = item
-                slots.append(_labels_for(cat, obj[t][0], obj[h][0], cap_words))
-            else:
-                _, e = item
-                side = "gr" if effs[e] == 1 else "gl"
-                slots.append(_boundary_elements(cat, boundary, obj[e][0],
-                                                side, cap_words))
-        for choice in iproduct(*slots):
-            arcs, halves = [], []
-            for item, lab in zip(matching, choice):
-                if item[0] == "arc":
-                    arcs.append((item[1], item[2], lab))
-                else:
-                    halves.append((item[1], lab))
-            kets.append(BrauerMorphism(cat, (), obj, arcs, halves,
-                                       boundary=boundary))
+        for choice in iproduct(*map(slot, matching)):
+            labeled = [(*item, lab) for item, lab in zip(matching, choice)]
+            kets.append(BrauerMorphism(
+                cat, (), obj, [x[1:] for x in labeled if x[0] == "arc"],
+                [x[1:] for x in labeled if x[0] == "half"], boundary=boundary))
     return kets
 
 
@@ -370,27 +359,36 @@ def state_space_field(cat, obj, alpha: Evaluation, boundary=None,
     return StateSpace(tuple(obj), kets, gram, rank(gram), cap_words)
 
 
-def _sub_gram(gram: Matrix, spanning: Sequence, sub: Sequence) -> Matrix:
-    """The principal sub-Gram on `sub`, a subset of `spanning`, in its order."""
-    index = {x: i for i, x in enumerate(spanning)}
-    if not all(x in index for x in sub):
-        raise SpanningMismatch("a diagram is missing from the larger spanning set")
-    idx = [index[x] for x in sub]
-    return Matrix.from_ints([[gram.ints[i][j] for j in idx] for i in idx],
+def _sub_gram(gram: Matrix, keep: Sequence[int]) -> Matrix:
+    """The principal sub-Gram on the indices `keep`, in their order."""
+    return Matrix.from_ints([[gram.ints[i][j] for j in keep] for i in keep],
                             gram.den)
 
 
-def restrict_state_space(ss: StateSpace, cat, boundary, cap_words: int
-                         ) -> StateSpace:
-    """The state space at a smaller cap_words, read off `ss.gram`: its kets
-    are among those of `ss`, so no diagram is paired again.  When they are
-    all of them, as for a category whose labels do not depend on the cap,
-    it is `ss` itself and is not ranked again."""
-    kets = enumerate_kets(cat, ss.object, boundary, cap_words)
-    if kets == ss.spanning:
-        return StateSpace(ss.object, kets, ss.gram, ss.dimension, cap_words)
-    gram = _sub_gram(ss.gram, ss.spanning, kets)
-    return StateSpace(ss.object, kets, gram, rank(gram), cap_words)
+def restrict_state_space(ss: StateSpace, cat, cap_words: int) -> StateSpace:
+    """The state space at a smaller cap_words, read off `ss.gram`: no
+    diagram is enumerated or paired again.  Its kets are those of `ss`
+    whose labels are all words up to the cap, in their order, which is the
+    order of a fresh `enumerate_kets`: the shortlex words up to c are a
+    prefix of those up to C >= c (at c < 0, the empty word alone), the
+    matchings do not depend on the cap, and `iproduct` runs in the
+    lexicographic order of its slots' indices.  A larger cap needs kets
+    `ss` lacks.  When the kets are all of them, as for a category whose
+    labels do not depend on the cap, it is `ss` itself, not ranked again."""
+    words = _cap_labels(cat, cap_words)
+    if words is None:
+        return replace(ss, cap_words=cap_words)
+    if cap_words > ss.cap_words:
+        raise SpanningMismatch(
+            "a diagram is missing from the larger spanning set")
+    words = set(words)
+    keep = [i for i, k in enumerate(ss.spanning) if words.issuperset(
+        lab for *_, lab in k.arcs + k.half_intervals)]
+    if len(keep) == len(ss.spanning):
+        return replace(ss, cap_words=cap_words)
+    gram = _sub_gram(ss.gram, keep)
+    return StateSpace(ss.object, [ss.spanning[i] for i in keep], gram,
+                      rank(gram), cap_words)
 
 
 def _join_irreducible_count(rows: list[tuple]) -> int:
@@ -669,5 +667,6 @@ def cob2_state_space(m: int, alpha_seq: Sequence, genus_cap: int
     if genus_cap < 1:
         return dim, False
     # the diagrams below the cap are among these: compare a principal sub-Gram
-    below = [d for d in spanning if max(d.genus, default=0) < genus_cap]
-    return dim, dim == rank(_sub_gram(gram, spanning, below))
+    below = [i for i, d in enumerate(spanning)
+             if max(d.genus, default=0) < genus_cap]
+    return dim, dim == rank(_sub_gram(gram, below))

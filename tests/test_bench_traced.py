@@ -4,7 +4,8 @@ That verdict fails when a span or counter the workload requires records
 nothing, when a report disagrees with its oracle or its golden bytes, or
 when the traced and untraced runs print different bytes; the name checks
 of `test_bench_bindings.py` see none of these.  The statespaces run also
-bounds the bras its pairings build by twice its splices.  The run works on
+bounds the bras its pairings build by twice its splices, and its ket
+enumerations by twice its state spaces.  The run works on
 a copy of `bench/` and `src/`, so its work files stay out of the checkout.
 """
 
@@ -37,3 +38,9 @@ def test_traced_bench_run_is_correct(tmp_path, workload):
         calls = {name: report["metrics"][f"diagrams.{name}.calls"]["value"]
                  for name in ("compose", "transpose")}
         assert 0 < calls["transpose"] <= 2 * calls["compose"], calls
+        # each statespace job enumerates its kets once, restriction to
+        # cap - 1 filters them, and the 10 boolean-statespace jobs
+        # enumerate once each: twice per job would mean enumerating again
+        kets = {name: report["metrics"][f"statespaces.{name}.calls"]["value"]
+                for name in ("enumerate_kets", "state_space_field")}
+        assert kets["enumerate_kets"] < 2 * kets["state_space_field"], kets

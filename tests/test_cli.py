@@ -123,6 +123,31 @@ def test_statespace_free_monoid_not_yet_stabilized(tmp_path, capsys):
     assert ranks == {1: (2, False), 2: (3, False), 3: (3, True)}
 
 
+def test_statespace_enumerates_its_kets_once(tmp_path, capsys, monkeypatch):
+    """The stabilization check reads the kets at cap - 1 off the kets
+    already paired at the cap, so a job enumerates once: for a free monoid
+    with and without a boundary, whose smaller set is smaller, and for a
+    monoid, whose set is the same."""
+    calls = []
+    enumerate_kets = statespaces.enumerate_kets
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_kets(*args)
+
+    monkeypatch.setattr(statespaces, "enumerate_kets", counted)
+    words = ["", "a", "b", "aa", "ab", "ba", "bb"]
+    free = {"free_monoid": {"letters": "ab"},
+            "loops": {w: str(len(w) - w.count("b")) for w in words}}
+    for doc in (free, dict(free, intervals={w: str(len(w)) for w in words},
+                           object=[[0, 1]]),
+                dict(Z2_MONOID, alpha=["2", "0"])):
+        calls.clear()
+        code, out = run_json(tmp_path, capsys, "statespace", doc,
+                             "--cap-words", "1")
+        assert (code, len(calls)) == (0, 1), out
+
+
 def test_statespace_missing_loop_value_is_domain_error(tmp_path, capsys):
     doc = {"free_monoid": {"letters": "a"}, "loops": {"": "1"}}
     code, out = run_json(tmp_path, capsys, "statespace", doc)
@@ -685,6 +710,15 @@ OUT_OF_RANGE_JOBS = {
     "cob2-pseudo-d-40": (
         "cob2-pseudo", {"alpha": ["1"] * 43, "d": 40, "cap_dots": 1},
         "d = 40 exceeds --max-degree 6"),
+    # the dot cap is bounded only by the sequence, which must hold (d + 1)
+    # cap + 2 values: these took 1.9 s (d = 6, cap 12), 8.7 s (d = 6,
+    # cap 16), 0.7 s (d = 3, cap 30), 11.6 s (d = 3, cap 60) and 2.6 s
+    # (d = 2, cap 100) without the bound on the closures they scan
+    **{f"cob2-pseudo-d-{d}-cap-{cap}": (
+        "cob2-pseudo", {"alpha": ["1"] * ((d + 1) * cap + 2), "d": d,
+                        "cap_dots": cap},
+        f"d = {d} at cap_dots {cap} has more than 25000 closures")
+       for d, cap in ((6, 12), (6, 16), (3, 30), (3, 60), (2, 100))},
     "holonomy-dihedral-walks": (
         "holonomy", {"graph": {"n_vertices": 1, "edges": [
             [0, 0, DIHEDRAL[i % 4]] for i in range(20)]}},
@@ -1166,6 +1200,37 @@ def test_cob2_pseudo_above_the_default_degree_answers_on_request(
     assert time.perf_counter() - start < JOB_BUDGET_S
     assert (code, out) == (0, {"command": "cob2-pseudo", "d": 7,
                                "cap_dots": 1, "ok": True, "witness": None})
+
+
+def _surface_values(eigenvalues, n) -> list[str]:
+    """alpha_0..alpha_(n-1) of the diagonal algebra with these
+    eigenvalues of the handle: sum 1/lam, then sum lam^(k - 1)."""
+    lams = [Fraction(x) for x in eigenvalues]
+    return [str(sum(1 / lam for lam in lams))] + [
+        str(sum(lam ** (k - 1) for lam in lams)) for k in range(1, n)]
+
+
+@pytest.mark.parametrize("d, cap, alpha", [
+    # the slowest job measured at the bound: six fractional eigenvalues
+    (6, 7, _surface_values(["5/3", "-7/2", "9/4", "-2/3", "3/5", "4/7"], 58)),
+    # (cap + 1) + 1 = 25000 closures, exactly the bound
+    (0, 24998, ["0"] * 25000)])
+def test_cob2_pseudo_at_the_closure_bound_answers(tmp_path, capsys, d, cap,
+                                                  alpha):
+    assert ((cap + 1) * comb(cap + d, d) + 1
+            <= frobenius.COB2_PSEUDO_MAX_CLOSURES)
+    doc = {"alpha": alpha, "d": d, "cap_dots": cap}
+    start = time.perf_counter()
+    code, out = run_json(tmp_path, capsys, "cob2-pseudo", doc)
+    assert time.perf_counter() - start < JOB_BUDGET_S
+    assert (code, out) == (0, {"command": "cob2-pseudo", "d": d,
+                               "cap_dots": cap, "ok": True, "witness": None})
+    doc["cap_dots"] = cap + 1
+    doc["alpha"] = alpha + alpha[-1:] * (d + 1)
+    assert run_json(tmp_path, capsys, "cob2-pseudo", doc) == (2, {
+        "error": "ValueError",
+        "message": f"d = {d} at cap_dots {cap + 1} has more than 25000 "
+                   "closures"})
 
 
 def test_cob2_pseudo_finds_circle_witness(tmp_path, capsys):

@@ -397,7 +397,7 @@ def built_matrices(draw):
         return a.scale(draw(rationals))
     if route == "sub-Gram":
         sub = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
-        return _sub_gram(Matrix(draw(_rows(n, n))), range(n), sub)
+        return _sub_gram(Matrix(draw(_rows(n, n))), sub)
     if route == "algebra":
         fa = draw(truncated_products())
         return draw(st.sampled_from([fa.gram(), handle_element(fa).matrix]))

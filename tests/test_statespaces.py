@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import loopcat
@@ -156,7 +156,7 @@ def test_restricted_state_space_equals_a_fresh_one(obj, cap, with_boundary):
     ss = state_space_field(fm, obj, alpha, boundary, cap)
     fresh = state_space_field(fm, obj, alpha, boundary, cap - 1)
     assert len(fresh.spanning) < len(ss.spanning)
-    assert restrict_state_space(ss, fm, boundary, cap - 1) == fresh
+    assert restrict_state_space(ss, fm, cap - 1) == fresh
 
 
 def test_restricted_monoid_state_space_is_the_whole_one() -> None:
@@ -165,7 +165,7 @@ def test_restricted_monoid_state_space_is_the_whole_one() -> None:
     ss = state_space_field(cat, FOUR, alpha, cap_words=2)
     fresh = state_space_field(cat, FOUR, alpha, cap_words=1)
     assert fresh.spanning == ss.spanning
-    assert restrict_state_space(ss, cat, None, 1) == fresh
+    assert restrict_state_space(ss, cat, 1) == fresh
 
 
 def test_restriction_needs_a_subset_of_the_kets() -> None:
@@ -173,7 +173,69 @@ def test_restriction_needs_a_subset_of_the_kets() -> None:
     alpha = _word_evaluation(fm, FreeBoundary(fm), 4)
     ss = state_space_field(fm, TWO, alpha, cap_words=1)
     with pytest.raises(SpanningMismatch):
-        restrict_state_space(ss, fm, None, 2)
+        restrict_state_space(ss, fm, 2)
+
+
+@pytest.mark.parametrize("alphabet", ["a", "ab", "abc"])
+def test_shortlex_words_up_to_a_smaller_cap_are_a_prefix(alphabet) -> None:
+    """The order `restrict_state_space` keeps rests on this prefix, at a
+    negative cap too, which gives the empty word alone."""
+    fm = FreeMonoidCategory(alphabet)
+    for big in range(4):
+        words = fm.words_up_to(big)
+        for cap in range(-2, big + 1):
+            small = fm.words_up_to(cap)
+            assert small == words[:len(small)]
+    assert fm.words_up_to(-1) == [()]
+
+
+@given(st.sampled_from(["a", "ab"]),
+       st.lists(st.sampled_from([PLUS, MINUS]), max_size=4),
+       st.integers(0, 3), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_restriction_equals_a_fresh_state_space_and_never_enumerates(
+        alphabet, signs, cap, with_boundary) -> None:
+    fm = FreeMonoidCategory(alphabet)
+    fb = FreeBoundary(fm)
+    labels = len(fm.words_up_to(cap))
+    p = signs.count(PLUS)
+    assume(ket_count(p, len(signs) - p, labels,
+                     labels if with_boundary else 0) <= MAX_KETS)
+    obj = tuple((X, s) for s in signs)
+    boundary = fb if with_boundary else None
+    alpha = _word_evaluation(fm, fb, (len(obj) + 1) * cap)
+    ss = state_space_field(fm, obj, alpha, boundary, cap)
+    fresh = {c: state_space_field(fm, obj, alpha, boundary, c)
+             for c in range(-1, cap + 1)}
+
+    def unreachable(*args):
+        raise AssertionError("enumerated the kets again")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statespaces, "enumerate_kets", unreachable)
+        for c, want in fresh.items():
+            assert restrict_state_space(ss, fm, c) == want, c
+
+
+def test_restriction_on_a_table_category_keeps_the_gram() -> None:
+    """Labels of a table category do not depend on the cap: restriction
+    returns the same Gram, neither enumerated nor ranked again."""
+    cat = _retract()
+    alpha = Evaluation({cat.loop_class("X", ["1X"]): Fraction(3),
+                        cat.loop_class("Y", ["1Y"]): Fraction(-2)})
+    obj = (("Y", PLUS), ("Y", MINUS), ("Y", MINUS), ("Y", PLUS))
+    ss = state_space_field(cat, obj, alpha, cap_words=2)
+    fresh = state_space_field(cat, obj, alpha, cap_words=1)
+
+    def unreachable(*args):
+        raise AssertionError("enumerated or ranked again")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statespaces, "enumerate_kets", unreachable)
+        mp.setattr(statespaces, "rank", unreachable)
+        restricted = restrict_state_space(ss, cat, 1)
+    assert restricted == fresh
+    assert restricted.gram is ss.gram
 
 
 def test_input_checks_survive_optimized_mode() -> None:
