@@ -46,6 +46,8 @@ def _object_from(doc: dict, default) -> tuple:
     out = []
     for entry in raw:
         obj, sign = entry
+        if isinstance(obj, bool):  # no category here has one as an object
+            raise ValueError(f"unknown object {obj!r}")
         if isinstance(sign, bool) or sign not in (1, -1):
             raise ValueError(f"sign must be 1 or -1, got {sign!r}")
         out.append((obj, sign))
@@ -229,10 +231,10 @@ def _run_pseudochar_lift(doc: dict, args) -> dict:
 
 def _run_holonomy(doc: dict, args) -> dict:
     body = doc["graph"]
-    gh = GraphHolonomy(body["n_vertices"],
-                       [(src, tgt, Matrix(rows))
+    gh = GraphHolonomy(exact_int(body["n_vertices"]),
+                       [(exact_int(src), exact_int(tgt), Matrix(rows))
                         for src, tgt, rows in body["edges"]])
-    base = doc.get("base", 0)
+    base = exact_int(doc.get("base", 0))
     rep = graph_pseudoholonomy(gh, args.cap_words, base)
     return {
         "command": "holonomy",

@@ -18,31 +18,39 @@ conjugacy, gh ~ hg, and a chain's class is read off the Cayley table, one
 `Loop` per element.  Free-monoid loops are cyclic words, canonicalized to
 the lexicographically least rotation, which each category computes once
 per concatenated word.
+
+`Loop` and `IntervalClass` are named tuples: every value an evaluation
+table holds, and every strand of a Gram entry, is looked up by one, so
+their hashing and equality run in C, and building one builds one tuple.
+Like any tuple they equal the plain tuple of their fields; no table
+mixes the two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 from .errors import DomainError
+from .linalg import exact_int
 
 
 class NotComposable(DomainError):
     """Source/target mismatch in a composition."""
 
 
-@dataclass(frozen=True)
-class Loop:
-    """Canonical closed chain: base object plus canonical cycle of morphism ids."""
+class Loop(NamedTuple):
+    """Canonical closed chain: base object plus canonical cycle of morphism
+    ids.  A named tuple, so hashing and equality run in C; it equals the
+    plain tuple of its fields, which no evaluation table mixes with it."""
 
     base: Hashable
     cycle: tuple
 
 
-@dataclass(frozen=True)
-class IntervalClass:
-    """Canonical (object, left element, right element) of a floating interval."""
+class IntervalClass(NamedTuple):
+    """Canonical (object, left element, right element) of a floating
+    interval.  A named tuple like `Loop`, and never equal to one: a loop
+    has two fields, an interval class three."""
 
     base: Hashable
     gl: Hashable
@@ -102,7 +110,8 @@ class FiniteMonoid:
         self.size = len(self.table)
         self.identity = identity
         n = self.size
-        if not all(len(r) == n and all(0 <= x < n for x in r) for r in self.table):
+        if not all(len(r) == n and all(type(x) is int and 0 <= x < n
+                                       for x in r) for r in self.table):
             raise ValueError("malformed composition table")
         if not (0 <= identity < n):
             raise ValueError("identity index out of range")
@@ -458,8 +467,8 @@ def symmetric_group(n: int) -> FiniteMonoid:
 
 def monoid_from_json(doc: dict) -> FiniteMonoid:
     body = doc["monoid"]
-    m = FiniteMonoid(body["table"], body["identity"])
-    if m.size != body["size"]:
+    m = FiniteMonoid(body["table"], exact_int(body["identity"]))
+    if m.size != exact_int(body["size"]):
         raise ValueError("declared size does not match table")
     return m
 

@@ -77,8 +77,10 @@ def exact_int(x) -> int:
 
 
 def _integral(x: Fraction) -> Fraction | int:
-    """An integral value as an int, any other unchanged.  Private: it runs
-    once per entry, interned trace or trace-recursion leaf (`pseudochar`),
+    """An integral value as an int, any other unchanged, so that products
+    of integral values stay ints and a Gram of them reaches `Matrix` as
+    ints.  Private: it runs once per memoized strand value
+    (`statespaces`), interned trace or trace-recursion leaf (`pseudochar`),
     too small a step to be a traced span."""
     return x.numerator if x.denominator == 1 else x
 

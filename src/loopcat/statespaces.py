@@ -170,7 +170,7 @@ def enumerate_kets(cat, obj, boundary=None, cap_words: int = 4
 # the Gram takes kets^2 entries and its rank about kets^3 steps.  A job
 # at this bound with small values (one letter, object [+, -] at
 # --cap-words 99, random loop values in -9..9, a full-rank 100 x 100 Gram)
-# takes 0.9 s in process on a 2 GHz Xeon vCPU; the benchmark's largest job
+# takes 0.4-0.7 s in process on a 2 GHz Xeon vCPU; the benchmark's largest job
 # has 98 kets.  Like COB2_MAX_SPANNING, it counts kets, not the size of the
 # values, which set the cost of each rank step (ROADMAP item 3).
 MAX_KETS = 100
@@ -615,7 +615,7 @@ def _cob2_gram_rows(spanning: list, alpha_seq: Sequence) -> list[list]:
 # amount of time; m = 3 at genus cap 4 (205 diagrams) is over.  It counts
 # diagrams, not entry size, which the surface values set: a 9.4 KB job at
 # m = 1, genus cap 89 (90 diagrams, Gram entries of about 300 bits) takes
-# 14 s in process on a 2 GHz Xeon vCPU.  A faster rank is ROADMAP item 3.
+# 14-18 s in process on a 2 GHz Xeon vCPU.  A faster rank is ROADMAP item 3.
 COB2_MAX_SPANNING = 100
 
 

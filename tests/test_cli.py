@@ -155,6 +155,19 @@ def test_statespace_missing_loop_value_is_domain_error(tmp_path, capsys):
     assert out["error"] == "MissingValue"
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"free_monoid": {"letters": "a"}, "loops": {"": "1"}},
+     "no value for loop Loop(base=0, cycle=(0,))"),
+    ({"free_monoid": {"letters": "ab"}, "intervals": {"": "1", "a": "2"},
+      "object": [[0, 1]]},
+     "no value for interval IntervalClass(base=0, gl=(), gr=(1,))")])
+def test_statespace_missing_value_names_its_class(tmp_path, capsys, doc,
+                                                  message):
+    assert run_cli(tmp_path, capsys, "statespace", doc, "--format", "json",
+                   "--cap-words", "1") == (
+        1, json.dumps({"error": "MissingValue", "message": message}) + "\n")
+
+
 def test_statespace_conflicting_loop_keys_rejected(tmp_path, capsys):
     # ab and ba name the same loop class; disagreeing values are malformed
     doc = {"free_monoid": {"letters": "ab"},
@@ -501,8 +514,43 @@ BOOLEAN_JOBS = {
     "statespace-sign": (
         "statespace", dict(S3_STANDARD, object=[[0, True], [0, -1]]),
         "sign must be 1 or -1, got True"),
+    "statespace-object": (
+        "statespace", dict(S3_STANDARD, object=[[False, 1], [False, -1]]),
+        "unknown object False"),
+    "boolean-statespace-object": (
+        "boolean-statespace", {"alphabet": "ab", "accepted": ["a"],
+                               "object": [[False, 1]]},
+        "unknown object False"),
     "cob2-pseudo-d": (
         "cob2-pseudo", {"alpha": ["1"] * 12, "d": True},
+        "not an integer: True"),
+    "pseudochar-degree-table": (
+        "pseudochar-degree", {"monoid": {"table": [[0, True], [True, 0]],
+                                         "identity": 0, "size": 2},
+                              **Z2_REGULAR},
+        "malformed composition table"),
+    # Z2 with element 1 as its identity
+    "pseudochar-degree-identity": (
+        "pseudochar-degree", {"monoid": {"table": [[1, 0], [0, 1]],
+                                         "identity": True, "size": 2},
+                              "pseudocharacter": {"classes": [[0], [1]],
+                                                  "values": ["0", "2"]}},
+        "not an integer: True"),
+    "statespace-size": (
+        "statespace", {"monoid": {"table": [[0]], "identity": 0,
+                                  "size": True}, "alpha": ["1"]},
+        "not an integer: True"),
+    "holonomy-base": (
+        "holonomy", {"graph": {"n_vertices": 2, "edges": [[1, 1, [["1"]]]]},
+                     "base": True},
+        "not an integer: True"),
+    "holonomy-endpoint": (
+        "holonomy", {"graph": {"n_vertices": 2,
+                               "edges": [[0, True, [["1"]]]]}},
+        "not an integer: True"),
+    "holonomy-n-vertices": (
+        "holonomy", {"graph": {"n_vertices": True,
+                               "edges": [[0, 0, [["1"]]]]}},
         "not an integer: True"),
 }
 

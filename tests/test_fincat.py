@@ -15,6 +15,7 @@ from loopcat.fincat import (
     FiniteMonoid,
     FreeBoundary,
     FreeMonoidCategory,
+    IntervalClass,
     Loop,
     MonoidCategory,
     NotComposable,
@@ -162,6 +163,32 @@ def test_identity_loop() -> None:
     lp = cat.loop_class("X", ["idX"])
     assert lp == cat.loop_class("X", [])
     assert isinstance(lp, Loop)
+
+
+def test_loop_and_interval_class_reprs() -> None:
+    # MissingValue messages quote these texts
+    assert repr(Loop(base=0, cycle=())) == "Loop(base=0, cycle=())"
+    assert repr(Loop("X", ("b", "c"))) == "Loop(base='X', cycle=('b', 'c'))"
+    assert repr(IntervalClass(0, (), (1,))) == \
+        "IntervalClass(base=0, gl=(), gr=(1,))"
+
+
+hashables = st.one_of(st.integers(-2, 2), st.text("xy", max_size=2),
+                      st.tuples(st.integers(0, 2)))
+
+
+@given(st.tuples(hashables, st.tuples(*[st.integers(0, 3)] * 2)),
+       st.tuples(hashables, st.tuples(*[st.integers(0, 3)] * 2)),
+       st.tuples(hashables, hashables, hashables),
+       st.tuples(hashables, hashables, hashables))
+def test_loop_and_interval_class_equality_is_by_fields(l1, l2, i1, i2) -> None:
+    for cls, a, b in ((Loop, l1, l2), (IntervalClass, i1, i2)):
+        assert cls(*a) == cls(*a) and hash(cls(*a)) == hash(cls(*a))
+        assert (cls(*a) == cls(*b)) == (a == b)
+        assert {cls(*a): 1}.get(cls(*b)) == (1 if a == b else None)
+    assert Loop(*l1) != IntervalClass(*i1)
+    assert Loop(0, ()) != IntervalClass(0, (), ())
+    assert len({Loop(0, ()), IntervalClass(0, (), ())}) == 2
 
 
 @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=8),

@@ -567,6 +567,45 @@ def test_gram_on_drawn_word_tables_is_the_splices(obj, with_boundary,
         state_space_field(fm, obj, alpha, boundary, cap), alpha)
 
 
+# strand values all integral, all non-integral, or drawn from both
+value_kinds = {"int": st.integers(-3, 3),
+               "fraction": st.fractions(-3, 3, max_denominator=4).filter(
+                   lambda x: x.denominator > 1),
+               "mixed": drawn_values}
+
+
+@given(st.sampled_from(sorted(value_kinds)), st.booleans(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_template_gram_rows_are_the_references(kind, cob2,
+                                                 data) -> None:
+    values = value_kinds[kind]
+    if cob2:
+        m, cap = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 2))
+        spanning = cob2_spanning(m, cap)
+        seq = data.draw(st.lists(values, min_size=2 * m * cap + m + 1,
+                                 max_size=2 * m * cap + m + 1))
+        expected = _glued_gram(spanning, seq)
+        rows = statespaces._cob2_gram_rows(spanning, seq)
+    else:
+        cat = MonoidCategory(data.draw(st.sampled_from(
+            [symmetric_group(3), cyclic_group(4)])))
+        classes = [cat.loop_class(0, [g]) for g in range(cat.monoid.size)]
+        value = {c: data.draw(values)
+                 for c in sorted(set(classes), key=repr)}
+        alpha = evaluation_from_monoid(cat, [value[c] for c in classes])
+        kets = enumerate_kets(cat, data.draw(st.sampled_from(
+            [TWO] + FOUR_ORDERS)))
+        expected = _spliced_gram(kets, alpha)
+        rows = statespaces._pairing(cat, kets, alpha, None)
+    assert rows == expected
+    if kind == "int":  # int strand values give int entries, held as ints
+        assert all(type(x) is int for row in rows for x in row)
+    gram = Matrix(rows)
+    assert gram == Matrix(expected)
+    assert (gram.den == 1) == all(x.denominator == 1
+                                  for row in expected for x in row)
+
+
 def test_pairing_splices_once_per_pair_of_matchings(monkeypatch) -> None:
     spliced = []
 
