@@ -13,18 +13,18 @@ at a time and coordinates on it) runs one fraction-free kernel (Bareiss
 is zero; solutions are read off its pivot rows by one integer
 back-substitution, exact by Cramer's rule.  Characteristic polynomials
 come from Berkowitz's division-free recurrence on the int rows.  Every
-polynomial division, the gcds and the Sturm chains that isolate rational
-roots among them, runs one integer pseudo-division on the ints.  Shape
-checks at the entry points raise ValueError, so they hold under
-`python -O` too.
+polynomial division, the gcds among them, runs one integer
+pseudo-division on the ints; rational roots are lifted from the roots
+mod one prime and checked exactly.  Shape checks at the entry points
+raise ValueError, so they hold under `python -O` too.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import zip_longest
-from math import gcd, lcm
+from itertools import count, zip_longest
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -178,13 +178,18 @@ class Polynomial:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """The monic gcd, by the primitive pseudo-remainder sequence on the
-    ints.  Each remainder is a rational multiple of Euclid's over Q, so the
-    last nonzero one is the gcd up to a rational factor."""
-    f, g = _primitive(a.ints), _primitive(b.ints)
+    """The monic gcd (`_gcd_ints` of the ints)."""
+    f = _gcd_ints(a.ints, b.ints)
+    return Polynomial(f, f[-1] if f else 1)
+
+
+def _gcd_ints(f: list[int], g: list[int]) -> list[int]:
+    """A primitive gcd of int polynomials by the primitive pseudo-remainder
+    sequence: each remainder is a rational multiple of Euclid's over Q."""
+    f, g = _primitive(f), _primitive(g)
     while g:
         f, g = g, _primitive(_pseudo_divmod(f, g)[1])
-    return Polynomial(f, f[-1] if f else 1)
+    return f
 
 
 def format_poly(p: Polynomial, var: str = "T") -> str:
@@ -577,47 +582,63 @@ def partial_fractions(rf: RationalFunction):
 
 
 def _rational_roots(p: Polynomial) -> list[Fraction]:
-    """Every distinct rational root of p, exactly.
-
-    p is scaled to a primitive integer polynomial P with lead N.  Its
-    rational roots are the y/N for the integer roots y of the monic integer
-    h(y) = N^(n-1) P(y/N) (rational root theorem), which is replaced by
-    h / gcd(h, h') when p has a repeated root.  The integer roots of h are
-    isolated by bisecting integer intervals (lo, hi], counting the roots
-    in each by a Sturm sequence, and by the sign of h once only one is
-    left.  Roots are counted in half-open intervals, so one on a bisection
-    point is counted once.  All arithmetic is on ints and the depth is the
-    bit length of the root bound, so the cost is polynomial in the bit
-    length of p's coefficients.
-    """
+    """Every distinct rational root of p, exactly, lifted from the roots of
+    p mod one prime (Loos 1983).  f is the square-free part of p's
+    primitive ints, of degree n and lead N.  A root z = a/b in lowest terms
+    has b | N, so y = N z is an integer, and |y| <= B = |N| + max |f_k|
+    (Cauchy).  q is the least prime not dividing N with f mod q
+    square-free.  Newton's step lifts each root r of f mod q to the root
+    of f mod M = q^(2^k) > 2B it determines (Hensel), and y/N is kept, for
+    y the residue of N r nearest 0, when N^n f(y/N) = 0.  Complete: q does
+    not divide b, so z mod q is a simple root of f mod q, its lift is
+    z mod M, and N r = y mod M with |y| < M/2 gives y back.  Distinct: the
+    lifts of distinct roots mod q are distinct mod q, and N is a unit mod
+    q.  Sound: each y/N kept passed the exact test.  Terminating: for q
+    not dividing N, f mod q has a repeated factor exactly when q divides
+    Res(f, f') = ±N disc(f), nonzero as f is square-free; the primes below
+    x multiply to about e^x, so q is at most about its bit length."""
     if p.degree < 1:
         return []
-    ints = _primitive(p.ints)
-    lead, n = ints[-1], len(ints) - 1
-    h = [c * lead ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
-    chain = _sturm_chain(h)
-    if len(chain[-1]) > 1:  # repeated roots: keep h's square-free part
-        # a primitive factor of monic h has a ±1 lead: the quotient is exact
-        h = _pseudo_divmod(h, chain[-1])[0]
-        chain = _sturm_chain(h)
-    # all roots of h lie in (-bound, bound) (Fujiwara 1916)
-    m = len(h) - 1
-    bound = 2 << max((-(-abs(c).bit_length() // (m - k))
-                      for k, c in enumerate(h[:-1])), default=0)
-    roots = []
-    todo = [(-bound, bound, _sign_changes(chain, -bound),
-             _sign_changes(chain, bound))]
-    while todo:
-        lo, hi, v_lo, v_hi = todo.pop()
-        if v_lo - v_hi > 1 and hi - lo > 1:
-            mid = (lo + hi) // 2
-            v_mid = _sign_changes(chain, mid)
-            todo += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
-        elif v_lo > v_hi:
-            y = _integer_root(h, lo, hi)
-            if y is not None:
-                roots.append(Fraction(y, lead))
+    f = _primitive(p.ints)
+    g = _gcd_ints(f, [k * c for k, c in enumerate(f)][1:])
+    if len(g) > 1:  # repeated roots: keep the square-free part
+        f = _primitive(_pseudo_divmod(f, g)[0])
+    df, lead = [k * c for k, c in enumerate(f)][1:], f[-1]
+    bound = abs(lead) + max(map(abs, f[:-1]))
+    q = next(q for q in count(2) if lead % q
+             and all(q % d for d in range(2, isqrt(q) + 1))
+             and len(_gcd_mod(f, df, q)) == 1)  # f mod q is square-free
+    fq, roots = [c % q for c in f], []
+    for r in [r for r in range(q) if not _horner(fq, r, q)]:
+        m, s = q, pow(_horner(df, r, q), -1, q)  # s = 1/f'(r) mod m
+        while m <= 2 * bound:  # each Newton step doubles the q-adic digits
+            m *= m
+            r = (r - _horner(f, r, m) * s) % m
+            s = s * (2 - _horner(df, r, m) * s) % m
+        y, acc, t = (lead * r + m // 2) % m - m // 2, 0, 1
+        for c in reversed(f):  # N^n f(y/N) by Horner's rule
+            acc, t = acc * y + c * t, t * lead
+        if not acc:
+            roots.append(Fraction(y, lead))
     return roots
+
+
+def _gcd_mod(f: list[int], g: list[int], q: int) -> list[int]:
+    """The monic gcd of int polynomials f and g mod a prime q, lowest
+    degree first, by Euclid's algorithm; [] when both vanish mod q."""
+    f, g = [c % q for c in f], [c % q for c in g]
+    while any(g):
+        while not g[-1]:
+            g.pop()
+        inv, n = pow(g[-1], -1, q), len(g) - 1
+        while len(f) > n:  # f mod g, a zero lead term only dropped
+            c, k = f.pop() * inv % q, len(f) - n
+            for j in range(n):
+                f[k + j] = (f[k + j] - c * g[j]) % q
+        f, g = g, f
+    while f and not f[-1]:
+        f.pop()
+    return [c * pow(f[-1], -1, q) % q for c in f]
 
 
 def _primitive(f: list[int]) -> list[int]:
@@ -625,24 +646,12 @@ def _primitive(f: list[int]) -> list[int]:
     return [c // g for c in f]
 
 
-def _horner(f: list[int], x: int) -> int:
+def _horner(f: list[int], x: int, m: int) -> int:
+    """f(x) mod m."""
     acc = 0
     for c in reversed(f):
-        acc = acc * x + c
+        acc = (acc * x + c) % m
     return acc
-
-
-def _sturm_chain(h: list[int]) -> list[list[int]]:
-    """h, h', then each -(c * remainder) with c > 0 made primitive, down to
-    a positive multiple of ±gcd(h, h'); positive scalings keep the signs,
-    so sign changes count roots as in Sturm's theorem."""
-    chain = [h, _primitive([k * c for k, c in enumerate(h)][1:])]
-    while len(chain[-1]) > 1:
-        rem = _pseudo_divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append(_primitive([-c for c in rem]))
-    return chain
 
 
 def _pseudo_divmod(f: list[int],
@@ -651,8 +660,8 @@ def _pseudo_divmod(f: list[int],
     polynomials with no trailing zeros, g nonzero.  A step whose leading
     coefficient lead(g) does not divide first scales the remainder and
     the quotient by |lead(g)|, so every quotient term is an int and m is
-    a positive power of |lead(g)|: r is a positive multiple of f mod g
-    (the sign Sturm chains need), and m = 1 when lead(g) = ±1."""
+    a positive power of |lead(g)|: r is a positive multiple of f mod g,
+    and m = 1 when lead(g) = ±1."""
     r, q, m = list(f), [0] * max(0, len(f) - len(g) + 1), 1
     lead = g[-1]
     while len(r) >= len(g):
@@ -666,34 +675,3 @@ def _pseudo_divmod(f: list[int],
         while r and r[-1] == 0:
             r.pop()
     return q, r, m
-
-
-def _sign_changes(chain: list[list[int]], x: int) -> int:
-    changes, last = 0, 0
-    for f in chain:
-        v = _horner(f, x)
-        if v:
-            if last and (v > 0) != (last > 0):
-                changes += 1
-            last = v
-    return changes
-
-
-def _integer_root(h: list[int], lo: int, hi: int) -> int | None:
-    """The integer root of square-free h in (lo, hi], or None, where
-    (lo, hi] has width 1 or holds exactly one real root of h.  In the
-    second case h has the sign of h(hi) right of the root and the other
-    sign left of it, so the sign of h bisects."""
-    s = _horner(h, hi)
-    if s == 0:
-        return hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        v = _horner(h, mid)
-        if v == 0:
-            return mid
-        if (v > 0) == (s > 0):
-            hi = mid
-        else:
-            lo = mid
-    return None

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt, prod
 from pathlib import Path
 
 import pytest
@@ -1057,6 +1057,20 @@ def test_classify_40_digit_degree_8_is_fast(tmp_path, split):
     else:
         assert proc.returncode == 1
         assert out["reason"] == "NonSplitDenominator"
+
+
+def test_classify_poles_agreeing_mod_every_small_prime_is_fast(tmp_path):
+    # 1 and 1 + P, for P the product of the primes below 10^4 (4,298
+    # digits, 8.6 KB in all), agree mod each of those primes, so the
+    # denominator's roots are first told apart mod 10007
+    big = prod(p for p in range(2, 10**4)
+               if all(p % d for d in range(2, isqrt(p) + 1)))
+    doc = {"genfun": {"num": ["1"], "den": ["1", str(-2 - big), str(1 + big)]}}
+    start = time.perf_counter()
+    proc = run_process(tmp_path, "classify", doc, timeout=10)
+    assert time.perf_counter() - start < JOB_BUDGET_S
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["reason"] == "NonIntegerMultiplicity"
 
 
 def test_witness_round_trip_through_cli(tmp_path, capsys):

@@ -1,12 +1,14 @@
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from loopcat import linalg
 from loopcat.linalg import (
     _Echelon,
+    _gcd_mod,
     _pseudo_divmod,
     _rational_roots,
     Matrix,
@@ -898,12 +900,13 @@ def test_rational_roots_match_trial_division(lead, linear, others) -> None:
     assert set(roots) == {r for r, _ in linear} == _reference_roots(p)
 
 
-def test_rational_roots_on_bisection_points() -> None:
-    # h's integer roots are the y/N scaled by N; with P = (s x - y) times
-    # a companion, P's lead is s (up to content), so y itself is a root
-    # of h, and every integer in the root bound is a bisection point at
-    # some depth.  Companions force Sturm bisection (several roots near
-    # y), sign bisection (one root), and the square-free reduction.
+def test_rational_roots_of_small_roots_with_companions() -> None:
+    # every root y/s with |y| <= 9, alone and with companions.  Together
+    # they force each lifting prime from 2 to 11: the leads 2 and -3 rule
+    # out 2 and 3, roots two apart collide mod 2, r and -r - 2 mod the
+    # primes of 2r + 2, x^2 - 2, x^2 + 3 and x^3 - 2 rule out those of
+    # their discriminants, and the repeated roots force the square-free
+    # part.
     for s in (1, 2, -3):
         for y in range(-9, 10):
             r = Fraction(y, s)
@@ -917,6 +920,75 @@ def test_rational_roots_on_bisection_points() -> None:
                 p = _from_factors(s, linear, others)
                 roots = _rational_roots(p)
                 assert sorted(roots) == sorted({t for t, _ in linear}), p
+
+
+@pytest.mark.parametrize("linear, others, tried", [
+    # the lead 210 = 2·3·5·7 rules out each of its primes untried
+    ([(Fraction(1, 210), 1), (Fraction(2), 1)], [], [11]),
+    # 30031 - 1 = 30030 = 2·3·5·7·11·13: a double root mod each
+    ([(Fraction(1), 1), (Fraction(30031), 1)], [], [2, 3, 5, 7, 11, 13, 17]),
+    # -1 lifts from the residue q - 1, where 30029 falls mod each of 2..13
+    ([(Fraction(-1), 1), (Fraction(30029), 1)], [], [2, 3, 5, 7, 11, 13, 17]),
+    # f' = 2x - 4 vanishes mod 2, so gcd(f, f') mod 2 is f itself
+    ([(Fraction(1), 1), (Fraction(3), 1)], [], [2, 3]),
+    # y = 5·(10^44 + 7) takes six Newton doublings from 11 to pass 2B
+    ([(Fraction(10**44 + 7, 3), 1), (Fraction(1, 5), 1)], [], [2, 7, 11]),
+    # roots 1 and 16 collide mod 3 and 5, and 2 divides disc(x^2 - 2):
+    # mod 7, 3 and 4 are roots of x^2 - 2 whose lifts the exact test drops
+    ([(Fraction(1), 1), (Fraction(16), 1)], [[-2, 0, 1]], [2, 3, 5, 7]),
+    # likewise mod 11, after 7 | disc(x^2 + 7), with the roots 2 and 9
+    ([(Fraction(1), 1), (Fraction(16), 1)], [[7, 0, 1]], [2, 3, 5, 7, 11]),
+], ids=["lead-210", "1-and-30031", "-1-and-30029", "zero-derivative-mod-2",
+        "45-digit-root", "x^2-2", "x^2+7"])
+def test_rational_roots_past_unlucky_primes(monkeypatch, linear, others,
+                                            tried) -> None:
+    seen = []
+
+    def spy(f, g, q):
+        seen.append(q)
+        return _gcd_mod(f, g, q)
+
+    monkeypatch.setattr(linalg, "_gcd_mod", spy)
+    p = _from_factors(1, linear, others)
+    assert sorted(_rational_roots(p)) == sorted(r for r, _ in linear)
+    assert seen == tried  # the primes the square-free test ran at
+    for cs in others:  # each irrational pair has roots mod the last one
+        assert sum(Polynomial(cs)(x) % tried[-1] == 0
+                   for x in range(tried[-1])) == 2
+
+
+def test_gcd_mod() -> None:
+    assert _gcd_mod([6, 5, 1], [3, 1], 5) == [3, 1]  # (x + 2)(x + 3), x + 3
+    assert _gcd_mod([1, 0, 1], [0, 2], 2) == [1, 0, 1]  # (x + 1)^2, 0
+    assert _gcd_mod([-2, 0, 1], [0, 2], 7) == [1]  # x^2 - 2, 2x
+    assert _gcd_mod([2, 4], [6], 2) == []
+
+
+def _is_square(n: int) -> bool:
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+@given(nonzero_leads,
+       st.lists(st.tuples(st.builds(Fraction,
+                                    st.integers(-10**30, 10**30),
+                                    st.integers(1, 10**6)),
+                          st.integers(1, 3)),
+                max_size=3, unique_by=lambda t: t[0]),
+       # a quadratic whose discriminant is not a square is irreducible
+       st.lists(st.lists(st.integers(-10**20, 10**20).filter(bool),
+                         min_size=3, max_size=3)
+                .filter(lambda cs: not _is_square(cs[1] ** 2
+                                                  - 4 * cs[0] * cs[2])),
+                max_size=2))
+@example(-6, [(Fraction(10**30, 999983), 3),
+              (Fraction(1 - 10**30, 10**6), 2), (Fraction(7), 1)],
+         [[10**20, -1, -(10**20)], [3, 10**20, 10**20 - 1]])
+@settings(max_examples=60, deadline=None)
+def test_rational_roots_of_large_coefficients_match_construction(
+        lead, linear, others) -> None:
+    # far beyond trial division: held to the roots p is built from
+    p = _from_factors(lead, linear, others)
+    assert sorted(_rational_roots(p)) == sorted(r for r, _ in linear)
 
 
 @given(nonzero_leads, linear_factors.map(
