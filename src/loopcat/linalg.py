@@ -7,23 +7,29 @@ denominator in lowest terms, and rational vectors are cleared by the lcm
 of theirs.  Rational functions are kept normalized with denominator
 constant term 1, and their power series come from a division-free int
 recurrence.  A product makes each entry from one int inner product.
-Every elimination (rank, determinant, solving, a basis of vectors met one
-at a time and coordinates on it) runs one fraction-free kernel (Bareiss
-1968) on int rows met one at a time, skipping the steps whose multiplier
-is zero; solutions are read off its pivot rows by one integer
-back-substitution, exact by Cramer's rule.  Characteristic polynomials
-come from Berkowitz's division-free recurrence on the int rows.  Every
-polynomial division, the gcds among them, runs one integer
-pseudo-division on the ints; rational roots are lifted from the roots
-mod one prime and checked exactly.  Shape checks at the entry points
-raise ValueError, so they hold under `python -O` too.
+Determinants, solving, a basis of vectors met one at a time and
+coordinates on it run one fraction-free kernel (Bareiss 1968) on int rows
+met one at a time, skipping the steps whose multiplier is zero;
+solutions are read off its pivot rows by one integer back-substitution,
+exact by Cramer's rule.  A rank starts on that kernel too, and from the
+first dependent row tests each row against a fraction-free Gauss-Jordan
+basis packed one 64-bit word per entry into one int, by one linear
+combination of ints, until an entry could outgrow its word and the
+kernel takes the rest.  Characteristic polynomials come from
+Berkowitz's division-free recurrence on the int rows.  Every polynomial
+division, the gcds among them, runs one integer pseudo-division on the
+ints; rational roots are lifted from the roots mod one prime and checked
+exactly.  Shape checks at the entry points raise ValueError, so they hold
+under `python -O` too.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from fractions import Fraction
-from itertools import count, zip_longest
+from itertools import chain, count, zip_longest
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -275,19 +281,27 @@ class RationalFunction:
 
 class Matrix:
     """Immutable dense matrix over Q: int rows `ints` over `den`, the lcm of
-    the entries' denominators, so equal matrices hold equal ints.  Kernels
-    read the ints; `entries`, `m[i, j]`, `row` and `trace` give Fractions."""
+    the entries' denominators, so equal matrices hold equal ints.  Entries
+    that are all ints are held as they are, over 1, on one type check.
+    Kernels read the ints; `entries`, `m[i, j]`, `row` and `trace` give
+    Fractions."""
 
     __slots__ = ("rows", "cols", "ints", "den")
 
     def __init__(self, entries: Sequence[Sequence]):
-        rows = [[x if type(x) is int else rat(x) for x in r] for r in entries]
-        self.rows, self.cols = len(rows), len(rows[0]) if rows else 0
-        if any(len(r) != self.cols for r in rows):
+        types = set(map(type, chain.from_iterable(entries)))
+        if types <= {int}:
+            ints, den = tuple(map(tuple, entries)), 1  # held as they are
+        else:
+            rows = entries if types <= {int, Fraction} else [
+                [x if type(x) is int else rat(x) for x in r] for r in entries]
+            den = lcm(*{x.denominator for r in rows for x in r})
+            ints = tuple(tuple(x.numerator * (den // x.denominator)
+                               for x in r) for r in rows)
+        self.rows, self.cols = len(ints), len(ints[0]) if ints else 0
+        if any(len(r) != self.cols for r in ints):
             raise ValueError("ragged matrix")
-        den = self.den = lcm(*{x.denominator for r in rows for x in r})
-        self.ints = tuple(tuple(x.numerator * (den // x.denominator)
-                                for x in r) for r in rows)
+        self.ints, self.den = ints, den
 
     @classmethod
     def from_ints(cls, ints: Sequence[Sequence[int]], den: int = 1) -> "Matrix":
@@ -465,8 +479,102 @@ def _augmented(m: Matrix, b: Sequence) -> list[tuple]:
     return [(*(t * a for a in r), m.den * z) for r, z in zip(m.ints, y)]
 
 
+_WORD = 1 << 62  # every entry a packed span reads stays below this
+_SLOT = (1 << 64) - 1
+
+
+class _PackedSpan:
+    """The span of int rows of n entries met one at a time, each row held
+    as one int, one 64-bit word per entry: x packs to X = sum_j x_j·2^(64j)
+    (Kronecker substitution).  The basis is d times the reduced row echelon
+    form (Gauss-Jordan, fraction-free: Bareiss 1968; Nakos, Turner and
+    Williams 1997): packed rows K_k with pivot columns C_k and
+    K_k[C_l] = d·[k = l], where d is ± the determinant of the basis rows'
+    pivot minor (d = 1 for none).  A row x leaves the residual
+    D = d·X - sum_k x[C_k]·K_k, which is 0 at every C_l.  Each entry
+    D_j is ± the minor of the basis rows and x on the columns C and j
+    (cofactor expansion), so D = 0 exactly when x lies in the span.
+    Otherwise its lowest nonzero column c joins the pivots, with δ = D[c]:
+    each K_k becomes (δ·K_k - K_k[c]·D) / d, which is 0 at c and δ·[k = l]
+    at C_l, and whose entries are minors of the new basis (Sylvester), so
+    the division is exact; D is appended and d becomes δ.
+
+    Every entry packed is below 2^62 < 2^63 in magnitude, so a packed int
+    has exactly one set of balanced base-2^64 digits: D == 0 means every
+    entry is 0, the lowest set bit of D lies in its lowest nonzero word,
+    and adding 2^63 to every word (`bias`) leaves each word's entry
+    biased by 2^63 and unborrowed, which `_slot` reads.  A row packs
+    through `array("q")`, whose words are its entries in two's complement
+    (swapped to little-endian on a big-endian host): flipping each word's
+    top bit (xor `bias`) gives x_j + 2^63, and subtracting `bias` gives
+    X.  `add` bounds every entry before it packs a row or keeps a basis,
+    with b_k >= |K_k[j]|: |D_j| <= b_D = |d|·max|x| + sum_k |x[C_k]|·b_k,
+    a bound on max|x| too as |d| >= 1, and
+    |K'_k[j]| <= (|δ|·b_k + |K_k[c]|·b_D) / |d|."""
+
+    def __init__(self, n: int):
+        self.bias = int.from_bytes((bytes(7) + b"\x80") * n, "little")
+        self.d, self.cols, self.packed, self.bounds = 1, [], [], []
+        self.rows = []  # the rows kept, as given
+
+    def _slot(self, y: int, c: int) -> int:
+        return ((y + self.bias) >> 64 * c & _SLOT) - (1 << 63)
+
+    def add(self, x: Sequence[int]) -> bool | None:
+        """Whether x is independent of the rows kept before it; None, with
+        the span unchanged, when an entry could reach 2^62."""
+        d, packed, bounds = self.d, self.packed, self.bounds
+        f = list(map(x.__getitem__, self.cols))
+        b_d = abs(d) * max(map(abs, x)) + sum(map(mul, map(abs, f), bounds))
+        if b_d >= _WORD:
+            return None
+        a = array("q", x)
+        if sys.byteorder == "big":
+            a.byteswap()
+        u = int.from_bytes(a.tobytes(), "little")
+        res = d * ((u ^ self.bias) - self.bias) - sum(map(mul, f, packed))
+        if not res:
+            return False
+        c = (res & -res).bit_length() - 1 >> 6
+        delta, g = self._slot(res, c), [self._slot(k, c) for k in packed]
+        new = [(abs(delta) * b + abs(h) * b_d) // abs(d)
+               for b, h in zip(bounds, g)]
+        if any(b >= _WORD for b in new):
+            return None
+        self.packed = [(delta * k - h * res) // d
+                       for k, h in zip(packed, g)] + [res]
+        self.bounds = new + [b_d]
+        self.d = delta
+        self.cols.append(c)
+        self.rows.append(x)
+        return True
+
+
 def rank(m: Matrix) -> int:
-    return len(_Echelon(m.ints).pivots)
+    """The rank of m's int rows, in up to three phases.  Rows go to
+    `_Echelon` until one that is nonzero turns out to depend on those
+    before it, so a matrix of independent rows is ranked by `_Echelon`
+    alone.  From that row on, a `_PackedSpan` of the rows kept so far tests
+    each remaining row by one packed linear combination.  When the span
+    meets an entry bound of 2^62, it stops: the rows it kept beyond
+    `_Echelon`'s, then every row it has not tested, go to `_Echelon`."""
+    e, kept, rows = _Echelon(), [], iter(m.ints)
+    for x in rows:
+        if e.add_ints(x):
+            kept.append(x)
+        elif any(x) and len(kept) < m.cols:  # below full column rank
+            break
+    else:
+        return len(kept)
+    span = _PackedSpan(m.cols)
+    for i, x in enumerate(chain(kept, rows)):
+        if span.add(x) is None:
+            if i >= len(kept):  # _Echelon lacks the span's own rows and x
+                rows = chain(span.rows[len(kept):], [x], rows)
+            for y in rows:
+                e.add_ints(y)
+            return len(e.pivots)
+    return len(span.cols)
 
 
 def solve(m: Matrix, b: Sequence) -> tuple | None:

@@ -36,8 +36,8 @@ import operator
 
 from .errors import DomainError
 from .fincat import FiniteMonoid, conjugacy_classes, least_rotation
-from .linalg import (Matrix, Polynomial, _Echelon, _integral, det, rank,
-                     rat, solve)
+from .linalg import (Matrix, Polynomial, _augmented, _back_substitute,
+                     _Echelon, _integral, det, rat)
 
 
 class NotPseudo(DomainError):
@@ -435,11 +435,13 @@ def lift_with_table(alpha: PseudoCharacter, table):
     reps = {tuple(c._class_of[e] for c in (alpha, *table)): e
             for e in range(alpha.monoid.size)}.values()
     a = Matrix([[chi(e) for chi in table] for e in reps])
-    if rank(a) != len(table):
+    n = len(table)
+    pivots = _Echelon(_augmented(a, [alpha(e) for e in reps])).pivots
+    if sum(c < n for c, _, _ in pivots) != n:  # the rank of a
         raise SingularTable("table characters are linearly dependent")
-    sol = solve(a, [alpha(e) for e in reps])
-    if sol is None:
+    if len(pivots) > n:  # a pivot in alpha's column
         raise Infeasible("alpha is not in the span of the table", None)
+    sol = tuple(_back_substitute(pivots, n))
     if all(s.denominator == 1 and s >= 0 for s in sol):
         return tuple(int(s) for s in sol)
     raise Infeasible("multiplicities are not nonnegative integers", sol)

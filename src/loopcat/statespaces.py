@@ -167,12 +167,15 @@ def enumerate_kets(cat, obj, boundary=None, cap_words: int = 4
 # Most kets a `statespace` or `boolean-statespace` job pairs; the CLI
 # checks `ket_count` against it, and `enumerate_kets` takes any number.
 # The kets grow with the object and the cap, not with the job file, and
-# the Gram takes kets^2 entries and its rank about kets^3 steps.  A job
-# at this bound with small values (one letter, object [+, -] at
-# --cap-words 99, random loop values in -9..9, a full-rank 100 x 100 Gram)
-# takes 0.4-0.7 s in process on a 2 GHz Xeon vCPU; the benchmark's largest job
-# has 98 kets.  Like COB2_MAX_SPANNING, it counts kets, not the size of the
-# values, which set the cost of each rank step (ROADMAP item 3).
+# the Gram takes kets^2 entries.  Its rank takes about kets^3 steps at full
+# rank; at a rank r below the kets, each row after the first dependent one
+# costs about r multiply-adds of kets-word packed ints while the minors fit
+# in 62 bits (`linalg.rank`).  A job at this bound with small values (one
+# letter, object [+, -] at --cap-words 99, random loop values in -9..9, a
+# full-rank 100 x 100 Gram) takes 0.4-0.7 s in process on a 2 GHz Xeon
+# vCPU; the benchmark's largest job has 98 kets.  Like COB2_MAX_SPANNING,
+# it counts kets, not the size of the values, which set the cost of each
+# rank step (ROADMAP item 3).
 MAX_KETS = 100
 
 

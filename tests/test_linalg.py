@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -186,6 +187,132 @@ def test_rank_and_det_of_degenerate_shapes() -> None:
     assert rank(Matrix([[0, 0, 1], [0, 0, 2], [1, 0, 0]])) == 2
     assert det(Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])) == 1
     assert det(Matrix([[0, 1], [1, 0]])) == -1
+
+
+# --- rank's phases ----------------------------------------------------------
+
+
+def _independent(draw, n: int, entries: list) -> tuple[list, list]:
+    """Independent int rows of length n, row k drawn from entries[k], and
+    the columns that are no row's pivot.  The pivot columns come in a drawn
+    order: row k is nonzero at pivot k and 0 at the pivots before it, so
+    the minor on the pivots is triangular."""
+    order = draw(st.permutations(range(n)))
+    rows = []
+    for k, entry in enumerate(entries):
+        row = draw(st.lists(entry, min_size=n, max_size=n))
+        for p in order[:k]:
+            row[p] = 0
+        row[order[k]] = row[order[k]] or 1
+        rows.append(row)
+    return rows, order[len(entries):]
+
+
+def _combination(draw, rows: list, n: int) -> list[int]:
+    """A combination of rows with small coefficients, not all 0."""
+    cs = draw(st.lists(st.integers(-2, 2), min_size=len(rows),
+                       max_size=len(rows)).filter(any))
+    return [sum(c * r[j] for c, r in zip(cs, rows)) for j in range(n)]
+
+
+def _signed(lo: int, hi: int):
+    return st.integers(lo, hi).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@st.composite
+def phase_rows(draw, kind: str):
+    """Int rows for `rank`, shaped to run the phases `kind` names.
+    "full" rows are independent, or reach full column rank before any
+    dependent row, so `_Echelon` ranks them alone.  "packed" rows are a
+    small low-rank product with zero and duplicate rows, which a packed
+    span finishes.  "crossing" rows give the span a pivot of small
+    entries before rows of 2^20-2^40 entries, whose minors, or a later
+    entry of 2^63 or more, stop it.  "wide" rows have entries of 2^62 or
+    more from the start, so the span stops on the rows kept before it.
+    Entries are signed, pivot columns out of order, and up to two other
+    columns are 0."""
+    small = st.integers(-4, 4)
+    if kind == "full":
+        n = draw(st.integers(1, 8))
+        r = draw(st.integers(1, n))
+        rows, _ = _independent(
+            draw, n, [st.one_of(small, _signed(0, 2**80))] * r)
+        if r == n:  # tall: dependent rows after full column rank
+            rows += [_combination(draw, rows, n)
+                     for _ in range(draw(st.integers(0, 3)))]
+        return rows
+    if kind == "packed":
+        n = draw(st.integers(2, 10))
+        basis, free = _independent(
+            draw, n, [small] * draw(st.integers(1, min(n - 1, 4))))
+        rows = basis + [_combination(draw, basis, n)
+                        for _ in range(draw(st.integers(1, 6)))]
+    elif kind == "crossing":
+        n = draw(st.integers(6, 10))
+        basis, free = _independent(
+            draw, n, [small] * 2 + [_signed(2**20, 2**40)] * 3)
+        huge = draw(st.lists(_signed(2**63, 2**70), min_size=n, max_size=n))
+        rows = [basis[0], *basis, huge]
+    else:  # "wide"
+        n = draw(st.integers(2, 8))
+        entries = st.one_of(_signed(2**62, 2**64), _signed(2**64, 2**80))
+        basis, free = _independent(
+            draw, n, [entries] * draw(st.integers(1, n - 1)))
+        rows = basis + [_combination(draw, basis, n)]
+    rows += draw(st.lists(st.sampled_from(rows + [[0] * n]), max_size=4))
+    zero = draw(st.sets(st.sampled_from(free), max_size=2)) if free else ()
+    rows = [[0 if j in zero else x for j, x in enumerate(row)]
+            for row in rows]
+    if kind == "packed":
+        rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    return rows
+
+
+def _rank_phases(rows) -> tuple[int, list]:
+    """rank(Matrix(rows)) and, in order, the results of the calls it made:
+    ("echelon", independent) per `_Echelon.add_ints` and ("span",
+    independent or None) per `_PackedSpan.add`."""
+    log = []
+    add_ints, add = _Echelon.add_ints, linalg._PackedSpan.add
+
+    def echelon(self, x):
+        log.append(("echelon", add_ints(self, x)))
+        return log[-1][1]
+
+    def span(self, x):
+        log.append(("span", add(self, x)))
+        return log[-1][1]
+
+    with patch.object(_Echelon, "add_ints", echelon), \
+            patch.object(linalg._PackedSpan, "add", span):
+        return rank(Matrix(rows)), log
+
+
+@given(st.sampled_from(["full", "packed", "crossing", "wide"])
+       .flatmap(lambda kind: st.tuples(st.just(kind), phase_rows(kind))))
+# a residual whose top word is 1 over a 0 word and a negative word: its
+# highest set bit lies in the 0 word, a pivot column
+@example(("packed", [[0, 1, 0], [0, 2, 0], [-5, 0, 1], [-5, 1, 1]]))
+@settings(max_examples=300, deadline=None)
+def test_rank_phases_match_gauss_jordan(case) -> None:
+    """`rank` agrees with Gauss-Jordan over Fraction in every phase, and
+    each kind of draw runs the phases it is built for."""
+    kind, rows = case
+    r, log = _rank_phases(rows)
+    assert r == gj_rank(Matrix(rows))
+    span = [added for name, added in log if name == "span"]
+    stop = span.index(None) if None in span else None
+    if kind == "full":
+        assert not span
+    elif kind == "packed":
+        assert span and stop is None
+    elif kind == "crossing":
+        assert stop is not None and True in span[:stop]
+    else:
+        assert stop == 0
+    if stop is not None:  # every row after the stop goes to `_Echelon`
+        after = log[log.index(("span", None)) + 1:]
+        assert all(name == "echelon" for name, _ in after)
 
 
 @st.composite

@@ -31,7 +31,7 @@ from loopcat.fincat import (
     cyclic_group,
     symmetric_group,
 )
-from loopcat.linalg import Matrix, det
+from loopcat.linalg import _Echelon, Matrix, det
 from loopcat.pseudochar import (
     AdditivityReport,
     DegreeMismatch,
@@ -752,6 +752,34 @@ def test_lift_singular_table() -> None:
     chi2 = PseudoCharacter.from_element_values(z2, [2, 2])
     with pytest.raises(SingularTable):
         lift_with_table(chi, [chi, chi2])
+
+
+def test_lift_eliminates_once() -> None:
+    """One elimination of the table beside alpha decides a singular table
+    (before alpha's span), alpha outside the span, and the solution."""
+    z2 = cyclic_group(2)
+    one, sign, twice, far = (PseudoCharacter.from_element_values(z2, v)
+                             for v in ([1, 1], [1, -1], [2, 2], [2, 0]))
+    made = []
+
+    class Counting(_Echelon):
+        def __init__(self, rows=()):
+            made.append(1)
+            super().__init__(rows)
+
+    with mock.patch("loopcat.linalg._Echelon", Counting), \
+            mock.patch("loopcat.pseudochar._Echelon", Counting):
+        for alpha, table, error in [(far, [one, twice], SingularTable),
+                                    (far, [one], Infeasible),
+                                    (far, [one, sign], None)]:
+            made.clear()
+            if error is None:
+                assert lift_with_table(alpha, table) == (1, 1)
+            else:
+                with pytest.raises(error) as exc:
+                    lift_with_table(alpha, table)
+                assert error is SingularTable or exc.value.solution is None
+            assert len(made) == 1
 
 
 def test_lift_reads_characters_per_element() -> None:
