@@ -28,10 +28,13 @@ mixes the two.
 
 from __future__ import annotations
 
+from itertools import chain as _chain
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 from .errors import DomainError
 from .linalg import exact_int
+
+_letters = _chain.from_iterable  # the letters of a chain of words, in order
 
 
 class NotComposable(DomainError):
@@ -309,7 +312,7 @@ class FreeMonoidCategory:
     def loop_class(self, base, chain: Sequence[tuple]) -> Loop:
         """The least rotation of the concatenated chain, computed once per
         concatenation."""
-        word = tuple(a for m in chain for a in m)
+        word = tuple(_letters(chain))
         lp = self._loops.get(word)
         if lp is None:
             lp = self._loops[word] = Loop(0, least_rotation(word))
@@ -317,7 +320,7 @@ class FreeMonoidCategory:
 
     def word(self, text: str) -> tuple:
         """Letters by name, e.g. word('aba') over alphabet ('a','b')."""
-        return tuple(self._index[ch] for ch in text)
+        return tuple(map(self._index.__getitem__, text))
 
     def words_up_to(self, cap: int) -> list[tuple]:
         """All words of length <= cap, shortlex order."""

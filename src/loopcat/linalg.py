@@ -59,6 +59,8 @@ def rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if x.isascii() and (x.isdigit() or x[:1] == "-" and x[1:].isdigit()):
+            return Fraction(int(x))  # a plain decimal integer, parsed in C
         exponent = _EXPONENT.search(x)
         if exponent and int(exponent[1]) > MAX_DECIMAL_EXPONENT:
             raise ValueError(f"decimal exponent of {x!r} exceeds "
@@ -510,22 +512,60 @@ class _PackedSpan:
     X.  `add` bounds every entry before it packs a row or keeps a basis,
     with b_k >= |K_k[j]|: |D_j| <= b_D = |d|·max|x| + sum_k |x[C_k]|·b_k,
     a bound on max|x| too as |d| >= 1, and
-    |K'_k[j]| <= (|δ|·b_k + |K_k[c]|·b_D) / |d|."""
+    |K'_k[j]| <= (|δ|·b_k + |K_k[c]|·b_D) / |d|.
+
+    These bounds compound their slack pivot by pivot.  So before a bound
+    stops the span, each b_k, and b_D before a pivot, is replaced by the
+    largest entry it bounds (`_largest`), once per pivot, and the span
+    stops only if the bound still reaches 2^62.  The entries measured are
+    below 2^62 by the bounds they replace, so each read is exact, as
+    above, and a measured maximum is the least bound there is."""
 
     def __init__(self, n: int):
+        self.n = n
         self.bias = int.from_bytes((bytes(7) + b"\x80") * n, "little")
         self.d, self.cols, self.packed, self.bounds = 1, [], [], []
+        self.measured = True  # whether each b_k is K_k's largest entry
         self.rows = []  # the rows kept, as given
 
     def _slot(self, y: int, c: int) -> int:
         return ((y + self.bias) >> 64 * c & _SLOT) - (1 << 63)
 
+    def _largest(self, y: int) -> int:
+        """The largest magnitude of the packed y's entries, each below 2^63:
+        adding and then flipping `bias` leaves each word's entry in two's
+        complement, which `array("q")` reads."""
+        a = array("q", ((y + self.bias) ^ self.bias).to_bytes(8 * self.n,
+                                                               "little"))
+        if sys.byteorder == "big":
+            a.byteswap()
+        return max(map(abs, a))
+
+    def _measure(self) -> bool:
+        """Replace each b_k by K_k's largest entry, unless they are that
+        already: whether any bound was replaced."""
+        if self.measured:
+            return False
+        self.bounds = list(map(self._largest, self.packed))
+        self.measured = True
+        return True
+
+    def _pivot_bounds(self, delta: int, g: list, b_d: int) -> list[int]:
+        """The bounds b'_k after a pivot delta of a residual bounded by
+        b_d, for the basis rows' entries g in its column."""
+        d = abs(self.d)
+        return [(abs(delta) * b + abs(h) * b_d) // d
+                for b, h in zip(self.bounds, g)]
+
     def add(self, x: Sequence[int]) -> bool | None:
         """Whether x is independent of the rows kept before it; None, with
-        the span unchanged, when an entry could reach 2^62."""
-        d, packed, bounds = self.d, self.packed, self.bounds
+        the basis unchanged, when an entry could reach 2^62."""
+        d, packed = self.d, self.packed
         f = list(map(x.__getitem__, self.cols))
-        b_d = abs(d) * max(map(abs, x)) + sum(map(mul, map(abs, f), bounds))
+        top = abs(d) * max(map(abs, x))
+        b_d = top + sum(map(mul, map(abs, f), self.bounds))
+        if b_d >= _WORD and self._measure():
+            b_d = top + sum(map(mul, map(abs, f), self.bounds))
         if b_d >= _WORD:
             return None
         a = array("q", x)
@@ -537,13 +577,17 @@ class _PackedSpan:
             return False
         c = (res & -res).bit_length() - 1 >> 6
         delta, g = self._slot(res, c), [self._slot(k, c) for k in packed]
-        new = [(abs(delta) * b + abs(h) * b_d) // abs(d)
-               for b, h in zip(bounds, g)]
+        new = self._pivot_bounds(delta, g, b_d)
         if any(b >= _WORD for b in new):
-            return None
+            b_d = self._largest(res)
+            self._measure()
+            new = self._pivot_bounds(delta, g, b_d)
+            if any(b >= _WORD for b in new):
+                return None
         self.packed = [(delta * k - h * res) // d
                        for k, h in zip(packed, g)] + [res]
         self.bounds = new + [b_d]
+        self.measured = False
         self.d = delta
         self.cols.append(c)
         self.rows.append(x)
@@ -555,9 +599,10 @@ def rank(m: Matrix) -> int:
     `_Echelon` until one that is nonzero turns out to depend on those
     before it, so a matrix of independent rows is ranked by `_Echelon`
     alone.  From that row on, a `_PackedSpan` of the rows kept so far tests
-    each remaining row by one packed linear combination.  When the span
-    meets an entry bound of 2^62, it stops: the rows it kept beyond
-    `_Echelon`'s, then every row it has not tested, go to `_Echelon`."""
+    each remaining row by one packed linear combination.  When an entry
+    bound still reaches 2^62 once measured, the span stops: the rows it
+    kept beyond `_Echelon`'s, then every row it has not tested, go to
+    `_Echelon`."""
     e, kept, rows = _Echelon(), [], iter(m.ints)
     for x in rows:
         if e.add_ints(x):

@@ -95,8 +95,8 @@ class PseudoCharacter:
         values, class_of = self.values, self._class_of
         for g in range(monoid.size):
             for h in range(g + 1, monoid.size):
-                if values[class_of[monoid.mul(g, h)]] != \
-                        values[class_of[monoid.mul(h, g)]]:
+                a, b = class_of[monoid.mul(g, h)], class_of[monoid.mul(h, g)]
+                if a != b and values[a] != values[b]:
                     raise ValueError(
                         f"values are not trace-like: alpha({g}*{h}) != "
                         f"alpha({h}*{g})")

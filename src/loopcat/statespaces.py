@@ -11,12 +11,16 @@ join-irreducible rows counted separately.
 
 One kernel, `_template_gram`, builds every Gram.  An entry's strands depend
 only on the shapes of its row and column, so each pair of shapes is traced
-once into a template, and every entry is a product of memoized strand
-values, integral ones held as ints.  For diagrams the shapes are matchings,
-traced by the splice's own chain walk (`diagrams._chains`), and each ket is
-its own bra.  The reference, the splice after `transpose`, builds the only
-bras: it evaluates each template's first entry as a cross-check, and any
-entry that lacks a value, so that the error is its own.
+once into a template; a strand's value depends only on the decorations it
+reads, and is memoized, integral ones held as ints.  A row is built block
+by block, one block per run of columns of one shape: a strand's values
+over the run are read once per part of the row the strand reads, and a
+block is their product column by column, taken by `map`.  For diagrams
+the shapes are matchings, traced by the splice's own chain walk
+(`diagrams._chains`), and each ket is its own bra.  The reference, the
+splice after `transpose`, builds the only bras: it evaluates each
+template's first entry as a cross-check, and any entry that lacks a
+value, so that the error is its own.
 
 Also here: exact weighted-automaton minimization (the Hankel pairing of the
 non-monoidal construction) and the two-dimensional cobordism state spaces,
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import count, product as iproduct
+from itertools import count, groupby, product as iproduct
 from math import comb, factorial
 from operator import itemgetter, le, mul
 from typing import Mapping, Sequence
@@ -260,57 +264,133 @@ def _strands(obj: tuple, ket_wiring: tuple, bra_wiring: tuple):
     return intervals, loops
 
 
+def _part(picks: list):
+    """A getter of a strand's key part at `picks`, () for none."""
+    return itemgetter(*picks) if picks else lambda decorations: ()
+
+
 def _template_gram(items: list, template, reference,
                    names: tuple) -> list[list]:
     """Gram rows: entry (i, j) pairs item i's row view with item j's
     column view, each item a (shape, row decorations, column decorations).
 
     `template(row shape, col shape)`, made once per pair of shapes, lists
-    the entry's strands as (key, values, evaluate): the key is read off the
-    row decorations followed by the column's, and the value, memoized in
-    `values`, is `evaluate(key)`, an int when integral.  The first entry of
-    each template, row by row, must agree with `reference(i, j)`, and an
-    entry missing a value is evaluated there again, so that the error is
-    the reference's.  `names` name the template and the reference.
-    """
-    ids: dict = {}
-    shape_ids = [ids.setdefault(shape, len(ids)) for shape, _rd, _cd in items]
-    col_decs = [cd for _shape, _rd, cd in items]
-    shapes = list(ids)
-    templates = [[None] * len(shapes) for _ in shapes]
+    the entry's strands as (picks, key, values, evaluate): the strand's
+    key is `key` of the row decorations followed by the column's, read at
+    `picks` alone, and its value, memoized in `values`, is `evaluate(key)`,
+    an int when integral.  An entry is the product of its strands' values.
 
-    def value(strands, decorations):
-        out = 1
-        for key, values, evaluate in strands:
-            k = key(decorations)
-            f = values.get(k)
-            if f is None:
-                f = values[k] = _integral(evaluate(k))
-            out *= f
-        return out
+    A row is built block by block, one block per run of columns of one
+    shape.  Per row shape and run, a plan splits each strand's picks into
+    row and column positions, interns the run's column parts and keeps
+    one column per part.  A row reads a strand's values at those columns
+    once per row part, cached in the plan, and a block is the per-column
+    product of its strands' values, made by `map`.  The first entry of
+    each template, row by row, must agree with `reference(i, j)`.  A row
+    that misses a value or fails that check is scanned again entry by
+    entry, in column order, so that the error names the entry the
+    per-entry loop would meet first; an entry missing a value is
+    evaluated by the reference, so that the error is the reference's.
+    `names` name the template and the reference.
+    """
+    shape_of: dict = {}
+    shape_ids = [shape_of.setdefault(shape, len(shape_of))
+                 for shape, _rd, _cd in items]
+    shapes = list(shape_of)
+    runs, stop = [], 0  # (shape, start, stop) per run of one shape
+    for s, run in groupby(shape_ids):
+        start, stop = stop, stop + len(list(run))
+        runs.append((s, start, stop))
+    first = {s: start for s, start, _stop in reversed(runs)}  # by shape
+    col_decs = [cd for _shape, _rd, cd in items]
+    templates: dict = {}
+    plans: dict = {}  # per row shape, a plan per run
+
+    def strands_of(r, c):
+        strands = templates.get((r, c))
+        if strands is None:
+            strands = templates[r, c] = template(shapes[r], shapes[c])
+        return strands
+
+    def plan(strands, width, start, stop):
+        """The strand plans of the columns start..stop, and their width.
+        A strand's plan holds its row-part getter, key, memo and
+        evaluate, one column per distinct column part, each column's
+        part index (None when all differ) and the row cache."""
+        out = []
+        for picks, key, values, evaluate in strands:
+            part = _part([p - width for p in picks if p >= width])
+            ids, reps, seen = [], [], {}
+            for cd in col_decs[start:stop]:
+                k = seen.setdefault(part(cd), len(reps))
+                if k == len(reps):
+                    reps.append(cd)
+                ids.append(k)
+            if len(reps) == stop - start:
+                ids = None
+            out.append((_part([p for p in picks if p < width]), key, values,
+                        evaluate, reps, ids, {}))
+        return out, stop - start
+
+    def rescan(i):
+        """Row i entry by entry: the error the entry loop meets first."""
+        r, rd = shape_ids[i], items[i][1]
+        for j, c in enumerate(shape_ids):
+            strands, _ = plan(strands_of(r, c), len(rd), j, j + 1)
+            if checked := i == first[r] and j == first[c]:
+                expected = reference(i, j)
+            try:
+                entry = _block(strands, rd, 1)[0]
+            except (MissingValue, SequenceTooShort):
+                reference(i, j)
+                raise InternalInconsistency(
+                    f"{names[0]} template misses a value the {names[1]} has "
+                    f"at entry ({i}, {j})") from None
+            if checked and entry != expected:
+                raise InternalInconsistency(
+                    f"{names[0]} template disagrees with the {names[1]} at "
+                    f"entry ({i}, {j})")
+        raise InternalInconsistency(
+            f"{names[0]} blocks disagree with their entries in row {i}")
 
     gram = []
-    try:
-        for i, (r, (_shape, rd, _cd)) in enumerate(zip(shape_ids, items)):
-            row_templates = templates[r]
-            row = []
-            for j, c in enumerate(shape_ids):
-                strands = row_templates[c]
-                if first := strands is None:
-                    strands = row_templates[c] = template(shapes[r], shapes[c])
-                    expected = reference(i, j)
-                row.append(value(strands, rd + col_decs[j]))
-                if first and row[-1] != expected:
-                    raise InternalInconsistency(
-                        f"{names[0]} template disagrees with the "
-                        f"{names[1]} at entry ({i}, {j})")
-            gram.append(row)
-    except (MissingValue, SequenceTooShort):
-        reference(i, j)
-        raise InternalInconsistency(
-            f"{names[0]} template misses a value the {names[1]} has at entry "
-            f"({i}, {j})") from None
+    for i, (r, (_shape, rd, _cd)) in enumerate(zip(shape_ids, items)):
+        if checked := i == first[r]:
+            plans[r] = [plan(strands_of(r, c), len(rd), start, stop)
+                        for c, start, stop in runs]
+        row = []
+        try:
+            for strand_plans, width in plans[r]:
+                row += _block(strand_plans, rd, width)
+            if checked and any(start == first[c] and row[start] != reference(
+                    i, start) for c, start, _stop in runs):
+                rescan(i)  # raises at the first entry that disagrees
+        except (MissingValue, SequenceTooShort):
+            rescan(i)
+        gram.append(row)
     return gram
+
+
+def _block(strand_plans: list, rd: tuple, width: int) -> list:
+    """A row's entries over one run of `width` columns, given the run's
+    strand plans (`_template_gram`) and the row's decorations `rd`."""
+    block = None
+    for part, key, values, evaluate, reps, ids, cache in strand_plans:
+        p = part(rd)
+        vals = cache.get(p)
+        if vals is None:
+            vals = []
+            for cd in reps:
+                k = key(rd + cd)
+                v = values.get(k)
+                if v is None:
+                    v = values[k] = _integral(evaluate(k))
+                vals.append(v)
+            cache[p] = vals
+        if ids is not None:
+            vals = list(map(vals.__getitem__, ids))
+        block = vals if block is None else list(map(mul, block, vals))
+    return [1] * width if block is None else block
 
 
 def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
@@ -343,9 +423,9 @@ def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
     def template(ket_wiring, col_wiring):  # a bra arc runs head to tail
         bra_wiring = (tuple((h, t) for t, h in col_wiring[0]), col_wiring[1])
         intervals, loops = _strands(kets[0].target, ket_wiring, bra_wiring)
-        return ([(itemgetter(*picks),) + interval_values(start, end)
+        return ([(picks, itemgetter(*picks), *interval_values(start, end))
                  for start, end, picks in intervals]
-                + [(itemgetter(*picks),) + loop_values(base)
+                + [(picks, itemgetter(*picks), *loop_values(base))
                    for base, picks in loops])
 
     return _template_gram(
@@ -601,8 +681,8 @@ def _cob2_gram_rows(spanning: list, alpha_seq: Sequence) -> list[list]:
         return rat(alpha_seq[h])
 
     def template(blocks1, blocks2):
-        return [(lambda genus, p=positions, b=betti: sum(genus[x] for x in p)
-                 + b, values, evaluate)
+        return [(positions, lambda genus, p=positions, b=betti: sum(
+                    map(genus.__getitem__, p)) + b, values, evaluate)
                 for positions, betti in _gluing(blocks1, blocks2)]
 
     return _template_gram(

@@ -31,7 +31,9 @@ from loopcat.errors import DomainError
 from loopcat.frobenius import (FrobeniusAlgebra, generating_function,
                                handle_element, product_algebra,
                                truncated_poly_algebra, validate)
-from loopcat.statespaces import _sub_gram
+from loopcat.fincat import MonoidCategory, cyclic_group
+from loopcat.statespaces import (_sub_gram, evaluation_from_monoid,
+                                 state_space_field)
 from oracles import (apply, column_det, column_eliminate, column_solve,
                      column_solve_unique, dot_matmul, euclid_gcd,
                      fraction_add, fraction_divmod, fraction_mul,
@@ -313,6 +315,33 @@ def test_rank_phases_match_gauss_jordan(case) -> None:
     if stop is not None:  # every row after the stop goes to `_Echelon`
         after = log[log.index(("span", None)) + 1:]
         assert all(name == "echelon" for name, _ in after)
+
+
+@pytest.mark.parametrize("character, signs, handed_back", [
+    # rank 16: its carried bounds reach 2^62 while its entries stay
+    # below, so its measured bounds keep every row in the span
+    ((4, 2, 0, 2), (1, -1, 1, -1), False),
+    # rank 17: its pivot minors pass 2^62 themselves
+    ((5, -3, 1, 1), (-1, -1, 1, 1), True)])
+def test_measured_bounds_hand_back_only_past_the_word(character, signs,
+                                                      handed_back) -> None:
+    """The 32-ket Grams of two C4 characters: `rank` measures the span's
+    entries before it hands back, and hands back only past the word."""
+    cat = MonoidCategory(cyclic_group(4))
+    rows = state_space_field(cat, tuple((0, s) for s in signs),
+                             evaluation_from_monoid(cat, character)).gram.ints
+    measured = []
+    largest = linalg._PackedSpan._largest
+
+    def spy(self, y):
+        measured.append(1)
+        return largest(self, y)
+
+    with patch.object(linalg._PackedSpan, "_largest", spy):
+        r, log = _rank_phases(rows)
+    assert r == gj_rank(Matrix(rows))
+    assert measured  # a carried bound reached 2^62
+    assert (("span", None) in log) == handed_back
 
 
 @st.composite

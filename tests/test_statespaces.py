@@ -3,6 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -604,6 +605,129 @@ def test_template_gram_rows_are_the_references(kind, cob2,
     assert gram == Matrix(expected)
     assert (gram.den == 1) == all(x.denominator == 1
                                   for row in expected for x in row)
+
+
+# --- the block kernel on permuted item lists ---------------------------------
+#
+# `_template_gram` builds a row in blocks, one per run of columns of one
+# shape.  Kets or diagrams drawn with repeats, in drawn order, give short
+# runs and shapes that recur in several runs; the empty object and m = 0
+# give templates with no strands.
+
+
+def _marked(alpha: Evaluation) -> Evaluation:
+    """alpha with each integral value 1 and each other 1/2, so that an
+    entry is 1 under it exactly when all its factors are integral."""
+    def mark(table):
+        return {k: Fraction(1, 1 if Fraction(v).denominator == 1 else 2)
+                for k, v in table.items()}
+    return Evaluation(mark(alpha.loop_values), mark(alpha.interval_values))
+
+
+def _assert_entries(rows, expected, marks) -> None:
+    """The rows are the oracle's, and an entry is an int exactly when all
+    its factors are integral (its mark is 1)."""
+    assert rows == expected
+    assert [[type(x) for x in row] for row in rows] == \
+        [[int if m == 1 else Fraction for m in row] for row in marks]
+
+
+@st.composite
+def permuted_kets(draw):
+    """(category, kets, evaluation, boundary): group characters or word
+    tables, with int, fraction or mixed values, and up to 12 of the
+    object's kets drawn with repeats, in drawn order."""
+    values = value_kinds[draw(st.sampled_from(sorted(value_kinds)))]
+    if draw(st.booleans()):
+        cat = MonoidCategory(draw(st.sampled_from(
+            [cyclic_group(3), cyclic_group(4), symmetric_group(3)])))
+        classes = [cat.loop_class(0, [g]) for g in range(cat.monoid.size)]
+        value = {c: draw(values) for c in sorted(set(classes), key=repr)}
+        alpha = evaluation_from_monoid(cat, [value[c] for c in classes])
+        obj, boundary, cap = draw(st.sampled_from([(), TWO] + FOUR_ORDERS)), \
+            None, 4
+    else:
+        cat = FreeMonoidCategory("ab")
+        boundary = draw(st.sampled_from([None, FreeBoundary(cat)]))
+        obj = draw(st.sampled_from([(), TWO, ((X, MINUS), (X, PLUS))]
+                                   + [((X, PLUS),)] * (boundary is not None)))
+        cap = draw(st.integers(0, 2))
+        # a class's value is one of three drawn, chosen by its word
+        table = draw(st.lists(values, min_size=3, max_size=3))
+        words = _word_evaluation(cat, FreeBoundary(cat),
+                                 (len(obj) + 1) * cap)
+        alpha = Evaluation(*({k: table[(len(k[-1]) + sum(k[-1])) % 3]
+                              for k in classes}
+                             for classes in (words.loop_values,
+                                             words.interval_values)))
+    kets = enumerate_kets(cat, obj, boundary, cap)
+    picked = draw(st.lists(st.sampled_from(kets), min_size=1, max_size=12))
+    return cat, picked, alpha, boundary
+
+
+@given(permuted_kets())
+@settings(max_examples=80, deadline=None)
+def test_block_gram_of_permuted_kets_is_the_splices(case) -> None:
+    cat, kets, alpha, boundary = case
+    _assert_entries(statespaces._pairing(cat, kets, alpha, boundary),
+                    _spliced_gram(kets, alpha),
+                    _spliced_gram(kets, _marked(alpha)))
+
+
+@given(st.sampled_from(sorted(value_kinds)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_block_gram_of_permuted_diagrams_is_the_gluings(kind, data) -> None:
+    m, cap = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 2))
+    sample = data.draw(st.lists(st.sampled_from(cob2_spanning(m, cap)),
+                                min_size=1, max_size=12))
+    seq = data.draw(st.lists(value_kinds[kind], min_size=2 * m * cap + m + 1,
+                             max_size=2 * m * cap + m + 1))
+    marks = [Fraction(1, 1 if Fraction(v).denominator == 1 else 2)
+             for v in seq]
+    _assert_entries(statespaces._cob2_gram_rows(sample, seq),
+                    _glued_gram(sample, seq), _glued_gram(sample, marks))
+
+
+def _assert_first_miss(cat, kets, alpha, boundary, dropped) -> None:
+    """Without the class `dropped`, the pairing raises the splice's error;
+    under a reference that has every value, it names the first entry, row
+    by row, whose closed diagram has the class."""
+    keep = lambda table: {k: v for k, v in table.items() if k != dropped}
+    without = Evaluation(keep(alpha.loop_values), keep(alpha.interval_values))
+    message = _spliced_error(kets, without)
+    with pytest.raises(MissingValue) as info:
+        statespaces._pairing(cat, kets, without, boundary)
+    assert str(info.value) == message
+    i, j = next((i, j) for i, k in enumerate(kets) for j, b in enumerate(kets)
+                if dropped in (d := compose(transpose(b), k)).loops
+                or dropped in d.intervals)
+    with patch.object(statespaces, "evaluate_closed",
+                      lambda d, _alpha: evaluate_closed(d, alpha)), \
+            pytest.raises(InternalInconsistency,
+                          match=rf"^pairing template misses a value the "
+                                rf"splice has at entry \({i}, {j}\)$"):
+        statespaces._pairing(cat, kets, without, boundary)
+
+
+@given(permuted_kets(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_block_gram_misses_a_value_where_the_splice_does(case, data) -> None:
+    cat, kets, alpha, boundary = case
+    k, b = (data.draw(st.sampled_from(kets)) for _ in "kb")
+    closed = compose(transpose(b), k)
+    assume(closed.loops or closed.intervals)
+    _assert_first_miss(cat, kets, alpha, boundary, data.draw(st.sampled_from(
+        sorted({*closed.loops, *closed.intervals}, key=repr))))
+
+
+def test_block_gram_misses_at_an_earlier_column_of_a_later_strand() -> None:
+    # C3 on (+, -, +, -): in row 0 the class of 1 first closes at column 1,
+    # on the template's second strand, while its first strand first meets
+    # it at column 3
+    cat = MonoidCategory(cyclic_group(3))
+    kets = enumerate_kets(cat, FOUR)
+    _assert_first_miss(cat, kets, evaluation_from_monoid(cat, [2, -1, 3]),
+                       None, cat.loop_class(0, [1]))
 
 
 def test_pairing_splices_once_per_pair_of_matchings(monkeypatch) -> None:
