@@ -574,7 +574,7 @@ def _dotted_strands(seq) -> _TraceRecursion:
     valued alpha_h = alpha_{(h-1)+1} and gains dots like any strand, so it
     is the strand h - 1: h = 0 is the strand -1, traced as alpha_0.
     """
-    return _TraceRecursion(lambda k: seq[k + 1], operator.add)
+    return _TraceRecursion(lambda k: seq[k + 1], operator.add, unit=0)
 
 
 def cob2_pseudochar_check(alpha_seq, d: int, cap_dots=None) -> Cob2PseudoReport:

@@ -16,13 +16,16 @@ multisets; class functions, loop matrices, matrix units of a direct sum,
 dotted strands (`frobenius.cob2_pseudochar_check`) and boundary-cut
 strands (`antisym_trace_boundary`) all go through it.  The recursion is
 exact only for a trace-like function, tr(gh) = tr(hg), so
-`PseudoCharacter` rejects class values that are not.  Integral traces
-run through it as ints, and results typed `Fraction` are converted on
-the way out.  The degree searches decide each level on a basis of the
-elements (`_vanishing_level`).  The permutation sum and the full element
-search live on in the test suite, which holds the recursion against the
-sum, both against the closed-diagram route in `diagrams`, and the basis
-search against the full one.
+`PseudoCharacter` rejects class values that are not.  A strand labelled
+by the unit is expanded in one term, T(1, S) = (tr 1 - |S|)·T(S), for
+the monoid identity, the identity walk matrix and the strand without
+dots; at the level d = tr 1 every tuple holding the unit is 0 at once.
+Integral traces run through it as ints, and results typed `Fraction`
+are converted on the way out.  The degree searches decide each level on
+a basis of the elements (`_vanishing_level`).  The permutation sum and
+the full element search live on in the test suite, which holds the
+recursion against the sum, both against the closed-diagram route in
+`diagrams`, and the basis search against the full one.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 from math import comb
 import operator
 
@@ -102,7 +105,7 @@ class PseudoCharacter:
                         f"alpha({h}*{g})")
         # a closure over the tables, not the instance: no reference cycle
         self._antisym = _TraceRecursion(lambda e: values[class_of[e]],
-                                        monoid.mul)
+                                        monoid.mul, unit=monoid.identity)
 
     @classmethod
     def from_element_values(cls, monoid: FiniteMonoid, values):
@@ -171,6 +174,18 @@ class _TraceRecursion:
     merged once, times their count.  A product is interned only when it
     enters a key; one that feeds a final trace is not kept.
 
+    Given the `unit` of mul (a two-sided identity whose trace exists;
+    None for none), a key holding it is expanded in one term,
+
+        T(1, S) = (tr(1) - |S|)·T(S),
+
+    exactly: a sigma that fixes the unit's slot contributes tr(1)·T(S),
+    and each of the |S| others puts the unit into one cycle of a sigma
+    of S's slots, where it leaves the cycle's product unchanged and flips
+    the sign.  When tr(1) = |S| the key is stored as 0 and T(S) is not
+    visited.  The unit is recognised when it is interned, so the engine
+    reads no trace a caller did not ask for.
+
     A key of two entries is finished as tr(a)·tr(b) - tr(a·b).  The
     optional `trace_mul(a, b)` gives tr(a·b) without forming a·b (for n×n
     matrices, n² products instead of n³); without it the product is
@@ -182,10 +197,12 @@ class _TraceRecursion:
     promise a `Fraction` convert the result.
     """
 
-    def __init__(self, trace, mul, trace_mul=None):
+    def __init__(self, trace, mul, trace_mul=None, unit=None):
         self._trace = trace
         self._mul = mul
         self._trace_mul = trace_mul
+        self._unit = unit
+        self._unit_id = None
         self._ids = {}
         self._elements = []
         self._traces = []
@@ -196,6 +213,8 @@ class _TraceRecursion:
         i = self._ids.get(x)
         if i is None:
             i = self._ids[x] = len(self._elements)
+            if self._unit is not None and x == self._unit:
+                self._unit_id = i
             self._elements.append(x)
             self._traces.append(_integral(self._trace(x)))
             self._memo[(i,)] = self._traces[i]
@@ -210,7 +229,7 @@ class _TraceRecursion:
         # would exhaust the interpreter's recursion limit.  A key waiting
         # for its subkeys keeps its expansion in `pending`.  Keys of length
         # 0 and 1 are in the memo from the start.
-        memo = self._memo
+        memo, unit = self._memo, self._unit_id
         pending = {}
         stack = [key]
         while stack:
@@ -219,7 +238,16 @@ class _TraceRecursion:
                 stack.pop()
                 continue
             terms = pending.pop(top, None)
-            if terms is None:
+            if terms is None and unit in top:
+                p = top.index(unit)
+                rest = top[:p] + top[p + 1:]
+                c = self._traces[unit] - len(rest)
+                if not c:
+                    memo[top] = 0
+                    stack.pop()
+                    continue
+                terms = [(c, rest)]
+            elif terms is None:
                 x0, rest = top[0], top[1:]
                 if len(rest) == 1:
                     a, b = self._elements[x0], self._elements[rest[0]]
@@ -648,9 +676,9 @@ def graph_pseudoholonomy(gh: GraphHolonomy, max_len: int,
 
     mats = list(mats)
     # the search runs on entry tuples, integral entries as ints
-    engine = _TraceRecursion(*_entry_ops(dim))
-    entries = [tuple(_integral(x) for row in m.entries for x in row)
-               for m in mats]
+    entries = [tuple(Fraction(x, m.den) if x % m.den else x // m.den
+                     for x in chain.from_iterable(m.ints)) for m in mats]
+    engine = _TraceRecursion(*_entry_ops(dim), unit=entries[0])
     ids = [engine.intern(e) for e in entries]
     # an entry tuple is the traces against the matrix units
     deg, checked = _vanishing_level(engine, ids, entries, range(dim + 2))

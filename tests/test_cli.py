@@ -58,7 +58,8 @@ def run_json(tmp_path, capsys, command, doc, *flags):
     return code, json.loads(out)
 
 
-def run_process(tmp_path, command, doc, *python_flags, timeout=60):
+def run_process(tmp_path, command, doc, *python_flags, flags=(),
+                timeout=60):
     """The CLI in a fresh Python process started with python_flags."""
     path = tmp_path / "job.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -67,7 +68,7 @@ def run_process(tmp_path, command, doc, *python_flags, timeout=60):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, *python_flags, "-m", "loopcat.cli", command,
-         "--input", str(path), "--format", "json"],
+         "--input", str(path), "--format", "json", *flags],
         capture_output=True, text=True, env=env, timeout=timeout)
 
 
@@ -357,6 +358,26 @@ def test_degree_rejects_non_pseudocharacter(tmp_path, capsys):
                          "--max-degree", "3")
     assert code == 1
     assert out["error"] == "NotPseudo"
+
+
+@pytest.mark.parametrize("table, values, d", [
+    ([[0, 1], [1, 0]], ["999", "-3"], 999),
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 1]], ["99", "-3", "-3"], 99)])
+def test_degree_far_up_answers_within_budget(tmp_path, table, values, d):
+    # a level-d tuple holding the identity, traced to d, is 0 at once,
+    # without the d-entry multiset it would otherwise expand into
+    doc = {"monoid": {"table": table, "identity": 0, "size": len(table)},
+           "pseudocharacter": {"classes": [[e] for e in range(len(table))],
+                               "values": values}}
+    start = time.perf_counter()
+    proc = run_process(tmp_path, "pseudochar-degree", doc,
+                       flags=("--max-degree", str(d + 1)))
+    assert time.perf_counter() - start < JOB_BUDGET_S
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {
+        "command": "pseudochar-degree", "d": d, "max_degree": d + 1,
+        "tuples_checked": d + comb(len(table) + d, d + 1),
+        "witness": [0] * d}
 
 
 def test_degree_rejects_values_that_are_not_trace_like(tmp_path, capsys):

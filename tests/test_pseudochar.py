@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import permutations, product
 from math import comb, perm
-from operator import mul
+from operator import add, mul
 from unittest import mock
 
 import pytest
@@ -31,6 +31,7 @@ from loopcat.fincat import (
     cyclic_group,
     symmetric_group,
 )
+from loopcat.frobenius import _dotted_strands
 from loopcat.linalg import _Echelon, Matrix, det
 from loopcat.pseudochar import (
     AdditivityReport,
@@ -339,6 +340,84 @@ def test_recursion_takes_long_tuples_without_deep_calls() -> None:
     # on a one-element monoid T(e, ..., e) is the falling factorial of alpha(e)
     alpha = PseudoCharacter(FiniteMonoid([[0]], 0), [2000])
     assert antisym_trace(alpha, (0,) * 1500) == perm(2000, 1500)
+
+
+# --- the unit step ------------------------------------------------------------------
+
+
+def relabelled(monoid: FiniteMonoid) -> FiniteMonoid:
+    """The monoid with element x renamed size - 1 - x, so the identity of a
+    monoid whose identity is 0 becomes its last element."""
+    n = monoid.size
+    table = [[n - 1 - monoid.mul(n - 1 - a, n - 1 - b) for b in range(n)]
+             for a in range(n)]
+    return FiniteMonoid(table, n - 1 - monoid.identity)
+
+
+UNIT_MONOIDS = tuple(map(relabelled, ORACLE_MONOIDS))
+
+
+@st.composite
+def unit_engine_cases(draw):
+    """(engine, trace, mul, unit, elements): an engine given the unit of
+    its multiplication, the pair it was built from, the unit, and a
+    strategy for its elements, which may draw the unit too.  The engines
+    run on a class function of a relabelled monoid, on 2×2 or 3×3 integer
+    matrices as entry tuples, and on dotted strands."""
+    family = draw(st.sampled_from(["monoid", "matrices", "dots"]))
+    if family == "monoid":
+        monoid = draw(st.sampled_from(UNIT_MONOIDS))
+        classes = conjugacy_classes(monoid)
+        values = draw(st.lists(st.one_of(st.integers(0, 4), rationals),
+                               min_size=len(classes), max_size=len(classes)))
+        alpha = PseudoCharacter(monoid, values, classes)
+        elements = st.integers(0, monoid.size - 1)
+        return (alpha._antisym, alpha, monoid.mul, monoid.identity,
+                elements)
+    if family == "matrices":
+        n = draw(st.sampled_from((2, 3)))
+        trace, mul_, trace_mul = _entry_ops(n)
+        unit = tuple(int(i == j) for i in range(n) for j in range(n))
+        engine = _TraceRecursion(trace, mul_, trace_mul, unit=unit)
+        elements = st.one_of(st.just(unit), st.lists(
+            st.integers(-2, 2), min_size=n * n, max_size=n * n).map(tuple))
+        return engine, trace, mul_, unit, elements
+    seq = draw(st.lists(st.one_of(st.integers(0, 6), rationals),
+                        min_size=20, max_size=20))
+    trace = seq[1:].__getitem__
+    return _dotted_strands(seq), trace, add, 0, st.integers(0, 3)
+
+
+@given(unit_engine_cases(), st.integers(0, 4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_unit_step_matches_permutation_sum(case, copies, data) -> None:
+    # T(1, S) = (tr 1 - |S|)·T(S): each of the |S| permutations that move
+    # the unit's slot merges the unit into one cycle, unchanged but for
+    # the sign; the tuples hold 0-4 copies of the unit among the others
+    engine, trace, multiply, unit, elements = case
+    others = data.draw(st.lists(elements, max_size=6 - copies))
+    g = data.draw(st.permutations(others + [unit] * copies))
+    ids = [engine.intern(x) for x in g]
+    assert engine.antisym(ids) == permutation_sum(trace, multiply, g)
+    if copies:
+        assert engine._unit_id == engine.intern(unit)
+
+
+def test_unit_at_its_trace_settles_a_key_without_the_rest() -> None:
+    # S3's standard character on the relabelled S3: the identity, element
+    # 5, traces to 2, so T(1, a, b) is 0 at once and T(a, b) is not made
+    s3 = relabelled(_S3)
+    traces = [m.trace() for m in s3_standard_rep()[0].matrices]
+    alpha = PseudoCharacter.from_element_values(s3, traces[::-1])
+    engine = alpha._antisym
+    a, b, one = (engine.intern(e) for e in (1, 2, s3.identity))
+    assert engine.antisym([a, one, b]) == 0
+    assert engine._memo[(a, b, one)] == 0
+    assert (a, b) not in engine._memo
+    assert engine.antisym([one, one, a]) == 0
+    assert (a, one) not in engine._memo
+    # a nonzero coefficient expands into T(S) and scales it
+    assert engine.antisym([one, a]) == (2 - 1) * alpha(1) != 0
 
 
 # --- integral values inside the recursion -----------------------------------------
@@ -1116,8 +1195,8 @@ def test_vanishing_level_evaluates_only_basis_tuples() -> None:
     engines = []
 
     class Recording(_TraceRecursion):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             engines.append(self)
 
     gh = GraphHolonomy(2, [(0, 1, Matrix([[1, 1], [0, 1]])),
