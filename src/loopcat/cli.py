@@ -3,7 +3,8 @@
 One job per invocation: read a JSON document, run one library operation,
 print a deterministic report.  Exit codes: 0 success (report on stdout),
 1 typed domain rejection (the mathematics said no; the error type and
-reason are reported), 2 malformed input (schema, shape, or parse errors).
+reason are reported), 2 malformed input (schema, shape, or parse errors),
+141 (128 + SIGPIPE) when the reader has closed stdout.
 
 Caps are never silent: every handler echoes the caps it consulted into
 its report.
@@ -14,6 +15,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import sys
 
 from .errors import DomainError
 from .fincat import (FreeBoundary, FreeMonoidCategory, IntervalClass,
@@ -440,24 +443,33 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     handler = _COMMANDS[args.command][0]
+    code = 0
     try:
         with open(args.input, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        result = handler(doc, args)
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise ValueError("job document nests too deeply") from None
+        report = handler(doc, args)
     except DomainError as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
+        report = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, Reject):
-            payload["reason"] = exc.reason
+            report["reason"] = exc.reason
         if isinstance(exc, Infeasible) and exc.solution is not None:
-            payload["solution"] = [rat_str(s) for s in exc.solution]
-        _emit(payload, args.format)
-        return 1
+            report["solution"] = [rat_str(s) for s in exc.solution]
+        code = 1
     except (OSError, ValueError, TypeError, KeyError, IndexError,
             AttributeError) as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)}, args.format)
-        return 2
-    _emit(result, args.format)
-    return 0
+        report, code = {"error": type(exc).__name__, "message": str(exc)}, 2
+    try:
+        _emit(report, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: exit as a writer killed by SIGPIPE,
+        # with stdout on devnull so that the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ captured by combinatorial data:
 
   * endpoints are indexed 0..(|source| + |target| - 1), source entries first;
   * each endpoint has an *effective* sign: a target entry keeps its sign, a
-    source entry flips it (reading the diagram bottom-to-top, a positive
+    source entry negates it (reading the diagram bottom-to-top, a positive
     source strand leaves the boundary, a positive target strand arrives);
   * strand segments are arcs (tail, head, label) with the tail at an
     effective minus, the head at an effective plus, and label a morphism of
@@ -26,8 +26,10 @@ into loops, and absorbs morphisms into boundary elements.
 Formal rational combinations of diagrams with common source and target make
 the enveloping linear category, where the antisymmetrizer lives.  The
 package never expands it: antisymmetrized traces run on the trace
-recursion in `pseudochar`.  The formal sums and the antisymmetrizer live
-in `tests/oracles.py`, as the reference that recursion is tested against.
+recursion in `pseudochar`, and state spaces enumerate their kets
+directly.  The generators (identities, cups, caps, permutation
+diagrams), the formal sums and the antisymmetrizer live in
+`tests/oracles.py`, as the references the package is tested against.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class BrauerMorphism:
         return self.target[e - len(self.source)][0]
 
     def endpoint_eff(self, e: int) -> int:
-        """Effective sign: target keeps its sign, source flips it."""
+        """Effective sign: target keeps its sign, source negates it."""
         if e < len(self.source):
             return -self.source[e][1]
         return self.target[e - len(self.source)][1]
@@ -131,69 +133,6 @@ class BrauerMorphism:
         return (f"BrauerMorphism(src={self.source}, tgt={self.target}, "
                 f"arcs={self.arcs}, half={self.half_intervals}, "
                 f"loops={self.loops}, intervals={self.intervals})")
-
-
-# ---------------------------------------------------------------------------
-# constructors
-
-
-def identity_diagram(cat, seq, boundary=None) -> BrauerMorphism:
-    seq = tuple(seq)
-    n = len(seq)
-    arcs = []
-    for k, (x, s) in enumerate(seq):
-        i = cat.identity(x)
-        if s == PLUS:
-            arcs.append((k, n + k, i))
-        else:
-            arcs.append((n + k, k, i))
-    return BrauerMorphism(cat, seq, seq, arcs, boundary=boundary)
-
-
-def cup(cat, label, boundary=None) -> BrauerMorphism:
-    """From the empty sequence to ((target(label), +), (source(label), -))."""
-    tgt = ((cat.target(label), PLUS), (cat.source(label), MINUS))
-    return BrauerMorphism(cat, (), tgt, [(1, 0, label)], boundary=boundary)
-
-
-def cap(cat, label, boundary=None) -> BrauerMorphism:
-    """From ((source(label), +), (target(label), -)) to the empty sequence."""
-    src = ((cat.source(label), PLUS), (cat.target(label), MINUS))
-    return BrauerMorphism(cat, src, (), [(0, 1, label)], boundary=boundary)
-
-
-def perm_diagram(cat, x, sigma, labels=None, boundary=None) -> BrauerMorphism:
-    """(g_1 tensor ... tensor g_n) after the permutation sigma on (x,+)^n.
-
-    sigma is one-line notation (source strand i ends at target sigma[i]);
-    labels[j] decorates the strand arriving at target j, so the arc from
-    source i carries labels[sigma[i]] (identity labels if omitted).
-    """
-    n = len(sigma)
-    if sorted(sigma) != list(range(n)):
-        raise ValueError("not a permutation")
-    if labels is None:
-        labels = [cat.identity(x)] * n
-    seq = ((x, PLUS),) * n
-    arcs = [(i, n + sigma[i], labels[sigma[i]]) for i in range(n)]
-    return BrauerMorphism(cat, seq, seq, arcs, boundary=boundary)
-
-
-def perm_sign(sigma) -> int:
-    inv = sum(1 for i in range(len(sigma)) for j in range(i + 1, len(sigma))
-              if sigma[i] > sigma[j])
-    return -1 if inv % 2 else 1
-
-
-def ket(cat, boundary, x, gr_elem) -> BrauerMorphism:
-    """Half-interval from the empty sequence to ((x,+)); inner end decorated."""
-    return BrauerMorphism(cat, (), ((x, PLUS),), [], [(0, gr_elem)],
-                          boundary=boundary)
-
-
-def closed_diagram(cat, loops=(), intervals=(), boundary=None) -> BrauerMorphism:
-    return BrauerMorphism(cat, (), (), [], [], loops, intervals,
-                          boundary=boundary)
 
 
 def tensor(d1: BrauerMorphism, d2: BrauerMorphism) -> BrauerMorphism:
@@ -355,12 +294,11 @@ def close_up(d: BrauerMorphism) -> BrauerMorphism:
 
 
 def transpose(d: BrauerMorphism) -> BrauerMorphism:
-    """Duality flip: swap source and target, reversing every strand.
+    """Duality: swap source and target, reversing every strand.
 
-    Arc labels are kept, so each arc must connect an object to itself
-    (automatic in one-object categories, which is where pairings live).
-    Boundary elements are carried across by the datum's flip (identity for
-    the free self-action).
+    Arc labels and boundary elements are kept, so each arc must connect an
+    object to itself (automatic in one-object categories, which is where
+    pairings live).
     """
     ns, nt = len(d.source), len(d.target)
 
@@ -372,8 +310,7 @@ def transpose(d: BrauerMorphism) -> BrauerMorphism:
         if d.endpoint_object(t) != d.endpoint_object(h):
             raise DomainError("transpose needs same-object strands")
         arcs.append((remap(h), remap(t), lab))
-    flip = getattr(d.boundary, "flip", lambda e, elem: elem)
-    half = [(remap(e), flip(e, g)) for e, g in d.half_intervals]
+    half = [(remap(e), g) for e, g in d.half_intervals]
     return BrauerMorphism(d.cat, d.target, d.source, arcs, half,
                           d.loops, d.intervals, boundary=d.boundary)
 
@@ -381,7 +318,7 @@ def transpose(d: BrauerMorphism) -> BrauerMorphism:
 def rotate(d: BrauerMorphism) -> BrauerMorphism:
     """Half-turn rotation: the rigid dual Hom(A, B) -> Hom(B*, A*).
 
-    The dual of a signed sequence reverses the order and flips every sign.
+    The dual of a signed sequence reverses the order and negates every sign.
     Rotating preserves each strand's orientation relative to its endpoints
     (tails stay tails), so labels keep their typing in any base category.
     Contravariant: rotate(compose(a, b)) == compose(rotate(b), rotate(a)).

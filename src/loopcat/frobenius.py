@@ -88,8 +88,8 @@ class FrobeniusAlgebra:
     Only the nonzero c[i][j][k] are kept: `terms[i][j]` is the tuple of
     pairs (k, D c[i][j][k]), k increasing, over one denominator D = `scale`.
     The rational unit and counit are kept with their cleared ints.
-    `structure` rebuilds the Fraction cells; `frobenius_from_json` reads
-    dense ones."""
+    `frobenius_from_json` reads dense cells, and `frobenius_to_json`
+    writes them."""
 
     def __init__(self, terms: tuple, scale: int, unit, counit):
         self._terms, self.scale, self.dim = terms, scale, len(terms)
@@ -104,13 +104,6 @@ class FrobeniusAlgebra:
         self._unit = _cleared(self.unit)
         self._counit = _cleared(self.counit)
         self._handle = None  # HandleData, built by `handle_element`
-
-    @property
-    def structure(self) -> tuple:
-        """The Fraction cells c[i][j][k], rebuilt from the terms."""
-        s, ks = self.scale, range(self.dim)
-        return tuple(tuple(tuple(Fraction(row.get(k, 0), s) for k in ks)
-                           for row in map(dict, plane)) for plane in self._terms)
 
     def _times(self, a, b) -> list[int]:
         """D a b for int vectors a and b, D the structure constants'

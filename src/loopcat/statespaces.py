@@ -224,15 +224,14 @@ class BooleanStateSpace:
 # the pairing, one wiring template per pair of matchings
 
 
-def _views(d: BrauerMorphism, flip) -> tuple:
-    """A ket's matching without its labels, then its decorations as a ket
-    and as a bra: arc labels, then half-interval elements, the bra's
-    carried through the boundary's `flip` as `transpose` carries them."""
-    labels = tuple(lab for _t, _h, lab in d.arcs)
+def _views(d: BrauerMorphism) -> tuple:
+    """A ket's matching without its labels, then its decorations: arc
+    labels, then half-interval elements.  `transpose` keeps both, so they
+    are the ket's decorations as a bra too."""
     return ((tuple((t, h) for t, h, _lab in d.arcs),
              tuple(e for e, _g in d.half_intervals)),
-            labels + tuple(g for _e, g in d.half_intervals),
-            labels + tuple(flip(e, g) for e, g in d.half_intervals))
+            tuple(lab for _t, _h, lab in d.arcs)
+            + tuple(g for _e, g in d.half_intervals))
 
 
 def _strands(obj: tuple, ket_wiring: tuple, bra_wiring: tuple):
@@ -271,8 +270,8 @@ def _part(picks: list):
 
 def _template_gram(items: list, template, reference,
                    names: tuple) -> list[list]:
-    """Gram rows: entry (i, j) pairs item i's row view with item j's
-    column view, each item a (shape, row decorations, column decorations).
+    """Gram rows: entry (i, j) pairs item i as a row with item j as a
+    column, each item a (shape, decorations) read the same either way.
 
     `template(row shape, col shape)`, made once per pair of shapes, lists
     the entry's strands as (picks, key, values, evaluate): the strand's
@@ -295,14 +294,14 @@ def _template_gram(items: list, template, reference,
     """
     shape_of: dict = {}
     shape_ids = [shape_of.setdefault(shape, len(shape_of))
-                 for shape, _rd, _cd in items]
+                 for shape, _decs in items]
     shapes = list(shape_of)
     runs, stop = [], 0  # (shape, start, stop) per run of one shape
     for s, run in groupby(shape_ids):
         start, stop = stop, stop + len(list(run))
         runs.append((s, start, stop))
     first = {s: start for s, start, _stop in reversed(runs)}  # by shape
-    col_decs = [cd for _shape, _rd, cd in items]
+    decs = [d for _shape, d in items]
     templates: dict = {}
     plans: dict = {}  # per row shape, a plan per run
 
@@ -321,7 +320,7 @@ def _template_gram(items: list, template, reference,
         for picks, key, values, evaluate in strands:
             part = _part([p - width for p in picks if p >= width])
             ids, reps, seen = [], [], {}
-            for cd in col_decs[start:stop]:
+            for cd in decs[start:stop]:
                 k = seen.setdefault(part(cd), len(reps))
                 if k == len(reps):
                     reps.append(cd)
@@ -334,7 +333,7 @@ def _template_gram(items: list, template, reference,
 
     def rescan(i):
         """Row i entry by entry: the error the entry loop meets first."""
-        r, rd = shape_ids[i], items[i][1]
+        r, rd = shape_ids[i], decs[i]
         for j, c in enumerate(shape_ids):
             strands, _ = plan(strands_of(r, c), len(rd), j, j + 1)
             if checked := i == first[r] and j == first[c]:
@@ -354,7 +353,7 @@ def _template_gram(items: list, template, reference,
             f"{names[0]} blocks disagree with their entries in row {i}")
 
     gram = []
-    for i, (r, (_shape, rd, _cd)) in enumerate(zip(shape_ids, items)):
+    for i, (r, rd) in enumerate(zip(shape_ids, decs)):
         if checked := i == first[r]:
             plans[r] = [plan(strands_of(r, c), len(rd), start, stop)
                         for c, start, stop in runs]
@@ -403,9 +402,8 @@ def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
     `repr` order).  One ket per matching is transposed first, so that a
     cross-object arc fails before any value is read.
     """
-    flip = getattr(boundary, "flip", lambda e, g: g)
-    items = [_views(k, flip) for k in kets]
-    for k in dict(zip((shape for shape, _rd, _cd in items), kets)).values():
+    items = [_views(k) for k in kets]
+    for k in dict(zip((shape for shape, _decs in items), kets)).values():
         transpose(k)
     memo: dict = {}  # per strand kind and objects: (values, evaluate)
 
@@ -686,7 +684,7 @@ def _cob2_gram_rows(spanning: list, alpha_seq: Sequence) -> list[list]:
                 for positions, betti in _gluing(blocks1, blocks2)]
 
     return _template_gram(
-        [(d.blocks, d.genus, d.genus) for d in spanning], template,
+        [(d.blocks, d.genus) for d in spanning], template,
         lambda i, j: glue_partition_diagrams(spanning[i], spanning[j],
                                              alpha_seq),
         ("gluing", "gluing"))

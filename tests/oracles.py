@@ -5,19 +5,23 @@ sign and cycles, so a test can evaluate an antisymmetrized trace as the
 plain n!-term permutation sum and hold the trace recursion against it.
 `FormalSum`, `sum_compose` and `antisymmetrizer` give the same sum on the
 diagram side: the signed permutation diagrams, which `close_up` turns into
-loops.  `f1_pullback` values the dotted circles and intervals such a
-closure of dotted strands leaves.  `dense_multiply` multiplies two vectors
-of a Frobenius algebra through every structure constant, the reference for
-`FrobeniusAlgebra.multiply`, and `dense_validate` checks the Frobenius
-axioms from its basis-vector products on every associativity triple, the
-reference for `frobenius.validate`, and `fraction_validate` is
-`validate` as it ran on Fraction products (the same loops, skip rule and
-messages), the reference for its int kernel.  `dual_basis` inverts the
-Gram, and the sum of e_i u_i over its dual basis is the reference for
-`frobenius.handle_element`.  `dense_algebra` reads an algebra from dense
-cells as a job file's are read, and `dense_truncated_poly_algebra` and
-`dense_product_algebra` build the witness blocks and their products cell
-by cell through it, the references for the sparse witness builders.
+loops.  `identity_diagram`, `cup`, `cap`, `perm_diagram`, `ket` and
+`closed_diagram` build the generating diagrams, and `perm_sign` is a
+permutation's sign.  `f1_pullback` values the dotted circles and
+intervals such a closure of dotted strands leaves.  `dense_cells` reads
+a Frobenius algebra's Fraction cells c[i][j][k] off its int terms, and
+`dense_multiply` multiplies two vectors through every one of them, the
+reference for `FrobeniusAlgebra.multiply`; `dense_validate` checks the
+Frobenius axioms from its basis-vector products on every associativity
+triple, the reference for `frobenius.validate`, and `fraction_validate`
+is `validate` as it ran on Fraction products (the same loops, skip rule
+and messages), the reference for its int kernel.  Each builds the cells
+once per algebra.  `dual_basis` inverts the Gram, and the sum of e_i u_i
+over its dual basis is the reference for `frobenius.handle_element`.
+`dense_algebra` reads an algebra from dense cells as a job file's are
+read, and `dense_truncated_poly_algebra` and `dense_product_algebra`
+build the witness blocks and their products cell by cell through it,
+the references for the sparse witness builders.
 `full_vanishing_level` is the
 vanishing search over every element tuple, the reference for the basis
 search of `pseudochar._vanishing_level`, and `reference_holonomy` runs it
@@ -45,7 +49,7 @@ from itertools import combinations_with_replacement, permutations
 from math import comb
 import operator
 
-from loopcat.diagrams import BrauerMorphism, compose, perm_diagram, perm_sign
+from loopcat.diagrams import MINUS, PLUS, BrauerMorphism, compose
 from loopcat.fincat import least_rotation
 from loopcat.frobenius import (
     NondegeneracyFailure,
@@ -309,12 +313,12 @@ def dense_truncated_poly_algebra(m: int, counit):
 
 def dense_product_algebra(*factors):
     """The direct product, its block-diagonal cells copied from the
-    factors' `structure`."""
+    factors' cells."""
     n = sum(f.dim for f in factors)
     structure = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     offset = 0
     for f in factors:
-        for i, plane in enumerate(f.structure):
+        for i, plane in enumerate(dense_cells(f)):
             for j, row in enumerate(plane):
                 structure[offset + i][offset + j][offset:offset + f.dim] = row
         offset += f.dim
@@ -322,10 +326,17 @@ def dense_product_algebra(*factors):
                          sum((f.counit for f in factors), ()))
 
 
-def dense_multiply(fa, a, b) -> tuple:
-    """a b = sum a_i b_j c[i][j][k] e_k, read from `fa.structure`."""
-    out = [Fraction(0)] * fa.dim
-    for ai, plane in zip(a, fa.structure):
+def dense_cells(fa) -> tuple:
+    """The Fraction cells c[i][j][k] of `fa`, rebuilt from its terms."""
+    s, ks = fa.scale, range(fa.dim)
+    return tuple(tuple(tuple(Fraction(row.get(k, 0), s) for k in ks)
+                       for row in map(dict, plane)) for plane in fa._terms)
+
+
+def dense_multiply(cells, a, b) -> tuple:
+    """a b = sum a_i b_j c[i][j][k] e_k over the cells of `dense_cells`."""
+    out = [Fraction(0)] * len(cells)
+    for ai, plane in zip(a, cells):
         if ai == 0:
             continue
         for bj, row in zip(b, plane):
@@ -339,9 +350,9 @@ def dense_multiply(fa, a, b) -> tuple:
 
 def dense_validate(fa) -> None:
     """Check each axiom, raising the matching error for the first failure."""
-    n = fa.dim
+    n, s = fa.dim, dense_cells(fa)
     basis = [tuple(Fraction(i == k) for i in range(n)) for k in range(n)]
-    mul = partial(dense_multiply, fa)
+    mul = partial(dense_multiply, s)
     for i in range(n):
         if mul(fa.unit, basis[i]) != basis[i]:
             raise NotUnital(f"unit * e_{i} != e_{i}")
@@ -349,7 +360,7 @@ def dense_validate(fa) -> None:
             raise NotUnital(f"e_{i} * unit != e_{i}")
     for i in range(n):
         for j in range(i + 1, n):
-            if fa.structure[i][j] != fa.structure[j][i]:
+            if s[i][j] != s[j][i]:
                 raise NotCommutative(f"e_{i} e_{j} != e_{j} e_{i}")
     for i in range(n):
         for j in range(n):
@@ -375,15 +386,14 @@ def fraction_validate(fa) -> None:
     """`frobenius.validate` on Fractions: unitality, then commutativity on
     the nonzero terms, then associativity on i < k skipping the triples
     with e_i e_j = e_j e_k = 0, then a singular Gram."""
-    n = fa.dim
+    n, s = fa.dim, dense_cells(fa)
     basis = [tuple(Fraction(i == k) for i in range(n)) for k in range(n)]
-    mul = partial(dense_multiply, fa)
+    mul = partial(dense_multiply, s)
     for i in range(n):
         if mul(fa.unit, basis[i]) != basis[i]:
             raise NotUnital(f"unit * e_{i} != e_{i}")
         if mul(basis[i], fa.unit) != basis[i]:
             raise NotUnital(f"e_{i} * unit != e_{i}")
-    s = fa.structure
     t = [[tuple((k, c) for k, c in enumerate(row) if c) for row in plane]
          for plane in s]
     for i in range(n):
@@ -400,6 +410,67 @@ def fraction_validate(fa) -> None:
                     for terms in plane] for plane in t])
     if det(gram) == 0:
         raise NondegeneracyFailure("the pairing eps(ab) is singular")
+
+
+def identity_diagram(cat, seq, boundary=None) -> BrauerMorphism:
+    seq = tuple(seq)
+    n = len(seq)
+    arcs = []
+    for k, (x, s) in enumerate(seq):
+        i = cat.identity(x)
+        if s == PLUS:
+            arcs.append((k, n + k, i))
+        else:
+            arcs.append((n + k, k, i))
+    return BrauerMorphism(cat, seq, seq, arcs, boundary=boundary)
+
+
+def cup(cat, label, boundary=None) -> BrauerMorphism:
+    """From the empty sequence to ((target(label), +), (source(label), -))."""
+    tgt = ((cat.target(label), PLUS), (cat.source(label), MINUS))
+    return BrauerMorphism(cat, (), tgt, [(1, 0, label)], boundary=boundary)
+
+
+def cap(cat, label, boundary=None) -> BrauerMorphism:
+    """From ((source(label), +), (target(label), -)) to the empty sequence."""
+    src = ((cat.source(label), PLUS), (cat.target(label), MINUS))
+    return BrauerMorphism(cat, src, (), [(0, 1, label)], boundary=boundary)
+
+
+def perm_diagram(cat, x, sigma, labels=None, boundary=None) -> BrauerMorphism:
+    """(g_1 tensor ... tensor g_n) after the permutation sigma on (x,+)^n.
+
+    sigma is one-line notation (source strand i ends at target sigma[i]);
+    labels[j] decorates the strand arriving at target j, so the arc from
+    source i carries labels[sigma[i]] (identity labels if omitted).
+    """
+    n = len(sigma)
+    if sorted(sigma) != list(range(n)):
+        raise ValueError("not a permutation")
+    if labels is None:
+        labels = [cat.identity(x)] * n
+    seq = ((x, PLUS),) * n
+    arcs = [(i, n + sigma[i], labels[sigma[i]]) for i in range(n)]
+    return BrauerMorphism(cat, seq, seq, arcs, boundary=boundary)
+
+
+def perm_sign(sigma) -> int:
+    inv = sum(1 for i in range(len(sigma)) for j in range(i + 1, len(sigma))
+              if sigma[i] > sigma[j])
+    return -1 if inv % 2 else 1
+
+
+def ket(cat, boundary, x, gr_elem) -> BrauerMorphism:
+    """Half-interval from the empty sequence to ((x,+)); inner end decorated."""
+    return BrauerMorphism(cat, (), ((x, PLUS),), [], [(0, gr_elem)],
+                          boundary=boundary)
+
+
+def closed_diagram(cat, loops=(), intervals=(), boundary=None) -> BrauerMorphism:
+    return BrauerMorphism(cat, (), (), [], [], loops, intervals,
+                          boundary=boundary)
+
+
 
 
 class FormalSum:

@@ -20,8 +20,6 @@ from loopcat.diagrams import (
     BrauerMorphism,
     close_up,
     compose,
-    perm_diagram,
-    perm_sign,
     tensor,
 )
 from loopcat.fincat import (
@@ -74,7 +72,7 @@ from loopcat.statespaces import (
     state_space_boolean,
     state_space_field,
 )
-from oracles import column_inverse
+from oracles import column_inverse, perm_diagram, perm_sign
 
 X = 0
 

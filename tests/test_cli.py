@@ -59,7 +59,7 @@ def run_json(tmp_path, capsys, command, doc, *flags):
 
 
 def run_process(tmp_path, command, doc, *python_flags, flags=(),
-                timeout=60):
+                timeout=60, stdout=subprocess.PIPE):
     """The CLI in a fresh Python process started with python_flags."""
     path = tmp_path / "job.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -69,7 +69,8 @@ def run_process(tmp_path, command, doc, *python_flags, flags=(),
     return subprocess.run(
         [sys.executable, *python_flags, "-m", "loopcat.cli", command,
          "--input", str(path), "--format", "json", *flags],
-        capture_output=True, text=True, env=env, timeout=timeout)
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+        timeout=timeout)
 
 
 def run_optimized(tmp_path, command, doc):
@@ -1348,6 +1349,40 @@ def test_missing_key_exits_two(tmp_path, capsys):
     code, out = run_json(tmp_path, capsys, "classify", {"wrong": 1})
     assert code == 2
     assert out["error"] == "KeyError"
+
+
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+def test_deeply_nested_job_exits_two(tmp_path, capsys, depth):
+    """A document nested past the parser's recursion limit is malformed
+    input, not a RecursionError traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+    code = main(["classify", "--input", str(path), "--format", "json"])
+    assert (code, json.loads(capsys.readouterr().out)) == (2, {
+        "error": "ValueError", "message": "job document nests too deeply"})
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("doc, code", [
+    (dict(Z2_MONOID, **Z2_REGULAR), 0),
+    (dict(Z2_MONOID, pseudocharacter={"classes": [[0], [1]],
+                                      "values": ["1/3", "0"]}), 1),
+    (Z2_MONOID, 2)], ids=["report", "rejection", "malformed"])
+def test_closed_stdout_exits_141_without_traceback(tmp_path, capsys, fmt, doc,
+                                                  code):
+    """With the reader gone before the report is written (`loopcat ... |
+    head -c 0`), each exit path ends as a writer killed by SIGPIPE would:
+    exit 128 + 13, and nothing on stderr."""
+    flags = ("--format", fmt, "--max-degree", "3")
+    assert run_cli(tmp_path, capsys, "pseudochar-degree", doc, *flags)[0] == code
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_process(tmp_path, "pseudochar-degree", doc, flags=flags,
+                           stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"

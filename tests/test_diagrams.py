@@ -9,15 +9,8 @@ from loopcat.diagrams import (
     PLUS,
     BrauerMorphism,
     ObjectMismatch,
-    cap,
     close_up,
-    closed_diagram,
     compose,
-    cup,
-    identity_diagram,
-    ket,
-    perm_diagram,
-    perm_sign,
     rotate,
     tensor,
     transpose,
@@ -30,7 +23,18 @@ from loopcat.fincat import (
     MonoidCategory,
     symmetric_group,
 )
-from oracles import FormalSum, antisymmetrizer, sum_compose
+from oracles import (
+    FormalSum,
+    antisymmetrizer,
+    cap,
+    closed_diagram,
+    cup,
+    identity_diagram,
+    ket,
+    perm_diagram,
+    perm_sign,
+    sum_compose,
+)
 
 S3 = symmetric_group(3)
 CAT = MonoidCategory(S3)

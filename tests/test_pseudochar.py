@@ -17,8 +17,6 @@ from loopcat.diagrams import (
     BrauerMorphism,
     close_up,
     compose,
-    perm_diagram,
-    perm_sign,
     tensor,
 )
 from loopcat.fincat import (
@@ -62,6 +60,8 @@ from oracles import (
     _signed_cycle_decompositions,
     column_eliminate,
     full_vanishing_level,
+    perm_diagram,
+    perm_sign,
     reference_holonomy,
     zero_matrix,
 )
@@ -737,14 +737,19 @@ def boundary_permutation_sum(cat, boundary, alpha, x_labels, boundary_pairs,
 
 class _SeededEvaluation:
     """A pseudo-random rational on every loop and interval class, fixed by
-    the seed and the class."""
+    the seed and the class, and drawn once per class (a loop never equals
+    an interval class)."""
 
     def __init__(self, seed):
-        self.seed = seed
+        self.seed, self.values = seed, {}
 
     def loop(self, cls):
-        rng = random.Random(f"{self.seed}:{cls!r}")
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        value = self.values.get(cls)
+        if value is None:
+            rng = random.Random(f"{self.seed}:{cls!r}")
+            value = self.values[cls] = Fraction(rng.randint(-9, 9),
+                                                rng.randint(1, 4))
+        return value
 
     interval = loop
 
