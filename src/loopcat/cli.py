@@ -120,7 +120,6 @@ def _run_statespace(doc: dict, args) -> dict:
     stabilized = args.cap_words >= 1 and restrict_state_space(
         ss, cat, args.cap_words - 1).dimension == ss.dimension
     out = {
-        "command": "statespace",
         "object": [[o, s] for o, s in obj],
         "spanning_size": len(ss.spanning),
         "gram_rows": ss.gram.rows,
@@ -154,7 +153,6 @@ def _run_boolean_statespace(doc: dict, args) -> dict:
     alpha = Evaluation(interval_values=table)
     ss = state_space_boolean(cat, obj, alpha, boundary, args.cap_words)
     return {
-        "command": "boolean-statespace",
         "alphabet": "".join(cat.alphabet),
         "object": [[o, s] for o, s in obj],
         "spanning_size": len(ss.spanning),
@@ -181,7 +179,6 @@ def _run_automaton_minimize(doc: dict, args) -> dict:
     a = WeightedAutomaton(initial, transitions, final)
     b = hankel_minimize(a)
     return {
-        "command": "automaton-minimize",
         "dimension_before": a.dimension,
         "dimension_after": b.dimension,
         "automaton": {
@@ -199,7 +196,6 @@ def _run_pseudochar_degree(doc: dict, args) -> dict:
     alpha = pseudochar_from_json(monoid, doc)
     res = degree(alpha, args.max_degree)
     return {
-        "command": "pseudochar-degree",
         "d": res.d,
         "witness": list(res.witness),
         "tuples_checked": res.tuples_checked,
@@ -215,7 +211,6 @@ def _run_pseudochar_charpoly(doc: dict, args) -> dict:
         raise ValueError(f"d = {d} exceeds --max-degree {args.max_degree}")
     p = alpha_charpoly(alpha, x, d)
     return {
-        "command": "pseudochar-charpoly",
         "x": x,
         "d": d,
         "coeffs": [rat_str(c) for c in p.coeffs],
@@ -229,7 +224,7 @@ def _run_pseudochar_lift(doc: dict, args) -> dict:
     table = [pseudochar_from_json(monoid, {"pseudocharacter": body})
              for body in doc["table"]]
     mults = lift_with_table(alpha, table)
-    return {"command": "pseudochar-lift", "multiplicities": list(mults)}
+    return {"multiplicities": list(mults)}
 
 
 def _run_holonomy(doc: dict, args) -> dict:
@@ -240,7 +235,6 @@ def _run_holonomy(doc: dict, args) -> dict:
     base = exact_int(doc.get("base", 0))
     rep = graph_pseudoholonomy(gh, args.cap_words, base)
     return {
-        "command": "holonomy",
         "base": base,
         "dimension": rep.dimension,
         "d": rep.degree.d,
@@ -257,7 +251,6 @@ def _run_frobenius_validate(doc: dict, args) -> dict:
     fa = frobenius_from_json(doc)
     validate(fa)
     return {
-        "command": "frobenius-validate",
         "ok": True,
         "dim": fa.dim,
         "handle": [rat_str(x) for x in handle_element(fa).element],
@@ -270,7 +263,6 @@ def _run_genfun(doc: dict, args) -> dict:
     validate(fa)
     rf = generating_function(fa)
     return {
-        "command": "genfun",
         "dim": fa.dim,
         "genfun": genfun_to_json(rf)["genfun"],
         "display": str(rf),
@@ -281,7 +273,6 @@ def _run_classify(doc: dict, args) -> dict:
     rf = genfun_from_json(doc)
     cd = classify_genfun(rf)
     return {
-        "command": "classify",
         "classification": classification_to_json(cd)["classification"],
         "display": str(rf),
     }
@@ -291,7 +282,6 @@ def _run_witness(doc: dict, args) -> dict:
     cd = classification_from_json(doc)
     fa = witness_synthesis(cd)
     return {
-        "command": "witness",
         "dim": fa.dim,
         "frobenius": frobenius_to_json(fa)["frobenius"],
     }
@@ -303,7 +293,6 @@ def _run_pih_solve(doc: dict, args) -> dict:
     alpha1 = doc.get("alpha1")
     cs = pih_solve(blocks, None if alpha1 is None else rat(alpha1))
     return {
-        "command": "pih-solve",
         "blocks": [[rat_str(lam), n, rat_str(mult)] for lam, n, mult in cs.blocks],
         "r": [rat_str(x) for x in cs.r],
         "gamma": [rat_str(x) for x in cs.gamma],
@@ -320,7 +309,6 @@ def _run_pih_check(doc: dict, args) -> dict:
     rep = pih_check(pih, _rat_list(doc["alpha"]))
     violation = rep.first_violation
     return {
-        "command": "pih-check",
         "dim": rep.dim,
         "ok": rep.ok,
         "first_violation": None if violation is None else {
@@ -333,7 +321,6 @@ def _run_cob2_dim(doc: dict, args) -> dict:
     seq = _rat_list(doc["alpha"])
     dim, stabilized = cob2_state_space(m, seq, args.cap_genus)
     return {
-        "command": "cob2-dim",
         "m": m,
         "dimension": dim,
         "stabilized": stabilized,
@@ -350,7 +337,6 @@ def _run_cob2_pseudo(doc: dict, args) -> dict:
         raise ValueError(f"d = {d} exceeds --max-degree {args.max_degree}")
     rep = cob2_pseudochar_check(seq, d, cap_dots)
     return {
-        "command": "cob2-pseudo",
         "d": rep.d,
         "cap_dots": rep.cap_dots,
         "ok": rep.ok,
@@ -417,26 +403,31 @@ def _emit(doc: dict, fmt: str) -> None:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused: parsing
-    leaves no state on it, each call fills a fresh namespace."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", required=True,
-                        help="path to the JSON job document")
-    common.add_argument("--format", choices=("text", "json"), default="text",
-                        help="report format (default: text)")
-    common.add_argument("--cap-words", type=int, default=4, dest="cap_words",
-                        help="label word-length cap; walk-length cap "
-                             "for holonomy (default: 4)")
-    common.add_argument("--cap-genus", type=int, default=4, dest="cap_genus",
-                        help="genus cap for cob2-dim (default: 4)")
-    common.add_argument("--max-degree", type=int, default=6,
-                        dest="max_degree",
-                        help="degree search ceiling (default: 6)")
+    leaves no state on it, each call fills a fresh namespace.  Every
+    command takes the same options, so one parser reads the command as a
+    positional and lists the commands' help lines after its own."""
+    width = max(map(len, _COMMANDS))
     parser = argparse.ArgumentParser(
         prog="loopcat",
-        description="Exact diagram-calculus reports from JSON job files.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_handler, help_line) in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=help_line)
+        description="Exact diagram-calculus reports from JSON job files.",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<{width}}  {help_line}"
+            for name, (_handler, help_line) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="the report to make (listed below)")
+    parser.add_argument("--input", required=True,
+                        help="path to the JSON job document")
+    parser.add_argument("--format", choices=("text", "json"), default="text",
+                        help="report format (default: text)")
+    parser.add_argument("--cap-words", type=int, default=4, dest="cap_words",
+                        help="label word-length cap; walk-length cap "
+                             "for holonomy (default: 4)")
+    parser.add_argument("--cap-genus", type=int, default=4, dest="cap_genus",
+                        help="genus cap for cob2-dim (default: 4)")
+    parser.add_argument("--max-degree", type=int, default=6,
+                        dest="max_degree",
+                        help="degree search ceiling (default: 6)")
     return parser
 
 
@@ -451,6 +442,7 @@ def main(argv=None) -> int:
             except RecursionError:
                 raise ValueError("job document nests too deeply") from None
         report = handler(doc, args)
+        report["command"] = args.command
     except DomainError as exc:
         report = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, Reject):

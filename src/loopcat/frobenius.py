@@ -33,13 +33,11 @@ from .linalg import (
     Polynomial,
     RationalFunction,
     _cleared,
-    det,
     exact_int,
     partial_fractions,
     rat,
     rat_str,
     solve,
-    solve_unique,
     trace_series,
 )
 from .pseudochar import _TraceRecursion
@@ -184,16 +182,15 @@ class HandleData:
 def handle_element(fa: FrobeniusAlgebra) -> HandleData:
     """h = sum_i e_i u_i, eps(u_i e_j) = delta_ij.  The coefficient of e_i
     in x is eps(u_i x), so tr(a ·) = eps(h a) and G h = t, G the Gram and
-    t_j = tr(e_j ·) = sum_i c_jii.  One `solve_unique` finds h, or a
-    singular pairing, a NondegeneracyFailure.  Kept on the algebra."""
+    t_j = tr(e_j ·) = sum_i c_jii.  One `solve` finds h and the rank of
+    G; a rank below dim is a singular pairing, a NondegeneracyFailure.
+    Kept on the algebra."""
     if fa._handle is None:
         t = [Fraction(sum(c for i, row in enumerate(plane) for k, c in row
                           if k == i), fa.scale) for plane in fa._terms]
-        try:
-            element = solve_unique(fa.gram(), t)
-        except DomainError:
-            raise NondegeneracyFailure(
-                "the pairing eps(ab) is singular") from None
+        element, rank, _ = solve(fa.gram(), t)
+        if rank < fa.dim:
+            raise NondegeneracyFailure("the pairing eps(ab) is singular")
         h, s = _cleared(element)
         # row i of multiplication by h is h e_i
         matrix = Matrix.from_ints([fa._times(h, e) for e in _int_basis(fa.dim)],
@@ -495,12 +492,12 @@ def pih_solve(blocks, alpha1=None) -> ConfluentSystem:
     blocks are (lam_i, N_i, M_i) with distinct nonzero lam_i; the system
     T Gamma = R uses rows n = 1..N (N = sum N_i) and derivative columns,
     so the exact solution is gamma_{i,0} = M_i / lam_i with every
-    higher-derivative coefficient zero — checked after solving.  det T
+    higher-derivative coefficient zero — checked after solving.  One
+    `solve` gives Gamma and det T, and det T = 0 is a SingularT.  det T
     and its unit, det T over `_confluent_magnitude`, ride along; the unit
-    is a sign depending only on the block sizes.  When
-    alpha1 is supplied it is compared against sum M_i: equality or an
-    excess >= 2 (a nilpotent block) is consistent, an excess of exactly 1
-    is not.
+    is a sign depending only on the block sizes.  When alpha1 is supplied
+    it is compared against sum M_i: equality or an excess >= 2 (a
+    nilpotent block) is consistent, an excess of exactly 1 is not.
     """
     blocks = tuple((rat(lam), exact_int(n), rat(mult))
                    for lam, n, mult in blocks)
@@ -513,10 +510,9 @@ def pih_solve(blocks, alpha1=None) -> ConfluentSystem:
     r = tuple(
         sum((mult * lam ** n for lam, _size, mult in blocks), Fraction(0))
         for n in range(1, total + 1))
-    d = det(t)
+    gamma, _, d = solve(t, r)
     if d == 0:
         raise SingularT("confluent system is singular; eigenvalues repeat?")
-    gamma = solve(t, r)
     expected = []
     for lam, size, mult in blocks:
         expected.append(mult / lam)

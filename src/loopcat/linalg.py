@@ -7,20 +7,21 @@ denominator in lowest terms, and rational vectors are cleared by the lcm
 of theirs.  Rational functions are kept normalized with denominator
 constant term 1, and their power series come from a division-free int
 recurrence.  A product makes each entry from one int inner product.
-Determinants, solving, a basis of vectors met one at a time and
-coordinates on it run one fraction-free kernel (Bareiss 1968) on int rows
-met one at a time, skipping the steps whose multiplier is zero;
-solutions are read off its pivot rows by one integer back-substitution,
-exact by Cramer's rule.  A rank starts on that kernel too, and from the
-first dependent row tests each row against a fraction-free Gauss-Jordan
-basis packed one 64-bit word per entry into one int, by one linear
-combination of ints, until an entry could outgrow its word and the
-kernel takes the rest.  Characteristic polynomials come from
-Berkowitz's division-free recurrence on the int rows.  Every polynomial
-division, the gcds among them, runs one integer pseudo-division on the
-ints; rational roots are lifted from the roots mod one prime and checked
-exactly.  Shape checks at the entry points raise ValueError, so they hold
-under `python -O` too.
+Linear systems, a basis of vectors met one at a time and coordinates on
+it run one fraction-free kernel (Bareiss 1968) on int rows met one at a
+time, skipping the steps whose multiplier is zero.  `solve` eliminates a
+system once and reads its solution, rank and determinant off the pivot
+rows, the solution by one integer back-substitution, exact by Cramer's
+rule, and the determinant by the same reader as `det`'s.  A rank
+starts on that kernel too, and from the first dependent row tests each
+row against a fraction-free Gauss-Jordan basis packed one 64-bit word per
+entry into one int, by one linear combination of ints, until an entry
+could outgrow its word and the kernel takes the rest.  Characteristic
+polynomials come from Berkowitz's division-free recurrence on the int
+rows.  Every polynomial division, the gcds among them, runs one integer
+pseudo-division on the ints; rational roots are lifted from the roots mod
+one prime and checked exactly.  Shape checks at the entry points raise
+ValueError, so they hold under `python -O` too.
 """
 
 from __future__ import annotations
@@ -461,26 +462,6 @@ class _Echelon:
         return [Fraction(f, q * s) for f, q in met]
 
 
-def _back_substitute(pivots: list, n: int) -> list[Fraction]:
-    """The x in Q^n, 0 off the pivot columns, with U x = U[:, n] for U
-    the pivot rows, each 0 at the pivot columns before its own.  Their
-    int rows have determinant d, the last pivot, at the pivot columns,
-    so d·x is integral (Cramer's rule) and each division is exact."""
-    d = pivots[-1][1] if pivots else 1
-    xs = [0] * n  # d·x
-    for c, p, y in reversed(pivots):
-        xs[c] = (d * y[n] - sum(map(mul, y, xs))) // p
-    return [Fraction(x, d) for x in xs]
-
-
-def _augmented(m: Matrix, b: Sequence) -> list[tuple]:
-    """The int rows of [m | b], both sides times both denominators."""
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length mismatch")
-    y, t = _cleared([rat(x) for x in b])
-    return [(*(t * a for a in r), m.den * z) for r, z in zip(m.ints, y)]
-
-
 _WORD = 1 << 62  # every entry a packed span reads stays below this
 _SLOT = (1 << 64) - 1
 
@@ -622,34 +603,51 @@ def rank(m: Matrix) -> int:
     return len(span.cols)
 
 
-def solve(m: Matrix, b: Sequence) -> tuple | None:
-    """One exact solution of m x = b (free variables set to 0), or None."""
-    pivots = _Echelon(_augmented(m, b)).pivots
-    if any(c == m.cols for c, _, _ in pivots):  # pivot in b: inconsistent
-        return None
-    return tuple(_back_substitute(pivots, m.cols))
-
-
-def solve_unique(m: Matrix, b: Sequence) -> tuple:
-    """Solution of a square system required to be uniquely solvable."""
-    _require_square(m)
-    pivots = _Echelon(_augmented(m, b)).pivots
-    if sorted(c for c, _, _ in pivots) != list(range(m.cols)):  # full rank
-        raise DomainError("linear system is not uniquely solvable")
-    return tuple(_back_substitute(pivots, m.cols))
+def solve(m: Matrix, b: Sequence) -> tuple:
+    """One elimination of [m | b], read three ways: (x, rank, det).  The
+    rows are m's ints times t and b's cleared ints y = t·b times m's den,
+    so the system is unchanged.  x is one exact solution of m x = b, 0 off
+    the pivot columns, or None when a pivot lies in b's column.  Its int
+    pivot rows U are each 0 at the pivot columns before their own and have
+    determinant p, the last pivot, at the pivot columns, so p·x is
+    integral (Cramer's rule) and each division of the back-substitution is
+    exact.  rank is the number of pivots in m's columns, and det is det m
+    (`_det`) for square m, None otherwise."""
+    if len(b) != m.rows:
+        raise ValueError("right-hand side length mismatch")
+    y, t = _cleared([rat(x) for x in b])
+    n, den = m.cols, m.den
+    e = _Echelon((*(t * a for a in r), den * z) for r, z in zip(m.ints, y))
+    pivots = e.pivots
+    rank = sum(c < n for c, _, _ in pivots)
+    x = None
+    if rank == len(pivots):  # no pivot in b: consistent
+        p = pivots[-1][1] if pivots else 1
+        xs = [0] * n  # p·x
+        for c, q, u in reversed(pivots):
+            xs[c] = (p * u[n] - sum(map(mul, u, xs))) // q
+        x = tuple(Fraction(v, p) for v in xs)
+    return x, rank, _det(e, n, t * den) if m.rows == n else None
 
 
 def det(m: Matrix) -> Fraction:
-    """The sign of the pivot-column order times the last pivot and the
-    rows' contents, the determinant of the ints, over den^n."""
+    """The determinant, read off the elimination of m's int rows (`_det`)."""
     _require_square(m)
-    e = _Echelon(m.ints)
-    if len(e.pivots) < m.rows:
+    return _det(_Echelon(m.ints), m.rows, m.den)
+
+
+def _det(e: _Echelon, n: int, s: int) -> Fraction:
+    """The determinant of the n x n matrix held as the first n entries of
+    the int rows e eliminated, over s; an entry after those is a right
+    side.  It is 0 below n pivots in those columns, and else the sign of
+    the pivot-column order times the last pivot and the rows' contents,
+    the determinant of the ints, over s^n."""
+    cols = [c for c, _, _ in e.pivots if c < n]
+    if len(cols) < n:
         return Fraction(0)
-    cols = [c for c, _, _ in e.pivots]
-    swaps = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+    swaps = sum(a > c for i, a in enumerate(cols) for c in cols[i + 1:])
     return Fraction((-1) ** swaps * e.content
-                    * (e.pivots[-1][1] if e.pivots else 1), m.den ** m.rows)
+                    * (e.pivots[-1][1] if e.pivots else 1), s ** n)
 
 
 def _charpoly(a: Sequence[Sequence[int]]) -> list[int]:
@@ -729,7 +727,10 @@ def partial_fractions(rf: RationalFunction):
             columns.append(reduced)
     n = den.degree
     m = Matrix([[col[r] for col in columns] for r in range(n)])
-    x = iter(solve_unique(m, [rem[r] for r in range(n)]))
+    x, rank, _ = solve(m, [rem[r] for r in range(n)])
+    if rank < n:
+        raise DomainError("linear system is not uniquely solvable")
+    x = iter(x)
     return poly_part, [(lam, mult, [next(x) for _ in range(mult)])
                        for lam, mult in factors]
 

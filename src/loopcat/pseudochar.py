@@ -39,8 +39,7 @@ import operator
 
 from .errors import DomainError
 from .fincat import FiniteMonoid, conjugacy_classes, least_rotation
-from .linalg import (Matrix, Polynomial, _augmented, _back_substitute,
-                     _Echelon, _integral, det, rat)
+from .linalg import Matrix, Polynomial, _Echelon, _integral, det, rat, solve
 
 
 class NotPseudo(DomainError):
@@ -349,8 +348,11 @@ def degree(alpha: PseudoCharacter, max_d: int) -> DegreeResult:
     nonvanishing witness at level d is the lexicographically first
     ordered tuple.  Cross-checked against the characteristic-zero identity
     d = alpha(identity); disagreement, a fractional or negative identity
-    value, or exhaustion of max_d all reject the class function.
+    value, or exhaustion of max_d all reject the class function.  A
+    negative max_d is a ValueError, raised before any of these.
     """
+    if max_d < 0:
+        raise ValueError(f"degree ceiling {max_d} is negative")
     e_val = alpha(alpha.monoid.identity)
     if e_val.denominator != 1 or e_val < 0:
         raise NotPseudo(f"identity value {e_val} is not a nonnegative integer")
@@ -453,23 +455,23 @@ def lift_with_table(alpha: PseudoCharacter, table):
 
     One equation alpha(e) = sum n_i chi_i(e) per element, taken once for
     the elements in one class of alpha and of every chi_i, so the
-    characters' classes need not be listed alike.  Returns the tuple of
-    multiplicities when they are nonnegative integers; raises Infeasible
-    carrying the exact rational solution (or None when alpha is outside
-    the span) otherwise.
+    characters' classes need not be listed alike.  One `solve` of the
+    table beside alpha decides a singular table (rank below the table's
+    length), alpha outside the span and the solution.  Returns the tuple
+    of multiplicities when they are nonnegative integers; raises
+    Infeasible carrying the exact rational solution (or None when alpha is
+    outside the span) otherwise.
     """
     if any(chi.monoid.table != alpha.monoid.table for chi in table):
         raise ValueError("table characters live on a different monoid")
     reps = {tuple(c._class_of[e] for c in (alpha, *table)): e
             for e in range(alpha.monoid.size)}.values()
     a = Matrix([[chi(e) for chi in table] for e in reps])
-    n = len(table)
-    pivots = _Echelon(_augmented(a, [alpha(e) for e in reps])).pivots
-    if sum(c < n for c, _, _ in pivots) != n:  # the rank of a
+    sol, rank, _ = solve(a, [alpha(e) for e in reps])
+    if rank != len(table):
         raise SingularTable("table characters are linearly dependent")
-    if len(pivots) > n:  # a pivot in alpha's column
+    if sol is None:
         raise Infeasible("alpha is not in the span of the table", None)
-    sol = tuple(_back_substitute(pivots, n))
     if all(s.denominator == 1 and s >= 0 for s in sol):
         return tuple(int(s) for s in sol)
     raise Infeasible("multiplicities are not nonnegative integers", sol)

@@ -179,7 +179,7 @@ def enumerate_kets(cat, obj, boundary=None, cap_words: int = 4
 # full-rank 100 x 100 Gram) takes 0.4-0.7 s in process on a 2 GHz Xeon
 # vCPU; the benchmark's largest job has 98 kets.  Like COB2_MAX_SPANNING,
 # it counts kets, not the size of the values, which set the cost of each
-# rank step (ROADMAP item 3).
+# rank step; a certified modular rank, on word-size residues, would cut it.
 MAX_KETS = 100
 
 
@@ -696,7 +696,8 @@ def _cob2_gram_rows(spanning: list, alpha_seq: Sequence) -> list[list]:
 # amount of time; m = 3 at genus cap 4 (205 diagrams) is over.  It counts
 # diagrams, not entry size, which the surface values set: a 9.4 KB job at
 # m = 1, genus cap 89 (90 diagrams, Gram entries of about 300 bits) takes
-# 14-18 s in process on a 2 GHz Xeon vCPU.  A faster rank is ROADMAP item 3.
+# 14-18 s in process on a 2 GHz Xeon vCPU.  The faster rank this needs is a
+# certified modular rank, on word-size residues.
 COB2_MAX_SPANNING = 100
 
 

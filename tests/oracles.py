@@ -31,7 +31,9 @@ independent of linalg's fraction-free kernel, and `gj_rank` reads a rank
 off it.  `column_eliminate` is the fraction-free elimination that picks
 its pivots column by column, linalg's kernel before it took rows one at a
 time, and `column_solve`, `column_solve_unique`, `column_det` and
-`column_inverse` read their results off it as linalg did.  `dot_matmul`, `fraction_times` and `fraction_weight` form
+`column_inverse` read their results off it as linalg did, on rows of
+[m | b] they build themselves.
+`dot_matmul`, `fraction_times` and `fraction_weight` form
 matrix, vector-by-matrix and automaton products as sums of Fraction
 products, the references for linalg's cleared-integer product kernel,
 and `euclid_gcd` runs Euclid's algorithm over Fraction, the reference for
@@ -59,8 +61,8 @@ from loopcat.frobenius import (
     frobenius_from_json,
 )
 from loopcat import pseudochar
-from loopcat.linalg import (Matrix, Polynomial, RationalFunction, _augmented,
-                            _cleared, det, rat)
+from loopcat.linalg import (Matrix, Polynomial, RationalFunction, _cleared,
+                            det, rat)
 from loopcat.pseudochar import (
     DegreeResult,
     GraphHolonomy,
@@ -143,6 +145,11 @@ def _column_back_substitute(pivots: list, col: int, n: int) -> list[Fraction]:
         s = d * tail[col - c - 1] if col > c else 0
         xs[c] = (s - sum(a * x for a, x in zip(tail, xs[c + 1:]))) // p
     return [Fraction(x, d) for x in xs]
+
+
+def _augmented(m: Matrix, b) -> list[tuple]:
+    """The rational rows of [m | b]."""
+    return [(*r, rat(y)) for r, y in zip(m.entries, b, strict=True)]
 
 
 def column_solve(m: Matrix, b) -> tuple | None:

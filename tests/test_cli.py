@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import loopcat
-from loopcat import frobenius, statespaces
+from loopcat import cli, frobenius, linalg, statespaces
 from loopcat.cli import main
 from loopcat.fincat import FreeMonoidCategory, symmetric_group
 from loopcat.linalg import Polynomial, RationalFunction, rat_str
@@ -822,6 +822,13 @@ OUT_OF_RANGE_JOBS = {
     "charpoly-d-over-flag": (
         "pseudochar-charpoly", dict(Z2_MONOID, **Z2_REGULAR, x=1, d=2),
         "d = 2 exceeds --max-degree 1", "--max-degree", "1"),
+    # a negative degree ceiling is malformed, whatever the class function
+    "degree-negative-max-degree": (
+        "pseudochar-degree", dict(Z2_MONOID, **Z2_REGULAR),
+        "degree ceiling -1 is negative", "--max-degree", "-1"),
+    "charpoly-negative-d": (
+        "pseudochar-charpoly", dict(Z2_MONOID, **Z2_REGULAR, x=1, d=-1),
+        "degree ceiling -1 is negative"),
     # an element in two classes, or a class with none, is no partition
     "pseudochar-class-listed-twice": (
         "pseudochar-degree", dict(Z2_MONOID, pseudocharacter={
@@ -950,15 +957,28 @@ def test_frobenius_validate_reports_handle(tmp_path, capsys):
     assert out["genus_one_value"] == "3"
 
 
+def _count_eliminations(monkeypatch) -> list:
+    """A list that gains one entry per `_Echelon` linalg builds."""
+    made = []
+
+    class Counting(linalg._Echelon):
+        def __init__(self, rows=()):
+            made.append(1)
+            super().__init__(rows)
+
+    monkeypatch.setattr(linalg, "_Echelon", Counting)
+    return made
+
+
 def test_frobenius_validate_builds_one_handle(tmp_path, capsys, monkeypatch):
     calls = []
-    solve_unique = frobenius.solve_unique
+    solve = frobenius.solve
 
     def counted(m, b):
         calls.append(m.rows)
-        return solve_unique(m, b)
+        return solve(m, b)
 
-    monkeypatch.setattr(frobenius, "solve_unique", counted)
+    monkeypatch.setattr(frobenius, "solve", counted)
     code, out = run_json(tmp_path, capsys, "frobenius-validate", QX3_EPS7)
     assert (code, out["genus_one_value"]) == (0, "3")
     assert calls == [3]
@@ -967,15 +987,18 @@ def test_frobenius_validate_builds_one_handle(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["frobenius-validate", "genfun"])
 def test_frobenius_job_eliminates_its_gram_once(tmp_path, capsys, monkeypatch,
                                                 command):
-    assert not hasattr(frobenius, "inverse")
-    calls = []
-    for name in ("solve_unique", "solve", "det"):
-        def counted(*args, name=name, fn=getattr(frobenius, name)):
-            calls.append(name)
-            return fn(*args)
-        monkeypatch.setattr(frobenius, name, counted)
+    for name in ("inverse", "solve_unique", "det"):
+        assert not hasattr(frobenius, name)
+    calls, made = [], _count_eliminations(monkeypatch)
+    solve = frobenius.solve
+
+    def counted(*args):
+        calls.append("solve")
+        return solve(*args)
+
+    monkeypatch.setattr(frobenius, "solve", counted)
     code, _ = run_json(tmp_path, capsys, command, QX3_EPS7)
-    assert (code, calls) == (0, ["solve_unique"])
+    assert (code, calls, len(made)) == (0, ["solve"], 1)
 
 
 def test_frobenius_validate_degenerate_counit(tmp_path, capsys):
@@ -1150,6 +1173,18 @@ def test_pih_solve_repeated_eigenvalue(tmp_path, capsys):
     code, out = run_json(tmp_path, capsys, "pih-solve", doc)
     assert code == 1
     assert out["error"] == "SingularT"
+
+
+@pytest.mark.parametrize("blocks, code", [
+    ([["1", 2, "2"], ["2", 1, "1"]], 0), ([["1", 1, "1"], ["1", 1, "1"]], 1)])
+def test_pih_solve_eliminates_once(tmp_path, capsys, monkeypatch, blocks,
+                                   code):
+    """Gamma and det T, singular or not, come from one elimination of T."""
+    assert not hasattr(frobenius, "det")
+    made = _count_eliminations(monkeypatch)
+    assert run_json(tmp_path, capsys, "pih-solve", {"blocks": blocks})[0] \
+        == code
+    assert len(made) == 1
 
 
 def test_pih_check_geometric_sequence(tmp_path, capsys):
@@ -1327,6 +1362,37 @@ def test_cob2_pseudo_finds_circle_witness(tmp_path, capsys):
 
 
 # --- plumbing ---------------------------------------------------------------
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    lines = [line.split(None, 1) for line in out.splitlines()]
+    for name, (_handler, help_line) in cli._COMMANDS.items():
+        assert [name, help_line] in lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["no-such-command", "--input", "job.json"], ["classify"],
+    ["--input", "job.json"], []],
+    ids=["unknown-command", "missing-input", "missing-command", "empty"])
+def test_bad_command_line_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_options_may_precede_the_command(tmp_path, capsys):
+    doc = {"genfun": {"num": ["5", "2"], "den": ["1"]}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--format", "json", "--input", str(path), "classify"]) == 0
+    before = capsys.readouterr().out
+    assert run_cli(tmp_path, capsys, "classify", doc, "--format", "json") \
+        == (0, before)
 
 
 def test_malformed_json_exits_two(tmp_path, capsys):

@@ -24,10 +24,8 @@ from loopcat.linalg import (
     rank,
     rat,
     solve,
-    solve_unique,
     trace_series,
 )
-from loopcat.errors import DomainError
 from loopcat.frobenius import (FrobeniusAlgebra, generating_function,
                                handle_element, product_algebra,
                                truncated_poly_algebra, validate)
@@ -50,13 +48,13 @@ small_ints = st.integers(min_value=-6, max_value=6)
 def test_det_and_inverse() -> None:
     m = Matrix([[1, 2], [3, 4]])
     assert det(m) == -2
-    columns = [solve_unique(m, e) for e in Matrix.identity(2).entries]
+    columns = [solve(m, e)[0] for e in Matrix.identity(2).entries]
     assert Matrix(list(zip(*columns))) * m == Matrix.identity(2)
     assert det(Matrix([[1, 2], [2, 4]])) == 0
 
 
 def test_solve_inconsistent_returns_none() -> None:
-    assert solve(Matrix([[1, 1], [1, 1]]), [0, 1]) is None
+    assert solve(Matrix([[1, 1], [1, 1]]), [0, 1]) == (None, 1, 0)
 
 
 @given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3))
@@ -111,13 +109,6 @@ def _gj_inverse(m: Matrix):
     return Matrix([r[n:] for r in rows])
 
 
-def _outcome(f, *args):
-    try:
-        return f(*args)
-    except DomainError as exc:
-        return str(exc)
-
-
 @given(low_rank_rows(), st.booleans(), st.data())
 @example([], True, None)  # 0 x 0
 @example([[], [], []], False, None)  # 3 x 0, inconsistent right side
@@ -134,8 +125,10 @@ def test_kernel_matches_gauss_jordan(rows, consistent, data) -> None:
                                         max_size=m.cols)))
     else:
         b = data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows))
-    x = solve(m, b)
+    x, r, d = solve(m, b)
     assert x == _gj_solve(m, b)
+    assert r == gj_rank(m)
+    assert d == (det(m) if m.rows == m.cols else None)
     assert x is None or (apply(m, x) == tuple(b)
                          and all(type(v) is Fraction for v in x))
     if consistent:
@@ -151,12 +144,14 @@ def test_square_kernel_matches_gauss_jordan(rows, data) -> None:
     b = ([Fraction(1)] * m.rows if data is None else
          data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows)))
     ref = _gj_inverse(m)
+    x, r, d = solve(m, b)
+    assert d == det(m)
     if ref is None:
-        assert _outcome(solve_unique, m, b) == \
-            "linear system is not uniquely solvable"
+        assert r < m.rows
         assert det(m) == 0
     else:
-        assert solve_unique(m, b) == _gj_solve(m, b) == apply(ref, b)
+        assert r == m.rows
+        assert x == _gj_solve(m, b) == apply(ref, b)
         assert det(m) != 0
 
 
@@ -363,7 +358,8 @@ def test_sparse_kernel_matches_gauss_jordan(rows, data) -> None:
     assert rank(m) == gj_rank(m)
     b = data.draw(st.lists(small_ints.map(Fraction), min_size=m.rows,
                            max_size=m.rows))
-    assert solve(m, b) == _gj_solve(m, b)
+    x, r, _ = solve(m, b)
+    assert (x, r) == (_gj_solve(m, b), gj_rank(m))
 
 
 @given(sparse_rows(square=True), st.data())
@@ -373,11 +369,13 @@ def test_sparse_square_kernel_matches_gauss_jordan(rows, data) -> None:
     b = data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows))
     assert det(m) == _cofactor_det(rows)
     ref = _gj_inverse(m)
+    x, r, d = solve(m, b)
+    assert d == _cofactor_det(rows)
     if ref is None:
-        assert _outcome(solve_unique, m, b) == \
-            "linear system is not uniquely solvable"
+        assert r < m.rows
     else:
-        assert solve_unique(m, b) == _gj_solve(m, b)
+        assert r == m.rows
+        assert x == _gj_solve(m, b)
 
 
 @given(st.lists(st.lists(st.one_of(st.just(0), small_ints), min_size=5,
@@ -472,7 +470,7 @@ def test_echelon_matches_column_order_elimination(case, consistent,
         else:
             b = data.draw(st.lists(rationals, min_size=m.rows,
                                    max_size=m.rows))
-        assert solve(m, b) == column_solve(m, b)
+        assert solve(m, b)[:2] == (column_solve(m, b), len(columns))
 
 
 def _inversions(order) -> int:
@@ -497,9 +495,10 @@ def _inversions(order) -> int:
           [3, 1, 0, 2]), None)
 @settings(max_examples=100, deadline=None)
 def test_square_echelon_matches_column_order_elimination(case, data) -> None:
-    """det, with its sign, and solve_unique agree with the
-    column-order reference in any order of the rows, and a reordering
-    changes the determinant by the sign of the permutation."""
+    """det, with its sign, and `solve`'s determinant, rank and unique
+    solution agree with the column-order reference in any order of the
+    rows, and a reordering changes the determinant by the sign of the
+    permutation."""
     rows, order = case
     shuffled = [rows[i] for i in order]
     for rs in (rows, shuffled):
@@ -507,23 +506,40 @@ def test_square_echelon_matches_column_order_elimination(case, data) -> None:
         b = ([Fraction(1)] * m.rows if data is None else
              data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows)))
         assert det(m) == column_det(m)
-        x = column_solve_unique(m, b)
-        assert _outcome(solve_unique, m, b) == (
-            "linear system is not uniquely solvable" if x is None else x)
+        x, r, d = solve(m, b)
+        assert d == column_det(m)
+        assert (x if r == m.rows else None) == column_solve_unique(m, b)
     assert det(Matrix(shuffled)) == \
         (-1) ** _inversions(order) * det(Matrix(rows))
 
 
-def test_solve_unique_decides_from_one_elimination() -> None:
+def test_solve_reads_rank_and_det_from_one_elimination() -> None:
     m = Matrix([[2, 1], [1, 3]])
-    assert solve_unique(m, [3, 5]) == (Fraction(4, 5), Fraction(7, 5))
-    assert solve_unique(Matrix([]), []) == ()
-    for singular, b in ((Matrix([[1, 2], [2, 4]]), [1, 2]),  # consistent
-                        (Matrix([[1, 2], [2, 4]]), [1, 0]),  # inconsistent
-                        (Matrix([[0, 1], [0, 1]]), [1, 1])):
-        with pytest.raises(DomainError,
-                           match="linear system is not uniquely solvable"):
-            solve_unique(singular, b)
+    assert solve(m, [3, 5]) == ((Fraction(4, 5), Fraction(7, 5)), 2, 5)
+    assert solve(Matrix([]), []) == ((), 0, 1)
+    for singular, b, x in ((Matrix([[1, 2], [2, 4]]), [1, 2],  # consistent
+                            (1, 0)),
+                           (Matrix([[1, 2], [2, 4]]), [1, 0], None),
+                           (Matrix([[0, 1], [0, 1]]), [1, 1], (0, 1))):
+        assert solve(singular, b) == (x, 1, 0)
+    # a non-square system has no determinant
+    assert solve(Matrix([[1, 2]]), [1]) == ((1, 0), 1, None)
+    assert solve(Matrix([[1], [2]]), [1, 3]) == (None, 1, None)
+    # rational rows and right side: (t·den)^n clears both
+    half = Matrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
+    assert solve(half, [Fraction(1, 5), 1]) == (
+        (Fraction(2, 5), 3), 2, Fraction(1, 6))
+    made = []
+
+    class Counting(_Echelon):
+        def __init__(self, rows=()):
+            made.append(1)
+            super().__init__(rows)
+
+    with patch.object(linalg, "_Echelon", Counting):
+        solve(m, [3, 5])
+        det(m)
+    assert len(made) == 2
 
 
 def _rows(n: int, m: int):
@@ -774,7 +790,7 @@ def fit_linear_recurrence(seq, max_order: int) -> Polynomial:
             continue
         m = Matrix([[s[n - j] for j in range(1, d + 1)]
                     for n in range(d, len(s))])
-        x = solve(m, [-s[n] for n in range(d, len(s))])
+        x = solve(m, [-s[n] for n in range(d, len(s))])[0]
         if x is not None:
             return Polynomial([Fraction(1), *x])
     raise NoRecurrence(f"no linear recurrence of order <= {max_order}")
