@@ -8,6 +8,10 @@ reason are reported), 2 malformed input (schema, shape, or parse errors),
 
 Caps are never silent: every handler echoes the caps it consulted into
 its report.
+
+Each job value has one reader: a handler passes a raw field to the
+library function that parses it, and parses here only what nothing else
+reads or what must precede the library's checks (`pih-check`, `cob2-dim`).
 """
 
 from __future__ import annotations
@@ -92,12 +96,14 @@ def _evaluation_from(doc: dict):
 
 
 def _check_kets(cat, obj, boundary, cap_words: int) -> None:
-    """Reject, before any word, table or ket is built, an object with more
-    than MAX_KETS kets (`ket_count`).  A free monoid labels arcs and ends
-    with its words up to cap_words, counted as a geometric sum; past
-    MAX_KETS the cap is clipped, which keeps the count above the bound."""
+    """Reject, before any word, table or ket is built, a negative cap_words
+    and an object of more than MAX_KETS kets (`ket_count`).  Free monoid
+    words up to cap_words label arcs and ends, counted as a geometric sum;
+    past MAX_KETS the cap is clipped, keeping the count above the bound."""
+    if cap_words < 0:
+        raise ValueError(f"cap_words must be nonnegative, got {cap_words}")
     if isinstance(cat, FreeMonoidCategory):
-        cap = min(max(cap_words, 0), MAX_KETS)
+        cap = min(cap_words, MAX_KETS)
         labels = sum(len(cat.alphabet) ** i for i in range(cap + 1))
     else:
         labels = cat.monoid.size
@@ -165,18 +171,14 @@ def _run_boolean_statespace(doc: dict, args) -> dict:
 
 def _run_automaton_minimize(doc: dict, args) -> dict:
     body = doc["automaton"]
-    initial = _rat_list(body["initial"])
-    final = _rat_list(body["final"])
-    n = len(initial)
-    if len(final) != n:
-        raise ValueError("initial and final lengths differ")
+    n = len(body["initial"])
     transitions = {}
     for letter, rows in body["transitions"].items():
         m = Matrix(rows)
         if m.rows != n or m.cols != n:
             raise ValueError(f"transition {letter!r} is not {n}x{n}")
         transitions[letter] = m
-    a = WeightedAutomaton(initial, transitions, final)
+    a = WeightedAutomaton(body["initial"], transitions, body["final"])
     b = hankel_minimize(a)
     return {
         "dimension_before": a.dimension,
@@ -288,10 +290,7 @@ def _run_witness(doc: dict, args) -> dict:
 
 
 def _run_pih_solve(doc: dict, args) -> dict:
-    blocks = [(rat(lam), exact_int(n), rat(mult))
-              for lam, n, mult in doc["blocks"]]
-    alpha1 = doc.get("alpha1")
-    cs = pih_solve(blocks, None if alpha1 is None else rat(alpha1))
+    cs = pih_solve(doc["blocks"], doc.get("alpha1"))
     return {
         "blocks": [[rat_str(lam), n, rat_str(mult)] for lam, n, mult in cs.blocks],
         "r": [rat_str(x) for x in cs.r],
@@ -330,12 +329,10 @@ def _run_cob2_dim(doc: dict, args) -> dict:
 
 
 def _run_cob2_pseudo(doc: dict, args) -> dict:
-    seq, d = _rat_list(doc["alpha"]), exact_int(doc["d"])
-    cap_dots = doc.get("cap_dots")
-    cap_dots = None if cap_dots is None else exact_int(cap_dots)
+    d = exact_int(doc["d"])
     if d > args.max_degree:  # the recursion closes up d + 1 strands
         raise ValueError(f"d = {d} exceeds --max-degree {args.max_degree}")
-    rep = cob2_pseudochar_check(seq, d, cap_dots)
+    rep = cob2_pseudochar_check(doc["alpha"], d, doc.get("cap_dots"))
     return {
         "d": rep.d,
         "cap_dots": rep.cap_dots,

@@ -32,7 +32,7 @@ from itertools import chain as _chain
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 from .errors import DomainError
-from .linalg import exact_int
+from .linalg import exact_int, rat
 
 _letters = _chain.from_iterable  # the letters of a chain of words, in order
 
@@ -145,6 +145,20 @@ def conjugacy_classes(m: FiniteMonoid) -> list[list[int]]:
     for g in range(m.size):
         classes.setdefault(uf.find(g), []).append(g)
     return [sorted(v) for _, v in sorted(classes.items())]
+
+
+def class_values(m: FiniteMonoid, values) -> tuple[list[list[int]], list]:
+    """The reader of per-element values: `conjugacy_classes` and the value
+    on each, from one entry per element, each parsed, constant on each
+    class."""
+    if len(values) != m.size:
+        raise ValueError("one value per element required")
+    values = [rat(values[e]) for e in range(m.size)]
+    classes = conjugacy_classes(m)
+    for c in classes:
+        if len({values[e] for e in c}) != 1:
+            raise ValueError(f"values not constant on class {c}")
+    return classes, [values[c[0]] for c in classes]
 
 
 class MonoidCategory:

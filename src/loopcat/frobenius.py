@@ -203,11 +203,10 @@ def surface_eval(fa: FrobeniusAlgebra, genus: int) -> Fraction:
     """Value of the closed genus-g surface: eps(h^g).
 
     For g >= 1 this must equal tr(M_h^(g-1)) (trace of multiplication by a
-    is eps(h a)).  That trace is read off the trace series of M_h
-    (`trace_series`), the same route as `generating_function`; the two
-    routes are compared, and disagreement — possible only for inputs that
-    are not honest Frobenius data — is an InternalInconsistency.  The
-    handle is the algebra's one `handle_element`.
+    is eps(h a)), taken as the trace of the power; at g = 1 it is dim.
+    Disagreement — possible only for inputs that are not honest Frobenius
+    data — is an InternalInconsistency.  The handle is the algebra's one
+    `handle_element`.
     """
     if genus < 0:
         raise ValueError("genus must be nonnegative")
@@ -217,7 +216,7 @@ def surface_eval(fa: FrobeniusAlgebra, genus: int) -> Fraction:
         power = fa.multiply(power, hd.element)
     value = fa.eps(power)
     if genus >= 1:
-        if value != trace_series(hd.matrix).taylor(genus)[genus - 1]:
+        if value != (hd.matrix ** (genus - 1)).trace():
             raise InternalInconsistency(
                 f"eps(h^{genus}) disagrees with tr(M_h^{genus - 1})")
     return value
@@ -501,6 +500,7 @@ def pih_solve(blocks, alpha1=None) -> ConfluentSystem:
     """
     blocks = tuple((rat(lam), exact_int(n), rat(mult))
                    for lam, n, mult in blocks)
+    alpha1 = None if alpha1 is None else rat(alpha1)
     if any(lam == 0 for lam, _n, _m in blocks):
         raise ValueError("eigenvalues must be nonzero")
     if any(n < 1 for _lam, n, _m in blocks):
@@ -523,7 +523,7 @@ def pih_solve(blocks, alpha1=None) -> ConfluentSystem:
     if alpha1 is not None:
         semisimple_dim = sum((mult for _lam, _size, mult in blocks),
                              Fraction(0))
-        excess = rat(alpha1) - semisimple_dim
+        excess = alpha1 - semisimple_dim
         verdict = ("consistent"
                    if excess == 0 or (excess.denominator == 1 and excess >= 2)
                    else "inconsistent")
@@ -627,8 +627,8 @@ def frobenius_to_json(fa: FrobeniusAlgebra) -> dict:
 
 
 def frobenius_from_json(doc: dict) -> FrobeniusAlgebra:
-    """The algebra of a job's dense cells.  All four keys are read, then
-    all values parsed, before any shape is checked."""
+    """The algebra of a job's dense cells, all four keys read and the cells
+    parsed before any shape is checked; `FrobeniusAlgebra` parses the rest."""
     body = doc["frobenius"]
     dim, structure, unit, counit = (body["dim"], body["structure"],
                                     body["unit"], body["counit"])
@@ -647,7 +647,6 @@ def frobenius_from_json(doc: dict) -> FrobeniusAlgebra:
         return c
     cells = tuple(tuple(tuple(map(cell, row)) for row in plane)
                   for plane in structure)
-    unit, counit = tuple(map(rat, unit)), tuple(map(rat, counit))
     if len(cells) != n or any(len(p) != n or any(len(r) != n for r in p)
                               for p in cells):
         raise ValueError("structure constants must be dim^3")
@@ -679,6 +678,4 @@ def classification_to_json(cd: ClassificationData) -> dict:
 
 def classification_from_json(doc: dict) -> ClassificationData:
     body = doc["classification"]
-    return ClassificationData(
-        rat(body["mu"]), exact_int(body["m"]),
-        tuple((rat(lam), exact_int(mult)) for lam, mult in body["poles"]))
+    return ClassificationData(body["mu"], exact_int(body["m"]), body["poles"])

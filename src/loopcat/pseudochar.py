@@ -38,7 +38,8 @@ from math import comb
 import operator
 
 from .errors import DomainError
-from .fincat import FiniteMonoid, conjugacy_classes, least_rotation
+from .fincat import (FiniteMonoid, class_values, conjugacy_classes,
+                     least_rotation)
 from .linalg import Matrix, Polynomial, _Echelon, _integral, det, rat, solve
 
 
@@ -108,14 +109,8 @@ class PseudoCharacter:
 
     @classmethod
     def from_element_values(cls, monoid: FiniteMonoid, values):
-        values = [rat(v) for v in values]
-        if len(values) != monoid.size:
-            raise ValueError("one value per element required")
-        classes = conjugacy_classes(monoid)
-        for c in classes:
-            if len({values[e] for e in c}) != 1:
-                raise ValueError(f"values not constant on class {c}")
-        return cls(monoid, [values[c[0]] for c in classes], classes)
+        classes, per_class = class_values(monoid, values)
+        return cls(monoid, per_class, classes)
 
     def __call__(self, element: int) -> Fraction:
         return self.values[self._class_of[element]]
@@ -700,6 +695,5 @@ def pseudochar_from_json(monoid: FiniteMonoid, doc: dict) -> PseudoCharacter:
     classes = [tuple(c) for c in body["classes"]]
     if any(isinstance(e, bool) for c in classes for e in c):
         raise ValueError("class entries must be element numbers, not booleans")
-    return PseudoCharacter(monoid, [rat(v) for v in body["values"]],
-                           classes=classes)
+    return PseudoCharacter(monoid, body["values"], classes=classes)
 

@@ -41,7 +41,7 @@ from typing import Mapping, Sequence
 
 from .diagrams import BrauerMorphism, _chains, compose, transpose
 from .errors import DomainError, InternalInconsistency
-from .fincat import IntervalClass, Loop, _UnionFind, compose_path
+from .fincat import IntervalClass, Loop, _UnionFind, class_values, compose_path
 from .linalg import Matrix, _Echelon, _cleared, _integral, rank, rat
 
 
@@ -79,15 +79,11 @@ class Evaluation:
 
 
 def evaluation_from_monoid(cat, values: Sequence) -> Evaluation:
-    """Per-element values (must be constant on loop classes) over a MonoidCategory."""
-    table = {}
-    for g in range(cat.monoid.size):
-        lp = cat.loop_class(0, [g])
-        v = rat(values[g])
-        if lp in table and table[lp] != v:
-            raise ValueError(f"values not constant on the class of {g}")
-        table[lp] = v
-    return Evaluation(loop_values=table)
+    """Per-element values over a MonoidCategory, read by `class_values`:
+    a loop class is a conjugacy class."""
+    classes, per_class = class_values(cat.monoid, values)
+    return Evaluation(loop_values={cat.loop_class(0, c[:1]): v
+                                   for c, v in zip(classes, per_class)})
 
 
 def evaluate_closed(d: BrauerMorphism, alpha: Evaluation):

@@ -27,8 +27,8 @@ vanishing search over every element tuple, the reference for the basis
 search of `pseudochar._vanishing_level`, and `reference_holonomy` runs it
 as the degree search of `graph_pseudoholonomy` on `Matrix` objects.
 `gauss_jordan` reduces Fraction rows to reduced row echelon form,
-independent of linalg's fraction-free kernel, and `gj_rank` reads a rank
-off it.  `column_eliminate` is the fraction-free elimination that picks
+independent of linalg's fraction-free kernel, and `gj_rank` counts the
+pivots of forward Fraction elimination, without clearing above them.  `column_eliminate` is the fraction-free elimination that picks
 its pivots column by column, linalg's kernel before it took rows one at a
 time, and `column_solve`, `column_solve_unique`, `column_det` and
 `column_inverse` read their results off it as linalg did, on rows of
@@ -98,7 +98,23 @@ def gauss_jordan(rows: list[list[Fraction]]) -> list[int]:
 
 
 def gj_rank(m: Matrix) -> int:
-    return len(gauss_jordan([list(r) for r in m.entries]))
+    """Pivots of forward Fraction elimination: each pivot clears the rows
+    below it, and the rows above are left as they are."""
+    rows, r = [list(x) for x in m.entries], 0
+    for c in range(m.cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] / top[c]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], top)]
+        r += 1
+        if r == len(rows):
+            break
+    return r
 
 
 def column_eliminate(rows) -> tuple[list, int, int]:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -15,8 +16,9 @@ import pytest
 import loopcat
 from loopcat import cli, frobenius, linalg, statespaces
 from loopcat.cli import main
-from loopcat.fincat import FreeMonoidCategory, symmetric_group
+from loopcat.fincat import FiniteMonoid, FreeMonoidCategory, symmetric_group
 from loopcat.linalg import Polynomial, RationalFunction, rat_str
+from loopcat.pseudochar import PseudoCharacter
 from loopcat.statespaces import MAX_KETS
 from test_cli_properties import JOB_BUDGET_S
 
@@ -857,6 +859,13 @@ OUT_OF_RANGE_JOBS = {
     "boolean-statespace-cap-9": (
         "boolean-statespace", {"alphabet": ["a", "b"], "accepted": ["ab"]},
         "object has more than 100 kets at cap_words 9", "--cap-words", "9"),
+    # a negative word cap is malformed, as for the walk and genus caps
+    "statespace-negative-cap": (
+        "statespace", dict(Z2_MONOID, alpha=["2", "0"]),
+        "cap_words must be nonnegative, got -1", "--cap-words", "-1"),
+    "boolean-statespace-negative-cap": (
+        "boolean-statespace", {"alphabet": ["a"], "accepted": ["", "a"]},
+        "cap_words must be nonnegative, got -2", "--cap-words", "-2"),
 }
 
 
@@ -1185,6 +1194,58 @@ def test_pih_solve_eliminates_once(tmp_path, capsys, monkeypatch, blocks,
     assert run_json(tmp_path, capsys, "pih-solve", {"blocks": blocks})[0] \
         == code
     assert len(made) == 1
+
+
+@pytest.mark.parametrize("command, doc, fields", [
+    ("pih-solve", {"blocks": [["2", 1, "1"], ["3", 2, "1"], ["5", 1, "2"]],
+                   "alpha1": "4"}, [1, 2, 1]),
+    ("witness", {"classification": {"mu": "1", "m": 2,
+                                    "poles": [["2", 1], ["3", 2]]}},
+     [2, 1, 2]),
+    ("cob2-pseudo", {"alpha": ["2", "3", "5", "9", "17", "33"], "d": 1,
+                     "cap_dots": 2}, [1, 2]),
+])
+def test_integer_fields_are_read_once(tmp_path, capsys, monkeypatch, command,
+                                      doc, fields):
+    """The handler hands each raw field to the function that parses it, so
+    each integer field of the job goes through `exact_int` once."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return linalg.exact_int(x)
+
+    for module in (cli, frobenius):
+        monkeypatch.setattr(module, "exact_int", counted)
+    assert run_json(tmp_path, capsys, command, doc)[0] == 0
+    assert calls == fields
+
+
+# a statespace monoid job's per-element values have the one reader of
+# `PseudoCharacter.from_element_values`: every entry is parsed, one per
+# element, constant on each class
+MONOID_ALPHA_JOBS = {
+    "over-long": (Z2_MONOID, ["2", "0", "1"],
+                  "one value per element required"),
+    "junk-past-the-elements": (Z2_MONOID, ["2", "0", "junk"],
+                               "one value per element required"),
+    "junk": (Z2_MONOID, ["2", "junk"], "Invalid literal for Fraction: 'junk'"),
+    "short": (Z2_MONOID, ["2"], "one value per element required"),
+    "not-constant": (S3_STANDARD, ["2", "0", "1", "-1", "-1", "0"],
+                     "values not constant on class [1, 2, 5]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONOID_ALPHA_JOBS))
+def test_monoid_alpha_is_read_like_element_values(tmp_path, capsys, name):
+    monoid, alpha, message = MONOID_ALPHA_JOBS[name]
+    doc = dict(monoid, alpha=alpha)
+    assert run_json(tmp_path, capsys, "statespace", doc) == (
+        2, {"error": "ValueError", "message": message})
+    body = doc["monoid"]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PseudoCharacter.from_element_values(
+            FiniteMonoid(body["table"], body["identity"]), alpha)
 
 
 def test_pih_check_geometric_sequence(tmp_path, capsys):

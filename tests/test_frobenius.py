@@ -406,9 +406,11 @@ def test_cross_checks_catch_dishonest_structure() -> None:
 
 @pytest.mark.parametrize("j", [0, 1, 2])
 def test_cross_checks_catch_a_wrong_trace_series(monkeypatch, j) -> None:
-    """The series with its T^j coefficient raised by one disagrees with
-    eps(h^(j+1)) taken on ints, on an algebra with non-integral structure
-    constants and handle; the honest series agrees."""
+    """tr(M_h^j) raised by one disagrees with eps(h^(j+1)) taken on ints,
+    on an algebra with non-integral structure constants and handle: in
+    `generating_function` the series' T^j coefficient is raised, in
+    `surface_eval` the trace of the power M_h^j.  The honest routes
+    agree."""
     plain = product_algebra(
         truncated_poly_algebra(2, [Fraction(1, 3), Fraction(2, 5)]),
         diagonal_algebra([Fraction(3, 7)]))
@@ -428,6 +430,13 @@ def test_cross_checks_catch_a_wrong_trace_series(monkeypatch, j) -> None:
     with pytest.raises(InternalInconsistency,
                        match=rf"^eps\(h\^{j + 1}\) disagrees"):
         generating_function(fa)
+    honest_power = Matrix.__pow__
+
+    def raised(m, n):  # adds one at entry (0, 0), so one to the trace
+        return honest_power(m, n) + Matrix.from_ints(
+            [[int(r == c == 0) for c in range(m.cols)] for r in range(m.rows)])
+
+    monkeypatch.setattr(Matrix, "__pow__", raised)
     with pytest.raises(InternalInconsistency,
                        match=rf"^eps\(h\^{j + 1}\) disagrees"):
         surface_eval(fa, j + 1)
@@ -562,6 +571,23 @@ def test_witness_pure_semisimple() -> None:
     fa = witness_synthesis(cd)
     assert fa.dim == 3
     assert generating_function(fa) == cd.genfun()
+
+
+def test_witness_that_fails_to_classify_back_is_caught(monkeypatch) -> None:
+    """A witness block whose counit is shifted by one changes the witness's
+    generating function, and the round trip names it."""
+    cd = ClassificationData(5, 2, ((Fraction(2), 1),))
+    honest = frobenius.truncated_poly_algebra
+
+    def shifted(m, counit):
+        return honest(m, [counit[0] + 1, *counit[1:]])
+
+    monkeypatch.setattr(frobenius, "truncated_poly_algebra", shifted)
+    with pytest.raises(InternalInconsistency,
+                       match="^witness fails to classify back$"):
+        witness_synthesis(cd)
+    monkeypatch.undo()
+    assert generating_function(witness_synthesis(cd)) == cd.genfun()
 
 
 def test_witness_empty_rejected() -> None:
