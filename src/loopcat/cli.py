@@ -32,7 +32,7 @@ from .frobenius import (PIHSystem, Reject, classification_from_json,
                         genfun_from_json, genfun_to_json, handle_element,
                         pih_check, pih_solve, surface_eval, validate,
                         witness_synthesis)
-from .linalg import Matrix, exact_int, format_poly, rat, rat_str
+from .linalg import Matrix, _value_list, exact_int, format_poly, rat, rat_str
 from .pseudochar import (GraphHolonomy, Infeasible, alpha_charpoly, degree,
                          graph_pseudoholonomy, lift_with_table,
                          pseudochar_from_json)
@@ -62,7 +62,7 @@ def _object_from(doc: dict, default) -> tuple:
 
 
 def _rat_list(values) -> list:
-    return [rat(v) for v in values]
+    return [rat(v) for v in _value_list(values)]
 
 
 def _evaluation_from(doc: dict):

@@ -32,7 +32,7 @@ from itertools import chain as _chain
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 from .errors import DomainError
-from .linalg import exact_int, rat
+from .linalg import _value_list, exact_int, rat
 
 _letters = _chain.from_iterable  # the letters of a chain of words, in order
 
@@ -151,7 +151,7 @@ def class_values(m: FiniteMonoid, values) -> tuple[list[list[int]], list]:
     """The reader of per-element values: `conjugacy_classes` and the value
     on each, from one entry per element, each parsed, constant on each
     class."""
-    if len(values) != m.size:
+    if len(_value_list(values)) != m.size:
         raise ValueError("one value per element required")
     values = [rat(values[e]) for e in range(m.size)]
     classes = conjugacy_classes(m)

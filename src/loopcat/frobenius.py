@@ -13,9 +13,9 @@ when recovering a direct-sum decomposition from the values alone.
 An algebra keeps its nonzero structure constants as ints over one common
 denominator, and its unit and counit as cleared int vectors.  Every
 product runs one int kernel over the nonzero structure constants
-(`FrobeniusAlgebra._times`): the axiom checks, multiplication by the
-handle and the eps(h^g) cross-check of the generating function stay on
-ints, and `multiply` is the kernel's Fraction wrapper.
+(`FrobeniusAlgebra._times`): the axiom checks, multiplication by h and the
+surface values eps(h^g) (`_surface_values`), which check generating
+functions and witnesses, stay on ints; `multiply` is its Fraction wrapper.
 """
 
 from __future__ import annotations
@@ -27,19 +27,9 @@ from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
 
 from .errors import DomainError, InternalInconsistency
-from .linalg import (
-    Matrix,
-    NonSplitDenominator,
-    Polynomial,
-    RationalFunction,
-    _cleared,
-    exact_int,
-    partial_fractions,
-    rat,
-    rat_str,
-    solve,
-    trace_series,
-)
+from .linalg import (Matrix, NonSplitDenominator, Polynomial, RationalFunction,
+                     _cleared, _value_list, exact_int, partial_fractions, rat,
+                     rat_str, solve, trace_series)
 from .pseudochar import _TraceRecursion
 from .statespaces import SequenceTooShort
 
@@ -91,7 +81,8 @@ class FrobeniusAlgebra:
 
     def __init__(self, terms: tuple, scale: int, unit, counit):
         self._terms, self.scale, self.dim = terms, scale, len(terms)
-        self.unit, self.counit = tuple(map(rat, unit)), tuple(map(rat, counit))
+        self.unit = tuple(map(rat, _value_list(unit)))
+        self.counit = tuple(map(rat, _value_list(counit)))
         if len(self.unit) != self.dim or len(self.counit) != self.dim:
             raise ValueError("unit and counit must have length dim")
         # (i, ((j, terms of e_i e_j), ...)) over the nonzero products only
@@ -222,31 +213,37 @@ def surface_eval(fa: FrobeniusAlgebra, genus: int) -> Fraction:
     return value
 
 
+def _surface_values(fa: FrobeniusAlgebra, n: int) -> list[tuple[int, int]]:
+    """eps(h^g) for g < n as int pairs (numerator, denominator), with no
+    Fraction: h^g is an int vector whose content moves to a running int."""
+    (power, s), (h, t), (e, r) = fa._unit, handle_element(fa).cleared, fa._counit
+    content, den, values = 1, s * r, []
+    for g in range(n):
+        if g:
+            power = fa._times(power, h)
+            c = gcd(*power) or 1
+            power = [x // c for x in power]
+            content, den = content * c, den * t * fa.scale
+        values.append((content * sum(map(operator.mul, power, e)), den))
+    return values
+
+
 def generating_function(fa: FrobeniusAlgebra) -> RationalFunction:
     """Rational function with Taylor coefficients eps(h^g), g = 0, 1, ...
 
-    For g >= 1, eps(h^g) = tr(M_h^(g-1)), so with N/Q the trace series of
-    M_h (`trace_series`, Q = det(I - T M_h)) the function is
-    (eps(1) Q + T N) / Q.  Its coefficients at g = 1 .. 2 dim + 2 are
-    compared with eps(h^g) taken by repeated multiplication, and a
-    disagreement is an InternalInconsistency.  The powers h^g stay int
-    vectors times one rational scale: each step is one product on the
-    int kernel, and the content of the ints moves into the scale.
+    For g >= 1, eps(h^g) = tr(M_h^(g-1)), so with N/Q the unreduced trace
+    series of M_h (`trace_series`, Q = det(I - T M_h)) the function is
+    (eps(1) Q + T N) / Q, normalized once.  It is compared with the surface
+    values (`_surface_values`) at g = 0 .. 2 dim + 2, and a disagreement is
+    an InternalInconsistency.  Both series are P/Q with deg P, deg Q <= dim
+    (see `witness_synthesis`), so agreement there makes them equal.
     """
-    hd = handle_element(fa)
-    series = trace_series(hd.matrix)
+    values = _surface_values(fa, 2 * fa.dim + 3)
+    num, den = trace_series(handle_element(fa).matrix)
     rf = RationalFunction(
-        series.den.scale(fa.eps(fa.unit)) + Polynomial([0, 1]) * series.num,
-        series.den)
-    want = rf.taylor(2 * fa.dim + 3)
-    (power, s), (h, t), (e, r) = fa._unit, hd.cleared, fa._counit
-    scale = Fraction(1, s * r)  # eps(h^g) = scale * <power, e>
-    for g in range(1, len(want)):
-        power = fa._times(power, h)
-        c = gcd(*power) or 1
-        power = [x // c for x in power]
-        scale *= Fraction(c, t * fa.scale)
-        if scale * sum(map(operator.mul, power, e)) != want[g]:
+        den.scale(Fraction(*values[0])) + Polynomial([0, 1]) * num, den)
+    for g, ((a, b), c) in enumerate(zip(values, rf.taylor(len(values)))):
+        if a * c.denominator != c.numerator * b:
             raise InternalInconsistency(
                 f"eps(h^{g}) disagrees with tr(M_h^{g - 1})")
     return rf
@@ -370,27 +367,33 @@ def witness_synthesis(cd: ClassificationData) -> FrobeniusAlgebra:
 
     Take Q[x]/x^m with eps(1) = mu, eps(x^(m-1)) = 1 (contributing
     mu + m T) when m >= 2, and m_i one-dimensional factors with
-    eps(1) = 1/lam_i for each pole.  Its generating function is checked
-    against `cd.genfun()`: partial fractions are unique, so that is the
-    round trip.  A dimension above WITNESS_MAX_DIM is rejected up front.
+    eps(1) = 1/lam_i for each pole; a dimension above WITNESS_MAX_DIM is
+    rejected up front.  The round trip compares the surface values a_g
+    (`_surface_values`), g = 0 .. 2 dim + 2, with cd's series: c_0 = mu +
+    sum m_i/lam_i, c_1 = m + sum m_i, c_g = sum m_i lam_i^(g-1).  That is
+    exact.  a_g = eps(R^g 1), R the right multiplication by h, so by
+    Cayley-Hamilton on R the a_g have a generating function P/Q with
+    deg Q <= dim, deg P < dim.  cd's is over a denominator of degree k,
+    the number of poles, with a numerator of degree <= k + 1.  The
+    numerator of their difference, of degree <= dim + k + 1 < 2 dim + 3
+    as k <= dim, is then divisible by T^(2 dim + 3), so it is 0.
     """
     dim = cd.m + sum(mult for _, mult in cd.poles)
     if dim > WITNESS_MAX_DIM:
         raise ValueError(f"witness dimension {dim} exceeds {WITNESS_MAX_DIM}")
-    parts = []
-    if cd.m >= 2:
-        counit = [Fraction(0)] * cd.m
-        counit[0] = cd.mu
-        counit[cd.m - 1] = Fraction(1)
-        parts.append(truncated_poly_algebra(cd.m, counit))
-    for lam, mult in cd.poles:
-        for _ in range(mult):
-            parts.append(truncated_poly_algebra(1, [1 / lam]))
+    counit = [cd.mu] + [0] * (cd.m - 2) + [1]
+    parts = [truncated_poly_algebra(cd.m, counit)] if cd.m >= 2 else []
+    parts += [truncated_poly_algebra(1, [1 / lam])
+              for lam, mult in cd.poles for _ in range(mult)]
     if not parts:
         raise ValueError("empty classification has no witness algebra")
     out = product_algebra(*parts)
-    if generating_function(out) != cd.genfun():
-        raise InternalInconsistency("witness fails to classify back")
+    terms = [mult / lam for lam, mult in cd.poles]  # m_i lam_i^(g-1) at g = 0
+    for g, (a, b) in enumerate(_surface_values(out, 2 * dim + 3)):
+        c = sum(terms, (cd.mu, cd.m)[g] if g < 2 else 0)
+        if a * c.denominator != c.numerator * b:
+            raise InternalInconsistency("witness fails to classify back")
+        terms = [x * lam for x, (lam, _) in zip(terms, cd.poles)]
     return out
 
 
@@ -586,7 +589,7 @@ def cob2_pseudochar_check(alpha_seq, d: int, cap_dots=None) -> Cob2PseudoReport:
     cap = d + 1 if cap_dots is None else exact_int(cap_dots)
     if cap < 0:
         raise ValueError(f"cap_dots must be nonnegative, got {cap}")
-    seq = [rat(x) for x in alpha_seq]
+    seq = [rat(x) for x in _value_list(alpha_seq)]
     need = (d + 1) * cap + 2
     if len(seq) < need:
         raise SequenceTooShort(f"need alpha_0..alpha_{need - 1}")
@@ -645,8 +648,9 @@ def frobenius_from_json(doc: dict) -> FrobeniusAlgebra:
         if isinstance(x, str):
             parsed[x] = c
         return c
-    cells = tuple(tuple(tuple(map(cell, row)) for row in plane)
-                  for plane in structure)
+    cells = tuple(tuple(tuple(map(cell, _value_list(row)))
+                        for row in _value_list(plane))
+                  for plane in _value_list(structure))
     if len(cells) != n or any(len(p) != n or any(len(r) != n for r in p)
                               for p in cells):
         raise ValueError("structure constants must be dim^3")
@@ -664,8 +668,8 @@ def genfun_to_json(rf: RationalFunction) -> dict:
 
 def genfun_from_json(doc: dict) -> RationalFunction:
     body = doc["genfun"]
-    return RationalFunction(Polynomial([rat(c) for c in body["num"]]),
-                            Polynomial([rat(c) for c in body["den"]]))
+    return RationalFunction(Polynomial(_value_list(body["num"])),
+                            Polynomial(_value_list(body["den"])))
 
 
 def classification_to_json(cd: ClassificationData) -> dict:

@@ -85,6 +85,15 @@ def exact_int(x) -> int:
     return n
 
 
+def _value_list(values) -> Sequence:
+    """A job's list of values as it is.  A string or an object, read by
+    character or key, is a TypeError.  Private: a leaf, not a traced span."""
+    if type(values) is not list and (
+            isinstance(values, str) or not isinstance(values, Sequence)):
+        raise TypeError(f"values must be a list, got {type(values).__name__}")
+    return values
+
+
 def _integral(x: Fraction) -> Fraction | int:
     """An integral value as an int, any other unchanged, so that products
     of integral values stay ints and a Gram of them reaches `Matrix` as
@@ -672,22 +681,21 @@ def _charpoly(a: Sequence[Sequence[int]]) -> list[int]:
     return p
 
 
-def trace_series(m: Matrix) -> RationalFunction:
-    """sum_k tr(m^k) T^k as a rational function, without forming any power.
+def trace_series(m: Matrix) -> tuple[Polynomial, Polynomial]:
+    """sum_k tr(m^k) T^k = N/Q as the pair (N, Q), without forming a power.
 
     With Q(T) = det(I - T m) = prod_i (1 - lam_i T), the series is
     sum_i 1 / (1 - lam_i T) = (n Q - T Q') / Q.  Q is the characteristic
     polynomial read backwards.  For m held as int rows A over den,
     det(t I - A/den) = den^(-n) det(den t I - A), so c_k(m) = c_k(A)/den^k,
     with c_k(A) from `_charpoly`, in O(n^4) int steps and no division.
-    Both polynomials are built on those ints over den^n.
+    Both polynomials are built on those ints over den^n and not reduced.
     """
     _require_square(m)
     n, d = m.rows, m.den
     q = [c * d ** (n - k) for k, c in enumerate(_charpoly(m.ints))]
-    return RationalFunction(
-        Polynomial([(n - k) * c for k, c in enumerate(q)], d ** n),
-        Polynomial(q, d ** n))
+    return (Polynomial([(n - k) * c for k, c in enumerate(q)], d ** n),
+            Polynomial(q, d ** n))
 
 
 # ---------------------------------------------------------------------------

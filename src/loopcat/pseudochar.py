@@ -40,7 +40,8 @@ import operator
 from .errors import DomainError
 from .fincat import (FiniteMonoid, class_values, conjugacy_classes,
                      least_rotation)
-from .linalg import Matrix, Polynomial, _Echelon, _integral, det, rat, solve
+from .linalg import (Matrix, Polynomial, _Echelon, _integral, _value_list,
+                     det, rat, solve)
 
 
 class NotPseudo(DomainError):
@@ -85,7 +86,7 @@ class PseudoCharacter:
         self.classes = tuple(tuple(c) for c in
                              (classes if classes is not None
                               else conjugacy_classes(monoid)))
-        self.values = tuple(rat(v) for v in class_values)
+        self.values = tuple(map(rat, _value_list(class_values)))
         if len(self.values) != len(self.classes):
             raise ValueError("one value per conjugacy class required")
         self._class_of = {e: ci for ci, cls in enumerate(self.classes)

@@ -42,7 +42,8 @@ from typing import Mapping, Sequence
 from .diagrams import BrauerMorphism, _chains, compose, transpose
 from .errors import DomainError, InternalInconsistency
 from .fincat import IntervalClass, Loop, _UnionFind, class_values, compose_path
-from .linalg import Matrix, _Echelon, _cleared, _integral, rank, rat
+from .linalg import (Matrix, _Echelon, _cleared, _integral, _value_list,
+                     rank, rat)
 
 
 class MissingValue(DomainError):
@@ -496,9 +497,9 @@ class WeightedAutomaton:
 
     def __init__(self, initial: Sequence, transitions: Mapping[str, Matrix],
                  final: Sequence):
-        self.initial = tuple(rat(x) for x in initial)
+        self.initial = tuple(map(rat, _value_list(initial)))
         self.transitions = dict(transitions)
-        self.final = tuple(rat(x) for x in final)
+        self.final = tuple(map(rat, _value_list(final)))
         self.dimension = len(self.initial)
         if len(self.final) != self.dimension:
             raise ValueError("initial and final lengths differ")

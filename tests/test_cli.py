@@ -1010,6 +1010,33 @@ def test_frobenius_job_eliminates_its_gram_once(tmp_path, capsys, monkeypatch,
     assert (code, calls, len(made)) == (0, ["solve"], 1)
 
 
+@pytest.mark.parametrize("command, doc, built", [
+    ("witness", {"classification": {"mu": "1", "m": 2,
+                                    "poles": [["2", 1], ["3", 2]]}}, 0),
+    ("genfun", QX3_EPS7, 1),
+])
+def test_surface_jobs_normalize_at_most_one_generating_function(
+        tmp_path, capsys, monkeypatch, command, doc, built):
+    """A witness is checked against its classification's series with no
+    rational function or characteristic polynomial; a genfun job builds
+    its one rational function from the unreduced trace series."""
+    made, charpolys = [], []
+    init, charpoly = RationalFunction.__init__, linalg._charpoly
+
+    def counted_init(self, num, den):
+        made.append(1)
+        init(self, num, den)
+
+    def counted_charpoly(a):
+        charpolys.append(1)
+        return charpoly(a)
+
+    monkeypatch.setattr(RationalFunction, "__init__", counted_init)
+    monkeypatch.setattr(linalg, "_charpoly", counted_charpoly)
+    code, _ = run_json(tmp_path, capsys, command, doc)
+    assert (code, len(made), len(charpolys)) == (0, built, built)
+
+
 def test_frobenius_validate_degenerate_counit(tmp_path, capsys):
     doc = {"frobenius": {
         "dim": 2,
@@ -1246,6 +1273,70 @@ def test_monoid_alpha_is_read_like_element_values(tmp_path, capsys, name):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         PseudoCharacter.from_element_values(
             FiniteMonoid(body["table"], body["identity"]), alpha)
+
+
+# A value list given as a JSON string or object was read one character or
+# one key per value.  Each field: (command, job, path to the list, the
+# list as a string, as an object); a point algebra for the structure
+AUTOMATON = {"automaton": {"initial": ["1", "0"],
+                           "transitions": {"a": [["0", "1"], ["1", "0"]]},
+                           "final": ["0", "1"]}}
+POINT = {"frobenius": {"dim": 1, "structure": [[["1"]]], "unit": ["1"],
+                       "counit": ["1"]}}
+PIH_GEOMETRIC = {"pih": {"p": ["1"], "h": [["3"]], "iota": ["1/3"]},
+                 "alpha": ["1/3", "1", "3", "9", "27"]}
+VALUE_LIST_FIELDS = {
+    "pseudocharacter-values": (
+        "pseudochar-degree", dict(Z2_MONOID, **Z2_REGULAR),
+        ("pseudocharacter", "values"), "20", {"2": 1, "0": 1}),
+    "monoid-alpha": ("statespace", dict(Z2_MONOID, alpha=["2", "0"]),
+                     ("alpha",), "20", {"2": 1, "0": 1}),
+    "automaton-initial": ("automaton-minimize", AUTOMATON,
+                          ("automaton", "initial"), "10", {"1": 0, "0": 0}),
+    "automaton-final": ("automaton-minimize", AUTOMATON,
+                        ("automaton", "final"), "01", {"0": 0, "1": 0}),
+    "pih-check-p": ("pih-check", PIH_GEOMETRIC, ("pih", "p"), "1", {"1": 0}),
+    "pih-check-alpha": ("pih-check", PIH_GEOMETRIC, ("alpha",), "13927",
+                        {"1": 0, "3": 0, "9": 0, "2": 0, "7": 0}),
+    "cob2-dim-alpha": ("cob2-dim", {"alpha": ["2"] * 12, "m": 1}, ("alpha",),
+                       "2" * 12, {str(k): 0 for k in range(12)}),
+    "cob2-pseudo-alpha": ("cob2-pseudo", {"alpha": ["1"] * 6, "d": 1,
+                                          "cap_dots": 2},
+                          ("alpha",), "1" * 6, {str(k): 0 for k in range(6)}),
+    "frobenius-unit": ("frobenius-validate", QX3_EPS7, ("frobenius", "unit"),
+                       "100", {"1": 0, "0": 0, "00": 0}),
+    "frobenius-counit": ("frobenius-validate", QX3_EPS7,
+                         ("frobenius", "counit"), "701",
+                         {"7": 0, "0": 0, "1": 0}),
+    "frobenius-structure": ("frobenius-validate", POINT,
+                            ("frobenius", "structure"), "1", {"1": 0}),
+    "frobenius-structure-plane": ("frobenius-validate", POINT,
+                                  ("frobenius", "structure", 0), "1",
+                                  {"1": 0}),
+    "frobenius-structure-row": ("frobenius-validate", QX3_EPS7,
+                                ("frobenius", "structure", 0, 0), "100",
+                                {"1": 0, "0": 0, "00": 0}),
+    "genfun-num": ("classify", {"genfun": {"num": ["1"], "den": ["1", "-2"]}},
+                   ("genfun", "num"), "1", {"1": 0}),
+    "genfun-den": ("classify", {"genfun": {"num": ["1"], "den": ["1", "-2"]}},
+                   ("genfun", "den"), "12", {"1": 0, "-2": 0}),
+}
+
+
+@pytest.mark.parametrize("kind", ["string", "object"])
+@pytest.mark.parametrize("name", sorted(VALUE_LIST_FIELDS))
+def test_value_lists_must_be_lists(tmp_path, capsys, name, kind):
+    command, doc, path, text, mapping = VALUE_LIST_FIELDS[name]
+    doc = json.loads(json.dumps(doc))
+    *keys, last = path
+    body = doc
+    for key in keys:
+        body = body[key]
+    assert run_json(tmp_path, capsys, command, doc)[0] == 0
+    body[last] = text if kind == "string" else mapping
+    assert run_json(tmp_path, capsys, command, doc) == (2, {
+        "error": "TypeError", "message": "values must be a list, got "
+        + ("str" if kind == "string" else "dict")})
 
 
 def test_pih_check_geometric_sequence(tmp_path, capsys):

@@ -422,9 +422,8 @@ def test_cross_checks_catch_a_wrong_trace_series(monkeypatch, j) -> None:
     honest = frobenius.trace_series
 
     def altered(m):
-        series = honest(m)
-        bump = Polynomial([0] * j + [1]) * series.den
-        return RationalFunction(series.num + bump, series.den)
+        num, den = honest(m)
+        return num + Polynomial([0] * j + [1]) * den, den
 
     monkeypatch.setattr(frobenius, "trace_series", altered)
     with pytest.raises(InternalInconsistency,
@@ -615,6 +614,67 @@ def classification_data(draw):
 @settings(max_examples=25, deadline=None)
 def test_witness_classify_identity(cd) -> None:
     assert classify_genfun(generating_function(witness_synthesis(cd))) == cd
+
+
+@st.composite
+def witness_classifications(draw):
+    """Classification data of witness dimension <= 12: a nilpotent block of
+    size 0 or 2..4 and up to four distinct poles of multiplicity 1 or 2,
+    at small nonzero fractions of either sign."""
+    m = draw(st.sampled_from([0, 2, 3, 4]))
+    lams = draw(st.lists(NONZERO_FRACTIONS, unique=True, min_size=int(m == 0),
+                         max_size=4))
+    poles = tuple((lam, draw(st.integers(1, 2))) for lam in
+                  sorted(lams, key=lambda l: (l.numerator, l.denominator)))
+    return ClassificationData(draw(SMALL_FRACTIONS) if m else 0, m, poles)
+
+
+@given(witness_classifications())
+@settings(max_examples=60, deadline=None)
+def test_witness_series_check_agrees_with_the_generating_function(cd) -> None:
+    """The witness passes the comparison of its surface values with cd's
+    series, and the round trip through generating functions, the witness's
+    against `cd.genfun()`, holds for it."""
+    assert generating_function(witness_synthesis(cd)) == cd.genfun()
+
+
+@given(handle_algebras())
+@settings(max_examples=60, deadline=None)
+def test_surface_values_match_surface_eval(fa) -> None:
+    """The int pairs of `_surface_values` are eps(h^g) for g <= 2 dim + 2,
+    and a singular pairing fails both the same way."""
+    n = 2 * fa.dim + 3
+    try:
+        want = [surface_eval(fa, g) for g in range(n)]
+    except NondegeneracyFailure:
+        with pytest.raises(NondegeneracyFailure):
+            frobenius._surface_values(fa, n)
+        return
+    assert [Fraction(a, b) for a, b in frobenius._surface_values(fa, n)] \
+        == want
+
+
+# x^2 = 1 in place of 0: Q[x]/(x^2 - 1), an honest algebra of another
+# series; e_0 e_1 = 2 e_1 on one side only; the point's e_2 e_2 = 2 e_2
+@pytest.mark.parametrize("cell", [(1, 1, 0), (0, 1, 1), (2, 2, 2)])
+def test_witness_with_a_wrong_structure_constant_is_caught(monkeypatch,
+                                                           cell) -> None:
+    """One structure constant of the witness Q[x]/x^2 x Q, raised by one,
+    changes its surface values, and the series comparison names it."""
+    cd = ClassificationData(5, 2, ((Fraction(2), 1),))
+    honest = frobenius.product_algebra
+
+    def perturbed(*factors):
+        fa = honest(*factors)
+        cells = [[list(row) for row in plane] for plane in dense_cells(fa)]
+        i, j, k = cell
+        cells[i][j][k] += 1
+        return dense_algebra(fa.dim, cells, fa.unit, fa.counit)
+
+    monkeypatch.setattr(frobenius, "product_algebra", perturbed)
+    with pytest.raises(InternalInconsistency,
+                       match="^witness fails to classify back$"):
+        witness_synthesis(cd)
 
 
 # --- (p, h, iota) ------------------------------------------------------------------
