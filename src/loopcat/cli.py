@@ -12,6 +12,8 @@ its report.
 Each job value has one reader: a handler passes a raw field to the
 library function that parses it, and parses here only what nothing else
 reads or what must precede the library's checks (`pih-check`, `cob2-dim`).
+The algebra takes ints and Fractions, so a job's matrix is read only here,
+by `_matrix`.  Every list a job gives, a record's too, must be a JSON list.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .frobenius import (PIHSystem, Reject, classification_from_json,
                         genfun_from_json, genfun_to_json, handle_element,
                         pih_check, pih_solve, surface_eval, validate,
                         witness_synthesis)
-from .linalg import Matrix, _value_list, exact_int, format_poly, rat, rat_str
+from .linalg import (Matrix, _rats, _value_list, exact_int, format_poly, rat,
+                     rat_str)
 from .pseudochar import (GraphHolonomy, Infeasible, alpha_charpoly, degree,
                          graph_pseudoholonomy, lift_with_table,
                          pseudochar_from_json)
@@ -49,10 +52,9 @@ from .statespaces import (MAX_KETS, Evaluation, WeightedAutomaton,
 
 def _object_from(doc: dict, default) -> tuple:
     """Signed object word [[obj, sign], ...]; signs are +1/-1."""
-    raw = doc.get("object", default)
     out = []
-    for entry in raw:
-        obj, sign = entry
+    for entry in _value_list(doc.get("object", default)):
+        obj, sign = _value_list(entry)
         if isinstance(obj, bool):  # no category here has one as an object
             raise ValueError(f"unknown object {obj!r}")
         if isinstance(sign, bool) or sign not in (1, -1):
@@ -61,8 +63,9 @@ def _object_from(doc: dict, default) -> tuple:
     return tuple(out)
 
 
-def _rat_list(values) -> list:
-    return [rat(v) for v in _value_list(values)]
+def _matrix(rows) -> Matrix:
+    """A job's matrix: a list of rows, each a list of rationals (`_rats`)."""
+    return Matrix([_rats(row) for row in _value_list(rows)])
 
 
 def _evaluation_from(doc: dict):
@@ -85,12 +88,9 @@ def _evaluation_from(doc: dict):
         v = rat(v)
         if loop_values.setdefault(key, v) != v:
             raise ValueError(f"conflicting values on the loop class of {text!r}")
-    interval_values = {}
-    for text, v in doc.get("intervals", {}).items():
-        key = IntervalClass(0, (), cat.word(text))
-        v = rat(v)
-        if interval_values.setdefault(key, v) != v:
-            raise ValueError(f"conflicting values on the interval {text!r}")
+    # distinct words are distinct intervals: no two texts share a key
+    interval_values = {IntervalClass(0, (), cat.word(text)): rat(v)
+                       for text, v in doc.get("intervals", {}).items()}
     boundary = FreeBoundary(cat) if "intervals" in doc else None
     return cat, Evaluation(loop_values, interval_values), boundary
 
@@ -142,7 +142,7 @@ def _run_statespace(doc: dict, args) -> dict:
 def _run_boolean_statespace(doc: dict, args) -> dict:
     cat = FreeMonoidCategory(tuple(doc["alphabet"]))
     boundary = FreeBoundary(cat)
-    accepted = {cat.word(text) for text in doc["accepted"]}
+    accepted = {cat.word(text) for text in _value_list(doc["accepted"])}
     obj = _object_from(doc, [[0, 1]])
     _check_kets(cat, obj, boundary, args.cap_words)
     signs = {s for _, s in obj}
@@ -174,7 +174,7 @@ def _run_automaton_minimize(doc: dict, args) -> dict:
     n = len(body["initial"])
     transitions = {}
     for letter, rows in body["transitions"].items():
-        m = Matrix(rows)
+        m = _matrix(rows)
         if m.rows != n or m.cols != n:
             raise ValueError(f"transition {letter!r} is not {n}x{n}")
         transitions[letter] = m
@@ -232,8 +232,9 @@ def _run_pseudochar_lift(doc: dict, args) -> dict:
 def _run_holonomy(doc: dict, args) -> dict:
     body = doc["graph"]
     gh = GraphHolonomy(exact_int(body["n_vertices"]),
-                       [(exact_int(src), exact_int(tgt), Matrix(rows))
-                        for src, tgt, rows in body["edges"]])
+                       [(exact_int(src), exact_int(tgt), _matrix(rows))
+                        for src, tgt, rows in map(_value_list,
+                                                  _value_list(body["edges"]))])
     base = exact_int(doc.get("base", 0))
     rep = graph_pseudoholonomy(gh, args.cap_words, base)
     return {
@@ -303,9 +304,8 @@ def _run_pih_solve(doc: dict, args) -> dict:
 
 def _run_pih_check(doc: dict, args) -> dict:
     body = doc["pih"]
-    pih = PIHSystem(tuple(_rat_list(body["p"])), Matrix(body["h"]),
-                    tuple(_rat_list(body["iota"])))
-    rep = pih_check(pih, _rat_list(doc["alpha"]))
+    pih = PIHSystem(_rats(body["p"]), _matrix(body["h"]), _rats(body["iota"]))
+    rep = pih_check(pih, _rats(doc["alpha"]))
     violation = rep.first_violation
     return {
         "dim": rep.dim,
@@ -317,7 +317,7 @@ def _run_pih_check(doc: dict, args) -> dict:
 
 def _run_cob2_dim(doc: dict, args) -> dict:
     m = exact_int(doc["m"])
-    seq = _rat_list(doc["alpha"])
+    seq = _rats(doc["alpha"])
     dim, stabilized = cob2_state_space(m, seq, args.cap_genus)
     return {
         "m": m,

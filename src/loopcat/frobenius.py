@@ -28,8 +28,8 @@ from math import comb, gcd, lcm
 
 from .errors import DomainError, InternalInconsistency
 from .linalg import (Matrix, NonSplitDenominator, Polynomial, RationalFunction,
-                     _cleared, _value_list, exact_int, partial_fractions, rat,
-                     rat_str, solve, trace_series)
+                     _cleared, _rats, _value_list, exact_int, partial_fractions,
+                     rat, rat_str, solve, trace_series)
 from .pseudochar import _TraceRecursion
 from .statespaces import SequenceTooShort
 
@@ -81,8 +81,7 @@ class FrobeniusAlgebra:
 
     def __init__(self, terms: tuple, scale: int, unit, counit):
         self._terms, self.scale, self.dim = terms, scale, len(terms)
-        self.unit = tuple(map(rat, _value_list(unit)))
-        self.counit = tuple(map(rat, _value_list(counit)))
+        self.unit, self.counit = _rats(unit), _rats(counit)
         if len(self.unit) != self.dim or len(self.counit) != self.dim:
             raise ValueError("unit and counit must have length dim")
         # (i, ((j, terms of e_i e_j), ...)) over the nonzero products only
@@ -266,7 +265,8 @@ class ClassificationData:
     def __post_init__(self):
         object.__setattr__(self, "mu", rat(self.mu))
         object.__setattr__(self, "poles", tuple(
-            (rat(lam), exact_int(mult)) for lam, mult in self.poles))
+            (rat(lam), exact_int(mult))
+            for lam, mult in map(_value_list, _value_list(self.poles))))
         if self.m == 1:
             raise Reject("M1Forbidden", "no algebra has a 1-dim nilpotent block")
         if self.m < 0:
@@ -429,19 +429,17 @@ def pih_check(pih: PIHSystem, alpha_seq) -> PIHReport:
     dim = h.rows
     if len(pih.p) != dim or len(pih.iota) != dim:
         raise DimensionMismatch("p and iota must have length dim")
-    seq = [rat(x) for x in alpha_seq]
     need = 2 * dim + 3
-    if len(seq) < need:
+    if len(alpha_seq) < need:
         raise SequenceTooShort(f"need alpha_0..alpha_{need - 1}")
-    (p, s), (iota, t) = (_cleared([rat(x) for x in v])
-                         for v in (pih.p, pih.iota))
+    (p, s), (iota, t) = _cleared(pih.p), _cleared(pih.iota)
     power = Matrix.identity(dim)
     for n in range(2 * dim + 2):
         h_iota = (sum(map(operator.mul, r, iota)) for r in power.ints)
         phi = Fraction(sum(map(operator.mul, p, h_iota)), s * t * power.den)
-        if phi != seq[n]:
+        if phi != alpha_seq[n]:
             return PIHReport(dim, False, FirstViolation(n, "phi"))
-        if power.trace() != seq[n + 1]:
+        if power.trace() != alpha_seq[n + 1]:
             return PIHReport(dim, False, FirstViolation(n, "trace"))
         power = power * h
     return PIHReport(dim, True, None)
@@ -502,7 +500,7 @@ def pih_solve(blocks, alpha1=None) -> ConfluentSystem:
     nilpotent block) is consistent, an excess of exactly 1 is not.
     """
     blocks = tuple((rat(lam), exact_int(n), rat(mult))
-                   for lam, n, mult in blocks)
+                   for lam, n, mult in map(_value_list, _value_list(blocks)))
     alpha1 = None if alpha1 is None else rat(alpha1)
     if any(lam == 0 for lam, _n, _m in blocks):
         raise ValueError("eigenvalues must be nonzero")
@@ -589,7 +587,7 @@ def cob2_pseudochar_check(alpha_seq, d: int, cap_dots=None) -> Cob2PseudoReport:
     cap = d + 1 if cap_dots is None else exact_int(cap_dots)
     if cap < 0:
         raise ValueError(f"cap_dots must be nonnegative, got {cap}")
-    seq = [rat(x) for x in _value_list(alpha_seq)]
+    seq = _rats(alpha_seq)
     need = (d + 1) * cap + 2
     if len(seq) < need:
         raise SequenceTooShort(f"need alpha_0..alpha_{need - 1}")
@@ -668,8 +666,8 @@ def genfun_to_json(rf: RationalFunction) -> dict:
 
 def genfun_from_json(doc: dict) -> RationalFunction:
     body = doc["genfun"]
-    return RationalFunction(Polynomial(_value_list(body["num"])),
-                            Polynomial(_value_list(body["den"])))
+    return RationalFunction(Polynomial(_rats(body["num"])),
+                            Polynomial(_rats(body["den"])))
 
 
 def classification_to_json(cd: ClassificationData) -> dict:

@@ -1,27 +1,28 @@
 """Exact linear and polynomial algebra over the rationals.
 
-Every rational a caller gets back is a fractions.Fraction; no floats enter.
-The exact work runs on Python ints: a Matrix holds int rows and a
-Polynomial int coefficients, lowest degree first, each over one
-denominator in lowest terms, and rational vectors are cleared by the lcm
-of theirs.  Rational functions are kept normalized with denominator
-constant term 1, and their power series come from a division-free int
-recurrence.  A product makes each entry from one int inner product.
-Linear systems, a basis of vectors met one at a time and coordinates on
-it run one fraction-free kernel (Bareiss 1968) on int rows met one at a
-time, skipping the steps whose multiplier is zero.  `solve` eliminates a
-system once and reads its solution, rank and determinant off the pivot
-rows, the solution by one integer back-substitution, exact by Cramer's
-rule, and the determinant by the same reader as `det`'s.  A rank
-starts on that kernel too, and from the first dependent row tests each
-row against a fraction-free Gauss-Jordan basis packed one 64-bit word per
-entry into one int, by one linear combination of ints, until an entry
-could outgrow its word and the kernel takes the rest.  Characteristic
-polynomials come from Berkowitz's division-free recurrence on the int
-rows.  Every polynomial division, the gcds among them, runs one integer
-pseudo-division on the ints; rational roots are lifted from the roots mod
-one prime and checked exactly.  Shape checks at the entry points raise
-ValueError, so they hold under `python -O` too.
+The algebra takes ints and Fractions and gives back Fractions, never a
+float.  Job text is read by `rat`, `exact_int` and `_rats`, and every list
+of it must be a JSON list (`_value_list`).  The exact work runs on Python
+ints: a Matrix holds int rows and a Polynomial int coefficients, lowest
+degree first, each over one denominator in lowest terms, and rational
+vectors are cleared by the lcm of theirs.  Rational functions are kept
+normalized with denominator constant term 1, and their power series come
+from a division-free int recurrence.  A product makes each entry from one
+int inner product.  Linear systems, a basis of vectors met one at a time
+and coordinates on it run one fraction-free kernel (Bareiss 1968) on int
+rows met one at a time, skipping the steps whose multiplier is zero.
+`solve` eliminates a system once and reads its solution, rank and
+determinant off the pivot rows, the solution by one integer
+back-substitution, exact by Cramer's rule, and the determinant by the same
+reader as `det`'s.  A rank starts on that kernel too, and from the first
+dependent row tests each row against a fraction-free Gauss-Jordan basis
+packed one 64-bit word per entry into one int, by one linear combination of
+ints, until an entry could outgrow its word and the kernel takes the rest.
+Characteristic polynomials come from Berkowitz's division-free recurrence
+on the int rows.  Every polynomial division, the gcds among them, runs one
+integer pseudo-division on the ints; rational roots are lifted from the
+roots mod one prime and checked exactly.  Shape checks at the entry points
+raise ValueError, so they hold under `python -O` too.
 """
 
 from __future__ import annotations
@@ -94,6 +95,11 @@ def _value_list(values) -> Sequence:
     return values
 
 
+def _rats(values) -> tuple:
+    """A job's list of rationals: `_value_list`, then `rat` on each."""
+    return tuple(map(rat, _value_list(values)))
+
+
 def _integral(x: Fraction) -> Fraction | int:
     """An integral value as an int, any other unchanged, so that products
     of integral values stay ints and a Gram of them reaches `Matrix` as
@@ -114,17 +120,15 @@ def rat_str(x: Fraction) -> str:
 
 class Polynomial:
     """Univariate polynomial over Q: Polynomial(cs, den) is the sum of
-    (cs[k]/den) T^k, for rationals cs and an int den != 0.  It is held as
-    int coefficients `ints`, no trailing zeros, over one positive `den`, in
-    lowest terms as a Matrix is, so equal polynomials hold equal ints.
-    Arithmetic reads the ints; `coeffs` and `p[k]` give Fractions."""
+    (cs[k]/den) T^k, for ints and Fractions cs and an int den != 0.  It is
+    held as int coefficients `ints`, no trailing zeros, over one positive
+    `den`, in lowest terms as a Matrix is, so equal polynomials hold equal
+    ints.  Arithmetic reads the ints; `coeffs` and `p[k]` give Fractions."""
 
     __slots__ = ("ints", "den")
 
     def __init__(self, coeffs: Iterable = (), den: int = 1):
-        cs = [x if type(x) is int else rat(x) for x in coeffs]
-        s = lcm(*[x.denominator for x in cs])
-        ints = [x.numerator * (s // x.denominator) for x in cs]
+        ints, s = _cleared(list(coeffs))
         while ints and not ints[-1]:
             ints.pop()
         g = gcd(s * den, *ints) if den != 1 else 1  # s alone is lowest
@@ -164,7 +168,6 @@ class Polynomial:
         return Polynomial(out, self.den * other.den)
 
     def scale(self, c) -> "Polynomial":
-        c = rat(c)
         return Polynomial([c.numerator * a for a in self.ints],
                           c.denominator * self.den)
 
@@ -184,7 +187,6 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def __call__(self, x) -> Fraction:
-        x = rat(x)
         return sum((c * x ** k for k, c in enumerate(self.ints)),
                    Fraction(0)) / self.den
 
@@ -292,11 +294,11 @@ class RationalFunction:
 
 
 class Matrix:
-    """Immutable dense matrix over Q: int rows `ints` over `den`, the lcm of
-    the entries' denominators, so equal matrices hold equal ints.  Entries
-    that are all ints are held as they are, over 1, on one type check.
-    Kernels read the ints; `entries`, `m[i, j]`, `row` and `trace` give
-    Fractions."""
+    """Immutable dense matrix over Q of int and Fraction entries, held as
+    int rows `ints` over `den`, the lcm of their denominators, so equal
+    matrices hold equal ints; all-int entries are held as they are, over 1,
+    on one type check.  Kernels read the ints; `entries`, `m[i, j]`, `row`
+    and `trace` give Fractions."""
 
     __slots__ = ("rows", "cols", "ints", "den")
 
@@ -305,11 +307,9 @@ class Matrix:
         if types <= {int}:
             ints, den = tuple(map(tuple, entries)), 1  # held as they are
         else:
-            rows = entries if types <= {int, Fraction} else [
-                [x if type(x) is int else rat(x) for x in r] for r in entries]
-            den = lcm(*{x.denominator for r in rows for x in r})
+            den = lcm(*{x.denominator for r in entries for x in r})
             ints = tuple(tuple(x.numerator * (den // x.denominator)
-                               for x in r) for r in rows)
+                               for x in r) for r in entries)
         self.rows, self.cols = len(ints), len(ints[0]) if ints else 0
         if any(len(r) != self.cols for r in ints):
             raise ValueError("ragged matrix")
@@ -355,7 +355,6 @@ class Matrix:
                                  for r1, r2 in zip(self.ints, other.ints)], s * t)
 
     def scale(self, c) -> "Matrix":
-        c = rat(c)
         return Matrix.from_ints([[c.numerator * x for x in r] for r in self.ints],
                                 c.denominator * self.den)
 
@@ -624,7 +623,7 @@ def solve(m: Matrix, b: Sequence) -> tuple:
     (`_det`) for square m, None otherwise."""
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    y, t = _cleared([rat(x) for x in b])
+    y, t = _cleared(b)
     n, den = m.cols, m.den
     e = _Echelon((*(t * a for a in r), den * z) for r, z in zip(m.ints, y))
     pivots = e.pivots
@@ -711,36 +710,31 @@ def partial_fractions(rf: RationalFunction):
     an irreducible factor of degree > 1 over Q.
     """
     poly_part, rem = divmod(rf.num, rf.den)
-    den = rf.den
-    # factor den = prod (1 - lam*T)^mult; den(0) = 1, so no root is 0
-    factors: list[tuple[Fraction, int]] = []
-    work = den
+    den, n = rf.den, rf.den.degree
+    # den = prod (1 - lam*T)^mult, den(0) = 1: dividing den by 1 - lam*T to a
+    # remainder gives den / (1 - lam*T)^k, k = 1 .. mult, the solve's columns
+    factors: list[tuple[Fraction, list[Polynomial]]] = []
     for root in _rational_roots(den):
-        lin, mult = Polynomial([1, -1 / root]), 0
+        lin, quotients, work = Polynomial([1, -1 / root]), [], den
         while (qr := divmod(work, lin))[1].is_zero():
-            work, mult = qr[0], mult + 1
-        factors.append((1 / root, mult))
-    if work.degree > 0:
+            work = qr[0]
+            quotients.append(work)
+        factors.append((1 / root, quotients))
+    if sum(len(qs) for _, qs in factors) < n:
         raise NonSplitDenominator(
             "denominator has a non-linear irreducible factor"
         )
     factors.sort(key=lambda t: (t[0].numerator, t[0].denominator))
     # solve rem = sum c_{i,k} * den / (1 - lam_i T)^k exactly; the columns
     # run over i, then k = 1 .. mult_i, and so does the solution
-    columns: list[Polynomial] = []
-    for lam, mult in factors:
-        lin, reduced = Polynomial([1, -lam]), den
-        for _ in range(mult):
-            reduced = reduced // lin
-            columns.append(reduced)
-    n = den.degree
+    columns = [col for _, qs in factors for col in qs]
     m = Matrix([[col[r] for col in columns] for r in range(n)])
     x, rank, _ = solve(m, [rem[r] for r in range(n)])
     if rank < n:
         raise DomainError("linear system is not uniquely solvable")
     x = iter(x)
-    return poly_part, [(lam, mult, [next(x) for _ in range(mult)])
-                       for lam, mult in factors]
+    return poly_part, [(lam, len(qs), [next(x) for _ in qs])
+                       for lam, qs in factors]
 
 
 def _rational_roots(p: Polynomial) -> list[Fraction]:

@@ -42,8 +42,7 @@ from typing import Mapping, Sequence
 from .diagrams import BrauerMorphism, _chains, compose, transpose
 from .errors import DomainError, InternalInconsistency
 from .fincat import IntervalClass, Loop, _UnionFind, class_values, compose_path
-from .linalg import (Matrix, _Echelon, _cleared, _integral, _value_list,
-                     rank, rat)
+from .linalg import Matrix, _Echelon, _cleared, _integral, _rats, rank
 
 
 class MissingValue(DomainError):
@@ -497,9 +496,9 @@ class WeightedAutomaton:
 
     def __init__(self, initial: Sequence, transitions: Mapping[str, Matrix],
                  final: Sequence):
-        self.initial = tuple(map(rat, _value_list(initial)))
+        self.initial = _rats(initial)
         self.transitions = dict(transitions)
-        self.final = tuple(map(rat, _value_list(final)))
+        self.final = _rats(final)
         self.dimension = len(self.initial)
         if len(self.final) != self.dimension:
             raise ValueError("initial and final lengths differ")
@@ -641,7 +640,7 @@ def glue_partition_diagrams(d1: PartitionDiagram, d2: PartitionDiagram,
         if g >= len(alpha_seq):
             raise SequenceTooShort(
                 f"need genus value {g}, have {len(alpha_seq)}")
-        out = out * rat(alpha_seq[g])
+        out = out * alpha_seq[g]
     return out
 
 
@@ -673,7 +672,7 @@ def _cob2_gram_rows(spanning: list, alpha_seq: Sequence) -> list[list]:
         if h >= len(alpha_seq):
             raise SequenceTooShort(
                 f"need genus value {h}, have {len(alpha_seq)}")
-        return rat(alpha_seq[h])
+        return alpha_seq[h]
 
     def template(blocks1, blocks2):
         return [(positions, lambda genus, p=positions, b=betti: sum(

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import loopcat
-from loopcat import cli, frobenius, linalg, statespaces
+from loopcat import cli, fincat, frobenius, linalg, pseudochar, statespaces
 from loopcat.cli import main
 from loopcat.fincat import FiniteMonoid, FreeMonoidCategory, symmetric_group
 from loopcat.linalg import Polynomial, RationalFunction, rat_str
@@ -510,6 +510,11 @@ REJECTION_JOBS = {
         "frobenius-validate", {"frobenius": {"dim": 2, "structure": [["x"]],
                                              "unit": [True]}}, 2,
         "KeyError", "'counit'"),
+    "pih-check-non-square-h": (
+        "pih-check", {"pih": {"p": ["1", "0"], "h": [["3", "1"]],
+                              "iota": ["1", "0"]},
+                      "alpha": ["1", "3", "9", "27", "81", "243", "729"]}, 1,
+        "DimensionMismatch", "h must be square"),
 }
 
 
@@ -866,6 +871,48 @@ OUT_OF_RANGE_JOBS = {
     "boolean-statespace-negative-cap": (
         "boolean-statespace", {"alphabet": ["a"], "accepted": ["", "a"]},
         "cap_words must be nonnegative, got -2", "--cap-words", "-2"),
+    # checks that a job file reaches and that no other test reaches
+    "automaton-final-short": (
+        "automaton-minimize", {"automaton": {
+            "initial": ["1", "0"], "transitions": {"a": [["0", "1"],
+                                                         ["1", "0"]]},
+            "final": ["0"]}},
+        "initial and final lengths differ"),
+    "free-monoid-duplicate-letters": (
+        "statespace", {"free_monoid": {"letters": "aa"}, "loops": {"": "1"}},
+        "duplicate letters"),
+    "monoid-identity-out-of-range": (
+        "pseudochar-degree", {"monoid": {"table": [[0, 1], [1, 0]],
+                                         "identity": 5, "size": 2},
+                              **Z2_REGULAR},
+        "identity index out of range"),
+    "frobenius-unit-length": (
+        "frobenius-validate", {"frobenius": {
+            "dim": 1, "structure": [[["1"]]], "unit": ["1", "0"],
+            "counit": ["1"]}},
+        "unit and counit must have length dim"),
+    "classification-negative-m": (
+        "witness", {"classification": {"mu": "0", "m": -1, "poles": []}},
+        "m must be 0 or >= 2"),
+    "classification-zero-multiplicity": (
+        "witness", {"classification": {"mu": "0", "m": 0,
+                                       "poles": [["2", 0]]}},
+        "pole multiplicities must be positive"),
+    "classification-unsorted-poles": (
+        "witness", {"classification": {"mu": "0", "m": 0,
+                                       "poles": [["3", 1], ["2", 1]]}},
+        "poles must be sorted"),
+    "pih-solve-zero-eigenvalue": (
+        "pih-solve", {"blocks": [["0", 1, "1"]]},
+        "eigenvalues must be nonzero"),
+    "pseudocharacter-value-count": (
+        "pseudochar-degree", dict(Z2_MONOID, pseudocharacter={
+            "classes": [[0], [1]], "values": ["2"]}),
+        "one value per conjugacy class required"),
+    "pseudocharacter-classes-short": (
+        "pseudochar-degree", dict(Z2_MONOID, pseudocharacter={
+            "classes": [[0]], "values": ["1"]}),
+        "classes do not cover the monoid"),
 }
 
 
@@ -1248,6 +1295,32 @@ def test_integer_fields_are_read_once(tmp_path, capsys, monkeypatch, command,
     assert calls == fields
 
 
+@pytest.mark.parametrize("command, doc, scalars", [
+    ("pih-check", {"pih": {"p": ["1"], "h": [["3"]], "iota": ["1/3"]},
+                   "alpha": ["1/3", "1", "3", "9", "27"]},
+     ["1", "3", "1/3", "1/3", "1", "3", "9", "27"]),
+    ("cob2-dim", {"m": 1, "alpha": [str(g) for g in range(2, 14)]},
+     [str(g) for g in range(2, 14)]),
+])
+def test_rational_fields_are_read_once(tmp_path, capsys, monkeypatch, command,
+                                       doc, scalars):
+    """The algebra takes the numbers the job's readers made, so each
+    rational scalar of the job goes through `rat` once, in job order."""
+    calls, parse = [], linalg.rat
+
+    def counted(x):
+        calls.append(x)
+        return parse(x)
+
+    modules = (cli, fincat, frobenius, linalg, pseudochar, statespaces)
+    importers = [m for m in modules if getattr(m, "rat", None) is parse]
+    assert pseudochar not in importers and statespaces not in importers
+    for module in importers:
+        monkeypatch.setattr(module, "rat", counted)
+    assert run_json(tmp_path, capsys, command, doc)[0] == 0
+    assert calls == scalars
+
+
 # a statespace monoid job's per-element values have the one reader of
 # `PseudoCharacter.from_element_values`: every entry is parsed, one per
 # element, constant on each class
@@ -1275,9 +1348,10 @@ def test_monoid_alpha_is_read_like_element_values(tmp_path, capsys, name):
             FiniteMonoid(body["table"], body["identity"]), alpha)
 
 
-# A value list given as a JSON string or object was read one character or
-# one key per value.  Each field: (command, job, path to the list, the
-# list as a string, as an object); a point algebra for the structure
+# A list given as a JSON string or object was read one character or one
+# key per entry: a value list, a matrix or one of its rows, or a record.
+# Each field: (command, job, path to the list, the list as a string, as an
+# object); a point algebra for the structure
 AUTOMATON = {"automaton": {"initial": ["1", "0"],
                            "transitions": {"a": [["0", "1"], ["1", "0"]]},
                            "final": ["0", "1"]}}
@@ -1285,6 +1359,9 @@ POINT = {"frobenius": {"dim": 1, "structure": [[["1"]]], "unit": ["1"],
                        "counit": ["1"]}}
 PIH_GEOMETRIC = {"pih": {"p": ["1"], "h": [["3"]], "iota": ["1/3"]},
                  "alpha": ["1/3", "1", "3", "9", "27"]}
+LOOP_OF_TWO = {"graph": {"n_vertices": 1, "edges": [[0, 0, [["2"]]]]}}
+BLOCK = {"blocks": [["2", 1, "3"]]}
+POLE = {"classification": {"mu": "0", "m": 0, "poles": [["2", 1]]}}
 VALUE_LIST_FIELDS = {
     "pseudocharacter-values": (
         "pseudochar-degree", dict(Z2_MONOID, **Z2_REGULAR),
@@ -1320,23 +1397,83 @@ VALUE_LIST_FIELDS = {
                    ("genfun", "num"), "1", {"1": 0}),
     "genfun-den": ("classify", {"genfun": {"num": ["1"], "den": ["1", "-2"]}},
                    ("genfun", "den"), "12", {"1": 0, "-2": 0}),
+    "pih-check-h": ("pih-check", PIH_GEOMETRIC, ("pih", "h"), "3", {"3": 0}),
+    "pih-check-h-row": ("pih-check", PIH_GEOMETRIC, ("pih", "h", 0), "3",
+                        {"3": 0}),
+    "automaton-transition": ("automaton-minimize", AUTOMATON,
+                             ("automaton", "transitions", "a"), "0110",
+                             {"01": 0, "10": 0}),
+    "automaton-transition-row": ("automaton-minimize", AUTOMATON,
+                                 ("automaton", "transitions", "a", 0), "01",
+                                 {"0": 0, "1": 0}),
+    "holonomy-edges": ("holonomy", LOOP_OF_TWO, ("graph", "edges"), "002",
+                       {"0": 0}),
+    "holonomy-edge": ("holonomy", LOOP_OF_TWO, ("graph", "edges", 0), "002",
+                      {"0": 0, "2": 0}),
+    "holonomy-edge-row": ("holonomy", LOOP_OF_TWO, ("graph", "edges", 0, 2, 0),
+                          "2", {"2": 0}),
+    "pih-solve-blocks": ("pih-solve", BLOCK, ("blocks",), "213", {"213": 0}),
+    "pih-solve-block": ("pih-solve", BLOCK, ("blocks", 0), "213",
+                        {"2": 0, "1": 0, "3": 0}),
+    "classification-poles": ("witness", POLE, ("classification", "poles"),
+                             "21", {"21": 0}),
+    "classification-pole": ("witness", POLE, ("classification", "poles", 0),
+                            "21", {"2": 0, "1": 0}),
+    "statespace-object": ("statespace",
+                          dict(Z2_MONOID, alpha=["2", "0"],
+                               object=[[0, 1], [0, -1]]),
+                          ("object",), "01", {"0": 1}),
+    "statespace-object-entry": ("statespace",
+                                dict(Z2_MONOID, alpha=["2", "0"],
+                                     object=[[0, 1], [0, -1]]),
+                                ("object", 0), "01", {"0": 1}),
+    "pseudocharacter-classes": ("pseudochar-degree", dict(Z2_MONOID,
+                                                          **Z2_REGULAR),
+                                ("pseudocharacter", "classes"), "01",
+                                {"0": 0, "1": 0}),
+    "pseudocharacter-class": ("pseudochar-degree", dict(Z2_MONOID,
+                                                        **Z2_REGULAR),
+                              ("pseudocharacter", "classes", 0), "0",
+                              {"0": 0}),
+    "accepted": ("boolean-statespace", {"alphabet": ["a", "b"],
+                                        "accepted": ["ab"]},
+                 ("accepted",), "ab", {"ab": 1}),
 }
+
+
+def _with_field(doc: dict, path: tuple, value) -> dict:
+    """A copy of doc with the entry at path set to value."""
+    doc = json.loads(json.dumps(doc))
+    *keys, last = path
+    body = doc
+    for key in keys:
+        body = body[key]
+    body[last] = value
+    return doc
 
 
 @pytest.mark.parametrize("kind", ["string", "object"])
 @pytest.mark.parametrize("name", sorted(VALUE_LIST_FIELDS))
 def test_value_lists_must_be_lists(tmp_path, capsys, name, kind):
     command, doc, path, text, mapping = VALUE_LIST_FIELDS[name]
-    doc = json.loads(json.dumps(doc))
-    *keys, last = path
-    body = doc
-    for key in keys:
-        body = body[key]
     assert run_json(tmp_path, capsys, command, doc)[0] == 0
-    body[last] = text if kind == "string" else mapping
+    doc = _with_field(doc, path, text if kind == "string" else mapping)
     assert run_json(tmp_path, capsys, command, doc) == (2, {
         "error": "TypeError", "message": "values must be a list, got "
         + ("str" if kind == "string" else "dict")})
+
+
+@pytest.mark.parametrize("name", ["pih-check-h-row", "pih-solve-block",
+                                  "classification-pole"])
+def test_value_lists_must_be_lists_without_asserts(tmp_path, capsys, name):
+    command, doc, path, text, _mapping = VALUE_LIST_FIELDS[name]
+    doc = _with_field(doc, path, text)
+    report = {"error": "TypeError", "message": "values must be a list, got str"}
+    assert run_json(tmp_path, capsys, command, doc) == (2, report)
+    proc = run_optimized(tmp_path, command, doc)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout) == report
 
 
 def test_pih_check_geometric_sequence(tmp_path, capsys):

@@ -554,6 +554,24 @@ def test_classify_round_trips_generating_functions() -> None:
     assert classify_genfun(cd.genfun()) == cd
 
 
+def test_partial_fractions_divide_each_pole_once(monkeypatch) -> None:
+    """One division splits off the polynomial part, and each simple pole
+    takes two: its quotient, the solve's column, and the one that leaves a
+    remainder.  So k poles cost 1 + 2k divisions."""
+    cd = ClassificationData(Fraction(7, 2), 3,
+                            ((Fraction(-1), 2), (Fraction(1, 2), 1),
+                             (Fraction(2), 1)))
+    rf, calls, divide = cd.genfun(), [], Polynomial.__divmod__
+
+    def counted(self, other):
+        calls.append(other)
+        return divide(self, other)
+
+    monkeypatch.setattr(Polynomial, "__divmod__", counted)
+    assert classify_genfun(rf) == cd
+    assert len(calls) == 1 + 2 * len(cd.poles)
+
+
 # --- witnesses ---------------------------------------------------------------------
 
 

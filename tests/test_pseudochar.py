@@ -30,7 +30,7 @@ from loopcat.fincat import (
     symmetric_group,
 )
 from loopcat.frobenius import _dotted_strands
-from loopcat.linalg import _Echelon, Matrix, det
+from loopcat.linalg import _Echelon, Matrix, det, rat
 from loopcat.pseudochar import (
     AdditivityReport,
     DegreeMismatch,
@@ -1004,9 +1004,11 @@ def holonomy_graphs(draw):
     n_vertices = draw(st.integers(1, 2))
     dim = draw(st.integers(1, 3))
     vertex = st.integers(0, n_vertices - 1)
+    # `Matrix` takes numbers: each row's strings are parsed first
     invertible = st.lists(st.lists(holonomy_entries, min_size=dim,
                                    max_size=dim),
-                          min_size=dim, max_size=dim).map(Matrix).filter(
+                          min_size=dim, max_size=dim).map(
+        lambda rows: Matrix([list(map(rat, r)) for r in rows])).filter(
         lambda m: det(m) != 0)
     edges = draw(st.lists(st.tuples(vertex, vertex, invertible),
                           min_size=1, max_size=3))
