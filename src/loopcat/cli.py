@@ -1,4 +1,4 @@
-"""Batch command-line front end.
+"""Batch command-line front end, and the one reader and writer of job text.
 
 One job per invocation: read a JSON document, run one library operation,
 print a deterministic report.  Exit codes: 0 success (report on stdout),
@@ -9,11 +9,11 @@ reason are reported), 2 malformed input (schema, shape, or parse errors),
 Caps are never silent: every handler echoes the caps it consulted into
 its report.
 
-Each job value has one reader: a handler passes a raw field to the
-library function that parses it, and parses here only what nothing else
-reads or what must precede the library's checks (`pih-check`, `cob2-dim`).
-The algebra takes ints and Fractions, so a job's matrix is read only here,
-by `_matrix`.  Every list a job gives, a record's too, must be a JSON list.
+Job text is read and written here alone, and the library takes ints and
+Fractions.  Each handler reads each field of its job once, with one reader
+per kind of field (`_exact_int`, `_rat`, `_rats`, `_matrix`, `_words`,
+`_alphabet`); every list, a record's too, must be a JSON list
+(`_value_list`).  Reports print each Fraction with `str`.
 """
 
 from __future__ import annotations
@@ -22,23 +22,23 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
+from fractions import Fraction
+from operator import itemgetter
 
 from .errors import DomainError
-from .fincat import (FreeBoundary, FreeMonoidCategory, IntervalClass,
-                     MonoidCategory, monoid_from_json)
-from .frobenius import (PIHSystem, Reject, classification_from_json,
-                        classification_to_json, classify_genfun,
-                        cob2_pseudochar_check, frobenius_from_json,
-                        frobenius_to_json, generating_function,
-                        genfun_from_json, genfun_to_json, handle_element,
+from .fincat import (FiniteMonoid, FreeBoundary, FreeMonoidCategory,
+                     IntervalClass, MonoidCategory)
+from .frobenius import (ClassificationData, FrobeniusAlgebra, PIHSystem,
+                        Reject, classify_genfun, cob2_pseudochar_check,
+                        from_dense_cells, generating_function, handle_element,
                         pih_check, pih_solve, surface_eval, validate,
                         witness_synthesis)
-from .linalg import (Matrix, _rats, _value_list, exact_int, format_poly, rat,
-                     rat_str)
-from .pseudochar import (GraphHolonomy, Infeasible, alpha_charpoly, degree,
-                         graph_pseudoholonomy, lift_with_table,
-                         pseudochar_from_json)
+from .linalg import Matrix, Polynomial, RationalFunction, format_poly
+from .pseudochar import (GraphHolonomy, Infeasible, PseudoCharacter,
+                         alpha_charpoly, degree, graph_pseudoholonomy,
+                         lift_with_table)
 from .statespaces import (MAX_KETS, Evaluation, WeightedAutomaton,
                           cob2_spanning_size, cob2_state_space,
                           evaluation_from_monoid, hankel_minimize, ket_count,
@@ -47,7 +47,80 @@ from .statespaces import (MAX_KETS, Evaluation, WeightedAutomaton,
 
 
 # ---------------------------------------------------------------------------
-# shared input helpers
+# job text: one reader per kind of field, and the report writers
+
+
+# Largest decimal exponent of a scalar string: Fraction("1e10000000") builds
+# a 33-million-bit integer from 10 bytes.  Python refuses integer strings of
+# more than 4,300 digits, so int() of a longer exponent is a ValueError too.
+_MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
+def _rat(x) -> Fraction:
+    """A rational field: an int or an 'a/b' string.  A string whose
+    decimal exponent exceeds _MAX_DECIMAL_EXPONENT in magnitude, and a
+    bool, are ValueErrors, raised before any number is built."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, bool):
+        raise ValueError(f"not a number: {x!r}")
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
+        if x.isascii() and (x.isdigit() or x[:1] == "-" and x[1:].isdigit()):
+            return Fraction(int(x))  # a plain decimal integer, parsed in C
+        exponent = _EXPONENT.search(x)
+        if exponent and int(exponent[1]) > _MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent of {x!r} exceeds "
+                             f"{_MAX_DECIMAL_EXPONENT} in magnitude")
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
+    raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _exact_int(x) -> int:
+    """An integer field, without truncation: a non-integral or infinite
+    number, or a bool, is a ValueError."""
+    try:
+        n = int(x)
+    except OverflowError:
+        raise ValueError(f"not an integer: {x!r}") from None
+    if isinstance(x, bool) or (n != x and not isinstance(x, str)):
+        raise ValueError(f"not an integer: {x!r}")
+    return n
+
+
+def _value_list(values) -> list:
+    """A job's list: any JSON value but a list is a TypeError."""
+    if type(values) is not list:
+        raise TypeError(f"values must be a list, got {type(values).__name__}")
+    return values
+
+
+def _rats(values) -> tuple:
+    """A list of rationals: `_value_list`, then `_rat` on each."""
+    return tuple(map(_rat, _value_list(values)))
+
+
+def _matrix(rows) -> Matrix:
+    """A matrix: a list of rows, each a list of rationals (`_rats`)."""
+    return Matrix([_rats(row) for row in _value_list(rows)])
+
+
+def _words(values) -> tuple:
+    """A list of words: a JSON list of strings."""
+    bad = [type(w).__name__ for w in _value_list(values) if type(w) is not str]
+    if bad:
+        raise TypeError(f"words must be strings, got {bad[0]}")
+    return tuple(values)
+
+
+def _alphabet(letters) -> tuple:
+    """An alphabet: a string of letters, or a list of them (`_words`)."""
+    return tuple(letters) if isinstance(letters, str) else _words(letters)
 
 
 def _object_from(doc: dict, default) -> tuple:
@@ -63,9 +136,70 @@ def _object_from(doc: dict, default) -> tuple:
     return tuple(out)
 
 
-def _matrix(rows) -> Matrix:
-    """A job's matrix: a list of rows, each a list of rationals (`_rats`)."""
-    return Matrix([_rats(row) for row in _value_list(rows)])
+def _monoid_from_json(body) -> FiniteMonoid:
+    m = FiniteMonoid([_value_list(row) for row in _value_list(body["table"])],
+                     _exact_int(body["identity"]))
+    if m.size != _exact_int(body["size"]):
+        raise ValueError("declared size does not match table")
+    return m
+
+
+def _pseudochar_from_json(monoid: FiniteMonoid, body) -> PseudoCharacter:
+    classes = [tuple(_value_list(c)) for c in _value_list(body["classes"])]
+    if any(isinstance(e, bool) for c in classes for e in c):
+        raise ValueError("class entries must be element numbers, not booleans")
+    return PseudoCharacter(monoid, _rats(body["values"]), classes=classes)
+
+
+def _frobenius_from_json(body) -> FrobeniusAlgebra:
+    """The algebra of a job's dense cells (`from_dense_cells`), its four
+    keys read and every value parsed before any shape is checked, each
+    distinct string cell once: dim^3 cells hold a few distinct values."""
+    dim, structure, unit, counit = itemgetter("dim", "structure", "unit",
+                                              "counit")(body)
+    dim, parsed = _exact_int(dim), {}
+
+    def cell(x):
+        if isinstance(x, str):
+            return parsed[x] if x in parsed else parsed.setdefault(x, _rat(x))
+        return _rat(x)
+    cells = [[list(map(cell, _value_list(row))) for row in _value_list(plane)]
+             for plane in _value_list(structure)]
+    return from_dense_cells(dim, cells, _rats(unit), _rats(counit))
+
+
+def _frobenius_to_json(fa: FrobeniusAlgebra) -> dict:
+    def row(terms):
+        cells = ["0"] * fa.dim
+        for k, c in terms:
+            cells[k] = str(Fraction(c, fa.scale))
+        return cells
+    return {"dim": fa.dim,
+            "structure": [list(map(row, plane)) for plane in fa._terms],
+            "unit": list(map(str, fa.unit)),
+            "counit": list(map(str, fa.counit))}
+
+
+def _genfun_from_json(body) -> RationalFunction:
+    return RationalFunction(Polynomial(_rats(body["num"])),
+                            Polynomial(_rats(body["den"])))
+
+
+def _genfun_to_json(rf: RationalFunction) -> dict:
+    return {"num": list(map(str, rf.num.coeffs)),
+            "den": list(map(str, rf.den.coeffs))}
+
+
+def _classification_from_json(body) -> ClassificationData:
+    mu, m = _rat(body["mu"]), _exact_int(body["m"])
+    return ClassificationData(mu, m, tuple(
+        (_rat(lam), _exact_int(mult))
+        for lam, mult in map(_value_list, _value_list(body["poles"]))))
+
+
+def _classification_to_json(cd: ClassificationData) -> dict:
+    return {"mu": str(cd.mu), "m": cd.m,
+            "poles": [[str(lam), mult] for lam, mult in cd.poles]}
 
 
 def _evaluation_from(doc: dict):
@@ -79,17 +213,17 @@ def _evaluation_from(doc: dict):
     given.
     """
     if "monoid" in doc:
-        cat = MonoidCategory(monoid_from_json(doc))
-        return cat, evaluation_from_monoid(cat, doc["alpha"]), None
-    cat = FreeMonoidCategory(tuple(doc["free_monoid"]["letters"]))
+        cat = MonoidCategory(_monoid_from_json(doc["monoid"]))
+        return cat, evaluation_from_monoid(cat, _rats(doc["alpha"])), None
+    cat = FreeMonoidCategory(_alphabet(doc["free_monoid"]["letters"]))
     loop_values = {}
     for text, v in doc.get("loops", {}).items():
         key = cat.loop_class(0, [cat.word(text)])
-        v = rat(v)
+        v = _rat(v)
         if loop_values.setdefault(key, v) != v:
             raise ValueError(f"conflicting values on the loop class of {text!r}")
     # distinct words are distinct intervals: no two texts share a key
-    interval_values = {IntervalClass(0, (), cat.word(text)): rat(v)
+    interval_values = {IntervalClass(0, (), cat.word(text)): _rat(v)
                        for text, v in doc.get("intervals", {}).items()}
     boundary = FreeBoundary(cat) if "intervals" in doc else None
     return cat, Evaluation(loop_values, interval_values), boundary
@@ -121,6 +255,9 @@ def _check_kets(cat, obj, boundary, cap_words: int) -> None:
 def _run_statespace(doc: dict, args) -> dict:
     cat, alpha, boundary = _evaluation_from(doc)
     obj = _object_from(doc, [[0, 1], [0, -1]])
+    emit_gram = doc.get("emit_gram", False)
+    if type(emit_gram) is not bool:
+        raise TypeError(f"emit_gram must be a bool, got {emit_gram!r}")
     _check_kets(cat, obj, boundary, args.cap_words)
     ss = state_space_field(cat, obj, alpha, boundary, args.cap_words)
     stabilized = args.cap_words >= 1 and restrict_state_space(
@@ -134,15 +271,15 @@ def _run_statespace(doc: dict, args) -> dict:
         "stabilized": stabilized,
         "cap_words": args.cap_words,
     }
-    if doc.get("emit_gram"):
-        out["gram"] = [[rat_str(x) for x in row] for row in ss.gram.entries]
+    if emit_gram:
+        out["gram"] = [list(map(str, row)) for row in ss.gram.entries]
     return out
 
 
 def _run_boolean_statespace(doc: dict, args) -> dict:
-    cat = FreeMonoidCategory(tuple(doc["alphabet"]))
+    cat = FreeMonoidCategory(_alphabet(doc["alphabet"]))
     boundary = FreeBoundary(cat)
-    accepted = {cat.word(text) for text in _value_list(doc["accepted"])}
+    accepted = {cat.word(text) for text in _words(doc["accepted"])}
     obj = _object_from(doc, [[0, 1]])
     _check_kets(cat, obj, boundary, args.cap_words)
     signs = {s for _, s in obj}
@@ -171,31 +308,32 @@ def _run_boolean_statespace(doc: dict, args) -> dict:
 
 def _run_automaton_minimize(doc: dict, args) -> dict:
     body = doc["automaton"]
-    n = len(body["initial"])
+    initial = _rats(body["initial"])
+    n = len(initial)
     transitions = {}
     for letter, rows in body["transitions"].items():
         m = _matrix(rows)
         if m.rows != n or m.cols != n:
             raise ValueError(f"transition {letter!r} is not {n}x{n}")
         transitions[letter] = m
-    a = WeightedAutomaton(body["initial"], transitions, body["final"])
+    a = WeightedAutomaton(initial, transitions, _rats(body["final"]))
     b = hankel_minimize(a)
     return {
         "dimension_before": a.dimension,
         "dimension_after": b.dimension,
         "automaton": {
-            "initial": [rat_str(x) for x in b.initial],
+            "initial": list(map(str, b.initial)),
             "transitions": {
-                letter: [[rat_str(x) for x in row] for row in m.entries]
+                letter: [list(map(str, row)) for row in m.entries]
                 for letter, m in b.transitions.items()},
-            "final": [rat_str(x) for x in b.final],
+            "final": list(map(str, b.final)),
         },
     }
 
 
 def _run_pseudochar_degree(doc: dict, args) -> dict:
-    monoid = monoid_from_json(doc)
-    alpha = pseudochar_from_json(monoid, doc)
+    monoid = _monoid_from_json(doc["monoid"])
+    alpha = _pseudochar_from_json(monoid, doc["pseudocharacter"])
     res = degree(alpha, args.max_degree)
     return {
         "d": res.d,
@@ -206,99 +344,102 @@ def _run_pseudochar_degree(doc: dict, args) -> dict:
 
 
 def _run_pseudochar_charpoly(doc: dict, args) -> dict:
-    monoid = monoid_from_json(doc)
-    alpha = pseudochar_from_json(monoid, doc)
-    x, d = exact_int(doc["x"]), exact_int(doc["d"])
+    monoid = _monoid_from_json(doc["monoid"])
+    alpha = _pseudochar_from_json(monoid, doc["pseudocharacter"])
+    x, d = _exact_int(doc["x"]), _exact_int(doc["d"])
     if d > args.max_degree:  # the degree search runs up to d
         raise ValueError(f"d = {d} exceeds --max-degree {args.max_degree}")
     p = alpha_charpoly(alpha, x, d)
     return {
         "x": x,
         "d": d,
-        "coeffs": [rat_str(c) for c in p.coeffs],
+        "coeffs": list(map(str, p.coeffs)),
         "display": format_poly(p, "t"),
     }
 
 
 def _run_pseudochar_lift(doc: dict, args) -> dict:
-    monoid = monoid_from_json(doc)
-    alpha = pseudochar_from_json(monoid, doc)
-    table = [pseudochar_from_json(monoid, {"pseudocharacter": body})
-             for body in doc["table"]]
+    monoid = _monoid_from_json(doc["monoid"])
+    alpha = _pseudochar_from_json(monoid, doc["pseudocharacter"])
+    table = [_pseudochar_from_json(monoid, body)
+             for body in _value_list(doc["table"])]
     mults = lift_with_table(alpha, table)
     return {"multiplicities": list(mults)}
 
 
 def _run_holonomy(doc: dict, args) -> dict:
     body = doc["graph"]
-    gh = GraphHolonomy(exact_int(body["n_vertices"]),
-                       [(exact_int(src), exact_int(tgt), _matrix(rows))
+    gh = GraphHolonomy(_exact_int(body["n_vertices"]),
+                       [(_exact_int(src), _exact_int(tgt), _matrix(rows))
                         for src, tgt, rows in map(_value_list,
                                                   _value_list(body["edges"]))])
-    base = exact_int(doc.get("base", 0))
+    base = _exact_int(doc.get("base", 0))
     rep = graph_pseudoholonomy(gh, args.cap_words, base)
     return {
         "base": base,
         "dimension": rep.dimension,
         "d": rep.degree.d,
         "tuples_checked": rep.degree.tuples_checked,
-        "witness": [[[rat_str(x) for x in row] for row in m.entries]
+        "witness": [[list(map(str, row)) for row in m.entries]
                     for m in rep.degree.witness],
-        "table": {",".join(str(e) for e in walk): rat_str(tr)
+        "table": {",".join(str(e) for e in walk): str(tr)
                   for walk, tr in rep.table.items()},
         "max_len": args.cap_words,
     }
 
 
 def _run_frobenius_validate(doc: dict, args) -> dict:
-    fa = frobenius_from_json(doc)
+    fa = _frobenius_from_json(doc["frobenius"])
     validate(fa)
     return {
         "ok": True,
         "dim": fa.dim,
-        "handle": [rat_str(x) for x in handle_element(fa).element],
-        "genus_one_value": rat_str(surface_eval(fa, 1)),
+        "handle": list(map(str, handle_element(fa).element)),
+        "genus_one_value": str(surface_eval(fa, 1)),
     }
 
 
 def _run_genfun(doc: dict, args) -> dict:
-    fa = frobenius_from_json(doc)
+    fa = _frobenius_from_json(doc["frobenius"])
     validate(fa)
     rf = generating_function(fa)
     return {
         "dim": fa.dim,
-        "genfun": genfun_to_json(rf)["genfun"],
+        "genfun": _genfun_to_json(rf),
         "display": str(rf),
     }
 
 
 def _run_classify(doc: dict, args) -> dict:
-    rf = genfun_from_json(doc)
+    rf = _genfun_from_json(doc["genfun"])
     cd = classify_genfun(rf)
     return {
-        "classification": classification_to_json(cd)["classification"],
+        "classification": _classification_to_json(cd),
         "display": str(rf),
     }
 
 
 def _run_witness(doc: dict, args) -> dict:
-    cd = classification_from_json(doc)
+    cd = _classification_from_json(doc["classification"])
     fa = witness_synthesis(cd)
     return {
         "dim": fa.dim,
-        "frobenius": frobenius_to_json(fa)["frobenius"],
+        "frobenius": _frobenius_to_json(fa),
     }
 
 
 def _run_pih_solve(doc: dict, args) -> dict:
-    cs = pih_solve(doc["blocks"], doc.get("alpha1"))
+    blocks = tuple((_rat(lam), _exact_int(n), _rat(mult)) for lam, n, mult
+                   in map(_value_list, _value_list(doc["blocks"])))
+    alpha1 = doc.get("alpha1")
+    cs = pih_solve(blocks, None if alpha1 is None else _rat(alpha1))
     return {
-        "blocks": [[rat_str(lam), n, rat_str(mult)] for lam, n, mult in cs.blocks],
-        "r": [rat_str(x) for x in cs.r],
-        "gamma": [rat_str(x) for x in cs.gamma],
+        "blocks": [[str(lam), n, str(mult)] for lam, n, mult in cs.blocks],
+        "r": list(map(str, cs.r)),
+        "gamma": list(map(str, cs.gamma)),
         "verdict": cs.verdict,
-        "det": rat_str(cs.det),
-        "unit": rat_str(cs.unit),
+        "det": str(cs.det),
+        "unit": str(cs.unit),
     }
 
 
@@ -316,7 +457,7 @@ def _run_pih_check(doc: dict, args) -> dict:
 
 
 def _run_cob2_dim(doc: dict, args) -> dict:
-    m = exact_int(doc["m"])
+    m = _exact_int(doc["m"])
     seq = _rats(doc["alpha"])
     dim, stabilized = cob2_state_space(m, seq, args.cap_genus)
     return {
@@ -329,10 +470,12 @@ def _run_cob2_dim(doc: dict, args) -> dict:
 
 
 def _run_cob2_pseudo(doc: dict, args) -> dict:
-    d = exact_int(doc["d"])
+    d = _exact_int(doc["d"])
     if d > args.max_degree:  # the recursion closes up d + 1 strands
         raise ValueError(f"d = {d} exceeds --max-degree {args.max_degree}")
-    rep = cob2_pseudochar_check(doc["alpha"], d, doc.get("cap_dots"))
+    cap = doc.get("cap_dots")
+    rep = cob2_pseudochar_check(_rats(doc["alpha"]), d,
+                                None if cap is None else _exact_int(cap))
     return {
         "d": rep.d,
         "cap_dots": rep.cap_dots,
@@ -380,11 +523,7 @@ _COMMANDS = {
 
 
 def _render_scalar(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return "null"
-    if isinstance(v, (int, str)):
+    if isinstance(v, (int, str)) and not isinstance(v, bool):
         return str(v)
     return json.dumps(v, sort_keys=True)
 
@@ -445,7 +584,7 @@ def main(argv=None) -> int:
         if isinstance(exc, Reject):
             report["reason"] = exc.reason
         if isinstance(exc, Infeasible) and exc.solution is not None:
-            report["solution"] = [rat_str(s) for s in exc.solution]
+            report["solution"] = list(map(str, exc.solution))
         code = 1
     except (OSError, ValueError, TypeError, KeyError, IndexError,
             AttributeError) as exc:

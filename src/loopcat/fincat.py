@@ -32,7 +32,7 @@ from itertools import chain as _chain
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 from .errors import DomainError
-from .linalg import _value_list, exact_int, rat
+from .linalg import _fractions
 
 _letters = _chain.from_iterable  # the letters of a chain of words, in order
 
@@ -148,12 +148,11 @@ def conjugacy_classes(m: FiniteMonoid) -> list[list[int]]:
 
 
 def class_values(m: FiniteMonoid, values) -> tuple[list[list[int]], list]:
-    """The reader of per-element values: `conjugacy_classes` and the value
-    on each, from one entry per element, each parsed, constant on each
-    class."""
-    if len(_value_list(values)) != m.size:
+    """`conjugacy_classes` and the value on each, from one number per
+    element, constant on each class; the values are held as Fractions."""
+    if len(values) != m.size:
         raise ValueError("one value per element required")
-    values = [rat(values[e]) for e in range(m.size)]
+    values = _fractions(values)
     classes = conjugacy_classes(m)
     for c in classes:
         if len({values[e] for e in c}) != 1:
@@ -462,7 +461,7 @@ class FreeBoundary:
 
 
 # ---------------------------------------------------------------------------
-# standard examples and JSON loading
+# standard examples
 
 
 def cyclic_group(n: int) -> FiniteMonoid:
@@ -480,12 +479,4 @@ def symmetric_group(n: int) -> FiniteMonoid:
         [index[tuple(b[a[i]] for i in range(n))] for b in elems] for a in elems
     ]
     return FiniteMonoid(table, index[tuple(range(n))])
-
-
-def monoid_from_json(doc: dict) -> FiniteMonoid:
-    body = doc["monoid"]
-    m = FiniteMonoid(body["table"], exact_int(body["identity"]))
-    if m.size != exact_int(body["size"]):
-        raise ValueError("declared size does not match table")
-    return m
 

@@ -28,8 +28,8 @@ from math import comb, gcd, lcm
 
 from .errors import DomainError, InternalInconsistency
 from .linalg import (Matrix, NonSplitDenominator, Polynomial, RationalFunction,
-                     _cleared, _rats, _value_list, exact_int, partial_fractions,
-                     rat, rat_str, solve, trace_series)
+                     _cleared, _fractions, partial_fractions, solve,
+                     trace_series)
 from .pseudochar import _TraceRecursion
 from .statespaces import SequenceTooShort
 
@@ -76,12 +76,11 @@ class FrobeniusAlgebra:
     Only the nonzero c[i][j][k] are kept: `terms[i][j]` is the tuple of
     pairs (k, D c[i][j][k]), k increasing, over one denominator D = `scale`.
     The rational unit and counit are kept with their cleared ints.
-    `frobenius_from_json` reads dense cells, and `frobenius_to_json`
-    writes them."""
+    `from_dense_cells` builds one from dense cells."""
 
     def __init__(self, terms: tuple, scale: int, unit, counit):
         self._terms, self.scale, self.dim = terms, scale, len(terms)
-        self.unit, self.counit = _rats(unit), _rats(counit)
+        self.unit, self.counit = _fractions(unit), _fractions(counit)
         if len(self.unit) != self.dim or len(self.counit) != self.dim:
             raise ValueError("unit and counit must have length dim")
         # (i, ((j, terms of e_i e_j), ...)) over the nonzero products only
@@ -122,6 +121,24 @@ class FrobeniusAlgebra:
         e, t = self._counit
         return Matrix.from_ints([[sum(c * e[k] for k, c in terms) for terms in p]
                                  for p in self._terms], self.scale * t)
+
+
+def from_dense_cells(dim: int, cells, unit, counit) -> FrobeniusAlgebra:
+    """The algebra of dense Fraction cells c[i][j][k]: only the nonzero
+    ones are kept, over the lcm of their denominators."""
+    if dim <= 0:
+        raise ValueError("dimension must be positive")
+    if len(cells) != dim or any(len(p) != dim or any(len(r) != dim for r in p)
+                                for p in cells):
+        raise ValueError("structure constants must be dim^3")
+    nonzero = [[[(k, c) for k, c in enumerate(row) if c] for row in plane]
+               for plane in cells]
+    scale = lcm(*{c.denominator for plane in nonzero for row in plane
+                  for _, c in row})
+    terms = tuple(tuple(tuple((k, c.numerator * (scale // c.denominator))
+                              for k, c in row) for row in plane)
+                  for plane in nonzero)
+    return FrobeniusAlgebra(terms, scale, unit, counit)
 
 
 def _int_basis(n: int) -> list[list[int]]:
@@ -263,10 +280,9 @@ class ClassificationData:
     poles: tuple  # ((lam_i, m_i), ...) sorted by lam
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", rat(self.mu))
+        object.__setattr__(self, "mu", Fraction(self.mu))
         object.__setattr__(self, "poles", tuple(
-            (rat(lam), exact_int(mult))
-            for lam, mult in map(_value_list, _value_list(self.poles))))
+            (Fraction(lam), mult) for lam, mult in self.poles))
         if self.m == 1:
             raise Reject("M1Forbidden", "no algebra has a 1-dim nilpotent block")
         if self.m < 0:
@@ -499,9 +515,8 @@ def pih_solve(blocks, alpha1=None) -> ConfluentSystem:
     it is compared against sum M_i: equality or an excess >= 2 (a
     nilpotent block) is consistent, an excess of exactly 1 is not.
     """
-    blocks = tuple((rat(lam), exact_int(n), rat(mult))
-                   for lam, n, mult in map(_value_list, _value_list(blocks)))
-    alpha1 = None if alpha1 is None else rat(alpha1)
+    blocks = tuple((Fraction(lam), n, Fraction(mult)) for lam, n, mult in blocks)
+    alpha1 = None if alpha1 is None else Fraction(alpha1)
     if any(lam == 0 for lam, _n, _m in blocks):
         raise ValueError("eigenvalues must be nonzero")
     if any(n < 1 for _lam, n, _m in blocks):
@@ -584,10 +599,10 @@ def cob2_pseudochar_check(alpha_seq, d: int, cap_dots=None) -> Cob2PseudoReport:
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    cap = d + 1 if cap_dots is None else exact_int(cap_dots)
+    cap = d + 1 if cap_dots is None else cap_dots
     if cap < 0:
         raise ValueError(f"cap_dots must be nonnegative, got {cap}")
-    seq = _rats(alpha_seq)
+    seq = _fractions(alpha_seq)
     need = (d + 1) * cap + 2
     if len(seq) < need:
         raise SequenceTooShort(f"need alpha_0..alpha_{need - 1}")
@@ -607,77 +622,3 @@ def cob2_pseudochar_check(alpha_seq, d: int, cap_dots=None) -> Cob2PseudoReport:
     if strands.antisym([dot_ids[cap]] * (d + 1)) != 0:
         return Cob2PseudoReport(d, cap, False, ("circle", (cap,) * (d + 1)))
     return Cob2PseudoReport(d, cap, True, None)
-
-
-# ---------------------------------------------------------------------------
-# JSON
-
-
-def frobenius_to_json(fa: FrobeniusAlgebra) -> dict:
-    def row(terms):
-        cells = ["0"] * fa.dim
-        for k, c in terms:
-            cells[k] = rat_str(Fraction(c, fa.scale))
-        return cells
-    return {"frobenius": {
-        "dim": fa.dim,
-        "structure": [list(map(row, plane)) for plane in fa._terms],
-        "unit": [rat_str(x) for x in fa.unit],
-        "counit": [rat_str(x) for x in fa.counit],
-    }}
-
-
-def frobenius_from_json(doc: dict) -> FrobeniusAlgebra:
-    """The algebra of a job's dense cells, all four keys read and the cells
-    parsed before any shape is checked; `FrobeniusAlgebra` parses the rest."""
-    body = doc["frobenius"]
-    dim, structure, unit, counit = (body["dim"], body["structure"],
-                                    body["unit"], body["counit"])
-    n = exact_int(dim)
-    if n <= 0:
-        raise ValueError("dimension must be positive")
-    parsed = {}  # a job's dim^3 string cells hold a few distinct values
-    dens = set()  # the denominators of the cells
-    def cell(x):
-        if isinstance(x, str) and x in parsed:
-            return parsed[x]
-        c = rat(x)
-        dens.add(c.denominator)
-        if isinstance(x, str):
-            parsed[x] = c
-        return c
-    cells = tuple(tuple(tuple(map(cell, _value_list(row)))
-                        for row in _value_list(plane))
-                  for plane in _value_list(structure))
-    if len(cells) != n or any(len(p) != n or any(len(r) != n for r in p)
-                              for p in cells):
-        raise ValueError("structure constants must be dim^3")
-    scale = lcm(*dens)
-    terms = tuple(tuple(tuple((k, c.numerator * (scale // c.denominator))
-                              for k, c in enumerate(row) if c) for row in plane)
-                  for plane in cells)
-    return FrobeniusAlgebra(terms, scale, unit, counit)
-
-
-def genfun_to_json(rf: RationalFunction) -> dict:
-    return {"genfun": {"num": [rat_str(c) for c in rf.num.coeffs],
-                       "den": [rat_str(c) for c in rf.den.coeffs]}}
-
-
-def genfun_from_json(doc: dict) -> RationalFunction:
-    body = doc["genfun"]
-    return RationalFunction(Polynomial(_rats(body["num"])),
-                            Polynomial(_rats(body["den"])))
-
-
-def classification_to_json(cd: ClassificationData) -> dict:
-    return {"classification": {
-        "mu": rat_str(cd.mu),
-        "m": cd.m,
-        "poles": [[rat_str(lam), mult] for lam, mult in cd.poles],
-    }}
-
-
-def classification_from_json(doc: dict) -> ClassificationData:
-    body = doc["classification"]
-    return ClassificationData(body["mu"], exact_int(body["m"]), body["poles"])

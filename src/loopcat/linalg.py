@@ -1,8 +1,7 @@
 """Exact linear and polynomial algebra over the rationals.
 
 The algebra takes ints and Fractions and gives back Fractions, never a
-float.  Job text is read by `rat`, `exact_int` and `_rats`, and every list
-of it must be a JSON list (`_value_list`).  The exact work runs on Python
+float; job text is read in `cli` alone.  The exact work runs on Python
 ints: a Matrix holds int rows and a Polynomial int coefficients, lowest
 degree first, each over one denominator in lowest terms, and rational
 vectors are cleared by the lcm of theirs.  Rational functions are kept
@@ -27,7 +26,6 @@ raise ValueError, so they hold under `python -O` too.
 
 from __future__ import annotations
 
-import re
 import sys
 from array import array
 from fractions import Fraction
@@ -43,61 +41,9 @@ class NonSplitDenominator(DomainError):
     """Denominator does not factor into linear factors over Q."""
 
 
-# Largest decimal exponent of a scalar string: Fraction("1e10000000") builds
-# a 33-million-bit integer from 10 bytes.  Python refuses integer strings of
-# more than 4,300 digits, so int() of a longer exponent is a ValueError too.
-MAX_DECIMAL_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
-
-
-def rat(x) -> Fraction:
-    """Coerce ints, Fractions and 'a/b' strings to Fraction.  A string
-    whose decimal exponent exceeds MAX_DECIMAL_EXPONENT in magnitude, and a
-    bool, are ValueErrors, raised before any number is built."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, bool):
-        raise ValueError(f"not a number: {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        if x.isascii() and (x.isdigit() or x[:1] == "-" and x[1:].isdigit()):
-            return Fraction(int(x))  # a plain decimal integer, parsed in C
-        exponent = _EXPONENT.search(x)
-        if exponent and int(exponent[1]) > MAX_DECIMAL_EXPONENT:
-            raise ValueError(f"decimal exponent of {x!r} exceeds "
-                             f"{MAX_DECIMAL_EXPONENT} in magnitude")
-        try:
-            return Fraction(x)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {x!r}") from None
-    raise TypeError(f"not an exact rational: {x!r}")
-
-
-def exact_int(x) -> int:
-    """int(x) for an integer field of job input, without truncation: a
-    non-integral or infinite number, or a bool, is a ValueError."""
-    try:
-        n = int(x)
-    except OverflowError:
-        raise ValueError(f"not an integer: {x!r}") from None
-    if isinstance(x, bool) or (n != x and not isinstance(x, str)):
-        raise ValueError(f"not an integer: {x!r}")
-    return n
-
-
-def _value_list(values) -> Sequence:
-    """A job's list of values as it is.  A string or an object, read by
-    character or key, is a TypeError.  Private: a leaf, not a traced span."""
-    if type(values) is not list and (
-            isinstance(values, str) or not isinstance(values, Sequence)):
-        raise TypeError(f"values must be a list, got {type(values).__name__}")
-    return values
-
-
-def _rats(values) -> tuple:
-    """A job's list of rationals: `_value_list`, then `rat` on each."""
-    return tuple(map(rat, _value_list(values)))
+def _fractions(values) -> tuple:
+    """Numbers held as Fractions: a Fraction is kept, not built again."""
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
 
 
 def _integral(x: Fraction) -> Fraction | int:
@@ -107,11 +53,6 @@ def _integral(x: Fraction) -> Fraction | int:
     (`statespaces`), interned trace or trace-recursion leaf (`pseudochar`),
     too small a step to be a traced span."""
     return x.numerator if x.denominator == 1 else x
-
-
-def rat_str(x: Fraction) -> str:
-    """Canonical 'a/b' form, '/1' omitted.  str(Fraction) already does this."""
-    return str(Fraction(x))
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +162,11 @@ def format_poly(p: Polynomial, var: str = "T") -> str:
         if c == 0:
             continue
         if k == 0:
-            parts.append(rat_str(c))
+            parts.append(str(c))
             continue
         pw = var if k == 1 else f"{var}^{k}"
         mag = abs(c)
-        body = pw if mag == 1 else f"{rat_str(mag)}{pw}"
+        body = pw if mag == 1 else f"{mag}{pw}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

@@ -40,8 +40,8 @@ import operator
 from .errors import DomainError
 from .fincat import (FiniteMonoid, class_values, conjugacy_classes,
                      least_rotation)
-from .linalg import (Matrix, Polynomial, _Echelon, _integral, _rats,
-                     _value_list, det, solve)
+from .linalg import (Matrix, Polynomial, _Echelon, _fractions, _integral,
+                     det, solve)
 
 
 class NotPseudo(DomainError):
@@ -86,7 +86,7 @@ class PseudoCharacter:
         self.classes = tuple(tuple(c) for c in
                              (classes if classes is not None
                               else conjugacy_classes(monoid)))
-        self.values = _rats(class_values)
+        self.values = _fractions(class_values)
         if len(self.values) != len(self.classes):
             raise ValueError("one value per conjugacy class required")
         self._class_of = {e: ci for ci, cls in enumerate(self.classes)
@@ -685,16 +685,3 @@ def graph_pseudoholonomy(gh: GraphHolonomy, max_len: int,
             f"holonomy at vertex {base} has degree {deg}, dimension {dim}")
     witness = tuple(mats[i] for i in _witness(engine, ids, deg))
     return HolonomyReport(table, base, dim, DegreeResult(deg, witness, checked))
-
-
-# ---------------------------------------------------------------------------
-# JSON
-
-
-def pseudochar_from_json(monoid: FiniteMonoid, doc: dict) -> PseudoCharacter:
-    body = doc["pseudocharacter"]
-    classes = [tuple(_value_list(c)) for c in _value_list(body["classes"])]
-    if any(isinstance(e, bool) for c in classes for e in c):
-        raise ValueError("class entries must be element numbers, not booleans")
-    return PseudoCharacter(monoid, body["values"], classes=classes)
-

@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 from .diagrams import BrauerMorphism, _chains, compose, transpose
 from .errors import DomainError, InternalInconsistency
 from .fincat import IntervalClass, Loop, _UnionFind, class_values, compose_path
-from .linalg import Matrix, _Echelon, _cleared, _integral, _rats, rank
+from .linalg import Matrix, _Echelon, _cleared, _fractions, _integral, rank
 
 
 class MissingValue(DomainError):
@@ -79,8 +79,8 @@ class Evaluation:
 
 
 def evaluation_from_monoid(cat, values: Sequence) -> Evaluation:
-    """Per-element values over a MonoidCategory, read by `class_values`:
-    a loop class is a conjugacy class."""
+    """Per-element values over a MonoidCategory, held per class by
+    `class_values`: a loop class is a conjugacy class."""
     classes, per_class = class_values(cat.monoid, values)
     return Evaluation(loop_values={cat.loop_class(0, c[:1]): v
                                    for c, v in zip(classes, per_class)})
@@ -496,9 +496,9 @@ class WeightedAutomaton:
 
     def __init__(self, initial: Sequence, transitions: Mapping[str, Matrix],
                  final: Sequence):
-        self.initial = _rats(initial)
+        self.initial = _fractions(initial)
         self.transitions = dict(transitions)
-        self.final = _rats(final)
+        self.final = _fractions(final)
         self.dimension = len(self.initial)
         if len(self.final) != self.dimension:
             raise ValueError("initial and final lengths differ")

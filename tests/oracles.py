@@ -58,11 +58,11 @@ from loopcat.frobenius import (
     NotAssociative,
     NotCommutative,
     NotUnital,
-    frobenius_from_json,
+    from_dense_cells,
 )
 from loopcat import pseudochar
 from loopcat.linalg import (Matrix, Polynomial, RationalFunction, _cleared,
-                            det, rat)
+                            det)
 from loopcat.pseudochar import (
     DegreeResult,
     GraphHolonomy,
@@ -165,7 +165,7 @@ def _column_back_substitute(pivots: list, col: int, n: int) -> list[Fraction]:
 
 def _augmented(m: Matrix, b) -> list[tuple]:
     """The rational rows of [m | b]."""
-    return [(*r, rat(y)) for r, y in zip(m.entries, b, strict=True)]
+    return [(*r, Fraction(y)) for r, y in zip(m.entries, b, strict=True)]
 
 
 def column_solve(m: Matrix, b) -> tuple | None:
@@ -289,7 +289,7 @@ def apply(m: Matrix, v) -> tuple:
     """Matrix times column vector."""
     if len(v) != m.cols:
         raise ValueError("shape mismatch")
-    vv = [rat(x) for x in v]
+    vv = [Fraction(x) for x in v]
     return tuple(sum((a * b for a, b in zip(r, vv)), Fraction(0))
                  for r in m.entries)
 
@@ -321,9 +321,10 @@ def _signed_cycle_decompositions(n: int):
 
 
 def dense_algebra(dim, structure, unit, counit):
-    """The algebra of dense cells c[i][j][k], read as a job's are."""
-    return frobenius_from_json({"frobenius": {
-        "dim": dim, "structure": structure, "unit": unit, "counit": counit}})
+    """The algebra of dense cells c[i][j][k], each a number or an 'a/b'
+    string."""
+    return from_dense_cells(dim, [[list(map(Fraction, row)) for row in plane]
+                                  for plane in structure], unit, counit)
 
 
 def dense_truncated_poly_algebra(m: int, counit):
@@ -509,7 +510,7 @@ class FormalSum:
                 shape = (d.source, d.target)
             elif (d.source, d.target) != shape:
                 raise ValueError("mixed shapes in a sum")
-            acc[d] = acc.get(d, Fraction(0)) + rat(c)
+            acc[d] = acc.get(d, Fraction(0)) + Fraction(c)
         self.terms = {d: c for d, c in acc.items() if c != 0}
 
     @classmethod
@@ -551,7 +552,7 @@ def f1_pullback(alpha_seq, components) -> Fraction:
     A circle with n dots is alpha_{n+1} (a trace of the n-th handle
     power); an interval with n dots is alpha_n.  The value is the product
     over components."""
-    seq = [rat(x) for x in alpha_seq]
+    seq = [Fraction(x) for x in alpha_seq]
     out = Fraction(1)
     for kind, dots in components:
         if dots < 0:

@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -14,10 +16,10 @@ from pathlib import Path
 import pytest
 
 import loopcat
-from loopcat import cli, fincat, frobenius, linalg, pseudochar, statespaces
+from loopcat import cli, frobenius, linalg, statespaces
 from loopcat.cli import main
 from loopcat.fincat import FiniteMonoid, FreeMonoidCategory, symmetric_group
-from loopcat.linalg import Polynomial, RationalFunction, rat_str
+from loopcat.linalg import Polynomial, RationalFunction
 from loopcat.pseudochar import PseudoCharacter
 from loopcat.statespaces import MAX_KETS
 from test_cli_properties import JOB_BUDGET_S
@@ -1125,8 +1127,8 @@ def test_classify_rejects_irrational_poles(tmp_path, capsys):
 
 def _genfun_doc(num: Polynomial, den: Polynomial) -> dict:
     rf = RationalFunction(num, den)
-    return {"genfun": {"num": [rat_str(c) for c in rf.num.coeffs],
-                       "den": [rat_str(c) for c in rf.den.coeffs]}}
+    return {"genfun": {"num": [str(c) for c in rf.num.coeffs],
+                       "den": [str(c) for c in rf.den.coeffs]}}
 
 
 def _linear_product(lams) -> Polynomial:
@@ -1180,7 +1182,7 @@ def test_classify_40_digit_degree_8_is_fast(tmp_path, split):
         assert proc.returncode == 0
         assert out["classification"] == {
             "mu": "0", "m": 0,
-            "poles": [[rat_str(lam), mult] for lam, mult in sorted(
+            "poles": [[str(lam), mult] for lam, mult in sorted(
                 BIG_POLES, key=lambda t: (t[0].numerator, t[0].denominator))]}
     else:
         assert proc.returncode == 1
@@ -1281,16 +1283,15 @@ def test_pih_solve_eliminates_once(tmp_path, capsys, monkeypatch, blocks,
 ])
 def test_integer_fields_are_read_once(tmp_path, capsys, monkeypatch, command,
                                       doc, fields):
-    """The handler hands each raw field to the function that parses it, so
-    each integer field of the job goes through `exact_int` once."""
-    calls = []
+    """The handler reads each field once and hands the library numbers, so
+    each integer field of the job goes through `_exact_int` once."""
+    calls, parse = [], cli._exact_int
 
     def counted(x):
         calls.append(x)
-        return linalg.exact_int(x)
+        return parse(x)
 
-    for module in (cli, frobenius):
-        monkeypatch.setattr(module, "exact_int", counted)
+    monkeypatch.setattr(cli, "_exact_int", counted)
     assert run_json(tmp_path, capsys, command, doc)[0] == 0
     assert calls == fields
 
@@ -1305,30 +1306,26 @@ def test_integer_fields_are_read_once(tmp_path, capsys, monkeypatch, command,
 def test_rational_fields_are_read_once(tmp_path, capsys, monkeypatch, command,
                                        doc, scalars):
     """The algebra takes the numbers the job's readers made, so each
-    rational scalar of the job goes through `rat` once, in job order."""
-    calls, parse = [], linalg.rat
+    rational scalar of the job goes through `_rat` once, in job order."""
+    calls, parse = [], cli._rat
 
     def counted(x):
         calls.append(x)
         return parse(x)
 
-    modules = (cli, fincat, frobenius, linalg, pseudochar, statespaces)
-    importers = [m for m in modules if getattr(m, "rat", None) is parse]
-    assert pseudochar not in importers and statespaces not in importers
-    for module in importers:
-        monkeypatch.setattr(module, "rat", counted)
+    monkeypatch.setattr(cli, "_rat", counted)
     assert run_json(tmp_path, capsys, command, doc)[0] == 0
     assert calls == scalars
 
 
-# a statespace monoid job's per-element values have the one reader of
-# `PseudoCharacter.from_element_values`: every entry is parsed, one per
-# element, constant on each class
+# a statespace monoid job's per-element values are parsed, every entry,
+# and then held to the checks of `PseudoCharacter.from_element_values`:
+# one value per element, constant on each class
 MONOID_ALPHA_JOBS = {
     "over-long": (Z2_MONOID, ["2", "0", "1"],
                   "one value per element required"),
     "junk-past-the-elements": (Z2_MONOID, ["2", "0", "junk"],
-                               "one value per element required"),
+                               "Invalid literal for Fraction: 'junk'"),
     "junk": (Z2_MONOID, ["2", "junk"], "Invalid literal for Fraction: 'junk'"),
     "short": (Z2_MONOID, ["2"], "one value per element required"),
     "not-constant": (S3_STANDARD, ["2", "0", "1", "-1", "-1", "0"],
@@ -1345,13 +1342,13 @@ def test_monoid_alpha_is_read_like_element_values(tmp_path, capsys, name):
     body = doc["monoid"]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         PseudoCharacter.from_element_values(
-            FiniteMonoid(body["table"], body["identity"]), alpha)
+            FiniteMonoid(body["table"], body["identity"]), cli._rats(alpha))
 
 
-# A list given as a JSON string or object was read one character or one
-# key per entry: a value list, a matrix or one of its rows, or a record.
-# Each field: (command, job, path to the list, the list as a string, as an
-# object); a point algebra for the structure
+# Every list a job gives must be a JSON list: a list given as a string or
+# an object was once read one character or one key per entry.  Each field:
+# (command, job, path to a list).  The jobs are honest jobs of the mutation
+# test below, which replaces each of these lists by a string and an object.
 AUTOMATON = {"automaton": {"initial": ["1", "0"],
                            "transitions": {"a": [["0", "1"], ["1", "0"]]},
                            "final": ["0", "1"]}}
@@ -1362,87 +1359,114 @@ PIH_GEOMETRIC = {"pih": {"p": ["1"], "h": [["3"]], "iota": ["1/3"]},
 LOOP_OF_TWO = {"graph": {"n_vertices": 1, "edges": [[0, 0, [["2"]]]]}}
 BLOCK = {"blocks": [["2", 1, "3"]]}
 POLE = {"classification": {"mu": "0", "m": 0, "poles": [["2", 1]]}}
+Z2_DEGREE = dict(Z2_MONOID, **Z2_REGULAR)
+Z2_OBJECT = dict(Z2_MONOID, alpha=["2", "0"], object=[[0, 1], [0, -1]])
+GENFUN = {"genfun": {"num": ["1"], "den": ["1", "-2"]}}
 VALUE_LIST_FIELDS = {
-    "pseudocharacter-values": (
-        "pseudochar-degree", dict(Z2_MONOID, **Z2_REGULAR),
-        ("pseudocharacter", "values"), "20", {"2": 1, "0": 1}),
+    "pseudocharacter-values": ("pseudochar-degree", Z2_DEGREE,
+                               ("pseudocharacter", "values")),
     "monoid-alpha": ("statespace", dict(Z2_MONOID, alpha=["2", "0"]),
-                     ("alpha",), "20", {"2": 1, "0": 1}),
+                     ("alpha",)),
     "automaton-initial": ("automaton-minimize", AUTOMATON,
-                          ("automaton", "initial"), "10", {"1": 0, "0": 0}),
+                          ("automaton", "initial")),
     "automaton-final": ("automaton-minimize", AUTOMATON,
-                        ("automaton", "final"), "01", {"0": 0, "1": 0}),
-    "pih-check-p": ("pih-check", PIH_GEOMETRIC, ("pih", "p"), "1", {"1": 0}),
-    "pih-check-alpha": ("pih-check", PIH_GEOMETRIC, ("alpha",), "13927",
-                        {"1": 0, "3": 0, "9": 0, "2": 0, "7": 0}),
-    "cob2-dim-alpha": ("cob2-dim", {"alpha": ["2"] * 12, "m": 1}, ("alpha",),
-                       "2" * 12, {str(k): 0 for k in range(12)}),
+                        ("automaton", "final")),
+    "pih-check-p": ("pih-check", PIH_GEOMETRIC, ("pih", "p")),
+    "pih-check-alpha": ("pih-check", PIH_GEOMETRIC, ("alpha",)),
+    "cob2-dim-alpha": ("cob2-dim", {"alpha": ["2"] * 12, "m": 1}, ("alpha",)),
     "cob2-pseudo-alpha": ("cob2-pseudo", {"alpha": ["1"] * 6, "d": 1,
-                                          "cap_dots": 2},
-                          ("alpha",), "1" * 6, {str(k): 0 for k in range(6)}),
-    "frobenius-unit": ("frobenius-validate", QX3_EPS7, ("frobenius", "unit"),
-                       "100", {"1": 0, "0": 0, "00": 0}),
+                                          "cap_dots": 2}, ("alpha",)),
+    "frobenius-unit": ("frobenius-validate", QX3_EPS7, ("frobenius", "unit")),
     "frobenius-counit": ("frobenius-validate", QX3_EPS7,
-                         ("frobenius", "counit"), "701",
-                         {"7": 0, "0": 0, "1": 0}),
+                         ("frobenius", "counit")),
     "frobenius-structure": ("frobenius-validate", POINT,
-                            ("frobenius", "structure"), "1", {"1": 0}),
+                            ("frobenius", "structure")),
     "frobenius-structure-plane": ("frobenius-validate", POINT,
-                                  ("frobenius", "structure", 0), "1",
-                                  {"1": 0}),
+                                  ("frobenius", "structure", 0)),
     "frobenius-structure-row": ("frobenius-validate", QX3_EPS7,
-                                ("frobenius", "structure", 0, 0), "100",
-                                {"1": 0, "0": 0, "00": 0}),
-    "genfun-num": ("classify", {"genfun": {"num": ["1"], "den": ["1", "-2"]}},
-                   ("genfun", "num"), "1", {"1": 0}),
-    "genfun-den": ("classify", {"genfun": {"num": ["1"], "den": ["1", "-2"]}},
-                   ("genfun", "den"), "12", {"1": 0, "-2": 0}),
-    "pih-check-h": ("pih-check", PIH_GEOMETRIC, ("pih", "h"), "3", {"3": 0}),
-    "pih-check-h-row": ("pih-check", PIH_GEOMETRIC, ("pih", "h", 0), "3",
-                        {"3": 0}),
+                                ("frobenius", "structure", 0, 0)),
+    "genfun-num": ("classify", GENFUN, ("genfun", "num")),
+    "genfun-den": ("classify", GENFUN, ("genfun", "den")),
+    "pih-check-h": ("pih-check", PIH_GEOMETRIC, ("pih", "h")),
+    "pih-check-h-row": ("pih-check", PIH_GEOMETRIC, ("pih", "h", 0)),
     "automaton-transition": ("automaton-minimize", AUTOMATON,
-                             ("automaton", "transitions", "a"), "0110",
-                             {"01": 0, "10": 0}),
+                             ("automaton", "transitions", "a")),
     "automaton-transition-row": ("automaton-minimize", AUTOMATON,
-                                 ("automaton", "transitions", "a", 0), "01",
-                                 {"0": 0, "1": 0}),
-    "holonomy-edges": ("holonomy", LOOP_OF_TWO, ("graph", "edges"), "002",
-                       {"0": 0}),
-    "holonomy-edge": ("holonomy", LOOP_OF_TWO, ("graph", "edges", 0), "002",
-                      {"0": 0, "2": 0}),
-    "holonomy-edge-row": ("holonomy", LOOP_OF_TWO, ("graph", "edges", 0, 2, 0),
-                          "2", {"2": 0}),
-    "pih-solve-blocks": ("pih-solve", BLOCK, ("blocks",), "213", {"213": 0}),
-    "pih-solve-block": ("pih-solve", BLOCK, ("blocks", 0), "213",
-                        {"2": 0, "1": 0, "3": 0}),
-    "classification-poles": ("witness", POLE, ("classification", "poles"),
-                             "21", {"21": 0}),
-    "classification-pole": ("witness", POLE, ("classification", "poles", 0),
-                            "21", {"2": 0, "1": 0}),
-    "statespace-object": ("statespace",
-                          dict(Z2_MONOID, alpha=["2", "0"],
-                               object=[[0, 1], [0, -1]]),
-                          ("object",), "01", {"0": 1}),
-    "statespace-object-entry": ("statespace",
-                                dict(Z2_MONOID, alpha=["2", "0"],
-                                     object=[[0, 1], [0, -1]]),
-                                ("object", 0), "01", {"0": 1}),
-    "pseudocharacter-classes": ("pseudochar-degree", dict(Z2_MONOID,
-                                                          **Z2_REGULAR),
-                                ("pseudocharacter", "classes"), "01",
-                                {"0": 0, "1": 0}),
-    "pseudocharacter-class": ("pseudochar-degree", dict(Z2_MONOID,
-                                                        **Z2_REGULAR),
-                              ("pseudocharacter", "classes", 0), "0",
-                              {"0": 0}),
+                                 ("automaton", "transitions", "a", 0)),
+    "holonomy-edges": ("holonomy", LOOP_OF_TWO, ("graph", "edges")),
+    "holonomy-edge": ("holonomy", LOOP_OF_TWO, ("graph", "edges", 0)),
+    "holonomy-edge-row": ("holonomy", LOOP_OF_TWO,
+                          ("graph", "edges", 0, 2, 0)),
+    "pih-solve-blocks": ("pih-solve", BLOCK, ("blocks",)),
+    "pih-solve-block": ("pih-solve", BLOCK, ("blocks", 0)),
+    "classification-poles": ("witness", POLE, ("classification", "poles")),
+    "classification-pole": ("witness", POLE, ("classification", "poles", 0)),
+    "statespace-object": ("statespace", Z2_OBJECT, ("object",)),
+    "statespace-object-entry": ("statespace", Z2_OBJECT, ("object", 0)),
+    "pseudocharacter-classes": ("pseudochar-degree", Z2_DEGREE,
+                                ("pseudocharacter", "classes")),
+    "pseudocharacter-class": ("pseudochar-degree", Z2_DEGREE,
+                              ("pseudocharacter", "classes", 0)),
     "accepted": ("boolean-statespace", {"alphabet": ["a", "b"],
-                                        "accepted": ["ab"]},
-                 ("accepted",), "ab", {"ab": 1}),
+                                        "accepted": ["ab"]}, ("accepted",)),
 }
+
+# A free monoid state space on one letter, with a boundary and the Gram
+# asked for, at --cap-words 1: an alphabet or a letters list read by its
+# keys would still answer
+FREE_STATESPACE = {"free_monoid": {"letters": ["a"]},
+                   "loops": {"": "2", "a": "1", "aa": "3"},
+                   "intervals": {"": "1", "a": "2", "aa": "1", "aaa": "5",
+                                 "aaaa": "7"},
+                   "emit_gram": True}
+# The honest jobs of the mutation test: (command, job, flags), the jobs of
+# VALUE_LIST_FIELDS and one for each command and field they miss
+MUTATION_JOBS = [
+    ("statespace", FREE_STATESPACE, ("--cap-words", "1")),
+    ("boolean-statespace", {"alphabet": ["a"], "accepted": ["a"]}, ()),
+    ("pseudochar-charpoly", dict(Z2_DEGREE, x=1, d=2), ()),
+    ("pseudochar-lift", dict(Z2_DEGREE, table=[
+        {"classes": [[0], [1]], "values": ["1", "1"]},
+        {"classes": [[0], [1]], "values": ["1", "-1"]}]), ()),
+    ("holonomy", dict(LOOP_OF_TWO, base=0), ()),
+    ("genfun", POINT, ()),
+    ("pih-solve", dict(BLOCK, alpha1="3"), ()),
+    ("witness", {"classification": {"mu": "1", "m": 2,
+                                    "poles": [["2", 1]]}}, ()),
+] + [(command, doc, ()) for command, doc, _path in VALUE_LIST_FIELDS.values()]
+# A value of each JSON kind; strings and numbers are one kind, scalars
+KINDS = {"null": None, "bool": True, "scalar": "1", "list": [],
+         "object": {"a": 1}}
+# Mutants that give an accepted form, and so need not exit 2: (command,
+# path, kind).  `emit_gram` must be true or false when given, so a null
+# one exits 2; a null `alpha1` or `cap_dots` is the field left out.
+ACCEPTED_FORMS = {
+    ("boolean-statespace", ("alphabet",), "scalar"),  # a string of letters
+    ("statespace", ("free_monoid", "letters"), "scalar"),
+    ("pih-solve", ("alpha1",), "null"),
+    ("cob2-pseudo", ("cap_dots",), "null"),
+}
+
+
+def _kind(value) -> str:
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "bool"
+    return {list: "list", dict: "object"}.get(type(value), "scalar")
+
+
+def _nodes(doc, path=()):
+    """Each node of a JSON tree as (path, value), the root first."""
+    yield path, doc
+    if isinstance(doc, (list, dict)):
+        for key, value in (enumerate(doc) if isinstance(doc, list)
+                           else doc.items()):
+            yield from _nodes(value, path + (key,))
 
 
 def _with_field(doc: dict, path: tuple, value) -> dict:
     """A copy of doc with the entry at path set to value."""
+    if not path:
+        return value
     doc = json.loads(json.dumps(doc))
     *keys, last = path
     body = doc
@@ -1452,28 +1476,157 @@ def _with_field(doc: dict, path: tuple, value) -> dict:
     return doc
 
 
+def _job_key(command: str, doc) -> str:
+    return json.dumps([command, doc], sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def mutation_outcomes(tmp_path_factory) -> dict:
+    """(command and job, path, kind) -> (kind of the node, exit code,
+    report) for each job of MUTATION_JOBS with the node at path replaced
+    by KINDS[kind], for each node and each kind but its own.  The job
+    itself is at path None.  An escaping exception is exit code None."""
+    outcomes = {}
+    path = tmp_path_factory.mktemp("mutants") / "job.json"
+
+    def run(command, doc, flags):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out):
+                code = main([command, "--input", str(path), "--format",
+                             "json", *flags])
+        except Exception as exc:
+            return None, repr(exc)
+        return code, json.loads(out.getvalue())
+
+    for command, doc, flags in MUTATION_JOBS:
+        job = _job_key(command, doc)
+        if (job, None, None) in outcomes:
+            continue
+        outcomes[job, None, None] = ("object", *run(command, doc, flags))
+        for node, value in _nodes(doc):
+            for kind, mutant in KINDS.items():
+                if kind != _kind(value):
+                    outcomes[job, node, kind] = (_kind(value), *run(
+                        command, _with_field(doc, node, mutant), flags))
+    return outcomes
+
+
+def _list_report(kind: str) -> dict:
+    got = {"scalar": "str", "object": "dict"}[kind]
+    return {"error": "TypeError", "message": f"values must be a list, got {got}"}
+
+
+def test_every_job_field_of_the_wrong_json_kind_exits_two(mutation_outcomes):
+    """Every node of every honest job, replaced by a value of each other
+    JSON kind, exits 2, but for ACCEPTED_FORMS; a list replaced by a
+    string or an object says so (`test_value_lists_must_be_lists` finds
+    each path of VALUE_LIST_FIELDS among them)."""
+    wrong = []
+    for (job, path, kind), (was, code, report) in mutation_outcomes.items():
+        command = json.loads(job)[0]
+        if path is None:
+            ok = code == 0
+        elif (command, path, kind) in ACCEPTED_FORMS:
+            ok = code in (0, 1, 2)
+        elif was == "list" and kind in ("scalar", "object"):
+            ok = (code, report) == (2, _list_report(kind))
+        else:
+            ok = code == 2
+        if not ok:
+            wrong.append((command, path, kind, code, report))
+    assert wrong == []
+
+
 @pytest.mark.parametrize("kind", ["string", "object"])
 @pytest.mark.parametrize("name", sorted(VALUE_LIST_FIELDS))
-def test_value_lists_must_be_lists(tmp_path, capsys, name, kind):
-    command, doc, path, text, mapping = VALUE_LIST_FIELDS[name]
-    assert run_json(tmp_path, capsys, command, doc)[0] == 0
-    doc = _with_field(doc, path, text if kind == "string" else mapping)
-    assert run_json(tmp_path, capsys, command, doc) == (2, {
-        "error": "TypeError", "message": "values must be a list, got "
-        + ("str" if kind == "string" else "dict")})
+def test_value_lists_must_be_lists(mutation_outcomes, name, kind):
+    """One path of VALUE_LIST_FIELDS, as the mutation test ran it."""
+    command, doc, path = VALUE_LIST_FIELDS[name]
+    kind = "scalar" if kind == "string" else kind
+    assert mutation_outcomes[_job_key(command, doc), path, kind] == (
+        "list", 2, _list_report(kind))
 
 
 @pytest.mark.parametrize("name", ["pih-check-h-row", "pih-solve-block",
                                   "classification-pole"])
 def test_value_lists_must_be_lists_without_asserts(tmp_path, capsys, name):
-    command, doc, path, text, _mapping = VALUE_LIST_FIELDS[name]
-    doc = _with_field(doc, path, text)
-    report = {"error": "TypeError", "message": "values must be a list, got str"}
+    command, doc, path = VALUE_LIST_FIELDS[name]
+    doc = _with_field(doc, path, KINDS["scalar"])
+    report = _list_report("scalar")
     assert run_json(tmp_path, capsys, command, doc) == (2, report)
     proc = run_optimized(tmp_path, command, doc)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout) == report
+
+
+# Fields once read by truthiness, by their keys or by len(), each of which
+# answered (exit 0 or 1) or failed with an unrelated message: (command,
+# job, message of the TypeError)
+KIND_JOBS = {
+    "alphabet-object": ("boolean-statespace", {
+        "alphabet": {"a": 1, "b": 2}, "accepted": ["ab"]},
+        "values must be a list, got dict"),
+    "letters-object": ("statespace", dict(
+        FREE_STATESPACE, free_monoid={"letters": {"a": 1}}),
+        "values must be a list, got dict"),
+    "accepted-list-word": ("boolean-statespace", {
+        "alphabet": "ab", "accepted": [[]]}, "words must be strings, got list"),
+    "accepted-object-word": ("boolean-statespace", {
+        "alphabet": "ab", "accepted": [{"a": 1}]},
+        "words must be strings, got dict"),
+    "lift-table-empty-object": ("pseudochar-lift", dict(Z2_DEGREE, table={}),
+                                "values must be a list, got dict"),
+    "lift-table-keyed": ("pseudochar-lift", dict(Z2_DEGREE, table={
+        "trivial": {"classes": [[0], [1]], "values": ["1", "1"]}}),
+        "values must be a list, got dict"),
+    "emit-gram-string": ("statespace", dict(Z2_OBJECT, emit_gram="no"),
+                         "emit_gram must be a bool, got 'no'"),
+    "emit-gram-object": ("statespace", dict(Z2_OBJECT, emit_gram={"a": 1}),
+                         "emit_gram must be a bool, got {'a': 1}"),
+    "emit-gram-null": ("statespace", dict(Z2_OBJECT, emit_gram=None),
+                       "emit_gram must be a bool, got None"),
+    "automaton-initial-number": ("automaton-minimize", {"automaton": dict(
+        AUTOMATON["automaton"], initial=3)}, "values must be a list, got int"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KIND_JOBS))
+def test_field_of_the_wrong_kind_exits_two(tmp_path, capsys, name):
+    command, doc, message = KIND_JOBS[name]
+    assert run_json(tmp_path, capsys, command, doc) == (
+        2, {"error": "TypeError", "message": message})
+
+
+# The readers and writers of job text, by name; `cli` alone holds them
+JOB_TEXT_NAMES = {"rat", "exact_int", "value_list", "rats", "rat_str"}
+
+
+def _job_text_names(tree) -> list:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [n for a in node.names for n in (a.name, a.asname) if n]
+    return [n for n in names if n.lstrip("_") in JOB_TEXT_NAMES
+            or n.endswith(("_from_json", "_to_json"))]
+
+
+def test_only_cli_reads_and_writes_job_text():
+    """No module but `cli` defines or imports `rat`, `exact_int`,
+    `_value_list`, `_rats`, `rat_str` or a `*_from_json` or `*_to_json`
+    function, under any number of leading underscores."""
+    src = Path(loopcat.__file__).parent
+    found = {path.name: _job_text_names(ast.parse(path.read_text("utf-8")))
+             for path in sorted(src.glob("*.py"))}
+    assert {"_rat", "_exact_int", "_value_list", "_rats"} <= set(
+        found.pop("cli.py"))
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def test_pih_check_geometric_sequence(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import loopcat
 from loopcat import fincat
+from loopcat.cli import _monoid_from_json
 from loopcat.fincat import (
     BoundaryDatum,
     FiniteMonoid,
@@ -24,7 +25,6 @@ from loopcat.fincat import (
     conjugacy_classes,
     cyclic_group,
     least_rotation,
-    monoid_from_json,
     symmetric_group,
 )
 from test_pseudochar import relabeled, truncated_free_monoid
@@ -336,7 +336,7 @@ def test_free_boundary_reads_off_concatenation() -> None:
 
 def test_monoid_from_json() -> None:
     doc = {"monoid": {"size": 2, "identity": 0, "table": [[0, 1], [1, 0]]}}
-    m = monoid_from_json(doc)
+    m = _monoid_from_json(doc["monoid"])
     assert m.mul(1, 1) == 0
     with pytest.raises(ValueError):
-        monoid_from_json({"monoid": {"size": 3, "identity": 0, "table": [[0, 1], [1, 0]]}})
+        _monoid_from_json({"size": 3, "identity": 0, "table": [[0, 1], [1, 0]]})

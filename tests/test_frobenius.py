@@ -27,15 +27,9 @@ from loopcat.frobenius import (
     Reject,
     SingularT,
     _dotted_strands,
-    classification_from_json,
-    classification_to_json,
     classify_genfun,
     cob2_pseudochar_check,
-    frobenius_from_json,
-    frobenius_to_json,
     generating_function,
-    genfun_from_json,
-    genfun_to_json,
     handle_element,
     pih_check,
     pih_solve,
@@ -45,7 +39,10 @@ from loopcat.frobenius import (
     validate,
     witness_synthesis,
 )
-from loopcat.linalg import Matrix, Polynomial, RationalFunction, rat, rat_str
+from loopcat.cli import (_classification_from_json, _classification_to_json,
+                         _frobenius_from_json, _frobenius_to_json,
+                         _genfun_from_json, _genfun_to_json)
+from loopcat.linalg import Matrix, Polynomial, RationalFunction
 from loopcat.statespaces import SequenceTooShort
 from oracles import (_signed_cycle_decompositions, column_det, dense_algebra,
                      dense_cells, dense_multiply, dense_product_algebra,
@@ -926,7 +923,7 @@ def test_cob2_check_rejects_at_low_degree() -> None:
 def test_frobenius_json_round_trip() -> None:
     fa = product_algebra(truncated_poly_algebra(2, [Fraction(1, 2), 1]),
                          diagonal_algebra([3]))
-    back = frobenius_from_json(frobenius_to_json(fa))
+    back = _frobenius_from_json(_frobenius_to_json(fa))
     assert (back.dim, dense_cells(back), back.unit, back.counit) == \
         (fa.dim, dense_cells(fa), fa.unit, fa.counit)
 
@@ -936,8 +933,8 @@ def test_frobenius_json_round_trip() -> None:
                            [["0", "-2"], ["0", "5/3"]]], [1, 0], [0, 1]))
 @settings(max_examples=100, deadline=None)
 def test_frobenius_json_formats_every_cell(fa) -> None:
-    assert frobenius_to_json(fa)["frobenius"]["structure"] == [
-        [[rat_str(x) for x in row] for row in plane]
+    assert _frobenius_to_json(fa)["structure"] == [
+        [[str(x) for x in row] for row in plane]
         for plane in dense_cells(fa)]
 
 
@@ -956,7 +953,7 @@ def witness_factors(draw):
 
 def _built(fa) -> tuple:
     return (fa.dim, fa.scale, fa._terms, dense_cells(fa), fa.unit, fa.counit,
-            json.dumps(frobenius_to_json(fa)))
+            json.dumps(_frobenius_to_json(fa)))
 
 
 @given(st.integers(1, 6), st.data())
@@ -983,18 +980,18 @@ def test_product_algebra_matches_dense_reference(factors) -> None:
 
 ZERO_CELLS = st.sampled_from([0, "0", "0/7", "-0"])
 CELLS = st.one_of(ZERO_CELLS, st.integers(-3, 3), SMALL_FRACTIONS,
-                  SMALL_FRACTIONS.map(rat_str))
+                  SMALL_FRACTIONS.map(str))
 
 
 @given(st.integers(1, 4), st.data())
 @settings(max_examples=100, deadline=None)
 def test_dense_cells_parse_to_their_nonzero_terms(n, data) -> None:
-    """`frobenius_from_json` keeps the nonzero cells, in order, over the
+    """`from_dense_cells` keeps the nonzero cells, in order, over the
     lcm of their denominators, and stores no dense structure."""
     cells = st.lists(CELLS, min_size=n, max_size=n)
     structure = [[data.draw(cells) for _ in range(n)] for _ in range(n)]
     fa = dense_algebra(n, structure, data.draw(cells), data.draw(cells))
-    parsed = tuple(tuple(tuple(map(rat, row)) for row in plane)
+    parsed = tuple(tuple(tuple(map(Fraction, row)) for row in plane)
                    for plane in structure)
     assert dense_cells(fa) == parsed
     assert fa.scale == lcm(*(c.denominator for plane in parsed
@@ -1008,9 +1005,9 @@ def test_dense_cells_parse_to_their_nonzero_terms(n, data) -> None:
 
 def test_genfun_json_round_trip() -> None:
     f = rf([5, 2]) + rf([Fraction(1, 2)], [1, -2])
-    assert genfun_from_json(genfun_to_json(f)) == f
+    assert _genfun_from_json(_genfun_to_json(f)) == f
 
 
 def test_classification_json_round_trip() -> None:
     cd = ClassificationData(Fraction(1, 2), 2, ((Fraction(1, 2), 2),))
-    assert classification_from_json(classification_to_json(cd)) == cd
+    assert _classification_from_json(_classification_to_json(cd)) == cd

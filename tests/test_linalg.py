@@ -17,15 +17,14 @@ from loopcat.linalg import (
     Polynomial,
     RationalFunction,
     det,
-    exact_int,
     format_poly,
     partial_fractions,
     poly_gcd,
     rank,
-    rat,
     solve,
     trace_series,
 )
+from loopcat.cli import _exact_int as exact_int, _rat as rat
 from loopcat.frobenius import (FrobeniusAlgebra, generating_function,
                                handle_element, product_algebra,
                                truncated_poly_algebra, validate)

@@ -30,7 +30,8 @@ from loopcat.fincat import (
     symmetric_group,
 )
 from loopcat.frobenius import _dotted_strands
-from loopcat.linalg import _Echelon, Matrix, det, rat
+from loopcat.cli import _pseudochar_from_json
+from loopcat.linalg import _Echelon, Matrix, det
 from loopcat.pseudochar import (
     AdditivityReport,
     DegreeMismatch,
@@ -53,7 +54,6 @@ from loopcat.pseudochar import (
     degree_additivity_check,
     graph_pseudoholonomy,
     lift_with_table,
-    pseudochar_from_json,
 )
 from loopcat.statespaces import Evaluation, evaluation_from_monoid
 from oracles import (
@@ -1008,7 +1008,7 @@ def holonomy_graphs(draw):
     invertible = st.lists(st.lists(holonomy_entries, min_size=dim,
                                    max_size=dim),
                           min_size=dim, max_size=dim).map(
-        lambda rows: Matrix([list(map(rat, r)) for r in rows])).filter(
+        lambda rows: Matrix([list(map(Fraction, r)) for r in rows])).filter(
         lambda m: det(m) != 0)
     edges = draw(st.lists(st.tuples(vertex, vertex, invertible),
                           min_size=1, max_size=3))
@@ -1304,5 +1304,5 @@ def test_pseudochar_json_round_trip() -> None:
     alpha = PseudoCharacter.from_element_values(s3, [2, 0, 0, -1, -1, 0])
     doc = {"pseudocharacter": {"classes": [list(c) for c in alpha.classes],
                                "values": [str(v) for v in alpha.values]}}
-    back = pseudochar_from_json(s3, doc)
+    back = _pseudochar_from_json(s3, doc["pseudocharacter"])
     assert back.values == alpha.values and back.classes == alpha.classes
