@@ -13,7 +13,8 @@ Job text is read and written here alone, and the library takes ints and
 Fractions.  Each handler reads each field of its job once, with one reader
 per kind of field (`_exact_int`, `_rat`, `_rats`, `_matrix`, `_words`,
 `_alphabet`); every list, a record's too, must be a JSON list
-(`_value_list`).  Reports print each Fraction with `str`.
+(`_value_list`), and the job, each section and each word table a JSON
+object (`_value_object`).  Reports print each Fraction with `str`.
 """
 
 from __future__ import annotations
@@ -100,6 +101,15 @@ def _value_list(values) -> list:
     return values
 
 
+def _value_object(values) -> dict:
+    """A job, section or word table: any JSON value but an object is a
+    TypeError."""
+    if type(values) is not dict:
+        raise TypeError(
+            f"values must be an object, got {type(values).__name__}")
+    return values
+
+
 def _rats(values) -> tuple:
     """A list of rationals: `_value_list`, then `_rat` on each."""
     return tuple(map(_rat, _value_list(values)))
@@ -119,8 +129,13 @@ def _words(values) -> tuple:
 
 
 def _alphabet(letters) -> tuple:
-    """An alphabet: a string of letters, or a list of them (`_words`)."""
-    return tuple(letters) if isinstance(letters, str) else _words(letters)
+    """An alphabet: a string of letters, or a list of them (`_words`), each
+    one character, as a word spells them."""
+    letters = tuple(letters) if isinstance(letters, str) else _words(letters)
+    bad = [a for a in letters if len(a) != 1]
+    if bad:
+        raise TypeError(f"letters must be one character each, got {bad[0]!r}")
+    return letters
 
 
 def _object_from(doc: dict, default) -> tuple:
@@ -137,6 +152,7 @@ def _object_from(doc: dict, default) -> tuple:
 
 
 def _monoid_from_json(body) -> FiniteMonoid:
+    body = _value_object(body)
     m = FiniteMonoid([_value_list(row) for row in _value_list(body["table"])],
                      _exact_int(body["identity"]))
     if m.size != _exact_int(body["size"]):
@@ -145,6 +161,7 @@ def _monoid_from_json(body) -> FiniteMonoid:
 
 
 def _pseudochar_from_json(monoid: FiniteMonoid, body) -> PseudoCharacter:
+    body = _value_object(body)
     classes = [tuple(_value_list(c)) for c in _value_list(body["classes"])]
     if any(isinstance(e, bool) for c in classes for e in c):
         raise ValueError("class entries must be element numbers, not booleans")
@@ -156,7 +173,7 @@ def _frobenius_from_json(body) -> FrobeniusAlgebra:
     keys read and every value parsed before any shape is checked, each
     distinct string cell once: dim^3 cells hold a few distinct values."""
     dim, structure, unit, counit = itemgetter("dim", "structure", "unit",
-                                              "counit")(body)
+                                              "counit")(_value_object(body))
     dim, parsed = _exact_int(dim), {}
 
     def cell(x):
@@ -181,6 +198,7 @@ def _frobenius_to_json(fa: FrobeniusAlgebra) -> dict:
 
 
 def _genfun_from_json(body) -> RationalFunction:
+    body = _value_object(body)
     return RationalFunction(Polynomial(_rats(body["num"])),
                             Polynomial(_rats(body["den"])))
 
@@ -191,6 +209,7 @@ def _genfun_to_json(rf: RationalFunction) -> dict:
 
 
 def _classification_from_json(body) -> ClassificationData:
+    body = _value_object(body)
     mu, m = _rat(body["mu"]), _exact_int(body["m"])
     return ClassificationData(mu, m, tuple(
         (_rat(lam), _exact_int(mult))
@@ -215,16 +234,18 @@ def _evaluation_from(doc: dict):
     if "monoid" in doc:
         cat = MonoidCategory(_monoid_from_json(doc["monoid"]))
         return cat, evaluation_from_monoid(cat, _rats(doc["alpha"])), None
-    cat = FreeMonoidCategory(_alphabet(doc["free_monoid"]["letters"]))
+    cat = FreeMonoidCategory(
+        _alphabet(_value_object(doc["free_monoid"])["letters"]))
     loop_values = {}
-    for text, v in doc.get("loops", {}).items():
+    for text, v in _value_object(doc.get("loops", {})).items():
         key = cat.loop_class(0, [cat.word(text)])
         v = _rat(v)
         if loop_values.setdefault(key, v) != v:
             raise ValueError(f"conflicting values on the loop class of {text!r}")
     # distinct words are distinct intervals: no two texts share a key
     interval_values = {IntervalClass(0, (), cat.word(text)): _rat(v)
-                       for text, v in doc.get("intervals", {}).items()}
+                       for text, v in _value_object(
+                           doc.get("intervals", {})).items()}
     boundary = FreeBoundary(cat) if "intervals" in doc else None
     return cat, Evaluation(loop_values, interval_values), boundary
 
@@ -307,11 +328,11 @@ def _run_boolean_statespace(doc: dict, args) -> dict:
 
 
 def _run_automaton_minimize(doc: dict, args) -> dict:
-    body = doc["automaton"]
+    body = _value_object(doc["automaton"])
     initial = _rats(body["initial"])
     n = len(initial)
     transitions = {}
-    for letter, rows in body["transitions"].items():
+    for letter, rows in _value_object(body["transitions"]).items():
         m = _matrix(rows)
         if m.rows != n or m.cols != n:
             raise ValueError(f"transition {letter!r} is not {n}x{n}")
@@ -368,7 +389,7 @@ def _run_pseudochar_lift(doc: dict, args) -> dict:
 
 
 def _run_holonomy(doc: dict, args) -> dict:
-    body = doc["graph"]
+    body = _value_object(doc["graph"])
     gh = GraphHolonomy(_exact_int(body["n_vertices"]),
                        [(_exact_int(src), _exact_int(tgt), _matrix(rows))
                         for src, tgt, rows in map(_value_list,
@@ -444,7 +465,7 @@ def _run_pih_solve(doc: dict, args) -> dict:
 
 
 def _run_pih_check(doc: dict, args) -> dict:
-    body = doc["pih"]
+    body = _value_object(doc["pih"])
     pih = PIHSystem(_rats(body["p"]), _matrix(body["h"]), _rats(body["iota"]))
     rep = pih_check(pih, _rats(doc["alpha"]))
     violation = rep.first_violation
@@ -574,7 +595,7 @@ def main(argv=None) -> int:
     try:
         with open(args.input, encoding="utf-8") as fh:
             try:
-                doc = json.load(fh)
+                doc = _value_object(json.load(fh))
             except RecursionError:
                 raise ValueError("job document nests too deeply") from None
         report = handler(doc, args)

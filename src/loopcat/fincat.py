@@ -333,7 +333,11 @@ class FreeMonoidCategory:
 
     def word(self, text: str) -> tuple:
         """Letters by name, e.g. word('aba') over alphabet ('a','b')."""
-        return tuple(map(self._index.__getitem__, text))
+        try:
+            return tuple(map(self._index.__getitem__, text))
+        except KeyError:
+            raise ValueError(f"word {text!r} has a letter outside the "
+                             f"alphabet {''.join(self.alphabet)!r}") from None
 
     def words_up_to(self, cap: int) -> list[tuple]:
         """All words of length <= cap, shortlex order."""

@@ -314,14 +314,15 @@ def classify_genfun(rf: RationalFunction) -> ClassificationData:
 
     Accepts exactly: polynomial part of degree <= 1 with T-coefficient
     m in {0, 2, 3, ...} (vanishing entirely when m = 0), plus simple poles
-    whose residue data lam_i, m_i = coeff * lam_i has m_i a positive
-    integer.  Rejections carry the name of the first failed condition.
+    c_i/(1 - lam_i T) with m_i = c_i * lam_i a positive integer, c_i read by
+    `partial_fractions`.  Rejections carry the name of the first failed
+    condition.
     """
     try:
         poly, terms = partial_fractions(rf)
     except NonSplitDenominator as exc:
         raise Reject("NonSplitDenominator", str(exc)) from exc
-    for lam, mult, _coeffs in terms:
+    for lam, mult, _c in terms:
         if mult > 1:
             raise Reject("MultiplePole", f"pole at 1/{lam} has order {mult}")
     if poly.degree > 1:
@@ -333,8 +334,8 @@ def classify_genfun(rf: RationalFunction) -> ClassificationData:
                      f"T-coefficient {m} is not 0 or an integer >= 2")
     m = int(m)
     poles = []
-    for lam, _mult, coeffs in terms:
-        mi = coeffs[0] * lam
+    for lam, _mult, c in terms:
+        mi = c * lam
         if mi.denominator != 1 or mi <= 0:
             raise Reject("NonIntegerMultiplicity",
                          f"pole at eigenvalue {lam} has multiplicity {mi}")

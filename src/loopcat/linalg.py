@@ -20,8 +20,9 @@ ints, until an entry could outgrow its word and the kernel takes the rest.
 Characteristic polynomials come from Berkowitz's division-free recurrence
 on the int rows.  Every polynomial division, the gcds among them, runs one
 integer pseudo-division on the ints; rational roots are lifted from the
-roots mod one prime and checked exactly.  Shape checks at the entry points
-raise ValueError, so they hold under `python -O` too.
+roots mod one prime and checked exactly; a polynomial's value at a/b is
+one int Horner pass.  Shape checks at the entry points raise ValueError,
+so they hold under `python -O` too.
 """
 
 from __future__ import annotations
@@ -128,11 +129,10 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def __call__(self, x) -> Fraction:
-        return sum((c * x ** k for k, c in enumerate(self.ints)),
-                   Fraction(0)) / self.den
-
-    def monic(self) -> "Polynomial":
-        return Polynomial(self.ints, self.ints[-1] if self.ints else 1)
+        """p(x), x = a/b: b^n·den·p(a/b) (`_homogeneous`) over b^n·den."""
+        a, b = x.numerator, x.denominator
+        return Fraction(_homogeneous(self.ints, a, b),
+                        self.den * b ** max(self.degree, 0))
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
@@ -645,37 +645,29 @@ def trace_series(m: Matrix) -> tuple[Polynomial, Polynomial]:
 def partial_fractions(rf: RationalFunction):
     """Split rf as polynomial + sum of c/(1 - lam*T)^k terms.
 
-    Returns (poly_part, terms) with terms a list of (lam, mult, coeffs),
-    coeffs[k-1] multiplying 1/(1 - lam*T)^k, sorted by (lam.numerator,
-    lam.denominator).  Raises NonSplitDenominator when the denominator has
-    an irreducible factor of degree > 1 over Q.
+    Returns (poly_part, terms) with terms a list of (lam, mult, c), c the
+    coefficient of the top power 1/(1 - lam*T)^mult, sorted by (lam.numerator,
+    lam.denominator).  With rem = num mod den and w = den/(1 - lam*T)^mult,
+    rem/w is c plus a multiple of 1 - lam*T, so c = rem(1/lam)/w(1/lam).
+    Raises NonSplitDenominator when the denominator has an irreducible
+    factor of degree > 1 over Q.
     """
     poly_part, rem = divmod(rf.num, rf.den)
-    den, n = rf.den, rf.den.degree
-    # den = prod (1 - lam*T)^mult, den(0) = 1: dividing den by 1 - lam*T to a
-    # remainder gives den / (1 - lam*T)^k, k = 1 .. mult, the solve's columns
-    factors: list[tuple[Fraction, list[Polynomial]]] = []
-    for root in _rational_roots(den):
-        lin, quotients, work = Polynomial([1, -1 / root]), [], den
-        while (qr := divmod(work, lin))[1].is_zero():
-            work = qr[0]
-            quotients.append(work)
-        factors.append((1 / root, quotients))
-    if sum(len(qs) for _, qs in factors) < n:
+    # den = prod (1 - lam*T)^mult, den(0) = 1: dividing den by 1 - lam*T to
+    # a remainder counts mult and ends on w, which 1 - lam*T does not divide
+    terms, split = [], 0  # the degree of the linear factors met
+    for root in _rational_roots(rf.den):
+        lin, mult, w = Polynomial([1, -1 / root]), 0, rf.den
+        while (qr := divmod(w, lin))[1].is_zero():
+            w, mult = qr[0], mult + 1
+        terms.append((1 / root, mult, rem(root) / w(root)))
+        split += mult
+    if split < rf.den.degree:
         raise NonSplitDenominator(
             "denominator has a non-linear irreducible factor"
         )
-    factors.sort(key=lambda t: (t[0].numerator, t[0].denominator))
-    # solve rem = sum c_{i,k} * den / (1 - lam_i T)^k exactly; the columns
-    # run over i, then k = 1 .. mult_i, and so does the solution
-    columns = [col for _, qs in factors for col in qs]
-    m = Matrix([[col[r] for col in columns] for r in range(n)])
-    x, rank, _ = solve(m, [rem[r] for r in range(n)])
-    if rank < n:
-        raise DomainError("linear system is not uniquely solvable")
-    x = iter(x)
-    return poly_part, [(lam, len(qs), [next(x) for _ in qs])
-                       for lam, qs in factors]
+    terms.sort(key=lambda t: (t[0].numerator, t[0].denominator))
+    return poly_part, terms
 
 
 def _rational_roots(p: Polynomial) -> list[Fraction]:
@@ -712,10 +704,8 @@ def _rational_roots(p: Polynomial) -> list[Fraction]:
             m *= m
             r = (r - _horner(f, r, m) * s) % m
             s = s * (2 - _horner(df, r, m) * s) % m
-        y, acc, t = (lead * r + m // 2) % m - m // 2, 0, 1
-        for c in reversed(f):  # N^n f(y/N) by Horner's rule
-            acc, t = acc * y + c * t, t * lead
-        if not acc:
+        y = (lead * r + m // 2) % m - m // 2
+        if not _homogeneous(f, y, lead):  # N^n f(y/N)
             roots.append(Fraction(y, lead))
     return roots
 
@@ -741,6 +731,14 @@ def _gcd_mod(f: list[int], g: list[int], q: int) -> list[int]:
 def _primitive(f: list[int]) -> list[int]:
     g = gcd(*f)
     return [c // g for c in f]
+
+
+def _homogeneous(f: Sequence[int], a: int, b: int) -> int:
+    """b^n f(a/b) = sum_k f_k a^k b^(n-k), f of degree n, by Horner's rule."""
+    acc, t = 0, 1
+    for c in reversed(f):
+        acc, t = acc * a + c * t, t * b
+    return acc
 
 
 def _horner(f: list[int], x: int, m: int) -> int:

@@ -37,8 +37,10 @@ time, and `column_solve`, `column_solve_unique`, `column_det` and
 matrix, vector-by-matrix and automaton products as sums of Fraction
 products, the references for linalg's cleared-integer product kernel,
 and `euclid_gcd` runs Euclid's algorithm over Fraction, the reference for
-the integer `poly_gcd`.  `fraction_add`, `fraction_mul`, `fraction_scale`
-and `fraction_divmod` work on lowest-first lists of Fraction
+the integer `poly_gcd`.  `dense_partial_fractions` solves for every
+coefficient of every pole at once, the reference for the closed-form top
+coefficients of `partial_fractions`.  `fraction_add`, `fraction_mul`,
+`fraction_scale` and `fraction_divmod` work on lowest-first lists of Fraction
 coefficients, the references for the int `Polynomial` arithmetic, and
 `fraction_taylor` is `RationalFunction.taylor` as it ran on Fraction
 coefficients, the reference for its int recurrence.  `zero_matrix`, `apply` and `from_poly` build and
@@ -62,7 +64,7 @@ from loopcat.frobenius import (
 )
 from loopcat import pseudochar
 from loopcat.linalg import (Matrix, Polynomial, RationalFunction, _cleared,
-                            det)
+                            _rational_roots, det)
 from loopcat.pseudochar import (
     DegreeResult,
     GraphHolonomy,
@@ -228,7 +230,34 @@ def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """The monic gcd by Euclid's algorithm over Fraction."""
     while not b.is_zero():
         a, b = b, a % b
-    return a.monic()
+    return a if a.is_zero() else a.scale(1 / a[a.degree])
+
+
+def dense_partial_fractions(rf: RationalFunction):
+    """partial_fractions as one dense solve: (poly_part, terms) with terms
+    (lam, mult, coeffs), coeffs[k-1] multiplying 1/(1 - lam*T)^k, sorted
+    by (lam.numerator, lam.denominator), for rf whose denominator splits
+    over Q.  rem = num mod den is solved exactly as
+    sum c_{i,k} den / (1 - lam_i T)^k, the quotients of den met dividing
+    it by each 1 - lam_i T in turn."""
+    poly_part, rem = divmod(rf.num, rf.den)
+    den, n = rf.den, rf.den.degree
+    factors = []
+    for root in _rational_roots(den):
+        lin, quotients, work = Polynomial([1, -1 / root]), [], den
+        while (qr := divmod(work, lin))[1].is_zero():
+            work = qr[0]
+            quotients.append(work)
+        factors.append((1 / root, quotients))
+    factors.sort(key=lambda t: (t[0].numerator, t[0].denominator))
+    columns = [col for _, qs in factors for col in qs]
+    x = column_solve_unique(
+        Matrix([[col[r] for col in columns] for r in range(n)]),
+        [rem[r] for r in range(n)])
+    assert x is not None, "the denominator does not split over Q"
+    x = iter(x)
+    return poly_part, [(lam, len(qs), [next(x) for _ in qs])
+                       for lam, qs in factors]
 
 
 def _trimmed(cs) -> list[Fraction]:

@@ -993,8 +993,8 @@ WRONG_TYPE_JOBS = {
 @pytest.mark.parametrize("command", sorted(WRONG_TYPE_JOBS))
 def test_list_for_an_object_exits_two(tmp_path, capsys, command):
     code, out = run_json(tmp_path, capsys, command, WRONG_TYPE_JOBS[command])
-    assert (code, out) == (2, {"error": "AttributeError", "message":
-                               "'list' object has no attribute 'items'"})
+    assert (code, out) == (2, {"error": "TypeError", "message":
+                               "values must be an object, got list"})
 
 
 @pytest.mark.parametrize("m", [3, "3", 3.0])
@@ -1518,11 +1518,19 @@ def _list_report(kind: str) -> dict:
     return {"error": "TypeError", "message": f"values must be a list, got {got}"}
 
 
+def _object_report(kind: str) -> dict:
+    got = {"scalar": "str", "list": "list"}[kind]
+    return {"error": "TypeError",
+            "message": f"values must be an object, got {got}"}
+
+
 def test_every_job_field_of_the_wrong_json_kind_exits_two(mutation_outcomes):
     """Every node of every honest job, replaced by a value of each other
     JSON kind, exits 2, but for ACCEPTED_FORMS; a list replaced by a
-    string or an object says so (`test_value_lists_must_be_lists` finds
-    each path of VALUE_LIST_FIELDS among them)."""
+    string or an object, and an object (the job, a section or a word
+    table) replaced by a string or a list, says so
+    (`test_value_lists_must_be_lists` finds each path of VALUE_LIST_FIELDS
+    among them)."""
     wrong = []
     for (job, path, kind), (was, code, report) in mutation_outcomes.items():
         command = json.loads(job)[0]
@@ -1532,6 +1540,8 @@ def test_every_job_field_of_the_wrong_json_kind_exits_two(mutation_outcomes):
             ok = code in (0, 1, 2)
         elif was == "list" and kind in ("scalar", "object"):
             ok = (code, report) == (2, _list_report(kind))
+        elif was == "object" and kind in ("scalar", "list"):
+            ok = (code, report) == (2, _object_report(kind))
         else:
             ok = code == 2
         if not ok:
@@ -1572,6 +1582,9 @@ KIND_JOBS = {
     "letters-object": ("statespace", dict(
         FREE_STATESPACE, free_monoid={"letters": {"a": 1}}),
         "values must be a list, got dict"),
+    "alphabet-long-letter": ("boolean-statespace", {
+        "alphabet": ["ab"], "accepted": [""]},
+        "letters must be one character each, got 'ab'"),
     "accepted-list-word": ("boolean-statespace", {
         "alphabet": "ab", "accepted": [[]]}, "words must be strings, got list"),
     "accepted-object-word": ("boolean-statespace", {
@@ -1598,6 +1611,17 @@ def test_field_of_the_wrong_kind_exits_two(tmp_path, capsys, name):
     command, doc, message = KIND_JOBS[name]
     assert run_json(tmp_path, capsys, command, doc) == (
         2, {"error": "TypeError", "message": message})
+
+
+@pytest.mark.parametrize("command, doc, word", [
+    ("boolean-statespace", {"alphabet": "a", "accepted": ["ab"]}, "ab"),
+    ("statespace", dict(FREE_STATESPACE, loops={"b": "1"}), "b"),
+], ids=["accepted", "loops"])
+def test_word_outside_the_alphabet_exits_two(tmp_path, capsys, command, doc,
+                                             word):
+    assert run_json(tmp_path, capsys, command, doc) == (2, {
+        "error": "ValueError",
+        "message": f"word {word!r} has a letter outside the alphabet 'a'"})
 
 
 # The readers and writers of job text, by name; `cli` alone holds them

@@ -151,6 +151,13 @@ def test_free_monoid_loops_are_cyclic_words() -> None:
     assert fm.loop_class(0, [fm.word("ab")]).cycle == (0, 1)
 
 
+def test_free_monoid_word_names_a_letter_outside_the_alphabet() -> None:
+    fm = FreeMonoidCategory("ab")
+    with pytest.raises(ValueError, match="^word 'abc' has a letter outside "
+                                         "the alphabet 'ab'$"):
+        fm.word("abc")
+
+
 def test_two_object_loop_rotates() -> None:
     cat = two_object_loop_category()
     at_x = cat.loop_class("X", ["b", "c"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loopcat import frobenius
+from loopcat import frobenius, linalg
 from loopcat.errors import DomainError
 from loopcat.frobenius import (
     ClassificationData,
@@ -553,8 +553,8 @@ def test_classify_round_trips_generating_functions() -> None:
 
 def test_partial_fractions_divide_each_pole_once(monkeypatch) -> None:
     """One division splits off the polynomial part, and each simple pole
-    takes two: its quotient, the solve's column, and the one that leaves a
-    remainder.  So k poles cost 1 + 2k divisions."""
+    takes two: its quotient w, at which its coefficient is read, and the
+    one that leaves a remainder.  So k poles cost 1 + 2k divisions."""
     cd = ClassificationData(Fraction(7, 2), 3,
                             ((Fraction(-1), 2), (Fraction(1, 2), 1),
                              (Fraction(2), 1)))
@@ -567,6 +567,22 @@ def test_partial_fractions_divide_each_pole_once(monkeypatch) -> None:
     monkeypatch.setattr(Polynomial, "__divmod__", counted)
     assert classify_genfun(rf) == cd
     assert len(calls) == 1 + 2 * len(cd.poles)
+
+
+def test_classify_builds_no_matrix_and_calls_no_solve(monkeypatch) -> None:
+    """Each pole's coefficient is read in closed form: classifying three
+    poles builds no `Matrix` and runs no `solve`."""
+    cd = ClassificationData(Fraction(7, 2), 3,
+                            ((Fraction(-1), 2), (Fraction(1, 2), 1),
+                             (Fraction(2), 1)))
+    rf, calls = cd.genfun(), []
+    for name in ("Matrix", "solve"):
+        def counted(*args, real=getattr(linalg, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    assert classify_genfun(rf) == cd
+    assert calls == []
 
 
 # --- witnesses ---------------------------------------------------------------------
