@@ -12,20 +12,24 @@ holonomy pseudocharacter of an edge-labeled graph.
 Antisymmetrized traces are never expanded as the (d+1)!-term permutation
 sum.  `_TraceRecursion` evaluates them by the classical trace recursion
 (Procesi's trace identities; Chenevier's determinant laws), memoized on
-multisets; class functions, loop matrices, matrix units of a direct sum,
-dotted strands (`frobenius.cob2_pseudochar_check`) and boundary-cut
-strands (`antisym_trace_boundary`) all go through it.  The recursion is
-exact only for a trace-like function, tr(gh) = tr(hg), so
-`PseudoCharacter` rejects class values that are not.  A strand labelled
-by the unit is expanded in one term, T(1, S) = (tr 1 - |S|)·T(S), for
-the monoid identity, the identity walk matrix and the strand without
-dots; at the level d = tr 1 every tuple holding the unit is 0 at once.
-Integral traces run through it as ints, and results typed `Fraction`
-are converted on the way out.  The degree searches decide each level on
-a basis of the elements (`_vanishing_level`).  The permutation sum and
-the full element search live on in the test suite, which holds the
-recursion against the sum, both against the closed-diagram route in
-`diagrams`, and the basis search against the full one.
+multisets; class functions, matrix units of a direct sum, dotted strands
+(`frobenius.cob2_pseudochar_check`) and boundary-cut strands
+(`antisym_trace_boundary`) all go through it.  The recursion is exact
+only for a trace-like function, tr(gh) = tr(hg), so `PseudoCharacter`
+rejects class values that are not.  A strand labelled by the unit is
+expanded in one term, T(1, S) = (tr 1 - |S|)·T(S), for the monoid
+identity and the strand without dots; at the level d = tr 1 every tuple
+holding the unit is 0 at once.  Integral traces run through it as ints,
+and results typed `Fraction` are converted on the way out.  The degree
+searches decide each level on a basis of the elements
+(`_vanishing_level`).  The holonomy of a graph evaluates no
+antisymmetrized trace: for dim×dim walk matrices the fundamental trace
+identity and the unit rule fix its degree report in closed form
+(`graph_pseudoholonomy`).  The permutation sum and the full element
+search live on in the test suite, which holds the recursion against the
+sum, both against the closed-diagram route in `diagrams`, the basis
+search against the full one, and the holonomy report against a full
+search over the walk matrices.
 """
 
 from __future__ import annotations
@@ -33,9 +37,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from math import comb
-import operator
 
 from .errors import DomainError
 from .fincat import (FiniteMonoid, class_values, conjugacy_classes,
@@ -181,10 +184,8 @@ class _TraceRecursion:
     visited.  The unit is recognised when it is interned, so the engine
     reads no trace a caller did not ask for.
 
-    A key of two entries is finished as tr(a)·tr(b) - tr(a·b).  The
-    optional `trace_mul(a, b)` gives tr(a·b) without forming a·b (for n×n
-    matrices, n² products instead of n³); without it the product is
-    formed and traced.
+    A key of two entries is finished as tr(a)·tr(b) - tr(a·b), with a·b
+    formed and traced but not interned.
 
     Values enter the memo as interned traces and two-entry leaves,
     integral ones as ints (`_integral`), under the int root T() = 1, so
@@ -192,10 +193,9 @@ class _TraceRecursion:
     promise a `Fraction` convert the result.
     """
 
-    def __init__(self, trace, mul, trace_mul=None, unit=None):
+    def __init__(self, trace, mul, unit=None):
         self._trace = trace
         self._mul = mul
-        self._trace_mul = trace_mul
         self._unit = unit
         self._unit_id = None
         self._ids = {}
@@ -247,10 +247,8 @@ class _TraceRecursion:
                 if len(rest) == 1:
                     a, b = self._elements[x0], self._elements[rest[0]]
                     memo[top] = _integral(
-                        self._traces[x0] * self._traces[rest[0]] - (
-                            self._trace(self._mul(a, b))
-                            if self._trace_mul is None
-                            else self._trace_mul(a, b)))
+                        self._traces[x0] * self._traces[rest[0]]
+                        - self._trace(self._mul(a, b)))
                     stack.pop()
                     continue
                 terms = [(-rest.count(x), tuple(sorted(
@@ -557,12 +555,6 @@ class GraphHolonomy:
                     raise ValueError(f"inconsistent dimension at vertex {v}")
 
 
-# Most (dim + 1)-tuples of walk matrices a holonomy search may decide.  It
-# evaluates only those of at most dim² matrices, so at the bound a search
-# over random matrices of entries in -3..3 took 0.001 s at dim 2 and
-# 0.02 s at dim 3, but 1.6 s at dim 4, where 14 matrices are fewer than
-# dim² (2.1 GHz Xeon vCPU).
-HOLONOMY_MAX_TUPLES = 10_000
 # Most walks a holonomy job may enumerate at dimension 2, one matrix
 # product each.  At largest vertex dimension n > 2 a product costs n³
 # multiplications, and the bound is HOLONOMY_MAX_WALKS · 8 / n³ walks; at
@@ -570,28 +562,9 @@ HOLONOMY_MAX_TUPLES = 10_000
 # cap 4 on a 2.1 GHz Xeon vCPU, 12 loops of dihedral 2x2 matrices (22,620
 # walks) take 0.8 s and 20 (168,420) 6.6 s with the bound lifted; 12 loops
 # of a 4×4 (8×8) cyclic permutation took 2.3 s (7.1 s) lifted, and at the
-# bound 7 (4) of them take 0.3 s (0.15 s).
+# bound 7 (4) of them take 0.3 s (0.15 s).  Each walk adds at most one
+# distinct matrix, so it bounds those too.
 HOLONOMY_MAX_WALKS = 25_000
-
-
-def _entry_ops(n: int):
-    """trace, mul and trace_mul of n×n matrices held as row-major tuples
-    of their entries; trace_mul(a, b) = sum_ik a_ik·b_ki = tr(a·b)."""
-    starts = [i * n for i in range(n)]
-    transposed = [k * n + i for i in range(n) for k in range(n)]
-
-    def trace(a):
-        return sum(a[::n + 1])
-
-    def mul(a, b):
-        cols = [b[j::n] for j in range(n)]
-        return tuple(sum(map(operator.mul, a[i:i + n], c))
-                     for i in starts for c in cols)
-
-    def trace_mul(a, b):
-        return sum(map(operator.mul, a, map(b.__getitem__, transposed)))
-
-    return trace, mul, trace_mul
 
 
 @dataclass(frozen=True)
@@ -608,23 +581,27 @@ def graph_pseudoholonomy(gh: GraphHolonomy, max_len: int,
 
     The table keys closed walks (as edge-index tuples) by their least
     cyclic rotation; the value is the trace of the ordered product, so
-    rotations agree by trace cyclicity.  The degree report reruns the
-    vanishing search over the walks based at `base`, truncated at max_len
-    — the honest certificate is relative to that truncation.
+    rotations agree by trace cyclicity.
+
+    The degree report is the one `degree`'s search would give over the n
+    distinct matrices of the closed walks at `base` of at most max_len
+    edges, the dim×dim identity first, and is read in closed form:
+    - every (dim + 1)-fold antisymmetrized trace of dim×dim matrices
+      vanishes, by the fundamental trace identity (Cayley–Hamilton;
+      Procesi 1976, Razmyslov 1974), so level dim vanishes and all
+      C(n + dim, dim + 1) of its tuples count as decided;
+    - by the unit rule of `_TraceRecursion`, T(1^k) = dim!/(dim - k)! is
+      nonzero for k <= dim, so each level k - 1 below dim stops at its
+      first tuple, k copies of the identity, and counts one;
+    - the witness, the first ordered dim-tuple with nonzero trace, is
+      dim copies of the identity.
+    So d = dim and tuples_checked = dim + C(n + dim, dim + 1), of which
+    only n depends on max_len.
 
     Each walk of at most max_len edges costs one product of n×n matrices,
     n the largest vertex dimension, so a graph with more than
     HOLONOMY_MAX_WALKS · 8 / max(n, 2)³ of them, counted first from the
-    powers of its adjacency matrix, is rejected with ValueError.  The
-    search runs over the distinct walk matrices, the identity first, and
-    decides each level on the first dim² or fewer that are linearly
-    independent.  By Cayley–Hamilton it ends at level dim, having decided
-    C(n + dim, dim + 1) tuples of the n matrices, so a walk set that
-    pushes this count past HOLONOMY_MAX_TUPLES is rejected with ValueError
-    as it is enumerated.  The search holds each matrix as the row-major
-    tuple of its entries, integral ones as ints, and reads each tr(a·b)
-    off `_entry_ops`' trace_mul; the table and the witness stay `Matrix`
-    valued.
+    powers of its adjacency matrix, is rejected with ValueError.
     """
     if max_len < 1:
         raise ValueError("walk-length cap must be at least 1")
@@ -650,9 +627,9 @@ def graph_pseudoholonomy(gh: GraphHolonomy, max_len: int,
         raise ValueError(f"more than {max_walks} walks of at most "
                          f"{max_len} edges")
     table = {}
-    # distinct matrices of the closed walks at base, the identity first,
-    # then in first-seen order; each new one raises the level-dim count
-    mats = {Matrix.identity(dim): None}
+    identity = Matrix.identity(dim)
+    # the distinct matrices of the closed walks at base, and the identity
+    mats = {identity}
     # walks in depth-first preorder, on an explicit stack
     stack = [([ei], tgt, m, src)
              for ei, (src, tgt, m) in reversed(list(enumerate(gh.edges)))]
@@ -660,28 +637,11 @@ def graph_pseudoholonomy(gh: GraphHolonomy, max_len: int,
         walk, vertex, mat, start = stack.pop()
         if gh.edges[walk[-1]][1] == start:
             table.setdefault(least_rotation(tuple(walk)), mat.trace())
-            if start == base and mat not in mats:
-                mats[mat] = None
-                if comb(len(mats) + dim, dim + 1) > HOLONOMY_MAX_TUPLES:
-                    raise ValueError(
-                        f"closed walks at vertex {base} give {len(mats)} or "
-                        f"more distinct matrices, over {HOLONOMY_MAX_TUPLES} "
-                        f"tuples at level {dim}")
+            if start == base:
+                mats.add(mat)
         if len(walk) < max_len:
             for ei in reversed(out_edges.get(vertex, [])):
                 _s, t, m = gh.edges[ei]
                 stack.append((walk + [ei], t, mat * m, start))
-
-    mats = list(mats)
-    # the search runs on entry tuples, integral entries as ints
-    entries = [tuple(Fraction(x, m.den) if x % m.den else x // m.den
-                     for x in chain.from_iterable(m.ints)) for m in mats]
-    engine = _TraceRecursion(*_entry_ops(dim), unit=entries[0])
-    ids = [engine.intern(e) for e in entries]
-    # an entry tuple is the traces against the matrix units
-    deg, checked = _vanishing_level(engine, ids, entries, range(dim + 2))
-    if deg != dim:
-        raise NotPseudo(
-            f"holonomy at vertex {base} has degree {deg}, dimension {dim}")
-    witness = tuple(mats[i] for i in _witness(engine, ids, deg))
-    return HolonomyReport(table, base, dim, DegreeResult(deg, witness, checked))
+    return HolonomyReport(table, base, dim, DegreeResult(
+        dim, (identity,) * dim, dim + comb(len(mats) + dim, dim + 1)))

@@ -124,6 +124,8 @@ def enumerate_kets(cat, obj, boundary=None, cap_words: int = 4
             raise ValueError(f"unknown object {x!r}")
     n = len(obj)
     effs = [s for _x, s in obj]  # kets: all endpoints are target entries
+    if boundary is None and effs.count(1) != effs.count(-1):
+        return []  # arcs pair a + with a -, and no end may stay open
 
     matchings: list[tuple] = []
 

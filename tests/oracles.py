@@ -24,8 +24,10 @@ build the witness blocks and their products cell by cell through it,
 the references for the sparse witness builders.
 `full_vanishing_level` is the
 vanishing search over every element tuple, the reference for the basis
-search of `pseudochar._vanishing_level`, and `reference_holonomy` runs it
-as the degree search of `graph_pseudoholonomy` on `Matrix` objects.
+search of `pseudochar._vanishing_level`.  `reference_walks` enumerates
+a graph's closed walks recursively, and `reference_holonomy` runs the
+full search on their `Matrix` values, the reference for the degree
+report `graph_pseudoholonomy` reads in closed form.
 `gauss_jordan` reduces Fraction rows to reduced row echelon form,
 independent of linalg's fraction-free kernel, and `gj_rank` counts the
 pivots of forward Fraction elimination, without clearing above them.  `column_eliminate` is the fraction-free elimination that picks
@@ -62,7 +64,6 @@ from loopcat.frobenius import (
     NotUnital,
     from_dense_cells,
 )
-from loopcat import pseudochar
 from loopcat.linalg import (Matrix, Polynomial, RationalFunction, _cleared,
                             _rational_roots, det)
 from loopcat.pseudochar import (
@@ -616,30 +617,28 @@ def full_vanishing_level(engine: _TraceRecursion, ids: list, levels):
     return None, checked
 
 
-def reference_holonomy(gh: GraphHolonomy, max_len: int,
-                       base=0) -> HolonomyReport:
-    """`graph_pseudoholonomy` by a recursive walk enumeration and a degree
-    search on the `Matrix` walk matrices, each key of two entries traced
-    from their full product."""
+# Most level-dim tuples `reference_holonomy` searches: its full search
+# evaluates every one of them, so it keeps the tests' searches small.
+REFERENCE_HOLONOMY_MAX_TUPLES = 500
+
+
+def reference_walks(gh: GraphHolonomy, max_len: int, base=0):
+    """The holonomy table of `graph_pseudoholonomy`, and the distinct
+    matrices of the closed walks at base with the identity first, by a
+    recursive walk enumeration."""
     if max_len < 1:
         raise ValueError("walk-length cap must be at least 1")
     dim = gh.vertex_dim.get(base)
     if dim is None:
         raise ValueError(f"vertex {base} has no incident edge")
-    table, mats = {}, [Matrix.identity(dim)]
-    bound = pseudochar.HOLONOMY_MAX_TUPLES
+    table, mats = {}, {Matrix.identity(dim): None}
 
     def walk(path, vertex, mat):
         start = gh.edges[path[0]][0]
         if vertex == start:
             table.setdefault(least_rotation(tuple(path)), mat.trace())
-            if start == base and mat not in mats:
-                mats.append(mat)
-                if comb(len(mats) + dim, dim + 1) > bound:
-                    raise ValueError(
-                        f"closed walks at vertex {base} give {len(mats)} or "
-                        f"more distinct matrices, over {bound} tuples at "
-                        f"level {dim}")
+            if start == base:
+                mats.setdefault(mat)
         if len(path) < max_len:
             for ei, (src, tgt, m) in enumerate(gh.edges):
                 if src == vertex:
@@ -647,6 +646,20 @@ def reference_holonomy(gh: GraphHolonomy, max_len: int,
 
     for ei, (_src, tgt, m) in enumerate(gh.edges):
         walk([ei], tgt, m)
+    return table, list(mats)
+
+
+def reference_holonomy(gh: GraphHolonomy, max_len: int,
+                       base=0) -> HolonomyReport:
+    """`graph_pseudoholonomy` by `reference_walks` and a degree search over
+    every tuple of the `Matrix` walk matrices, each key of two entries
+    traced from their full product.  Walks that give more than
+    REFERENCE_HOLONOMY_MAX_TUPLES tuples at level dim are not searched,
+    and the report's degree is None."""
+    table, mats = reference_walks(gh, max_len, base)
+    dim = mats[0].rows
+    if comb(len(mats) + dim, dim + 1) > REFERENCE_HOLONOMY_MAX_TUPLES:
+        return HolonomyReport(table, base, dim, None)
     engine = _TraceRecursion(Matrix.trace, operator.mul)
     ids = [engine.intern(m) for m in mats]
     deg, checked = full_vanishing_level(engine, ids, range(dim + 2))

@@ -19,9 +19,10 @@ import loopcat
 from loopcat import cli, frobenius, linalg, statespaces
 from loopcat.cli import main
 from loopcat.fincat import FiniteMonoid, FreeMonoidCategory, symmetric_group
-from loopcat.linalg import Polynomial, RationalFunction
-from loopcat.pseudochar import PseudoCharacter
+from loopcat.linalg import Matrix, Polynomial, RationalFunction, det
+from loopcat.pseudochar import GraphHolonomy, PseudoCharacter
 from loopcat.statespaces import MAX_KETS
+from oracles import reference_walks
 from test_cli_properties import JOB_BUDGET_S
 
 Z2_MONOID = {"monoid": {"table": [[0, 1], [1, 0]], "identity": 0, "size": 2}}
@@ -215,6 +216,23 @@ def test_statespace_at_the_ket_bound_answers(tmp_path, capsys):
     assert (code, out) == (2, {
         "error": "ValueError",
         "message": f"object has more than {n} kets at cap_words {n}"})
+
+
+def test_statespace_unbalanced_object_answers_within_budget(tmp_path,
+                                                            capsys):
+    # 12 plus and 13 minus strands and no boundary: no ket, which took 7
+    # to 10 times longer per extra pair while every partial matching was
+    # tried (0.3 s at 8 pairs, 21 s at 10)
+    obj = [[0, 1], [0, -1]] * 12 + [[0, -1]]
+    doc = {"monoid": {"table": [[0]], "identity": 0, "size": 1},
+           "alpha": ["1"], "object": obj}
+    start = time.perf_counter()
+    code, out = run_json(tmp_path, capsys, "statespace", doc)
+    assert time.perf_counter() - start < JOB_BUDGET_S
+    assert (code, out) == (0, {
+        "command": "statespace", "object": obj, "cap_words": 4,
+        "spanning_size": 0, "gram_rows": 0, "gram_cols": 0, "rank": 0,
+        "stabilized": True})
 
 
 UNKNOWN_OBJECT_JOBS = {
@@ -618,17 +636,64 @@ def test_holonomy_two_loops_at_cap_four_answers(tmp_path, capsys):
     assert out["tuples_checked"] == 2 + comb(33, 3)
 
 
+def _holonomy_expected(doc, cap):
+    """The holonomy report of a one-vertex job of dim×dim loops: the
+    table of the recursive walk of `oracles.reference_walks`, and the
+    degree data of its n distinct walk matrices, the identity included."""
+    rows = [m for _s, _t, m in doc["graph"]["edges"]]
+    dim = len(rows[0])
+    gh = GraphHolonomy(1, [(0, 0, Matrix([[Fraction(x) for x in r]
+                                          for r in m])) for m in rows])
+    table, mats = reference_walks(gh, cap)
+    identity = [["1" if i == j else "0" for j in range(dim)]
+                for i in range(dim)]
+    return {"base": 0, "dimension": dim, "d": dim,
+            "tuples_checked": dim + comb(len(mats) + dim, dim + 1),
+            "witness": [identity] * dim, "max_len": cap,
+            "table": {",".join(map(str, walk)): str(tr)
+                      for walk, tr in table.items()}}
+
+
 @pytest.mark.parametrize("k", [3, 4, 6, 8, 12])
-def test_holonomy_many_loops_exit_two_at_once(tmp_path, capsys, k):
-    # the walks give n >= 88 distinct matrices, so C(n + 2, 3) > 100,000
+def test_holonomy_many_loops_answer_within_budget(tmp_path, capsys, k):
+    # the walks give 88 or more distinct matrices, and 5,978 at k = 12:
+    # the degree report counts their C(n + 2, 3) triples and evaluates none
     start = time.perf_counter()
     code, out = run_json(tmp_path, capsys, "holonomy", _loops_doc(k),
                          "--cap-words", "4")
-    assert time.perf_counter() - start < 0.5
-    assert (code, out) == (2, {
-        "error": "ValueError",
-        "message": "closed walks at vertex 0 give 39 or more distinct "
-                   "matrices, over 10000 tuples at level 2"})
+    assert time.perf_counter() - start < JOB_BUDGET_S
+    assert code == 0
+    assert out == dict(_holonomy_expected(_loops_doc(k), 4),
+                       command="holonomy")
+
+
+def _random_loops_doc(dim, k):
+    """k random invertible dim×dim loops of entries in -3..3 at one
+    vertex."""
+    rng, loops = random.Random(dim), []
+    while len(loops) < k:
+        rows = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)]
+        if det(Matrix(rows)):
+            loops.append([list(map(str, r)) for r in rows])
+    return {"graph": {"n_vertices": 1, "edges": [[0, 0, m] for m in loops]}}
+
+
+@pytest.mark.parametrize("dim, k", [(5, 10), (6, 8), (8, 6)])
+def test_holonomy_large_loops_answer_within_budget(tmp_path, capsys, dim, k):
+    # a degree search over these took 3.3 s at 5×5, 8.3 s at 6×6 and 60 s
+    # at 8×8 in one CLI process, nearly all of it deciding level dim, which
+    # the fundamental trace identity settles
+    doc = _random_loops_doc(dim, k)
+    start = time.perf_counter()
+    code, out = run_json(tmp_path, capsys, "holonomy", doc, "--cap-words", "1")
+    assert time.perf_counter() - start < JOB_BUDGET_S
+    assert code == 0
+    assert out == dict(_holonomy_expected(doc, 1), command="holonomy")
+    # each loop is its own closed walk of one edge
+    loops = [m for _s, _t, m in doc["graph"]["edges"]]
+    assert out["table"] == {str(i): str(sum(int(m[j][j]) for j in range(dim)))
+                            for i, m in enumerate(loops)}
+    assert out["tuples_checked"] == dim + comb(k + 1 + dim, dim + 1)
 
 
 # four elements of the dihedral group of order 8: their walks give only

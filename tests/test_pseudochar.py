@@ -35,6 +35,7 @@ from loopcat.linalg import _Echelon, Matrix, det
 from loopcat.pseudochar import (
     AdditivityReport,
     DegreeMismatch,
+    DegreeResult,
     GraphHolonomy,
     Infeasible,
     NonInvertibleEdge,
@@ -42,7 +43,6 @@ from loopcat.pseudochar import (
     PseudoCharacter,
     RepData,
     SingularTable,
-    _entry_ops,
     _TraceRecursion,
     _vanishing_level,
     _witness,
@@ -63,6 +63,7 @@ from oracles import (
     perm_diagram,
     perm_sign,
     reference_holonomy,
+    reference_walks,
     zero_matrix,
 )
 
@@ -363,7 +364,7 @@ def unit_engine_cases(draw):
     its multiplication, the pair it was built from, the unit, and a
     strategy for its elements, which may draw the unit too.  The engines
     run on a class function of a relabelled monoid, on 2×2 or 3×3 integer
-    matrices as entry tuples, and on dotted strands."""
+    matrices, and on dotted strands."""
     family = draw(st.sampled_from(["monoid", "matrices", "dots"]))
     if family == "monoid":
         monoid = draw(st.sampled_from(UNIT_MONOIDS))
@@ -376,12 +377,12 @@ def unit_engine_cases(draw):
                 elements)
     if family == "matrices":
         n = draw(st.sampled_from((2, 3)))
-        trace, mul_, trace_mul = _entry_ops(n)
-        unit = tuple(int(i == j) for i in range(n) for j in range(n))
-        engine = _TraceRecursion(trace, mul_, trace_mul, unit=unit)
+        unit = Matrix.identity(n)
+        engine = _TraceRecursion(Matrix.trace, mul, unit=unit)
         elements = st.one_of(st.just(unit), st.lists(
-            st.integers(-2, 2), min_size=n * n, max_size=n * n).map(tuple))
-        return engine, trace, mul_, unit, elements
+            st.integers(-2, 2), min_size=n * n, max_size=n * n).map(
+                lambda xs: Matrix([xs[i:i + n] for i in range(0, n * n, n)])))
+        return engine, Matrix.trace, mul, unit, elements
     seq = draw(st.lists(st.one_of(st.integers(0, 6), rationals),
                         min_size=20, max_size=20))
     trace = seq[1:].__getitem__
@@ -1016,23 +1017,47 @@ def holonomy_graphs(draw):
 
 
 def _holonomy_outcome(search, gh, cap):
+    """The report as a tuple, its degree data left out when it has none,
+    or the rejection."""
     try:
         r = search(gh, cap)
     except (NotPseudo, ValueError) as exc:
         return type(exc).__name__, str(exc)
-    return (list(r.table.items()), r.base, r.dimension, r.degree.d,
-            r.degree.witness, r.degree.tuples_checked)
+    degree = () if r.degree is None else (
+        r.degree.d, r.degree.witness, r.degree.tuples_checked)
+    return (list(r.table.items()), r.base, r.dimension, *degree)
 
 
 @given(holonomy_graphs(), st.integers(1, 4))
 @settings(max_examples=100, deadline=None)
 def test_holonomy_matches_matrix_search(gh, cap) -> None:
-    # the reference runs the full element search, so this also holds the
-    # basis search against it; a low bound keeps every search small and
-    # rejects the larger ones, at the same walk on both sides
-    with mock.patch("loopcat.pseudochar.HOLONOMY_MAX_TUPLES", 500):
-        assert _holonomy_outcome(graph_pseudoholonomy, gh, cap) == \
-            _holonomy_outcome(reference_holonomy, gh, cap)
+    # the reference runs the full element search over the walk matrices,
+    # so this holds the closed-form degree report against it; above its
+    # tuple limit it does not search, and the table, base and dimension
+    # are held to its walk, and tuples_checked to its matrix count
+    got = _holonomy_outcome(graph_pseudoholonomy, gh, cap)
+    want = _holonomy_outcome(reference_holonomy, gh, cap)
+    if len(want) == 3:
+        _table, mats = reference_walks(gh, cap)
+        dim = want[2]
+        want += (dim, (Matrix.identity(dim),) * dim,
+                 dim + comb(len(mats) + dim, dim + 1))
+    assert got == want
+
+
+def test_holonomy_evaluates_no_antisymmetrized_trace() -> None:
+    # 20 distinct walk matrices at dimension 2: the report counts all
+    # 1,540 triples at level 2 and builds no engine and no search
+    gh = GraphHolonomy(2, [(0, 1, Matrix([[1, 1], [0, 1]])),
+                           (1, 0, Matrix([[1, 0], [1, 1]])),
+                           (0, 0, Matrix([[1, 2], [0, 1]]))])
+    with mock.patch("loopcat.pseudochar._TraceRecursion") as engine, \
+            mock.patch("loopcat.pseudochar._vanishing_level") as search:
+        report = graph_pseudoholonomy(gh, 5)
+    assert engine.call_count == search.call_count == 0
+    assert len(reference_walks(gh, 5)[1]) == 20
+    assert report.degree == DegreeResult(
+        2, (Matrix.identity(2),) * 2, 2 + comb(20 + 2, 3))
 
 
 def _walk_count(gh, cap) -> int:
@@ -1048,8 +1073,7 @@ def _walk_count(gh, cap) -> int:
 @settings(max_examples=100, deadline=None)
 def test_holonomy_walk_bound_counts_every_walk(gh, cap, bound) -> None:
     assume(0 in gh.vertex_dim)
-    with mock.patch("loopcat.pseudochar.HOLONOMY_MAX_WALKS", bound), \
-            mock.patch("loopcat.pseudochar.HOLONOMY_MAX_TUPLES", 500):
+    with mock.patch("loopcat.pseudochar.HOLONOMY_MAX_WALKS", bound):
         outcome = _holonomy_outcome(graph_pseudoholonomy, gh, cap)
     # a walk costs a product of n x n matrices: the bound is on walks · n³,
     # with n at least 2, against bound · 2³
@@ -1057,22 +1081,6 @@ def test_holonomy_walk_bound_counts_every_walk(gh, cap, bound) -> None:
     limit = bound * 8 // n ** 3
     rejected = ("ValueError", f"more than {limit} walks of at most {cap} edges")
     assert (outcome == rejected) == (_walk_count(gh, cap) * n ** 3 > bound * 8)
-
-
-@given(st.integers(0, 3).flatmap(lambda n: st.tuples(
-    st.just(n), *[st.lists(holonomy_entries, min_size=n * n,
-                           max_size=n * n) for _ in range(2)])))
-def test_entry_ops_match_matrices(case) -> None:
-    n, a, b = case
-    trace, mul, trace_mul = _entry_ops(n)
-    # as `graph_pseudoholonomy` holds them: integral entries as ints
-    a, b = (tuple(f.numerator if f.denominator == 1 else f
-                  for f in map(Fraction, x)) for x in (a, b))
-    ma, mb = (Matrix([x[i * n:(i + 1) * n] for i in range(n)])
-              for x in (a, b))
-    assert trace(a) == ma.trace()
-    assert mul(a, b) == tuple(x for row in (ma * mb).entries for x in row)
-    assert trace_mul(a, b) == trace(mul(a, b)) == (ma * mb).trace()
 
 
 def test_holonomy_rejects_singular_edge() -> None:
@@ -1197,22 +1205,6 @@ def test_vanishing_level_evaluates_only_basis_tuples() -> None:
     level2 = [k for k in alpha._antisym._memo if len(k) == 3]
     assert len(level2) == comb(4 + 2, 3)
     assert len({x for k in level2 for x in k}) == 4
-    # 20 distinct walk matrices, 1,540 triples of them, but at most dim²
-    # = 4 are linearly independent
-    engines = []
-
-    class Recording(_TraceRecursion):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            engines.append(self)
-
-    gh = GraphHolonomy(2, [(0, 1, Matrix([[1, 1], [0, 1]])),
-                           (1, 0, Matrix([[1, 0], [1, 1]])),
-                           (0, 0, Matrix([[1, 2], [0, 1]]))])
-    with mock.patch("loopcat.pseudochar._TraceRecursion", Recording):
-        report = graph_pseudoholonomy(gh, 5)
-    assert report.degree.tuples_checked == 2 + comb(20 + 2, 3)
-    assert len([k for k in engines[0]._memo if len(k) == 3]) <= comb(4 + 2, 3)
 
 
 class _VanishingEngine:
