@@ -7,8 +7,9 @@ handle element h (sum of basis times dual basis): genus g gives eps(h^g).
 The sequence of surface values has a rational generating function; this
 module computes it, classifies which rational functions arise this way,
 synthesizes a witness algebra from classification data, and checks the
-related (p, h, iota) systems and confluent Vandermonde solves that appear
-when recovering a direct-sum decomposition from the values alone.
+related (p, h, iota) systems and confluent Vandermonde systems that
+appear when recovering a direct-sum decomposition from the values alone;
+the latter are read in closed form, determinant included.
 
 An algebra keeps its nonzero structure constants as ints over one common
 denominator, and its unit and counit as cleared int vectors.  Every
@@ -374,8 +375,9 @@ def product_algebra(*factors: FrobeniusAlgebra) -> FrobeniusAlgebra:
 
 
 # Largest witness algebra (its report prints all dim^3 structure constants)
-# and largest confluent system (N^3 elimination steps): a job file of a few
-# bytes could otherwise ask for any amount of memory and time.
+# and largest confluent system (N values of R, and exponents up to N^2 in
+# det T): a job file of a few bytes could otherwise ask for any amount of
+# memory and time.
 WITNESS_MAX_DIM = 32
 
 
@@ -463,33 +465,17 @@ def pih_check(pih: PIHSystem, alpha_seq) -> PIHReport:
 
 
 # ---------------------------------------------------------------------------
-# confluent Vandermonde solves
+# confluent Vandermonde systems
 
 
 @dataclass(frozen=True)
 class ConfluentSystem:
     blocks: tuple  # ((lam_i, n_i, mult_i), ...)
-    t: Matrix
     r: tuple
     gamma: tuple
     verdict: str | None  # "consistent" / "inconsistent" when alpha1 given
     det: Fraction  # det T
-    unit: Fraction  # det T over its closed-form magnitude
-
-
-def _confluent_matrix(blocks) -> Matrix:
-    """Columns: j-th scaled derivative in lam of (lam^2, ..., lam^(N+1))."""
-    total = sum(n for _lam, n, _mult in blocks)
-    if total > WITNESS_MAX_DIM:
-        raise ValueError(f"block size sum {total} exceeds {WITNESS_MAX_DIM}")
-    rows = []
-    for n in range(1, total + 1):
-        row = []
-        for lam, size, _mult in blocks:
-            for j in range(size):
-                row.append(comb(n + 1, j) * lam ** (n + 1 - j))
-        rows.append(row)
-    return Matrix(rows)
+    unit: int  # det T over its closed-form magnitude
 
 
 def _confluent_magnitude(blocks) -> Fraction:
@@ -506,15 +492,19 @@ def _confluent_magnitude(blocks) -> Fraction:
 def pih_solve(blocks, alpha1=None) -> ConfluentSystem:
     """Recover the expansion coefficients of alpha_n = sum M_i lam_i^n.
 
-    blocks are (lam_i, N_i, M_i) with distinct nonzero lam_i; the system
-    T Gamma = R uses rows n = 1..N (N = sum N_i) and derivative columns,
-    so the exact solution is gamma_{i,0} = M_i / lam_i with every
-    higher-derivative coefficient zero — checked after solving.  One
-    `solve` gives Gamma and det T, and det T = 0 is a SingularT.  det T
-    and its unit, det T over `_confluent_magnitude`, ride along; the unit
-    is a sign depending only on the block sizes.  When alpha1 is supplied
-    it is compared against sum M_i: equality or an excess >= 2 (a
-    nilpotent block) is consistent, an excess of exactly 1 is not.
+    blocks are (lam_i, N_i, M_i) with distinct nonzero lam_i.  The system
+    T Gamma = R has rows n = 1..N (N = sum N_i), R_n = alpha_n, and
+    columns T[n][(i, j)] = f_n^(j)(lam_i)/j!, j < N_i, f_n = x^2 x^(n-1).
+    Every field is read in closed form, with no matrix.  Column (i, 0) is
+    lam_i^(n+1), so Gamma is M_i/lam_i and then zeros, block by block.  By
+    Leibniz's rule T = V B: V is the confluent Vandermonde of x^(n-1), with
+    det V = prod_{i<j} (lam_j - lam_i)^(N_i N_j) (Kalman 1984), and B is
+    block diagonal, block i upper-triangular with diagonal lam_i^2.  So
+    det T = s * `_confluent_magnitude`, with the unit s = (-1)^(sum_{i<j}
+    N_i N_j), and det T = 0, a SingularT, exactly when an eigenvalue
+    repeats.  When alpha1 is supplied it is compared against sum M_i:
+    equality or an excess >= 2 (a nilpotent block) is consistent, an
+    excess of exactly 1 is not.
     """
     blocks = tuple((Fraction(lam), n, Fraction(mult)) for lam, n, mult in blocks)
     alpha1 = None if alpha1 is None else Fraction(alpha1)
@@ -522,20 +512,21 @@ def pih_solve(blocks, alpha1=None) -> ConfluentSystem:
         raise ValueError("eigenvalues must be nonzero")
     if any(n < 1 for _lam, n, _m in blocks):
         raise ValueError("block sizes must be positive")
-    t = _confluent_matrix(blocks)
-    total = t.rows
+    total = sum(n for _lam, n, _mult in blocks)
+    if total > WITNESS_MAX_DIM:
+        raise ValueError(f"block size sum {total} exceeds {WITNESS_MAX_DIM}")
     r = tuple(
         sum((mult * lam ** n for lam, _size, mult in blocks), Fraction(0))
         for n in range(1, total + 1))
-    gamma, _, d = solve(t, r)
-    if d == 0:
+    magnitude = _confluent_magnitude(blocks)
+    if magnitude == 0:
         raise SingularT("confluent system is singular; eigenvalues repeat?")
-    expected = []
+    # sum_{i<j} N_i N_j = (N^2 - sum N_i^2) / 2
+    unit = (-1) ** ((total ** 2 - sum(n * n for _lam, n, _m in blocks)) // 2)
+    gamma = []
     for lam, size, mult in blocks:
-        expected.append(mult / lam)
-        expected.extend([Fraction(0)] * (size - 1))
-    if list(gamma) != expected:
-        raise InternalInconsistency("solved coefficients break the pattern")
+        gamma.append(mult / lam)
+        gamma.extend([Fraction(0)] * (size - 1))
     verdict = None
     if alpha1 is not None:
         semisimple_dim = sum((mult for _lam, _size, mult in blocks),
@@ -544,8 +535,8 @@ def pih_solve(blocks, alpha1=None) -> ConfluentSystem:
         verdict = ("consistent"
                    if excess == 0 or (excess.denominator == 1 and excess >= 2)
                    else "inconsistent")
-    return ConfluentSystem(blocks, t, r, tuple(gamma), verdict, d,
-                           d / _confluent_magnitude(blocks))
+    return ConfluentSystem(blocks, r, tuple(gamma), verdict, unit * magnitude,
+                           unit)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ its pivots column by column, linalg's kernel before it took rows one at a
 time, and `column_solve`, `column_solve_unique`, `column_det` and
 `column_inverse` read their results off it as linalg did, on rows of
 [m | b] they build themselves.
+`confluent_matrix` builds the confluent system T of `frobenius.pih_solve`
+entry by entry, the reference for the closed forms it reads instead.
 `dot_matmul`, `fraction_times` and `fraction_weight` form
 matrix, vector-by-matrix and automaton products as sums of Fraction
 products, the references for linalg's cleared-integer product kernel,
@@ -202,6 +204,15 @@ def column_inverse(m: Matrix) -> Matrix | None:
         return None
     return Matrix(list(zip(*(_column_back_substitute(pivots, n + j, n)
                              for j in range(n)))))
+
+
+def confluent_matrix(blocks) -> Matrix:
+    """Rows n = 1..N, and for each block (lam, size, mult) the columns
+    j < size: the j-th scaled derivative of lam^(n+1), C(n+1, j) lam^(n+1-j)."""
+    total = sum(n for _lam, n, _mult in blocks)
+    return Matrix([[comb(n + 1, j) * Fraction(lam) ** (n + 1 - j)
+                    for lam, size, _mult in blocks for j in range(size)]
+                   for n in range(1, total + 1)])
 
 
 def _fraction_dot(a, b) -> Fraction:

@@ -249,7 +249,8 @@ def test_04_nilpotent_block_exclusion() -> None:
                     expected.extend([Fraction(0)] * (n - 1))
                 assert list(cs.gamma) == expected
                 assert cs.verdict == "inconsistent"
-                assert cs.unit in (1, -1)
+                assert cs.unit == (-1) ** sum(
+                    a * b for i, a in enumerate(sizes) for b in sizes[i + 1:])
                 assert cs.det != 0
                 configurations += 1
     assert configurations == 251

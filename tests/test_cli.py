@@ -1327,14 +1327,46 @@ def test_pih_solve_repeated_eigenvalue(tmp_path, capsys):
 
 @pytest.mark.parametrize("blocks, code", [
     ([["1", 2, "2"], ["2", 1, "1"]], 0), ([["1", 1, "1"], ["1", 1, "1"]], 1)])
-def test_pih_solve_eliminates_once(tmp_path, capsys, monkeypatch, blocks,
-                                   code):
-    """Gamma and det T, singular or not, come from one elimination of T."""
+def test_pih_solve_eliminates_nothing(tmp_path, capsys, monkeypatch, blocks,
+                                      code):
+    """Gamma and det T, singular or not, are read in closed form: no
+    `Matrix`, no `_Echelon` and no `solve`."""
     assert not hasattr(frobenius, "det")
-    made = _count_eliminations(monkeypatch)
+    made, solves = _count_eliminations(monkeypatch), []
+    init, from_ints = Matrix.__init__, Matrix.from_ints.__func__
+
+    def counted_init(self, entries):
+        made.append("Matrix")
+        init(self, entries)
+
+    def counted_from_ints(cls, ints, den=1):
+        made.append("Matrix")
+        return from_ints(cls, ints, den)
+
+    def counted_solve(*args):
+        solves.append(args)
+        return linalg.solve(*args)
+
+    monkeypatch.setattr(Matrix, "__init__", counted_init)
+    monkeypatch.setattr(Matrix, "from_ints", classmethod(counted_from_ints))
+    monkeypatch.setattr(frobenius, "solve", counted_solve)
     assert run_json(tmp_path, capsys, "pih-solve", {"blocks": blocks})[0] \
         == code
-    assert len(made) == 1
+    assert (made, solves) == ([], [])
+
+
+@pytest.mark.parametrize("lam", ["1e1000", "1e2000"])
+def test_pih_solve_huge_eigenvalue_exits_within_budget(tmp_path, capsys, lam):
+    """A 36-byte job whose eigenvalue has 1,001 or 2,001 digits: r and
+    det T are powers, not 32 steps of elimination on them (75 s and over
+    100 s when they were).  The report cannot print r_5 = 10^5000 or
+    beyond, an int of more than 4,300 digits, so the job exits 2."""
+    start = time.perf_counter()
+    code, out = run_json(tmp_path, capsys, "pih-solve",
+                         {"blocks": [[lam, 32, "1"]]})
+    assert time.perf_counter() - start < JOB_BUDGET_S
+    assert (code, out["error"]) == (2, "ValueError")
+    assert "integer string conversion" in out["message"]
 
 
 @pytest.mark.parametrize("command, doc, fields", [

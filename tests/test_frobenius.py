@@ -44,8 +44,9 @@ from loopcat.cli import (_classification_from_json, _classification_to_json,
                          _genfun_from_json, _genfun_to_json)
 from loopcat.linalg import Matrix, Polynomial, RationalFunction
 from loopcat.statespaces import SequenceTooShort
-from oracles import (_signed_cycle_decompositions, column_det, dense_algebra,
-                     dense_cells, dense_multiply, dense_product_algebra,
+from oracles import (_signed_cycle_decompositions, column_det, column_solve,
+                     confluent_matrix, dense_algebra, dense_cells,
+                     dense_multiply, dense_product_algebra,
                      dense_truncated_poly_algebra, dense_validate, dual_basis,
                      f1_pullback, fraction_validate)
 
@@ -758,7 +759,7 @@ def test_pih_shape_and_length_errors() -> None:
 
 def test_pih_solve_frozen_block() -> None:
     cs = pih_solve([(1, 2, 2)])
-    assert cs.t == Matrix([[1, 2], [1, 3]])
+    assert confluent_matrix(cs.blocks) == Matrix([[1, 2], [1, 3]])
     assert cs.r == (2, 2)
     assert cs.gamma == (2, 0)
     assert cs.verdict is None
@@ -802,7 +803,8 @@ def test_vandermonde_det_formula() -> None:
     for blocks in configs:
         cs = pih_solve([(lam, n, 1) for lam, n in blocks])
         d, u = cs.det, cs.unit
-        assert u in (1, -1), blocks
+        assert u == (-1) ** sum(n_i * n_j for i, (_, n_i) in enumerate(blocks)
+                                for _, n_j in blocks[i + 1:]), blocks
         magnitude = Fraction(1)
         lams = [Fraction(l) for l, _ in blocks]
         sizes = [n for _, n in blocks]
@@ -812,6 +814,48 @@ def test_vandermonde_det_formula() -> None:
             for j in range(i + 1, len(blocks)):
                 magnitude *= (lams[i] - lams[j]) ** (sizes[i] * sizes[j])
         assert d == u * magnitude
+
+
+@st.composite
+def confluent_blocks(draw):
+    """0-4 blocks of sizes 1-4 with zero, negative and fractional
+    multiplicities; about one draw in three repeats an eigenvalue."""
+    lam = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(
+        bool)
+    lams = draw(st.lists(lam, max_size=4, unique=True))
+    if len(lams) > 1 and draw(st.integers(0, 2)) == 0:
+        lams[-1] = draw(st.sampled_from(lams[:-1]))
+    return [(x, draw(st.integers(1, 4)),
+             draw(st.fractions(min_value=-3, max_value=3, max_denominator=4)))
+            for x in lams]
+
+
+@given(confluent_blocks())
+@example([(Fraction(2), 1, Fraction(1)), (Fraction(2), 2, Fraction(0))])
+@settings(max_examples=150, deadline=None)
+def test_pih_solve_matches_confluent_elimination(blocks) -> None:
+    """r, Gamma, det T and its unit, read in closed form, are those of an
+    elimination of T itself; T is singular exactly when pih_solve says so."""
+    t = confluent_matrix(blocks)
+    d = column_det(t)
+    if len({lam for lam, _n, _m in blocks}) < len(blocks):
+        assert d == 0
+        with pytest.raises(SingularT, match="eigenvalues repeat"):
+            pih_solve(blocks)
+        return
+    cs = pih_solve(blocks)
+    assert cs.r == tuple(sum((m * lam ** n for lam, _n, m in blocks),
+                             Fraction(0)) for n in range(1, t.rows + 1))
+    assert cs.gamma == column_solve(t, cs.r)
+    assert cs.det == d != 0
+    magnitude = Fraction(1)
+    for i, (lam_i, n_i, _) in enumerate(blocks):
+        magnitude *= lam_i ** (2 * n_i)
+        for lam_j, n_j, _ in blocks[i + 1:]:
+            magnitude *= (lam_i - lam_j) ** (n_i * n_j)
+    assert cs.unit == d / magnitude == (-1) ** sum(
+        n_i * n_j for i, (_, n_i, _) in enumerate(blocks)
+        for _, n_j, _ in blocks[i + 1:])
 
 
 # --- circle/interval pullbacks ----------------------------------------------------
