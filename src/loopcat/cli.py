@@ -9,6 +9,11 @@ reason are reported), 2 malformed input (schema, shape, or parse errors),
 Caps are never silent: every handler echoes the caps it consulted into
 its report.
 
+The flags are declared once, in `_OPTIONS`.  A command line spelled
+exactly, as every caller spells it, is read directly (`_read_argv`);
+argparse (`_parser`) reads every other one and alone prints help and
+usage errors (exit 2), so a well-formed job never imports it.
+
 Job text is read and written here alone, and the library takes ints and
 Fractions.  Each handler reads each field of its job once, with one reader
 per kind of field (`_exact_int`, `_rat`, `_rats`, `_matrix`, `_words`,
@@ -19,7 +24,6 @@ object (`_value_object`).  Reports print each Fraction with `str`.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
@@ -27,6 +31,7 @@ import re
 import sys
 from fractions import Fraction
 from operator import itemgetter
+from types import SimpleNamespace
 
 from .errors import DomainError
 from .fincat import (FiniteMonoid, FreeBoundary, FreeMonoidCategory,
@@ -557,12 +562,61 @@ def _emit(doc: dict, fmt: str) -> None:
         print(f"{key}: {_render_scalar(doc[key])}")
 
 
+# flag -> (type, choices, default, help line), in help order; a default
+# of None marks a required flag.  Every command takes every flag.
+_OPTIONS = {
+    "--input": (None, None, None, "path to the JSON job document"),
+    "--format": (None, ("text", "json"), "text",
+                 "report format (default: text)"),
+    "--cap-words": (int, None, 4, "label word-length cap; walk-length cap "
+                                  "for holonomy (default: 4)"),
+    "--cap-genus": (int, None, 4, "genus cap for cob2-dim (default: 4)"),
+    "--max-degree": (int, None, 6, "degree search ceiling (default: 6)"),
+}
+
+
+def _read_argv(argv):
+    """The namespace `_parser()` would fill from argv, read directly when
+    argv is spelled exactly: one command name, and every other token a flag
+    of `_OPTIONS` followed by a value, neither empty nor starting with '-',
+    that argparse would convert and check alike; the last of a repeated
+    flag counts.  None for every other spelling, left to `_parser()`."""
+    values = {flag: default
+              for flag, (_type, _choices, default, _help) in _OPTIONS.items()}
+    command = None
+    tokens = iter(argv)
+    for token in tokens:
+        if token in _COMMANDS and command is None:
+            command = token
+            continue
+        option = _OPTIONS.get(token)
+        value = next(tokens, "")
+        if option is None or not value or value[0] == "-":
+            return None
+        kind, choices, _default, _help = option
+        if kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[token] = value
+    if command is None or None in values.values():  # a required flag unset
+        return None
+    return SimpleNamespace(command=command, **{
+        flag[2:].replace("-", "_"): value for flag, value in values.items()})
+
+
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused: parsing
-    leaves no state on it, each call fills a fresh namespace.  Every
-    command takes the same options, so one parser reads the command as a
-    positional and lists the commands' help lines after its own."""
+def _parser():
+    """The argparse parser, for every command line `_read_argv` declines:
+    help, usage errors, and spellings such as `--inp` or `--flag=value`.
+    Built from `_OPTIONS` on the first call and reused (parsing leaves no
+    state on it); argparse is imported here, so a well-formed command line
+    never imports it.  The command is one positional, and the commands'
+    help lines follow the parser's own."""
+    import argparse
     width = max(map(len, _COMMANDS))
     parser = argparse.ArgumentParser(
         prog="loopcat",
@@ -573,23 +627,18 @@ def _parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("command", choices=_COMMANDS, metavar="command",
                         help="the report to make (listed below)")
-    parser.add_argument("--input", required=True,
-                        help="path to the JSON job document")
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="report format (default: text)")
-    parser.add_argument("--cap-words", type=int, default=4, dest="cap_words",
-                        help="label word-length cap; walk-length cap "
-                             "for holonomy (default: 4)")
-    parser.add_argument("--cap-genus", type=int, default=4, dest="cap_genus",
-                        help="genus cap for cob2-dim (default: 4)")
-    parser.add_argument("--max-degree", type=int, default=6,
-                        dest="max_degree",
-                        help="degree search ceiling (default: 6)")
+    for flag, (kind, choices, default, help_line) in _OPTIONS.items():
+        parser.add_argument(flag, type=kind, choices=choices, default=default,
+                            required=default is None, help=help_line)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     handler = _COMMANDS[args.command][0]
     code = 0
     try:

@@ -1958,6 +1958,68 @@ def test_options_may_precede_the_command(tmp_path, capsys):
         == (0, before)
 
 
+CLASSIFY_DOC = {"genfun": {"num": ["5", "2"], "den": ["1"]}}
+CLASSIFY_JSON = ('{"classification": {"m": 2, "mu": "5", "poles": []}, '
+                 '"command": "classify", "display": "5 + 2T"}\n')
+
+
+def _never_parse():
+    raise AssertionError("a well-formed command line reached argparse")
+
+
+def test_well_formed_argv_never_builds_the_parser(tmp_path, capsys,
+                                                  monkeypatch):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(CLASSIFY_DOC), encoding="utf-8")
+    monkeypatch.setattr(cli, "_parser", _never_parse)
+    for argv in (["classify", "--input", str(path), "--format", "json"],
+                 ("--format", "json", "--cap-genus", "2", "--input",
+                  str(path), "classify", "--max-degree", "9")):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == CLASSIFY_JSON
+    monkeypatch.setattr(sys, "argv", ["loopcat", "classify", "--format",
+                                      "json", "--input", str(path)])
+    assert main() == 0
+    assert capsys.readouterr().out == CLASSIFY_JSON
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["classify", "--inp", "{path}", "--format", "json"], 0, CLASSIFY_JSON),
+    (["classify", "--input={path}", "--format", "json"], 0, CLASSIFY_JSON),
+    (["statespace", "--input", "{path}", "--cap-words=-1"], 2,
+     "error: ValueError\nmessage: cap_words must be nonnegative, got -1\n"),
+    (["classify", "--input", "{path}", "--format", "json", "--format",
+      "text"], 0, 'classification: {"m": 2, "mu": "5", "poles": []}\n'
+                  'command: classify\ndisplay: 5 + 2T\n')],
+    ids=["abbreviated-flag", "flag-equals-value", "negative-cap",
+         "repeated-format"])
+def test_command_line_spellings_read_as_before(tmp_path, capsys, argv, code,
+                                               out):
+    doc = CLASSIFY_DOC if argv[0] == "classify" else dict(Z2_MONOID,
+                                                          alpha=["2", "0"])
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([a.format(path=path) for a in argv]) == code
+    assert capsys.readouterr().out == out
+
+
+def test_well_formed_process_never_imports_argparse(tmp_path):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(CLASSIFY_DOC), encoding="utf-8")
+    src = str(Path(loopcat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import sys\nfrom loopcat.cli import main\ncode = main()\n"
+              "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+              "raise SystemExit(code)")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "classify", "--input", str(path),
+         "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) \
+        == (0, CLASSIFY_JSON + "[]\n", "")
+
+
 def test_malformed_json_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("not json", encoding="utf-8")

@@ -12,6 +12,11 @@ m <= 6, multiplicities <= 3, monoids of order <= 6, degrees and dot caps
 40, `cob2-dim` circle counts up to 14, `holonomy` walk caps up to 6 and
 state-space objects up to 8 strands at word caps up to 9.  A job may carry
 command-line flags.
+
+The CLI reads a command line spelled exactly without argparse
+(`cli._read_argv`); on command lines drawn from a grammar of its
+spellings and near-misses, it must read what argparse reads and decline
+what argparse rejects.
 """
 
 import io
@@ -28,6 +33,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import loopcat
+from loopcat import cli
 from loopcat.cli import main
 from loopcat.fincat import FiniteMonoid, conjugacy_classes
 
@@ -404,3 +410,51 @@ def test_jobs_keep_the_contract_without_asserts(tmp_path, batch) -> None:
             capture_output=True, text=True, env=env, timeout=60)
         assert "Traceback" not in proc.stderr
         assert (proc.returncode, proc.stdout) == (code, out)
+
+
+# command-line tokens: the flags' exact spellings, each with values it
+# reads and values argparse reads otherwise or rejects, and near-misses
+FLAG_VALUES = {
+    "--input": ["job.json", "a b", "classify", "x=1"],
+    "--format": ["json", "text", "xml", "JSON"],
+    "--cap-words": ["3", "0", "12", " 3", "1_0", "\u0663", "+2", "3.0"],
+    "--cap-genus": ["4", "-1", "x"],
+    "--max-degree": ["6", "-3", "99999999999999999999"],
+}
+odd_values = st.sampled_from(["", "-1", "-", "--", "-h", "--input",
+                              "--format", "--inp", "statespace", "text",
+                              "json", "7"])
+odd_tokens = st.sampled_from(["classif", "statespace", "--inp", "--cap",
+                              "--format=json", "--input=job.json",
+                              "--cap-words=-1", "-h", "--help", "--", "-",
+                              "--no-such-flag", "job.json", "3"])
+flag_pairs = st.sampled_from(sorted(FLAG_VALUES)).flatmap(
+    lambda flag: st.tuples(st.just(flag), st.one_of(
+        st.sampled_from(FLAG_VALUES[flag]), odd_values)))
+
+
+@st.composite
+def argvs(draw) -> list:
+    """A command name and an --input pair, each left out at times, and up
+    to four flag pairs or odd tokens, in any order."""
+    items = draw(st.lists(st.one_of(flag_pairs, flag_pairs, odd_tokens.map(
+        lambda token: (token,))), max_size=4))
+    if draw(st.integers(0, 3)):
+        items.append((draw(st.sampled_from(COMMANDS)),))
+    if draw(st.integers(0, 3)):
+        items.append(("--input",
+                      draw(st.sampled_from(FLAG_VALUES["--input"]))))
+    return [token for item in draw(st.permutations(items)) for token in item]
+
+
+@given(argvs())
+@settings(max_examples=300, deadline=None)
+def test_reader_reads_what_argparse_reads(argv) -> None:
+    read = cli._read_argv(argv)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            parsed = vars(cli._parser().parse_args(argv))
+    except SystemExit:
+        assert read is None
+        return
+    assert read is None or vars(read) == parsed
