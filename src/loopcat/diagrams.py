@@ -27,7 +27,10 @@ Formal rational combinations of diagrams with common source and target make
 the enveloping linear category, where the antisymmetrizer lives.  The
 package never expands it: antisymmetrized traces run on the trace
 recursion in `pseudochar`, and state spaces enumerate their kets
-directly.  The generators (identities, cups, caps, permutation
+directly.  So the package needs two operations on diagrams: `compose`
+and `transpose`, which pair two kets into a closed diagram.  The rest
+of the rigid structure (tensor, the half-turn rotation, closing up an
+endomorphism), the generators (identities, cups, caps, permutation
 diagrams), the formal sums and the antisymmetrizer live in
 `tests/oracles.py`, as the references the package is tested against.
 """
@@ -57,7 +60,7 @@ class BrauerMorphism:
     """
 
     __slots__ = ("cat", "boundary", "source", "target", "arcs",
-                 "half_intervals", "loops", "intervals", "_hash")
+                 "half_intervals", "loops", "intervals")
 
     def __init__(self, cat, source, target, arcs, half_intervals=(),
                  loops=(), intervals=(), boundary=None):
@@ -71,8 +74,6 @@ class BrauerMorphism:
         self.loops = tuple(sorted(loops, key=_float_key))
         self.intervals = tuple(sorted(intervals, key=_float_key))
         self._validate()
-        self._hash = hash((self.source, self.target, self.arcs,
-                           self.half_intervals, self.loops, self.intervals))
 
     @property
     def n_endpoints(self) -> int:
@@ -124,7 +125,8 @@ class BrauerMorphism:
         return NotImplemented
 
     def __hash__(self):
-        return self._hash
+        return hash((self.source, self.target, self.arcs,
+                     self.half_intervals, self.loops, self.intervals))
 
     def is_closed(self) -> bool:
         return self.n_endpoints == 0
@@ -133,29 +135,6 @@ class BrauerMorphism:
         return (f"BrauerMorphism(src={self.source}, tgt={self.target}, "
                 f"arcs={self.arcs}, half={self.half_intervals}, "
                 f"loops={self.loops}, intervals={self.intervals})")
-
-
-def tensor(d1: BrauerMorphism, d2: BrauerMorphism) -> BrauerMorphism:
-    """Place d2 to the right of d1; endpoint indices of d2 shift accordingly."""
-    if d1.cat is not d2.cat:
-        raise ValueError("tensor across different categories")
-    if d1.boundary is not d2.boundary:
-        raise ValueError("tensor across different boundary data")
-    ns1, ns2, nt1 = len(d1.source), len(d2.source), len(d1.target)
-
-    def remap1(e: int) -> int:
-        return e if e < ns1 else e + ns2
-
-    def remap2(e: int) -> int:
-        return ns1 + e if e < ns2 else ns1 + nt1 + e
-
-    arcs = [(remap1(t), remap1(h), lab) for t, h, lab in d1.arcs]
-    arcs += [(remap2(t), remap2(h), lab) for t, h, lab in d2.arcs]
-    half = [(remap1(e), g) for e, g in d1.half_intervals]
-    half += [(remap2(e), g) for e, g in d2.half_intervals]
-    return BrauerMorphism(
-        d1.cat, d1.source + d2.source, d1.target + d2.target, arcs, half,
-        d1.loops + d2.loops, d1.intervals + d2.intervals, boundary=d1.boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -267,32 +246,6 @@ def compose(d2: BrauerMorphism, d1: BrauerMorphism) -> BrauerMorphism:
         d1.intervals + d2.intervals + tuple(intervals), boundary=boundary)
 
 
-def close_up(d: BrauerMorphism) -> BrauerMorphism:
-    """Join target strand k back onto source strand k for every k.
-
-    Requires source = target (an endomorphism diagram); the result is closed.
-    Equivalent to sandwiching between nested identity cups and caps — in the
-    matching representation that is exactly this wiring.
-    """
-    if d.source != d.target:
-        raise ObjectMismatch("close_up needs an endomorphism diagram")
-    ns = len(d.source)
-    arcs = {(0, t): ((0, h), lab) for t, h, lab in d.arcs}
-    half = {(0, e): g for e, g in d.half_intervals}
-    wire = {}
-    for k in range(ns):
-        a, b = (0, ns + k), (0, k)
-        wire[a], wire[b] = b, a
-
-    # with no outer end, the splice leaves no open arc or half-interval
-    _, _, loops, intervals = _splice_run(
-        d.cat, d.boundary, arcs, half, wire, {},
-        lambda n: d.endpoint_object(n[1]), lambda n: d.endpoint_eff(n[1]))
-    return BrauerMorphism(d.cat, (), (), [], [],
-                          d.loops + tuple(loops),
-                          d.intervals + tuple(intervals), boundary=d.boundary)
-
-
 def transpose(d: BrauerMorphism) -> BrauerMorphism:
     """Duality: swap source and target, reversing every strand.
 
@@ -313,28 +266,3 @@ def transpose(d: BrauerMorphism) -> BrauerMorphism:
     half = [(remap(e), g) for e, g in d.half_intervals]
     return BrauerMorphism(d.cat, d.target, d.source, arcs, half,
                           d.loops, d.intervals, boundary=d.boundary)
-
-
-def rotate(d: BrauerMorphism) -> BrauerMorphism:
-    """Half-turn rotation: the rigid dual Hom(A, B) -> Hom(B*, A*).
-
-    The dual of a signed sequence reverses the order and negates every sign.
-    Rotating preserves each strand's orientation relative to its endpoints
-    (tails stay tails), so labels keep their typing in any base category.
-    Contravariant: rotate(compose(a, b)) == compose(rotate(b), rotate(a)).
-    Unlike `transpose` this is the honest adjoint for the pairing, but it
-    lands on the dual sequence, so only alternating-sign objects are fixed.
-    """
-    ns, nt = len(d.source), len(d.target)
-    dual = lambda seq: tuple((x, -s) for x, s in reversed(seq))
-
-    def remap(e: int) -> int:
-        if e < ns:
-            return nt + (ns - 1 - e)
-        return nt - 1 - (e - ns)
-
-    arcs = [(remap(t), remap(h), lab) for t, h, lab in d.arcs]
-    half = [(remap(e), g) for e, g in d.half_intervals]
-    return BrauerMorphism(d.cat, dual(d.target), dual(d.source), arcs, half,
-                          d.loops, d.intervals, boundary=d.boundary)
-

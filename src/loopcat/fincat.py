@@ -24,6 +24,12 @@ table holds, and every strand of a Gram entry, is looked up by one, so
 their hashing and equality run in C, and building one builds one tuple.
 Like any tuple they equal the plain tuple of their fields; no table
 mixes the two.
+
+Boundary data are right and left actions of the category on element
+sets, with the interval classes they saturate.  The package ships one,
+`FreeBoundary`, the free monoid acting on itself; a general finite
+datum, with its functoriality checks, is the test suite's reference
+(`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -367,81 +373,6 @@ def compose_path(cat, path: Sequence, at=None):
 
 # ---------------------------------------------------------------------------
 # boundary data: right-set and left-set actions with interval classes
-
-
-class BoundaryDatum:
-    """Finite action data: sets Gr(X), Gl(X) and compatible morphism actions.
-
-    `gr_action(m, g)` maps g in Gr(source(m)) to Gr(target(m)); `gl_action(m, g)`
-    maps g in Gl(target(m)) to Gl(source(m)).  Functoriality is checked at load
-    for finite categories.
-    """
-
-    def __init__(self, cat, gr_sets, gl_sets, gr_action, gl_action):
-        self.cat = cat
-        self.gr_sets = {x: tuple(v) for x, v in gr_sets.items()}
-        self.gl_sets = {x: tuple(v) for x, v in gl_sets.items()}
-        self._gr = gr_action
-        self._gl = gl_action
-        self._interval_reps: dict | None = None
-        self._validate()
-
-    def _validate(self):
-        for x in self.cat.objects:
-            i = self.cat.identity(x)
-            for g in self.gr_sets[x]:
-                if self.gr(i, g) != g:
-                    raise ValueError("right action violates identity")
-            for g in self.gl_sets[x]:
-                if self.gl(i, g) != g:
-                    raise ValueError("left action violates identity")
-        for x in self.cat.objects:
-            for y in self.cat.objects:
-                for b in self.cat.hom(x, y):
-                    for z in self.cat.objects:
-                        for c in self.cat.hom(y, z):
-                            cb = self.cat.compose(c, b)
-                            for g in self.gr_sets[x]:
-                                if self.gr(cb, g) != self.gr(c, self.gr(b, g)):
-                                    raise ValueError(
-                                        "right action violates composition")
-                            for g in self.gl_sets[z]:
-                                if self.gl(cb, g) != self.gl(b, self.gl(c, g)):
-                                    raise ValueError(
-                                        "left action violates composition")
-
-    def gr(self, m, g):
-        return self._gr(m, g)
-
-    def gl(self, m, g):
-        return self._gl(m, g)
-
-    def interval_class(self, obj, gl, gr) -> IntervalClass:
-        """Canonical class of the pair (gl, gr) at obj under moving morphisms across."""
-        if self._interval_reps is None:
-            self._interval_reps = self._saturate_intervals()
-        return IntervalClass(*self._interval_reps[(obj, gl, gr)])
-
-    def _saturate_intervals(self) -> dict:
-        uf = _UnionFind()
-        oix = {x: i for i, x in enumerate(self.cat.objects)}
-        key = {}
-        for x in self.cat.objects:
-            for gl in self.gl_sets[x]:
-                for gr in self.gr_sets[x]:
-                    k = (oix[x], repr(gl), repr(gr))
-                    key[k] = (x, gl, gr)
-                    uf.find(k)
-        for x in self.cat.objects:
-            for y in self.cat.objects:
-                for b in self.cat.hom(x, y):
-                    # (gl . b, gr) at x  ~  (gl, b . gr) at y
-                    for gl in self.gl_sets[y]:
-                        for gr in self.gr_sets[x]:
-                            kx = (oix[x], repr(self.gl(b, gl)), repr(gr))
-                            ky = (oix[y], repr(gl), repr(self.gr(b, gr)))
-                            uf.union(kx, ky)
-        return {key[k]: key[uf.find(k)] for k in key}
 
 
 class FreeBoundary:

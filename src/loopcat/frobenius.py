@@ -298,17 +298,6 @@ class ClassificationData:
         if lams != sorted(lams, key=lambda l: (l.numerator, l.denominator)):
             raise ValueError("poles must be sorted")
 
-    def genfun(self) -> RationalFunction:
-        """The sum above over its common denominator prod_i (1 - lam_i T),
-        normalized once."""
-        den = Polynomial([1])
-        for lam, _ in self.poles:
-            den = den * Polynomial([1, -lam])
-        num = Polynomial([self.mu, self.m]) * den
-        for lam, mult in self.poles:
-            num = num + (den // Polynomial([1, -lam])).scale(mult / lam)
-        return RationalFunction(num, den)
-
 
 def classify_genfun(rf: RationalFunction) -> ClassificationData:
     """Decide whether rf is the generating function of some algebra.

@@ -5,29 +5,29 @@ A pseudocharacter is a class function that behaves like the trace of a
 every permutation of d+1 arguments vanishes identically, with d minimal.
 This module detects that degree, extracts the characteristic polynomial an
 element satisfies relative to the class function, lifts class functions
-against a supplied character table, extends the vanishing test to diagrams
-with boundary decorations and to direct sums of objects, and evaluates the
-holonomy pseudocharacter of an edge-labeled graph.
+against a supplied character table, extends the vanishing test to direct
+sums of objects, and evaluates the holonomy pseudocharacter of an
+edge-labeled graph.
 
 Antisymmetrized traces are never expanded as the (d+1)!-term permutation
 sum.  `_TraceRecursion` evaluates them by the classical trace recursion
 (Procesi's trace identities; Chenevier's determinant laws), memoized on
-multisets; class functions, matrix units of a direct sum, dotted strands
-(`frobenius.cob2_pseudochar_check`) and boundary-cut strands
-(`antisym_trace_boundary`) all go through it.  The recursion is exact
-only for a trace-like function, tr(gh) = tr(hg), so `PseudoCharacter`
-rejects class values that are not.  A strand labelled by the unit is
-expanded in one term, T(1, S) = (tr 1 - |S|)·T(S), for the monoid
-identity and the strand without dots; at the level d = tr 1 every tuple
-holding the unit is 0 at once.  Integral traces run through it as ints,
-and results typed `Fraction` are converted on the way out.  The degree
-searches decide each level on a basis of the elements
+multisets; class functions, matrix units of a direct sum and dotted
+strands (`frobenius.cob2_pseudochar_check`) all go through it, as do
+the boundary-cut strands of the test suite's boundary trace.  The
+recursion is exact only for a trace-like function, tr(gh) = tr(hg), so
+`PseudoCharacter` rejects class values that are not.  A strand labelled
+by the unit is expanded in one term, T(1, S) = (tr 1 - |S|)·T(S), for
+the monoid identity and the strand without dots; at the level d = tr 1
+every tuple holding the unit is 0 at once.  Integral traces run through
+it as ints, and results typed `Fraction` are converted on the way out.
+The degree searches decide each level on a basis of the elements
 (`_vanishing_level`).  The holonomy of a graph evaluates no
 antisymmetrized trace: for dim×dim walk matrices the fundamental trace
 identity and the unit rule fix its degree report in closed form
 (`graph_pseudoholonomy`).  The permutation sum and the full element
 search live on in the test suite, which holds the recursion against the
-sum, both against the closed-diagram route in `diagrams`, the basis
+sum, both against the closed diagrams the tests build, the basis
 search against the full one, and the holonomy report against a full
 search over the walk matrices.
 """
@@ -389,55 +389,6 @@ def alpha_charpoly(alpha: PseudoCharacter, x: int, d: int) -> Polynomial:
         orders *= d - k
     lead = gamma[d]  # (-1)^d d!, counts full cycles through the free slot
     return Polynomial([c / lead for c in gamma])
-
-
-def antisym_trace_boundary(cat, boundary, alpha, x_labels, boundary_pairs,
-                           base=0) -> Fraction:
-    """Antisymmetrized trace where some slots are boundary-cut strands.
-
-    An x slot is a strand labeled by an endomorphism; a pair slot (y, z) is
-    a strand cut in the middle, restarting at a right element y and ending
-    at a left element z.  A cycle through x slots only closes into a loop;
-    a cycle through k pair slots breaks into k interval classes, each
-    absorbing the x labels between consecutive cuts.
-
-    Evaluated by `_TraceRecursion` over two kinds of element.  A label word
-    ("x", w) is traced as the loop of w.  A cut word ("p", c, head, z, y,
-    tail) is the strand head, then a cut ending at z and restarting at y,
-    then tail, with c the product of the intervals already closed inside
-    it; its trace closes the last interval, c·I(z, y·(tail + head)).
-    Multiplying concatenates words, and two cut words close the interval
-    from the first one's y to the second one's z.
-    """
-    def interval(z, y, labels):
-        for lab in labels:
-            y = boundary.gr(lab, y)
-        return alpha.interval(boundary.interval_class(base, z, y))
-
-    def trace(e):
-        if e[0] == "x":
-            return alpha.loop(cat.loop_class(base, e[1]))
-        _, c, head, z, y, tail = e
-        return c * interval(z, y, tail + head)
-
-    def mul(e, f):
-        if e[0] == f[0] == "x":
-            return ("x", e[1] + f[1])
-        if e[0] == "x":  # the word joins the head
-            _, c, head, z, y, tail = f
-            return ("p", c, e[1] + head, z, y, tail)
-        _, c, head, z, y, tail = e
-        if f[0] == "x":  # the word joins the tail
-            return ("p", c, head, z, y, tail + f[1])
-        _, c2, head2, z2, y2, tail2 = f
-        return ("p", c * c2 * interval(z2, y, tail + head2), head, z, y2,
-                tail2)
-
-    engine = _TraceRecursion(trace, mul)
-    return Fraction(engine.antisym(
-        [engine.intern(("x", (lab,))) for lab in x_labels]
-        + [engine.intern(("p", Fraction(1), (), z, y, ()))
-           for y, z in boundary_pairs]))
 
 
 # ---------------------------------------------------------------------------

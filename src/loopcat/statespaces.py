@@ -117,6 +117,13 @@ def enumerate_kets(cat, obj, boundary=None, cap_words: int = 4
     Floating components are excluded — they only rescale.  Enumeration order
     is deterministic: endpoints processed left to right, label lists in
     category order.  An object entry outside the category is a ValueError.
+
+    A `boundary` supplies `gr(m, g)` and `gl(m, g)`, the actions of a
+    morphism on right and left elements, and `interval_class(obj, gl, gr)`;
+    over a finite category it also supplies `gr_sets` and `gl_sets`, the
+    right and left elements at each object, which label the half-intervals.
+    Over the free monoid the half-intervals take the capped words, as the
+    arcs do, and `fincat.FreeBoundary` is such a boundary.
     """
     obj = tuple(obj)
     for x, _s in obj:
@@ -507,16 +514,6 @@ class WeightedAutomaton:
         for a, m in self.transitions.items():
             if not m.rows == m.cols == self.dimension:
                 raise ValueError(f"bad shape at {a!r}")
-
-    @property
-    def alphabet(self) -> list[str]:
-        return sorted(self.transitions)
-
-    def weight(self, word: Sequence[str]) -> Fraction:
-        v = Matrix([self.initial])
-        for a in word:
-            v = v * self.transitions[a]
-        return sum(map(mul, v.row(0), self.final), Fraction(0))
 
 
 def _forward_reduce(a: WeightedAutomaton) -> WeightedAutomaton:

@@ -7,8 +7,15 @@ plain n!-term permutation sum and hold the trace recursion against it.
 diagram side: the signed permutation diagrams, which `close_up` turns into
 loops.  `identity_diagram`, `cup`, `cap`, `perm_diagram`, `ket` and
 `closed_diagram` build the generating diagrams, and `perm_sign` is a
-permutation's sign.  `f1_pullback` values the dotted circles and
-intervals such a closure of dotted strands leaves.  `dense_cells` reads
+permutation's sign.  `tensor`, `close_up` and `rotate` are the rest of
+the rigid structure: side by side, joined target to source, and turned
+by a half turn; `close_up` splices with the package's own
+`diagrams._splice_run`.  `BoundaryDatum` is a general finite boundary
+datum, right and left actions checked for functoriality, and
+`antisym_trace_boundary` is the antisymmetrized trace with boundary-cut
+strands, evaluated on `pseudochar._TraceRecursion`.  `f1_pullback`
+values the dotted circles and intervals such a closure of dotted
+strands leaves.  `dense_cells` reads
 a Frobenius algebra's Fraction cells c[i][j][k] off its int terms, and
 `dense_multiply` multiplies two vectors through every one of them, the
 reference for `FrobeniusAlgebra.multiply`; `dense_validate` checks the
@@ -37,6 +44,9 @@ time, and `column_solve`, `column_solve_unique`, `column_det` and
 [m | b] they build themselves.
 `confluent_matrix` builds the confluent system T of `frobenius.pih_solve`
 entry by entry, the reference for the closed forms it reads instead.
+`classification_genfun` writes classification data's generating
+function over its common denominator, the reference for the
+classification round trip and the witnesses' surface values.
 `dot_matmul`, `fraction_times` and `fraction_weight` form
 matrix, vector-by-matrix and automaton products as sums of Fraction
 products, the references for linalg's cleared-integer product kernel,
@@ -57,8 +67,9 @@ from itertools import combinations_with_replacement, permutations
 from math import comb
 import operator
 
-from loopcat.diagrams import MINUS, PLUS, BrauerMorphism, compose
-from loopcat.fincat import least_rotation
+from loopcat.diagrams import (MINUS, PLUS, BrauerMorphism, ObjectMismatch,
+                              _splice_run, compose)
+from loopcat.fincat import IntervalClass, _UnionFind, least_rotation
 from loopcat.frobenius import (
     NondegeneracyFailure,
     NotAssociative,
@@ -243,6 +254,19 @@ def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     while not b.is_zero():
         a, b = b, a % b
     return a if a.is_zero() else a.scale(1 / a[a.degree])
+
+
+def classification_genfun(cd) -> RationalFunction:
+    """The generating function of `frobenius.ClassificationData` cd,
+    mu + m T + sum_i m_i lam_i^-1 / (1 - lam_i T), over its common
+    denominator prod_i (1 - lam_i T), normalized once."""
+    den = Polynomial([1])
+    for lam, _ in cd.poles:
+        den = den * Polynomial([1, -lam])
+    num = Polynomial([cd.mu, cd.m]) * den
+    for lam, mult in cd.poles:
+        num = num + (den // Polynomial([1, -lam])).scale(mult / lam)
+    return RationalFunction(num, den)
 
 
 def dense_partial_fractions(rf: RationalFunction):
@@ -536,6 +560,156 @@ def closed_diagram(cat, loops=(), intervals=(), boundary=None) -> BrauerMorphism
                           boundary=boundary)
 
 
+def tensor(d1: BrauerMorphism, d2: BrauerMorphism) -> BrauerMorphism:
+    """Place d2 to the right of d1; endpoint indices of d2 shift accordingly."""
+    if d1.cat is not d2.cat:
+        raise ValueError("tensor across different categories")
+    if d1.boundary is not d2.boundary:
+        raise ValueError("tensor across different boundary data")
+    ns1, ns2, nt1 = len(d1.source), len(d2.source), len(d1.target)
+
+    def remap1(e: int) -> int:
+        return e if e < ns1 else e + ns2
+
+    def remap2(e: int) -> int:
+        return ns1 + e if e < ns2 else ns1 + nt1 + e
+
+    arcs = [(remap1(t), remap1(h), lab) for t, h, lab in d1.arcs]
+    arcs += [(remap2(t), remap2(h), lab) for t, h, lab in d2.arcs]
+    half = [(remap1(e), g) for e, g in d1.half_intervals]
+    half += [(remap2(e), g) for e, g in d2.half_intervals]
+    return BrauerMorphism(
+        d1.cat, d1.source + d2.source, d1.target + d2.target, arcs, half,
+        d1.loops + d2.loops, d1.intervals + d2.intervals, boundary=d1.boundary)
+
+
+
+
+def close_up(d: BrauerMorphism) -> BrauerMorphism:
+    """Join target strand k back onto source strand k for every k.
+
+    Requires source = target (an endomorphism diagram); the result is closed.
+    Equivalent to sandwiching between nested identity cups and caps — in the
+    matching representation that is exactly this wiring.
+    """
+    if d.source != d.target:
+        raise ObjectMismatch("close_up needs an endomorphism diagram")
+    ns = len(d.source)
+    arcs = {(0, t): ((0, h), lab) for t, h, lab in d.arcs}
+    half = {(0, e): g for e, g in d.half_intervals}
+    wire = {}
+    for k in range(ns):
+        a, b = (0, ns + k), (0, k)
+        wire[a], wire[b] = b, a
+
+    # with no outer end, the splice leaves no open arc or half-interval
+    _, _, loops, intervals = _splice_run(
+        d.cat, d.boundary, arcs, half, wire, {},
+        lambda n: d.endpoint_object(n[1]), lambda n: d.endpoint_eff(n[1]))
+    return BrauerMorphism(d.cat, (), (), [], [],
+                          d.loops + tuple(loops),
+                          d.intervals + tuple(intervals), boundary=d.boundary)
+
+
+
+
+def rotate(d: BrauerMorphism) -> BrauerMorphism:
+    """Half-turn rotation: the rigid dual Hom(A, B) -> Hom(B*, A*).
+
+    The dual of a signed sequence reverses the order and negates every sign.
+    Rotating preserves each strand's orientation relative to its endpoints
+    (tails stay tails), so labels keep their typing in any base category.
+    Contravariant: rotate(compose(a, b)) == compose(rotate(b), rotate(a)).
+    Unlike `transpose` this is the honest adjoint for the pairing, but it
+    lands on the dual sequence, so only alternating-sign objects are fixed.
+    """
+    ns, nt = len(d.source), len(d.target)
+    dual = lambda seq: tuple((x, -s) for x, s in reversed(seq))
+
+    def remap(e: int) -> int:
+        if e < ns:
+            return nt + (ns - 1 - e)
+        return nt - 1 - (e - ns)
+
+    arcs = [(remap(t), remap(h), lab) for t, h, lab in d.arcs]
+    half = [(remap(e), g) for e, g in d.half_intervals]
+    return BrauerMorphism(d.cat, dual(d.target), dual(d.source), arcs, half,
+                          d.loops, d.intervals, boundary=d.boundary)
+
+
+class BoundaryDatum:
+    """Finite action data: sets Gr(X), Gl(X) and compatible morphism actions.
+
+    `gr_action(m, g)` maps g in Gr(source(m)) to Gr(target(m)); `gl_action(m, g)`
+    maps g in Gl(target(m)) to Gl(source(m)).  Functoriality is checked at load
+    for finite categories.
+    """
+
+    def __init__(self, cat, gr_sets, gl_sets, gr_action, gl_action):
+        self.cat = cat
+        self.gr_sets = {x: tuple(v) for x, v in gr_sets.items()}
+        self.gl_sets = {x: tuple(v) for x, v in gl_sets.items()}
+        self._gr = gr_action
+        self._gl = gl_action
+        self._interval_reps: dict | None = None
+        self._validate()
+
+    def _validate(self):
+        for x in self.cat.objects:
+            i = self.cat.identity(x)
+            for g in self.gr_sets[x]:
+                if self.gr(i, g) != g:
+                    raise ValueError("right action violates identity")
+            for g in self.gl_sets[x]:
+                if self.gl(i, g) != g:
+                    raise ValueError("left action violates identity")
+        for x in self.cat.objects:
+            for y in self.cat.objects:
+                for b in self.cat.hom(x, y):
+                    for z in self.cat.objects:
+                        for c in self.cat.hom(y, z):
+                            cb = self.cat.compose(c, b)
+                            for g in self.gr_sets[x]:
+                                if self.gr(cb, g) != self.gr(c, self.gr(b, g)):
+                                    raise ValueError(
+                                        "right action violates composition")
+                            for g in self.gl_sets[z]:
+                                if self.gl(cb, g) != self.gl(b, self.gl(c, g)):
+                                    raise ValueError(
+                                        "left action violates composition")
+
+    def gr(self, m, g):
+        return self._gr(m, g)
+
+    def gl(self, m, g):
+        return self._gl(m, g)
+
+    def interval_class(self, obj, gl, gr) -> IntervalClass:
+        """Canonical class of the pair (gl, gr) at obj under moving morphisms across."""
+        if self._interval_reps is None:
+            self._interval_reps = self._saturate_intervals()
+        return IntervalClass(*self._interval_reps[(obj, gl, gr)])
+
+    def _saturate_intervals(self) -> dict:
+        uf = _UnionFind()
+        oix = {x: i for i, x in enumerate(self.cat.objects)}
+        key = {}
+        for x in self.cat.objects:
+            for gl in self.gl_sets[x]:
+                for gr in self.gr_sets[x]:
+                    k = (oix[x], repr(gl), repr(gr))
+                    key[k] = (x, gl, gr)
+                    uf.find(k)
+        for x in self.cat.objects:
+            for y in self.cat.objects:
+                for b in self.cat.hom(x, y):
+                    # (gl . b, gr) at x  ~  (gl, b . gr) at y
+                    for gl in self.gl_sets[y]:
+                        for gr in self.gr_sets[x]:
+                            kx = (oix[x], repr(self.gl(b, gl)), repr(gr))
+                            ky = (oix[y], repr(gl), repr(self.gr(b, gr)))
+                            uf.union(kx, ky)
+        return {key[k]: key[uf.find(k)] for k in key}
 
 
 class FormalSum:
@@ -610,6 +784,54 @@ def f1_pullback(alpha_seq, components) -> Fraction:
         out *= seq[index]
     return out
 
+
+def antisym_trace_boundary(cat, boundary, alpha, x_labels, boundary_pairs,
+                           base=0) -> Fraction:
+    """Antisymmetrized trace where some slots are boundary-cut strands.
+
+    An x slot is a strand labeled by an endomorphism; a pair slot (y, z) is
+    a strand cut in the middle, restarting at a right element y and ending
+    at a left element z.  A cycle through x slots only closes into a loop;
+    a cycle through k pair slots breaks into k interval classes, each
+    absorbing the x labels between consecutive cuts.
+
+    Evaluated by `_TraceRecursion` over two kinds of element.  A label word
+    ("x", w) is traced as the loop of w.  A cut word ("p", c, head, z, y,
+    tail) is the strand head, then a cut ending at z and restarting at y,
+    then tail, with c the product of the intervals already closed inside
+    it; its trace closes the last interval, c·I(z, y·(tail + head)).
+    Multiplying concatenates words, and two cut words close the interval
+    from the first one's y to the second one's z.
+    """
+    def interval(z, y, labels):
+        for lab in labels:
+            y = boundary.gr(lab, y)
+        return alpha.interval(boundary.interval_class(base, z, y))
+
+    def trace(e):
+        if e[0] == "x":
+            return alpha.loop(cat.loop_class(base, e[1]))
+        _, c, head, z, y, tail = e
+        return c * interval(z, y, tail + head)
+
+    def mul(e, f):
+        if e[0] == f[0] == "x":
+            return ("x", e[1] + f[1])
+        if e[0] == "x":  # the word joins the head
+            _, c, head, z, y, tail = f
+            return ("p", c, e[1] + head, z, y, tail)
+        _, c, head, z, y, tail = e
+        if f[0] == "x":  # the word joins the tail
+            return ("p", c, head, z, y, tail + f[1])
+        _, c2, head2, z2, y2, tail2 = f
+        return ("p", c * c2 * interval(z2, y, tail + head2), head, z, y2,
+                tail2)
+
+    engine = _TraceRecursion(trace, mul)
+    return Fraction(engine.antisym(
+        [engine.intern(("x", (lab,))) for lab in x_labels]
+        + [engine.intern(("p", Fraction(1), (), z, y, ()))
+           for y, z in boundary_pairs]))
 
 
 def full_vanishing_level(engine: _TraceRecursion, ids: list, levels):

@@ -1750,6 +1750,39 @@ def test_only_cli_reads_and_writes_job_text():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def _names_used(tree) -> set:
+    """Every name a syntax tree reads, reads as an attribute or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def test_every_package_definition_is_reached_outside_the_tests():
+    """Each top-level function and class of the package is named by another
+    top-level statement of the package, by a demo or by a bench file.  A
+    construction only the tests reach is a reference, and lives in
+    `tests/oracles.py`."""
+    src = Path(loopcat.__file__).resolve().parent
+    root = src.parents[1]
+    defs, used = [], set()
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text("utf-8")).body:
+            names = _names_used(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defs.append(f"{path.stem}.{stmt.name}")
+                names.discard(stmt.name)  # its own body does not reach it
+            used |= names
+    for path in sorted([*root.glob("demos/*.py"), *root.glob("bench/*.py")]):
+        used |= _names_used(ast.parse(path.read_text("utf-8")))
+    assert [d for d in defs if d.split(".")[1] not in used] == []
+
+
 def test_pih_check_geometric_sequence(tmp_path, capsys):
     doc = {"pih": {"p": ["1"], "h": [["3"]], "iota": ["1/3"]},
            "alpha": ["1/3", "1", "3", "9", "27"]}

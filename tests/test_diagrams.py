@@ -9,14 +9,10 @@ from loopcat.diagrams import (
     PLUS,
     BrauerMorphism,
     ObjectMismatch,
-    close_up,
     compose,
-    rotate,
-    tensor,
     transpose,
 )
 from loopcat.fincat import (
-    BoundaryDatum,
     FreeBoundary,
     FreeMonoidCategory,
     Loop,
@@ -24,16 +20,20 @@ from loopcat.fincat import (
     symmetric_group,
 )
 from oracles import (
+    BoundaryDatum,
     FormalSum,
     antisymmetrizer,
     cap,
+    close_up,
     closed_diagram,
     cup,
     identity_diagram,
     ket,
     perm_diagram,
     perm_sign,
+    rotate,
     sum_compose,
+    tensor,
 )
 
 S3 = symmetric_group(3)

@@ -15,12 +15,9 @@ from hypothesis import strategies as st
 from loopcat.diagrams import (
     PLUS,
     BrauerMorphism,
-    close_up,
     compose,
-    tensor,
 )
 from loopcat.fincat import (
-    BoundaryDatum,
     FiniteMonoid,
     FreeBoundary,
     FreeMonoidCategory,
@@ -48,7 +45,6 @@ from loopcat.pseudochar import (
     _witness,
     alpha_charpoly,
     antisym_trace,
-    antisym_trace_boundary,
     char_of_rep,
     degree,
     degree_additivity_check,
@@ -57,13 +53,17 @@ from loopcat.pseudochar import (
 )
 from loopcat.statespaces import Evaluation, evaluation_from_monoid
 from oracles import (
+    BoundaryDatum,
     _signed_cycle_decompositions,
+    antisym_trace_boundary,
+    close_up,
     column_eliminate,
     full_vanishing_level,
     perm_diagram,
     perm_sign,
     reference_holonomy,
     reference_walks,
+    tensor,
     zero_matrix,
 )
 
