@@ -17,15 +17,18 @@ product runs one int kernel over the nonzero structure constants
 (`FrobeniusAlgebra._times`): the axiom checks, multiplication by h and the
 surface values eps(h^g) (`_surface_values`), which check generating
 functions and witnesses, stay on ints; `multiply` is its Fraction wrapper.
+
+Its records are named tuples, as `fincat.Loop` is: immutable, and equal
+to the plain tuple of their fields, which no report compares them with.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
+from typing import NamedTuple
 
 from .errors import DomainError, InternalInconsistency
 from .linalg import (Matrix, NonSplitDenominator, Polynomial, RationalFunction,
@@ -180,8 +183,7 @@ def validate(fa: FrobeniusAlgebra) -> None:
     handle_element(fa)
 
 
-@dataclass(frozen=True)
-class HandleData:
+class HandleData(NamedTuple):
     element: tuple
     matrix: Matrix  # multiplication by the element
     cleared: tuple  # (ints, scale) with element = ints / scale, in lowest terms
@@ -270,33 +272,37 @@ def generating_function(fa: FrobeniusAlgebra) -> RationalFunction:
 # classification
 
 
-@dataclass(frozen=True)
-class ClassificationData:
-    """mu + m T + sum_i m_i lam_i^-1 / (1 - lam_i T), with m = 0 or m >= 2,
-    lam_i distinct nonzero rationals, m_i positive integers; mu is free for
-    m >= 2 and forced to 0 when m = 0."""
-
+class _ClassificationFields(NamedTuple):
     mu: Fraction
     m: int
     poles: tuple  # ((lam_i, m_i), ...) sorted by lam
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", Fraction(self.mu))
-        object.__setattr__(self, "poles", tuple(
-            (Fraction(lam), mult) for lam, mult in self.poles))
-        if self.m == 1:
+
+class ClassificationData(_ClassificationFields):
+    """mu + m T + sum_i m_i lam_i^-1 / (1 - lam_i T), with m = 0 or m >= 2,
+    lam_i distinct nonzero rationals, m_i positive integers; mu is free for
+    m >= 2 and forced to 0 when m = 0.  Only the constructor checks this:
+    `_make` and `_replace` bypass it, so the package calls neither."""
+
+    __slots__ = ()
+
+    def __new__(cls, mu, m, poles):
+        mu = Fraction(mu)
+        poles = tuple((Fraction(lam), mult) for lam, mult in poles)
+        if m == 1:
             raise Reject("M1Forbidden", "no algebra has a 1-dim nilpotent block")
-        if self.m < 0:
+        if m < 0:
             raise ValueError("m must be 0 or >= 2")
-        if self.m == 0 and self.mu != 0:
+        if m == 0 and mu != 0:
             raise ValueError("mu must vanish when m = 0")
-        lams = [lam for lam, _ in self.poles]
+        lams = [lam for lam, _ in poles]
         if any(lam == 0 for lam in lams) or len(set(lams)) != len(lams):
             raise ValueError("pole locations must be distinct and nonzero")
-        if any(mult < 1 for _, mult in self.poles):
+        if any(mult < 1 for _, mult in poles):
             raise ValueError("pole multiplicities must be positive")
         if lams != sorted(lams, key=lambda l: (l.numerator, l.denominator)):
             raise ValueError("poles must be sorted")
+        return super().__new__(cls, mu, m, poles)
 
 
 def classify_genfun(rf: RationalFunction) -> ClassificationData:
@@ -409,21 +415,18 @@ def witness_synthesis(cd: ClassificationData) -> FrobeniusAlgebra:
 # (p, h, iota) systems
 
 
-@dataclass(frozen=True)
-class PIHSystem:
+class PIHSystem(NamedTuple):
     p: tuple
     h: Matrix
     iota: tuple
 
 
-@dataclass(frozen=True)
-class FirstViolation:
+class FirstViolation(NamedTuple):
     n: int
     which: str  # "phi" or "trace"
 
 
-@dataclass(frozen=True)
-class PIHReport:
+class PIHReport(NamedTuple):
     dim: int
     ok: bool
     first_violation: FirstViolation | None
@@ -457,8 +460,7 @@ def pih_check(pih: PIHSystem, alpha_seq) -> PIHReport:
 # confluent Vandermonde systems
 
 
-@dataclass(frozen=True)
-class ConfluentSystem:
+class ConfluentSystem(NamedTuple):
     blocks: tuple  # ((lam_i, n_i, mult_i), ...)
     r: tuple
     gamma: tuple
@@ -543,8 +545,7 @@ def pih_solve(blocks, alpha1=None) -> ConfluentSystem:
 COB2_PSEUDO_MAX_CLOSURES = 25_000
 
 
-@dataclass(frozen=True)
-class Cob2PseudoReport:
+class Cob2PseudoReport(NamedTuple):
     d: int
     cap_dots: int
     ok: bool

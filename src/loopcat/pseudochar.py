@@ -30,15 +30,18 @@ search live on in the test suite, which holds the recursion against the
 sum, both against the closed diagrams the tests build, the basis
 search against the full one, and the holonomy report against a full
 search over the walk matrices.
+
+Its records are named tuples, as `fincat.Loop` is: immutable, and equal
+to the plain tuple of their fields, which no report compares them with.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb
+from typing import NamedTuple
 
 from .errors import DomainError
 from .fincat import (FiniteMonoid, class_values, conjugacy_classes,
@@ -326,8 +329,7 @@ def _witness(engine: _TraceRecursion, ids: list, d: int) -> tuple:
             return tup
 
 
-@dataclass(frozen=True)
-class DegreeResult:
+class DegreeResult(NamedTuple):
     d: int
     witness: tuple
     tuples_checked: int
@@ -426,8 +428,7 @@ def lift_with_table(alpha: PseudoCharacter, table):
 # degree additivity on a formal direct sum
 
 
-@dataclass(frozen=True)
-class AdditivityReport:
+class AdditivityReport(NamedTuple):
     degrees: tuple
     sum_degree: int
     additive: bool
@@ -518,8 +519,7 @@ class GraphHolonomy:
 HOLONOMY_MAX_WALKS = 25_000
 
 
-@dataclass(frozen=True)
-class HolonomyReport:
+class HolonomyReport(NamedTuple):
     table: dict
     base: int
     dimension: int

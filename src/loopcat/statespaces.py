@@ -28,16 +28,18 @@ where spanning diagrams are partitions of the boundary circles with a genus
 attached to each block and gluing is Euler-characteristic bookkeeping.
 Their shapes are partitions, their strands the glued components, and the
 generic gluing is their reference.
+
+Its records are named tuples, as `fincat.Loop` is: immutable, and equal
+to the plain tuple of their fields, which no report compares them with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import count, groupby, product as iproduct
 from math import comb, factorial
 from operator import itemgetter, le, mul
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .diagrams import BrauerMorphism, _chains, compose, transpose
 from .errors import DomainError, InternalInconsistency
@@ -205,8 +207,7 @@ def ket_count(p: int, q: int, labels: int, ends: int) -> int:
     return total
 
 
-@dataclass
-class StateSpace:
+class StateSpace(NamedTuple):
     object: tuple
     spanning: list
     gram: Matrix
@@ -214,8 +215,7 @@ class StateSpace:
     cap_words: int
 
 
-@dataclass
-class BooleanStateSpace:
+class BooleanStateSpace(NamedTuple):
     object: tuple
     spanning: list
     rows: list
@@ -460,10 +460,11 @@ def restrict_state_space(ss: StateSpace, cat, cap_words: int) -> StateSpace:
     matchings do not depend on the cap, and `iproduct` runs in the
     lexicographic order of its slots' indices.  A larger cap needs kets
     `ss` lacks.  When the kets are all of them, as for a category whose
-    labels do not depend on the cap, it is `ss` itself, not ranked again."""
+    labels do not depend on the cap, it is a copy of `ss` with the new cap
+    that shares its kets and Gram, not ranked again."""
     words = _cap_labels(cat, cap_words)
     if words is None:
-        return replace(ss, cap_words=cap_words)
+        return ss._replace(cap_words=cap_words)
     if cap_words > ss.cap_words:
         raise SpanningMismatch(
             "a diagram is missing from the larger spanning set")
@@ -471,7 +472,7 @@ def restrict_state_space(ss: StateSpace, cat, cap_words: int) -> StateSpace:
     keep = [i for i, k in enumerate(ss.spanning) if words.issuperset(
         lab for *_, lab in k.arcs + k.half_intervals)]
     if len(keep) == len(ss.spanning):
-        return replace(ss, cap_words=cap_words)
+        return ss._replace(cap_words=cap_words)
     gram = _sub_gram(ss.gram, keep)
     return StateSpace(ss.object, [ss.spanning[i] for i in keep], gram,
                       rank(gram), cap_words)
@@ -562,8 +563,7 @@ def hankel_minimize(a: WeightedAutomaton) -> WeightedAutomaton:
 # 2d cobordism state spaces
 
 
-@dataclass(frozen=True)
-class PartitionDiagram:
+class PartitionDiagram(NamedTuple):
     """Partition of circles {1..m} into blocks, each block carrying a genus."""
 
     m: int

@@ -969,6 +969,22 @@ OUT_OF_RANGE_JOBS = {
         "witness", {"classification": {"mu": "0", "m": 0,
                                        "poles": [["3", 1], ["2", 1]]}},
         "poles must be sorted"),
+    "classification-mu-without-block": (
+        "witness", {"classification": {"mu": "1", "m": 0, "poles": []}},
+        "mu must vanish when m = 0"),
+    "classification-zero-pole": (
+        "witness", {"classification": {"mu": "0", "m": 0,
+                                       "poles": [["0", 1]]}},
+        "pole locations must be distinct and nonzero"),
+    "classification-duplicate-pole": (
+        "witness", {"classification": {"mu": "0", "m": 0,
+                                       "poles": [["2", 1], ["2", 3]]}},
+        "pole locations must be distinct and nonzero"),
+    # two failed checks: the first in the constructor's order is reported
+    "classification-negative-m-unsorted-poles": (
+        "witness", {"classification": {"mu": "0", "m": -1,
+                                       "poles": [["3", 1], ["2", 1]]}},
+        "m must be 0 or >= 2"),
     "pih-solve-zero-eigenvalue": (
         "pih-solve", {"blocks": [["0", 1, "1"]]},
         "eigenvalues must be nonzero"),
@@ -2043,7 +2059,8 @@ def test_well_formed_process_never_imports_argparse(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = ("import sys\nfrom loopcat.cli import main\ncode = main()\n"
-              "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+              "print(sorted({'argparse', 'gettext', 'dataclasses', 'inspect'}"
+              " & set(sys.modules)))\n"
               "raise SystemExit(code)")
     proc = subprocess.run(
         [sys.executable, "-c", script, "classify", "--input", str(path),

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,7 +13,6 @@ from loopcat.diagrams import (
 from loopcat.fincat import (
     FreeBoundary,
     FreeMonoidCategory,
-    Loop,
     MonoidCategory,
     symmetric_group,
 )

@@ -8,16 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loopcat import frobenius, linalg
+from loopcat import frobenius, linalg, pseudochar, statespaces
 from loopcat.errors import DomainError
 from loopcat.frobenius import (
     ClassificationData,
-    Cob2PseudoReport,
-    ConfluentSystem,
     DimensionMismatch,
     FirstViolation,
     FrobeniusAlgebra,
-    HandleData,
     InternalInconsistency,
     NondegeneracyFailure,
     NotAssociative,
@@ -1075,3 +1072,31 @@ def test_genfun_json_round_trip() -> None:
 def test_classification_json_round_trip() -> None:
     cd = ClassificationData(Fraction(1, 2), 2, ((Fraction(1, 2), 2),))
     assert _classification_from_json(_classification_to_json(cd)) == cd
+
+
+# one of each result record, with stand-in field values, and a field of it
+RECORDS = [
+    (frobenius.HandleData((Fraction(1),), Matrix([[1]]), ((1,), 1)), "matrix"),
+    (ClassificationData(0, 2, ()), "m"),
+    (PIHSystem((1,), Matrix([[1]]), (1,)), "h"),
+    (FirstViolation(0, "phi"), "which"),
+    (frobenius.PIHReport(1, True, None), "ok"),
+    (frobenius.ConfluentSystem((), (), (), None, Fraction(1), 1), "det"),
+    (frobenius.Cob2PseudoReport(1, 2, True, None), "witness"),
+    (pseudochar.DegreeResult(0, (), 1), "d"),
+    (pseudochar.AdditivityReport((0,), 0, True), "additive"),
+    (pseudochar.HolonomyReport({}, 0, 1, pseudochar.DegreeResult(0, (), 1)),
+     "table"),
+    (statespaces.StateSpace((), [], Matrix([[1]]), 1, 4), "cap_words"),
+    (statespaces.BooleanStateSpace((), [], [], [], 0, 0, 4), "cap_words"),
+    (statespaces.PartitionDiagram.make(1, [(1,)], [0]), "genus"),
+]
+
+
+@pytest.mark.parametrize("record, field", RECORDS,
+                         ids=[type(r).__name__ for r, _ in RECORDS])
+def test_records_refuse_attribute_assignment(record, field) -> None:
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.note = None
