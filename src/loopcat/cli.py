@@ -30,6 +30,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -38,9 +39,8 @@ from .fincat import (FiniteMonoid, FreeBoundary, FreeMonoidCategory,
                      IntervalClass, MonoidCategory)
 from .frobenius import (ClassificationData, FrobeniusAlgebra, PIHSystem,
                         Reject, classify_genfun, cob2_pseudochar_check,
-                        from_dense_cells, generating_function, handle_element,
-                        pih_check, pih_solve, surface_eval, validate,
-                        witness_synthesis)
+                        generating_function, handle_element, pih_check,
+                        pih_solve, surface_eval, validate, witness_synthesis)
 from .linalg import Matrix, Polynomial, RationalFunction, format_poly
 from .pseudochar import (GraphHolonomy, Infeasible, PseudoCharacter,
                          alpha_charpoly, degree, graph_pseudoholonomy,
@@ -174,9 +174,13 @@ def _pseudochar_from_json(monoid: FiniteMonoid, body) -> PseudoCharacter:
 
 
 def _frobenius_from_json(body) -> FrobeniusAlgebra:
-    """The algebra of a job's dense cells (`from_dense_cells`), its four
-    keys read and every value parsed before any shape is checked, each
-    distinct string cell once: dim^3 cells hold a few distinct values."""
+    """The algebra of a job's dense cells c[i][j][k].  Its four keys are
+    read and every cell parsed, in row-major order, then the unit and the
+    counit, before the dimension and the shape are checked.  A row of "0"
+    cells, found in one pass, gives no terms; any other row parses its
+    other cells and keeps the nonzero ones, over the lcm of their
+    denominators.  Each distinct string is parsed once: dim^3 cells hold
+    a few distinct values."""
     dim, structure, unit, counit = itemgetter("dim", "structure", "unit",
                                               "counit")(_value_object(body))
     dim, parsed = _exact_int(dim), {}
@@ -185,9 +189,28 @@ def _frobenius_from_json(body) -> FrobeniusAlgebra:
         if isinstance(x, str):
             return parsed[x] if x in parsed else parsed.setdefault(x, _rat(x))
         return _rat(x)
-    cells = [[list(map(cell, _value_list(row))) for row in _value_list(plane)]
-             for plane in _value_list(structure)]
-    return from_dense_cells(dim, cells, _rats(unit), _rats(counit))
+    planes = []
+    for plane in _value_list(structure):
+        rows = []
+        for row in map(_value_list, _value_list(plane)):
+            if row.count("0") == len(row):
+                rows.append(())
+            else:
+                cells = ((k, cell(x)) for k, x in enumerate(row) if x != "0")
+                rows.append([(k, c) for k, c in cells if c])
+        planes.append(rows)
+    unit, counit = (tuple(map(cell, _value_list(v))) for v in (unit, counit))
+    if dim <= 0:
+        raise ValueError("dimension must be positive")
+    if len(structure) != dim or any(
+            len(p) != dim or any(len(r) != dim for r in p) for p in structure):
+        raise ValueError("structure constants must be dim^3")
+    scale = lcm(*{c.denominator for plane in planes for row in plane
+                  for _, c in row})
+    terms = tuple(tuple(tuple([(k, c.numerator * (scale // c.denominator))
+                               for k, c in row]) if row else ()
+                        for row in plane) for plane in planes)
+    return FrobeniusAlgebra(terms, scale, unit, counit)
 
 
 def _frobenius_to_json(fa: FrobeniusAlgebra) -> dict:

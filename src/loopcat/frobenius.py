@@ -13,10 +13,13 @@ the latter are read in closed form, determinant included.
 
 An algebra keeps its nonzero structure constants as ints over one common
 denominator, and its unit and counit as cleared int vectors.  Every
-product runs one int kernel over the nonzero structure constants
-(`FrobeniusAlgebra._times`): the axiom checks, multiplication by h and the
-surface values eps(h^g) (`_surface_values`), which check generating
-functions and witnesses, stay on ints; `multiply` is its Fraction wrapper.
+product of vectors runs one int kernel over the nonzero structure
+constants (`FrobeniusAlgebra._times`): the unit check, multiplication by
+h and the surface values eps(h^g) (`_surface_values`), which check
+generating functions and witnesses, stay on ints; `multiply` is its
+Fraction wrapper.  The commutativity and associativity checks read the
+nonzero structure constants themselves (`_associator`), with no table
+of basis products.
 
 Its records are named tuples, as `fincat.Loop` is: immutable, and equal
 to the plain tuple of their fields, which no report compares them with.
@@ -79,8 +82,7 @@ class FrobeniusAlgebra:
     a unit vector, and a counit covector; `validate` checks the axioms.
     Only the nonzero c[i][j][k] are kept: `terms[i][j]` is the tuple of
     pairs (k, D c[i][j][k]), k increasing, over one denominator D = `scale`.
-    The rational unit and counit are kept with their cleared ints.
-    `from_dense_cells` builds one from dense cells."""
+    The rational unit and counit are kept with their cleared ints."""
 
     def __init__(self, terms: tuple, scale: int, unit, counit):
         self._terms, self.scale, self.dim = terms, scale, len(terms)
@@ -123,42 +125,44 @@ class FrobeniusAlgebra:
     def gram(self) -> Matrix:
         """eps(e_i e_j), read off the nonzero structure constants."""
         e, t = self._counit
-        return Matrix.from_ints([[sum(c * e[k] for k, c in terms) for terms in p]
-                                 for p in self._terms], self.scale * t)
-
-
-def from_dense_cells(dim: int, cells, unit, counit) -> FrobeniusAlgebra:
-    """The algebra of dense Fraction cells c[i][j][k]: only the nonzero
-    ones are kept, over the lcm of their denominators."""
-    if dim <= 0:
-        raise ValueError("dimension must be positive")
-    if len(cells) != dim or any(len(p) != dim or any(len(r) != dim for r in p)
-                                for p in cells):
-        raise ValueError("structure constants must be dim^3")
-    nonzero = [[[(k, c) for k, c in enumerate(row) if c] for row in plane]
-               for plane in cells]
-    scale = lcm(*{c.denominator for plane in nonzero for row in plane
-                  for _, c in row})
-    terms = tuple(tuple(tuple((k, c.numerator * (scale // c.denominator))
-                              for k, c in row) for row in plane)
-                  for plane in nonzero)
-    return FrobeniusAlgebra(terms, scale, unit, counit)
+        return Matrix.from_ints(
+            [[sum(c * e[k] for k, c in terms) if terms else 0 for terms in p]
+             for p in self._terms], self.scale * t)
 
 
 def _int_basis(n: int) -> list[list[int]]:
     return [[int(i == k) for i in range(n)] for k in range(n)]
 
 
+def _associator(t, i, j, k) -> dict:
+    """D^2 ((e_i e_j) e_k - e_i (e_j e_k)), D the common denominator of
+    the nonzero structure constants `t` (an algebra's `_terms`), as a map
+    from basis index to coefficient: both sides are summed into it, so
+    the triple associates iff every value is 0."""
+    out = {}
+    for m, c in t[i][j]:
+        for l, d in t[m][k]:
+            out[l] = out.get(l, 0) + c * d
+    for m, c in t[j][k]:
+        for l, d in t[i][m]:
+            out[l] = out.get(l, 0) - c * d
+    return out
+
+
 def validate(fa: FrobeniusAlgebra) -> None:
     """Check each axiom, raising the matching error for the first failure.
-    Every product runs on the algebra's int structure constants
-    (`FrobeniusAlgebra._times`), which share one denominator, so the int
-    sides are equal iff the rational ones are.  Given commutativity,
-    (ab)c - a(bc) = c(ba) - (cb)a: (i, j, k) fails iff (k, j, i) does,
-    and (i, j, i) never fails, so associativity is checked for i < k
-    only.  A triple with e_i e_j = e_j e_k = 0 has both sides 0 and is
-    skipped.  Nondegeneracy is decided by building the handle element
-    (`handle_element`), one solve against the Gram."""
+    Unitality runs the product kernel (`FrobeniusAlgebra._times`) on the
+    unit and each basis vector; commutativity and associativity (each
+    triple's `_associator`) read the nonzero structure constants, which
+    share one denominator, so the int sides are equal iff the rational
+    ones are.  Given commutativity, (ab)c - a(bc) = c(ba) - (cb)a:
+    (i, j, k) fails iff (k, j, i) does, and (i, j, i) never fails, so
+    associativity is checked for i < k only.  A triple with e_i e_j =
+    e_j e_k = 0 has both sides 0 and is skipped: for each i and j, the
+    triples run over every k > i when e_i e_j != 0 and over the k > i
+    with e_j e_k != 0 otherwise, in lexicographic order.  Nondegeneracy
+    is decided by building the handle element (`handle_element`), one
+    solve against the Gram."""
     n, t, mul = fa.dim, fa._terms, fa._times
     basis = _int_basis(n)
     unit, s = fa._unit
@@ -172,13 +176,13 @@ def validate(fa: FrobeniusAlgebra) -> None:
         for j in range(i + 1, n):
             if t[i][j] != t[j][i]:
                 raise NotCommutative(f"e_{i} e_{j} != e_{j} e_{i}")
-    products = [[mul(a, b) for b in basis] for a in basis]
+    nonzero = [[k for k, terms in enumerate(plane) if terms] for plane in t]
     for i in range(n):
         for j in range(n):
-            for k in range(i + 1, n):
-                if (t[i][j] or t[j][k]) and (
-                        mul(products[i][j], basis[k])
-                        != mul(basis[i], products[j][k])):
+            ks = (range(i + 1, n) if t[i][j]
+                  else [k for k in nonzero[j] if k > i])
+            for k in ks:
+                if any(_associator(t, i, j, k).values()):
                     raise NotAssociative(f"(e_{i} e_{j}) e_{k} differs")
     handle_element(fa)
 

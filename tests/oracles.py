@@ -25,10 +25,15 @@ is `validate` as it ran on Fraction products (the same loops, skip rule
 and messages), the reference for its int kernel.  Each builds the cells
 once per algebra.  `dual_basis` inverts the Gram, and the sum of e_i u_i
 over its dual basis is the reference for `frobenius.handle_element`.
-`dense_algebra` reads an algebra from dense cells as a job file's are
-read, and `dense_truncated_poly_algebra` and `dense_product_algebra`
-build the witness blocks and their products cell by cell through it,
-the references for the sparse witness builders.
+`from_dense_cells` builds an algebra from dense Fraction cells, keeping
+the nonzero ones over the lcm of their denominators, and `dense_algebra`
+converts number or 'a/b' string cells with `Fraction` and builds one
+through it; `dense_truncated_poly_algebra` and `dense_product_algebra`
+build the witness blocks and their products cell by cell through that,
+the references for the sparse witness builders.  `cell_reader` reads a
+job's algebra as the CLI once did, parsing every cell, zeros included,
+and handing the dense cells to `from_dense_cells`: the reference for
+the row pass of `cli._frobenius_from_json`.
 `full_vanishing_level` is the
 vanishing search over every element tuple, the reference for the basis
 search of `pseudochar._vanishing_level`.  `reference_walks` enumerates
@@ -64,18 +69,19 @@ evaluate test data.
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, permutations
-from math import comb
+from math import comb, lcm
 import operator
 
+from loopcat.cli import _exact_int, _rat, _rats, _value_list, _value_object
 from loopcat.diagrams import (MINUS, PLUS, BrauerMorphism, ObjectMismatch,
                               _splice_run, compose)
 from loopcat.fincat import IntervalClass, _UnionFind, least_rotation
 from loopcat.frobenius import (
+    FrobeniusAlgebra,
     NondegeneracyFailure,
     NotAssociative,
     NotCommutative,
     NotUnital,
-    from_dense_cells,
 )
 from loopcat.linalg import (Matrix, Polynomial, RationalFunction, _cleared,
                             _rational_roots, det)
@@ -383,6 +389,41 @@ def _signed_cycle_decompositions(n: int):
             cycles.append(tuple(cyc))
         out.append((perm_sign(sigma), tuple(cycles)))
     return tuple(out)
+
+
+def from_dense_cells(dim: int, cells, unit, counit) -> FrobeniusAlgebra:
+    """The algebra of dense Fraction cells c[i][j][k]: only the nonzero
+    ones are kept, over the lcm of their denominators."""
+    if dim <= 0:
+        raise ValueError("dimension must be positive")
+    if len(cells) != dim or any(len(p) != dim or any(len(r) != dim for r in p)
+                                for p in cells):
+        raise ValueError("structure constants must be dim^3")
+    nonzero = [[[(k, c) for k, c in enumerate(row) if c] for row in plane]
+               for plane in cells]
+    scale = lcm(*{c.denominator for plane in nonzero for row in plane
+                  for _, c in row})
+    terms = tuple(tuple(tuple((k, c.numerator * (scale // c.denominator))
+                              for k, c in row) for row in plane)
+                  for plane in nonzero)
+    return FrobeniusAlgebra(terms, scale, unit, counit)
+
+
+def cell_reader(body) -> FrobeniusAlgebra:
+    """A job's algebra read cell by cell: the four keys, every cell in
+    row-major order, each distinct string once, then the unit and the
+    counit, then `from_dense_cells`."""
+    dim, structure, unit, counit = operator.itemgetter(
+        "dim", "structure", "unit", "counit")(_value_object(body))
+    dim, parsed = _exact_int(dim), {}
+
+    def cell(x):
+        if isinstance(x, str):
+            return parsed[x] if x in parsed else parsed.setdefault(x, _rat(x))
+        return _rat(x)
+    cells = [[list(map(cell, _value_list(row))) for row in _value_list(plane)]
+             for plane in _value_list(structure)]
+    return from_dense_cells(dim, cells, _rats(unit), _rats(counit))
 
 
 def dense_algebra(dim, structure, unit, counit):

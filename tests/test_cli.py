@@ -50,6 +50,13 @@ def _qx3_with_last_cell(value) -> dict:
     return doc
 
 
+def _qx3_with_last_row(row) -> dict:
+    """QX3_EPS7 with its last row of structure cells set to row."""
+    doc = json.loads(json.dumps(QX3_EPS7))
+    doc["frobenius"]["structure"][2][2] = row
+    return doc
+
+
 def run_cli(tmp_path, capsys, command, doc, *flags):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -530,6 +537,28 @@ REJECTION_JOBS = {
         "frobenius-validate", {"frobenius": {"dim": 2, "structure": [["x"]],
                                              "unit": [True]}}, 2,
         "KeyError", "'counit'"),
+    # a bad cell among "0" cells is reported, and the first bad cell in
+    # row-major order is reported before a bad unit
+    "frobenius-bool-after-zeros": (
+        "frobenius-validate", _qx3_with_last_row(["0", "0", True]), 2,
+        "ValueError", "not a number: True"),
+    "frobenius-list-between-zeros": (
+        "frobenius-validate", _qx3_with_last_row(["0", [], "0"]), 2,
+        "TypeError", "not an exact rational: []"),
+    "frobenius-bad-cell-before-bad-unit": (
+        "frobenius-validate", {"frobenius": {
+            "dim": 2, "structure": [[["0", "0"], ["0", "x"]],
+                                    [["0", "0"], [None, "0"]]],
+            "unit": [True, "0"], "counit": ["1", "0"]}}, 2,
+        "ValueError", "Invalid literal for Fraction: 'x'"),
+    # zero spellings read as zero: the algebra is 0, and no unit is one
+    "frobenius-zero-spellings": (
+        "frobenius-validate", {"frobenius": {
+            "dim": 3, "structure": [[["0"] * 3, [0, "-0", "0/7"], ["0"] * 3],
+                                    [[" 0", "0", "-0"], ["0"] * 3, ["0"] * 3],
+                                    [["0"] * 3] * 3],
+            "unit": ["1", "0", "0"], "counit": ["1", "0", "0"]}}, 1,
+        "NotUnital", "unit * e_0 != e_0"),
     "pih-check-non-square-h": (
         "pih-check", {"pih": {"p": ["1", "0"], "h": [["3", "1"]],
                               "iota": ["1", "0"]},

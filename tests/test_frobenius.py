@@ -41,12 +41,12 @@ from loopcat.cli import (_classification_from_json, _classification_to_json,
                          _genfun_from_json, _genfun_to_json)
 from loopcat.linalg import Matrix, Polynomial, RationalFunction
 from loopcat.statespaces import SequenceTooShort
-from oracles import (_signed_cycle_decompositions, classification_genfun,
-                     column_det, column_solve, confluent_matrix,
-                     dense_algebra, dense_cells, dense_multiply,
-                     dense_product_algebra, dense_truncated_poly_algebra,
-                     dense_validate, dual_basis, f1_pullback,
-                     fraction_validate)
+from oracles import (_signed_cycle_decompositions, cell_reader,
+                     classification_genfun, column_det, column_solve,
+                     confluent_matrix, dense_algebra, dense_cells,
+                     dense_multiply, dense_product_algebra,
+                     dense_truncated_poly_algebra, dense_validate,
+                     dual_basis, f1_pullback, fraction_validate)
 
 
 def diagonal_algebra(counit_values) -> FrobeniusAlgebra:
@@ -270,6 +270,54 @@ def test_int_validate_matches_fraction_validate(fa) -> None:
     """The int kernel raises the exception, with its message, that the
     Fraction loops raise, or passes where they pass."""
     assert _outcome(validate, fa) == _outcome(fraction_validate, fa)
+
+
+def test_validate_forms_only_the_triples_with_a_nonzero_product(
+        monkeypatch) -> None:
+    """On a dim-12 witness of the surfaces chains' shape (m = 2 and ten
+    one-dimensional factors: 13 nonzero structure constants of 1,728),
+    associativity forms the two sides of the 142 triples i < k with
+    e_i e_j or e_j e_k nonzero, of 792, in lexicographic order, and runs
+    the vector product kernel only for the unit: the witness's handle is
+    built already."""
+    fa = witness_synthesis(ClassificationData(3, 2, (
+        (Fraction(-2), 2), (Fraction(-1, 2), 1), (Fraction(1, 3), 3),
+        (Fraction(5, 2), 2), (Fraction(7), 2))))
+    t, n = fa._terms, fa.dim
+    assert (n, sum(len(row) for plane in t for row in plane)) == (12, 13)
+    expected = [(i, j, k) for i in range(n) for j in range(n)
+                for k in range(i + 1, n) if t[i][j] or t[j][k]]
+    associator, times, formed, products = (frobenius._associator, fa._times,
+                                           [], [])
+
+    def counted_associator(terms, i, j, k):
+        formed.append((i, j, k))
+        return associator(terms, i, j, k)
+
+    def counted_times(a, b):
+        products.append(None)
+        return times(a, b)
+    monkeypatch.setattr(frobenius, "_associator", counted_associator)
+    monkeypatch.setattr(fa, "_times", counted_times)
+    validate(fa)
+    assert formed == expected and len(formed) == 142
+    assert len(products) == 2 * n  # unit e_i and e_i unit for each i
+
+
+def test_validate_passes_sides_whose_terms_cancel() -> None:
+    """Q^3 in the basis (-1, 1, -1), (2, -1, 0), (1, 1, 2) of idempotent
+    coordinates: (e_1 e_2) e_2 = e_1 e_2 = e_1, while e_1 (e_2 e_2) sums
+    terms at e_0 and e_2 that cancel.  The algebra is associative."""
+    structure = [[["3/5", "2/5", "4/5"], ["-8/5", "-7/5", "-4/5"],
+                  ["8/5", "2/5", "-1/5"]],
+                 [["-8/5", "-7/5", "-4/5"], ["12/5", "13/5", "6/5"],
+                  ["0", "1", "0"]],
+                 [["8/5", "2/5", "-1/5"], ["0", "1", "0"],
+                  ["-6/5", "-4/5", "7/5"]]]
+    fa = dense_algebra(3, structure, ["3/5", "2/5", "4/5"], [1, 1, 1])
+    assert frobenius._associator(fa._terms, 1, 2, 2) == {0: 0, 1: 0, 2: 0}
+    assert _outcome(validate, fa) is None
+    assert _outcome(dense_validate, fa) is None
 
 
 def test_validate_rejects_bad_unit() -> None:
@@ -1062,6 +1110,80 @@ def test_dense_cells_parse_to_their_nonzero_terms(n, data) -> None:
             assert pairs == tuple((k, c * fa.scale)
                                   for k, c in enumerate(row) if c)
     assert "structure" not in vars(fa)
+
+
+ZERO_SPELLINGS = st.sampled_from([0, "0", "-0", "0/7", " 0"])
+GOOD_CELLS = st.one_of(st.just("0"), ZERO_SPELLINGS, st.integers(-3, 3),
+                       st.integers(-3, 3).map(str), SMALL_FRACTIONS,
+                       SMALL_FRACTIONS.map(str))
+BAD_CELLS = st.sampled_from([True, False, None, 1.5, 0.0, [], "x", "1/0",
+                             "1e5000"])
+
+
+@st.composite
+def algebra_documents(draw):
+    """A job's `frobenius` section of dimension 1-4: rows of "0" cells or
+    of drawn cells, unit and counit, then sometimes made malformed: a bad
+    cell in the structure, unit or counit, a ragged row, one plane too
+    many or too few, a short unit, or a dimension of 0 or -1."""
+    n = draw(st.integers(1, 4))
+    cells = st.lists(GOOD_CELLS, min_size=n, max_size=n)
+    structure = [[["0"] * n if draw(st.booleans()) else draw(cells)
+                  for _ in range(n)] for _ in range(n)]
+    doc = {"dim": n, "structure": structure, "unit": draw(cells),
+           "counit": draw(cells)}
+    slot, kinds = st.integers(0, n - 1), ["cell", "unit", "counit", "ragged",
+                                          "planes", "short unit", "dim"]
+    # the cells are changed before any list is shortened
+    for kind in sorted(draw(st.lists(st.sampled_from(kinds), max_size=2)),
+                       key=kinds.index):
+        if kind == "cell":
+            structure[draw(slot)][draw(slot)][draw(slot)] = draw(BAD_CELLS)
+        elif kind in ("unit", "counit"):
+            doc[kind][draw(slot)] = draw(BAD_CELLS)
+        elif kind == "ragged":
+            row = structure[draw(slot)][draw(slot)]
+            if draw(st.booleans()):
+                row.append(draw(GOOD_CELLS))
+            else:
+                del row[-1:]
+        elif kind == "planes":
+            if draw(st.booleans()):
+                structure.append([["0"] * n for _ in range(n)])
+            else:
+                del structure[-1:]
+        elif kind == "short unit":
+            del doc["unit"][-1:]
+        else:
+            doc["dim"] = draw(st.sampled_from([0, -1]))
+    return doc
+
+
+def _read(reader, doc):
+    """The algebra's terms, scale, unit and counit, or the type and
+    message of the exception reading it raises."""
+    try:
+        fa = reader(doc)
+    except Exception as exc:  # every error the readers raise is compared
+        return type(exc), str(exc)
+    return fa._terms, fa.scale, fa.unit, fa.counit
+
+
+@given(algebra_documents())
+@example({"dim": 3, "structure": [[["0", "0", True]] * 3] * 3,
+          "unit": ["1", "0", "0"], "counit": ["1", "0", "0"]})
+@example({"dim": 2, "structure": [[[0, "-0"], ["0/7", " 0"]],
+                                  [["0", "0"], ["0", "1/2"]]],
+          "unit": ["x"], "counit": []})
+@example({"dim": -1, "structure": [[["0", [], "0"]]], "unit": [],
+          "counit": []})
+@settings(max_examples=300, deadline=None)
+def test_row_pass_reader_matches_cell_reader(doc) -> None:
+    """Reading each row in one pass, and parsing only the cells of the
+    rows that are not all "0", gives the terms, scale, unit and counit
+    of parsing every cell, or raises the same exception with the same
+    message."""
+    assert _read(_frobenius_from_json, doc) == _read(cell_reader, doc)
 
 
 def test_genfun_json_round_trip() -> None:
