@@ -41,7 +41,8 @@ from .frobenius import (ClassificationData, FrobeniusAlgebra, PIHSystem,
                         Reject, classify_genfun, cob2_pseudochar_check,
                         generating_function, handle_element, pih_check,
                         pih_solve, surface_eval, validate, witness_synthesis)
-from .linalg import Matrix, Polynomial, RationalFunction, format_poly
+from .linalg import (Matrix, Polynomial, RationalFunction, _integral,
+                     format_poly)
 from .pseudochar import (GraphHolonomy, Infeasible, PseudoCharacter,
                          alpha_charpoly, degree, graph_pseudoholonomy,
                          lift_with_table)
@@ -115,6 +116,18 @@ def _value_object(values) -> dict:
     return values
 
 
+def _rat_reader():
+    """`_rat`, parsing each distinct string once: a job's tables repeat a
+    few values many times."""
+    parsed: dict = {}
+
+    def rat(x) -> Fraction:
+        if isinstance(x, str):
+            return parsed[x] if x in parsed else parsed.setdefault(x, _rat(x))
+        return _rat(x)
+    return rat
+
+
 def _rats(values) -> tuple:
     """A list of rationals: `_value_list`, then `_rat` on each."""
     return tuple(map(_rat, _value_list(values)))
@@ -180,15 +193,10 @@ def _frobenius_from_json(body) -> FrobeniusAlgebra:
     cells, found in one pass, gives no terms; any other row parses its
     other cells and keeps the nonzero ones, over the lcm of their
     denominators.  Each distinct string is parsed once: dim^3 cells hold
-    a few distinct values."""
+    a few distinct values (`_rat_reader`)."""
     dim, structure, unit, counit = itemgetter("dim", "structure", "unit",
                                               "counit")(_value_object(body))
-    dim, parsed = _exact_int(dim), {}
-
-    def cell(x):
-        if isinstance(x, str):
-            return parsed[x] if x in parsed else parsed.setdefault(x, _rat(x))
-        return _rat(x)
+    dim, cell = _exact_int(dim), _rat_reader()
     planes = []
     for plane in _value_list(structure):
         rows = []
@@ -255,27 +263,32 @@ def _evaluation_from(doc: dict):
     {"monoid": ..., "alpha": [...]}: per-element loop values over the
     one-object category.  {"free_monoid": {"letters": ...}, "loops":
     {word: value}, "intervals"?: {word: value}}: tables keyed by words,
-    canonicalized here, loops through the category's `loop_class`, whose
-    cache the pairing then hits; a boundary is attached iff intervals are
-    given.
+    each distinct value string parsed once (`_rat_reader`).  Loop words are
+    canonicalized here, through the category's `loop_class`, to check
+    that the values agree on each class.  The evaluation holds each table
+    by class and by word: the pairing keys a free strand by the word it
+    reads, and reaches a class only for a word the table lacks.  A
+    boundary is attached iff intervals are given.
     """
     if "monoid" in doc:
         cat = MonoidCategory(_monoid_from_json(doc["monoid"]))
         return cat, evaluation_from_monoid(cat, _rats(doc["alpha"])), None
     cat = FreeMonoidCategory(
         _alphabet(_value_object(doc["free_monoid"])["letters"]))
-    loop_values = {}
+    rat, alpha = _rat_reader(), Evaluation()
     for text, v in _value_object(doc.get("loops", {})).items():
-        key = cat.loop_class(0, [cat.word(text)])
-        v = _rat(v)
-        if loop_values.setdefault(key, v) != v:
+        word = cat.word(text)
+        key, v = cat.loop_class(0, [word]), rat(v)
+        if alpha.loop_values.setdefault(key, v) != v:
             raise ValueError(f"conflicting values on the loop class of {text!r}")
+        alpha._loop_words[word] = _integral(v)
     # distinct words are distinct intervals: no two texts share a key
-    interval_values = {IntervalClass(0, (), cat.word(text)): _rat(v)
-                       for text, v in _value_object(
-                           doc.get("intervals", {})).items()}
+    for text, v in _value_object(doc.get("intervals", {})).items():
+        word = cat.word(text)
+        alpha.interval_values[IntervalClass(0, (), word)] = v = rat(v)
+        alpha._interval_words[word] = _integral(v)
     boundary = FreeBoundary(cat) if "intervals" in doc else None
-    return cat, Evaluation(loop_values, interval_values), boundary
+    return cat, alpha, boundary
 
 
 def _check_kets(cat, obj, boundary, cap_words: int) -> None:
@@ -339,10 +352,14 @@ def _run_boolean_statespace(doc: dict, args) -> dict:
         # table or ket is built (`enumerate_kets` rejects unknown objects)
         Evaluation().loop(cat.loop_class(0, []))
     # at most (words up to the cap)^2 <= kets^2 words; the one ket of the
-    # empty object closes no interval, so it needs none
-    table = {IntervalClass(0, (), w): int(w in accepted)
-             for w in cat.words_up_to(2 * args.cap_words if obj else 0)}
-    alpha = Evaluation(interval_values=table)
+    # empty object closes no interval, so it needs none.  The pairing reads
+    # the table by word, and the splice by class.
+    alpha = Evaluation()
+    alpha._interval_words = {
+        w: int(w in accepted)
+        for w in cat.words_up_to(2 * args.cap_words if obj else 0)}
+    alpha.interval_values = {IntervalClass(0, (), w): v
+                             for w, v in alpha._interval_words.items()}
     ss = state_space_boolean(cat, obj, alpha, boundary, args.cap_words)
     return {
         "alphabet": "".join(cat.alphabet),

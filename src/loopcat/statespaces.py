@@ -12,10 +12,13 @@ join-irreducible rows counted separately.
 One kernel, `_template_gram`, builds every Gram.  An entry's strands depend
 only on the shapes of its row and column, so each pair of shapes is traced
 once into a template; a strand's value depends only on the decorations it
-reads, and is memoized, integral ones held as ints.  A row is built block
-by block, one block per run of columns of one shape: a strand's values
-over the run are read once per part of the row the strand reads, and a
-block is their product column by column, taken by `map`.  For diagrams
+reads, and is memoized, integral ones held as ints.  Over the free monoid
+it depends only on the word it reads, the decorations concatenated, so a
+free strand's memo is keyed by word and starts from the words the job
+listed.  A row is built block by block, one block per run of columns of
+one shape: a strand's values over the run are read once per part of the
+row the strand reads, and a block is their product column by column,
+taken by `map`.  For diagrams
 the shapes are matchings, traced by the splice's own chain walk
 (`diagrams._chains`), and each ket is its own bra.  The reference, the
 splice after `transpose`, builds the only bras: it evaluates each
@@ -36,14 +39,15 @@ to the plain tuple of their fields, which no report compares them with.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, groupby, product as iproduct
+from itertools import chain, count, groupby, product as iproduct
 from math import comb, factorial
 from operator import itemgetter, le, mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .diagrams import BrauerMorphism, _chains, compose, transpose
 from .errors import DomainError, InternalInconsistency
-from .fincat import IntervalClass, Loop, _UnionFind, class_values, compose_path
+from .fincat import (FreeBoundary, FreeMonoidCategory, IntervalClass, Loop,
+                     _UnionFind, class_values, compose_path)
 from .linalg import Matrix, _Echelon, _cleared, _fractions, _integral, rank
 
 
@@ -60,12 +64,18 @@ class SpanningMismatch(DomainError):
 
 
 class Evaluation:
-    """Values on canonical loops and interval classes; multiplicative on disjoint union."""
+    """Values on canonical loops and interval classes; multiplicative on
+    disjoint union.  `_loop_words` and `_interval_words` hold free-monoid
+    values by the word a strand reads, integral ones as ints, as a job's
+    reader has them (`cli._evaluation_from`); they must agree with the
+    values by class, and the pairing starts its memos from them."""
 
     def __init__(self, loop_values: Mapping | None = None,
                  interval_values: Mapping | None = None):
         self.loop_values = dict(loop_values or {})
         self.interval_values = dict(interval_values or {})
+        self._loop_words: dict = {}
+        self._interval_words: dict = {}
 
     def loop(self, lp: Loop):
         try:
@@ -279,10 +289,12 @@ def _template_gram(items: list, template, reference,
     column, each item a (shape, decorations) read the same either way.
 
     `template(row shape, col shape)`, made once per pair of shapes, lists
-    the entry's strands as (picks, key, values, evaluate): the strand's
-    key is `key` of the row decorations followed by the column's, read at
-    `picks` alone, and its value, memoized in `values`, is `evaluate(key)`,
-    an int when integral.  An entry is the product of its strands' values.
+    the entry's strands as (picks, key, values, evaluate, by_word): the
+    strand's key is `key` of the row decorations followed by the column's,
+    read at `picks` alone, and its value, memoized in `values`, is
+    `evaluate(key)`, an int when integral.  A strand `by_word` reads words
+    at its picks, and its key is their concatenation instead.  An entry is
+    the product of its strands' values.
 
     A row is built block by block, one block per run of columns of one
     shape.  Per row shape and run, a plan splits each strand's picks into
@@ -322,7 +334,7 @@ def _template_gram(items: list, template, reference,
         evaluate, one column per distinct column part, each column's
         part index (None when all differ) and the row cache."""
         out = []
-        for picks, key, values, evaluate in strands:
+        for picks, key, values, evaluate, by_word in strands:
             part = _part([p - width for p in picks if p >= width])
             ids, reps, seen = [], [], {}
             for cd in decs[start:stop]:
@@ -333,7 +345,7 @@ def _template_gram(items: list, template, reference,
             if len(reps) == stop - start:
                 ids = None
             out.append((_part([p for p in picks if p < width]), key, values,
-                        evaluate, reps, ids, {}))
+                        evaluate, by_word, reps, ids, {}))
         return out, stop - start
 
     def rescan(i):
@@ -377,12 +389,26 @@ def _template_gram(items: list, template, reference,
 
 def _block(strand_plans: list, rd: tuple, width: int) -> list:
     """A row's entries over one run of `width` columns, given the run's
-    strand plans (`_template_gram`) and the row's decorations `rd`."""
+    strand plans (`_template_gram`) and the row's decorations `rd`.  A
+    strand keyed by word reads its values by `map`s, key to word to memo,
+    and on a miss evaluates each word its memo lacks; one keyed by its
+    labels reads them column by column, evaluating each missing key."""
     block = None
-    for part, key, values, evaluate, reps, ids, cache in strand_plans:
+    for part, key, values, evaluate, by_word, reps, ids, cache in strand_plans:
         p = part(rd)
         vals = cache.get(p)
-        if vals is None:
+        if vals is None and by_word:
+            words = list(map(tuple, map(chain.from_iterable,
+                                        map(key, map(rd.__add__, reps)))))
+            try:
+                vals = list(map(values.__getitem__, words))
+            except KeyError:
+                for w in words:
+                    if w not in values:
+                        values[w] = _integral(evaluate(w))
+                vals = list(map(values.__getitem__, words))
+            cache[p] = vals
+        elif vals is None:
             vals = []
             for cd in reps:
                 k = key(rd + cd)
@@ -406,22 +432,36 @@ def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
     the class the splice names first (loops before intervals, each in
     `repr` order).  One ket per matching is transposed first, so that a
     cross-object arc fails before any value is read.
+
+    Over the free monoid, with no boundary or a `FreeBoundary`, a strand
+    is keyed by the word it reads, and each kind's memo starts from the
+    evaluation's values by word.  A word the memo lacks is resolved
+    through its loop class (`loop_class`, its least rotation) or its
+    interval class, as a label key is.
     """
     items = [_views(k) for k in kets]
     for k in dict(zip((shape for shape, _decs in items), kets)).values():
         transpose(k)
-    memo: dict = {}  # per strand kind and objects: (values, evaluate)
+    by_word = isinstance(cat, FreeMonoidCategory) and (
+        boundary is None or isinstance(boundary, FreeBoundary))
+    # per strand kind and objects, its values; a free monoid's one object
+    # is 0, and its memos start from the evaluation's values by word
+    memo: dict = {("loop", 0): dict(alpha._loop_words),
+                  ("interval", 0, 0): dict(alpha._interval_words),
+                  } if by_word else {}
 
     def loop_values(base):
-        def evaluate(labels):
-            return alpha.loop(cat.loop_class(base, labels))
-        return memo.setdefault(("loop", base), ({}, evaluate))
+        def evaluate(key):  # a word is a chain of one label
+            return alpha.loop(cat.loop_class(base, (key,) if by_word else key))
+        return memo.setdefault(("loop", base), {}), evaluate, by_word
 
     def interval_values(start, end):
         def evaluate(key):
+            if by_word:  # the class of the interval that reads the word
+                return alpha.interval(boundary.interval_class(end, (), key))
             g = boundary.gr(compose_path(cat, key[1:-1], at=start), key[0])
             return alpha.interval(boundary.interval_class(end, key[-1], g))
-        return memo.setdefault(("interval", start, end), ({}, evaluate))
+        return memo.setdefault(("interval", start, end), {}), evaluate, by_word
 
     def template(ket_wiring, col_wiring):  # a bra arc runs head to tail
         bra_wiring = (tuple((h, t) for t, h in col_wiring[0]), col_wiring[1])
@@ -675,7 +715,7 @@ def _cob2_gram_rows(spanning: list, alpha_seq: Sequence) -> list[list]:
 
     def template(blocks1, blocks2):
         return [(positions, lambda genus, p=positions, b=betti: sum(
-                    map(genus.__getitem__, p)) + b, values, evaluate)
+                    map(genus.__getitem__, p)) + b, values, evaluate, False)
                 for positions, betti in _gluing(blocks1, blocks2)]
 
     return _template_gram(

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -174,7 +175,17 @@ def test_statespace_missing_loop_value_is_domain_error(tmp_path, capsys):
      "no value for loop Loop(base=0, cycle=(0,))"),
     ({"free_monoid": {"letters": "ab"}, "intervals": {"": "1", "a": "2"},
       "object": [[0, 1]]},
-     "no value for interval IntervalClass(base=0, gl=(), gr=(1,))")])
+     "no value for interval IntervalClass(base=0, gl=(), gr=(1,))"),
+    # one rotation per class, "ba" for the class of "ab", and none for "bb"
+    ({"free_monoid": {"letters": "ab"},
+      "loops": {"": "1", "a": "2", "b": "3", "aa": "4", "ba": "5"}},
+     "no value for loop Loop(base=0, cycle=(1, 1))"),
+    # every rotation of the classes up to length 2, none longer
+    ({"free_monoid": {"letters": "ab"},
+      "loops": {"": "1", "a": "2", "b": "3", "aa": "4", "ab": "5",
+                "ba": "5", "bb": "6"},
+      "object": [[0, 1], [0, -1], [0, 1], [0, -1]]},
+     "no value for loop Loop(base=0, cycle=(0, 0, 0))")])
 def test_statespace_missing_value_names_its_class(tmp_path, capsys, doc,
                                                   message):
     assert run_cli(tmp_path, capsys, "statespace", doc, "--format", "json",
@@ -183,12 +194,118 @@ def test_statespace_missing_value_names_its_class(tmp_path, capsys, doc,
 
 
 def test_statespace_conflicting_loop_keys_rejected(tmp_path, capsys):
-    # ab and ba name the same loop class; disagreeing values are malformed
-    doc = {"free_monoid": {"letters": "ab"},
-           "loops": {"ab": "1", "ba": "2"}}
-    code, out = run_json(tmp_path, capsys, "statespace", doc)
-    assert code == 2
-    assert out["error"] == "ValueError"
+    # rotations of a word name the same loop class; disagreeing values are
+    # malformed, and the error names the first text that disagrees
+    for loops, text in (
+            ({"ab": "1", "ba": "2"}, "ba"),
+            ({"aab": "1", "aba": "1", "baa": "1/2"}, "baa"),
+            ({"ba": "2/2", "ab": "1", "bab": "3", "abb": "3", "bba": "-3"},
+             "bba")):
+        doc = {"free_monoid": {"letters": "ab"}, "loops": loops}
+        assert run_cli(tmp_path, capsys, "statespace", doc, "--format",
+                       "json") == (2, json.dumps({
+                           "error": "ValueError",
+                           "message": f"conflicting values on the loop class "
+                                      f"of {text!r}"}) + "\n")
+
+
+def _rotations(text: str) -> list:
+    return [text[k:] + text[:k] for k in range(len(text))] or [text]
+
+
+@pytest.mark.parametrize("obj, cap, intervals", [
+    ([[0, 1], [0, -1]], 2, False), ([[0, 1], [0, -1]], 2, True),
+    ([[0, 1], [0, -1], [0, 1], [0, -1]], 1, False),
+    ([[0, 1], [0, 1], [0, -1], [0, -1]], 2, False),
+    ([[0, -1], [0, 1]], 1, True)])
+def test_statespace_reads_one_rotation_per_class_like_every_rotation(
+        tmp_path, capsys, obj, cap, intervals):
+    """Loop values tr(A_w), interval values A_w[0][1], for the products
+    A_w of two 2x2 integer matrices.  A loops table that lists one
+    rotation of each class, the greatest, gives the report of the table
+    that lists every rotation, Gram included."""
+    mats = {"a": ((1, 1), (0, 2)), "b": ((0, -1), (1, 3))}
+
+    def product(text):
+        m = ((1, 0), (0, 1))
+        for c in text:
+            n = mats[c]
+            m = tuple(tuple(sum(m[i][k] * n[k][j] for k in range(2))
+                            for j in range(2)) for i in range(2))
+        return m
+    longest = (len(obj) + 1) * cap
+    words = [""] + ["".join(w) for n in range(1, longest + 1)
+                    for w in itertools.product("ab", repeat=n)]
+    every = {w: str(product(w)[0][0] + product(w)[1][1]) for w in words
+             if len(w) <= len(obj) * cap}
+    doc = {"free_monoid": {"letters": "ab"}, "object": obj,
+           "emit_gram": True}
+    if intervals:
+        doc["intervals"] = {w: str(product(w)[0][1]) for w in words}
+    outs = []
+    for loops in (every, {w: v for w, v in every.items()
+                          if w == max(_rotations(w))}):
+        code, out = run_cli(tmp_path, capsys, "statespace",
+                            dict(doc, loops=loops), "--cap-words", str(cap))
+        assert code == 0, out
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def _free_strand_resolutions(tmp_path, capsys, monkeypatch, command, doc,
+                             cap) -> list:
+    """The classes a job resolves through `Evaluation.loop` and
+    `Evaluation.interval`, in order, leaving out those of the splice that
+    checks the pairing (`statespaces.evaluate_closed`)."""
+    resolved, splicing = [], []
+    splice = statespaces.evaluate_closed
+
+    def counted_splice(d, alpha):
+        splicing.append(d)
+        try:
+            return splice(d, alpha)
+        finally:
+            splicing.pop()
+
+    def counted(resolve):
+        def method(alpha, cls):
+            if not splicing:
+                resolved.append(cls)
+            return resolve(alpha, cls)
+        return method
+    monkeypatch.setattr(statespaces, "evaluate_closed", counted_splice)
+    for name in ("loop", "interval"):
+        monkeypatch.setattr(statespaces.Evaluation, name,
+                            counted(getattr(statespaces.Evaluation, name)))
+    code, out = run_cli(tmp_path, capsys, command, doc, "--cap-words",
+                        str(cap))
+    assert code == 0, out
+    return resolved
+
+
+def test_free_strands_resolve_only_the_words_their_table_lacks(
+        tmp_path, capsys, monkeypatch):
+    """A free strand is valued by the word it reads, from the table the
+    job lists: a Boolean cap-3 Gram (15 x 15, every word up to length 6
+    tabled) and a 4-strand cap-2 Gram (98 x 98, every loop word up to
+    length 8 listed) resolve no class, where one resolution per distinct
+    strand key made 225 and 2,450.  A loops table of one rotation per
+    class resolves each other word the Gram reads once, at most."""
+    doc = {"alphabet": "ab", "accepted": ["", "a", "ab", "ba", "bb"]}
+    assert _free_strand_resolutions(tmp_path, capsys, monkeypatch,
+                                    "boolean-statespace", doc, 3) == []
+    words = [""] + ["".join(w) for n in range(1, 9)
+                    for w in itertools.product("ab", repeat=n)]
+    every = {w: str(w.count("a") - 2 * w.count("b")) for w in words}
+    doc = {"free_monoid": {"letters": "ab"}, "loops": every,
+           "object": [[0, 1], [0, -1], [0, 1], [0, -1]]}
+    assert _free_strand_resolutions(tmp_path, capsys, monkeypatch,
+                                    "statespace", doc, 2) == []
+    canonical = {w: v for w, v in every.items() if w == min(_rotations(w))}
+    resolved = _free_strand_resolutions(
+        tmp_path, capsys, monkeypatch, "statespace",
+        dict(doc, loops=canonical), 2)
+    assert 0 < len(resolved) <= len(every) - len(canonical)
 
 
 def test_statespace_interval_tables_attach_a_boundary(tmp_path, capsys):

@@ -28,7 +28,7 @@ from loopcat.fincat import (
     cyclic_group,
     symmetric_group,
 )
-from loopcat.linalg import Matrix, det, rank, solve
+from loopcat.linalg import Matrix, _integral, det, rank, solve
 from loopcat.statespaces import (
     COB2_MAX_SPANNING,
     MAX_KETS,
@@ -435,6 +435,17 @@ def test_kernel_matches_splice_on_a_boundary_datum() -> None:
         _assert_kernel_matches_splice(cat, obj, alpha, datum)
 
 
+def _by_canonical_words(alpha: Evaluation) -> Evaluation:
+    """alpha with its values also held by word, as a job's reader holds
+    them, its loop values by the canonical word of each class alone, so
+    that every other rotation a Gram reads resolves its class."""
+    alpha._loop_words = {lp.cycle: _integral(v)
+                         for lp, v in alpha.loop_values.items()}
+    alpha._interval_words = {iv.gr: _integral(v)
+                             for iv, v in alpha.interval_values.items()}
+    return alpha
+
+
 @pytest.mark.parametrize("loops, intervals", [
     (("", "ab"), ("", "a", "b", "ab", "ba", "bb", "aab")),
     (("", "a", "b", "ab", "aa", "bb"), ("", "a", "b", "ba")),
@@ -446,16 +457,19 @@ def test_kernel_reports_the_splices_missing_value(loops, intervals) -> None:
     full = _word_evaluation(fm, fb, 6)
     keep = ({fm.loop_class(0, [fm.word(w)]) for w in loops}
             | {fb.interval_class(0, (), fm.word(w)) for w in intervals})
-    alpha = Evaluation(
-        {k: v for k, v in full.loop_values.items() if k in keep},
-        {k: v for k, v in full.interval_values.items() if k in keep})
-    for obj in (((X, PLUS),), TWO, ((X, MINUS), (X, PLUS)), FOUR):
-        kets = enumerate_kets(fm, obj, fb, 2)
-        message = _spliced_error(kets, alpha)
-        for build in (state_space_field, state_space_boolean):
-            with pytest.raises(MissingValue) as info:
-                build(fm, obj, alpha, fb, 2)
-            assert str(info.value) == message
+
+    def kept():
+        return Evaluation(
+            {k: v for k, v in full.loop_values.items() if k in keep},
+            {k: v for k, v in full.interval_values.items() if k in keep})
+    for alpha in (kept(), _by_canonical_words(kept())):
+        for obj in (((X, PLUS),), TWO, ((X, MINUS), (X, PLUS)), FOUR):
+            kets = enumerate_kets(fm, obj, fb, 2)
+            message = _spliced_error(kets, alpha)
+            for build in (state_space_field, state_space_boolean):
+                with pytest.raises(MissingValue) as info:
+                    build(fm, obj, alpha, fb, 2)
+                assert str(info.value) == message
 
 
 def test_kernel_takes_the_message_from_the_splice() -> None:
@@ -554,9 +568,13 @@ def test_gram_on_drawn_word_tables_is_the_splices(obj, with_boundary,
     mats = tuple(Matrix(data.draw(st.lists(entries, min_size=2, max_size=2)))
                  for _ in "ab")
     alpha = _word_evaluation(fm, fb, (len(obj) + 1) * cap, mats)
+    if data.draw(st.booleans()):
+        alpha = _by_canonical_words(alpha)
     boundary = fb if with_boundary else None
-    _assert_gram_is_the_splices(
-        state_space_field(fm, obj, alpha, boundary, cap), alpha)
+    ss = state_space_field(fm, obj, alpha, boundary, cap)
+    _assert_gram_is_the_splices(ss, alpha)
+    assert state_space_boolean(fm, obj, alpha, boundary, cap).rows == [
+        tuple(1 if v else 0 for v in row) for row in ss.gram.entries]
 
 
 # strand values all integral, all non-integral, or drawn from both
@@ -627,7 +645,9 @@ def _assert_entries(rows, expected, marks) -> None:
 def permuted_kets(draw):
     """(category, kets, evaluation, boundary): group characters or word
     tables, with int, fraction or mixed values, and up to 12 of the
-    object's kets drawn with repeats, in drawn order."""
+    object's kets drawn with repeats, in drawn order.  A word table's
+    values are held by class, and drawn to be held by canonical word
+    too."""
     values = value_kinds[draw(st.sampled_from(sorted(value_kinds)))]
     if draw(st.booleans()):
         cat = MonoidCategory(draw(st.sampled_from(
@@ -651,6 +671,8 @@ def permuted_kets(draw):
                               for k in classes}
                              for classes in (words.loop_values,
                                              words.interval_values)))
+        if draw(st.booleans()):
+            alpha = _by_canonical_words(alpha)
     kets = enumerate_kets(cat, obj, boundary, cap)
     picked = draw(st.lists(st.sampled_from(kets), min_size=1, max_size=12))
     return cat, picked, alpha, boundary
