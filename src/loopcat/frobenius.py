@@ -14,12 +14,11 @@ the latter are read in closed form, determinant included.
 An algebra keeps its nonzero structure constants as ints over one common
 denominator, and its unit and counit as cleared int vectors.  Every
 product of vectors runs one int kernel over the nonzero structure
-constants (`FrobeniusAlgebra._times`): the unit check, multiplication by
-h and the surface values eps(h^g) (`_surface_values`), which check
-generating functions and witnesses, stay on ints; `multiply` is its
-Fraction wrapper.  The commutativity and associativity checks read the
-nonzero structure constants themselves (`_associator`), with no table
-of basis products.
+constants (`FrobeniusAlgebra.multiply`): the unit check, multiplication
+by h and the surface values eps(h^g) (`_surface_values`), which
+`surface_eval`, generating functions and witnesses read, stay on ints.
+The commutativity and associativity checks read the nonzero structure
+constants themselves (`_associator`), with no table of basis products.
 
 Its records are named tuples, as `fincat.Loop` is: immutable, and equal
 to the plain tuple of their fields, which no report compares them with.
@@ -98,7 +97,7 @@ class FrobeniusAlgebra:
         self._counit = _cleared(self.counit)
         self._handle = None  # HandleData, built by `handle_element`
 
-    def _times(self, a, b) -> list[int]:
+    def multiply(self, a, b) -> list[int]:
         """D a b for int vectors a and b, D the structure constants'
         common denominator: the product kernel, over the nonzero products
         e_i e_j with a_i b_j != 0."""
@@ -113,14 +112,6 @@ class FrobeniusAlgebra:
                         for k, c in terms:
                             out[k] += coeff * c
         return out
-
-    def multiply(self, a, b) -> tuple:
-        (x, s), (y, t) = _cleared(a), _cleared(b)
-        return tuple(Fraction(v, s * t * self.scale) for v in self._times(x, y))
-
-    def eps(self, a) -> Fraction:
-        (x, s), (e, t) = _cleared(a), self._counit
-        return Fraction(sum(map(operator.mul, x, e)), s * t)
 
     def gram(self) -> Matrix:
         """eps(e_i e_j), read off the nonzero structure constants."""
@@ -151,7 +142,7 @@ def _associator(t, i, j, k) -> dict:
 
 def validate(fa: FrobeniusAlgebra) -> None:
     """Check each axiom, raising the matching error for the first failure.
-    Unitality runs the product kernel (`FrobeniusAlgebra._times`) on the
+    Unitality runs the product kernel (`FrobeniusAlgebra.multiply`) on the
     unit and each basis vector; commutativity and associativity (each
     triple's `_associator`) read the nonzero structure constants, which
     share one denominator, so the int sides are equal iff the rational
@@ -163,7 +154,7 @@ def validate(fa: FrobeniusAlgebra) -> None:
     with e_j e_k != 0 otherwise, in lexicographic order.  Nondegeneracy
     is decided by building the handle element (`handle_element`), one
     solve against the Gram."""
-    n, t, mul = fa.dim, fa._terms, fa._times
+    n, t, mul = fa.dim, fa._terms, fa.multiply
     basis = _int_basis(n)
     unit, s = fa._unit
     for i in range(n):
@@ -202,19 +193,20 @@ def handle_element(fa: FrobeniusAlgebra) -> HandleData:
     if fa._handle is None:
         t = [Fraction(sum(c for i, row in enumerate(plane) for k, c in row
                           if k == i), fa.scale) for plane in fa._terms]
-        element, rank, _ = solve(fa.gram(), t)
+        element, rank = solve(fa.gram(), t)
         if rank < fa.dim:
             raise NondegeneracyFailure("the pairing eps(ab) is singular")
         h, s = _cleared(element)
         # row i of multiplication by h is h e_i
-        matrix = Matrix.from_ints([fa._times(h, e) for e in _int_basis(fa.dim)],
-                                  s * fa.scale)
+        matrix = Matrix.from_ints(
+            [fa.multiply(h, e) for e in _int_basis(fa.dim)], s * fa.scale)
         fa._handle = HandleData(element, matrix, (h, s))
     return fa._handle
 
 
 def surface_eval(fa: FrobeniusAlgebra, genus: int) -> Fraction:
-    """Value of the closed genus-g surface: eps(h^g).
+    """Value of the closed genus-g surface: eps(h^g), read off the int
+    surface values (`_surface_values`).
 
     For g >= 1 this must equal tr(M_h^(g-1)) (trace of multiplication by a
     is eps(h a)), taken as the trace of the power; at g = 1 it is dim.
@@ -225,10 +217,7 @@ def surface_eval(fa: FrobeniusAlgebra, genus: int) -> Fraction:
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     hd = handle_element(fa)
-    power = fa.unit
-    for _ in range(genus):
-        power = fa.multiply(power, hd.element)
-    value = fa.eps(power)
+    value = Fraction(*_surface_values(fa, genus + 1)[genus])
     if genus >= 1:
         if value != (hd.matrix ** (genus - 1)).trace():
             raise InternalInconsistency(
@@ -243,7 +232,7 @@ def _surface_values(fa: FrobeniusAlgebra, n: int) -> list[tuple[int, int]]:
     content, den, values = 1, s * r, []
     for g in range(n):
         if g:
-            power = fa._times(power, h)
+            power = fa.multiply(power, h)
             c = gcd(*power) or 1
             power = [x // c for x in power]
             content, den = content * c, den * t * fa.scale

@@ -10,10 +10,10 @@ from a division-free int recurrence.  A product makes each entry from one
 int inner product.  Linear systems, a basis of vectors met one at a time
 and coordinates on it run one fraction-free kernel (Bareiss 1968) on int
 rows met one at a time, skipping the steps whose multiplier is zero.
-`solve` eliminates a system once and reads its solution, rank and
-determinant off the pivot rows, the solution by one integer
-back-substitution, exact by Cramer's rule, and the determinant by the same
-reader as `det`'s.  A rank starts on that kernel too, and from the first
+`solve` eliminates a system once and reads its solution and rank off the
+pivot rows, the solution by one integer back-substitution, exact by
+Cramer's rule; `det` reads a determinant off the pivots of its own
+elimination.  A rank starts on that kernel too, and from the first
 dependent row tests each row against a fraction-free Gauss-Jordan basis
 packed one 64-bit word per entry into one int, by one linear combination of
 ints, until an entry could outgrow its word and the kernel takes the rest.
@@ -51,8 +51,9 @@ def _integral(x: Fraction) -> Fraction | int:
     """An integral value as an int, any other unchanged, so that products
     of integral values stay ints and a Gram of them reaches `Matrix` as
     ints.  Private: it runs once per memoized strand value
-    (`statespaces`), interned trace or trace-recursion leaf (`pseudochar`),
-    too small a step to be a traced span."""
+    (`statespaces`), word-table value read from a job (`cli`), interned
+    trace or trace-recursion leaf (`pseudochar`), too small a step to be a
+    traced span."""
     return x.numerator if x.denominator == 1 else x
 
 
@@ -553,15 +554,14 @@ def rank(m: Matrix) -> int:
 
 
 def solve(m: Matrix, b: Sequence) -> tuple:
-    """One elimination of [m | b], read three ways: (x, rank, det).  The
-    rows are m's ints times t and b's cleared ints y = t·b times m's den,
-    so the system is unchanged.  x is one exact solution of m x = b, 0 off
-    the pivot columns, or None when a pivot lies in b's column.  Its int
-    pivot rows U are each 0 at the pivot columns before their own and have
+    """One elimination of [m | b], read two ways: (x, rank).  The rows are
+    m's ints times t and b's cleared ints y = t·b times m's den, so the
+    system is unchanged.  x is one exact solution of m x = b, 0 off the
+    pivot columns, or None when a pivot lies in b's column.  Its int pivot
+    rows U are each 0 at the pivot columns before their own and have
     determinant p, the last pivot, at the pivot columns, so p·x is
     integral (Cramer's rule) and each division of the back-substitution is
-    exact.  rank is the number of pivots in m's columns, and det is det m
-    (`_det`) for square m, None otherwise."""
+    exact.  rank is the number of pivots in m's columns."""
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
     y, t = _cleared(b)
@@ -576,27 +576,22 @@ def solve(m: Matrix, b: Sequence) -> tuple:
         for c, q, u in reversed(pivots):
             xs[c] = (p * u[n] - sum(map(mul, u, xs))) // q
         x = tuple(Fraction(v, p) for v in xs)
-    return x, rank, _det(e, n, t * den) if m.rows == n else None
+    return x, rank
 
 
 def det(m: Matrix) -> Fraction:
-    """The determinant, read off the elimination of m's int rows (`_det`)."""
+    """The determinant, read off the elimination of m's int rows.  It is 0
+    below n pivots, and else the sign of the pivot-column order times the
+    last pivot and the rows' contents, the determinant of the ints, over
+    den^n."""
     _require_square(m)
-    return _det(_Echelon(m.ints), m.rows, m.den)
-
-
-def _det(e: _Echelon, n: int, s: int) -> Fraction:
-    """The determinant of the n x n matrix held as the first n entries of
-    the int rows e eliminated, over s; an entry after those is a right
-    side.  It is 0 below n pivots in those columns, and else the sign of
-    the pivot-column order times the last pivot and the rows' contents,
-    the determinant of the ints, over s^n."""
-    cols = [c for c, _, _ in e.pivots if c < n]
+    n, e = m.rows, _Echelon(m.ints)
+    cols = [c for c, _, _ in e.pivots]
     if len(cols) < n:
         return Fraction(0)
     swaps = sum(a > c for i, a in enumerate(cols) for c in cols[i + 1:])
     return Fraction((-1) ** swaps * e.content
-                    * (e.pivots[-1][1] if e.pivots else 1), s ** n)
+                    * (e.pivots[-1][1] if e.pivots else 1), m.den ** n)
 
 
 def _charpoly(a: Sequence[Sequence[int]]) -> list[int]:

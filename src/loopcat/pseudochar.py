@@ -414,7 +414,7 @@ def lift_with_table(alpha: PseudoCharacter, table):
     reps = {tuple(c._class_of[e] for c in (alpha, *table)): e
             for e in range(alpha.monoid.size)}.values()
     a = Matrix([[chi(e) for chi in table] for e in reps])
-    sol, rank, _ = solve(a, [alpha(e) for e in reps])
+    sol, rank = solve(a, [alpha(e) for e in reps])
     if rank != len(table):
         raise SingularTable("table characters are linearly dependent")
     if sol is None:

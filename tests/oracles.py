@@ -18,7 +18,12 @@ values the dotted circles and intervals such a closure of dotted
 strands leaves.  `dense_cells` reads
 a Frobenius algebra's Fraction cells c[i][j][k] off its int terms, and
 `dense_multiply` multiplies two vectors through every one of them, the
-reference for `FrobeniusAlgebra.multiply`; `dense_validate` checks the
+reference for the int kernel `FrobeniusAlgebra.multiply`.
+`fraction_multiply` is that kernel on rational vectors, cleared and read
+back over the product of their denominators and the algebra's, and
+`fraction_eps` is the counit of a rational vector: the Fraction product
+and counit that the handle and surface tests evaluate with.
+`dense_validate` checks the
 Frobenius axioms from its basis-vector products on every associativity
 triple, the reference for `frobenius.validate`, and `fraction_validate`
 is `validate` as it ran on Fraction products (the same loops, skip rule
@@ -476,6 +481,18 @@ def dense_multiply(cells, a, b) -> tuple:
             for k, c in enumerate(row):
                 out[k] += coeff * c
     return tuple(out)
+
+
+def fraction_multiply(fa, a, b) -> tuple:
+    """a b for rational vectors a = x/s and b = y/t: the kernel's D x y
+    over s t D."""
+    (x, s), (y, t) = _cleared(a), _cleared(b)
+    return tuple(Fraction(v, s * t * fa.scale) for v in fa.multiply(x, y))
+
+
+def fraction_eps(fa, a) -> Fraction:
+    """eps(a) = sum a_k eps_k for a rational vector a."""
+    return sum(map(operator.mul, a, fa.counit), Fraction(0))
 
 
 def dense_validate(fa) -> None:

@@ -70,7 +70,8 @@ from loopcat.statespaces import (
     state_space_field,
 )
 from oracles import (antisym_trace_boundary, classification_genfun, close_up,
-                     column_inverse, perm_diagram, perm_sign, tensor)
+                     column_inverse, fraction_eps, fraction_multiply,
+                     perm_diagram, perm_sign, tensor)
 
 X = 0
 
@@ -151,10 +152,10 @@ def test_01_handle_trace_duality() -> None:
         element = hd.element
         power = Matrix.identity(fa.dim)
         for _g in range(1, 11):
-            assert fa.eps(element) == power.trace()
-            element = fa.multiply(element, hd.element)
+            assert fraction_eps(fa, element) == power.trace()
+            element = fraction_multiply(fa, element, hd.element)
             power = power * hd.matrix
-        assert fa.eps(hd.element) == fa.dim
+        assert fraction_eps(fa, hd.element) == fa.dim
     assert time.monotonic() - start < 5.0
 
 
@@ -504,7 +505,7 @@ def _block_value_fn(fa):
     hd = handle_element(fa)
     h_pow = [fa.unit]
     for _ in range(2):
-        h_pow.append(fa.multiply(h_pow[-1], hd.element))
+        h_pow.append(fraction_multiply(fa, h_pow[-1], hd.element))
     basis = [tuple(Fraction(i == k) for i in range(fa.dim))
              for k in range(fa.dim)]
     memo = {}
@@ -514,8 +515,8 @@ def _block_value_fn(fa):
         if key not in memo:
             vec = h_pow[genus]
             for k in key[1]:
-                vec = fa.multiply(vec, basis[k])
-            memo[key] = fa.eps(vec)
+                vec = fraction_multiply(fa, vec, basis[k])
+            memo[key] = fraction_eps(fa, vec)
         return memo[key]
 
     return value

@@ -305,6 +305,10 @@ def test_boundary_functoriality_is_checked() -> None:
 
 
 def test_boundary_axioms_are_checked_without_asserts() -> None:
+    """Under `python -O`, the oracle `BoundaryDatum` and three package
+    constructors still reject bad input, each with its exact message: a
+    one-sided identity, a 1-dim nilpotent block and blocks that do not
+    partition 1..m."""
     script = (
         "from loopcat.fincat import cyclic_group, MonoidCategory\n"
         "from oracles import BoundaryDatum\n"
@@ -317,7 +321,18 @@ def test_boundary_axioms_are_checked_without_asserts() -> None:
         "    try:\n"
         "        BoundaryDatum(cat, {0: [0, 1]}, {0: [0, 1]}, gr, gl)\n"
         "    except ValueError as exc:\n"
-        "        print(exc)\n")
+        "        print(exc)\n"
+        "from loopcat.fincat import FiniteMonoid\n"
+        "from loopcat.frobenius import ClassificationData\n"
+        "from loopcat.statespaces import PartitionDiagram\n"
+        "builds = (lambda: FiniteMonoid([[0, 1], [0, 1]], 0),\n"
+        "          lambda: ClassificationData(0, 1, ()),\n"
+        "          lambda: PartitionDiagram.make(2, [[1], [3]], [0, 0]))\n"
+        "for build in builds:\n"
+        "    try:\n"
+        "        build()\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__, exc)\n")
     src = str(Path(loopcat.__file__).resolve().parents[1])
     tests = str(Path(__file__).resolve().parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -328,7 +343,10 @@ def test_boundary_axioms_are_checked_without_asserts() -> None:
     assert proc.stdout.splitlines() == [
         "right action violates identity", "left action violates identity",
         "right action violates composition",
-        "left action violates composition"]
+        "left action violates composition",
+        "ValueError identity is not two-sided",
+        "Reject M1Forbidden: no algebra has a 1-dim nilpotent block",
+        "ValueError blocks must partition 1..m"]
 
 
 def test_free_boundary_reads_off_concatenation() -> None:

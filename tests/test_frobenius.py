@@ -46,7 +46,8 @@ from oracles import (_signed_cycle_decompositions, cell_reader,
                      confluent_matrix, dense_algebra, dense_cells,
                      dense_multiply, dense_product_algebra,
                      dense_truncated_poly_algebra, dense_validate,
-                     dual_basis, f1_pullback, fraction_validate)
+                     dual_basis, f1_pullback, fraction_eps,
+                     fraction_multiply, fraction_validate)
 
 
 def diagonal_algebra(counit_values) -> FrobeniusAlgebra:
@@ -191,11 +192,13 @@ def sparse_and_dense_algebras(draw):
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_multiply_matches_dense_reference(data) -> None:
+    """The int kernel on a = x/s and b = y/t, over s t D, is the dense
+    Fraction product."""
     fa = data.draw(sparse_and_dense_algebras())
     entries = st.one_of(st.just(0), st.integers(-3, 3), SMALL_FRACTIONS)
     vectors = st.lists(entries, min_size=fa.dim, max_size=fa.dim)
     a, b = data.draw(vectors), data.draw(vectors)
-    assert fa.multiply(a, b) == dense_multiply(dense_cells(fa), a, b)
+    assert fraction_multiply(fa, a, b) == dense_multiply(dense_cells(fa), a, b)
 
 
 NONZERO_FRACTIONS = SMALL_FRACTIONS.filter(bool)
@@ -287,18 +290,18 @@ def test_validate_forms_only_the_triples_with_a_nonzero_product(
     assert (n, sum(len(row) for plane in t for row in plane)) == (12, 13)
     expected = [(i, j, k) for i in range(n) for j in range(n)
                 for k in range(i + 1, n) if t[i][j] or t[j][k]]
-    associator, times, formed, products = (frobenius._associator, fa._times,
-                                           [], [])
+    associator, multiply, formed, products = (frobenius._associator,
+                                              fa.multiply, [], [])
 
     def counted_associator(terms, i, j, k):
         formed.append((i, j, k))
         return associator(terms, i, j, k)
 
-    def counted_times(a, b):
+    def counted_multiply(a, b):
         products.append(None)
-        return times(a, b)
+        return multiply(a, b)
     monkeypatch.setattr(frobenius, "_associator", counted_associator)
-    monkeypatch.setattr(fa, "_times", counted_times)
+    monkeypatch.setattr(fa, "multiply", counted_multiply)
     validate(fa)
     assert formed == expected and len(formed) == 142
     assert len(products) == 2 * n  # unit e_i and e_i unit for each i
@@ -390,7 +393,8 @@ def test_dual_basis_pairing_property(mu, c) -> None:
              for k in range(fa.dim)]
     for i in range(fa.dim):
         for j in range(fa.dim):
-            assert fa.eps(fa.multiply(duals[i], basis[j])) == (i == j)
+            assert fraction_eps(fa, fraction_multiply(fa, duals[i],
+                                                      basis[j])) == (i == j)
 
 
 def test_handle_of_nilpotent_algebra() -> None:
@@ -415,7 +419,7 @@ def test_handle_is_multiplication_matrix() -> None:
     fa = truncated_poly_algebra(3, nilpotent_counit(3, mu=2))
     hd = handle_element(fa)
     e1 = (Fraction(0), Fraction(1), Fraction(0))
-    assert hd.matrix.row(1) == fa.multiply(hd.element, e1)
+    assert hd.matrix.row(1) == fraction_multiply(fa, hd.element, e1)
 
 
 # --- surface values ----------------------------------------------------------------
@@ -733,6 +737,50 @@ def test_surface_values_match_surface_eval(fa) -> None:
         return
     assert [Fraction(a, b) for a, b in frobenius._surface_values(fa, n)] \
         == want
+
+
+@st.composite
+def surface_algebras(draw):
+    """The cell-by-cell product of one or two witnesses of drawn
+    classification data, each with its counit times a drawn nonzero
+    fraction and, in a fifth of the draws, one counit entry zeroed, which
+    may make the pairing singular.  No handle is built."""
+    factors = []
+    for fa in draw(st.lists(witness_algebras(), min_size=1, max_size=2)):
+        c = draw(NONZERO_FRACTIONS)
+        counit = [c * e for e in fa.counit]
+        if draw(st.integers(0, 4)) == 0:
+            counit[draw(st.integers(0, fa.dim - 1))] = 0
+        factors.append(dense_algebra(fa.dim, dense_cells(fa), fa.unit, counit))
+    return dense_product_algebra(*factors)
+
+
+@given(surface_algebras(), st.integers(-3, -1))
+@settings(max_examples=40, deadline=None)
+def test_surface_eval_matches_the_fraction_reference(fa, negative) -> None:
+    """surface_eval(fa, g), g = 0 .. 2 dim + 2, is eps(h^g) taken on
+    Fractions: h the sum of e_i u_i over the oracle's dual basis, its
+    powers by the dense product, then the counit.  A negative genus
+    raises ValueError before a handle is built, and a singular pairing
+    raises NondegeneracyFailure."""
+    with pytest.raises(ValueError, match="^genus must be nonnegative$"):
+        surface_eval(fa, negative)
+    assert fa._handle is None
+    if column_det(fa.gram()) == 0:
+        with pytest.raises(NondegeneracyFailure,
+                           match="^the pairing eps\\(ab\\) is singular$"):
+            surface_eval(fa, 0)
+        return
+    mul = partial(dense_multiply, dense_cells(fa))
+    basis = [tuple(Fraction(i == k) for i in range(fa.dim))
+             for k in range(fa.dim)]
+    terms = [mul(e, u) for e, u in zip(basis, dual_basis(fa))]
+    h = tuple(map(sum, zip(*terms)))
+    power, want = fa.unit, []
+    for _ in range(2 * fa.dim + 3):
+        want.append(fraction_eps(fa, power))
+        power = mul(power, h)
+    assert [surface_eval(fa, g) for g in range(len(want))] == want
 
 
 # x^2 = 1 in place of 0: Q[x]/(x^2 - 1), an honest algebra of another
