@@ -77,6 +77,12 @@ def _rat(x) -> Fraction:
     if isinstance(x, str):
         if x.isascii() and (x.isdigit() or x[:1] == "-" and x[1:].isdigit()):
             return Fraction(int(x))  # a plain decimal integer, parsed in C
+        num, slash, den = x.partition("/")
+        if slash and x.isascii() and den.isdigit() and (
+                num.isdigit() or num[:1] in "+-" and num[1:].isdigit()):
+            p, q = int(num), int(den)  # a plain "p/q", parsed in C
+            if q:
+                return Fraction(p, q)
         exponent = _EXPONENT.search(x)
         if exponent and int(exponent[1]) > _MAX_DECIMAL_EXPONENT:
             raise ValueError(f"decimal exponent of {x!r} exceeds "

@@ -16,8 +16,9 @@ For finite presentations we saturate that relation by union-find over all
 (object, endomorphism) pairs; for the one-object case it is exactly monoid
 conjugacy, gh ~ hg, and a chain's class is read off the Cayley table, one
 `Loop` per element.  Free-monoid loops are cyclic words, canonicalized to
-the lexicographically least rotation, which each category computes once
-per concatenated word.
+the lexicographically least rotation, which each category computes at
+most once per word, and stores under the word's other rotations too while
+the letters met pay for them.
 
 `Loop` and `IntervalClass` are named tuples: every value an evaluation
 table holds, and every strand of a Gram entry, is looked up by one, so
@@ -314,7 +315,8 @@ class FreeMonoidCategory:
             raise ValueError("duplicate letters")
         self.objects = (0,)
         self._index = {a: i for i, a in enumerate(self.alphabet)}
-        self._loops: dict[tuple, Loop] = {}  # per concatenated word
+        self._loops: dict[tuple, Loop] = {}  # per word, its class
+        self._spare = 0  # letters met, less the rotations' letters stored
 
     def source(self, m):
         return 0
@@ -330,11 +332,21 @@ class FreeMonoidCategory:
 
     def loop_class(self, base, chain: Sequence[tuple]) -> Loop:
         """The least rotation of the concatenated chain, computed once per
-        concatenation."""
+        word met.  The first word met of a class also stores its `Loop`
+        under every other rotation of the word, when the letters met so
+        far cover the rotations' letters: the rotations stored never hold
+        more letters than the words met, so a long word costs no more
+        than reading it, not its length squared."""
         word = tuple(_letters(chain))
+        n = len(word)
+        self._spare += n
         lp = self._loops.get(word)
         if lp is None:
             lp = self._loops[word] = Loop(0, least_rotation(word))
+            if n * (n - 1) <= self._spare:
+                self._spare -= n * (n - 1)
+                for i in range(1, n):
+                    self._loops[word[i:] + word[:i]] = lp
         return lp
 
     def word(self, text: str) -> tuple:

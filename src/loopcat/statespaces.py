@@ -11,19 +11,24 @@ join-irreducible rows counted separately.
 
 One kernel, `_template_gram`, builds every Gram.  An entry's strands depend
 only on the shapes of its row and column, so each pair of shapes is traced
-once into a template; a strand's value depends only on the decorations it
-reads, and is memoized, integral ones held as ints.  Over the free monoid
-it depends only on the word it reads, the decorations concatenated, so a
-free strand's memo is keyed by word and starts from the words the job
-listed.  A row is built block by block, one block per run of columns of
-one shape: a strand's values over the run are read once per part of the
-row the strand reads, and a block is their product column by column,
-taken by `map`.  For diagrams
-the shapes are matchings, traced by the splice's own chain walk
-(`diagrams._chains`), and each ket is its own bra.  The reference, the
-splice after `transpose`, builds the only bras: it evaluates each
-template's first entry as a cross-check, and any entry that lacks a
-value, so that the error is its own.
+once into a template.  A strand is valued at the composite it reads, so
+each strand reads one table of values, integral ones held as ints, by one
+path: its keys go through C-level `map`s to its memo, which starts
+complete wherever the category allows, and only a key the memo lacks is
+evaluated.  Over the free monoid the key is the word read, the
+decorations concatenated, and the memo starts from the words the job
+listed; over a finite monoid it is the labels, and the memo starts from
+the per-element values pushed through the Cayley table; a cob2 component
+is keyed by its genus, and its memo starts from the surface values
+cleared of their denominators, so a cob2 Gram is built on ints.  A row is
+built block by block, one block per run of columns of one shape: a
+strand's values over the run are read once per part of the row the
+strand reads, and a block is their product column by column, taken by
+`map`.  For diagrams the shapes are matchings, traced by the splice's own
+chain walk (`diagrams._chains`), and each ket is its own bra.  The
+reference, the splice after `transpose`, builds the only bras: it
+evaluates each template's first entry as a cross-check, and any entry
+that lacks a value, so that the error is its own.
 
 Also here: exact weighted-automaton minimization (the Hankel pairing of the
 non-monoidal construction) and the two-dimensional cobordism state spaces,
@@ -40,14 +45,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, count, groupby, product as iproduct
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import itemgetter, le, mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .diagrams import BrauerMorphism, _chains, compose, transpose
 from .errors import DomainError, InternalInconsistency
 from .fincat import (FreeBoundary, FreeMonoidCategory, IntervalClass, Loop,
-                     _UnionFind, class_values, compose_path)
+                     MonoidCategory, _UnionFind, class_values, compose_path)
 from .linalg import Matrix, _Echelon, _cleared, _fractions, _integral, rank
 
 
@@ -289,12 +294,12 @@ def _template_gram(items: list, template, reference,
     column, each item a (shape, decorations) read the same either way.
 
     `template(row shape, col shape)`, made once per pair of shapes, lists
-    the entry's strands as (picks, key, values, evaluate, by_word): the
-    strand's key is `key` of the row decorations followed by the column's,
-    read at `picks` alone, and its value, memoized in `values`, is
-    `evaluate(key)`, an int when integral.  A strand `by_word` reads words
-    at its picks, and its key is their concatenation instead.  An entry is
-    the product of its strands' values.
+    the entry's strands as (picks, keys, values, evaluate): the strand's
+    key is the row decorations followed by the column's, put through the
+    C-level functions `keys` in turn, the first of which reads `picks`
+    alone.  Its value is `values[key]`, a memo complete from the start
+    wherever the category allows, or else `evaluate(key)`, memoized, an
+    int when integral.  An entry is the product of its strands' values.
 
     A row is built block by block, one block per run of columns of one
     shape.  Per row shape and run, a plan splits each strand's picks into
@@ -330,11 +335,11 @@ def _template_gram(items: list, template, reference,
 
     def plan(strands, width, start, stop):
         """The strand plans of the columns start..stop, and their width.
-        A strand's plan holds its row-part getter, key, memo and
-        evaluate, one column per distinct column part, each column's
+        A strand's plan holds its row-part getter, key functions, memo
+        and evaluate, one column per distinct column part, each column's
         part index (None when all differ) and the row cache."""
         out = []
-        for picks, key, values, evaluate, by_word in strands:
+        for picks, keys, values, evaluate in strands:
             part = _part([p - width for p in picks if p >= width])
             ids, reps, seen = [], [], {}
             for cd in decs[start:stop]:
@@ -344,8 +349,8 @@ def _template_gram(items: list, template, reference,
                 ids.append(k)
             if len(reps) == stop - start:
                 ids = None
-            out.append((_part([p for p in picks if p < width]), key, values,
-                        evaluate, by_word, reps, ids, {}))
+            out.append((_part([p for p in picks if p < width]), keys, values,
+                        evaluate, reps, ids, {}))
         return out, stop - start
 
     def rescan(i):
@@ -389,33 +394,25 @@ def _template_gram(items: list, template, reference,
 
 def _block(strand_plans: list, rd: tuple, width: int) -> list:
     """A row's entries over one run of `width` columns, given the run's
-    strand plans (`_template_gram`) and the row's decorations `rd`.  A
-    strand keyed by word reads its values by `map`s, key to word to memo,
-    and on a miss evaluates each word its memo lacks; one keyed by its
-    labels reads them column by column, evaluating each missing key."""
+    strand plans (`_template_gram`) and the row's decorations `rd`.  Each
+    strand reads its values by `map`s, through its key functions to its
+    memo, and on a miss evaluates each key its memo lacks."""
     block = None
-    for part, key, values, evaluate, by_word, reps, ids, cache in strand_plans:
+    for part, keys, values, evaluate, reps, ids, cache in strand_plans:
         p = part(rd)
         vals = cache.get(p)
-        if vals is None and by_word:
-            words = list(map(tuple, map(chain.from_iterable,
-                                        map(key, map(rd.__add__, reps)))))
+        if vals is None:
+            found = map(rd.__add__, reps)
+            for key in keys:
+                found = map(key, found)
+            found = list(found)
             try:
-                vals = list(map(values.__getitem__, words))
+                vals = list(map(values.__getitem__, found))
             except KeyError:
-                for w in words:
-                    if w not in values:
-                        values[w] = _integral(evaluate(w))
-                vals = list(map(values.__getitem__, words))
-            cache[p] = vals
-        elif vals is None:
-            vals = []
-            for cd in reps:
-                k = key(rd + cd)
-                v = values.get(k)
-                if v is None:
-                    v = values[k] = _integral(evaluate(k))
-                vals.append(v)
+                for k in found:
+                    if k not in values:
+                        values[k] = _integral(evaluate(k))
+                vals = list(map(values.__getitem__, found))
             cache[p] = vals
         if ids is not None:
             vals = list(map(vals.__getitem__, ids))
@@ -433,49 +430,81 @@ def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
     `repr` order).  One ket per matching is transposed first, so that a
     cross-object arc fails before any value is read.
 
-    Over the free monoid, with no boundary or a `FreeBoundary`, a strand
-    is keyed by the word it reads, and each kind's memo starts from the
-    evaluation's values by word.  A word the memo lacks is resolved
-    through its loop class (`loop_class`, its least rotation) or its
-    interval class, as a label key is.
+    A strand is valued at the composite it reads, and its memo starts
+    from a table of those values.  Over the free monoid, with no boundary
+    or a `FreeBoundary`, its key is the word it reads, the decorations
+    concatenated, and its memos start from the evaluation's values by
+    word; a word the table lacks is resolved through its loop class
+    (`loop_class`, its least rotation) or its interval class.  Over a
+    finite monoid its key is its labels, and the loop memo starts from
+    every chain of each length read whose composite, folded through the
+    Cayley table, has a valued class (`_chain_values`).  Any other key is
+    resolved through its class on a miss.
     """
     items = [_views(k) for k in kets]
     for k in dict(zip((shape for shape, _decs in items), kets)).values():
         transpose(k)
-    by_word = isinstance(cat, FreeMonoidCategory) and (
+    free = isinstance(cat, FreeMonoidCategory) and (
         boundary is None or isinstance(boundary, FreeBoundary))
     # per strand kind and objects, its values; a free monoid's one object
     # is 0, and its memos start from the evaluation's values by word
     memo: dict = {("loop", 0): dict(alpha._loop_words),
                   ("interval", 0, 0): dict(alpha._interval_words),
-                  } if by_word else {}
+                  } if free else {}
+    as_word = (chain.from_iterable, tuple) if free else ()  # labels to word
+    seeded: set = set()  # the chain lengths a monoid's loop memo holds
 
-    def loop_values(base):
+    def loop_strand(base, picks):
+        values = memo.setdefault(("loop", base), {})
+        if isinstance(cat, MonoidCategory) and len(picks) not in seeded:
+            seeded.add(len(picks))
+            values.update(_chain_values(cat, alpha, len(picks)))
+
         def evaluate(key):  # a word is a chain of one label
-            return alpha.loop(cat.loop_class(base, (key,) if by_word else key))
-        return memo.setdefault(("loop", base), {}), evaluate, by_word
+            return alpha.loop(cat.loop_class(base, (key,) if free else key))
+        return picks, (itemgetter(*picks), *as_word), values, evaluate
 
-    def interval_values(start, end):
+    def interval_strand(start, end, picks):
         def evaluate(key):
-            if by_word:  # the class of the interval that reads the word
+            if free:  # the class of the interval that reads the word
                 return alpha.interval(boundary.interval_class(end, (), key))
             g = boundary.gr(compose_path(cat, key[1:-1], at=start), key[0])
             return alpha.interval(boundary.interval_class(end, key[-1], g))
-        return memo.setdefault(("interval", start, end), {}), evaluate, by_word
+        return (picks, (itemgetter(*picks), *as_word),
+                memo.setdefault(("interval", start, end), {}), evaluate)
 
     def template(ket_wiring, col_wiring):  # a bra arc runs head to tail
         bra_wiring = (tuple((h, t) for t, h in col_wiring[0]), col_wiring[1])
         intervals, loops = _strands(kets[0].target, ket_wiring, bra_wiring)
-        return ([(picks, itemgetter(*picks), *interval_values(start, end))
-                 for start, end, picks in intervals]
-                + [(picks, itemgetter(*picks), *loop_values(base))
-                   for base, picks in loops])
+        return ([interval_strand(*strand) for strand in intervals]
+                + [loop_strand(*strand) for strand in loops])
 
     return _template_gram(
         items, template,
         lambda i, j: evaluate_closed(compose(transpose(kets[j]), kets[i]),
                                      alpha),
         ("pairing", "splice"))
+
+
+def _chain_values(cat, alpha: Evaluation, k: int) -> dict:
+    """Each chain of k labels over a `MonoidCategory` whose composite has
+    a valued class, valued at it, an int when integral: the per-element
+    values pushed through the Cayley table, |M|^k chains.  A chain whose
+    class has no value is left out, so that it misses and the splice
+    names it."""
+    n, table = cat.monoid.size, cat.monoid.table
+    value = []
+    for g in range(n):
+        lp = cat.loop_class(0, (g,))
+        value.append(_integral(alpha.loop_values[lp])
+                     if lp in alpha.loop_values else None)
+    composites = range(n)  # of the chains in `product` order
+    for _ in range(k - 1):  # a chain's last label varies fastest
+        composites = list(chain.from_iterable(
+            map(table.__getitem__, composites)))
+    return {c: v for c, v in zip(iproduct(range(n), repeat=k),
+                                 map(value.__getitem__, composites))
+            if v is not None}
 
 
 def state_space_field(cat, obj, alpha: Evaluation, boundary=None,
@@ -701,28 +730,50 @@ def _gluing(blocks1: tuple, blocks2: tuple) -> list[tuple]:
             for nodes in parts.values()]
 
 
-def _cob2_gram_rows(spanning: list, alpha_seq: Sequence) -> list[list]:
-    """Gram rows of `spanning`: entry (i, j) glues diagrams i and j.  The
-    shapes are partitions, glued into components by `_gluing`, each keyed
-    by its total genus, and the reference is `glue_partition_diagrams`."""
-    values: dict = {}  # genus -> its surface value
+def _cob2_gram_rows(spanning: list, alpha_seq: Sequence) -> tuple[list, int]:
+    """Int Gram rows of `spanning` and their scale: entry (i, j) is the
+    gluing of diagrams i and j times the scale.  The shapes are
+    partitions, glued into components by `_gluing`, each valued by its
+    total genus, and the reference is `glue_partition_diagrams`.
 
-    def evaluate(h):
-        if h >= len(alpha_seq):
-            raise SequenceTooShort(
-                f"need genus value {h}, have {len(alpha_seq)}")
-        return alpha_seq[h]
+    A component's genus is at most 2 s + m - 1, s the largest genus sum
+    of a diagram, so only the values below 2 s + m are cleared, once, by
+    the lcm D of their denominators: a component's value is the int
+    D alpha_seq[genus], and the scale is D^m.  A template of c <= m
+    components carries D^(m - c) on its first component.  Each memo, one
+    per first Betti number and power of D, is keyed by the sum of the
+    component's block genera and starts from every cleared value; a
+    genus past the end of the sequence misses and raises
+    `SequenceTooShort`."""
+    m = max((d.m for d in spanning), default=0)
+    top = 2 * max((sum(d.genus) for d in spanning), default=0) + m
+    den = lcm(*[x.denominator for x in alpha_seq[:top]])
+    cleared = [x.numerator * (den // x.denominator) for x in alpha_seq[:top]]
+    memos: dict = {}  # (betti, power of D) -> (values, evaluate)
+
+    def component(betti, power):
+        if (betti, power) not in memos:
+            def evaluate(genus):
+                raise SequenceTooShort(f"need genus value {genus + betti}, "
+                                       f"have {len(alpha_seq)}")
+            factor = den ** (power - 1)
+            memos[betti, power] = ({g: v * factor for g, v in
+                                    enumerate(cleared[betti:])}, evaluate)
+        return memos[betti, power]
 
     def template(blocks1, blocks2):
-        return [(positions, lambda genus, p=positions, b=betti: sum(
-                    map(genus.__getitem__, p)) + b, values, evaluate, False)
-                for positions, betti in _gluing(blocks1, blocks2)]
+        parts = _gluing(blocks1, blocks2)
+        extra = sum(map(len, blocks1)) - len(parts)  # the power m - c
+        return [(positions, (itemgetter(*positions), sum),
+                 *component(betti, 1 + extra if k == 0 else 1))
+                for k, (positions, betti) in enumerate(parts)]
 
+    scale = den ** m
     return _template_gram(
         [(d.blocks, d.genus) for d in spanning], template,
-        lambda i, j: glue_partition_diagrams(spanning[i], spanning[j],
-                                             alpha_seq),
-        ("gluing", "gluing"))
+        lambda i, j: scale * glue_partition_diagrams(spanning[i], spanning[j],
+                                                     alpha_seq),
+        ("gluing", "gluing")), scale
 
 
 # Most spanning diagrams a cob2 state space is built from.  The Gram takes
@@ -779,7 +830,7 @@ def cob2_state_space(m: int, alpha_seq: Sequence, genus_cap: int
             f"spanning set of {m} circles at genus cap {genus_cap} has more "
             f"than {COB2_MAX_SPANNING} diagrams")
     spanning = cob2_spanning(m, genus_cap)
-    gram = Matrix(_cob2_gram_rows(spanning, alpha_seq))
+    gram = Matrix.from_ints(*_cob2_gram_rows(spanning, alpha_seq))
     dim = rank(gram)
     if genus_cap < 1:
         return dim, False

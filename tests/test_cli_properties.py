@@ -26,10 +26,11 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import loopcat
@@ -458,3 +459,59 @@ def test_reader_reads_what_argparse_reads(argv) -> None:
         assert read is None
         return
     assert read is None or vars(read) == parsed
+
+
+# pieces of scalar strings: signs, slashes, ASCII and other digits ("٣"
+# is an Arabic-Indic three, "²" a superscript two), spaces, underscores,
+# points and exponents
+scalar_pieces = st.sampled_from(["-", "+", "/", " ", "\t", "0", "1", "2", "4",
+                                 "9", "10", "007", "_", ".", "e", "E-", "٣",
+                                 "²"])
+
+
+# "p/q" lookalikes: a sign, digits, a slash, digits, a tail
+fraction_like = st.tuples(
+    st.sampled_from(["", "-", "+", " ", "--"]),
+    st.text("0123456789٣²", max_size=3), st.sampled_from(["/", " /", "//", ""]),
+    st.text("0123456789٣²", max_size=3),
+    st.sampled_from(["", " ", "e2", "E-1", "_1", ".5"])).map("".join)
+
+
+def _outcome(parse, x):
+    """The value parse(x), or the type and message of its error."""
+    try:
+        return parse(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.one_of(fraction_like, st.lists(scalar_pieces, max_size=7).map(
+    "".join), st.text(max_size=6)))
+@example("2/4")
+@example("-0")
+@example("1/0")
+@example("+1/2")
+@example(" 1/2 ")
+@example("1/-2")
+@example("-0/5")
+@example("1e3/2")
+@example("3/0")
+@example("٣/4")
+@example("1_0/2")
+@example("2.5e-1")
+@example("²/4")
+@example("1/²")
+@settings(max_examples=500, deadline=None)
+def test_rat_reads_a_string_as_fraction_does(x) -> None:
+    """`_rat` of a string is `Fraction` of it, value or error type and
+    message, its fast paths included; only a zero denominator reads as
+    `_rat`'s own ValueError.  Exponents past the bound are `_rat`'s own
+    rejection, left out here."""
+    exponent = cli._EXPONENT.search(x)
+    assume(not exponent or int(exponent[1]) <= cli._MAX_DECIMAL_EXPONENT)
+    want = _outcome(Fraction, x)
+    if type(want) is tuple and want[0] is ZeroDivisionError:
+        want = ValueError, f"zero denominator in {x!r}"
+    got = _outcome(cli._rat, x)
+    assert got == want
+    assert type(got) is tuple or type(got) is Fraction

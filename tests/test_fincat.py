@@ -244,6 +244,29 @@ def test_free_monoid_loop_class_is_the_least_rotation(case) -> None:
         assert spy.call_count == 1
 
 
+def test_free_monoid_loop_classes_store_the_rotations_paid_for() -> None:
+    """Over the 511 words up to length 8 in two letters, in shortlex
+    order, the least rotation runs for fewer than half of them: the first
+    word met of a class stores its class under its other rotations.
+    Every stored word maps to its own least rotation, and the stored
+    words hold at most twice the letters met, the words themselves and
+    the rotations they pay for.  A 3,000-letter word met first stores
+    itself alone, not its 2,999 rotations."""
+    fm = FreeMonoidCategory("ab")
+    words = fm.words_up_to(8)
+    with mock.patch.object(fincat, "least_rotation",
+                           wraps=least_rotation) as spy:
+        for w in words:
+            assert fm.loop_class(0, [w]) == Loop(0, least_rotation(w))
+    assert spy.call_count < len(words) // 2
+    assert all(lp == Loop(0, least_rotation(w)) for w, lp in fm._loops.items())
+    assert sum(map(len, fm._loops)) <= 2 * sum(map(len, words))
+    fm = FreeMonoidCategory("ab")
+    long_word = (0,) * 2999 + (1,)
+    assert fm.loop_class(0, [long_word]) == Loop(0, long_word)
+    assert list(fm._loops) == [long_word]
+
+
 MONOIDS = [cyclic_group(n) for n in range(1, 6)] + [
     symmetric_group(3), truncated_free_monoid("ab", 2)[0],
     FiniteMonoid([[0, 1, 2], [1, 1, 1], [2, 2, 2]], 0)]

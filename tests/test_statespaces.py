@@ -532,6 +532,65 @@ def test_template_is_checked_for_values_the_splice_has(monkeypatch) -> None:
         state_space_field(cat, TWO, Evaluation())
 
 
+def _strand_misses(monkeypatch, splice_name) -> tuple[list, list]:
+    """Lists that collect, while the patch lasts, every key a Gram
+    template's strand evaluates on a miss of its memo, and every class
+    `Evaluation` resolves outside the reference, whose function is
+    `splice_name` in `statespaces`."""
+    missed, resolved, splicing = [], [], []
+    template_gram, splice = (statespaces._template_gram,
+                             getattr(statespaces, splice_name))
+
+    def counted(evaluate):
+        return lambda key: missed.append(key) or evaluate(key)
+
+    def counted_gram(items, template, reference, names):
+        return template_gram(items, lambda r, c: [
+            (*strand[:3], counted(strand[3]), *strand[4:])
+            for strand in template(r, c)], reference, names)
+
+    def counted_splice(*args):
+        splicing.append(1)
+        try:
+            return splice(*args)
+        finally:
+            splicing.pop()
+
+    def counted_resolve(resolve):
+        def method(alpha, cls):
+            if not splicing:
+                resolved.append(cls)
+            return resolve(alpha, cls)
+        return method
+
+    monkeypatch.setattr(statespaces, "_template_gram", counted_gram)
+    monkeypatch.setattr(statespaces, splice_name, counted_splice)
+    for name in ("loop", "interval"):
+        monkeypatch.setattr(Evaluation, name,
+                            counted_resolve(getattr(Evaluation, name)))
+    return missed, resolved
+
+
+def test_monoid_and_cob2_strands_read_complete_tables(monkeypatch) -> None:
+    """An S3 Gram at a 4-strand object (72 x 72) and a cob2 Gram of two
+    circles at genus cap 2 (12 x 12) evaluate no strand key and resolve
+    no class outside the reference: each memo starts from every value
+    its strands read, where an empty label memo missed each distinct
+    chain once."""
+    cat = MonoidCategory(symmetric_group(3))
+    alpha = evaluation_from_monoid(cat, [2, 0, 0, -1, -1, 0])
+    missed, resolved = _strand_misses(monkeypatch, "evaluate_closed")
+    ss = state_space_field(cat, FOUR, alpha)
+    assert (len(ss.spanning), missed, resolved) == (72, [], [])
+    assert ss.gram == Matrix(_spliced_gram(ss.spanning, alpha))
+    monkeypatch.undo()
+    seq = [Fraction(g + 2, 2 * g + 1) for g in range(9)]
+    missed, _ = _strand_misses(monkeypatch, "glue_partition_diagrams")
+    rows, scale = statespaces._cob2_gram_rows(cob2_spanning(2, 2), seq)
+    assert (len(rows), missed) == (12, [])
+    assert _unscaled(rows, scale) == _glued_gram(cob2_spanning(2, 2), seq)
+
+
 # integral and non-integral values, so that Gram entries are ints, integral
 # Fractions and non-integral Fractions
 drawn_values = st.one_of(st.integers(-3, 3),
@@ -544,9 +603,17 @@ def _assert_gram_is_the_splices(ss, alpha) -> None:
     assert ss.dimension == gj_rank(ss.gram)
 
 
-@given(st.sampled_from([symmetric_group(3), cyclic_group(4)]),
+# two monoids that are not groups: {1, x, y} with xy = x and yx = y, whose
+# one loop class of x and y is no conjugacy class of a group, and
+# {1, n, 0} with nn = 0
+LEFT_ZERO = FiniteMonoid([[0, 1, 2], [1, 1, 1], [2, 2, 2]], 0)
+NILPOTENT = FiniteMonoid([[0, 1, 2], [1, 2, 2], [2, 2, 2]], 0)
+
+
+@given(st.sampled_from([symmetric_group(3), cyclic_group(4), LEFT_ZERO,
+                        NILPOTENT]),
        st.sampled_from([TWO] + FOUR_ORDERS), st.data())
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=12, deadline=None)
 def test_gram_on_drawn_characters_is_the_splices(group, obj, data) -> None:
     cat = MonoidCategory(group)
     classes = [cat.loop_class(0, [g]) for g in range(group.size)]
@@ -595,7 +662,11 @@ def test_template_gram_rows_are_the_references(kind, cob2,
         seq = data.draw(st.lists(values, min_size=2 * m * cap + m + 1,
                                  max_size=2 * m * cap + m + 1))
         expected = _glued_gram(spanning, seq)
-        rows = statespaces._cob2_gram_rows(spanning, seq)
+        rows, scale = statespaces._cob2_gram_rows(spanning, seq)
+        # the gluings times the scale, held as ints; int values, scale 1
+        assert _unscaled(rows, scale) == expected
+        assert kind != "int" or scale == 1
+        gram = Matrix.from_ints(rows, scale)
     else:
         cat = MonoidCategory(data.draw(st.sampled_from(
             [symmetric_group(3), cyclic_group(4)])))
@@ -607,10 +678,10 @@ def test_template_gram_rows_are_the_references(kind, cob2,
             [TWO] + FOUR_ORDERS)))
         expected = _spliced_gram(kets, alpha)
         rows = statespaces._pairing(cat, kets, alpha, None)
-    assert rows == expected
-    if kind == "int":  # int strand values give int entries, held as ints
-        assert all(type(x) is int for row in rows for x in row)
-    gram = Matrix(rows)
+        assert rows == expected
+        if kind == "int":  # int strand values give int entries, held as ints
+            assert all(type(x) is int for row in rows for x in row)
+        gram = Matrix(rows)
     assert gram == Matrix(expected)
     assert (gram.den == 1) == all(x.denominator == 1
                                   for row in expected for x in row)
@@ -651,7 +722,8 @@ def permuted_kets(draw):
     values = value_kinds[draw(st.sampled_from(sorted(value_kinds)))]
     if draw(st.booleans()):
         cat = MonoidCategory(draw(st.sampled_from(
-            [cyclic_group(3), cyclic_group(4), symmetric_group(3)])))
+            [cyclic_group(3), cyclic_group(4), symmetric_group(3), LEFT_ZERO,
+             NILPOTENT])))
         classes = [cat.loop_class(0, [g]) for g in range(cat.monoid.size)]
         value = {c: draw(values) for c in sorted(set(classes), key=repr)}
         alpha = evaluation_from_monoid(cat, [value[c] for c in classes])
@@ -695,10 +767,12 @@ def test_block_gram_of_permuted_diagrams_is_the_gluings(kind, data) -> None:
                                 min_size=1, max_size=12))
     seq = data.draw(st.lists(value_kinds[kind], min_size=2 * m * cap + m + 1,
                              max_size=2 * m * cap + m + 1))
-    marks = [Fraction(1, 1 if Fraction(v).denominator == 1 else 2)
-             for v in seq]
-    _assert_entries(statespaces._cob2_gram_rows(sample, seq),
-                    _glued_gram(sample, seq), _glued_gram(sample, marks))
+    rows, scale = statespaces._cob2_gram_rows(sample, seq)
+    expected = _glued_gram(sample, seq)
+    assert _unscaled(rows, scale) == expected
+    assert Matrix.from_ints(rows, scale) == Matrix(expected)
+    # an integral sequence gives the gluings themselves, at scale 1
+    assert kind != "int" or scale == 1
 
 
 def _assert_first_miss(cat, kets, alpha, boundary, dropped) -> None:
@@ -1166,15 +1240,48 @@ def _glued_gram(sample, seq):
         return str(exc)
 
 
+def _unscaled(rows, scale) -> list:
+    """Int rows over their scale, as Fractions; a non-int entry fails."""
+    assert all(type(x) is int for row in rows for x in row)
+    return [[Fraction(x, scale) for x in row] for row in rows]
+
+
 @given(cob2_grams())
 @settings(max_examples=150, deadline=None)
 def test_cob2_templates_match_the_gluing(case) -> None:
     sample, seq = case
     try:
-        got = statespaces._cob2_gram_rows(sample, seq)
+        got = _unscaled(*statespaces._cob2_gram_rows(sample, seq))
     except SequenceTooShort as exc:
         got = str(exc)
     assert got == _glued_gram(sample, seq)
+
+
+# ints, integral Fractions and other Fractions, zero and negative ones
+cob2_values = st.one_of(st.integers(-4, 4), st.integers(-4, 4).map(Fraction),
+                        st.fractions(-4, 4, max_denominator=6))
+
+
+@given(st.integers(0, 3), st.integers(0, 2), st.data())
+@settings(max_examples=150, deadline=None)
+def test_cob2_int_gram_is_the_fraction_gram(m, cap, data) -> None:
+    """`Matrix.from_ints` of the int rows over their scale holds the ints
+    and den that `Matrix` of the glued Fraction rows holds, so `rank`
+    reads the same input; a sequence too short for some gluing raises
+    the gluing's `SequenceTooShort`, message and all."""
+    sample = data.draw(st.lists(st.sampled_from(cob2_spanning(m, cap)),
+                                min_size=1, max_size=10))
+    seq = data.draw(st.lists(cob2_values, max_size=2 * m * cap + m + 1))
+    expected = _glued_gram(sample, seq)
+    if isinstance(expected, str):
+        with pytest.raises(SequenceTooShort) as info:
+            statespaces._cob2_gram_rows(sample, seq)
+        assert str(info.value) == expected
+        return
+    gram = Matrix.from_ints(*statespaces._cob2_gram_rows(sample, seq))
+    want = Matrix(expected)
+    assert (gram.ints, gram.den) == (want.ints, want.den)
+    assert all(type(x) is int for row in gram.ints for x in row)
 
 
 @pytest.mark.parametrize("m, cap", [(1, 3), (2, 2), (3, 1)])
@@ -1220,7 +1327,7 @@ def test_cob2_gram_glues_once_per_pair_of_partitions(monkeypatch) -> None:
     monkeypatch.setattr(statespaces, "glue_partition_diagrams", counting_glue)
     spanning = cob2_spanning(3, 1)
     seq = [Fraction(g + 2, g + 1) for g in range(9)]
-    rows = statespaces._cob2_gram_rows(spanning, seq)
+    rows = _unscaled(*statespaces._cob2_gram_rows(spanning, seq))
     partitions = 5  # Bell(3)
     assert len(spanning) == 22
     assert len(glued) == partitions ** 2
