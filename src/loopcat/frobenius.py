@@ -32,12 +32,11 @@ from itertools import combinations_with_replacement
 from math import comb, gcd, lcm
 from typing import NamedTuple
 
-from .errors import DomainError, InternalInconsistency
+from .errors import DomainError, InternalInconsistency, SequenceTooShort
 from .linalg import (Matrix, NonSplitDenominator, Polynomial, RationalFunction,
                      _cleared, _fractions, partial_fractions, solve,
                      trace_series)
 from .pseudochar import _TraceRecursion
-from .statespaces import SequenceTooShort
 
 
 class NotCommutative(DomainError):

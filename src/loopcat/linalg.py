@@ -50,10 +50,10 @@ def _fractions(values) -> tuple:
 def _integral(x: Fraction) -> Fraction | int:
     """An integral value as an int, any other unchanged, so that products
     of integral values stay ints and a Gram of them reaches `Matrix` as
-    ints.  Private: it runs once per memoized strand value
-    (`statespaces`), word-table value read from a job (`cli`), interned
-    trace or trace-recursion leaf (`pseudochar`), too small a step to be a
-    traced span."""
+    ints.  Private: it runs once per memoized strand value or
+    per-element loop value (`statespaces`), word-table value read from a
+    job (`cli`) and interned trace (`pseudochar`), too small a step to be
+    a traced span."""
     return x.numerator if x.denominator == 1 else x
 
 

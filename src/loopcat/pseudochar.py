@@ -19,8 +19,9 @@ recursion is exact only for a trace-like function, tr(gh) = tr(hg), so
 `PseudoCharacter` rejects class values that are not.  A strand labelled
 by the unit is expanded in one term, T(1, S) = (tr 1 - |S|)·T(S), for
 the monoid identity and the strand without dots; at the level d = tr 1
-every tuple holding the unit is 0 at once.  Integral traces run through
-it as ints, and results typed `Fraction` are converted on the way out.
+every tuple holding the unit is 0 at once, and every other key takes
+the one recursion step.  Integral traces run through it as ints, and
+results typed `Fraction` are converted on the way out.
 The degree searches decide each level on a basis of the elements
 (`_vanishing_level`).  The holonomy of a graph evaluates no
 antisymmetrized trace: for dim×dim walk matrices the fundamental trace
@@ -172,8 +173,8 @@ class _TraceRecursion:
     with T() = 1.  Rotating a cycle product changes nothing as long as
     tr(gh) = tr(hg), so T is symmetric and is memoized on sorted tuples
     of interned element ids; equal entries of S give equal terms and are
-    merged once, times their count.  A product is interned only when it
-    enters a key; one that feeds a final trace is not kept.
+    merged once, times their count.  A product is interned when it enters
+    a key, a one-entry key too, and its trace is read then, once.
 
     Given the `unit` of mul (a two-sided identity whose trace exists;
     None for none), a key holding it is expanded in one term,
@@ -187,12 +188,9 @@ class _TraceRecursion:
     visited.  The unit is recognised when it is interned, so the engine
     reads no trace a caller did not ask for.
 
-    A key of two entries is finished as tr(a)·tr(b) - tr(a·b), with a·b
-    formed and traced but not interned.
-
-    Values enter the memo as interned traces and two-entry leaves,
-    integral ones as ints (`_integral`), under the int root T() = 1, so
-    integral traces keep the whole recursion on ints.  Callers that
+    Values enter the memo as the traces of interned elements, integral
+    ones as ints (`_integral`), under the int root T() = 1, so integral
+    traces keep the whole recursion on ints.  Callers that
     promise a `Fraction` convert the result.
     """
 
@@ -247,13 +245,6 @@ class _TraceRecursion:
                 terms = [(c, rest)]
             elif terms is None:
                 x0, rest = top[0], top[1:]
-                if len(rest) == 1:
-                    a, b = self._elements[x0], self._elements[rest[0]]
-                    memo[top] = _integral(
-                        self._traces[x0] * self._traces[rest[0]]
-                        - self._trace(self._mul(a, b)))
-                    stack.pop()
-                    continue
                 terms = [(-rest.count(x), tuple(sorted(
                             rest[:p] + rest[p + 1:] + (self._product(x0, x),))))
                          for p, x in enumerate(rest)

@@ -7,7 +7,10 @@ closes one ket against the reflection (bra) of another and evaluates.  Over
 the rationals the dimension is the Gram rank; a smaller cap's kets and
 sub-Gram are filtered from the larger cap's, in order.  Over the Boolean
 semiring the states are the distinct rows (residual languages), with the
-join-irreducible rows counted separately.
+join-irreducible rows counted separately.  The kets of a finite category
+end on arcs alone; over the free monoid they may also end on its own
+boundary (`fincat.FreeBoundary`), the automata case, whose intervals read
+words as loops do.  No other boundary reaches a state space.
 
 One kernel, `_template_gram`, builds every Gram.  An entry's strands depend
 only on the shapes of its row and column, so each pair of shapes is traced
@@ -50,18 +53,14 @@ from operator import itemgetter, le, mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .diagrams import BrauerMorphism, _chains, compose, transpose
-from .errors import DomainError, InternalInconsistency
+from .errors import DomainError, InternalInconsistency, SequenceTooShort
 from .fincat import (FreeBoundary, FreeMonoidCategory, IntervalClass, Loop,
-                     MonoidCategory, _UnionFind, class_values, compose_path)
+                     MonoidCategory, _UnionFind, class_values)
 from .linalg import Matrix, _Echelon, _cleared, _fractions, _integral, rank
 
 
 class MissingValue(DomainError):
     """A loop or interval class outside the evaluation's domain."""
-
-
-class SequenceTooShort(DomainError):
-    """The genus value sequence does not reach a genus produced by gluing."""
 
 
 class SpanningMismatch(DomainError):
@@ -135,13 +134,16 @@ def enumerate_kets(cat, obj, boundary=None, cap_words: int = 4
     is deterministic: endpoints processed left to right, label lists in
     category order.  An object entry outside the category is a ValueError.
 
-    A `boundary` supplies `gr(m, g)` and `gl(m, g)`, the actions of a
-    morphism on right and left elements, and `interval_class(obj, gl, gr)`;
-    over a finite category it also supplies `gr_sets` and `gl_sets`, the
-    right and left elements at each object, which label the half-intervals.
-    Over the free monoid the half-intervals take the capped words, as the
-    arcs do, and `fincat.FreeBoundary` is such a boundary.
+    The one `boundary` a state space takes is the `fincat.FreeBoundary` of
+    its own free monoid, whose half-intervals take the capped words, as
+    the arcs do; any other is a ValueError, raised before any ket is
+    built.  Without a boundary every end lies on an arc.
     """
+    if boundary is not None and not (
+            isinstance(cat, FreeMonoidCategory)
+            and isinstance(boundary, FreeBoundary) and boundary.cat is cat):
+        raise ValueError("a state space's boundary must be the FreeBoundary "
+                         "of its own free monoid")
     obj = tuple(obj)
     for x, _s in obj:
         if x not in cat.objects:
@@ -172,13 +174,10 @@ def enumerate_kets(cat, obj, boundary=None, cap_words: int = 4
 
     words = _cap_labels(cat, cap_words)
 
-    def slot(item):
+    def slot(item):  # only a free monoid's kets have half-intervals
         if words is not None:
             return words
-        if item[0] == "arc":
-            return cat.hom(obj[item[1]][0], obj[item[2]][0])
-        sets = boundary.gr_sets if effs[item[1]] == 1 else boundary.gl_sets
-        return sets[obj[item[1]][0]]
+        return cat.hom(obj[item[1]][0], obj[item[2]][0])
 
     kets = []
     for matching in matchings:
@@ -431,21 +430,20 @@ def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
     cross-object arc fails before any value is read.
 
     A strand is valued at the composite it reads, and its memo starts
-    from a table of those values.  Over the free monoid, with no boundary
-    or a `FreeBoundary`, its key is the word it reads, the decorations
-    concatenated, and its memos start from the evaluation's values by
-    word; a word the table lacks is resolved through its loop class
-    (`loop_class`, its least rotation) or its interval class.  Over a
-    finite monoid its key is its labels, and the loop memo starts from
-    every chain of each length read whose composite, folded through the
-    Cayley table, has a valued class (`_chain_values`).  Any other key is
-    resolved through its class on a miss.
+    from a table of those values.  Over the free monoid its key is the
+    word it reads, the decorations concatenated, and its memos start from
+    the evaluation's values by word; a word the table lacks is resolved
+    through its loop class (`loop_class`, its least rotation) or, on the
+    free monoid's own boundary (`enumerate_kets`), its interval class.
+    Over a finite monoid its key is its labels, and the loop memo starts
+    from every chain of each length read whose composite, folded through
+    the Cayley table, has a valued class (`_chain_values`).  Any other key
+    is resolved through its class on a miss.
     """
     items = [_views(k) for k in kets]
     for k in dict(zip((shape for shape, _decs in items), kets)).values():
         transpose(k)
-    free = isinstance(cat, FreeMonoidCategory) and (
-        boundary is None or isinstance(boundary, FreeBoundary))
+    free = isinstance(cat, FreeMonoidCategory)
     # per strand kind and objects, its values; a free monoid's one object
     # is 0, and its memos start from the evaluation's values by word
     memo: dict = {("loop", 0): dict(alpha._loop_words),
@@ -465,11 +463,8 @@ def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
         return picks, (itemgetter(*picks), *as_word), values, evaluate
 
     def interval_strand(start, end, picks):
-        def evaluate(key):
-            if free:  # the class of the interval that reads the word
-                return alpha.interval(boundary.interval_class(end, (), key))
-            g = boundary.gr(compose_path(cat, key[1:-1], at=start), key[0])
-            return alpha.interval(boundary.interval_class(end, key[-1], g))
+        def evaluate(word):  # the class of the interval that reads it
+            return alpha.interval(boundary.interval_class(end, (), word))
         return (picks, (itemgetter(*picks), *as_word),
                 memo.setdefault(("interval", start, end), {}), evaluate)
 

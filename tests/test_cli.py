@@ -23,7 +23,7 @@ from loopcat.fincat import FiniteMonoid, FreeMonoidCategory, symmetric_group
 from loopcat.linalg import Matrix, Polynomial, RationalFunction, det
 from loopcat.pseudochar import GraphHolonomy, PseudoCharacter
 from loopcat.statespaces import MAX_KETS
-from oracles import reference_walks
+from oracles import classification_genfun, reference_walks
 from test_cli_properties import JOB_BUDGET_S
 
 Z2_MONOID = {"monoid": {"table": [[0, 1], [1, 0]], "identity": 0, "size": 2}}
@@ -681,6 +681,74 @@ REJECTION_JOBS = {
                               "iota": ["1", "0"]},
                       "alpha": ["1", "3", "9", "27", "81", "243", "729"]}, 1,
         "DimensionMismatch", "h must be square"),
+    # e_1 e_0 = 0: the unit is a left unit only
+    "frobenius-right-unit": (
+        "frobenius-validate", {"frobenius": {
+            "dim": 2, "structure": [[["1", "0"], ["0", "1"]],
+                                    [["0", "0"], ["0", "0"]]],
+            "unit": ["1", "0"], "counit": ["0", "1"]}}, 1,
+        "NotUnital", "e_1 * unit != e_1"),
+    # e_1 e_2 = e_1, e_2 e_1 = 0
+    "frobenius-not-commutative": (
+        "frobenius-validate", {"frobenius": {
+            "dim": 3, "structure": [
+                [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                [["0", "1", "0"], ["0", "0", "0"], ["0", "1", "0"]],
+                [["0", "0", "1"], ["0", "0", "0"], ["0", "0", "0"]]],
+            "unit": ["1", "0", "0"], "counit": ["0", "0", "1"]}}, 1,
+        "NotCommutative", "e_1 e_2 != e_2 e_1"),
+    # e_1 e_1 = e_2 and e_1 e_2 = e_0, so (e_1 e_1) e_2 = 0 but
+    # e_1 (e_1 e_2) = e_1
+    "frobenius-not-associative": (
+        "frobenius-validate", {"frobenius": {
+            "dim": 3, "structure": [
+                [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                [["0", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]],
+                [["0", "0", "1"], ["1", "0", "0"], ["0", "0", "0"]]],
+            "unit": ["1", "0", "0"], "counit": ["0", "0", "1"]}}, 1,
+        "NotAssociative", "(e_1 e_1) e_2 differs"),
+    "frobenius-zero-dim": (
+        "frobenius-validate", {"frobenius": {"dim": 0, "structure": [],
+                                             "unit": [], "counit": []}}, 2,
+        "ValueError", "dimension must be positive"),
+    "frobenius-negative-dim": (
+        "frobenius-validate", {"frobenius": {"dim": -1, "structure": [],
+                                             "unit": [], "counit": []}}, 2,
+        "ValueError", "dimension must be positive"),
+    "frobenius-missing-plane": (
+        "frobenius-validate", {"frobenius": {
+            "dim": 2, "structure": [[["1", "0"], ["0", "1"]]],
+            "unit": ["1", "0"], "counit": ["0", "1"]}}, 2,
+        "ValueError", "structure constants must be dim^3"),
+    "frobenius-short-row": (
+        "frobenius-validate", {"frobenius": {
+            "dim": 2, "structure": [[["1", "0"], ["0", "1"]], [["0", "1"]]],
+            "unit": ["1", "0"], "counit": ["0", "1"]}}, 2,
+        "ValueError", "structure constants must be dim^3"),
+    # 1 then 0 is 0: the identity is a left identity only
+    "monoid-one-sided-identity": (
+        "statespace", {"monoid": {"table": [[0, 1], [0, 1]], "identity": 0,
+                                  "size": 2}, "alpha": ["2", "0"]}, 2,
+        "ValueError", "identity is not two-sided"),
+    "monoid-not-associative": (
+        "statespace", {"monoid": {"table": [[0, 1, 2], [1, 0, 0], [2, 0, 0]],
+                                  "identity": 0, "size": 3},
+                       "alpha": ["3", "0", "0"]}, 2,
+        "ValueError", "composition not associative at (1,1,2)"),
+    "monoid-wrong-size": (
+        "statespace", dict(Z2_MONOID, monoid={"table": [[0, 1], [1, 0]],
+                                              "identity": 0, "size": 3},
+                           alpha=["2", "0"]), 2,
+        "ValueError", "declared size does not match table"),
+    # alpha(1) = 1 but alpha(s) = 1/2: no degree, so no charpoly
+    "charpoly-without-a-degree": (
+        "pseudochar-charpoly", dict(Z2_MONOID, pseudocharacter={
+            "classes": [[0], [1]], "values": ["1", "1/2"]}, x=1, d=2), 1,
+        "DegreeMismatch", "no degree up to 2"),
+    "holonomy-base-without-an-edge": (
+        "holonomy", {"graph": {"n_vertices": 2, "edges": [[0, 0, [["1"]]]]},
+                     "base": 1}, 2,
+        "ValueError", "vertex 1 has no incident edge"),
 }
 
 
@@ -1352,6 +1420,69 @@ def test_classify_rejects_irrational_poles(tmp_path, capsys):
     assert out["reason"] == "NonSplitDenominator"
 
 
+# classify rejections: (numerator, denominator, reason, detail)
+CLASSIFY_REJECTIONS = {
+    "multiple-pole": (["1"], ["1", "-2", "1"], "MultiplePole",
+                      "pole at 1/1 has order 2"),
+    "quadratic-part": (["1", "0", "1"], ["1"], "PolynomialDegreeTooHigh",
+                       "polynomial part has degree 2"),
+    "half-multiplicity": (["1"], ["1", "-1/2"], "NonIntegerMultiplicity",
+                          "pole at eigenvalue 1/2 has multiplicity 1/2"),
+    "constant-alone": (["1"], ["1"], "ConstantTermMismatch",
+                       "constant term 1 without a nilpotent block"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY_REJECTIONS))
+def test_classify_rejection_names_its_reason(tmp_path, capsys, name):
+    num, den, reason, detail = CLASSIFY_REJECTIONS[name]
+    doc = {"genfun": {"num": num, "den": den}}
+    assert run_cli(tmp_path, capsys, "classify", doc, "--format",
+                   "json") == (1, json.dumps({
+                       "error": "Reject", "message": f"{reason}: {detail}",
+                       "reason": reason}) + "\n")
+
+
+def test_classify_zero_generating_function(tmp_path, capsys):
+    """The zero series is the zero algebra's: no poles, and "0" shown."""
+    doc = {"genfun": {"num": ["0"], "den": ["1"]}}
+    assert run_cli(tmp_path, capsys, "classify", doc) == (
+        0, 'classification: {"m": 0, "mu": "0", "poles": []}\n'
+           'command: classify\ndisplay: 0\n')
+
+
+def test_genfun_in_a_basis_that_is_not_block_diagonal(tmp_path, capsys,
+                                                       monkeypatch):
+    """Q x Q with counit (1, 1/2), written on e_0 = (1, 2) and e_1 = (1, 3):
+    the handle element (1, 2) acts by a matrix with both off-diagonal
+    entries nonzero, so the characteristic polynomial takes Berkowitz's
+    general step.  Its series is the classification's, poles 1 and 2 of
+    multiplicity 1."""
+    doc = {"frobenius": {
+        "dim": 2,
+        "structure": [[["-1", "2"], ["-3", "4"]], [["-3", "4"], ["-6", "7"]]],
+        "unit": ["2", "-1"], "counit": ["2", "5/2"]}}
+    general = []
+    charpoly = linalg._charpoly
+
+    def watched(a):
+        general.append(any(any(row[:k]) and any(r[k] for r in a[:k])
+                           for k, row in enumerate(a)))
+        return charpoly(a)
+
+    monkeypatch.setattr(linalg, "_charpoly", watched)
+    code, out = run_json(tmp_path, capsys, "genfun", doc)
+    assert (code, general) == (0, [True])
+    cd = frobenius.ClassificationData(Fraction(0), 0, ((Fraction(1), 1),
+                                                       (Fraction(2), 1)))
+    assert (cli._genfun_from_json(out["genfun"])
+            == classification_genfun(cd))
+    code, out = run_json(tmp_path, capsys, "classify",
+                         {"genfun": out["genfun"]})
+    assert (code, out["classification"]) == (
+        0, {"mu": "0", "m": 0, "poles": [["1", 1], ["2", 1]]})
+
+
 def _genfun_doc(num: Polynomial, den: Polynomial) -> dict:
     rf = RationalFunction(num, den)
     return {"genfun": {"num": [str(c) for c in rf.num.coeffs],
@@ -1945,6 +2076,64 @@ def test_every_package_definition_is_reached_outside_the_tests():
     assert [d for d in defs if d.split(".")[1] not in used] == []
 
 
+# Typed rejections no job can reach, each with the reason; any other
+# DomainError and Reject reason must be an expected report in this file
+UNREACHABLE_ERRORS = {
+    "InternalInconsistency": "a cross-check that fails only on a library "
+                             "fault, never on a job's data",
+    "NotComposable": "the CLI's categories have one object, so every path "
+                     "of their morphisms composes",
+    "ObjectMismatch": "a job's pairing composes each ket with a transpose "
+                      "of a ket of the same object",
+    "SpanningMismatch": "the CLI restricts a state space only to cap 1, "
+                        "and only from a cap of at least 1",
+}
+
+
+def _expected_reports(tree) -> set:
+    """The string an "error" or "reason" key holds, or a subscript by one
+    is compared with, anywhere in tree."""
+    keys, found = {"error", "reason"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            found.update(v.value for k, v in zip(node.keys, node.values)
+                         if isinstance(k, ast.Constant) and k.value in keys
+                         and isinstance(v, ast.Constant))
+        elif (isinstance(node, ast.Compare)
+              and isinstance(node.left, ast.Subscript)
+              and isinstance(node.left.slice, ast.Constant)
+              and node.left.slice.value in keys):
+            found.update(c.value for c in node.comparators
+                         if isinstance(c, ast.Constant))
+    return found
+
+
+def test_every_typed_rejection_has_a_cli_case():
+    """Each DomainError the package defines, and each reason a `Reject`
+    names, is an expected report of a `main` call in this file, or is on
+    UNREACHABLE_ERRORS with its reason."""
+    src = Path(loopcat.__file__).resolve().parent
+    for path in src.glob("*.py"):
+        __import__(f"loopcat.{path.stem}")
+    classes, todo = set(), [loopcat.DomainError]
+    while todo:
+        cls = todo.pop()
+        if cls.__module__.startswith("loopcat."):
+            classes.add(cls.__name__)
+        todo += cls.__subclasses__()
+    reasons = {node.args[0].value for path in src.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text("utf-8")))
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "Reject"}
+    expected = (_expected_reports(ast.parse(Path(__file__).read_text("utf-8")))
+                | {job[3] for job in REJECTION_JOBS.values()}
+                | {job[2] for job in CLASSIFY_REJECTIONS.values()})
+    assert set(UNREACHABLE_ERRORS) <= classes
+    assert set(UNREACHABLE_ERRORS) & expected == set()
+    assert sorted((classes | reasons) - expected - set(UNREACHABLE_ERRORS)) \
+        == []
+
+
 def test_pih_check_geometric_sequence(tmp_path, capsys):
     doc = {"pih": {"p": ["1"], "h": [["3"]], "iota": ["1/3"]},
            "alpha": ["1/3", "1", "3", "9", "27"]}
@@ -1990,6 +2179,19 @@ def test_cob2_dim_constant_sequence(tmp_path, capsys):
     assert out["dimension"] == 1
     assert out["stabilized"] is True
     assert out["spanning_size"] == 4
+
+
+def test_cob2_dim_at_genus_cap_zero(tmp_path, capsys):
+    """Two circles at genus cap 0: one disc on both, or a disc on each.
+    They glue to a torus, a sphere twice, or two spheres, so the Gram is
+    [[alpha_1, alpha_0], [alpha_0, alpha_0^2]] = [[2, 1], [1, 1]]; with
+    no diagram below the cap, the space is not called stabilized."""
+    doc = {"m": 2, "alpha": ["1", "2", "3", "4", "5"]}
+    assert run_cli(tmp_path, capsys, "cob2-dim", doc, "--format", "json",
+                   "--cap-genus", "0") == (0, json.dumps({
+                       "cap_genus": 0, "command": "cob2-dim", "dimension": 2,
+                       "m": 2, "spanning_size": 2, "stabilized": False})
+                       + "\n")
 
 
 def test_cob2_dim_builds_its_spanning_set_once(tmp_path, capsys,

@@ -1,14 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loopcat import frobenius, linalg, pseudochar, statespaces
+import loopcat
+from loopcat import errors, frobenius, linalg, pseudochar, statespaces
 from loopcat.errors import DomainError
 from loopcat.frobenius import (
     ClassificationData,
@@ -1279,3 +1284,20 @@ def test_records_refuse_attribute_assignment(record, field) -> None:
         setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.note = None
+
+
+def test_frobenius_loads_no_diagram_layer() -> None:
+    """`SequenceTooShort` is one class, raised by `frobenius` and
+    `statespaces` alike from `errors`, so a fresh `import loopcat.frobenius`
+    loads neither `statespaces` nor `diagrams`."""
+    assert (frobenius.SequenceTooShort is statespaces.SequenceTooShort
+            is errors.SequenceTooShort is SequenceTooShort)
+    src = str(Path(loopcat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\nimport loopcat.frobenius\n"
+         "print(sorted({'loopcat.statespaces', 'loopcat.diagrams'}"
+         " & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -418,21 +418,46 @@ def test_kernel_matches_splice_on_two_object_categories() -> None:
     assert len(ss.spanning) == 8
 
 
-def test_kernel_matches_splice_on_a_boundary_datum() -> None:
-    # right and left elements of Z/2 acting on itself; the interval value
-    # of (gl, gr) is a function of the product gr.gl
+class _Unread:
+    """An evaluation that fails on any read of its values."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"read the evaluation's {name}")
+
+
+def test_a_state_space_takes_only_its_free_monoids_own_boundary(
+        monkeypatch) -> None:
+    """Any boundary but the FreeBoundary of the job's own free monoid is a
+    ValueError, raised before a ket is built or a value read."""
     z2 = cyclic_group(2)
     cat = MonoidCategory(z2)
     datum = BoundaryDatum(cat, gr_sets={X: (0, 1)}, gl_sets={X: (0, 1)},
                           gr_action=lambda m, g: z2.mul(g, m),
                           gl_action=lambda m, g: z2.mul(m, g))
-    intervals = {datum.interval_class(X, gl, gr): Fraction(2 + 3 * z2.mul(gr, gl))
-                 for gl in (0, 1) for gr in (0, 1)}
-    alpha = Evaluation({cat.loop_class(X, [0]): Fraction(2),
-                        cat.loop_class(X, [1]): Fraction(0)}, intervals)
-    for obj in (((X, PLUS),), ((X, MINUS),), TWO, ((X, MINUS), (X, PLUS)),
-                FOUR):
-        _assert_kernel_matches_splice(cat, obj, alpha, datum)
+    fm = FreeMonoidCategory("ab")
+    for build in (state_space_field, state_space_boolean):
+        assert build(fm, TWO, _word_evaluation(fm, FreeBoundary(fm), 4),
+                     FreeBoundary(fm), 1).spanning
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built a ket")
+
+    monkeypatch.setattr(statespaces, "BrauerMorphism", unbuilt)
+    for c, boundary in ((cat, datum), (fm, datum),
+                        (fm, FreeBoundary(FreeMonoidCategory("ab"))),
+                        (cat, FreeBoundary(fm)), (cat, FreeBoundary(cat)),
+                        (FreeMonoidCategory("abc"), FreeBoundary(fm))):
+        for obj in (((X, PLUS),), TWO, FOUR):
+            for call in (lambda: enumerate_kets(c, obj, boundary, 2),
+                         lambda: state_space_field(c, obj, _Unread(),
+                                                   boundary, 2),
+                         lambda: state_space_boolean(c, obj, _Unread(),
+                                                     boundary, 2)):
+                with pytest.raises(ValueError) as info:
+                    call()
+                assert str(info.value) == (
+                    "a state space's boundary must be the FreeBoundary of "
+                    "its own free monoid")
 
 
 def _by_canonical_words(alpha: Evaluation) -> Evaluation:
