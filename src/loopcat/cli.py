@@ -29,6 +29,7 @@ import json
 import os
 import re
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
@@ -271,30 +272,31 @@ def _evaluation_from(doc: dict):
     {word: value}, "intervals"?: {word: value}}: tables keyed by words,
     each distinct value string parsed once (`_rat_reader`).  Loop words are
     canonicalized here, through the category's `loop_class`, to check
-    that the values agree on each class.  The evaluation holds each table
-    by class and by word: the pairing keys a free strand by the word it
-    reads, and reaches a class only for a word the table lacks.  A
-    boundary is attached iff intervals are given.
+    that the values agree on each class.  Each table is built by class and
+    by word, and the evaluation is made once from the four: the pairing
+    keys a free strand by the word it reads, and reaches a class only for
+    a word the table lacks.  A boundary is attached iff intervals are given.
     """
     if "monoid" in doc:
         cat = MonoidCategory(_monoid_from_json(doc["monoid"]))
         return cat, evaluation_from_monoid(cat, _rats(doc["alpha"])), None
     cat = FreeMonoidCategory(
         _alphabet(_value_object(doc["free_monoid"])["letters"]))
-    rat, alpha = _rat_reader(), Evaluation()
+    rat = _rat_reader()
+    loops, intervals, loop_words, interval_words = {}, {}, {}, {}
     for text, v in _value_object(doc.get("loops", {})).items():
         word = cat.word(text)
         key, v = cat.loop_class(0, [word]), rat(v)
-        if alpha.loop_values.setdefault(key, v) != v:
+        if loops.setdefault(key, v) != v:
             raise ValueError(f"conflicting values on the loop class of {text!r}")
-        alpha._loop_words[word] = _integral(v)
+        loop_words[word] = _integral(v)
     # distinct words are distinct intervals: no two texts share a key
     for text, v in _value_object(doc.get("intervals", {})).items():
         word = cat.word(text)
-        alpha.interval_values[IntervalClass(0, (), word)] = v = rat(v)
-        alpha._interval_words[word] = _integral(v)
-    boundary = FreeBoundary(cat) if "intervals" in doc else None
-    return cat, alpha, boundary
+        intervals[IntervalClass(0, (), word)] = v = rat(v)
+        interval_words[word] = _integral(v)
+    return (cat, Evaluation(loops, intervals, loop_words, interval_words),
+            FreeBoundary(cat) if "intervals" in doc else None)
 
 
 def _check_kets(cat, obj, boundary, cap_words: int) -> None:
@@ -357,15 +359,12 @@ def _run_boolean_statespace(doc: dict, args) -> dict:
         # stop at its first entry: raise its MissingValue before any word,
         # table or ket is built (`enumerate_kets` rejects unknown objects)
         Evaluation().loop(cat.loop_class(0, []))
-    # at most (words up to the cap)^2 <= kets^2 words; the one ket of the
-    # empty object closes no interval, so it needs none.  The pairing reads
-    # the table by word, and the splice by class.
-    alpha = Evaluation()
-    alpha._interval_words = {
-        w: int(w in accepted)
-        for w in cat.words_up_to(2 * args.cap_words if obj else 0)}
-    alpha.interval_values = {IntervalClass(0, (), w): v
-                             for w, v in alpha._interval_words.items()}
+    # a language is 1 on its words and 0 on every other: the pairing reads
+    # the table by word, and the splice by class, each through the default
+    alpha = Evaluation(
+        interval_values=defaultdict(
+            int, {IntervalClass(0, (), w): 1 for w in accepted}),
+        interval_words=defaultdict(int, dict.fromkeys(accepted, 1)))
     ss = state_space_boolean(cat, obj, alpha, boundary, args.cap_words)
     return {
         "alphabet": "".join(cat.alphabet),

@@ -35,7 +35,7 @@ datum, with its functoriality checks, is the test suite's reference
 
 from __future__ import annotations
 
-from itertools import chain as _chain
+from itertools import chain as _chain, product as _product
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 from .errors import DomainError
@@ -359,12 +359,9 @@ class FreeMonoidCategory:
 
     def words_up_to(self, cap: int) -> list[tuple]:
         """All words of length <= cap, shortlex order."""
-        out: list[tuple] = [()]
-        frontier: list[tuple] = [()]
-        for _ in range(cap):
-            frontier = [w + (a,) for w in frontier for a in range(len(self.alphabet))]
-            out.extend(frontier)
-        return out
+        k = len(self.alphabet)
+        return [w for n in range(max(cap, 0) + 1)
+                for w in _product(range(k), repeat=n)]
 
 
 def compose_path(cat, path: Sequence, at=None):

@@ -50,6 +50,7 @@ from fractions import Fraction
 from itertools import chain, count, groupby, product as iproduct
 from math import comb, factorial, lcm
 from operator import itemgetter, le, mul
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .diagrams import BrauerMorphism, _chains, compose, transpose
@@ -67,19 +68,18 @@ class SpanningMismatch(DomainError):
     """A smaller spanning set is not contained in the larger one."""
 
 
-class Evaluation:
+class Evaluation(NamedTuple):
     """Values on canonical loops and interval classes; multiplicative on
-    disjoint union.  `_loop_words` and `_interval_words` hold free-monoid
+    disjoint union.  `loop_words` and `interval_words` hold free-monoid
     values by the word a strand reads, integral ones as ints, as a job's
-    reader has them (`cli._evaluation_from`); they must agree with the
-    values by class, and the pairing starts its memos from them."""
+    reader has them (`cli._evaluation_from`), in agreement with the values
+    by class.  Each table is held as given, so a `defaultdict` keeps its
+    default: a language lists its words, and every other interval reads 0."""
 
-    def __init__(self, loop_values: Mapping | None = None,
-                 interval_values: Mapping | None = None):
-        self.loop_values = dict(loop_values or {})
-        self.interval_values = dict(interval_values or {})
-        self._loop_words: dict = {}
-        self._interval_words: dict = {}
+    loop_values: Mapping = MappingProxyType({})
+    interval_values: Mapping = MappingProxyType({})
+    loop_words: Mapping = MappingProxyType({})
+    interval_words: Mapping = MappingProxyType({})
 
     def loop(self, lp: Loop):
         try:
@@ -432,9 +432,10 @@ def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
     A strand is valued at the composite it reads, and its memo starts
     from a table of those values.  Over the free monoid its key is the
     word it reads, the decorations concatenated, and its memos start from
-    the evaluation's values by word; a word the table lacks is resolved
-    through its loop class (`loop_class`, its least rotation) or, on the
-    free monoid's own boundary (`enumerate_kets`), its interval class.
+    copies of the evaluation's tables by word, which keep a table's
+    default; any other word the table lacks is resolved through its loop
+    class (`loop_class`, its least rotation) or, on the free monoid's own
+    boundary (`enumerate_kets`), its interval class.
     Over a finite monoid its key is its labels, and the loop memo starts
     from every chain of each length read whose composite, folded through
     the Cayley table, has a valued class (`_chain_values`).  Any other key
@@ -445,9 +446,9 @@ def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
         transpose(k)
     free = isinstance(cat, FreeMonoidCategory)
     # per strand kind and objects, its values; a free monoid's one object
-    # is 0, and its memos start from the evaluation's values by word
-    memo: dict = {("loop", 0): dict(alpha._loop_words),
-                  ("interval", 0, 0): dict(alpha._interval_words),
+    # is 0, and its memos start from copies of the evaluation's word tables
+    memo: dict = {("loop", 0): alpha.loop_words.copy(),
+                  ("interval", 0, 0): alpha.interval_words.copy(),
                   } if free else {}
     as_word = (chain.from_iterable, tuple) if free else ()  # labels to word
     seeded: set = set()  # the chain lengths a monoid's loop memo holds

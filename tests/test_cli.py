@@ -19,7 +19,8 @@ import pytest
 import loopcat
 from loopcat import cli, frobenius, linalg, statespaces
 from loopcat.cli import main
-from loopcat.fincat import FiniteMonoid, FreeMonoidCategory, symmetric_group
+from loopcat.fincat import (FiniteMonoid, FreeMonoidCategory, IntervalClass,
+                            symmetric_group)
 from loopcat.linalg import Matrix, Polynomial, RationalFunction, det
 from loopcat.pseudochar import GraphHolonomy, PseudoCharacter
 from loopcat.statespaces import MAX_KETS
@@ -416,6 +417,31 @@ def test_boolean_statespace_of_the_empty_object_tables_no_words(
                          "--cap-words", "11")
     assert time.perf_counter() - start < JOB_BUDGET_S
     assert (code, out["spanning_size"], out["states"]) == (0, 1, ["1"])
+
+
+def test_boolean_statespace_tables_the_accepted_words_alone(
+        tmp_path, capsys, monkeypatch):
+    """A language is 1 on its words and 0 on every other interval: the
+    evaluation a job hands to the kernel lists its accepted words alone,
+    by word and by interval class, and not the 2,047 words up to twice
+    the cap."""
+    handed = []
+    boolean = cli.state_space_boolean
+
+    def spied(cat, obj, alpha, *rest):
+        handed.append((dict(alpha.interval_words),
+                       dict(alpha.interval_values)))
+        return boolean(cat, obj, alpha, *rest)
+
+    monkeypatch.setattr(cli, "state_space_boolean", spied)
+    doc = {"alphabet": "ab", "accepted": ["", "ab", "aab", "bab"],
+           "object": [[0, 1]]}
+    code, out = run_json(tmp_path, capsys, "boolean-statespace", doc,
+                         "--cap-words", "5")
+    assert (code, out["spanning_size"]) == (0, 63)
+    words = [(), (0, 1), (0, 0, 1), (1, 0, 1)]
+    assert handed == [(dict.fromkeys(words, 1),
+                       {IntervalClass(0, (), w): 1 for w in words})]
 
 
 MIXED_SIGN_OBJECTS = [[[0, 1], [0, -1]], [[0, -1], [0, 1]],
@@ -2041,6 +2067,27 @@ def test_only_cli_reads_and_writes_job_text():
     assert {"_rat", "_exact_int", "_value_list", "_rats"} <= set(
         found.pop("cli.py"))
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def _attribute_writes(tree) -> list:
+    """The line of each write to an attribute, `x.a = ...`, or to an item
+    of one, `x.a[k] = ...`, as any assignment's or loop's target."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(getattr(node, "ctx", None), ast.Store):
+            while isinstance(node, ast.Subscript):
+                node = node.value
+            if isinstance(node, ast.Attribute):
+                found.append(node.lineno)
+    return found
+
+
+def test_cli_writes_no_attribute():
+    """The job reader builds its tables locally and hands them to their
+    constructors, an `Evaluation` among them, so `cli` assigns no
+    attribute of any object, nor an item of one."""
+    path = Path(cli.__file__)
+    assert _attribute_writes(ast.parse(path.read_text("utf-8"))) == []
 
 
 def _names_used(tree) -> set:

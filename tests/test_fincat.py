@@ -95,6 +95,41 @@ def test_walking_arrow_has_no_cross_composition() -> None:
     assert cat.compose("b", "idX") == "b"
 
 
+_ARROW = {"idX": ("X", "X"), "idY": ("Y", "Y"), "b": ("X", "Y")}
+_ARROW_TABLE = {("idX", "idX"): "idX", ("idY", "idY"): "idY",
+                ("b", "idX"): "b", ("idY", "b"): "b"}
+# a unital magma on {0, 1, 2}, a.b = table[a][b], that is not
+# associative: 1.(1.1) = 1.2 = 0, but (1.1).1 = 2.1 = 1
+_NOT_ASSOCIATIVE = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
+
+
+@pytest.mark.parametrize("objects, morphisms, identities, table, message", [
+    (["X", "Y"], dict(_ARROW, d=("X", "Z")), {"X": "idX", "Y": "idY"},
+     _ARROW_TABLE, "morphism 'd' has unknown endpoint"),
+    (["X", "Y"], _ARROW, {"X": "idX"}, _ARROW_TABLE,
+     "missing or mistyped identity at 'Y'"),
+    (["X", "Y"], _ARROW, {"X": "idX", "Y": "b"}, _ARROW_TABLE,
+     "missing or mistyped identity at 'Y'"),
+    (["X", "Y"], _ARROW, {"X": "idX", "Y": "idY"},
+     {**_ARROW_TABLE, ("b", "idX"): "idY"}, "right identity fails at 'b'"),
+    (["X", "Y"], _ARROW, {"X": "idX", "Y": "idY"},
+     {**_ARROW_TABLE, ("idY", "b"): "idX"}, "left identity fails at 'b'"),
+    (["X"], {m: ("X", "X") for m in range(3)}, {"X": 0},
+     {(b, a): _NOT_ASSOCIATIVE[a][b] for a in range(3) for b in range(3)},
+     "associativity fails at (1,1,1)"),
+])
+def test_table_category_checks_its_construction(objects, morphisms,
+                                                identities, table,
+                                                message) -> None:
+    """Each of the construction checks raises its own message: endpoints
+    are objects, every object has an identity of its own type, identities
+    are two-sided, and composition is associative."""
+    with pytest.raises(ValueError) as info:
+        TableCategory(objects, morphisms, identities,
+                      lambda m2, m1: table[(m2, m1)])
+    assert str(info.value) == message
+
+
 # --- conjugacy ---------------------------------------------------------------
 
 

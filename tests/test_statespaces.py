@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
@@ -238,9 +239,12 @@ def test_restriction_on_a_table_category_keeps_the_gram() -> None:
 
 
 def test_input_checks_survive_optimized_mode() -> None:
+    """Input checks are raises, not asserts, so `python -O` keeps them:
+    among them each of the seven in `BrauerMorphism._validate`, fired
+    through the public constructor."""
     script = (
         "from loopcat.diagrams import BrauerMorphism\n"
-        "from loopcat.fincat import MonoidCategory, cyclic_group\n"
+        "from loopcat.fincat import Loop, MonoidCategory, cyclic_group\n"
         "from loopcat.linalg import Matrix, det, solve\n"
         "from loopcat.statespaces import (Evaluation, WeightedAutomaton,\n"
         "                                 evaluate_closed)\n"
@@ -254,6 +258,15 @@ def test_input_checks_survive_optimized_mode() -> None:
         "             lambda: BrauerMorphism(cat, (), ((0, 1), (0, 1)),\n"
         "                                    [(0, 1, 0)]),\n"
         "             lambda: BrauerMorphism(cat, (), ((0, 1), (0, -1)), []),\n"
+        "             lambda: BrauerMorphism(cat, (), ((0, -1), (0, -1)),\n"
+        "                                    [(0, 1, 0)]),\n"
+        "             lambda: BrauerMorphism(cat, (), ((0, 1), (1, -1)),\n"
+        "                                    [(1, 0, 0)]),\n"
+        "             lambda: BrauerMorphism(cat, (), ((1, 1), (0, -1)),\n"
+        "                                    [(1, 0, 0)]),\n"
+        "             lambda: BrauerMorphism(cat, (), ((0, 1),), [], [(0, 0)]),\n"
+        "             lambda: BrauerMorphism(cat, (), (), [],\n"
+        "                                    loops=[Loop(1, (0,))]),\n"
         "             lambda: Matrix.identity(2) + Matrix.identity(3),\n"
         "             lambda: Matrix.identity(2) * Matrix.identity(3),\n"
         "             lambda: Matrix([[1, 2]]).trace(),\n"
@@ -279,6 +292,11 @@ def test_input_checks_survive_optimized_mode() -> None:
         "bad shape at 'a'",
         "arc tail at 0 is not eff -",
         "endpoints not covered exactly once",
+        "arc head at 1 is not eff +",
+        "label 0 does not start at endpoint 1's object",
+        "label 0 does not end at endpoint 0's object",
+        "half-interval without boundary data",
+        "loop base 1 is not an object",
         "shape mismatch", "shape mismatch",
         "matrix is not square", "matrix is not square",
         "negative matrix power", "right-hand side length mismatch",
@@ -464,11 +482,10 @@ def _by_canonical_words(alpha: Evaluation) -> Evaluation:
     """alpha with its values also held by word, as a job's reader holds
     them, its loop values by the canonical word of each class alone, so
     that every other rotation a Gram reads resolves its class."""
-    alpha._loop_words = {lp.cycle: _integral(v)
-                         for lp, v in alpha.loop_values.items()}
-    alpha._interval_words = {iv.gr: _integral(v)
-                             for iv, v in alpha.interval_values.items()}
-    return alpha
+    return Evaluation(
+        alpha.loop_values, alpha.interval_values,
+        {lp.cycle: _integral(v) for lp, v in alpha.loop_values.items()},
+        {iv.gr: _integral(v) for iv, v in alpha.interval_values.items()})
 
 
 @pytest.mark.parametrize("loops, intervals", [
@@ -916,6 +933,30 @@ def test_boolean_residuals_of_ends_in_a() -> None:
     assert ss.n_states == 2
     assert set(ss.states) == oracle_rows
     assert ss.n_join_irreducible == 2
+
+
+def test_a_language_table_keeps_its_default() -> None:
+    """An evaluation holds each table as given, so a `defaultdict` keeps
+    its default: a language tables its words alone, and every other
+    interval reads 0, by class in the splice and by word in the pairing,
+    with the same rows as a table that lists every word up to twice the
+    cap."""
+    fm = FreeMonoidCategory("ab")
+    fb = FreeBoundary(fm)
+    ab = fm.word("ab")
+    classes = defaultdict(int, {fb.interval_class(0, (), ab): 1})
+    words = defaultdict(int, {ab: 1})
+    sparse = Evaluation(interval_values=classes, interval_words=words)
+    assert sparse.interval_values is classes
+    assert sparse.interval_words is words
+    assert sparse.interval(fb.interval_class(0, (), fm.word("ba"))) == 0
+    dense = _boolean_alpha_for_language(fm, fb, lambda w: w == ab, 2)
+    by_class = Evaluation(interval_values=defaultdict(int, classes))
+    for alpha in (sparse, by_class):
+        for obj in (((X, PLUS),), ((X, MINUS),), ((X, PLUS), (X, PLUS))):
+            got = state_space_boolean(fm, obj, alpha, fb, 2)
+            assert got.rows == state_space_boolean(fm, obj, dense, fb, 2).rows
+    assert words == {ab: 1}  # the pairing reads a copy
 
 
 def test_boolean_full_language_has_one_state() -> None:
