@@ -50,8 +50,7 @@ from .pseudochar import (GraphHolonomy, Infeasible, PseudoCharacter,
 from .statespaces import (MAX_KETS, Evaluation, WeightedAutomaton,
                           cob2_spanning_size, cob2_state_space,
                           evaluation_from_monoid, hankel_minimize, ket_count,
-                          restrict_state_space, state_space_boolean,
-                          state_space_field)
+                          state_space_boolean, state_space_field)
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +329,13 @@ def _run_statespace(doc: dict, args) -> dict:
         raise TypeError(f"emit_gram must be a bool, got {emit_gram!r}")
     _check_kets(cat, obj, boundary, args.cap_words)
     ss = state_space_field(cat, obj, alpha, boundary, args.cap_words)
-    stabilized = args.cap_words >= 1 and restrict_state_space(
-        ss, cat, args.cap_words - 1).dimension == ss.dimension
     out = {
         "object": [[o, s] for o, s in obj],
         "spanning_size": len(ss.spanning),
         "gram_rows": ss.gram.rows,
         "gram_cols": ss.gram.cols,
         "rank": ss.dimension,
-        "stabilized": stabilized,
+        "stabilized": ss.stabilized,
         "cap_words": args.cap_words,
     }
     if emit_gram:

@@ -48,10 +48,6 @@ class ObjectMismatch(DomainError):
     """Composition interface disagrees."""
 
 
-def _float_key(x):
-    return repr(x)
-
-
 class BrauerMorphism:
     """One decorated matching.  Immutable; equality/hash are structural.
 
@@ -71,8 +67,8 @@ class BrauerMorphism:
         self.arcs = tuple(sorted(((t, h, lab) for t, h, lab in arcs),
                                  key=lambda a: (a[0], a[1])))
         self.half_intervals = tuple(sorted(half_intervals))
-        self.loops = tuple(sorted(loops, key=_float_key))
-        self.intervals = tuple(sorted(intervals, key=_float_key))
+        self.loops = tuple(sorted(loops, key=repr))
+        self.intervals = tuple(sorted(intervals, key=repr))
         self._validate()
 
     @property

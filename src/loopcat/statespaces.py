@@ -4,8 +4,8 @@ An evaluation assigns scalars to canonical loops and interval classes; it
 extends multiplicatively to closed diagrams.  The state space at an object
 is spanned by the open diagrams from the unit into it (kets); the pairing
 closes one ket against the reflection (bra) of another and evaluates.  Over
-the rationals the dimension is the Gram rank; a smaller cap's kets and
-sub-Gram are filtered from the larger cap's, in order.  Over the Boolean
+the rationals the dimension is the Gram rank; it has stabilized when the
+kets below the cap span as much (`_stabilized`).  Over the Boolean
 semiring the states are the distinct rows (residual languages), with the
 join-irreducible rows counted separately.  The kets of a finite category
 end on arcs alone; over the free monoid they may also end on its own
@@ -64,10 +64,6 @@ class MissingValue(DomainError):
     """A loop or interval class outside the evaluation's domain."""
 
 
-class SpanningMismatch(DomainError):
-    """A smaller spanning set is not contained in the larger one."""
-
-
 class Evaluation(NamedTuple):
     """Values on canonical loops and interval classes; multiplicative on
     disjoint union.  `loop_words` and `interval_words` hold free-monoid
@@ -118,14 +114,6 @@ def evaluate_closed(d: BrauerMorphism, alpha: Evaluation):
 # spanning sets
 
 
-def _cap_labels(cat, cap_words: int) -> list | None:
-    """A free monoid labels every arc and every end with its words up to
-    `cap_words`, in shortlex order; no other category's labels depend on
-    the cap (None): its hom sets and its boundary's element sets."""
-    words_up_to = getattr(cat, "words_up_to", None)
-    return None if words_up_to is None else words_up_to(cap_words)
-
-
 def enumerate_kets(cat, obj, boundary=None, cap_words: int = 4
                    ) -> list[BrauerMorphism]:
     """All diagrams from the unit to `obj`: matchings, labels, half-intervals.
@@ -172,7 +160,8 @@ def enumerate_kets(cat, obj, boundary=None, cap_words: int = 4
 
     backtrack(list(range(n)), [])
 
-    words = _cap_labels(cat, cap_words)
+    words = (cat.words_up_to(cap_words)
+             if isinstance(cat, FreeMonoidCategory) else None)
 
     def slot(item):  # only a free monoid's kets have half-intervals
         if words is not None:
@@ -226,7 +215,7 @@ class StateSpace(NamedTuple):
     spanning: list
     gram: Matrix
     dimension: int
-    cap_words: int
+    stabilized: bool
 
 
 class BooleanStateSpace(NamedTuple):
@@ -505,9 +494,18 @@ def _chain_values(cat, alpha: Evaluation, k: int) -> dict:
 
 def state_space_field(cat, obj, alpha: Evaluation, boundary=None,
                       cap_words: int = 4) -> StateSpace:
+    """The kets up to `cap_words`, their Gram, its rank and `_stabilized`:
+    below the cap are a free monoid's kets whose words are all shorter than
+    `cap_words`, and every ket of a category whose labels have no cap."""
     kets = enumerate_kets(cat, obj, boundary, cap_words)
     gram = Matrix(_pairing(cat, kets, alpha, boundary))
-    return StateSpace(tuple(obj), kets, gram, rank(gram), cap_words)
+    dimension = rank(gram)
+    below = range(len(kets))
+    if isinstance(cat, FreeMonoidCategory):
+        below = [i for i, k in enumerate(kets) if all(
+            len(lab) < cap_words for *_, lab in k.arcs + k.half_intervals)]
+    return StateSpace(tuple(obj), kets, gram, dimension,
+                      _stabilized(gram, dimension, below, cap_words))
 
 
 def _sub_gram(gram: Matrix, keep: Sequence[int]) -> Matrix:
@@ -516,31 +514,16 @@ def _sub_gram(gram: Matrix, keep: Sequence[int]) -> Matrix:
                             gram.den)
 
 
-def restrict_state_space(ss: StateSpace, cat, cap_words: int) -> StateSpace:
-    """The state space at a smaller cap_words, read off `ss.gram`: no
-    diagram is enumerated or paired again.  Its kets are those of `ss`
-    whose labels are all words up to the cap, in their order, which is the
-    order of a fresh `enumerate_kets`: the shortlex words up to c are a
-    prefix of those up to C >= c (at c < 0, the empty word alone), the
-    matchings do not depend on the cap, and `iproduct` runs in the
-    lexicographic order of its slots' indices.  A larger cap needs kets
-    `ss` lacks.  When the kets are all of them, as for a category whose
-    labels do not depend on the cap, it is a copy of `ss` with the new cap
-    that shares its kets and Gram, not ranked again."""
-    words = _cap_labels(cat, cap_words)
-    if words is None:
-        return ss._replace(cap_words=cap_words)
-    if cap_words > ss.cap_words:
-        raise SpanningMismatch(
-            "a diagram is missing from the larger spanning set")
-    words = set(words)
-    keep = [i for i, k in enumerate(ss.spanning) if words.issuperset(
-        lab for *_, lab in k.arcs + k.half_intervals)]
-    if len(keep) == len(ss.spanning):
-        return ss._replace(cap_words=cap_words)
-    gram = _sub_gram(ss.gram, keep)
-    return StateSpace(ss.object, [ss.spanning[i] for i in keep], gram,
-                      rank(gram), cap_words)
+def _stabilized(gram: Matrix, dimension: int, below: Sequence[int],
+                cap: int) -> bool:
+    """Whether the spanning elements at `below`, those under the cap, span
+    as much as all, whose Gram has rank `dimension`: never at a cap below
+    1, and with no second rank when every element is below the cap."""
+    if cap < 1:
+        return False
+    if len(below) == gram.rows:
+        return True
+    return rank(_sub_gram(gram, below)) == dimension
 
 
 def _join_irreducible_count(rows: list[tuple]) -> int:
@@ -819,8 +802,9 @@ def cob2_spanning(m: int, genus_cap: int) -> list[PartitionDiagram]:
 def cob2_state_space(m: int, alpha_seq: Sequence, genus_cap: int
                      ) -> tuple[int, bool]:
     """Dimension of the circle-count-m state space, plus a stabilization
-    flag: whether the diagrams below the genus cap span as much.  A
-    spanning set above COB2_MAX_SPANNING is rejected before it is built."""
+    flag: whether the diagrams below the genus cap span as much, decided
+    by `_stabilized` as for `state_space_field`.  A spanning set above
+    COB2_MAX_SPANNING is rejected before it is built."""
     if cob2_spanning_size(m, genus_cap) > COB2_MAX_SPANNING:
         raise ValueError(
             f"spanning set of {m} circles at genus cap {genus_cap} has more "
@@ -828,9 +812,6 @@ def cob2_state_space(m: int, alpha_seq: Sequence, genus_cap: int
     spanning = cob2_spanning(m, genus_cap)
     gram = Matrix.from_ints(*_cob2_gram_rows(spanning, alpha_seq))
     dim = rank(gram)
-    if genus_cap < 1:
-        return dim, False
-    # the diagrams below the cap are among these: compare a principal sub-Gram
     below = [i for i, d in enumerate(spanning)
              if max(d.genus, default=0) < genus_cap]
-    return dim, dim == rank(_sub_gram(gram, below))
+    return dim, _stabilized(gram, dim, below, genus_cap)

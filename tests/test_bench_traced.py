@@ -38,9 +38,10 @@ def test_traced_bench_run_is_correct(tmp_path, workload):
         calls = {name: report["metrics"][f"diagrams.{name}.calls"]["value"]
                  for name in ("compose", "transpose")}
         assert 0 < calls["transpose"] <= 2 * calls["compose"], calls
-        # each statespace job enumerates its kets once, restriction to
-        # cap - 1 filters them, and the 10 boolean-statespace jobs
-        # enumerate once each: twice per job would mean enumerating again
+        # each statespace job enumerates its kets once, its stabilization
+        # check ranks the sub-Gram of those below the cap, and the 10
+        # boolean-statespace jobs enumerate once each: twice per job would
+        # mean enumerating again
         kets = {name: report["metrics"][f"statespaces.{name}.calls"]["value"]
                 for name in ("enumerate_kets", "state_space_field")}
         assert kets["enumerate_kets"] < 2 * kets["state_space_field"], kets

@@ -126,24 +126,32 @@ def test_statespace_free_monoid_loop_table(tmp_path, capsys):
 
 
 def test_statespace_free_monoid_not_yet_stabilized(tmp_path, capsys):
-    # loop values 1 + 2^k + 3^k: the Hankel Gram of a^i against a^j has
+    """A report has stabilized at a cap of at least 1 when its rank is
+    that of a fresh job at the cap below, and never at cap 0: for kets on
+    arcs and for kets on half-intervals."""
+    # values 1 + 2^k + 3^k on a^k: the Hankel Gram of a^i against a^j has
     # rank min(cap + 1, 3), so it still grows from cap 1 to cap 2
-    doc = {"free_monoid": {"letters": "a"},
-           "loops": {"a" * k: str(1 + 2 ** k + 3 ** k) for k in range(7)}}
-    ranks = {}
-    for cap in (1, 2, 3):
-        code, out = run_json(tmp_path, capsys, "statespace", doc,
-                             "--cap-words", str(cap))
-        assert code == 0
-        ranks[cap] = (out["rank"], out["stabilized"])
-    assert ranks == {1: (2, False), 2: (3, False), 3: (3, True)}
+    values = {"a" * k: str(1 + 2 ** k + 3 ** k) for k in range(7)}
+    for doc in ({"free_monoid": {"letters": "a"}, "loops": values},
+                {"free_monoid": {"letters": "a"}, "intervals": values,
+                 "object": [[0, 1]]}):
+        ranks = {}
+        for cap in (0, 1, 2, 3):
+            code, out = run_json(tmp_path, capsys, "statespace", doc,
+                                 "--cap-words", str(cap))
+            assert code == 0
+            ranks[cap] = (out["rank"], out["stabilized"])
+        assert ranks == {0: (1, False), 1: (2, False), 2: (3, False),
+                         3: (3, True)}, doc
+        assert [ranks[cap][1] for cap in (1, 2, 3)] == [
+            ranks[cap][0] == ranks[cap - 1][0] for cap in (1, 2, 3)]
 
 
 def test_statespace_enumerates_its_kets_once(tmp_path, capsys, monkeypatch):
-    """The stabilization check reads the kets at cap - 1 off the kets
-    already paired at the cap, so a job enumerates once: for a free monoid
-    with and without a boundary, whose smaller set is smaller, and for a
-    monoid, whose set is the same."""
+    """The stabilization check ranks the sub-Gram of the kets below the
+    cap, already paired at the cap, so a job enumerates once: for a free
+    monoid with and without a boundary, whose kets below are fewer, and
+    for a monoid, whose kets are all below."""
     calls = []
     enumerate_kets = statespaces.enumerate_kets
 
@@ -2132,8 +2140,6 @@ UNREACHABLE_ERRORS = {
                      "of their morphisms composes",
     "ObjectMismatch": "a job's pairing composes each ket with a transpose "
                       "of a ket of the same object",
-    "SpanningMismatch": "the CLI restricts a state space only to cap 1, "
-                        "and only from a cap of at least 1",
 }
 
 

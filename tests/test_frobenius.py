@@ -1271,7 +1271,7 @@ RECORDS = [
     (pseudochar.AdditivityReport((0,), 0, True), "additive"),
     (pseudochar.HolonomyReport({}, 0, 1, pseudochar.DegreeResult(0, (), 1)),
      "table"),
-    (statespaces.StateSpace((), [], Matrix([[1]]), 1, 4), "cap_words"),
+    (statespaces.StateSpace((), [], Matrix([[1]]), 1, True), "stabilized"),
     (statespaces.BooleanStateSpace((), [], [], [], 0, 0, 4), "cap_words"),
     (statespaces.PartitionDiagram.make(1, [(1,)], [0]), "genus"),
 ]

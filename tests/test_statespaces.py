@@ -37,7 +37,6 @@ from loopcat.statespaces import (
     MissingValue,
     PartitionDiagram,
     SequenceTooShort,
-    SpanningMismatch,
     WeightedAutomaton,
     cob2_spanning,
     cob2_spanning_size,
@@ -48,7 +47,6 @@ from loopcat.statespaces import (
     glue_partition_diagrams,
     hankel_minimize,
     ket_count,
-    restrict_state_space,
     state_space_boolean,
     state_space_field,
 )
@@ -145,41 +143,47 @@ FOUR = ((X, PLUS), (X, MINUS), (X, PLUS), (X, MINUS))
 @pytest.mark.parametrize("obj, cap, with_boundary", [
     (TWO, 1, False), (TWO, 2, False), (TWO, 3, False), (FOUR, 1, False),
     (FOUR, 2, False), (((X, PLUS),), 1, True), (((X, PLUS),), 3, True),
-    (TWO, 1, True), (TWO, 2, True)])
+    (TWO, 1, True), (TWO, 2, True), ((), 3, False), ((), 3, True),
+    (((X, PLUS),), 3, False), (((X, MINUS), (X, PLUS), (X, PLUS)), 1, True),
+    (((X, PLUS), (X, PLUS), (X, MINUS), (X, MINUS)), 2, False)])
 def test_restricted_state_space_equals_a_fresh_one(obj, cap, with_boundary):
-    fm = FreeMonoidCategory("ab")
-    fb = FreeBoundary(fm)
-    # a closed strand runs through at most one word per endpoint and one
-    # half-interval word
-    alpha = _word_evaluation(fm, fb, (len(obj) + 1) * cap)
-    boundary = fb if with_boundary else None
-    ss = state_space_field(fm, obj, alpha, boundary, cap)
-    fresh = state_space_field(fm, obj, alpha, boundary, cap - 1)
-    assert len(fresh.spanning) < len(ss.spanning)
-    assert restrict_state_space(ss, fm, cap - 1) == fresh
-
-
-def test_restricted_monoid_state_space_is_the_whole_one() -> None:
-    cat = MonoidCategory(symmetric_group(3))
-    alpha = evaluation_from_monoid(cat, [2, 0, 0, -1, -1, 0])
-    ss = state_space_field(cat, FOUR, alpha, cap_words=2)
-    fresh = state_space_field(cat, FOUR, alpha, cap_words=1)
-    assert fresh.spanning == ss.spanning
-    assert restrict_state_space(ss, cat, 1) == fresh
-
-
-def test_restriction_needs_a_subset_of_the_kets() -> None:
-    fm = FreeMonoidCategory("a")
-    alpha = _word_evaluation(fm, FreeBoundary(fm), 4)
-    ss = state_space_field(fm, TWO, alpha, cap_words=1)
-    with pytest.raises(SpanningMismatch):
-        restrict_state_space(ss, fm, 2)
+    """The kets of a free monoid's state space below its cap, with their
+    principal sub-Gram, are in order a fresh state space at the cap below,
+    and the state space has stabilized when the two ranks agree, never at
+    cap 0; its kets are enumerated once.  As for cob2, every cap up to
+    `cap` is checked, here over one letter and two."""
+    for alphabet in ("a", "ab"):
+        fm = FreeMonoidCategory(alphabet)
+        fb = FreeBoundary(fm)
+        boundary = fb if with_boundary else None
+        # a closed strand runs through at most one word per endpoint and
+        # one half-interval word
+        alpha = _word_evaluation(fm, fb, (len(obj) + 1) * cap)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(statespaces, "enumerate_kets",
+                       lambda *args: calls.append(args) or enumerate_kets(*args))
+            spaces = [state_space_field(fm, obj, alpha, boundary, c)
+                      for c in range(cap + 1)]
+        assert len(calls) == cap + 1
+        assert spaces[0].stabilized is False
+        for c in range(1, cap + 1):
+            ss, fresh = spaces[c], spaces[c - 1]
+            assert ss.stabilized == (fresh.dimension == ss.dimension)
+            words = set(fm.words_up_to(c - 1))
+            below = [i for i, k in enumerate(ss.spanning) if words.issuperset(
+                lab for *_, lab in k.arcs + k.half_intervals)]
+            assert [ss.spanning[i] for i in below] == fresh.spanning
+            assert statespaces._sub_gram(ss.gram, below) == fresh.gram
+            if obj and ss.spanning:
+                assert len(fresh.spanning) < len(ss.spanning)
 
 
 @pytest.mark.parametrize("alphabet", ["a", "ab", "abc"])
 def test_shortlex_words_up_to_a_smaller_cap_are_a_prefix(alphabet) -> None:
-    """The order `restrict_state_space` keeps rests on this prefix, at a
-    negative cap too, which gives the empty word alone."""
+    """The order of the kets below the cap, and so of their principal
+    sub-Gram, rests on this prefix, at a negative cap too, which gives the
+    empty word alone."""
     fm = FreeMonoidCategory(alphabet)
     for big in range(4):
         words = fm.words_up_to(big)
@@ -189,53 +193,39 @@ def test_shortlex_words_up_to_a_smaller_cap_are_a_prefix(alphabet) -> None:
     assert fm.words_up_to(-1) == [()]
 
 
-@given(st.sampled_from(["a", "ab"]),
-       st.lists(st.sampled_from([PLUS, MINUS]), max_size=4),
-       st.integers(0, 3), st.booleans())
-@settings(max_examples=40, deadline=None)
-def test_restriction_equals_a_fresh_state_space_and_never_enumerates(
-        alphabet, signs, cap, with_boundary) -> None:
-    fm = FreeMonoidCategory(alphabet)
-    fb = FreeBoundary(fm)
-    labels = len(fm.words_up_to(cap))
-    p = signs.count(PLUS)
-    assume(ket_count(p, len(signs) - p, labels,
-                     labels if with_boundary else 0) <= MAX_KETS)
-    obj = tuple((X, s) for s in signs)
-    boundary = fb if with_boundary else None
-    alpha = _word_evaluation(fm, fb, (len(obj) + 1) * cap)
-    ss = state_space_field(fm, obj, alpha, boundary, cap)
-    fresh = {c: state_space_field(fm, obj, alpha, boundary, c)
-             for c in range(-1, cap + 1)}
+def test_restricted_monoid_state_space_is_the_whole_one() -> None:
+    """Labels of a finite category do not depend on the cap, so every ket
+    is below it: over S3 and over a table category, a state space is
+    enumerated and ranked once, has stabilized at cap 1 and not at cap 0,
+    and its kets and Gram are the same at each cap."""
+    s3 = MonoidCategory(symmetric_group(3))
+    retract = _retract()
+    calls = defaultdict(int)
 
-    def unreachable(*args):
-        raise AssertionError("enumerated the kets again")
+    def counted(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(statespaces, "enumerate_kets", unreachable)
-        for c, want in fresh.items():
-            assert restrict_state_space(ss, fm, c) == want, c
-
-
-def test_restriction_on_a_table_category_keeps_the_gram() -> None:
-    """Labels of a table category do not depend on the cap: restriction
-    returns the same Gram, neither enumerated nor ranked again."""
-    cat = _retract()
-    alpha = Evaluation({cat.loop_class("X", ["1X"]): Fraction(3),
-                        cat.loop_class("Y", ["1Y"]): Fraction(-2)})
-    obj = (("Y", PLUS), ("Y", MINUS), ("Y", MINUS), ("Y", PLUS))
-    ss = state_space_field(cat, obj, alpha, cap_words=2)
-    fresh = state_space_field(cat, obj, alpha, cap_words=1)
-
-    def unreachable(*args):
-        raise AssertionError("enumerated or ranked again")
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(statespaces, "enumerate_kets", unreachable)
-        mp.setattr(statespaces, "rank", unreachable)
-        restricted = restrict_state_space(ss, cat, 1)
-    assert restricted == fresh
-    assert restricted.gram is ss.gram
+    for cat, alpha, obj in (
+            (s3, evaluation_from_monoid(s3, [2, 0, 0, -1, -1, 0]), FOUR),
+            (retract, Evaluation({
+                retract.loop_class("X", ["1X"]): Fraction(3),
+                retract.loop_class("Y", ["1Y"]): Fraction(-2)}),
+             (("Y", PLUS), ("Y", MINUS), ("Y", MINUS), ("Y", PLUS)))):
+        spaces = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("enumerate_kets", "rank"):
+                mp.setattr(statespaces, name,
+                           counted(name, getattr(statespaces, name)))
+            for cap in (0, 1):
+                calls.clear()
+                spaces.append(state_space_field(cat, obj, alpha,
+                                                cap_words=cap))
+                assert calls == {"enumerate_kets": 1, "rank": 1}, (cat, cap)
+        assert [ss.stabilized for ss in spaces] == [False, True]
+        assert spaces[0]._replace(stabilized=True) == spaces[1]
 
 
 def test_input_checks_survive_optimized_mode() -> None:
