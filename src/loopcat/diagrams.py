@@ -127,11 +127,6 @@ class BrauerMorphism:
     def is_closed(self) -> bool:
         return self.n_endpoints == 0
 
-    def __repr__(self):
-        return (f"BrauerMorphism(src={self.source}, tgt={self.target}, "
-                f"arcs={self.arcs}, half={self.half_intervals}, "
-                f"loops={self.loops}, intervals={self.intervals})")
-
 
 # ---------------------------------------------------------------------------
 # splicing

@@ -126,17 +126,11 @@ class Polynomial:
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
 
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
     def __call__(self, x) -> Fraction:
         """p(x), x = a/b: b^n·den·p(a/b) (`_homogeneous`) over b^n·den."""
         a, b = x.numerator, x.denominator
         return Fraction(_homogeneous(self.ints, a, b),
                         self.den * b ** max(self.degree, 0))
-
-    def __repr__(self) -> str:
-        return f"Polynomial({list(self.coeffs)!r})"
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -207,9 +201,6 @@ class RationalFunction:
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def taylor(self, n: int) -> list[Fraction]:
         """First n power-series coefficients at 0, by a division-free int
         recurrence: with num = a/s and den = b/e (b_0 = e, as den(0) = 1),
@@ -221,9 +212,6 @@ class RationalFunction:
             ys.append((a[k] * e ** k if k < len(a) else 0)
                       - sum(map(mul, w, reversed(ys))))
         return [Fraction(y, s * e ** k) for k, y in enumerate(ys)]
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({self.num!r}, {self.den!r})"
 
     def __str__(self) -> str:
         if self.den.degree <= 0:
@@ -239,8 +227,8 @@ class Matrix:
     """Immutable dense matrix over Q of int and Fraction entries, held as
     int rows `ints` over `den`, the lcm of their denominators, so equal
     matrices hold equal ints; all-int entries are held as they are, over 1,
-    on one type check.  Kernels read the ints; `entries`, `m[i, j]`, `row`
-    and `trace` give Fractions."""
+    on one type check.  Kernels read the ints; `entries`, `row` and `trace`
+    give Fractions."""
 
     __slots__ = ("rows", "cols", "ints", "den")
 
@@ -273,10 +261,6 @@ class Matrix:
     @property
     def entries(self) -> tuple:
         return tuple(map(self.row, range(self.rows)))
-
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        return Fraction(self.ints[i][j], self.den)
 
     def row(self, i: int) -> tuple:
         return tuple(Fraction(x, self.den) for x in self.ints[i])
@@ -325,9 +309,6 @@ class Matrix:
             base = base * base
             n >>= 1
         return out
-
-    def __repr__(self) -> str:
-        return f"Matrix({[list(r) for r in self.entries]!r})"
 
 
 def _cleared(v: Sequence[Fraction]) -> tuple[list[int], int]:

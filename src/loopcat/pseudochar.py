@@ -512,7 +512,6 @@ HOLONOMY_MAX_WALKS = 25_000
 
 class HolonomyReport(NamedTuple):
     table: dict
-    base: int
     dimension: int
     degree: DegreeResult
 
@@ -585,5 +584,5 @@ def graph_pseudoholonomy(gh: GraphHolonomy, max_len: int,
             for ei in reversed(out_edges.get(vertex, [])):
                 _s, t, m = gh.edges[ei]
                 stack.append((walk + [ei], t, mat * m, start))
-    return HolonomyReport(table, base, dim, DegreeResult(
+    return HolonomyReport(table, dim, DegreeResult(
         dim, (identity,) * dim, dim + comb(len(mats) + dim, dim + 1)))

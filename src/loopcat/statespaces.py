@@ -211,7 +211,6 @@ def ket_count(p: int, q: int, labels: int, ends: int) -> int:
 
 
 class StateSpace(NamedTuple):
-    object: tuple
     spanning: list
     gram: Matrix
     dimension: int
@@ -219,13 +218,11 @@ class StateSpace(NamedTuple):
 
 
 class BooleanStateSpace(NamedTuple):
-    object: tuple
     spanning: list
     rows: list
     states: list
     n_states: int
     n_join_irreducible: int
-    cap_words: int
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +501,7 @@ def state_space_field(cat, obj, alpha: Evaluation, boundary=None,
     if isinstance(cat, FreeMonoidCategory):
         below = [i for i, k in enumerate(kets) if all(
             len(lab) < cap_words for *_, lab in k.arcs + k.half_intervals)]
-    return StateSpace(tuple(obj), kets, gram, dimension,
+    return StateSpace(kets, gram, dimension,
                       _stabilized(gram, dimension, below, cap_words))
 
 
@@ -540,8 +537,8 @@ def state_space_boolean(cat, obj, alpha: Evaluation, boundary=None,
     rows = [tuple(1 if v else 0 for v in row)
             for row in _pairing(cat, kets, alpha, boundary)]
     states = sorted(set(rows))
-    return BooleanStateSpace(tuple(obj), kets, rows, states, len(states),
-                             _join_irreducible_count(states), cap_words)
+    return BooleanStateSpace(kets, rows, states, len(states),
+                             _join_irreducible_count(states))
 
 
 # ---------------------------------------------------------------------------

@@ -263,7 +263,7 @@ def fraction_weight(a, word) -> Fraction:
 def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """The monic gcd by Euclid's algorithm over Fraction."""
     while not b.is_zero():
-        a, b = b, a % b
+        a, b = b, divmod(a, b)[1]
     return a if a.is_zero() else a.scale(1 / a[a.degree])
 
 
@@ -950,7 +950,7 @@ def reference_holonomy(gh: GraphHolonomy, max_len: int,
     table, mats = reference_walks(gh, max_len, base)
     dim = mats[0].rows
     if comb(len(mats) + dim, dim + 1) > REFERENCE_HOLONOMY_MAX_TUPLES:
-        return HolonomyReport(table, base, dim, None)
+        return HolonomyReport(table, dim, None)
     engine = _TraceRecursion(Matrix.trace, operator.mul)
     ids = [engine.intern(m) for m in mats]
     deg, checked = full_vanishing_level(engine, ids, range(dim + 2))
@@ -958,4 +958,4 @@ def reference_holonomy(gh: GraphHolonomy, max_len: int,
         raise NotPseudo(
             f"holonomy at vertex {base} has degree {deg}, dimension {dim}")
     witness = tuple(mats[i] for i in _witness(engine, ids, deg))
-    return HolonomyReport(table, base, dim, DegreeResult(deg, witness, checked))
+    return HolonomyReport(table, dim, DegreeResult(deg, witness, checked))

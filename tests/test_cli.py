@@ -172,6 +172,38 @@ def test_statespace_enumerates_its_kets_once(tmp_path, capsys, monkeypatch):
         assert (code, len(calls)) == (0, 1), out
 
 
+def test_statespace_interval_chains_compose_their_words(
+        tmp_path, capsys, monkeypatch):
+    """At a four-end object with a boundary, a ket paired with a bra can
+    close an interval chain that passes two arcs, so the reference splice
+    composes the words along it in the free monoid (`compose_path`, and
+    through it `FreeMonoidCategory.compose`): seven kets of rank 6."""
+    composed = []
+    compose = FreeMonoidCategory.compose
+
+    def spy(cat, *words):
+        composed.append(words)
+        return compose(cat, *words)
+
+    monkeypatch.setattr(FreeMonoidCategory, "compose", spy)
+    doc = {"free_monoid": {"letters": "ab"}, "loops": {"": "2"},
+           "intervals": {"": "1"},
+           "object": [[0, 1], [0, -1], [0, 1], [0, -1]]}
+    assert run_cli(tmp_path, capsys, "statespace", doc,
+                   "--cap-words", "0") == (0, (
+                       "cap_words: 0\ncommand: statespace\ngram_cols: 7\n"
+                       "gram_rows: 7\nobject: [[0, 1], [0, -1], [0, 1], "
+                       "[0, -1]]\nrank: 6\nspanning_size: 7\n"
+                       "stabilized: false\n"))
+    assert composed
+    assert run_cli(tmp_path, capsys, "statespace", doc, "--format", "json",
+                   "--cap-words", "0") == (0, (
+                       '{"cap_words": 0, "command": "statespace", '
+                       '"gram_cols": 7, "gram_rows": 7, "object": [[0, 1], '
+                       '[0, -1], [0, 1], [0, -1]], "rank": 6, '
+                       '"spanning_size": 7, "stabilized": false}\n'))
+
+
 def test_statespace_missing_loop_value_is_domain_error(tmp_path, capsys):
     doc = {"free_monoid": {"letters": "a"}, "loops": {"": "1"}}
     code, out = run_json(tmp_path, capsys, "statespace", doc)

@@ -1269,10 +1269,10 @@ RECORDS = [
     (frobenius.Cob2PseudoReport(1, 2, True, None), "witness"),
     (pseudochar.DegreeResult(0, (), 1), "d"),
     (pseudochar.AdditivityReport((0,), 0, True), "additive"),
-    (pseudochar.HolonomyReport({}, 0, 1, pseudochar.DegreeResult(0, (), 1)),
+    (pseudochar.HolonomyReport({}, 1, pseudochar.DegreeResult(0, (), 1)),
      "table"),
-    (statespaces.StateSpace((), [], Matrix([[1]]), 1, True), "stabilized"),
-    (statespaces.BooleanStateSpace((), [], [], [], 0, 0, 4), "cap_words"),
+    (statespaces.StateSpace([], Matrix([[1]]), 1, True), "stabilized"),
+    (statespaces.BooleanStateSpace([], [], [], 0, 0), "n_states"),
     (statespaces.PartitionDiagram.make(1, [(1,)], [0]), "genus"),
 ]
 

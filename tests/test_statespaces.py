@@ -132,7 +132,7 @@ def _word_evaluation(fm, fb, max_len: int,
             products[w] = products[w[:-1]] * mats[w[-1]]
         a = products[w]
         loops[fm.loop_class(0, [w])] = a.trace()
-        intervals[fb.interval_class(0, (), w)] = a[0, 1]
+        intervals[fb.interval_class(0, (), w)] = a.row(0)[1]
     return Evaluation(loops, intervals)
 
 
@@ -1070,8 +1070,8 @@ def _reference_forward_reduce(a: WeightedAutomaton) -> WeightedAutomaton:
     vectors: every round re-reduces the whole span, expands every vector,
     dependent or not, and reads coordinates by `solve`."""
     def times(v, m):
-        return tuple(sum((v[i] * m[i, j] for i in range(m.rows)), Fraction(0))
-                     for j in range(m.cols))
+        return tuple(sum((x * e for x, e in zip(v, col)), Fraction(0))
+                     for col in zip(*m.entries))
 
     letters = sorted(a.transitions)
     span, frontier = [], [a.initial]
@@ -1179,8 +1179,8 @@ def test_cob2_split_two_eigenvalues() -> None:
     seq = [Fraction(3, 2)] + [1 + Fraction(2) ** (g - 1) for g in range(1, 12)]
     moment = Matrix([[seq[i + j] for j in range(4)] for i in range(4)])
     # oracle: every 3x3 minor of the moment matrix is singular, some 2x2 isn't
-    assert det(Matrix([[moment[i, j] for j in range(3)] for i in range(3)])) == 0
-    assert det(Matrix([[moment[i, j] for j in range(2)] for i in range(2)])) != 0
+    assert det(Matrix([r[:3] for r in moment.entries[:3]])) == 0
+    assert det(Matrix([r[:2] for r in moment.entries[:2]])) != 0
     dim, stab = cob2_state_space(1, seq, 3)
     assert dim == 2 and stab
 
@@ -1404,8 +1404,7 @@ class _Frob:
         self.unit = [Fraction(x) for x in unit]
         gram = Matrix([[self.eps(self.mul_basis(i, j)) for j in range(self.d)]
                        for i in range(self.d)])
-        ginv = column_inverse(gram)
-        self.dual = [[ginv[j, k] for k in range(self.d)] for j in range(self.d)]
+        self.dual = column_inverse(gram).entries
 
     def mul_basis(self, i, j):
         return [Fraction(c) for c in self.mult[i][j]]
