@@ -271,10 +271,13 @@ def _evaluation_from(doc: dict):
     {word: value}, "intervals"?: {word: value}}: tables keyed by words,
     each distinct value string parsed once (`_rat_reader`).  Loop words are
     canonicalized here, through the category's `loop_class`, to check
-    that the values agree on each class.  Each table is built by class and
-    by word, and the evaluation is made once from the four: the pairing
-    keys a free strand by the word it reads, and reaches a class only for
-    a word the table lacks.  A boundary is attached iff intervals are given.
+    that the values agree on each class: once per class, as a text listed
+    after one of its rotations takes that rotation's class, and the
+    rotations stored hold no more letters than the table lists.  Each
+    table is built by class and by the texts as listed, and the
+    evaluation is made once from the four: the pairing keys a free strand
+    by the text of the word it reads, and reaches a class only for a text
+    the table lacks.  A boundary is attached iff intervals are given.
     """
     if "monoid" in doc:
         cat = MonoidCategory(_monoid_from_json(doc["monoid"]))
@@ -283,17 +286,27 @@ def _evaluation_from(doc: dict):
         _alphabet(_value_object(doc["free_monoid"])["letters"]))
     rat = _rat_reader()
     loops, intervals, loop_words, interval_words = {}, {}, {}, {}
-    for text, v in _value_object(doc.get("loops", {})).items():
-        word = cat.word(text)
-        key, v = cat.loop_class(0, [word]), rat(v)
-        if loops.setdefault(key, v) != v:
+    table = _value_object(doc.get("loops", {}))
+    classes, spare = {}, sum(map(len, table))  # a listed rotation's class
+    for text, v in table.items():
+        key = classes.get(text)
+        if key is None:
+            key = cat.loop_class(0, [cat.word(text)])
+            # its other rotations, p - 1 distinct ones at its period p,
+            # share its class, while the table's letters pay for theirs
+            p = (text + text).find(text, 1)
+            if 0 < (cost := (p - 1) * len(text)) <= spare:
+                spare -= cost
+                classes.update({text[i:] + text[:i]: key for i in range(1, p)})
+        v = rat(v)  # one object per distinct string, so mostly `is` it
+        if (old := loops.setdefault(key, v)) is not v and old != v:
             raise ValueError(f"conflicting values on the loop class of {text!r}")
-        loop_words[word] = _integral(v)
-    # distinct words are distinct intervals: no two texts share a key
+        loop_words[text] = _integral(v)
+    # distinct texts are distinct intervals: no two share a key
     for text, v in _value_object(doc.get("intervals", {})).items():
         word = cat.word(text)
         intervals[IntervalClass(0, (), word)] = v = rat(v)
-        interval_words[word] = _integral(v)
+        interval_words[text] = _integral(v)
     return (cat, Evaluation(loops, intervals, loop_words, interval_words),
             FreeBoundary(cat) if "intervals" in doc else None)
 
@@ -346,7 +359,8 @@ def _run_statespace(doc: dict, args) -> dict:
 def _run_boolean_statespace(doc: dict, args) -> dict:
     cat = FreeMonoidCategory(_alphabet(doc["alphabet"]))
     boundary = FreeBoundary(cat)
-    accepted = {cat.word(text) for text in _words(doc["accepted"])}
+    accepted = _words(doc["accepted"])
+    words = [cat.word(text) for text in accepted]
     obj = _object_from(doc, [[0, 1]])
     _check_kets(cat, obj, boundary, args.cap_words)
     signs = {s for _, s in obj}
@@ -357,10 +371,10 @@ def _run_boolean_statespace(doc: dict, args) -> dict:
         # table or ket is built (`enumerate_kets` rejects unknown objects)
         Evaluation().loop(cat.loop_class(0, []))
     # a language is 1 on its words and 0 on every other: the pairing reads
-    # the table by word, and the splice by class, each through the default
+    # the table by text, and the splice by class, each through the default
     alpha = Evaluation(
         interval_values=defaultdict(
-            int, {IntervalClass(0, (), w): 1 for w in accepted}),
+            int, {IntervalClass(0, (), w): 1 for w in words}),
         interval_words=defaultdict(int, dict.fromkeys(accepted, 1)))
     ss = state_space_boolean(cat, obj, alpha, boundary, args.cap_words)
     return {

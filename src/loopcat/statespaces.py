@@ -18,10 +18,11 @@ once into a template.  A strand is valued at the composite it reads, so
 each strand reads one table of values, integral ones held as ints, by one
 path: its keys go through C-level `map`s to its memo, which starts
 complete wherever the category allows, and only a key the memo lacks is
-evaluated.  Over the free monoid the key is the word read, the
-decorations concatenated, and the memo starts from the words the job
-listed; over a finite monoid it is the labels, and the memo starts from
-the per-element values pushed through the Cayley table; a cob2 component
+evaluated.  Over the free monoid the key is the text of the word read,
+the decorations' texts joined (a letter is one character), and the memo
+starts from the texts the job listed; over a finite monoid it is the
+labels, and the memo starts from the per-element values pushed through
+the Cayley table; a cob2 component
 is keyed by its genus, and its memo starts from the surface values
 cleared of their denominators, so a cob2 Gram is built on ints.  A row is
 built block by block, one block per run of columns of one shape: a
@@ -67,10 +68,11 @@ class MissingValue(DomainError):
 class Evaluation(NamedTuple):
     """Values on canonical loops and interval classes; multiplicative on
     disjoint union.  `loop_words` and `interval_words` hold free-monoid
-    values by the word a strand reads, integral ones as ints, as a job's
-    reader has them (`cli._evaluation_from`), in agreement with the values
-    by class.  Each table is held as given, so a `defaultdict` keeps its
-    default: a language lists its words, and every other interval reads 0."""
+    values by the text of the word a strand reads, one character a letter,
+    integral ones as ints, as a job's reader has them
+    (`cli._evaluation_from`), in agreement with the values by class.
+    Each table is held as given, so a `defaultdict` keeps its default: a
+    language lists its words, and every other interval reads 0."""
 
     loop_values: Mapping = MappingProxyType({})
     interval_values: Mapping = MappingProxyType({})
@@ -417,11 +419,13 @@ def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
 
     A strand is valued at the composite it reads, and its memo starts
     from a table of those values.  Over the free monoid its key is the
-    word it reads, the decorations concatenated, and its memos start from
-    copies of the evaluation's tables by word, which keep a table's
-    default; any other word the table lacks is resolved through its loop
-    class (`loop_class`, its least rotation) or, on the free monoid's own
-    boundary (`enumerate_kets`), its interval class.
+    text of the word it reads: each distinct decoration is spelled once,
+    a letter a character, and a key joins the texts it picks.  Its memos
+    start from copies of the evaluation's tables by text, which keep a
+    table's default; any other text the table lacks is spelled back
+    (`word`) and resolved through its loop class (`loop_class`, its least
+    rotation) or, on the free monoid's own boundary (`enumerate_kets`),
+    its interval class.
     Over a finite monoid its key is its labels, and the loop memo starts
     from every chain of each length read whose composite, folded through
     the Cayley table, has a valued class (`_chain_values`).  Any other key
@@ -431,12 +435,17 @@ def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
     for k in dict(zip((shape for shape, _decs in items), kets)).values():
         transpose(k)
     free = isinstance(cat, FreeMonoidCategory)
+    if free:  # each distinct decoration spelled once, a letter a character
+        spelled = {w: "".join(map(cat.alphabet.__getitem__, w))
+                   for w in {w for _shape, decs in items for w in decs}}
+        items = [(shape, tuple(map(spelled.__getitem__, decs)))
+                 for shape, decs in items]
     # per strand kind and objects, its values; a free monoid's one object
     # is 0, and its memos start from copies of the evaluation's word tables
     memo: dict = {("loop", 0): alpha.loop_words.copy(),
                   ("interval", 0, 0): alpha.interval_words.copy(),
                   } if free else {}
-    as_word = (chain.from_iterable, tuple) if free else ()  # labels to word
+    as_word = ("".join,) if free else ()  # a free strand's texts to its word
     seeded: set = set()  # the chain lengths a monoid's loop memo holds
 
     def loop_strand(base, picks):
@@ -446,12 +455,14 @@ def _pairing(cat, kets: list, alpha: Evaluation, boundary) -> list[list]:
             values.update(_chain_values(cat, alpha, len(picks)))
 
         def evaluate(key):  # a word is a chain of one label
-            return alpha.loop(cat.loop_class(base, (key,) if free else key))
+            return alpha.loop(cat.loop_class(
+                base, (cat.word(key),) if free else key))
         return picks, (itemgetter(*picks), *as_word), values, evaluate
 
     def interval_strand(start, end, picks):
-        def evaluate(word):  # the class of the interval that reads it
-            return alpha.interval(boundary.interval_class(end, (), word))
+        def evaluate(text):  # the class of the interval that reads it
+            return alpha.interval(
+                boundary.interval_class(end, (), cat.word(text)))
         return (picks, (itemgetter(*picks), *as_word),
                 memo.setdefault(("interval", start, end), {}), evaluate)
 

@@ -69,6 +69,10 @@ coefficients, the references for the int `Polynomial` arithmetic, and
 `fraction_taylor` is `RationalFunction.taylor` as it ran on Fraction
 coefficients, the reference for its int recurrence.  `zero_matrix`, `apply` and `from_poly` build and
 evaluate test data.
+`canonical_loop_table` reads a free monoid's loop table as
+`cli._evaluation_from` once did, canonicalizing every listed word by
+`least_rotation` in listing order: the reference for its class check,
+which canonicalizes each class once.
 """
 
 from fractions import Fraction
@@ -80,7 +84,7 @@ import operator
 from loopcat.cli import _exact_int, _rat, _rats, _value_list, _value_object
 from loopcat.diagrams import (MINUS, PLUS, BrauerMorphism, ObjectMismatch,
                               _splice_run, compose)
-from loopcat.fincat import IntervalClass, _UnionFind, least_rotation
+from loopcat.fincat import IntervalClass, Loop, _UnionFind, least_rotation
 from loopcat.frobenius import (
     FrobeniusAlgebra,
     NondegeneracyFailure,
@@ -959,3 +963,21 @@ def reference_holonomy(gh: GraphHolonomy, max_len: int,
             f"holonomy at vertex {base} has degree {deg}, dimension {dim}")
     witness = tuple(mats[i] for i in _witness(engine, ids, deg))
     return HolonomyReport(table, dim, DegreeResult(deg, witness, checked))
+
+
+def canonical_loop_table(letters: str, loops: dict):
+    """The values by class of a job's loop table over one-character
+    `letters`, each text spelled by letter index and canonicalized by
+    `least_rotation`, in listing order, a class keeping the first value
+    listed on it; or the message of the first text with a letter outside
+    the alphabet, or whose value its class's disagrees with."""
+    index = {a: i for i, a in enumerate(letters)}
+    classes = {}
+    for text, value in loops.items():
+        if not set(text) <= set(index):
+            return (f"word {text!r} has a letter outside the alphabet "
+                    f"{letters!r}")
+        key = Loop(0, least_rotation(tuple(index[a] for a in text)))
+        if classes.setdefault(key, Fraction(value)) != Fraction(value):
+            return f"conflicting values on the loop class of {text!r}"
+    return classes

@@ -349,6 +349,48 @@ def test_free_strands_resolve_only_the_words_their_table_lacks(
     assert 0 < len(resolved) <= len(every) - len(canonical)
 
 
+def test_a_listed_loop_table_canonicalizes_each_class_once(
+        tmp_path, capsys, monkeypatch):
+    """A 4-strand cap-2 job whose loops table lists every word up to the
+    longest strand, the 511 words up to length 8 in two letters: reading
+    the table spells and canonicalizes each of its 94 classes once, and
+    building the 98 x 98 Gram calls neither `loop_class` nor `word`
+    outside the splice that checks the pairing (`statespaces.compose`)."""
+    words = [""] + ["".join(w) for n in range(1, 9)
+                    for w in itertools.product("ab", repeat=n)]
+    doc = {"free_monoid": {"letters": "ab"},
+           "loops": {w: str(w.count("a") - 2 * w.count("b")) for w in words},
+           "object": [[0, 1], [0, -1], [0, 1], [0, -1]]}
+    calls, splicing = [], []
+
+    def counted(name, f):
+        def method(*args):
+            if not splicing:
+                calls.append(name)
+            return f(*args)
+        return method
+
+    def counted_splice(*args):
+        splicing.append(args)
+        try:
+            return splice(*args)
+        finally:
+            splicing.pop()
+
+    splice, build = statespaces.compose, cli.state_space_field
+    for name in ("loop_class", "word"):
+        monkeypatch.setattr(FreeMonoidCategory, name,
+                            counted(name, getattr(FreeMonoidCategory, name)))
+    monkeypatch.setattr(statespaces, "compose", counted_splice)
+    monkeypatch.setattr(cli, "state_space_field",
+                        lambda *args: calls.append("gram") or build(*args))
+    code, out = run_json(tmp_path, capsys, "statespace", doc,
+                         "--cap-words", "2")
+    assert (code, out["spanning_size"]) == (0, 98)
+    assert len({min(_rotations(w)) for w in words}) == 94
+    assert calls == ["word", "loop_class"] * 94 + ["gram"]
+
+
 def test_statespace_interval_tables_attach_a_boundary(tmp_path, capsys):
     # single positive endpoint: kets are half-intervals labelled by words
     doc = {"free_monoid": {"letters": "a"},
@@ -463,7 +505,7 @@ def test_boolean_statespace_tables_the_accepted_words_alone(
         tmp_path, capsys, monkeypatch):
     """A language is 1 on its words and 0 on every other interval: the
     evaluation a job hands to the kernel lists its accepted words alone,
-    by word and by interval class, and not the 2,047 words up to twice
+    by text and by interval class, and not the 2,047 words up to twice
     the cap."""
     handed = []
     boolean = cli.state_space_boolean
@@ -479,8 +521,8 @@ def test_boolean_statespace_tables_the_accepted_words_alone(
     code, out = run_json(tmp_path, capsys, "boolean-statespace", doc,
                          "--cap-words", "5")
     assert (code, out["spanning_size"]) == (0, 63)
-    words = [(), (0, 1), (0, 0, 1), (1, 0, 1)]
-    assert handed == [(dict.fromkeys(words, 1),
+    texts, words = ["", "ab", "aab", "bab"], [(), (0, 1), (0, 0, 1), (1, 0, 1)]
+    assert handed == [(dict.fromkeys(texts, 1),
                        {IntervalClass(0, (), w): 1 for w in words})]
 
 

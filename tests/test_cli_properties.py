@@ -37,6 +37,7 @@ import loopcat
 from loopcat import cli
 from loopcat.cli import main
 from loopcat.fincat import FiniteMonoid, conjugacy_classes
+from oracles import canonical_loop_table
 
 # Generous: every job drawn here takes milliseconds.
 JOB_BUDGET_S = 2.0
@@ -391,6 +392,50 @@ def test_every_job_keeps_the_exit_code_contract(tmp_path, job) -> None:
     assert first[0] in (0, 1, 2)
     assert "Traceback" not in first[1] + first[2]
     assert run_in_process(tmp_path, *job) == first
+
+
+@st.composite
+def loop_tables(draw):
+    """A loop table over one to three letters: a few words, each listed in
+    some of its rotations, the texts in any order.  A word's rotations
+    mostly share one value and sometimes take a second, equal or not,
+    and a word sometimes has a letter outside the alphabet."""
+    letters = draw(st.sampled_from(["a", "ab", "abc"]))
+    values = st.sampled_from(["1", "2/2", "-3", "1/2", "0"])
+    listed = []
+    for _ in range(draw(st.integers(0, 5))):
+        spelled = draw(st.sampled_from([letters, letters, letters + "z"]))
+        word = draw(st.text(alphabet=spelled, max_size=5))
+        value, second = draw(values), draw(values)
+        for text in sorted({word[i:] + word[:i]
+                            for i in range(len(word))} or {word}):
+            if draw(st.booleans()):  # some rotations are left out
+                listed.append((text, draw(st.sampled_from(
+                    [value, value, value, second]))))
+    return letters, dict(draw(st.permutations(listed)))
+
+
+@given(loop_tables())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_loop_tables_read_as_canonical_classes(tmp_path, case) -> None:
+    """A job's loop table has the exit code, error text and values by
+    class of the reference that canonicalizes every listed word
+    (`oracles.canonical_loop_table`), and its values by word are the
+    texts as listed."""
+    letters, loops = case
+    want = canonical_loop_table(letters, loops)
+    doc = {"free_monoid": {"letters": letters}, "loops": loops, "object": []}
+    code, out, err = run_in_process(tmp_path, "statespace", doc,
+                                    "--cap-words", "0")
+    if isinstance(want, str):
+        assert (code, out, err) == (2, json.dumps(
+            {"error": "ValueError", "message": want}) + "\n", "")
+        return
+    assert (code, err) == (0, "")
+    alpha = cli._evaluation_from(doc)[1]
+    assert list(alpha.loop_values.items()) == list(want.items())
+    assert alpha.loop_words == {t: Fraction(v) for t, v in loops.items()}
 
 
 @given(st.lists(jobs, min_size=4, max_size=4))

@@ -928,14 +928,14 @@ def test_boolean_residuals_of_ends_in_a() -> None:
 def test_a_language_table_keeps_its_default() -> None:
     """An evaluation holds each table as given, so a `defaultdict` keeps
     its default: a language tables its words alone, and every other
-    interval reads 0, by class in the splice and by word in the pairing,
+    interval reads 0, by class in the splice and by text in the pairing,
     with the same rows as a table that lists every word up to twice the
     cap."""
     fm = FreeMonoidCategory("ab")
     fb = FreeBoundary(fm)
     ab = fm.word("ab")
     classes = defaultdict(int, {fb.interval_class(0, (), ab): 1})
-    words = defaultdict(int, {ab: 1})
+    words = defaultdict(int, {"ab": 1})
     sparse = Evaluation(interval_values=classes, interval_words=words)
     assert sparse.interval_values is classes
     assert sparse.interval_words is words
@@ -946,7 +946,7 @@ def test_a_language_table_keeps_its_default() -> None:
         for obj in (((X, PLUS),), ((X, MINUS),), ((X, PLUS), (X, PLUS))):
             got = state_space_boolean(fm, obj, alpha, fb, 2)
             assert got.rows == state_space_boolean(fm, obj, dense, fb, 2).rows
-    assert words == {ab: 1}  # the pairing reads a copy
+    assert words == {"ab": 1}  # the pairing reads a copy
 
 
 def test_boolean_full_language_has_one_state() -> None:
