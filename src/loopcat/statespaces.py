@@ -526,8 +526,10 @@ def _stabilized(gram: Matrix, dimension: int, below: Sequence[int],
                 cap: int) -> bool:
     """Whether the spanning elements at `below`, those under the cap, span
     as much as all, whose Gram has rank `dimension`: never at a cap below
-    1, and with no second rank when every element is below the cap."""
-    if cap < 1:
+    1, and with no second rank when every element is below the cap, or
+    when fewer are than `dimension`, the most their sub-Gram's rank can
+    be."""
+    if cap < 1 or len(below) < dimension:
         return False
     if len(below) == gram.rows:
         return True

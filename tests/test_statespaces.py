@@ -228,6 +228,30 @@ def test_restricted_monoid_state_space_is_the_whole_one() -> None:
         assert spaces[0]._replace(stabilized=True) == spaces[1]
 
 
+def test_fewer_below_the_cap_than_the_dimension_rank_once() -> None:
+    """A sub-Gram's rank is at most its size, so a state space with fewer
+    elements below the cap than its dimension has not stabilized, and its
+    Gram is the one matrix ranked: over one letter at cap 3, the four
+    kets a^0..a^3 against three below, on loop values 2^k + 3^k + 5^k +
+    7^k, whose Hankel Gram has rank 4; and a one-circle cob2 space at
+    genus cap 3, whose generic values give rank 4 against three below."""
+    fm = FreeMonoidCategory("a")
+    alpha = Evaluation({fm.loop_class(0, [fm.word("a" * k)]):
+                        2 ** k + 3 ** k + 5 ** k + 7 ** k for k in range(7)})
+    generic = [2 ** g + 3 ** g + Fraction(1, g + 1) for g in range(10)]
+    ranked = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statespaces, "rank",
+                   lambda gram: ranked.append(gram) or rank(gram))
+        ss = state_space_field(fm, TWO, alpha, None, 3)
+        assert (len(ranked), ss.dimension, ss.stabilized) == (1, 4, False)
+        assert ranked == [ss.gram]
+        assert cob2_state_space(1, generic, 3) == (4, False)
+        assert len(ranked) == 2
+    assert state_space_field(fm, TWO, alpha, None, 2).dimension == 3
+    assert cob2_state_space(1, generic, 2) == (3, False)
+
+
 def test_input_checks_survive_optimized_mode() -> None:
     """Input checks are raises, not asserts, so `python -O` keeps them:
     among them each of the seven in `BrauerMorphism._validate`, fired
