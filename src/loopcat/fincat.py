@@ -307,10 +307,13 @@ class TableCategory:
 
 
 class FreeMonoidCategory:
-    """One object; morphisms are words (tuples of letter indices)."""
+    """One object; morphisms are words (tuples of letter indices).  Each
+    letter is one character, so a word's text spells it exactly."""
 
     def __init__(self, alphabet: Sequence[str]):
         self.alphabet = tuple(alphabet)
+        if not all(isinstance(a, str) and len(a) == 1 for a in self.alphabet):
+            raise ValueError("letters must be one character each")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate letters")
         self.objects = (0,)

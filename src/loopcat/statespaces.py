@@ -22,17 +22,16 @@ evaluated.  Over the free monoid the key is the text of the word read,
 the decorations' texts joined (a letter is one character), and the memo
 starts from the texts the job listed; over a finite monoid it is the
 labels, and the memo starts from the per-element values pushed through
-the Cayley table; a cob2 component
-is keyed by its genus, and its memo starts from the surface values
-cleared of their denominators, so a cob2 Gram is built on ints.  A row is
-built block by block, one block per run of columns of one shape: a
-strand's values over the run are read once per part of the row the
-strand reads, and a block is their product column by column, taken by
-`map`.  For diagrams the shapes are matchings, traced by the splice's own
-chain walk (`diagrams._chains`), and each ket is its own bra.  The
-reference, the splice after `transpose`, builds the only bras: it
-evaluates each template's first entry as a cross-check, and any entry
-that lacks a value, so that the error is its own.
+the Cayley table; a cob2 component is keyed by its genus, and its memo
+starts from the surface values cleared of their denominators, so a cob2
+Gram is built on ints.  A row is built block by block, one block per run
+of columns of one shape: a strand's values over the run are read once per
+part of the row the strand reads, and a block is their product column by
+column, taken by `map`.  For diagrams the shapes are matchings, traced
+by the splice's own chain walk (`diagrams._chains`), and each ket is its
+own bra.  The reference, the splice after `transpose`, builds the only
+bras: it evaluates each template's first entry as a cross-check, and any
+entry that lacks a value, so that the error is its own.
 
 Also here: exact weighted-automaton minimization (the Hankel pairing of the
 non-monoidal construction) and the two-dimensional cobordism state spaces,

@@ -407,6 +407,14 @@ def test_boundary_axioms_are_checked_without_asserts() -> None:
         "ValueError blocks must partition 1..m"]
 
 
+@pytest.mark.parametrize("letters", [["xy", "z"], ["x", ""], [0, 1]])
+def test_free_monoid_letters_are_one_character_each(letters) -> None:
+    """A word's text spells it, and a state space keys its free strands by
+    that text, so a letter of any other length is refused at once."""
+    with pytest.raises(ValueError, match="letters must be one character"):
+        FreeMonoidCategory(letters)
+
+
 def test_free_boundary_reads_off_concatenation() -> None:
     fm = FreeMonoidCategory("xy")
     fb = FreeBoundary(fm)
